@@ -43,7 +43,6 @@ from .games import (
     winning_probabilities,
 )
 from .linalg import (
-    hermitian_eigs,
     hermiticity_defect,
     kron,
     mat_power,
@@ -92,7 +91,6 @@ __all__ = [
     "condition_label_pairs",
     "fourier_eigenbasis",
     "game_spec",
-    "hermitian_eigs",
     "hermiticity_defect",
     "joint_distribution",
     "kron",

@@ -6,7 +6,8 @@ setting pair. Its quantum value on a shared state psi is <psi|A|psi>
 with A the sum of orbit projectors, so the quantum bound is the top
 eigenvalue of A. Two independent routes compute it:
 
-* numeric: Jacobi diagonalization of A;
+* numeric: LAPACK ``eigvalsh`` on the dense A. It is independent of
+  the analytic route, which uses no eigensolver at all;
 * analytic: the eigenbasis of the step operator B is known in closed
   form, and A's eigenvalues are 2*M*d times the seed weight each
   degenerate eigenvalue group of B captures.
@@ -17,12 +18,11 @@ deterministic local strategies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigs, kron
+from .linalg import hermiticity_defect, kron
 from .orbit import MeasLabel, OrbitEntry, ProblemSpec, fourier_eigenbasis, orbit
 
 __all__ = [
@@ -47,6 +47,16 @@ STRATEGY_GUARD = 10**8
 
 class InstanceTooLarge(Exception):
     """Deterministic-strategy search space exceeds the enumeration guard."""
+
+
+def _check_strategy_guard(spec: ProblemSpec) -> None:
+    """Raise InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD."""
+    d, m = spec.outcomes, spec.settings
+    if d ** (2 * m) > STRATEGY_GUARD:
+        raise InstanceTooLarge(
+            f"instance too large: {d}^{2 * m} deterministic strategies "
+            f"exceed the enumeration guard of {STRATEGY_GUARD:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,10 +114,22 @@ def accumulate_A(orbit_entries: list[OrbitEntry]) -> np.ndarray:
     return a
 
 
-def quantum_bound_numeric(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue of the projector sum and its eigenvector, by Jacobi."""
-    w, v = hermitian_eigs(a)
-    return float(w[0]), v[:, 0]
+def quantum_bound_numeric(a: np.ndarray) -> float:
+    """Top eigenvalue of the projector sum, by LAPACK ``eigvalsh``.
+
+    Raises ValueError if ``a`` is not square or not Hermitian within
+    1e-12.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    defect = hermiticity_defect(a)
+    if defect > 1e-12:
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} "
+            "exceeds tolerance 1e-12"
+        )
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
@@ -192,6 +214,28 @@ def quantum_bound_analytic(
     return best_value, best_state
 
 
+def _best_reply(
+    alice_map: tuple[int, ...], terms: list[tuple[MeasLabel, MeasLabel]], d: int, m: int
+) -> tuple[int, tuple[int, ...]]:
+    """Bob's best reply to a fixed Alice map and the terms it satisfies.
+
+    Per Bob setting, the outcome that hits the most terms; ties go to
+    the smallest outcome.
+    """
+    hits = [[0] * d for _ in range(m)]
+    for a, b in terms:
+        if alice_map[a.setting] == a.outcome:
+            hits[b.setting][b.outcome] += 1
+    total = 0
+    bob_map = []
+    for s in range(m):
+        row = hits[s]
+        pick = max(range(d), key=row.__getitem__)  # first max: smallest outcome
+        bob_map.append(pick)
+        total += row[pick]
+    return total, tuple(bob_map)
+
+
 def classical_bound(
     orbit_entries: list[OrbitEntry], spec: ProblemSpec
 ) -> tuple[int, DeterministicStrategy]:
@@ -199,39 +243,37 @@ def classical_bound(
 
     Equivalent to scanning all d^(2M) strategy pairs: for a fixed
     Alice assignment the terms split by Bob's setting, so Bob's best
-    reply is a per-setting argmax and needs no enumeration. Ties are
-    broken toward the lexicographically smallest (alice_map, bob_map)
-    table, identical to what the naive double scan would return.
+    reply is a per-setting argmax and needs no enumeration. All d^M
+    Alice maps are scored in one numpy pass; map i has outcome
+    i // d^(M-1-s) % d at setting s, so index order is lexicographic
+    order. Ties are broken toward the lexicographically smallest
+    (alice_map, bob_map) table, identical to what the naive double
+    scan would return.
 
     Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD.
     """
+    _check_strategy_guard(spec)
     d, m = spec.outcomes, spec.settings
-    if d ** (2 * m) > STRATEGY_GUARD:
-        raise InstanceTooLarge(
-            f"instance too large: {d}^{2 * m} deterministic strategies "
-            f"exceed the enumeration guard of {STRATEGY_GUARD:.0e}"
-        )
     terms = [(e.alice, e.bob) for e in orbit_entries]
 
-    best = -1
-    best_strategy: DeterministicStrategy | None = None
-    for alice_map in itertools.product(range(d), repeat=m):
-        hits = [[0] * d for _ in range(m)]
-        for a, b in terms:
-            if alice_map[a.setting] == a.outcome:
-                hits[b.setting][b.outcome] += 1
-        total = 0
-        bob_map = []
-        for s in range(m):
-            row = hits[s]
-            pick = max(range(d), key=row.__getitem__)  # first max: smallest outcome
-            bob_map.append(pick)
-            total += row[pick]
-        if total > best:
-            best = total
-            best_strategy = DeterministicStrategy(alice_map, tuple(bob_map))
-    assert best_strategy is not None
-    return best, best_strategy
+    by_bob: dict[MeasLabel, list[MeasLabel]] = {}
+    for a, b in terms:
+        by_bob.setdefault(b, []).append(a)
+    maps = np.arange(d**m)
+    totals = np.zeros(d**m, dtype=np.int64)
+    for t in range(m):
+        best_hits = np.zeros(d**m, dtype=np.int64)
+        for k in range(d):
+            hits = np.zeros(d**m, dtype=np.int64)
+            for a in by_bob.get(MeasLabel(t, k), ()):
+                hits += maps // d ** (m - 1 - a.setting) % d == a.outcome
+            np.maximum(best_hits, hits, out=best_hits)
+        totals += best_hits
+
+    best = int(totals.argmax())  # first max: lexicographically smallest map
+    alice_map = tuple(best // d ** (m - 1 - s) % d for s in range(m))
+    value, bob_map = _best_reply(alice_map, terms, d, m)
+    return value, DeterministicStrategy(alice_map, bob_map)
 
 
 def build_inequality(spec: ProblemSpec) -> BellInequality:
@@ -239,10 +281,14 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
 
     Computes the quantum bound along both routes and insists they
     agree to 1e-9; the analytic value and state are the ones reported.
+
+    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD, before
+    any orbit or matrix is built.
     """
+    _check_strategy_guard(spec)
     entries = orbit(spec)
     a = accumulate_A(entries)
-    numeric, _ = quantum_bound_numeric(a)
+    numeric = quantum_bound_numeric(a)
     analytic, state = quantum_bound_analytic(spec, entries)
     if abs(numeric - analytic) > 1e-9:
         raise RuntimeError(

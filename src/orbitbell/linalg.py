@@ -4,9 +4,10 @@ Everything operates on plain numpy arrays of complex128: vectors are
 1-d, matrices 2-d. Composite indices follow the row-major convention
 |j>|k> -> j * dim_b + k throughout the package.
 
-The Hermitian eigensolver is a self-contained cyclic Jacobi iteration,
-kept independent of the LAPACK path so that the numeric spectral route
-can serve as a genuine cross-check of closed-form eigenstructure.
+There is no eigensolver here: the numeric spectral route calls LAPACK
+``eigvalsh`` directly (see ``bounds.quantum_bound_numeric``). It is a
+genuine cross-check of the closed-form eigenstructure because the
+analytic route uses no eigensolver.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 __all__ = [
     "kron",
     "mat_power",
-    "hermitian_eigs",
     "hermiticity_defect",
     "unitarity_defect",
 ]
@@ -45,88 +45,3 @@ def unitarity_defect(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def hermitian_eigs(
-    h: np.ndarray,
-    *,
-    off_threshold: float = 1e-12,
-    max_sweeps: int = 100,
-    hermiticity_tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectral decomposition of a Hermitian matrix by cyclic Jacobi.
-
-    Each sweep visits every index pair (p, q) once and applies the
-    unitary plane rotation that zeroes the (p, q) entry; sweeps repeat
-    until the off-diagonal Frobenius norm drops below ``off_threshold``.
-    Intended for small dense problems (dimension up to a few hundred).
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
-    sorted in descending order and eigenvectors as matching columns of
-    a unitary matrix.
-
-    Raises ValueError if ``h`` is not square or not Hermitian within
-    ``hermiticity_tol``, and RuntimeError if the iteration fails to
-    converge within ``max_sweeps`` sweeps.
-    """
-    a = np.array(h, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = hermiticity_defect(a)
-    if defect > hermiticity_tol:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} "
-            f"exceeds tolerance {hermiticity_tol:.1e}"
-        )
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= off_threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta == 0.0:
-                    continue
-                # Factor out the phase of a[p, q], then pick the real
-                # rotation angle that annihilates the entry.
-                phase = apq / beta
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * beta)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rpp, rpq = c, s
-                rqp, rqq = -s * np.conj(phase), c * np.conj(phase)
-                # a <- R† a R, applied as a column then a row update.
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = rpp * cp + rqp * cq
-                a[:, q] = rpq * cp + rqq * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = np.conj(rpp) * rp + np.conj(rqp) * rq
-                a[q, :] = np.conj(rpq) * rp + np.conj(rqq) * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = rpp * vp + rqp * vq
-                v[:, q] = rpq * vp + rqq * vq
-    if not converged and _offdiag_norm(a) > off_threshold:
-        raise RuntimeError(
-            f"Jacobi iteration did not reach off-diagonal norm "
-            f"{off_threshold:.1e} within {max_sweeps} sweeps"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]

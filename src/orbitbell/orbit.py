@@ -42,6 +42,12 @@ class ProblemSpec:
     settings: int
 
     def __post_init__(self) -> None:
+        for name in ("outcomes", "settings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            # plain int, so that sizes such as d^(2M) cannot wrap around
+            object.__setattr__(self, name, int(value))
         if self.outcomes < 2:
             raise ValueError("outcomes must be at least 2")
         if self.settings < 1:

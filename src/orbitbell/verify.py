@@ -162,7 +162,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
 
             a = accumulate_A(entries)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
-            numeric, _ = quantum_bound_numeric(a)
+            numeric = quantum_bound_numeric(a)
             analytic, state = quantum_bound_analytic(spec, entries)
             checks["agree"].record(abs(numeric - analytic), cell)
 

@@ -1,17 +1,11 @@
-"""Complex linear algebra primitives, checked against closed forms and
-an independent LAPACK route."""
+"""Complex linear algebra primitives, checked against closed forms."""
 
 import numpy as np
 import pytest
 
-from orbitbell import hermitian_eigs, hermiticity_defect, kron, mat_power, unitarity_defect
+from orbitbell import hermiticity_defect, kron, mat_power, unitarity_defect
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def random_hermitian(rng, n):
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (m + m.conj().T) / 2.0
 
 
 def test_kron_flat_index_convention():
@@ -56,62 +50,6 @@ def test_mat_power_negative_rejected():
 def test_mat_power_unitary_period():
     # the two-element cyclic shift squares to the identity
     assert np.max(np.abs(mat_power(SX, 2) - np.eye(2))) <= 1e-14
-
-
-def test_hermitian_eigs_diagonal():
-    w, v = hermitian_eigs(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(w, [3.0, 2.0, 1.0])
-    # columns are the matching coordinate vectors
-    assert abs(v[0, 0]) == pytest.approx(1.0)
-    assert abs(v[2, 1]) == pytest.approx(1.0)
-    assert abs(v[1, 2]) == pytest.approx(1.0)
-
-
-def test_hermitian_eigs_two_by_two():
-    w, v = hermitian_eigs(SX)
-    assert np.allclose(w, [1.0, -1.0])
-    for col, val in zip(v.T, w):
-        assert np.max(np.abs(SX @ col - val * col)) <= 1e-12
-
-
-def test_hermitian_eigs_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_hermitian_eigs_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eigs(np.zeros((2, 3), dtype=complex))
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 40, 64])
-def test_hermitian_eigs_random(n):
-    rng = np.random.default_rng(1234 + n)
-    h = random_hermitian(rng, n)
-    w, v = hermitian_eigs(h)
-
-    # descending order, real spectrum
-    assert np.all(np.diff(w) <= 1e-12)
-    # eigenvalue sum = trace
-    assert abs(w.sum() - np.trace(h).real) <= 1e-9
-    # orthonormal columns
-    gram = v.conj().T @ v
-    assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
-    # reconstruction
-    assert np.max(np.abs(h - v @ np.diag(w) @ v.conj().T)) <= 1e-9
-    # agrees with the LAPACK route
-    ref = np.linalg.eigvalsh(h)[::-1]
-    assert np.max(np.abs(w - ref)) <= 1e-9
-
-
-def test_hermitian_eigs_degenerate_spectrum():
-    # projector with a three-fold degenerate eigenvalue
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    h = q @ np.diag([2.0, 2.0, 2.0, -1.0, -1.0]) @ q.conj().T
-    w, v = hermitian_eigs(h)
-    assert np.allclose(w, [2.0, 2.0, 2.0, -1.0, -1.0], atol=1e-10)
-    assert np.max(np.abs(h @ v - v @ np.diag(w))) <= 1e-9
 
 
 def test_defect_helpers():

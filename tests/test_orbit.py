@@ -39,6 +39,18 @@ def test_problem_spec_validation():
     spec = ProblemSpec(3, 2)
     assert spec.orbit_length == 12
     assert spec.hilbert_dim == 9
+    # numpy integers are accepted and stored as plain ints
+    spec = ProblemSpec(np.int64(3), np.int32(2))
+    assert spec == ProblemSpec(3, 2)
+    assert type(spec.outcomes) is int and type(spec.settings) is int
+
+
+@pytest.mark.parametrize(
+    "outcomes,settings", [(2.5, 2), (3, 1.5), (3.0, 2), (True, 2), (2, False), ("3", 2)]
+)
+def test_problem_spec_rejects_non_integers(outcomes, settings):
+    with pytest.raises(TypeError, match="must be an integer"):
+        ProblemSpec(outcomes, settings)
 
 
 def test_translation_matrix_qutrit():

@@ -1,0 +1,90 @@
+"""Property tests over random instances and random sets of orbit terms.
+
+The vectorized classical search is checked against the plain
+per-Alice-map loop it replaced, on random non-empty subsets of orbit
+entries: a subset breaks the symmetry of the full orbit, so it reaches
+ties and tie-breaks that full orbits never produce. The LAPACK quantum
+route is checked against the closed-form route.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitbell import (
+    DeterministicStrategy,
+    ProblemSpec,
+    accumulate_A,
+    classical_bound,
+    orbit,
+    quantum_bound_analytic,
+    quantum_bound_numeric,
+)
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+# every (d, M) with at most 1e6 deterministic strategy pairs, d <= 8
+ENUMERABLE = [
+    (d, m) for d in range(2, 9) for m in range(1, 10) if d ** (2 * m) <= 10**6
+]
+
+
+def per_map_loop(entries, spec):
+    """Reference: best reply to every Alice map in turn, first strict max wins."""
+    d, m = spec.outcomes, spec.settings
+    terms = [(e.alice, e.bob) for e in entries]
+    best, best_strategy = -1, None
+    for alice_map in itertools.product(range(d), repeat=m):
+        hits = [[0] * d for _ in range(m)]
+        for a, b in terms:
+            if alice_map[a.setting] == a.outcome:
+                hits[b.setting][b.outcome] += 1
+        total = 0
+        bob_map = []
+        for s in range(m):
+            row = hits[s]
+            pick = max(range(d), key=row.__getitem__)
+            bob_map.append(pick)
+            total += row[pick]
+        if total > best:
+            best = total
+            best_strategy = DeterministicStrategy(alice_map, tuple(bob_map))
+    return best, best_strategy
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_classical_bound_matches_per_map_loop_on_term_subsets(data):
+    d, m = data.draw(st.sampled_from(ENUMERABLE), label="(d, M)")
+    spec = ProblemSpec(d, m)
+    entries = orbit(spec)
+    picked = data.draw(
+        st.sets(st.integers(0, len(entries) - 1), min_size=1), label="terms"
+    )
+    subset = [entries[i] for i in sorted(picked)]
+    assert classical_bound(subset, spec) == per_map_loop(subset, spec)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 8), st.integers(1, 6))
+def test_quantum_bound_routes_agree_on_random_instances(d, m):
+    spec = ProblemSpec(d, m)
+    entries = orbit(spec)
+    numeric = quantum_bound_numeric(accumulate_A(entries))
+    analytic, _ = quantum_bound_analytic(spec, entries)
+    assert abs(numeric - analytic) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(ENUMERABLE))
+def test_full_orbit_bounds_are_chained_bell_values(cell):
+    # C_s = 2M - 1 with the all-zero table as witness, and C_s <= Q_s <= 2M
+    d, m = cell
+    spec = ProblemSpec(d, m)
+    entries = orbit(spec)
+    value, witness = classical_bound(entries, spec)
+    assert value == 2 * m - 1
+    assert witness == DeterministicStrategy((0,) * m, (0,) * m)
+    analytic, _ = quantum_bound_analytic(spec, entries)
+    assert value - 1e-9 <= analytic <= 2 * m + 1e-9
