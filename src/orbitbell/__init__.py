@@ -55,7 +55,7 @@ from .orbit import (
     condition_label_pairs,
     fourier_eigenbasis,
     label_step,
-    measurement_basis,
+    measurement_bases,
     orbit,
     root_unitary,
     step_operator,
@@ -96,7 +96,7 @@ __all__ = [
     "kron",
     "label_step",
     "mat_power",
-    "measurement_basis",
+    "measurement_bases",
     "mutual_information",
     "orbit",
     "parse_certificate",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermiticity_defect, kron
+from .linalg import hermiticity_defect
 from .orbit import MeasLabel, OrbitEntry, ProblemSpec, fourier_eigenbasis, orbit
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "BellInequality",
     "InstanceTooLarge",
     "STRATEGY_GUARD",
+    "MEMORY_CEILING",
     "root_of_unity_index",
     "accumulate_A",
     "quantum_bound_numeric",
@@ -44,13 +45,31 @@ __all__ = [
 # instances are rejected instead of silently running for hours.
 STRATEGY_GUARD = 10**8
 
+# Bytes the dense d^2 x d^2 complex projector sum may take (16 d^4);
+# 256 MiB admits d <= 64.
+MEMORY_CEILING = 256 * 2**20
+
 
 class InstanceTooLarge(Exception):
-    """Deterministic-strategy search space exceeds the enumeration guard."""
+    """Instance beyond the enumeration guard or the memory ceiling."""
 
 
-def _check_strategy_guard(spec: ProblemSpec) -> None:
-    """Raise InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD."""
+def _check_memory_ceiling(outcomes: int) -> None:
+    """Raise InstanceTooLarge when the dense projector sum at this
+    outcome count would exceed MEMORY_CEILING."""
+    needed = 16 * outcomes**4
+    if needed > MEMORY_CEILING:
+        raise InstanceTooLarge(
+            f"instance too large: the dense projector sum at {outcomes} "
+            f"outcomes needs {needed / 2**20:.0f} MiB, over the memory "
+            f"ceiling of {MEMORY_CEILING // 2**20} MiB"
+        )
+
+
+def _check_guards(spec: ProblemSpec) -> None:
+    """Raise InstanceTooLarge when the instance exceeds the memory
+    ceiling or d^(2M) exceeds STRATEGY_GUARD."""
+    _check_memory_ceiling(spec.outcomes)
     d, m = spec.outcomes, spec.settings
     if d ** (2 * m) > STRATEGY_GUARD:
         raise InstanceTooLarge(
@@ -106,12 +125,10 @@ def root_of_unity_index(value: complex, order: int, tol: float = 1e-9) -> int:
 
 
 def accumulate_A(orbit_entries: list[OrbitEntry]) -> np.ndarray:
-    """Sum of projectors onto the orbit states."""
-    dim = orbit_entries[0].vector.shape[0]
-    a = np.zeros((dim, dim), dtype=complex)
-    for entry in orbit_entries:
-        a += np.outer(entry.vector, entry.vector.conj())
-    return a
+    """Sum of projectors onto the orbit states, as one product V^T conj(V)
+    over the matrix V whose rows are the orbit vectors."""
+    v = np.array([entry.vector for entry in orbit_entries])
+    return v.T @ v.conj()
 
 
 def quantum_bound_numeric(a: np.ndarray) -> float:
@@ -154,7 +171,7 @@ def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
     pairs: list[EigenPair] = []
     for j in range(d):
         w = basis[j][0]
-        pairs.append(EigenPair(indices[j], kron(w, w)))
+        pairs.append(EigenPair(indices[j], np.outer(w, w).ravel()))
     for j in range(d):
         for k in range(j + 1, d):
             total = (indices[j] + indices[k]) % order
@@ -169,8 +186,8 @@ def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
             mu = np.exp(2j * np.pi * plus / order)
             ratio = mu / lambdas[j]
             wj, wk = basis[j][0], basis[k][0]
-            direct = kron(wj, wk)
-            swapped = kron(wk, wj)
+            direct = np.outer(wj, wk).ravel()
+            swapped = np.outer(wk, wj).ravel()
             pairs.append(EigenPair(plus, (direct + ratio * swapped) / np.sqrt(2)))
             pairs.append(EigenPair(minus, (direct - ratio * swapped) / np.sqrt(2)))
     return pairs
@@ -250,9 +267,10 @@ def classical_bound(
     (alice_map, bob_map) table, identical to what the naive double
     scan would return.
 
-    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD.
+    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or the
+    instance exceeds MEMORY_CEILING.
     """
-    _check_strategy_guard(spec)
+    _check_guards(spec)
     d, m = spec.outcomes, spec.settings
     terms = [(e.alice, e.bob) for e in orbit_entries]
 
@@ -282,10 +300,11 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
     Computes the quantum bound along both routes and insists they
     agree to 1e-9; the analytic value and state are the ones reported.
 
-    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD, before
-    any orbit or matrix is built.
+    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or the
+    dense projector sum exceeds MEMORY_CEILING, before any orbit or
+    matrix is built.
     """
-    _check_strategy_guard(spec)
+    _check_guards(spec)
     entries = orbit(spec)
     a = accumulate_A(entries)
     numeric = quantum_bound_numeric(a)

@@ -4,7 +4,10 @@ Subcommands: ``analyze`` one instance (text report or JSON
 certificate), ``table`` the two-setting survey over a range of outcome
 counts, ``game`` the induced nonlocal game, ``verify`` the structural
 cross-check sweep. Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 instance over the enumeration guard.
+2 usage error (including an ``--out`` file that cannot be written),
+3 instance over the enumeration guard or the memory ceiling, 4 internal
+consistency check failed (a RuntimeError such as the orbit
+label/vector check or the quantum-bound route agreement).
 """
 
 from __future__ import annotations
@@ -124,11 +127,16 @@ def render_game(report: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _emit(text: str, out: str | None) -> int:
+    if not out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -138,8 +146,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         text = certificate_json(build_certificate(report)) + "\n"
     else:
         text = render_text_report(report)
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -183,3 +190,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return 4

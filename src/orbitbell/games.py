@@ -12,11 +12,12 @@ inequality data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import BellInequality, build_inequality
-from .orbit import OrbitEntry, ProblemSpec, measurement_basis, orbit
+from .orbit import MeasLabel, ProblemSpec, measurement_bases, root_unitary
 
 __all__ = [
     "GameSpec",
@@ -69,8 +70,11 @@ class AnalysisReport:
         return self.inequality.classical_bound
 
 
-def game_spec(spec: ProblemSpec, orbit_entries: list[OrbitEntry]) -> GameSpec:
-    """Group the orbit terms into 2M question slots.
+def game_spec(
+    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
+) -> GameSpec:
+    """Group the orbit terms (alice, bob label pairs in orbit order, as
+    in ``BellInequality.terms``) into 2M question slots.
 
     For two or more settings the slot is just the setting pair. For a
     single setting the equal-settings and wrap-around families both
@@ -81,10 +85,10 @@ def game_spec(spec: ProblemSpec, orbit_entries: list[OrbitEntry]) -> GameSpec:
     questions: list[tuple[int, int]] = []
     winning: list[set[tuple[int, int]]] = []
     slot_of: dict[tuple[int, int, bool], int] = {}
-    for e in orbit_entries:
-        sa, sb = e.alice.setting, e.bob.setting
+    for alice, bob in terms:
+        sa, sb = alice.setting, bob.setting
         if m == 1:
-            diagonal = e.alice.outcome == e.bob.outcome
+            diagonal = alice.outcome == bob.outcome
         else:
             diagonal = sa == sb
         key = (sa, sb, diagonal)
@@ -92,7 +96,7 @@ def game_spec(spec: ProblemSpec, orbit_entries: list[OrbitEntry]) -> GameSpec:
             slot_of[key] = len(questions)
             questions.append((sa, sb))
             winning.append(set())
-        winning[slot_of[key]].add((e.alice.outcome, e.bob.outcome))
+        winning[slot_of[key]].add((alice.outcome, bob.outcome))
     return GameSpec(tuple(questions), tuple(frozenset(w) for w in winning))
 
 
@@ -108,9 +112,10 @@ def quantum_win_direct(ineq: BellInequality, game: GameSpec) -> float:
     Independent of the eigenvalue route; used to cross-check
     :func:`winning_probabilities`.
     """
+    bases = measurement_bases(root_unitary(ineq.spec), ineq.spec.settings)
     total = 0.0
     for (s, t), win in zip(game.questions, game.winning):
-        grid = joint_distribution(ineq.optimal_state, ineq.spec, s, t)
+        grid = joint_distribution(ineq.optimal_state, bases[s], bases[t])
         total += float(sum(grid[a, b] for a, b in win))
     return total / len(game.questions)
 
@@ -126,13 +131,12 @@ def classical_win_direct(ineq: BellInequality, game: GameSpec) -> float:
 
 
 def joint_distribution(
-    state: np.ndarray, spec: ProblemSpec, alice_setting: int, bob_setting: int
+    state: np.ndarray, alice_basis: np.ndarray, bob_basis: np.ndarray
 ) -> np.ndarray:
-    """d x d outcome distribution of ``state`` at one setting pair."""
-    d = spec.outcomes
-    va = measurement_basis(spec, alice_setting)
-    vb = measurement_basis(spec, bob_setting)
-    amplitudes = va.conj().T @ state.reshape(d, d) @ vb.conj()
+    """d x d outcome distribution of ``state`` measured in one basis per
+    party (columns are the outcomes; see :func:`measurement_bases`)."""
+    d = alice_basis.shape[0]
+    amplitudes = alice_basis.conj().T @ state.reshape(d, d) @ bob_basis.conj()
     return np.abs(amplitudes) ** 2
 
 
@@ -177,10 +181,11 @@ def prediction_probability(ineq: BellInequality) -> float:
             raise RuntimeError(f"ambiguous prediction for {key}: orbit bug")
         predicted[key] = bob.outcome
 
+    bases = measurement_bases(root_unitary(spec), 2)
     total = 0.0
     for s in range(2):
         for t in range(2):
-            grid = joint_distribution(ineq.optimal_state, spec, s, t)
+            grid = joint_distribution(ineq.optimal_state, bases[s], bases[t])
             for a in range(spec.outcomes):
                 total += float(grid[a, predicted[(s, a, t)]])
     return total / 4.0
@@ -189,11 +194,11 @@ def prediction_probability(ineq: BellInequality) -> float:
 def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance."""
     ineq = build_inequality(spec)
-    entries = orbit(spec)
-    game = game_spec(spec, entries)
+    game = game_spec(spec, ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
+    bases = measurement_bases(root_unitary(spec), spec.settings)
     grids = {
-        (s, t): joint_distribution(ineq.optimal_state, spec, s, t)
+        (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
         for s in range(spec.settings)
         for t in range(spec.settings)
     }

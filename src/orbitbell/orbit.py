@@ -25,7 +25,7 @@ __all__ = [
     "translation_matrix",
     "fourier_eigenbasis",
     "root_unitary",
-    "measurement_basis",
+    "measurement_bases",
     "swap_matrix",
     "step_operator",
     "label_step",
@@ -120,13 +120,13 @@ def root_unitary(spec: ProblemSpec) -> np.ndarray:
     return u
 
 
-def measurement_basis(spec: ProblemSpec, setting: int) -> np.ndarray:
-    """Orthonormal basis for one setting: columns of U^setting."""
-    if not 0 <= setting < spec.settings:
-        raise ValueError(
-            f"setting must lie in [0, {spec.settings - 1}], got {setting}"
-        )
-    return mat_power(root_unitary(spec), setting)
+def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
+    """Orthonormal basis per setting s < settings: the columns of U^s.
+
+    ``u`` is the instance's root unitary (see :func:`root_unitary`);
+    build it once and pass it to every caller that needs the bases.
+    """
+    return [mat_power(u, s) for s in range(settings)]
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -140,8 +140,13 @@ def swap_matrix(d: int) -> np.ndarray:
 
 def step_operator(spec: ProblemSpec) -> np.ndarray:
     """Orbit generator B = (U (x) 1) S. Satisfies B^2 = U (x) U."""
-    d = spec.outcomes
-    return kron(root_unitary(spec), np.eye(d, dtype=complex)) @ swap_matrix(d)
+    return _step_from_root(root_unitary(spec))
+
+
+def _step_from_root(u: np.ndarray) -> np.ndarray:
+    """B = (U (x) 1) S from an already built root unitary U."""
+    d = u.shape[0]
+    return kron(u, np.eye(d, dtype=complex)) @ swap_matrix(d)
 
 
 def label_step(
@@ -171,8 +176,9 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     RuntimeError rather than returning silently wrong terms.
     """
     d = spec.outcomes
-    bases = [measurement_basis(spec, m) for m in range(spec.settings)]
-    b = step_operator(spec)
+    u = root_unitary(spec)
+    bases = measurement_bases(u, spec.settings)
+    b = _step_from_root(u)
 
     entries: list[OrbitEntry] = []
     alice = MeasLabel(0, 0)
@@ -180,10 +186,10 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     vec = np.zeros(d * d, dtype=complex)
     vec[0] = 1.0
     for step in range(spec.orbit_length):
-        expected = kron(
+        expected = np.outer(
             bases[alice.setting][:, alice.outcome],
             bases[bob.setting][:, bob.outcome],
-        )
+        ).ravel()
         err = float(np.max(np.abs(vec - expected)))
         if err > 1e-10:
             raise RuntimeError(

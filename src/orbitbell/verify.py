@@ -15,6 +15,7 @@ import numpy as np
 
 from .bounds import (
     STRATEGY_GUARD,
+    _check_memory_ceiling,
     accumulate_A,
     b_eigensystem,
     classical_bound,
@@ -26,6 +27,7 @@ from .orbit import (
     ProblemSpec,
     condition_label_pairs,
     label_step,
+    measurement_bases,
     orbit as build_orbit,
     root_unitary,
     step_operator,
@@ -89,6 +91,13 @@ class VerificationReport:
 
 
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
+    """Run every check on every cell of the grid.
+
+    Raises InstanceTooLarge before the first cell when ``outcomes_max``
+    is beyond the memory ceiling; the enumeration guard only skips the
+    classical comparison per cell.
+    """
+    _check_memory_ceiling(outcomes_max)
     checks = {
         "unitary": CheckResult("generator matrices are unitary", 1e-12),
         "root": CheckResult("settings-th power of the root unitary is the shift", 1e-11),
@@ -190,8 +199,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                         checks["degenerate"].fail(cell, f"C_s={c_value}, expected 1")
 
             if m == 2:
+                bases = measurement_bases(u, 2)
                 infos = [
-                    mutual_information(joint_distribution(state, spec, sa, sb))
+                    mutual_information(joint_distribution(state, bases[sa], bases[sb]))
                     for sa in range(2)
                     for sb in range(2)
                 ]

@@ -26,8 +26,10 @@ from orbitbell import (
     quantum_bound_analytic,
     quantum_bound_numeric,
     root_of_unity_index,
+    run_verification,
     step_operator,
 )
+from orbitbell.bounds import MEMORY_CEILING, _check_memory_ceiling
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -273,6 +275,32 @@ def test_build_inequality_checks_guard_before_any_work(monkeypatch):
     monkeypatch.setattr("orbitbell.bounds.orbit", no_orbit)
     with pytest.raises(InstanceTooLarge, match="too large"):
         build_inequality(ProblemSpec(10, 5))
+
+
+@pytest.mark.parametrize("d,m", [(5000, 1), (65, 2)])
+def test_build_inequality_checks_memory_ceiling_before_any_work(monkeypatch, d, m):
+    def no_orbit(spec):
+        raise AssertionError("orbit built for an instance beyond the ceiling")
+
+    monkeypatch.setattr("orbitbell.bounds.orbit", no_orbit)
+    with pytest.raises(InstanceTooLarge, match="memory ceiling"):
+        build_inequality(ProblemSpec(d, m))
+
+
+def test_memory_ceiling_admits_64_outcomes():
+    assert 16 * 64**4 <= MEMORY_CEILING < 16 * 65**4
+    _check_memory_ceiling(64)
+    with pytest.raises(InstanceTooLarge, match="memory ceiling"):
+        _check_memory_ceiling(65)
+
+
+def test_verify_checks_memory_ceiling_before_the_first_cell(monkeypatch):
+    def no_cell(outcomes, settings):
+        raise AssertionError("cell started for a sweep beyond the ceiling")
+
+    monkeypatch.setattr("orbitbell.verify.ProblemSpec", no_cell)
+    with pytest.raises(InstanceTooLarge, match="memory ceiling"):
+        run_verification(65, 1)
 
 
 def test_build_inequality_qubit():

@@ -1,0 +1,46 @@
+"""Each analyzed instance is built once.
+
+``analyze`` builds the orbit once and the root unitary a bounded number
+of times, independent of the number of settings M: the orbit, the joint
+grids and the prediction rule each form their M measurement bases from
+one root unitary.
+"""
+
+import functools
+import importlib
+import sys
+
+import pytest
+
+from orbitbell import ProblemSpec, analyze
+
+
+def count_calls(monkeypatch, module_name, attr):
+    """Wrap a function in every orbitbell namespace that binds it."""
+    fn = getattr(importlib.import_module(module_name), attr)
+    calls = [0]
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "orbitbell" or name.startswith("orbitbell."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d,m", [(5, 4), (2, 12), (10, 2)])
+def test_analyze_builds_each_instance_once(monkeypatch, d, m):
+    orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
+    roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
+    numeric = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_numeric")
+    analytic = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_analytic")
+    report = analyze(ProblemSpec(d, m))
+    assert report.classical_bound == 2 * m - 1
+    assert orbits[0] == 1
+    assert roots[0] <= 3
+    assert numeric[0] == analytic[0] == 1

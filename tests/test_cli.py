@@ -17,6 +17,7 @@ from orbitbell import (
     parse_certificate,
     run_verification,
 )
+from orbitbell.cli import main as cli_main
 
 
 def run_cli(*args):
@@ -117,6 +118,50 @@ def test_oversized_instance_exits_3():
     proc = run_cli("analyze", "--outcomes", "10", "--settings", "5")
     assert proc.returncode == 3
     assert "instance too large" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--outcomes", "5000", "--settings", "1"),
+        ("analyze", "--outcomes", "65", "--settings", "2"),
+        ("verify", "--outcomes-max", "65", "--settings-max", "1"),
+    ],
+)
+def test_instance_over_memory_ceiling_exits_3_at_once(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitbell", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "memory ceiling" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    # a directory cannot be written as a file
+    proc = run_cli(
+        "analyze", "--outcomes", "2", "--settings", "2", "--out", str(tmp_path)
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot write ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_internal_consistency_failure_exits_4(monkeypatch, capsys):
+    # a numeric route that disagrees with the closed form trips the
+    # 1e-9 agreement check inside build_inequality
+    bounds_module = importlib.import_module("orbitbell.bounds")
+    monkeypatch.setattr(bounds_module, "quantum_bound_numeric", lambda a: 0.0)
+    rc = cli_main(["analyze", "--outcomes", "2", "--settings", "2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal consistency check failed:")
+    assert "routes disagree" in captured.err
 
 
 def test_table_survey():

@@ -15,10 +15,12 @@ from orbitbell import (
     classical_win_direct,
     game_spec,
     joint_distribution,
+    measurement_bases,
     mutual_information,
     orbit,
     prediction_probability,
     quantum_win_direct,
+    root_unitary,
     winning_probabilities,
 )
 
@@ -27,8 +29,8 @@ GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
 def make_game(d, m):
     spec = ProblemSpec(d, m)
-    entries = orbit(spec)
-    return spec, build_inequality(spec), game_spec(spec, entries)
+    ineq = build_inequality(spec)
+    return spec, ineq, game_spec(spec, ineq.terms)
 
 
 def test_game_spec_qubit_two_settings():
@@ -67,7 +69,7 @@ def test_game_spec_single_setting_has_two_slots():
 @pytest.mark.parametrize("d,m", GRID)
 def test_game_spec_structure(d, m):
     spec = ProblemSpec(d, m)
-    game = game_spec(spec, orbit(spec))
+    game = game_spec(spec, [(e.alice, e.bob) for e in orbit(spec)])
     assert len(game.questions) == 2 * m
     for win in game.winning:
         assert len(win) == d
@@ -112,7 +114,8 @@ def test_win_probabilities_match_direct_summation(d, m):
 def test_joint_distribution_qubit_two_settings():
     spec = ProblemSpec(2, 2)
     ineq = build_inequality(spec)
-    grid = joint_distribution(ineq.optimal_state, spec, 0, 0)
+    bases = measurement_bases(root_unitary(spec), 2)
+    grid = joint_distribution(ineq.optimal_state, bases[0], bases[0])
     # diagonal (2 + sqrt(2))/8, off-diagonal (2 - sqrt(2))/8
     hi, lo = (2 + np.sqrt(2)) / 8, (2 - np.sqrt(2)) / 8
     assert np.allclose(grid, [[hi, lo], [lo, hi]], atol=1e-12)
@@ -122,10 +125,11 @@ def test_joint_distribution_qutrit_matching_terms():
     spec = ProblemSpec(3, 2)
     ineq = build_inequality(spec)
     entries = orbit(spec)
+    bases = measurement_bases(root_unitary(spec), 2)
     # every orbit term carries probability 5/18 on the optimal state
     for e in entries:
         grid = joint_distribution(
-            ineq.optimal_state, spec, e.alice.setting, e.bob.setting
+            ineq.optimal_state, bases[e.alice.setting], bases[e.bob.setting]
         )
         assert grid[e.alice.outcome, e.bob.outcome] == pytest.approx(5 / 18, abs=1e-12)
 
@@ -135,9 +139,10 @@ def test_joint_distribution_normalization(d, m):
     spec = ProblemSpec(d, m)
     entries = orbit(spec)
     state = entries[3 % len(entries)].vector
+    bases = measurement_bases(root_unitary(spec), m)
     for s in range(m):
         for t in range(m):
-            grid = joint_distribution(state, spec, s, t)
+            grid = joint_distribution(state, bases[s], bases[t])
             assert grid.sum() == pytest.approx(1.0, abs=1e-9)
             assert grid.min() >= 0.0
 

@@ -16,7 +16,7 @@ from orbitbell import (
     kron,
     label_step,
     mat_power,
-    measurement_basis,
+    measurement_bases,
     orbit,
     root_unitary,
     step_operator,
@@ -125,16 +125,14 @@ def test_root_unitary_power_is_shift(d, m):
 
 def test_measurement_basis():
     spec = ProblemSpec(2, 2)
-    assert np.allclose(measurement_basis(spec, 0), np.eye(2))
-    b1 = measurement_basis(spec, 1)
+    bases = measurement_bases(root_unitary(spec), spec.settings)
+    assert len(bases) == 2
+    assert np.allclose(bases[0], np.eye(2))
+    b1 = bases[1]
     v0 = np.array([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)]) / np.sqrt(2)
     v1 = np.array([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)]) / np.sqrt(2)
     assert np.max(np.abs(b1[:, 0] - v0)) <= 1e-12
     assert np.max(np.abs(b1[:, 1] - v1)) <= 1e-12
-    with pytest.raises(ValueError):
-        measurement_basis(spec, 2)
-    with pytest.raises(ValueError):
-        measurement_basis(spec, -1)
 
 
 def test_swap_matrix():

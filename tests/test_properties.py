@@ -4,11 +4,14 @@ The vectorized classical search is checked against the plain
 per-Alice-map loop it replaced, on random non-empty subsets of orbit
 entries: a subset breaks the symmetry of the full orbit, so it reaches
 ties and tie-breaks that full orbits never produce. The LAPACK quantum
-route is checked against the closed-form route.
+route is checked against the closed-form route, the one-product
+projector sum against the per-entry outer-product sum, and the orbit
+against its defining identities.
 """
 
 import itertools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +20,13 @@ from orbitbell import (
     ProblemSpec,
     accumulate_A,
     classical_bound,
+    label_step,
+    mat_power,
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
+    root_unitary,
+    translation_matrix,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
@@ -88,3 +95,40 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
     assert witness == DeterministicStrategy((0,) * m, (0,) * m)
     analytic, _ = quantum_bound_analytic(spec, entries)
     assert value - 1e-9 <= analytic <= 2 * m + 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 8), st.integers(1, 6))
+def test_root_unitary_to_the_settings_is_the_shift(d, m):
+    u = root_unitary(ProblemSpec(d, m))
+    assert np.max(np.abs(mat_power(u, m) - translation_matrix(d))) <= 1e-11
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 8), st.integers(1, 6))
+def test_orbit_closes_over_distinct_labels(d, m):
+    spec = ProblemSpec(d, m)
+    entries = orbit(spec)
+    labels = [(e.alice, e.bob) for e in entries]
+    assert len(labels) == len(set(labels)) == 2 * m * d
+    assert label_step(entries[-1].alice, entries[-1].bob, spec) == labels[0]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 8), st.integers(1, 6))
+def test_per_term_probabilities_are_uniform(d, m):
+    spec = ProblemSpec(d, m)
+    entries = orbit(spec)
+    analytic, state = quantum_bound_analytic(spec, entries)
+    probs = np.array([abs(np.vdot(state, e.vector)) ** 2 for e in entries])
+    assert np.max(np.abs(probs - analytic / spec.orbit_length)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 8), st.integers(1, 6))
+def test_accumulate_A_matches_per_entry_outer_sum(d, m):
+    entries = orbit(ProblemSpec(d, m))
+    reference = np.zeros((d * d, d * d), dtype=complex)
+    for e in entries:
+        reference += np.outer(e.vector, e.vector.conj())
+    assert np.max(np.abs(accumulate_A(entries) - reference)) <= 1e-12
