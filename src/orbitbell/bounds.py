@@ -260,12 +260,20 @@ def classical_bound(
 
     Equivalent to scanning all d^(2M) strategy pairs: for a fixed
     Alice assignment the terms split by Bob's setting, so Bob's best
-    reply is a per-setting argmax and needs no enumeration. All d^M
-    Alice maps are scored in one numpy pass; map i has outcome
-    i // d^(M-1-s) % d at setting s, so index order is lexicographic
-    order. Ties are broken toward the lexicographically smallest
-    (alice_map, bob_map) table, identical to what the naive double
-    scan would return.
+    reply is a per-setting argmax and needs no enumeration. The scan
+    over Alice's d^M maps factorises too: Bob's best score at setting
+    t depends only on Alice's outcomes at the settings S_t that share
+    a term with t (on the orbit, t and t+1 mod M). So each Bob setting
+    gets a small hit table indexed by Bob's outcome and Alice's
+    outcomes on S_t, its maximum over Bob's outcome is broadcast onto
+    the (d,)*M table of map totals, and C-order index i of that table
+    is the map with outcome i // d^(M-1-s) % d at setting s, so index
+    order is lexicographic order. Ties are broken toward the
+    lexicographically smallest (alice_map, bob_map) table, identical
+    to what the naive double scan would return.
+
+    Memory: the d^M totals plus one table of d^(1+|S_t|) entries at a
+    time, d^3 on the orbit and at most d^(M+1) for any term list.
 
     Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or the
     instance exceeds MEMORY_CEILING.
@@ -274,21 +282,24 @@ def classical_bound(
     d, m = spec.outcomes, spec.settings
     terms = [(e.alice, e.bob) for e in orbit_entries]
 
-    by_bob: dict[MeasLabel, list[MeasLabel]] = {}
+    by_bob: dict[int, list[tuple[MeasLabel, MeasLabel]]] = {}
     for a, b in terms:
-        by_bob.setdefault(b, []).append(a)
-    maps = np.arange(d**m)
-    totals = np.zeros(d**m, dtype=np.int64)
-    for t in range(m):
-        best_hits = np.zeros(d**m, dtype=np.int64)
-        for k in range(d):
-            hits = np.zeros(d**m, dtype=np.int64)
-            for a in by_bob.get(MeasLabel(t, k), ()):
-                hits += maps // d ** (m - 1 - a.setting) % d == a.outcome
-            np.maximum(best_hits, hits, out=best_hits)
-        totals += best_hits
+        by_bob.setdefault(b.setting, []).append((a, b))
+    totals = np.zeros((d,) * m, dtype=np.int64)
+    for group in by_bob.values():
+        linked = sorted({a.setting for a, _ in group})
+        hits = np.zeros((d,) * (1 + len(linked)), dtype=np.int64)
+        for a, b in group:
+            # indicator of Alice's outcome, broadcast along the other axes
+            index = [b.outcome] + [slice(None)] * len(linked)
+            index[1 + linked.index(a.setting)] = a.outcome
+            hits[tuple(index)] += 1
+        shape = [1] * m
+        for s in linked:
+            shape[s] = d
+        totals += hits.max(axis=0).reshape(shape)
 
-    best = int(totals.argmax())  # first max: lexicographically smallest map
+    best = int(totals.argmax())  # first max in C order: lexicographically smallest map
     alice_map = tuple(best // d ** (m - 1 - s) % d for s in range(m))
     value, bob_map = _best_reply(alice_map, terms, d, m)
     return value, DeterministicStrategy(alice_map, bob_map)

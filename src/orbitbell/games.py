@@ -47,8 +47,11 @@ class GameSpec:
 class AnalysisReport:
     """Bundled results for one instance.
 
-    ``prediction_prob``, ``mutual_info_bits`` and ``mutual_info_spread``
-    are only defined for two settings per party and are None otherwise.
+    ``prediction_prob``, ``mutual_info_bits``, ``mutual_info_spread``
+    and ``joint_grids`` (the optimal state's outcome distribution per
+    setting pair (s, t)) are only defined for two settings per party
+    and are None otherwise; :func:`joint_distribution` gives any grid
+    directly.
     """
 
     spec: ProblemSpec
@@ -59,7 +62,7 @@ class AnalysisReport:
     prediction_prob: float | None
     mutual_info_bits: float | None
     mutual_info_spread: float | None
-    joint_grids: dict[tuple[int, int], np.ndarray]
+    joint_grids: dict[tuple[int, int], np.ndarray] | None
 
     @property
     def quantum_bound(self) -> float:
@@ -196,18 +199,19 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     ineq = build_inequality(spec)
     game = game_spec(spec, ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
-    bases = measurement_bases(root_unitary(spec), spec.settings)
-    grids = {
-        (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
-        for s in range(spec.settings)
-        for t in range(spec.settings)
-    }
     if spec.settings == 2:
+        bases = measurement_bases(root_unitary(spec), 2)
+        grids = {
+            (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
+            for s in range(2)
+            for t in range(2)
+        }
         infos = {q: mutual_information(g) for q, g in grids.items()}
         info_bits = infos[(0, 0)]
         spread = max(infos.values()) - min(infos.values())
         prediction = prediction_probability(ineq)
     else:
+        grids = None
         info_bits = None
         spread = None
         prediction = None

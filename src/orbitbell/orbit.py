@@ -175,31 +175,37 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     mismatch beyond 1e-10 means an index-convention bug and raises
     RuntimeError rather than returning silently wrong terms.
     """
-    d = spec.outcomes
+    d, n = spec.outcomes, spec.orbit_length
     u = root_unitary(spec)
-    bases = measurement_bases(u, spec.settings)
+    bases = np.array(measurement_bases(u, spec.settings))
     b = _step_from_root(u)
 
-    entries: list[OrbitEntry] = []
-    alice = MeasLabel(0, 0)
-    bob = MeasLabel(0, 0)
-    vec = np.zeros(d * d, dtype=complex)
-    vec[0] = 1.0
-    for step in range(spec.orbit_length):
-        expected = np.outer(
-            bases[alice.setting][:, alice.outcome],
-            bases[bob.setting][:, bob.outcome],
-        ).ravel()
-        err = float(np.max(np.abs(vec - expected)))
-        if err > 1e-10:
-            raise RuntimeError(
-                f"orbit vector and label disagree at step {step} "
-                f"(max deviation {err:.3e}): index-convention bug"
-            )
-        entries.append(OrbitEntry(step, alice, bob, vec.copy()))
-        alice, bob = label_step(alice, bob, spec)
-        vec = b @ vec
-    return entries
+    labels = [(MeasLabel(0, 0), MeasLabel(0, 0))]
+    for _ in range(n - 1):
+        labels.append(label_step(*labels[-1], spec))
+    vecs = np.zeros((n, d * d), dtype=complex)
+    vecs[0, 0] = 1.0
+    for step in range(1, n):
+        vecs[step] = b @ vecs[step - 1]
+
+    # Product vector of each step's basis columns, the same elementwise
+    # products as np.outer(alice_column, bob_column).ravel().
+    sides = np.array(labels)  # (step, party, setting/outcome)
+    alice_cols = bases[sides[:, 0, 0], :, sides[:, 0, 1]]
+    bob_cols = bases[sides[:, 1, 0], :, sides[:, 1, 1]]
+    expected = (alice_cols[:, :, None] * bob_cols[:, None, :]).reshape(n, d * d)
+    errs = np.abs(vecs - expected).max(axis=1)
+    bad = np.flatnonzero(errs > 1e-10)
+    if bad.size:
+        step = int(bad[0])
+        raise RuntimeError(
+            f"orbit vector and label disagree at step {step} "
+            f"(max deviation {float(errs[step]):.3e}): index-convention bug"
+        )
+    return [
+        OrbitEntry(step, alice, bob, vecs[step])
+        for step, (alice, bob) in enumerate(labels)
+    ]
 
 
 def condition_label_pairs(spec: ProblemSpec) -> set[tuple[MeasLabel, MeasLabel]]:

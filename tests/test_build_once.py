@@ -3,7 +3,8 @@
 ``analyze`` builds the orbit once and the root unitary a bounded number
 of times, independent of the number of settings M: the orbit, the joint
 grids and the prediction rule each form their M measurement bases from
-one root unitary.
+one root unitary. The joint grids and the prediction rule only exist at
+M = 2, so at any other M the orbit's root unitary is the only one.
 """
 
 import functools
@@ -44,3 +45,13 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert orbits[0] == 1
     assert roots[0] <= 3
     assert numeric[0] == analytic[0] == 1
+
+
+@pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])
+def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
+    grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
+    roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
+    report = analyze(ProblemSpec(d, m))
+    assert report.joint_grids is None
+    assert grids[0] == 0
+    assert roots[0] == 1

@@ -5,6 +5,8 @@ labeled states, the qubit three-setting twelve-state walk, and the
 explicit rotated bases for two and three outcomes.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from orbitbell import (
     translation_matrix,
     unitarity_defect,
 )
+from orbitbell.cli import main as cli_main
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -263,3 +266,29 @@ def test_condition_label_pairs_single_setting():
         (MeasLabel(0, 1), MeasLabel(0, 0)),
         (MeasLabel(0, 0), MeasLabel(0, 1)),
     }
+
+
+def test_orbit_check_names_the_first_wrong_step(monkeypatch, capsys):
+    # a label walk that goes wrong mid-orbit trips the label/vector
+    # check at exactly that step, in the library and through the CLI
+    spec = ProblemSpec(3, 2)
+    good = [(e.alice, e.bob) for e in orbit(spec)]
+    orbit_module = importlib.import_module("orbitbell.orbit")
+    real_step = orbit_module.label_step
+
+    def faulty_step(alice, bob, spec):
+        stepped = real_step(alice, bob, spec)
+        if stepped == good[5]:
+            a, b = stepped
+            return a, MeasLabel(b.setting, (b.outcome + 1) % spec.outcomes)
+        return stepped
+
+    monkeypatch.setattr(orbit_module, "label_step", faulty_step)
+    with pytest.raises(RuntimeError, match="disagree at step 5 "):
+        orbit(spec)
+    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal consistency check failed:")
+    assert "disagree at step 5 " in captured.err

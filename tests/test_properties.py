@@ -1,9 +1,12 @@
 """Property tests over random instances and random sets of orbit terms.
 
-The vectorized classical search is checked against the plain
+The factorised classical search is checked against the plain
 per-Alice-map loop it replaced, on random non-empty subsets of orbit
 entries: a subset breaks the symmetry of the full orbit, so it reaches
-ties and tie-breaks that full orbits never produce. The LAPACK quantum
+ties and tie-breaks that full orbits never produce. Arbitrary
+label-pair lists (repeats allowed, one Bob setting sharing terms with
+up to M Alice settings) reach the hit tables wider than the orbit's
+two Alice settings per Bob setting. The LAPACK quantum
 route is checked against the closed-form route, the one-product
 projector sum against the per-entry outer-product sum, and the orbit
 against its defining identities.
@@ -12,11 +15,13 @@ against its defining identities.
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitbell import (
     DeterministicStrategy,
+    MeasLabel,
+    OrbitEntry,
     ProblemSpec,
     accumulate_A,
     classical_bound,
@@ -35,6 +40,22 @@ PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 ENUMERABLE = [
     (d, m) for d in range(2, 9) for m in range(1, 10) if d ** (2 * m) <= 10**6
 ]
+
+# every (d, M) with d <= 12 within the enumeration guard d^(2M) <= 1e8
+CHAINED = [
+    (d, m) for d in range(2, 13) for m in range(1, 14) if d ** (2 * m) <= 10**8
+]
+
+
+def every_cell(cells):
+    """Run a one-argument property on each of ``cells`` explicitly."""
+
+    def decorate(test):
+        for cell in reversed(cells):
+            test = example(cell)(test)
+        return test
+
+    return decorate
 
 
 def per_map_loop(entries, spec):
@@ -74,6 +95,20 @@ def test_classical_bound_matches_per_map_loop_on_term_subsets(data):
 
 
 @PROPERTY_SETTINGS
+@given(st.data())
+def test_classical_bound_matches_per_map_loop_on_label_pair_lists(data):
+    d, m = data.draw(st.sampled_from(ENUMERABLE), label="(d, M)")
+    spec = ProblemSpec(d, m)
+    label = st.builds(MeasLabel, st.integers(0, m - 1), st.integers(0, d - 1))
+    pairs = data.draw(st.lists(st.tuples(label, label), max_size=4 * m * d), label="pairs")
+    # one Bob label linked to up to M Alice settings
+    hub = data.draw(label, label="hub")
+    pairs += [(a, hub) for a in data.draw(st.lists(label, max_size=m), label="linked")]
+    entries = [OrbitEntry(i, a, b, np.zeros(0)) for i, (a, b) in enumerate(pairs)]
+    assert classical_bound(entries, spec) == per_map_loop(entries, spec)
+
+
+@PROPERTY_SETTINGS
 @given(st.integers(2, 8), st.integers(1, 6))
 def test_quantum_bound_routes_agree_on_random_instances(d, m):
     spec = ProblemSpec(d, m)
@@ -84,7 +119,8 @@ def test_quantum_bound_routes_agree_on_random_instances(d, m):
 
 
 @PROPERTY_SETTINGS
-@given(st.sampled_from(ENUMERABLE))
+@given(st.sampled_from(CHAINED))
+@every_cell(CHAINED)
 def test_full_orbit_bounds_are_chained_bell_values(cell):
     # C_s = 2M - 1 with the all-zero table as witness, and C_s <= Q_s <= 2M
     d, m = cell
