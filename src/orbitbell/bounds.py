@@ -206,11 +206,19 @@ def quantum_bound_analytic(
     ties go to the smallest root index. Groups the seed misses
     entirely contribute the value 0 and no state.
     """
+    return _bound_from_eigensystem(spec, orbit_entries, b_eigensystem(spec))
+
+
+def _bound_from_eigensystem(
+    spec: ProblemSpec, orbit_entries: list[OrbitEntry], eigenpairs: list[EigenPair]
+) -> tuple[float, np.ndarray]:
+    """:func:`quantum_bound_analytic` from an already built
+    ``b_eigensystem(spec)``, for callers that check the eigenpairs too."""
     seed = orbit_entries[0].vector
     length = spec.orbit_length
 
     groups: dict[int, list[EigenPair]] = {}
-    for pair in b_eigensystem(spec):
+    for pair in eigenpairs:
         groups.setdefault(pair.root_index, []).append(pair)
 
     best_value = -1.0

@@ -2,13 +2,21 @@
 
 The certificate is a plain dict of JSON-safe values. Complex
 amplitudes are {"re": ..., "im": ...} pairs in flat-index order
-(index = alice_level * outcomes + bob_level); serialization sorts keys
-so repeated runs emit byte-identical documents.
+(index = alice_level * outcomes + bob_level). The document is written
+with sorted keys and two-space indentation, byte for byte what
+``json.dumps(certificate, indent=2, sort_keys=True)`` gives, so repeated
+runs emit byte-identical documents. It is written directly: one fixed
+``%``-template per row kind (term, amplitude, probability, question,
+winning pair) and one for the outer document, with keys in sorted order
+and numbers spelled by ``repr`` (the spelling ``json`` uses for ints and
+finite floats). ``json.dumps`` with ``indent`` always runs the
+pure-Python encoder, which cost more than the analysis it printed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .games import AnalysisReport
@@ -16,6 +24,67 @@ from .games import AnalysisReport
 __all__ = ["SCHEMA_VERSION", "build_certificate", "certificate_json", "parse_certificate"]
 
 SCHEMA_VERSION = "1"
+
+_TOP_LEVEL_KEYS = frozenset(
+    {
+        "schema_version",
+        "spec",
+        "terms",
+        "classical_bound",
+        "quantum_bound",
+        "optimal_state",
+        "per_term_probs",
+        "game",
+        "stats",
+    }
+)
+
+# Row and document templates, keys in sorted order, indented as
+# json.dumps(indent=2) indents them at their depth.
+_TERM = (
+    "    {\n"
+    '      "alice_outcome": %(alice_outcome)r,\n'
+    '      "alice_setting": %(alice_setting)r,\n'
+    '      "bob_outcome": %(bob_outcome)r,\n'
+    '      "bob_setting": %(bob_setting)r\n'
+    "    }"
+)
+_AMPLITUDE = '    {\n      "im": %(im)r,\n      "re": %(re)r\n    }'
+_PROBABILITY = "    %r"
+_WINNING = (
+    "          {\n"
+    '            "alice_outcome": %(alice_outcome)r,\n'
+    '            "bob_outcome": %(bob_outcome)r\n'
+    "          }"
+)
+_QUESTION = (
+    "      {\n"
+    '        "alice_setting": %r,\n'
+    '        "bob_setting": %r,\n'
+    '        "winning": %s\n'
+    "      }"
+)
+_DOCUMENT = """{
+  "classical_bound": %r,
+  "game": {
+    "questions": %s
+  },
+  "optimal_state": %s,
+  "per_term_probs": %s,
+  "quantum_bound": %r,
+  "schema_version": "1",
+  "spec": {
+    "outcomes": %r,
+    "settings": %r
+  },
+  "stats": {
+    "I_ab": %s,
+    "classical_win": %r,
+    "p": %s,
+    "quantum_win": %r
+  },
+  "terms": %s
+}"""
 
 
 def build_certificate(report: AnalysisReport) -> dict[str, Any]:
@@ -67,9 +136,73 @@ def build_certificate(report: AnalysisReport) -> dict[str, Any]:
     }
 
 
+def _array(rows: list[str], indent: str) -> str:
+    """A JSON array of rendered rows, closed at ``indent``."""
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
+def _optional(value: float | None) -> str:
+    return "null" if value is None else repr(value)
+
+
 def certificate_json(certificate: dict[str, Any]) -> str:
-    """Deterministic serialization: sorted keys, fixed indentation."""
-    return json.dumps(certificate, indent=2, sort_keys=True)
+    """Deterministic serialization: sorted keys, fixed indentation.
+
+    Byte-identical to ``json.dumps(certificate, indent=2,
+    sort_keys=True)`` for every schema-"1" certificate as
+    :func:`build_certificate` makes it. Raises ValueError when the
+    top-level keys or the schema version are not schema "1"'s, or when
+    a float slot holds anything but a finite ``float`` (``repr`` spells
+    ``nan``, ``inf`` and numpy scalars differently from ``json``). Rows
+    are written from their schema keys: a missing key raises KeyError,
+    any other key is not written.
+    """
+    if certificate.keys() != _TOP_LEVEL_KEYS:
+        raise ValueError(
+            "not a schema-1 certificate: top-level keys "
+            f"{sorted(certificate)} != {sorted(_TOP_LEVEL_KEYS)}"
+        )
+    if certificate["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(
+            f"not a schema-1 certificate: schema_version "
+            f"{certificate['schema_version']!r}"
+        )
+    state = certificate["optimal_state"]
+    probs = certificate["per_term_probs"]
+    spec = certificate["spec"]
+    stats = certificate["stats"]
+    floats = [certificate["quantum_bound"], stats["classical_win"], stats["quantum_win"]]
+    floats += [stats[key] for key in ("p", "I_ab") if stats[key] is not None]
+    floats += probs
+    floats += [z[part] for z in state for part in ("re", "im")]
+    bad = [x for x in floats if type(x) is not float or not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"certificate value {bad[0]!r} is not a finite float")
+    questions = [
+        _QUESTION
+        % (
+            q["alice_setting"],
+            q["bob_setting"],
+            _array([_WINNING % w for w in q["winning"]], "        "),
+        )
+        for q in certificate["game"]["questions"]
+    ]
+    return _DOCUMENT % (
+        certificate["classical_bound"],
+        _array(questions, "    "),
+        _array([_AMPLITUDE % z for z in state], "  "),
+        _array([_PROBABILITY % p for p in probs], "  "),
+        certificate["quantum_bound"],
+        spec["outcomes"],
+        spec["settings"],
+        _optional(stats["I_ab"]),
+        stats["classical_win"],
+        _optional(stats["p"]),
+        stats["quantum_win"],
+        _array([_TERM % t for t in certificate["terms"]], "  "),
+    )
 
 
 def parse_certificate(text: str) -> dict[str, Any]:

@@ -15,22 +15,22 @@ import numpy as np
 
 from .bounds import (
     STRATEGY_GUARD,
+    _bound_from_eigensystem,
     _check_memory_ceiling,
     accumulate_A,
     b_eigensystem,
     classical_bound,
-    quantum_bound_analytic,
     quantum_bound_numeric,
 )
 from .games import joint_distribution, mutual_information
 from .orbit import (
     ProblemSpec,
+    _step_from_root,
     condition_label_pairs,
     label_step,
     measurement_bases,
     orbit as build_orbit,
     root_unitary,
-    step_operator,
     swap_matrix,
     translation_matrix,
 )
@@ -128,7 +128,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 t = translation_matrix(d)
                 u = root_unitary(spec)
                 s = swap_matrix(d)
-                b = step_operator(spec)
+                b = _step_from_root(u)
                 entries = build_orbit(spec)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 checks["consistency"].fail(cell, str(exc))
@@ -172,7 +172,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             a = accumulate_A(entries)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
             numeric = quantum_bound_numeric(a)
-            analytic, state = quantum_bound_analytic(spec, entries)
+            analytic, state = _bound_from_eigensystem(spec, entries, eigenpairs)
             checks["agree"].record(abs(numeric - analytic), cell)
 
             rayleigh = np.vdot(state, b @ state)

@@ -5,6 +5,8 @@ of times, independent of the number of settings M: the orbit, the joint
 grids and the prediction rule each form their M measurement bases from
 one root unitary. The joint grids and the prediction rule only exist at
 M = 2, so at any other M the orbit's root unitary is the only one.
+The verification sweep builds one root unitary for its own checks and
+one closed-form eigensystem per cell.
 """
 
 import functools
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from orbitbell import ProblemSpec, analyze
+from orbitbell import ProblemSpec, analyze, run_verification
 
 
 def count_calls(monkeypatch, module_name, attr):
@@ -55,3 +57,12 @@ def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
     assert report.joint_grids is None
     assert grids[0] == 0
     assert roots[0] == 1
+
+
+def test_verify_builds_each_cell_once(monkeypatch):
+    roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
+    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "b_eigensystem")
+    report = run_verification(3, 3)  # 6 cells
+    assert report.passed
+    assert eigensystems[0] == 6
+    assert roots[0] == 2 * 6  # the sweep's own checks, then the orbit

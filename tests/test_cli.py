@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report content, JSON certificate shape,
 byte-level determinism, and the verify subcommand."""
 
+import argparse
 import importlib
 import json
 import subprocess
@@ -17,7 +18,7 @@ from orbitbell import (
     parse_certificate,
     run_verification,
 )
-from orbitbell.cli import main as cli_main
+from orbitbell.cli import build_parser, main as cli_main
 
 
 def run_cli(*args):
@@ -232,3 +233,65 @@ def test_corrupted_swap_fails_verification(monkeypatch):
     report = run_verification(2, 2)
     assert report.passed is False
     assert any(not c.passed for c in report.checks)
+
+
+def test_reused_parser_gives_fresh_process_results(capsys):
+    # one process, one parser: every run must match a fresh interpreter
+    runs = [
+        ("analyze", "--outcomes", "3", "--settings", "2", "--format", "json"),
+        ("analyze", "--outcomes", "3"),
+        ("verify", "--outcomes-max", "3", "--settings-max", "2"),
+        ("analyze", "--outcomes", "3", "--settings", "2", "--format", "json"),
+    ]
+    codes = []
+    for argv in runs:
+        fresh = run_cli(*argv)
+        try:
+            rc = cli_main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+        codes.append(rc)
+    assert codes == [0, 2, 0, 0]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    progs = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for argv in (
+        ["analyze", "--outcomes", "2", "--settings", "1", "--format", "json"],
+        ["game", "--outcomes", "2", "--settings", "2"],
+        ["table", "--outcomes-from", "2", "--outcomes-to", "2"],
+        ["analyze", "--outcomes", "2", "--settings", "1"],
+    ):
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    # the top-level parser and its four subcommand parsers, once each
+    assert progs.count("orbitbell") == 1
+    assert len(progs) == 5
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import orbitbell.cli as cli; print(cli.build_parser.cache_info().currsize)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "0\n"
