@@ -39,6 +39,8 @@ _TOP_LEVEL_KEYS = frozenset(
     }
 )
 
+_TERM_KEYS = ("alice_outcome", "alice_setting", "bob_outcome", "bob_setting")
+
 # Row and document templates, keys in sorted order, indented as
 # json.dumps(indent=2) indents them at their depth.
 _TERM = (
@@ -153,9 +155,11 @@ def certificate_json(certificate: dict[str, Any]) -> str:
     Byte-identical to ``json.dumps(certificate, indent=2,
     sort_keys=True)`` for every schema-"1" certificate as
     :func:`build_certificate` makes it. Raises ValueError when the
-    top-level keys or the schema version are not schema "1"'s, or when
-    a float slot holds anything but a finite ``float`` (``repr`` spells
-    ``nan``, ``inf`` and numpy scalars differently from ``json``). Rows
+    top-level keys or the schema version are not schema "1"'s, when a
+    float slot holds anything but a finite ``float``, or when an int
+    slot (spec, terms, classical bound, question settings, winning
+    outcomes) holds anything but an ``int`` (``repr`` spells ``nan``,
+    ``inf``, ``True`` and numpy scalars differently from ``json``). Rows
     are written from their schema keys: a missing key raises KeyError,
     any other key is not written.
     """
@@ -173,6 +177,8 @@ def certificate_json(certificate: dict[str, Any]) -> str:
     probs = certificate["per_term_probs"]
     spec = certificate["spec"]
     stats = certificate["stats"]
+    terms = certificate["terms"]
+    questions = certificate["game"]["questions"]
     floats = [certificate["quantum_bound"], stats["classical_win"], stats["quantum_win"]]
     floats += [stats[key] for key in ("p", "I_ab") if stats[key] is not None]
     floats += probs
@@ -180,18 +186,26 @@ def certificate_json(certificate: dict[str, Any]) -> str:
     bad = [x for x in floats if type(x) is not float or not math.isfinite(x)]
     if bad:
         raise ValueError(f"certificate value {bad[0]!r} is not a finite float")
-    questions = [
+    ints = [certificate["classical_bound"], spec["outcomes"], spec["settings"]]
+    ints += [t[key] for t in terms for key in _TERM_KEYS]
+    for q in questions:
+        ints += [q["alice_setting"], q["bob_setting"]]
+        ints += [w[key] for w in q["winning"] for key in ("alice_outcome", "bob_outcome")]
+    bad = [x for x in ints if type(x) is not int]
+    if bad:
+        raise ValueError(f"certificate value {bad[0]!r} is not an int")
+    rendered = [
         _QUESTION
         % (
             q["alice_setting"],
             q["bob_setting"],
             _array([_WINNING % w for w in q["winning"]], "        "),
         )
-        for q in certificate["game"]["questions"]
+        for q in questions
     ]
     return _DOCUMENT % (
         certificate["classical_bound"],
-        _array(questions, "    "),
+        _array(rendered, "    "),
         _array([_AMPLITUDE % z for z in state], "  "),
         _array([_PROBABILITY % p for p in probs], "  "),
         certificate["quantum_bound"],
@@ -201,7 +215,7 @@ def certificate_json(certificate: dict[str, Any]) -> str:
         stats["classical_win"],
         _optional(stats["p"]),
         stats["quantum_win"],
-        _array([_TERM % t for t in certificate["terms"]], "  "),
+        _array([_TERM % t for t in terms], "  "),
     )
 
 

@@ -8,15 +8,11 @@ cross-check sweep. Exit codes: 0 success, 1 verification failure,
 3 instance over the enumeration guard or the memory ceiling, 4 internal
 consistency check failed (a RuntimeError such as the orbit
 label/vector check or the quantum-bound route agreement).
-
-The parser is built once per process, on the first :func:`main` call
-(never at import), and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -30,10 +26,7 @@ from .verify import run_verification
 __all__ = ["main", "build_parser"]
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``orbitbell`` argument parser, built on the first call and
-    shared by every later call in the process (``main`` only reads it)."""
     parser = argparse.ArgumentParser(
         prog="orbitbell",
         description=(

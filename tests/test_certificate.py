@@ -43,13 +43,14 @@ def test_writer_matches_json_dumps(cell):
     assert certificate_json(cert) == reference_json(cert)
 
 
-def refill_floats(node, values):
-    """Copy of ``node`` with every float replaced by the next of ``values``."""
+def refill(node, kind, values):
+    """Copy of ``node`` with every leaf of type ``kind`` replaced by the
+    next of ``values``."""
     if isinstance(node, dict):
-        return {key: refill_floats(value, values) for key, value in node.items()}
+        return {key: refill(value, kind, values) for key, value in node.items()}
     if isinstance(node, list):
-        return [refill_floats(value, values) for value in node]
-    if isinstance(node, float):
+        return [refill(value, kind, values) for value in node]
+    if type(node) is kind:
         return next(values)
     return node
 
@@ -65,7 +66,7 @@ def refill_floats(node, values):
 @example(cell=(3, 2), floats=[1e16, 1e-7, 1e22, 5e-324, -0.0, 0.1, -1.5e300])
 @example(cell=(2, 3), floats=[-0.0, 5e-324, 1e22, 1e-7, 1e16])
 def test_writer_matches_json_dumps_for_any_finite_floats(cell, floats):
-    cert = refill_floats(real_certificate(*cell), itertools.cycle(floats))
+    cert = refill(real_certificate(*cell), float, itertools.cycle(floats))
     assert certificate_json(cert) == reference_json(cert)
 
 
@@ -88,12 +89,29 @@ def test_writer_rejects_documents_outside_schema_1(change):
         certificate_json(change(real_certificate(2, 2)))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(0.5), 1])
-@pytest.mark.parametrize("slot", ["quantum_bound", "per_term_probs", "optimal_state", "stats"])
-def test_writer_rejects_float_slots_json_spells_differently(slot, value):
-    # repr gives nan, inf and np.float64(0.5) where json gives NaN,
-    # Infinity and 0.5; an int in a float slot is not what the schema holds
+FLOAT_SLOTS = ["quantum_bound", "per_term_probs", "optimal_state", "stats"]
+INT_SLOTS = ["spec", "terms", "classical_bound", "game"]
+
+
+@pytest.mark.parametrize(
+    "slot, kind, value",
+    [
+        (slot, float, value)
+        for slot in FLOAT_SLOTS
+        for value in (math.nan, math.inf, -math.inf, np.float64(0.5), 1)
+    ]
+    + [
+        (slot, int, value)
+        for slot in INT_SLOTS
+        for value in (True, np.int64(1), 1.0, math.nan)
+    ],
+)
+def test_writer_rejects_values_json_spells_differently(slot, kind, value):
+    # repr gives nan, inf, True and np.float64(0.5) where json gives NaN,
+    # Infinity, true and 0.5; an int in a float slot, or a float in an
+    # int slot, is not what the schema holds
     cert = real_certificate(2, 2)
-    changed = refill_floats(cert[slot], itertools.repeat(value))
-    with pytest.raises(ValueError, match="is not a finite float"):
+    changed = refill(cert[slot], kind, itertools.repeat(value))
+    expected = "is not a finite float" if kind is float else "is not an int"
+    with pytest.raises(ValueError, match=expected):
         certificate_json({**cert, slot: changed})

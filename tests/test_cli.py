@@ -1,7 +1,6 @@
 """CLI contract: exit codes, report content, JSON certificate shape,
 byte-level determinism, and the verify subcommand."""
 
-import argparse
 import importlib
 import json
 import subprocess
@@ -18,7 +17,7 @@ from orbitbell import (
     parse_certificate,
     run_verification,
 )
-from orbitbell.cli import build_parser, main as cli_main
+from orbitbell.cli import main as cli_main
 
 
 def run_cli(*args):
@@ -89,6 +88,17 @@ def test_analyze_out_file(tmp_path):
     assert proc.stdout == ""
     cert = json.loads(target.read_text())
     assert cert["quantum_bound"] == pytest.approx(10 / 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("cell", [(5, 4), (2, 13)])
+def test_analyze_json_stdout_is_json_dumps_of_itself(cell):
+    # pins the printed bytes, trailing newline included, with json's own
+    # encoder rather than the package's writer
+    d, m = cell
+    proc = run_cli("analyze", "--outcomes", str(d), "--settings", str(m), "--format", "json")
+    assert proc.returncode == 0
+    reference = json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True) + "\n"
+    assert proc.stdout == reference
 
 
 def test_analyze_json_runs_are_byte_identical():
@@ -235,8 +245,9 @@ def test_corrupted_swap_fails_verification(monkeypatch):
     assert any(not c.passed for c in report.checks)
 
 
-def test_reused_parser_gives_fresh_process_results(capsys):
-    # one process, one parser: every run must match a fresh interpreter
+def test_repeated_main_calls_give_fresh_process_results(capsys):
+    # main keeps no state between calls: each run in one process must
+    # match the same run in a fresh interpreter
     runs = [
         ("analyze", "--outcomes", "3", "--settings", "2", "--format", "json"),
         ("analyze", "--outcomes", "3"),
@@ -258,40 +269,3 @@ def test_reused_parser_gives_fresh_process_results(capsys):
         ), argv
         codes.append(rc)
     assert codes == [0, 2, 0, 0]
-
-
-def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    progs = []
-    original_init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        progs.append(kwargs.get("prog"))
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    build_parser.cache_clear()
-    for argv in (
-        ["analyze", "--outcomes", "2", "--settings", "1", "--format", "json"],
-        ["game", "--outcomes", "2", "--settings", "2"],
-        ["table", "--outcomes-from", "2", "--outcomes-to", "2"],
-        ["analyze", "--outcomes", "2", "--settings", "1"],
-    ):
-        assert cli_main(argv) == 0
-    capsys.readouterr()
-    # the top-level parser and its four subcommand parsers, once each
-    assert progs.count("orbitbell") == 1
-    assert len(progs) == 5
-
-
-def test_importing_the_cli_builds_no_parser():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import orbitbell.cli as cli; print(cli.build_parser.cache_info().currsize)",
-        ],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "0\n"
