@@ -1,16 +1,27 @@
 """Quantum and classical bounds of the orbit-generated Bell expression.
 
-The Bell expression is the sum, over the 2*M*d orbit terms, of the
+The Bell expression is the sum, over the n = 2*M*d orbit terms, of the
 probabilities of seeing that term's outcome pair at that term's
 setting pair. Its quantum value on a shared state psi is <psi|A|psi>
 with A the sum of orbit projectors, so the quantum bound is the top
-eigenvalue of A. Two independent routes compute it:
+eigenvalue of A. Three routes compute it, and each runs in one place:
 
-* numeric: LAPACK ``eigvalsh`` on the dense A. It is independent of
-  the analytic route, which uses no eigensolver at all;
-* analytic: the eigenbasis of the step operator B is known in closed
-  form, and A's eigenvalues are 2*M*d times the seed weight each
-  degenerate eigenvalue group of B captures.
+* root index (:func:`quantum_bound_analytic`), the reported value, on
+  the hot path. B's eigenbasis is known in closed form and A commutes
+  with B, so A's eigenvalues are n times the seed weight that each
+  degenerate eigenvalue group of B captures. The weights follow from
+  integer root indices alone, so only the top group's O(d) vectors
+  are ever built and no eigensolver runs;
+* Gram spectrum (:func:`quantum_bound_gram`), ``analyze``'s
+  cross-check, to 1e-9. A = V^T conj(V) for the matrix V whose rows
+  are the orbit vectors v_j = B^j v_0, and the n x n Gram matrix
+  G = conj(V) V^T has the same nonzero spectrum. Because B is unitary
+  with period n, G_jk = <v_0|B^(k-j)|v_0> depends only on k - j mod n:
+  G is circulant, and its eigenvalues are the discrete Fourier
+  transform of its first row, with no eigensolver either;
+* dense (:func:`quantum_bound_numeric`): LAPACK ``eigvalsh`` on A
+  itself, built by :func:`accumulate_A`. It is independent of both
+  routes above and runs only in ``verify`` and the tests.
 
 The classical bound is the exact maximum of the same expression over
 deterministic local strategies.
@@ -37,6 +48,7 @@ __all__ = [
     "quantum_bound_numeric",
     "b_eigensystem",
     "quantum_bound_analytic",
+    "quantum_bound_gram",
     "classical_bound",
     "build_inequality",
 ]
@@ -45,8 +57,14 @@ __all__ = [
 # instances are rejected instead of silently running for hours.
 STRATEGY_GUARD = 10**8
 
-# Bytes the dense d^2 x d^2 complex projector sum may take (16 d^4);
-# 256 MiB admits d <= 64.
+# Bytes one dense d^2 x d^2 complex matrix may take (16 d^4); 256 MiB
+# admits d <= 64. analyze allocates one such matrix, the orbit's step
+# operator B, next to the orbit's 2*M*d + 1 state vectors: peak RSS of
+# a whole analyze is 51 MiB at (d, M) = (32, 2), 122 MiB at (48, 1) and
+# 312 MiB at (64, 1) (Python 3.11, numpy 2.4, Linux). verify still
+# holds several per cell: B, the dense product (U x 1) S with its two
+# factors, the projector sum A with eigvalsh's workspace, and the d^2
+# closed-form eigenvectors.
 MEMORY_CEILING = 256 * 2**20
 
 
@@ -55,7 +73,7 @@ class InstanceTooLarge(Exception):
 
 
 def _check_memory_ceiling(outcomes: int) -> None:
-    """Raise InstanceTooLarge when the dense projector sum at this
+    """Raise InstanceTooLarge when one dense d^2 x d^2 matrix at this
     outcome count would exceed MEMORY_CEILING."""
     needed = 16 * outcomes**4
     if needed > MEMORY_CEILING:
@@ -149,6 +167,47 @@ def quantum_bound_numeric(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
+def _shift_roots(spec: ProblemSpec) -> tuple[list[np.ndarray], list[complex], list[int]]:
+    """Fourier eigenvectors w_j of the shift with U's eigenvalues
+    lambda_j and their exact root indices (lambda_j =
+    exp(2*pi*i*idx_j / (2*M*d)))."""
+    basis = fourier_eigenbasis(spec.outcomes)
+    lambdas = [np.exp(1j * theta / spec.settings) for _, theta in basis]
+    indices = [root_of_unity_index(lam, spec.orbit_length) for lam in lambdas]
+    return [w for w, _ in basis], lambdas, indices
+
+
+def _block_roots(idx_j: int, idx_k: int, order: int) -> tuple[int, int]:
+    """Root indices (plus, minus) of the 2-dimensional block j < k:
+    the two square roots of lambda_j lambda_k, plus on the principal
+    branch (half the phase of the product taken in (-pi, pi], boundary
+    at +pi)."""
+    half = order // 2  # = M * d
+    total = (idx_j + idx_k) % order
+    if total % 2:
+        raise RuntimeError(
+            "odd root-index sum in a two-dimensional block: "
+            "branch arithmetic bug"
+        )
+    principal = total if total <= half else total - order
+    plus = (principal // 2) % order
+    return plus, (plus + half) % order
+
+
+def _block_vectors(
+    wj: np.ndarray, wk: np.ndarray, lam_j: complex, plus: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors (plus, minus) of the block j < k:
+    (w_j w_k +/- (mu / lambda_j) w_k w_j) / sqrt(2) with mu the plus root."""
+    mu = np.exp(2j * np.pi * plus / order)
+    ratio = mu / lam_j
+    direct = np.outer(wj, wk).ravel()
+    swapped = np.outer(wk, wj).ravel()
+    plus_vector = (direct + ratio * swapped) / np.sqrt(2)
+    minus_vector = (direct - ratio * swapped) / np.sqrt(2)
+    return plus_vector, minus_vector
+
+
 def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
     """Closed-form eigensystem of the step operator B.
 
@@ -160,36 +219,21 @@ def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
     that degeneracy detection never depends on floating-point
     clustering. The principal branch (half the phase of the product
     taken in (-pi, pi], boundary at +pi) fixes the signs reproducibly.
+    Order: the d diagonal vectors, then each pair j < k with its plus
+    vector before its minus vector.
     """
-    d = spec.outcomes
-    order = spec.orbit_length
-    half = order // 2  # = M * d
-    basis = fourier_eigenbasis(d)
-    lambdas = [np.exp(1j * theta / spec.settings) for _, theta in basis]
-    indices = [root_of_unity_index(lam, order) for lam in lambdas]
+    d, order = spec.outcomes, spec.orbit_length
+    ws, lambdas, indices = _shift_roots(spec)
 
     pairs: list[EigenPair] = []
     for j in range(d):
-        w = basis[j][0]
-        pairs.append(EigenPair(indices[j], np.outer(w, w).ravel()))
+        pairs.append(EigenPair(indices[j], np.outer(ws[j], ws[j]).ravel()))
     for j in range(d):
         for k in range(j + 1, d):
-            total = (indices[j] + indices[k]) % order
-            if total % 2:
-                raise RuntimeError(
-                    "odd root-index sum in a two-dimensional block: "
-                    "branch arithmetic bug"
-                )
-            principal = total if total <= half else total - order
-            plus = (principal // 2) % order
-            minus = (plus + half) % order
-            mu = np.exp(2j * np.pi * plus / order)
-            ratio = mu / lambdas[j]
-            wj, wk = basis[j][0], basis[k][0]
-            direct = np.outer(wj, wk).ravel()
-            swapped = np.outer(wk, wj).ravel()
-            pairs.append(EigenPair(plus, (direct + ratio * swapped) / np.sqrt(2)))
-            pairs.append(EigenPair(minus, (direct - ratio * swapped) / np.sqrt(2)))
+            plus, minus = _block_roots(indices[j], indices[k], order)
+            vp, vm = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
+            pairs.append(EigenPair(plus, vp))
+            pairs.append(EigenPair(minus, vm))
     return pairs
 
 
@@ -198,45 +242,83 @@ def quantum_bound_analytic(
 ) -> tuple[float, np.ndarray]:
     """Quantum bound from the closed-form eigenstructure of B.
 
-    A commutes with nothing as useful as B itself: grouping B's
-    eigenvectors by (exact) eigenvalue index, the seed state's weight
-    in each group gives one eigenvalue of A, namely 2*M*d times that
-    weight, with eigenvector the (normalized) projection of the seed
-    onto the group. Returns the largest such value with its state;
-    ties go to the smallest root index. Groups the seed misses
-    entirely contribute the value 0 and no state.
+    A commutes with B, so grouping B's eigenvectors by (exact)
+    eigenvalue index, the seed state's weight in each group gives one
+    eigenvalue of A, namely 2*M*d times that weight, with eigenvector
+    the (normalized) projection of the seed onto the group. Returns the
+    largest such value with its state; ties go to the smallest root
+    index (groups in ascending index, a later group wins only above
+    the running best + 1e-12).
+
+    The group is picked from root indices alone: the seed |00> has
+    weight 1/d^2 on each diagonal vector w_j w_j and (1 +/- cos phi)/d^2
+    on the plus/minus vectors of block j < k, phi = 2*pi*(plus - idx_j)
+    / (2*M*d). Only the winning group's O(d) vectors are built, in
+    :func:`b_eigensystem`'s order and arithmetic, so value and state
+    are those of grouping the whole eigensystem.
     """
-    return _bound_from_eigensystem(spec, orbit_entries, b_eigensystem(spec))
+    d, order = spec.outcomes, spec.orbit_length
+    ws, lambdas, indices = _shift_roots(spec)
 
+    weights: dict[int, float] = {}
+    for idx in indices:
+        weights[idx] = weights.get(idx, 0.0) + 1.0 / d**2
+    blocks = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            plus, minus = _block_roots(indices[j], indices[k], order)
+            cos_phi = np.cos(2.0 * np.pi * (plus - indices[j]) / order)
+            weights[plus] = weights.get(plus, 0.0) + (1.0 + cos_phi) / d**2
+            weights[minus] = weights.get(minus, 0.0) + (1.0 - cos_phi) / d**2
+            blocks.append((j, k, plus, minus))
 
-def _bound_from_eigensystem(
-    spec: ProblemSpec, orbit_entries: list[OrbitEntry], eigenpairs: list[EigenPair]
-) -> tuple[float, np.ndarray]:
-    """:func:`quantum_bound_analytic` from an already built
-    ``b_eigensystem(spec)``, for callers that check the eigenpairs too."""
-    seed = orbit_entries[0].vector
-    length = spec.orbit_length
-
-    groups: dict[int, list[EigenPair]] = {}
-    for pair in eigenpairs:
-        groups.setdefault(pair.root_index, []).append(pair)
-
-    best_value = -1.0
-    best_state: np.ndarray | None = None
-    for idx in sorted(groups):
-        members = groups[idx]
-        coeffs = [np.vdot(p.vector, seed) for p in members]
-        weight = float(sum(abs(c) ** 2 for c in coeffs))
-        value = 0.0 if weight < 1e-15 else length * weight
+    best_value, top = -1.0, -1
+    for idx in sorted(weights):
+        value = 0.0 if weights[idx] < 1e-15 else order * weights[idx]
         if value > best_value + 1e-12:
-            best_value = value
-            if weight < 1e-15:
-                best_state = None
-            else:
-                x = sum(c * p.vector for c, p in zip(coeffs, members))
-                best_state = x / np.linalg.norm(x)
-    assert best_state is not None  # seed has unit total weight
-    return best_value, best_state
+            best_value, top = value, idx
+
+    members = [np.outer(ws[j], ws[j]).ravel() for j in range(d) if indices[j] == top]
+    for j, k, plus, minus in blocks:
+        if top in (plus, minus):
+            vp, vm = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
+            members.append(vp if top == plus else vm)
+
+    seed = orbit_entries[0].vector
+    coeffs = [np.vdot(v, seed) for v in members]
+    weight = float(sum(abs(c) ** 2 for c in coeffs))
+    x = sum(c * v for c, v in zip(coeffs, members))
+    return order * weight, x / np.linalg.norm(x)
+
+
+def quantum_bound_gram(orbit_entries: list[OrbitEntry]) -> float:
+    """Quantum bound from the spectrum of the orbit's Gram matrix.
+
+    With v_j = B^j v_0 and B unitary of period n = 2*M*d, the Gram
+    matrix G_jk = <v_j|v_k> = <v_0|B^(k-j)|v_0> is circulant with first
+    row g_r = <v_0|v_r>, so its eigenvalues are sum_r g_r w^(q r),
+    w = exp(2*pi*i/n). G = conj(V) V^T and A = V^T conj(V) share their
+    nonzero spectrum, so the largest of these is A's top eigenvalue.
+    The DFT is one n x n product with phases looked up by the integer
+    index (q r) mod n.
+
+    Raises RuntimeError if an eigenvalue has an imaginary part above
+    1e-9: the first row describes a Hermitian circulant, g_(n-r) =
+    conj(g_r), only if the orbit closes after n steps.
+    """
+    n = len(orbit_entries)
+    seed = orbit_entries[0].vector
+    g = np.array([np.vdot(seed, e.vector) for e in orbit_entries])
+    ramp = np.arange(n)
+    roots = np.exp(2j * np.pi * ramp / n)
+    spectrum = roots[np.outer(ramp, ramp) % n] @ g
+    drift = float(np.abs(spectrum.imag).max())
+    if drift > 1e-9:
+        raise RuntimeError(
+            f"orbit Gram spectrum is not real: imaginary part {drift:.3e} "
+            "exceeds 1e-9"
+        )
+    return float(spectrum.real.max())
 
 
 def _best_reply(
@@ -316,21 +398,22 @@ def classical_bound(
 def build_inequality(spec: ProblemSpec) -> BellInequality:
     """Assemble the Bell inequality for one instance.
 
-    Computes the quantum bound along both routes and insists they
-    agree to 1e-9; the analytic value and state are the ones reported.
+    Computes the quantum bound by the root-index route and by the
+    orbit's Gram spectrum and insists they agree to 1e-9; the
+    root-index value and state are the ones reported. No d^2 x d^2
+    matrix besides the orbit's step operator is built.
 
-    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or the
-    dense projector sum exceeds MEMORY_CEILING, before any orbit or
+    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or a
+    dense d^2 x d^2 matrix exceeds MEMORY_CEILING, before any orbit or
     matrix is built.
     """
     _check_guards(spec)
     entries = orbit(spec)
-    a = accumulate_A(entries)
-    numeric = quantum_bound_numeric(a)
+    gram = quantum_bound_gram(entries)
     analytic, state = quantum_bound_analytic(spec, entries)
-    if abs(numeric - analytic) > 1e-9:
+    if abs(gram - analytic) > 1e-9:
         raise RuntimeError(
-            f"quantum bound routes disagree: numeric {numeric!r} vs "
+            f"quantum bound routes disagree: Gram spectrum {gram!r} vs "
             f"analytic {analytic!r}"
         )
     c_value, witness = classical_bound(entries, spec)

@@ -177,6 +177,25 @@ def prediction_probability(ineq: BellInequality) -> float:
             "the prediction rule needs exactly 2 settings per party, "
             f"got {spec.settings}"
         )
+    return _prediction_from_grids(ineq, _two_setting_grids(ineq))
+
+
+def _two_setting_grids(ineq: BellInequality) -> dict[tuple[int, int], np.ndarray]:
+    """Joint grid of the optimal state per setting pair (s, t), M = 2,
+    all from one root unitary."""
+    bases = measurement_bases(root_unitary(ineq.spec), 2)
+    return {
+        (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
+        for s in range(2)
+        for t in range(2)
+    }
+
+
+def _prediction_from_grids(
+    ineq: BellInequality, grids: dict[tuple[int, int], np.ndarray]
+) -> float:
+    """:func:`prediction_probability` from the four joint grids of the
+    optimal state, keyed by setting pair (s, t)."""
     predicted: dict[tuple[int, int, int], int] = {}
     for alice, bob in ineq.terms:
         key = (alice.setting, alice.outcome, bob.setting)
@@ -184,12 +203,11 @@ def prediction_probability(ineq: BellInequality) -> float:
             raise RuntimeError(f"ambiguous prediction for {key}: orbit bug")
         predicted[key] = bob.outcome
 
-    bases = measurement_bases(root_unitary(spec), 2)
     total = 0.0
     for s in range(2):
         for t in range(2):
-            grid = joint_distribution(ineq.optimal_state, bases[s], bases[t])
-            for a in range(spec.outcomes):
+            grid = grids[(s, t)]
+            for a in range(ineq.spec.outcomes):
                 total += float(grid[a, predicted[(s, a, t)]])
     return total / 4.0
 
@@ -200,16 +218,11 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     game = game_spec(spec, ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
     if spec.settings == 2:
-        bases = measurement_bases(root_unitary(spec), 2)
-        grids = {
-            (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
-            for s in range(2)
-            for t in range(2)
-        }
+        grids = _two_setting_grids(ineq)
         infos = {q: mutual_information(g) for q, g in grids.items()}
         info_bits = infos[(0, 0)]
         spread = max(infos.values()) - min(infos.values())
-        prediction = prediction_probability(ineq)
+        prediction = _prediction_from_grids(ineq, grids)
     else:
         grids = None
         info_bits = None

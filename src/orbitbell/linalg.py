@@ -4,10 +4,10 @@ Everything operates on plain numpy arrays of complex128: vectors are
 1-d, matrices 2-d. Composite indices follow the row-major convention
 |j>|k> -> j * dim_b + k throughout the package.
 
-There is no eigensolver here: the numeric spectral route calls LAPACK
-``eigvalsh`` directly (see ``bounds.quantum_bound_numeric``). It is a
-genuine cross-check of the closed-form eigenstructure because the
-analytic route uses no eigensolver.
+There is no eigensolver here. The quantum bound's hot path needs none
+(see the ``bounds`` module); its dense cross-check, run only by
+``verify`` and the tests, calls LAPACK ``eigvalsh`` directly in
+``bounds.quantum_bound_numeric``.
 """
 
 from __future__ import annotations

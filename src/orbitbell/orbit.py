@@ -144,7 +144,22 @@ def step_operator(spec: ProblemSpec) -> np.ndarray:
 
 
 def _step_from_root(u: np.ndarray) -> np.ndarray:
-    """B = (U (x) 1) S from an already built root unitary U."""
+    """B = (U (x) 1) S from an already built root unitary U.
+
+    B|j>|k> = (U|k>)|j>, so entry ((a, c), (j, k)) is U[a, k] when
+    c = j and 0 otherwise: placed by index in O(d^4), without forming
+    the dense product of :func:`_step_product`.
+    """
+    d = u.shape[0]
+    b = np.zeros((d, d, d, d), dtype=complex)
+    diag = np.arange(d)
+    b[:, diag, diag, :] = u[:, None, :]
+    return b.reshape(d * d, d * d)
+
+
+def _step_product(u: np.ndarray) -> np.ndarray:
+    """B as the dense product (U (x) 1) S, its definition; the
+    verification sweep checks :func:`_step_from_root` against it."""
     d = u.shape[0]
     return kron(u, np.eye(d, dtype=complex)) @ swap_matrix(d)
 
@@ -171,7 +186,9 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
 
     Entry j holds B^j |00> together with the label pair obtained by
     iterating :func:`label_step` j times from ((0,0), (0,0)). The two
-    descriptions are checked against each other at every step; any
+    descriptions are checked against each other at every step,
+    including the closing step n = 2*M*d, where B^n |00> must be |00>
+    again and the label walk must be back at ((0,0), (0,0)); any
     mismatch beyond 1e-10 means an index-convention bug and raises
     RuntimeError rather than returning silently wrong terms.
     """
@@ -183,21 +200,25 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     labels = [(MeasLabel(0, 0), MeasLabel(0, 0))]
     for _ in range(n - 1):
         labels.append(label_step(*labels[-1], spec))
-    vecs = np.zeros((n, d * d), dtype=complex)
+    closing = label_step(*labels[-1], spec)
+    # row n is the closing step, checked against the seed's label
+    vecs = np.zeros((n + 1, d * d), dtype=complex)
     vecs[0, 0] = 1.0
-    for step in range(1, n):
+    for step in range(1, n + 1):
         vecs[step] = b @ vecs[step - 1]
 
     # Product vector of each step's basis columns, the same elementwise
     # products as np.outer(alice_column, bob_column).ravel().
-    sides = np.array(labels)  # (step, party, setting/outcome)
+    sides = np.array(labels + [labels[0]])  # (step, party, setting/outcome)
     alice_cols = bases[sides[:, 0, 0], :, sides[:, 0, 1]]
     bob_cols = bases[sides[:, 1, 0], :, sides[:, 1, 1]]
-    expected = (alice_cols[:, :, None] * bob_cols[:, None, :]).reshape(n, d * d)
+    expected = (alice_cols[:, :, None] * bob_cols[:, None, :]).reshape(n + 1, d * d)
     errs = np.abs(vecs - expected).max(axis=1)
-    bad = np.flatnonzero(errs > 1e-10)
-    if bad.size:
-        step = int(bad[0])
+    bad = np.flatnonzero(errs > 1e-10).tolist()
+    if closing != labels[0]:
+        bad.append(n)
+    if bad:
+        step = bad[0]
         raise RuntimeError(
             f"orbit vector and label disagree at step {step} "
             f"(max deviation {float(errs[step]):.3e}): index-convention bug"

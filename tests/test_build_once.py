@@ -1,10 +1,11 @@
 """Each analyzed instance is built once.
 
-``analyze`` builds the orbit once and the root unitary a bounded number
-of times, independent of the number of settings M: the orbit, the joint
-grids and the prediction rule each form their M measurement bases from
-one root unitary. The joint grids and the prediction rule only exist at
-M = 2, so at any other M the orbit's root unitary is the only one.
+``analyze`` builds the orbit once and the root unitary at most twice,
+independent of the number of settings M: the orbit forms its M
+measurement bases from one root unitary, and at M = 2 the four joint
+grids, which the prediction rule reads too, from one more. At any other
+M the orbit's root unitary is the only one. ``analyze`` runs the
+root-index and Gram routes of the quantum bound, never the dense ones.
 The verification sweep builds one root unitary for its own checks and
 one closed-form eigensystem per cell.
 """
@@ -40,13 +41,21 @@ def count_calls(monkeypatch, module_name, attr):
 def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
-    numeric = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_numeric")
+    grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
+    gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     analytic = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_analytic")
+    # the dense routes belong to verify and the tests only
+    numeric = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_numeric")
+    projector_sums = count_calls(monkeypatch, "orbitbell.bounds", "accumulate_A")
+    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "b_eigensystem")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
     assert orbits[0] == 1
-    assert roots[0] <= 3
-    assert numeric[0] == analytic[0] == 1
+    # the orbit's, plus one for the four M = 2 grids
+    assert roots[0] == (2 if m == 2 else 1)
+    assert grids[0] == (4 if m == 2 else 0)
+    assert gram[0] == analytic[0] == 1
+    assert numeric[0] == projector_sums[0] == eigensystems[0] == 0
 
 
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])

@@ -163,10 +163,10 @@ def test_unwritable_out_exits_2(tmp_path):
 
 
 def test_internal_consistency_failure_exits_4(monkeypatch, capsys):
-    # a numeric route that disagrees with the closed form trips the
+    # a Gram route that disagrees with the closed form trips the
     # 1e-9 agreement check inside build_inequality
     bounds_module = importlib.import_module("orbitbell.bounds")
-    monkeypatch.setattr(bounds_module, "quantum_bound_numeric", lambda a: 0.0)
+    monkeypatch.setattr(bounds_module, "quantum_bound_gram", lambda entries: 0.0)
     rc = cli_main(["analyze", "--outcomes", "2", "--settings", "2"])
     captured = capsys.readouterr()
     assert rc == 4

@@ -159,6 +159,8 @@ def test_step_operator_structure(d, m):
     b = step_operator(spec)
     u = root_unitary(spec)
     assert unitarity_defect(b) <= 1e-12
+    # B placed entry by entry equals (U (x) 1) S formed as a matrix product
+    assert np.array_equal(b, kron(u, np.eye(d)) @ swap_matrix(d))
     # B^2 = U (x) U
     assert np.max(np.abs(b @ b - kron(u, u))) <= 1e-12
     # period 2*M*d
@@ -292,3 +294,30 @@ def test_orbit_check_names_the_first_wrong_step(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: internal consistency check failed:")
     assert "disagree at step 5 " in captured.err
+
+
+def test_orbit_check_covers_the_closing_step(monkeypatch, capsys):
+    # a label walk that fails only to return to the seed trips the
+    # check at step n = 2*M*d, in the library and through the CLI
+    spec = ProblemSpec(3, 2)
+    n = spec.orbit_length
+    good = [(e.alice, e.bob) for e in orbit(spec)]
+    orbit_module = importlib.import_module("orbitbell.orbit")
+    real_step = orbit_module.label_step
+
+    def faulty_step(alice, bob, spec):
+        stepped = real_step(alice, bob, spec)
+        if (alice, bob) == good[-1]:
+            a, b = stepped
+            return a, MeasLabel(b.setting, (b.outcome + 1) % spec.outcomes)
+        return stepped
+
+    monkeypatch.setattr(orbit_module, "label_step", faulty_step)
+    with pytest.raises(RuntimeError, match=f"disagree at step {n} "):
+        orbit(spec)
+    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal consistency check failed:")
+    assert f"disagree at step {n} " in captured.err

@@ -6,8 +6,9 @@ entries: a subset breaks the symmetry of the full orbit, so it reaches
 ties and tie-breaks that full orbits never produce. Arbitrary
 label-pair lists (repeats allowed, one Bob setting sharing terms with
 up to M Alice settings) reach the hit tables wider than the orbit's
-two Alice settings per Bob setting. The LAPACK quantum
-route is checked against the closed-form route, the one-product
+two Alice settings per Bob setting. The root-index quantum route is
+checked bit for bit against grouping the whole closed-form eigensystem,
+the Gram-spectrum and LAPACK routes against it to 1e-9, the one-product
 projector sum against the per-entry outer-product sum, and the orbit
 against its defining identities.
 """
@@ -15,7 +16,7 @@ against its defining identities.
 import itertools
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from orbitbell import (
@@ -24,6 +25,7 @@ from orbitbell import (
     OrbitEntry,
     ProblemSpec,
     accumulate_A,
+    b_eigensystem,
     classical_bound,
     label_step,
     mat_power,
@@ -33,8 +35,11 @@ from orbitbell import (
     root_unitary,
     translation_matrix,
 )
+from orbitbell.bounds import quantum_bound_gram
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+# only the @example cells, each once
+EVERY_CELL_SETTINGS = settings(deadline=None, phases=[Phase.explicit])
 
 # every (d, M) with at most 1e6 deterministic strategy pairs, d <= 8
 ENUMERABLE = [
@@ -47,6 +52,12 @@ CHAINED = [
 ]
 
 
+# every (d, M) with d <= 16, M <= 8, guard or not
+SMALL = [(d, m) for d in range(2, 17) for m in range(1, 9)]
+
+GRAM_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 7)]
+
+
 def every_cell(cells):
     """Run a one-argument property on each of ``cells`` explicitly."""
 
@@ -56,6 +67,29 @@ def every_cell(cells):
         return test
 
     return decorate
+
+
+def grouped_eigensystem_bound(spec, entries):
+    """Reference: group every closed-form eigenpair of B by root index,
+    ascending; a group wins only above the running best + 1e-12."""
+    seed = entries[0].vector
+    groups = {}
+    for pair in b_eigensystem(spec):
+        groups.setdefault(pair.root_index, []).append(pair)
+    best_value, best_state = -1.0, None
+    for idx in sorted(groups):
+        members = groups[idx]
+        coeffs = [np.vdot(p.vector, seed) for p in members]
+        weight = float(sum(abs(c) ** 2 for c in coeffs))
+        value = 0.0 if weight < 1e-15 else spec.orbit_length * weight
+        if value > best_value + 1e-12:
+            best_value = value
+            if weight < 1e-15:
+                best_state = None
+            else:
+                x = sum(c * p.vector for c, p in zip(coeffs, members))
+                best_state = x / np.linalg.norm(x)
+    return best_value, best_state
 
 
 def per_map_loop(entries, spec):
@@ -116,6 +150,27 @@ def test_quantum_bound_routes_agree_on_random_instances(d, m):
     numeric = quantum_bound_numeric(accumulate_A(entries))
     analytic, _ = quantum_bound_analytic(spec, entries)
     assert abs(numeric - analytic) <= 1e-9
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(SMALL))
+@every_cell(SMALL)
+def test_root_index_route_is_bit_identical_to_grouping_the_eigensystem(cell):
+    spec = ProblemSpec(*cell)
+    entries = orbit(spec)
+    value, state = quantum_bound_analytic(spec, entries)
+    ref_value, ref_state = grouped_eigensystem_bound(spec, entries)
+    assert value == ref_value
+    assert state.tobytes() == ref_state.tobytes()
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(GRAM_CELLS))
+@every_cell(GRAM_CELLS)
+def test_gram_route_agrees_with_dense_eigvalsh(cell):
+    entries = orbit(ProblemSpec(*cell))
+    dense = float(np.linalg.eigvalsh(accumulate_A(entries))[-1])
+    assert abs(quantum_bound_gram(entries) - dense) <= 1e-9
 
 
 @PROPERTY_SETTINGS
