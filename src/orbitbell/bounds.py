@@ -58,13 +58,15 @@ __all__ = [
 STRATEGY_GUARD = 10**8
 
 # Bytes one dense d^2 x d^2 complex matrix may take (16 d^4); 256 MiB
-# admits d <= 64. analyze allocates one such matrix, the orbit's step
-# operator B, next to the orbit's 2*M*d + 1 state vectors: peak RSS of
-# a whole analyze is 51 MiB at (d, M) = (32, 2), 122 MiB at (48, 1) and
-# 312 MiB at (64, 1) (Python 3.11, numpy 2.4, Linux). verify still
-# holds several per cell: B, the dense product (U x 1) S with its two
+# admits d <= 64. Such matrices are verify's cross-checks, several per
+# cell: the step operator B, the dense product (U x 1) S with its two
 # factors, the projector sum A with eigvalsh's workspace, and the d^2
-# closed-form eigenvectors.
+# closed-form eigenvectors. analyze builds none of them; it keeps the
+# same limit so that every analyzed instance can be cross-checked. Its
+# largest arrays are the 2*M*d orbit states and their step residuals,
+# 16 d^2 bytes per step each: ru_maxrss of a whole analyze --format
+# json is 35 MiB at (d, M) = (32, 2), 38 MiB at (48, 1), 50 MiB at
+# (64, 1) and 71 MiB at (64, 2) (Python 3.11, numpy 2.4, Linux).
 MEMORY_CEILING = 256 * 2**20
 
 
@@ -73,14 +75,17 @@ class InstanceTooLarge(Exception):
 
 
 def _check_memory_ceiling(outcomes: int) -> None:
-    """Raise InstanceTooLarge when one dense d^2 x d^2 matrix at this
-    outcome count would exceed MEMORY_CEILING."""
+    """Raise InstanceTooLarge when one dense d^2 x d^2 cross-check
+    matrix at this outcome count would exceed MEMORY_CEILING."""
     needed = 16 * outcomes**4
     if needed > MEMORY_CEILING:
+        dim = outcomes**2
         raise InstanceTooLarge(
-            f"instance too large: the dense projector sum at {outcomes} "
-            f"outcomes needs {needed / 2**20:.0f} MiB, over the memory "
-            f"ceiling of {MEMORY_CEILING // 2**20} MiB"
+            f"instance too large: verify's dense {dim} x {dim} cross-check "
+            f"matrices at {outcomes} outcomes need {needed / 2**20:.0f} MiB "
+            f"each, over the memory ceiling of {MEMORY_CEILING // 2**20} MiB "
+            "(analyze keeps the same limit, so that every analyzed instance "
+            "can be cross-checked)"
         )
 
 
@@ -299,16 +304,17 @@ def quantum_bound_gram(orbit_entries: list[OrbitEntry]) -> float:
     row g_r = <v_0|v_r>, so its eigenvalues are sum_r g_r w^(q r),
     w = exp(2*pi*i/n). G = conj(V) V^T and A = V^T conj(V) share their
     nonzero spectrum, so the largest of these is A's top eigenvalue.
-    The DFT is one n x n product with phases looked up by the integer
-    index (q r) mod n.
+    The first row is one product V conj(v_0) of the stacked orbit
+    vectors, and the DFT one n x n product with phases looked up by the
+    integer index (q r) mod n.
 
     Raises RuntimeError if an eigenvalue has an imaginary part above
     1e-9: the first row describes a Hermitian circulant, g_(n-r) =
     conj(g_r), only if the orbit closes after n steps.
     """
     n = len(orbit_entries)
-    seed = orbit_entries[0].vector
-    g = np.array([np.vdot(seed, e.vector) for e in orbit_entries])
+    vectors = np.array([e.vector for e in orbit_entries])
+    g = vectors @ vectors[0].conj()
     ramp = np.arange(n)
     roots = np.exp(2j * np.pi * ramp / n)
     spectrum = roots[np.outer(ramp, ramp) % n] @ g
@@ -401,11 +407,13 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
     Computes the quantum bound by the root-index route and by the
     orbit's Gram spectrum and insists they agree to 1e-9; the
     root-index value and state are the ones reported. No d^2 x d^2
-    matrix besides the orbit's step operator is built.
+    matrix is built: the orbit comes from its labels and is checked
+    through U (see :func:`orbit`), and the per-term probabilities are
+    one product of the stacked orbit vectors with the conjugate state.
 
     Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or a
-    dense d^2 x d^2 matrix exceeds MEMORY_CEILING, before any orbit or
-    matrix is built.
+    dense d^2 x d^2 cross-check matrix would exceed MEMORY_CEILING,
+    before any orbit or matrix is built.
     """
     _check_guards(spec)
     entries = orbit(spec)
@@ -417,9 +425,8 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
             f"analytic {analytic!r}"
         )
     c_value, witness = classical_bound(entries, spec)
-    probs = np.array(
-        [abs(np.vdot(state, e.vector)) ** 2 for e in entries], dtype=float
-    )
+    vectors = np.array([e.vector for e in entries])
+    probs = np.abs(vectors @ state.conj()) ** 2
     return BellInequality(
         spec=spec,
         terms=tuple((e.alice, e.bob) for e in entries),

@@ -7,16 +7,22 @@ T. Repeated application of B to |0>|0> walks a closed orbit of
 2 * M * d product states, and each orbit state factorizes into one
 measurement-basis vector per party, so it carries a
 (setting, outcome) label pair.
+
+B hands the parties' vectors across, B (a (x) b) = (U b) (x) a, so
+the orbit is built from its labels and checked one step at a time
+through U on the d x d form of each state; the d^2 x d^2 matrix B is
+formed only for the verification sweep and the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import kron, mat_power
+from .linalg import kron
 
 __all__ = [
     "ProblemSpec",
@@ -69,8 +75,7 @@ class MeasLabel(NamedTuple):
     outcome: int
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     """Orbit state number ``step``, with its per-party labels and vector."""
 
     step: int
@@ -125,8 +130,14 @@ def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
 
     ``u`` is the instance's root unitary (see :func:`root_unitary`);
     build it once and pass it to every caller that needs the bases.
+    The powers are running products U^s = U^(s-1) U, settings - 1
+    matrix products in all; U^0 is the identity and U^1 is ``u``
+    itself.
     """
-    return [mat_power(u, s) for s in range(settings)]
+    bases = [np.eye(u.shape[0], dtype=complex), u]
+    for _ in range(2, settings):
+        bases.append(bases[-1] @ u)
+    return bases[:settings]
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -184,38 +195,46 @@ def label_step(
 def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     """The full closed orbit of B on |0>|0>, one entry per step.
 
-    Entry j holds B^j |00> together with the label pair obtained by
-    iterating :func:`label_step` j times from ((0,0), (0,0)). The two
-    descriptions are checked against each other at every step,
-    including the closing step n = 2*M*d, where B^n |00> must be |00>
-    again and the label walk must be back at ((0,0), (0,0)); any
-    mismatch beyond 1e-10 means an index-convention bug and raises
-    RuntimeError rather than returning silently wrong terms.
+    Entry j carries the label pair obtained by iterating
+    :func:`label_step` j times from ((0,0), (0,0)), and as its vector
+    v_j the product of the two labels' basis columns (Alice's column of
+    U^s (x) Bob's column of U^t). The orbit relation is checked one
+    step at a time without forming B: a state X in d x d form steps to
+    B X = U X^T. Step 0 must be |00>, and for 1 <= j <= n = 2*M*d,
+    B v_(j-1) must be v_j, with v_n = |00> at the closing step, where
+    the label walk must also be back at ((0,0), (0,0)). Any mismatch
+    beyond 1e-10 means an index-convention bug and raises RuntimeError,
+    naming the first bad step, rather than returning silently wrong
+    terms.
     """
     d, n = spec.outcomes, spec.orbit_length
     u = root_unitary(spec)
     bases = np.array(measurement_bases(u, spec.settings))
-    b = _step_from_root(u)
 
-    labels = [(MeasLabel(0, 0), MeasLabel(0, 0))]
+    walk = [(MeasLabel(0, 0), MeasLabel(0, 0))]
     for _ in range(n - 1):
-        labels.append(label_step(*labels[-1], spec))
-    closing = label_step(*labels[-1], spec)
-    # row n is the closing step, checked against the seed's label
-    vecs = np.zeros((n + 1, d * d), dtype=complex)
-    vecs[0, 0] = 1.0
-    for step in range(1, n + 1):
-        vecs[step] = b @ vecs[step - 1]
+        walk.append(label_step(*walk[-1], spec))
+    closing = label_step(*walk[-1], spec)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(walk))
+    # (step, party, setting/outcome)
+    sides = np.fromiter(flat, dtype=np.intp, count=4 * n).reshape(n, 2, 2)
 
-    # Product vector of each step's basis columns, the same elementwise
-    # products as np.outer(alice_column, bob_column).ravel().
-    sides = np.array(labels + [labels[0]])  # (step, party, setting/outcome)
+    # v_j = np.outer(alice_column, bob_column), one d x d slice per step
     alice_cols = bases[sides[:, 0, 0], :, sides[:, 0, 1]]
     bob_cols = bases[sides[:, 1, 0], :, sides[:, 1, 1]]
-    expected = (alice_cols[:, :, None] * bob_cols[:, None, :]).reshape(n + 1, d * d)
-    errs = np.abs(vecs - expected).max(axis=1)
+    states = alice_cols[:, :, None] * bob_cols[:, None, :]
+
+    # row 0: v_0 - |00>; row j >= 1: B v_(j-1) - v_j, with v_n = |00>
+    seed = np.zeros((d, d), dtype=complex)
+    seed[0, 0] = 1.0
+    diffs = np.empty((n + 1, d, d), dtype=complex)
+    diffs[0] = states[0] - seed
+    np.matmul(u, states.transpose(0, 2, 1), out=diffs[1:])
+    diffs[1:n] -= states[1:]
+    diffs[n] -= seed
+    errs = np.abs(diffs).max(axis=(1, 2))
     bad = np.flatnonzero(errs > 1e-10).tolist()
-    if closing != labels[0]:
+    if closing != walk[0]:
         bad.append(n)
     if bad:
         step = bad[0]
@@ -223,9 +242,10 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
             f"orbit vector and label disagree at step {step} "
             f"(max deviation {float(errs[step]):.3e}): index-convention bug"
         )
+    vectors = states.reshape(n, d * d)
     return [
-        OrbitEntry(step, alice, bob, vecs[step])
-        for step, (alice, bob) in enumerate(labels)
+        OrbitEntry(step, alice, bob, vector)
+        for step, ((alice, bob), vector) in enumerate(zip(walk, vectors))
     ]
 
 

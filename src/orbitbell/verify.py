@@ -6,10 +6,12 @@ pass/fail line per check. Instances whose deterministic-strategy space
 exceeds the enumeration guard keep their quantum-side checks and skip
 only the classical comparison.
 
-The dense routes that ``analyze`` no longer runs live here: the step
-operator formed as the matrix product (U x 1) S, LAPACK ``eigvalsh`` on
-the projector sum, and the residuals of the whole closed-form
-eigensystem. Each is compared with the hot path's route at every cell.
+The dense routes that ``analyze`` no longer runs live here: the d^2 x
+d^2 step operator B, placed by index and checked against the matrix
+product (U x 1) S, then applied to every orbit vector at once; LAPACK
+``eigvalsh`` on the projector sum; and the residuals of the whole
+closed-form eigensystem. Each is compared with the hot path's route at
+every cell.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "labels": CheckResult("orbit: 2*M*d distinct labels, closed cycle", None),
         "families": CheckResult("orbit labels equal the three membership families", None),
         "consistency": CheckResult("orbit vectors match their labels", None),
+        "stepping": CheckResult(
+            "dense step operator maps each orbit vector to the next", 1e-10
+        ),
         "eigen": CheckResult("closed-form eigenpairs satisfy B v = lambda v", 1e-9),
         "trace": CheckResult("projector sum has trace 2*M*d", 1e-10),
         "agree": CheckResult("analytic and numeric quantum bounds agree", 1e-9),
@@ -172,6 +177,12 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 checks["labels"].fail(cell, "orbit does not close into distinct labels")
             if set(labels) != condition_label_pairs(spec):
                 checks["families"].fail(cell, "label set mismatch")
+            # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
+            orbit_vecs = np.array([e.vector for e in entries])
+            successors = np.roll(orbit_vecs, -1, axis=0)
+            checks["stepping"].record(
+                float(np.max(np.abs(b @ orbit_vecs.T - successors.T))), cell
+            )
 
             eigenpairs = b_eigensystem(spec)
             # all residuals B v - lambda v in one product, one column per pair

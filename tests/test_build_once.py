@@ -5,7 +5,9 @@ independent of the number of settings M: the orbit forms its M
 measurement bases from one root unitary, and at M = 2 the four joint
 grids, which the prediction rule reads too, from one more. At any other
 M the orbit's root unitary is the only one. ``analyze`` runs the
-root-index and Gram routes of the quantum bound, never the dense ones.
+root-index and Gram routes of the quantum bound, never the dense ones,
+and never places the d^2 x d^2 step operator: the orbit is checked
+through U.
 The verification sweep builds one root unitary for its own checks and
 one closed-form eigensystem per cell.
 """
@@ -48,6 +50,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     numeric = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_numeric")
     projector_sums = count_calls(monkeypatch, "orbitbell.bounds", "accumulate_A")
     eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "b_eigensystem")
+    step_operators = count_calls(monkeypatch, "orbitbell.orbit", "_step_from_root")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
     assert orbits[0] == 1
@@ -56,6 +59,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert grids[0] == (4 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
     assert numeric[0] == projector_sums[0] == eigensystems[0] == 0
+    assert step_operators[0] == 0
 
 
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])

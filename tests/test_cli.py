@@ -245,6 +245,24 @@ def test_corrupted_swap_fails_verification(monkeypatch):
     assert any(not c.passed for c in report.checks)
 
 
+def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
+    # B^T in place of B: the dense step through the orbit must notice
+    # and name the cell, and the sweep must exit 1
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_step = verify_module._step_from_root
+    monkeypatch.setattr(verify_module, "_step_from_root", lambda u: real_step(u).T)
+    name = "dense step operator maps each orbit vector to the next"
+    report = run_verification(3, 2)
+    (check,) = [c for c in report.checks if c.name == name]
+    assert not check.passed
+    assert check.notes and check.notes[0].startswith("d=2 M=")
+    assert ": residual " in check.notes[0]
+    rc = cli_main(["verify", "--outcomes-max", "3", "--settings-max", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"FAIL  {name} (" in captured.out
+
+
 def test_repeated_main_calls_give_fresh_process_results(capsys):
     # main keeps no state between calls: each run in one process must
     # match the same run in a fresh interpreter

@@ -321,3 +321,26 @@ def test_orbit_check_covers_the_closing_step(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: internal consistency check failed:")
     assert f"disagree at step {n} " in captured.err
+
+
+def test_orbit_check_catches_a_wrong_basis_column(monkeypatch, capsys):
+    # step 1 is Alice at (1, 0), Bob at (0, 0): a perturbed column 0 of
+    # setting 1 makes v_1 differ from B v_0 = U|0> (x) |0>, which the
+    # step check forms from U itself
+    spec = ProblemSpec(3, 2)
+    orbit_module = importlib.import_module("orbitbell.orbit")
+    real_bases = orbit_module.measurement_bases
+
+    def perturbed_bases(u, settings):
+        bases = [b.copy() for b in real_bases(u, settings)]
+        bases[1][:, 0] += 1e-6
+        return bases
+
+    monkeypatch.setattr(orbit_module, "measurement_bases", perturbed_bases)
+    with pytest.raises(RuntimeError, match="disagree at step 1 "):
+        orbit(spec)
+    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "disagree at step 1 " in captured.err

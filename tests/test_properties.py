@@ -10,7 +10,8 @@ two Alice settings per Bob setting. The root-index quantum route is
 checked bit for bit against grouping the whole closed-form eigensystem,
 the Gram-spectrum and LAPACK routes against it to 1e-9, the one-product
 projector sum against the per-entry outer-product sum, and the orbit
-against its defining identities.
+against its defining identities: its product-form vectors against the
+dense recurrence v_j = B v_(j-1) from |00> that they replaced.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from orbitbell import (
     ProblemSpec,
     accumulate_A,
     b_eigensystem,
+    build_inequality,
     classical_bound,
     label_step,
     mat_power,
@@ -33,6 +35,7 @@ from orbitbell import (
     quantum_bound_analytic,
     quantum_bound_numeric,
     root_unitary,
+    step_operator,
     translation_matrix,
 )
 from orbitbell.bounds import quantum_bound_gram
@@ -56,6 +59,9 @@ CHAINED = [
 SMALL = [(d, m) for d in range(2, 17) for m in range(1, 9)]
 
 GRAM_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 7)]
+
+# every (d, M) with d <= 16, M <= 8 within the enumeration guard
+ANALYZABLE = [(d, m) for d, m in SMALL if d ** (2 * m) <= 10**8]
 
 
 def every_cell(cells):
@@ -113,6 +119,16 @@ def per_map_loop(entries, spec):
             best = total
             best_strategy = DeterministicStrategy(alice_map, tuple(bob_map))
     return best, best_strategy
+
+
+def dense_recurrence(spec):
+    """Reference: the orbit vectors as B^j |00>, one dense B @ v per step."""
+    b = step_operator(spec)
+    vecs = np.zeros((spec.orbit_length, spec.hilbert_dim), dtype=complex)
+    vecs[0, 0] = 1.0
+    for step in range(1, spec.orbit_length):
+        vecs[step] = b @ vecs[step - 1]
+    return vecs
 
 
 @PROPERTY_SETTINGS
@@ -186,6 +202,24 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
     assert witness == DeterministicStrategy((0,) * m, (0,) * m)
     analytic, _ = quantum_bound_analytic(spec, entries)
     assert value - 1e-9 <= analytic <= 2 * m + 1e-9
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(GRAM_CELLS))
+@every_cell(GRAM_CELLS)
+def test_product_form_orbit_matches_the_dense_recurrence(cell):
+    spec = ProblemSpec(*cell)
+    vectors = np.array([e.vector for e in orbit(spec)])
+    assert np.max(np.abs(vectors - dense_recurrence(spec))) <= 1e-10
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(ANALYZABLE))
+@every_cell(ANALYZABLE)
+def test_per_term_probabilities_are_uniform_to_rounding(cell):
+    ineq = build_inequality(ProblemSpec(*cell))
+    uniform = ineq.quantum_bound / len(ineq.terms)
+    assert np.max(np.abs(ineq.per_term_probs - uniform)) <= 1e-13
 
 
 @PROPERTY_SETTINGS
