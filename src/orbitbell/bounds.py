@@ -24,17 +24,35 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   routes above and runs only in ``verify`` and the tests.
 
 The classical bound is the exact maximum of the same expression over
-deterministic local strategies.
+deterministic local strategies. Two routes compute it:
+
+* chained Bell (:func:`_chained_bell_bound`), the reported value, on
+  the hot path. The orbit's terms form a chained-Bell cycle of 2M
+  setting pairs (Braunstein-Caves 1990; Barrett-Kent-Pironio 2006), so
+  C_s = 2M - 1 with the all-zero strategy as witness. It checks the
+  term set and counts the witness's hits, O(2*M*d) work;
+* enumeration (:func:`classical_bound`): the maximum over all d^M
+  Alice maps, each with Bob's best reply. It makes no assumption on
+  the terms and runs only in ``verify`` and the tests, which compare
+  its value and witness with the chained-Bell route's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import hermiticity_defect
-from .orbit import MeasLabel, OrbitEntry, ProblemSpec, fourier_eigenbasis, orbit
+from .orbit import (
+    MeasLabel,
+    OrbitEntry,
+    ProblemSpec,
+    condition_label_pairs,
+    fourier_eigenbasis,
+    orbit,
+)
 
 __all__ = [
     "EigenPair",
@@ -54,7 +72,9 @@ __all__ = [
 ]
 
 # Deterministic strategy pairs are capped at this count; larger
-# instances are rejected instead of silently running for hours.
+# instances are rejected instead of silently running for hours. The
+# enumeration runs only in verify and the tests; analyze keeps the
+# guard so that every analyzed instance can be cross-checked.
 STRATEGY_GUARD = 10**8
 
 # Bytes one dense d^2 x d^2 complex matrix may take (16 d^4); 256 MiB
@@ -89,12 +109,24 @@ def _check_memory_ceiling(outcomes: int) -> None:
         )
 
 
+def _over_strategy_guard(outcomes: int, settings: int) -> bool:
+    """Whether d^(2M) strategy pairs exceed STRATEGY_GUARD.
+
+    Since d >= 2, d^(2M) >= 2^(2M), which exceeds the guard once 2M
+    reaches the guard's bit length (M >= 14), so an absurd M is decided
+    without forming the power.
+    """
+    if 2 * settings >= STRATEGY_GUARD.bit_length():
+        return True
+    return outcomes ** (2 * settings) > STRATEGY_GUARD
+
+
 def _check_guards(spec: ProblemSpec) -> None:
     """Raise InstanceTooLarge when the instance exceeds the memory
     ceiling or d^(2M) exceeds STRATEGY_GUARD."""
     _check_memory_ceiling(spec.outcomes)
     d, m = spec.outcomes, spec.settings
-    if d ** (2 * m) > STRATEGY_GUARD:
+    if _over_strategy_guard(d, m):
         raise InstanceTooLarge(
             f"instance too large: {d}^{2 * m} deterministic strategies "
             f"exceed the enumeration guard of {STRATEGY_GUARD:.0e}"
@@ -401,19 +433,70 @@ def classical_bound(
     return value, DeterministicStrategy(alice_map, bob_map)
 
 
+def _chained_bell_bound(
+    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
+) -> tuple[int, DeterministicStrategy]:
+    """Classical bound of the orbit's terms: 2M - 1, with the all-zero
+    strategy as witness, in O(2*M*d) work.
+
+    The terms must be the label pairs of :func:`condition_label_pairs`,
+    each once. Then, with a_s and b_s the outcomes a deterministic
+    strategy gives at setting s:
+
+    1. For M >= 2 the terms sit on 2M setting pairs, and each pair's
+       terms are the graph of a bijection (b = a at (s, s) and (s+1, s),
+       a = b + 1 mod d at the wrap (0, M-1)): a strategy meets at most
+       one term per pair.
+    2. Meeting all 2M pairs would chain a_0 = b_0 = a_1 = ... = b_(M-1)
+       and close with a_0 = b_(M-1) + 1, forcing a_0 = a_0 + 1 mod d.
+    3. For M = 1 there is only one pair, (0, 0), and no strategy meets
+       both a = b and a = b + 1 there, since d >= 2.
+    4. The all-zero strategy meets every pair but the wrap, 2M - 1
+       terms, and it is the lexicographically smallest table, to which
+       :func:`classical_bound`'s enumeration breaks ties: both routes
+       return the same value and witness.
+
+    The term set and the witness's hit count are checked, not assumed;
+    either failing raises RuntimeError.
+    """
+    m = spec.settings
+    families = condition_label_pairs(spec)
+    if len(terms) != len(families) or set(terms) != families:
+        raise RuntimeError(
+            f"chained-Bell route: the {len(terms)} orbit terms are not the "
+            f"{len(families)} label pairs of the three chained-Bell families"
+        )
+    witness = DeterministicStrategy((0,) * m, (0,) * m)
+    hits = sum(
+        1
+        for a, b in terms
+        if witness.alice_map[a.setting] == a.outcome
+        and witness.bob_map[b.setting] == b.outcome
+    )
+    if hits != 2 * m - 1:
+        raise RuntimeError(
+            f"chained-Bell route: the all-zero strategy meets {hits} terms, "
+            f"not 2M - 1 = {2 * m - 1}"
+        )
+    return 2 * m - 1, witness
+
+
 def build_inequality(spec: ProblemSpec) -> BellInequality:
     """Assemble the Bell inequality for one instance.
 
     Computes the quantum bound by the root-index route and by the
     orbit's Gram spectrum and insists they agree to 1e-9; the
-    root-index value and state are the ones reported. No d^2 x d^2
-    matrix is built: the orbit comes from its labels and is checked
-    through U (see :func:`orbit`), and the per-term probabilities are
-    one product of the stacked orbit vectors with the conjugate state.
+    root-index value and state are the ones reported. The classical
+    bound and witness come from the chained-Bell route; the d^M
+    enumeration is verify's. No d^2 x d^2 matrix is built: the orbit
+    comes from its labels and is checked through U (see :func:`orbit`),
+    and the per-term probabilities are one product of the stacked orbit
+    vectors with the conjugate state.
 
     Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or a
     dense d^2 x d^2 cross-check matrix would exceed MEMORY_CEILING,
-    before any orbit or matrix is built.
+    before any orbit or matrix is built, so that verify's cross-checks
+    reach every analyzed instance.
     """
     _check_guards(spec)
     entries = orbit(spec)
@@ -424,12 +507,13 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
             f"quantum bound routes disagree: Gram spectrum {gram!r} vs "
             f"analytic {analytic!r}"
         )
-    c_value, witness = classical_bound(entries, spec)
+    terms = tuple((e.alice, e.bob) for e in entries)
+    c_value, witness = _chained_bell_bound(spec, terms)
     vectors = np.array([e.vector for e in entries])
     probs = np.abs(vectors @ state.conj()) ** 2
     return BellInequality(
         spec=spec,
-        terms=tuple((e.alice, e.bob) for e in entries),
+        terms=terms,
         classical_bound=c_value,
         quantum_bound=analytic,
         optimal_state=state,

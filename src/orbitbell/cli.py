@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .bounds import InstanceTooLarge
+from .bounds import InstanceTooLarge, _check_guards
 from .certificate import build_certificate, certificate_json
 from .games import AnalysisReport, analyze
 from .orbit import ProblemSpec
@@ -155,6 +155,11 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--outcomes-from must be at least 2")
     if hi < lo:
         parser.error("--outcomes-to must not be smaller than --outcomes-from")
+    # before any row runs, the first row over the guards fails with its
+    # own error; every d > 64 is over the memory ceiling, so at most 63
+    # rows are checked
+    for d in range(lo, hi + 1):
+        _check_guards(ProblemSpec(d, 2))
     rows = ["   d     Q_s  C_s       p    I_ab"]
     for d in range(lo, hi + 1):
         report = analyze(ProblemSpec(d, 2))

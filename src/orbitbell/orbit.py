@@ -255,14 +255,12 @@ def condition_label_pairs(spec: ProblemSpec) -> set[tuple[MeasLabel, MeasLabel]]
     Three families: equal settings with equal outcomes; Alice one
     setting ahead with equal outcomes; and the wrap-around where Alice
     is back at setting 0 with the outcome advanced by one (mod d)
-    while Bob sits at the last setting.
+    while Bob sits at the last setting. Each of the d*M labels is built
+    once and shared by the pairs that name it.
     """
     d, m = spec.outcomes, spec.settings
-    pairs: set[tuple[MeasLabel, MeasLabel]] = set()
-    for k in range(d):
-        for s in range(m):
-            pairs.add((MeasLabel(s, k), MeasLabel(s, k)))
-        for s in range(m - 1):
-            pairs.add((MeasLabel(s + 1, k), MeasLabel(s, k)))
-        pairs.add((MeasLabel(0, (k + 1) % d), MeasLabel(m - 1, k)))
+    label = [[MeasLabel(s, k) for k in range(d)] for s in range(m)]
+    pairs = {(label[s][k], label[s][k]) for s in range(m) for k in range(d)}
+    pairs.update((label[s + 1][k], label[s][k]) for s in range(m - 1) for k in range(d))
+    pairs.update((label[0][(k + 1) % d], label[m - 1][k]) for k in range(d))
     return pairs

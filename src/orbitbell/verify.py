@@ -9,9 +9,9 @@ only the classical comparison.
 The dense routes that ``analyze`` no longer runs live here: the d^2 x
 d^2 step operator B, placed by index and checked against the matrix
 product (U x 1) S, then applied to every orbit vector at once; LAPACK
-``eigvalsh`` on the projector sum; and the residuals of the whole
-closed-form eigensystem. Each is compared with the hot path's route at
-every cell.
+``eigvalsh`` on the projector sum; the residuals of the whole
+closed-form eigensystem; and the d^M enumeration of the classical
+bound. Each is compared with the hot path's route at every cell.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import numpy as np
 
 from .bounds import (
     STRATEGY_GUARD,
+    _chained_bell_bound,
     _check_memory_ceiling,
+    _over_strategy_guard,
     accumulate_A,
     b_eigensystem,
     classical_bound,
@@ -125,6 +127,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "maximizer": CheckResult("optimal state is a step-operator eigenvector", 1e-9),
         "uniform": CheckResult("per-term probabilities equal Q_s/(2*M*d)", 1e-9),
         "dominance": CheckResult("quantum bound is at least the classical bound", 1e-9),
+        "chained": CheckResult(
+            "enumerated classical bound equals the chained-Bell value 2M-1", None
+        ),
         "information": CheckResult(
             "mutual information independent of the setting pair (M=2)", 1e-9
         ),
@@ -202,19 +207,26 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             checks["maximizer"].record(
                 float(np.max(np.abs(b @ state - rayleigh * state))), cell
             )
-            per_term = np.array(
-                [abs(np.vdot(state, e.vector)) ** 2 for e in entries]
-            )
+            per_term = np.abs(orbit_vecs @ state.conj()) ** 2
             checks["uniform"].record(
                 float(np.max(np.abs(per_term - analytic / length))), cell
             )
 
-            if d ** (2 * m) > STRATEGY_GUARD:
+            if _over_strategy_guard(d, m):
                 skipped.append(cell)
                 summary.append(f"{cell}: Q_s={analytic:.4f} C_s=skipped")
             else:
-                c_value, _ = classical_bound(entries, spec)
+                c_value, witness = classical_bound(entries, spec)
                 checks["dominance"].record(max(0.0, c_value - analytic), cell)
+                try:
+                    chained = _chained_bell_bound(spec, labels)
+                except RuntimeError as exc:
+                    checks["chained"].fail(cell, str(exc))
+                else:
+                    if chained != (c_value, witness):
+                        checks["chained"].fail(
+                            cell, f"enumeration gives C_s={c_value}, {witness}"
+                        )
                 summary.append(f"{cell}: Q_s={analytic:.4f} C_s={c_value}")
                 if d == 2 and m == 1:
                     checks["degenerate"].record(abs(analytic - 1.0), cell)

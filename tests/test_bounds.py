@@ -29,7 +29,13 @@ from orbitbell import (
     run_verification,
     step_operator,
 )
-from orbitbell.bounds import MEMORY_CEILING, _check_memory_ceiling
+from orbitbell.bounds import (
+    MEMORY_CEILING,
+    STRATEGY_GUARD,
+    _chained_bell_bound,
+    _check_memory_ceiling,
+    _over_strategy_guard,
+)
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -266,6 +272,43 @@ def test_classical_bound_guard():
     spec = ProblemSpec(10, 5)
     with pytest.raises(InstanceTooLarge, match="too large"):
         classical_bound(orbit(spec), spec)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 64, 10**6])
+def test_strategy_guard_matches_the_power(d):
+    for m in range(1, 40):
+        assert _over_strategy_guard(d, m) == (d ** (2 * m) > STRATEGY_GUARD)
+
+
+@pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (5, 4), (2, 13)])
+def test_chained_bell_route_value_and_witness(d, m):
+    spec = ProblemSpec(d, m)
+    terms = [(e.alice, e.bob) for e in orbit(spec)]
+    value, witness = _chained_bell_bound(spec, terms)
+    assert value == 2 * m - 1
+    assert witness.alice_map == witness.bob_map == (0,) * m
+
+
+def test_chained_bell_route_rejects_other_term_lists():
+    spec = ProblemSpec(3, 2)
+    terms = [(e.alice, e.bob) for e in orbit(spec)]
+    # one missing, one repeated, and one repeated in place of a missing one
+    for wrong in (terms[1:], terms + terms[:1], terms[1:] + terms[1:2]):
+        with pytest.raises(RuntimeError, match="chained-Bell route: the .* orbit terms"):
+            _chained_bell_bound(spec, wrong)
+
+
+def test_chained_bell_route_counts_the_witness_hits(monkeypatch):
+    # Alice's outcomes shifted by one: a family list that matches these
+    # terms still leaves the all-zero strategy no term to meet at d = 3
+    spec = ProblemSpec(3, 2)
+    shifted = [
+        (MeasLabel(e.alice.setting, (e.alice.outcome + 1) % 3), e.bob)
+        for e in orbit(spec)
+    ]
+    monkeypatch.setattr("orbitbell.bounds.condition_label_pairs", lambda spec: set(shifted))
+    with pytest.raises(RuntimeError, match="all-zero strategy meets 0 terms, not 2M - 1 = 3"):
+        _chained_bell_bound(spec, shifted)
 
 
 def test_build_inequality_checks_guard_before_any_work(monkeypatch):

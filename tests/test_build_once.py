@@ -7,9 +7,11 @@ grids, which the prediction rule reads too, from one more. At any other
 M the orbit's root unitary is the only one. ``analyze`` runs the
 root-index and Gram routes of the quantum bound, never the dense ones,
 and never places the d^2 x d^2 step operator: the orbit is checked
-through U.
+through U. Its classical bound is the chained-Bell value, with no
+d^M enumeration.
 The verification sweep builds one root unitary for its own checks and
-one closed-form eigensystem per cell.
+one closed-form eigensystem per cell, and runs the enumeration once per
+cell inside the enumeration guard.
 """
 
 import functools
@@ -19,6 +21,7 @@ import sys
 import pytest
 
 from orbitbell import ProblemSpec, analyze, run_verification
+from orbitbell.bounds import _over_strategy_guard
 
 
 def count_calls(monkeypatch, module_name, attr):
@@ -51,6 +54,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     projector_sums = count_calls(monkeypatch, "orbitbell.bounds", "accumulate_A")
     eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "b_eigensystem")
     step_operators = count_calls(monkeypatch, "orbitbell.orbit", "_step_from_root")
+    enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
     assert orbits[0] == 1
@@ -60,6 +64,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert gram[0] == analytic[0] == 1
     assert numeric[0] == projector_sums[0] == eigensystems[0] == 0
     assert step_operators[0] == 0
+    assert enumerations[0] == 0
 
 
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])
@@ -79,3 +84,14 @@ def test_verify_builds_each_cell_once(monkeypatch):
     assert report.passed
     assert eigensystems[0] == 6
     assert roots[0] == 2 * 6  # the sweep's own checks, then the orbit
+
+
+def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):
+    enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
+    report = run_verification(5, 7)  # 28 cells, 3 of them beyond the guard
+    inside = [
+        (d, m) for d in range(2, 6) for m in range(1, 8) if not _over_strategy_guard(d, m)
+    ]
+    assert report.passed
+    assert len(inside) == 25 and len(report.skipped) == 3
+    assert enumerations[0] == len(inside)

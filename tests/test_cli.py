@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from orbitbell import (
+    DeterministicStrategy,
     ProblemSpec,
     analyze,
     build_certificate,
@@ -137,6 +138,7 @@ def test_oversized_instance_exits_3():
         ("analyze", "--outcomes", "5000", "--settings", "1"),
         ("analyze", "--outcomes", "65", "--settings", "2"),
         ("verify", "--outcomes-max", "65", "--settings-max", "1"),
+        ("table", "--outcomes-from", "2", "--outcomes-to", "65"),
     ],
 )
 def test_instance_over_memory_ceiling_exits_3_at_once(argv):
@@ -148,6 +150,40 @@ def test_instance_over_memory_ceiling_exits_3_at_once(argv):
     )
     assert proc.returncode == 3
     assert "memory ceiling" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("lo,hi,first_bad", [(2, 65, 65), (70, 75, 70)])
+def test_table_checks_the_guards_before_the_first_row(monkeypatch, capsys, lo, hi, first_bad):
+    # same exit code and text as the first row that would fail, no row run
+    cli_module = importlib.import_module("orbitbell.cli")
+
+    def no_row(spec):
+        raise AssertionError("table row computed before the guards were checked")
+
+    expected = cli_main(["analyze", "--outcomes", str(first_bad), "--settings", "2"])
+    expected_err = capsys.readouterr().err
+    monkeypatch.setattr(cli_module, "analyze", no_row)
+    rc = cli_main(["table", "--outcomes-from", str(lo), "--outcomes-to", str(hi)])
+    captured = capsys.readouterr()
+    assert rc == expected == 3
+    assert captured.out == ""
+    assert captured.err == expected_err
+
+
+def test_absurd_settings_count_exits_3_at_once():
+    # the guard is decided without forming 2^(2*10^9)
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitbell", "analyze", "--outcomes", "2", "--settings", "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: instance too large: 2^2000000000 deterministic strategies "
+        "exceed the enumeration guard of 1e+08\n"
+    )
     assert proc.stdout == ""
 
 
@@ -173,6 +209,28 @@ def test_internal_consistency_failure_exits_4(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: internal consistency check failed:")
     assert "routes disagree" in captured.err
+
+
+def test_broken_chained_bell_families_exit_4(monkeypatch, capsys):
+    # a family list missing one label pair no longer matches the orbit's
+    # terms, and the chained-Bell route refuses to report C_s
+    bounds_module = importlib.import_module("orbitbell.bounds")
+    real_families = bounds_module.condition_label_pairs
+
+    def one_pair_short(spec):
+        pairs = real_families(spec)
+        pairs.discard(min(pairs))
+        return pairs
+
+    monkeypatch.setattr(bounds_module, "condition_label_pairs", one_pair_short)
+    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal consistency check failed: chained-Bell route: the 12 "
+        "orbit terms are not the 11 label pairs of the three chained-Bell families\n"
+    )
 
 
 def test_table_survey():
@@ -261,6 +319,27 @@ def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert f"FAIL  {name} (" in captured.out
+
+
+def test_wrong_enumerated_witness_fails_the_chained_bell_check(monkeypatch, capsys):
+    # an enumeration that disagrees with the chained-Bell route in its
+    # witness alone must fail the sweep and name the cell
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_bound = verify_module.classical_bound
+
+    def shifted_witness(entries, spec):
+        value, witness = real_bound(entries, spec)
+        return value, DeterministicStrategy(witness.alice_map, (1,) * spec.settings)
+
+    monkeypatch.setattr(verify_module, "classical_bound", shifted_witness)
+    name = "enumerated classical bound equals the chained-Bell value 2M-1"
+    report = run_verification(2, 2)
+    (check,) = [c for c in report.checks if c.name == name]
+    assert not check.passed
+    assert [note.split(":")[0] for note in check.notes] == ["d=2 M=1", "d=2 M=2"]
+    rc = cli_main(["verify", "--outcomes-max", "2", "--settings-max", "2"])
+    assert rc == 1
+    assert f"FAIL  {name} (exact)" in capsys.readouterr().out
 
 
 def test_repeated_main_calls_give_fresh_process_results(capsys):

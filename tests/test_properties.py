@@ -6,12 +6,14 @@ entries: a subset breaks the symmetry of the full orbit, so it reaches
 ties and tie-breaks that full orbits never produce. Arbitrary
 label-pair lists (repeats allowed, one Bob setting sharing terms with
 up to M Alice settings) reach the hit tables wider than the orbit's
-two Alice settings per Bob setting. The root-index quantum route is
-checked bit for bit against grouping the whole closed-form eigensystem,
-the Gram-spectrum and LAPACK routes against it to 1e-9, the one-product
-projector sum against the per-entry outer-product sum, and the orbit
-against its defining identities: its product-form vectors against the
-dense recurrence v_j = B v_(j-1) from |00> that they replaced.
+two Alice settings per Bob setting. On every full orbit within the
+guard, the chained-Bell route equals the enumeration in value and
+witness. The root-index quantum route is checked bit for bit against
+grouping the whole closed-form eigensystem, the Gram-spectrum and
+LAPACK routes against it to 1e-9, the one-product projector sum
+against the per-entry outer-product sum, and the orbit against its
+defining identities: its product-form vectors against the dense
+recurrence v_j = B v_(j-1) from |00> that they replaced.
 """
 
 import itertools
@@ -38,7 +40,7 @@ from orbitbell import (
     step_operator,
     translation_matrix,
 )
-from orbitbell.bounds import quantum_bound_gram
+from orbitbell.bounds import _chained_bell_bound, quantum_bound_gram
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -202,6 +204,17 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
     assert witness == DeterministicStrategy((0,) * m, (0,) * m)
     analytic, _ = quantum_bound_analytic(spec, entries)
     assert value - 1e-9 <= analytic <= 2 * m + 1e-9
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(CHAINED))
+@every_cell(CHAINED)
+def test_chained_bell_route_equals_the_enumeration(cell):
+    # the hot path's C_s and witness are the d^M enumeration's, exactly
+    spec = ProblemSpec(*cell)
+    entries = orbit(spec)
+    terms = [(e.alice, e.bob) for e in entries]
+    assert _chained_bell_bound(spec, terms) == classical_bound(entries, spec)
 
 
 @EVERY_CELL_SETTINGS
