@@ -11,10 +11,14 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   with B, so A's eigenvalues are n times the seed weight that each
   degenerate eigenvalue group of B captures. The weights follow from
   integer root indices alone, so only the top group's O(d) vectors
-  are ever built and no eigensolver runs;
+  are ever built and no eigensolver runs. The Fourier rows, U's
+  eigenvalues and their exact root indices come from the instance's
+  root table (``orbit._root_table``), the one the orbit was built
+  from: :func:`build_inequality` builds it once and passes it down;
 * Gram spectrum (:func:`quantum_bound_gram`), ``analyze``'s
   cross-check, to 1e-9. A = V^T conj(V) for the matrix V whose rows
-  are the orbit vectors v_j = B^j v_0, and the n x n Gram matrix
+  are the orbit vectors v_j = B^j v_0 (the orbit's own stacked array
+  on the hot path), and the n x n Gram matrix
   G = conj(V) V^T has the same nonzero spectrum. Because B is unitary
   with period n, G_jk = <v_0|B^(k-j)|v_0> depends only on k - j mod n:
   G is circulant, and its eigenvalues are the discrete Fourier
@@ -39,6 +43,7 @@ deterministic local strategies. Two routes compute it:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -49,9 +54,13 @@ from .orbit import (
     MeasLabel,
     OrbitEntry,
     ProblemSpec,
+    _orbit,
+    _root_table,
+    _RootTable,
     condition_label_pairs,
-    fourier_eigenbasis,
-    orbit,
+    # bound here as orbitbell.bounds.orbit, which the benchmark's tracer
+    # tests read; the hot path builds the orbit through _orbit
+    orbit,  # noqa: F401
 )
 
 __all__ = [
@@ -87,6 +96,8 @@ STRATEGY_GUARD = 10**8
 # 16 d^2 bytes per step each: ru_maxrss of a whole analyze --format
 # json is 35 MiB at (d, M) = (32, 2), 38 MiB at (48, 1), 50 MiB at
 # (64, 1) and 71 MiB at (64, 2) (Python 3.11, numpy 2.4, Linux).
+# verify's grid is unbounded in M, so it also holds its largest cell's
+# orbit arrays to this ceiling (see _check_orbit_ceiling).
 MEMORY_CEILING = 256 * 2**20
 
 
@@ -106,6 +117,28 @@ def _check_memory_ceiling(outcomes: int) -> None:
             f"each, over the memory ceiling of {MEMORY_CEILING // 2**20} MiB "
             "(analyze keeps the same limit, so that every analyzed instance "
             "can be cross-checked)"
+        )
+
+
+def _check_orbit_ceiling(outcomes: int, settings: int) -> None:
+    """Raise InstanceTooLarge when the orbit arrays of instance
+    (d, M) = (outcomes, settings) would exceed MEMORY_CEILING.
+
+    Over its n = 2*M*d steps the orbit holds the states, one complex
+    residual array of the same size and the residuals' magnitudes
+    (40 d^2 bytes per step, in the orbit check and in verify's dense
+    stepping check alike), and the Gram spectrum an n x n integer index
+    table with the phases it looks up (24 n^2 bytes). Plain int
+    arithmetic, so an absurd M is rejected without allocating.
+    """
+    steps = 2 * settings * outcomes
+    needed = 40 * outcomes**2 * steps + 24 * steps**2
+    if needed > MEMORY_CEILING:
+        raise InstanceTooLarge(
+            f"instance too large: the orbit at {outcomes} outcomes and "
+            f"{settings} settings has {steps} steps, whose states, step "
+            f"residuals and Gram phase table need {needed / 2**20:.0f} MiB, "
+            f"over the memory ceiling of {MEMORY_CEILING // 2**20} MiB"
         )
 
 
@@ -179,10 +212,19 @@ def root_of_unity_index(value: complex, order: int, tol: float = 1e-9) -> int:
     return idx
 
 
-def accumulate_A(orbit_entries: list[OrbitEntry]) -> np.ndarray:
+def _stacked(orbit_entries: list[OrbitEntry] | np.ndarray) -> np.ndarray:
+    """The orbit vectors as the rows of one (n, d^2) array: the array
+    itself when given one, else stacked from the entries."""
+    if isinstance(orbit_entries, np.ndarray):
+        return orbit_entries
+    return np.array([entry.vector for entry in orbit_entries])
+
+
+def accumulate_A(orbit_entries: list[OrbitEntry] | np.ndarray) -> np.ndarray:
     """Sum of projectors onto the orbit states, as one product V^T conj(V)
-    over the matrix V whose rows are the orbit vectors."""
-    v = np.array([entry.vector for entry in orbit_entries])
+    over the matrix V whose rows are the orbit vectors (the orbit's
+    entries, or V itself)."""
+    v = _stacked(orbit_entries)
     return v.T @ v.conj()
 
 
@@ -202,16 +244,6 @@ def quantum_bound_numeric(a: np.ndarray) -> float:
             "exceeds tolerance 1e-12"
         )
     return float(np.linalg.eigvalsh(a)[-1])
-
-
-def _shift_roots(spec: ProblemSpec) -> tuple[list[np.ndarray], list[complex], list[int]]:
-    """Fourier eigenvectors w_j of the shift with U's eigenvalues
-    lambda_j and their exact root indices (lambda_j =
-    exp(2*pi*i*idx_j / (2*M*d)))."""
-    basis = fourier_eigenbasis(spec.outcomes)
-    lambdas = [np.exp(1j * theta / spec.settings) for _, theta in basis]
-    indices = [root_of_unity_index(lam, spec.orbit_length) for lam in lambdas]
-    return [w for w, _ in basis], lambdas, indices
 
 
 def _block_roots(idx_j: int, idx_k: int, order: int) -> tuple[int, int]:
@@ -259,8 +291,13 @@ def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
     Order: the d diagonal vectors, then each pair j < k with its plus
     vector before its minus vector.
     """
+    return _eigensystem(spec, _root_table(spec))
+
+
+def _eigensystem(spec: ProblemSpec, table: _RootTable) -> list[EigenPair]:
+    """:func:`b_eigensystem` from the instance's root table."""
     d, order = spec.outcomes, spec.orbit_length
-    ws, lambdas, indices = _shift_roots(spec)
+    ws, lambdas, indices = table.rows, table.lambdas, table.indices
 
     pairs: list[EigenPair] = []
     for j in range(d):
@@ -292,10 +329,19 @@ def quantum_bound_analytic(
     on the plus/minus vectors of block j < k, phi = 2*pi*(plus - idx_j)
     / (2*M*d). Only the winning group's O(d) vectors are built, in
     :func:`b_eigensystem`'s order and arithmetic, so value and state
-    are those of grouping the whole eigensystem.
+    are those of grouping the whole eigensystem. The weights only pick
+    the group; value and state come from the members' coefficients.
     """
+    return _analytic_bound(spec, _root_table(spec), orbit_entries[0].vector)
+
+
+def _analytic_bound(
+    spec: ProblemSpec, table: _RootTable, seed: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """:func:`quantum_bound_analytic` from the instance's root table and
+    the seed state v_0."""
     d, order = spec.outcomes, spec.orbit_length
-    ws, lambdas, indices = _shift_roots(spec)
+    ws, lambdas, indices = table.rows, table.lambdas, table.indices
 
     weights: dict[int, float] = {}
     for idx in indices:
@@ -304,7 +350,7 @@ def quantum_bound_analytic(
     for j in range(d):
         for k in range(j + 1, d):
             plus, minus = _block_roots(indices[j], indices[k], order)
-            cos_phi = np.cos(2.0 * np.pi * (plus - indices[j]) / order)
+            cos_phi = math.cos(2.0 * math.pi * (plus - indices[j]) / order)
             weights[plus] = weights.get(plus, 0.0) + (1.0 + cos_phi) / d**2
             weights[minus] = weights.get(minus, 0.0) + (1.0 - cos_phi) / d**2
             blocks.append((j, k, plus, minus))
@@ -321,14 +367,13 @@ def quantum_bound_analytic(
             vp, vm = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
             members.append(vp if top == plus else vm)
 
-    seed = orbit_entries[0].vector
     coeffs = [np.vdot(v, seed) for v in members]
     weight = float(sum(abs(c) ** 2 for c in coeffs))
     x = sum(c * v for c, v in zip(coeffs, members))
     return order * weight, x / np.linalg.norm(x)
 
 
-def quantum_bound_gram(orbit_entries: list[OrbitEntry]) -> float:
+def quantum_bound_gram(orbit_entries: list[OrbitEntry] | np.ndarray) -> float:
     """Quantum bound from the spectrum of the orbit's Gram matrix.
 
     With v_j = B^j v_0 and B unitary of period n = 2*M*d, the Gram
@@ -337,15 +382,15 @@ def quantum_bound_gram(orbit_entries: list[OrbitEntry]) -> float:
     w = exp(2*pi*i/n). G = conj(V) V^T and A = V^T conj(V) share their
     nonzero spectrum, so the largest of these is A's top eigenvalue.
     The first row is one product V conj(v_0) of the stacked orbit
-    vectors, and the DFT one n x n product with phases looked up by the
-    integer index (q r) mod n.
+    vectors (the orbit's entries, or V itself), and the DFT one n x n
+    product with phases looked up by the integer index (q r) mod n.
 
     Raises RuntimeError if an eigenvalue has an imaginary part above
     1e-9: the first row describes a Hermitian circulant, g_(n-r) =
     conj(g_r), only if the orbit closes after n steps.
     """
-    n = len(orbit_entries)
-    vectors = np.array([e.vector for e in orbit_entries])
+    vectors = _stacked(orbit_entries)
+    n = len(vectors)
     g = vectors @ vectors[0].conj()
     ramp = np.arange(n)
     roots = np.exp(2j * np.pi * ramp / n)
@@ -434,13 +479,16 @@ def classical_bound(
 
 
 def _chained_bell_bound(
-    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
+    spec: ProblemSpec,
+    terms: Sequence[tuple[MeasLabel, MeasLabel]],
+    families: set[tuple[MeasLabel, MeasLabel]] | None = None,
 ) -> tuple[int, DeterministicStrategy]:
     """Classical bound of the orbit's terms: 2M - 1, with the all-zero
     strategy as witness, in O(2*M*d) work.
 
     The terms must be the label pairs of :func:`condition_label_pairs`,
-    each once. Then, with a_s and b_s the outcomes a deterministic
+    each once; a caller that has built that set already passes it as
+    ``families``. Then, with a_s and b_s the outcomes a deterministic
     strategy gives at setting s:
 
     1. For M >= 2 the terms sit on 2M setting pairs, and each pair's
@@ -460,7 +508,8 @@ def _chained_bell_bound(
     either failing raises RuntimeError.
     """
     m = spec.settings
-    families = condition_label_pairs(spec)
+    if families is None:
+        families = condition_label_pairs(spec)
     if len(terms) != len(families) or set(terms) != families:
         raise RuntimeError(
             f"chained-Bell route: the {len(terms)} orbit terms are not the "
@@ -484,24 +533,32 @@ def _chained_bell_bound(
 def build_inequality(spec: ProblemSpec) -> BellInequality:
     """Assemble the Bell inequality for one instance.
 
-    Computes the quantum bound by the root-index route and by the
-    orbit's Gram spectrum and insists they agree to 1e-9; the
-    root-index value and state are the ones reported. The classical
-    bound and witness come from the chained-Bell route; the d^M
-    enumeration is verify's. No d^2 x d^2 matrix is built: the orbit
-    comes from its labels and is checked through U (see :func:`orbit`),
-    and the per-term probabilities are one product of the stacked orbit
-    vectors with the conjugate state.
+    Builds the instance's root table once and reads everything from it:
+    the orbit, and the quantum bound by the root-index route and by the
+    orbit's Gram spectrum, which must agree to 1e-9; the root-index
+    value and state are the ones reported. The classical bound and
+    witness come from the chained-Bell route; the d^M enumeration is
+    verify's. No d^2 x d^2 matrix is built: the orbit comes from its
+    labels and is checked through U (see :func:`orbit`), and the Gram
+    route and the per-term probabilities read the orbit's stacked
+    (n, d^2) array, the latter as one product with the conjugate state.
 
     Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or a
     dense d^2 x d^2 cross-check matrix would exceed MEMORY_CEILING,
     before any orbit or matrix is built, so that verify's cross-checks
     reach every analyzed instance.
     """
+    return _inequality(spec)[0]
+
+
+def _inequality(spec: ProblemSpec) -> tuple[BellInequality, _RootTable]:
+    """:func:`build_inequality`, with the root table it was built from
+    for the caller's further use."""
     _check_guards(spec)
-    entries = orbit(spec)
-    gram = quantum_bound_gram(entries)
-    analytic, state = quantum_bound_analytic(spec, entries)
+    table = _root_table(spec)
+    entries, vectors = _orbit(spec, table)
+    gram = quantum_bound_gram(vectors)
+    analytic, state = _analytic_bound(spec, table, vectors[0])
     if abs(gram - analytic) > 1e-9:
         raise RuntimeError(
             f"quantum bound routes disagree: Gram spectrum {gram!r} vs "
@@ -509,9 +566,8 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
         )
     terms = tuple((e.alice, e.bob) for e in entries)
     c_value, witness = _chained_bell_bound(spec, terms)
-    vectors = np.array([e.vector for e in entries])
     probs = np.abs(vectors @ state.conj()) ** 2
-    return BellInequality(
+    inequality = BellInequality(
         spec=spec,
         terms=terms,
         classical_bound=c_value,
@@ -520,3 +576,4 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
         per_term_probs=probs,
         witness=witness,
     )
+    return inequality, table

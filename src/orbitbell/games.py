@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BellInequality, build_inequality
+from .bounds import BellInequality, _inequality
 from .orbit import MeasLabel, ProblemSpec, measurement_bases, root_unitary
 
 __all__ = [
@@ -177,13 +177,15 @@ def prediction_probability(ineq: BellInequality) -> float:
             "the prediction rule needs exactly 2 settings per party, "
             f"got {spec.settings}"
         )
-    return _prediction_from_grids(ineq, _two_setting_grids(ineq))
+    return _prediction_from_grids(ineq, _two_setting_grids(ineq, root_unitary(spec)))
 
 
-def _two_setting_grids(ineq: BellInequality) -> dict[tuple[int, int], np.ndarray]:
+def _two_setting_grids(
+    ineq: BellInequality, u: np.ndarray
+) -> dict[tuple[int, int], np.ndarray]:
     """Joint grid of the optimal state per setting pair (s, t), M = 2,
-    all from one root unitary."""
-    bases = measurement_bases(root_unitary(ineq.spec), 2)
+    all from the instance's root unitary ``u``."""
+    bases = measurement_bases(u, 2)
     return {
         (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
         for s in range(2)
@@ -213,12 +215,13 @@ def _prediction_from_grids(
 
 
 def analyze(spec: ProblemSpec) -> AnalysisReport:
-    """Run the whole pipeline for one instance."""
-    ineq = build_inequality(spec)
+    """Run the whole pipeline for one instance, from one root table: the
+    inequality's, whose U also gives the M = 2 grids."""
+    ineq, table = _inequality(spec)
     game = game_spec(spec, ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
     if spec.settings == 2:
-        grids = _two_setting_grids(ineq)
+        grids = _two_setting_grids(ineq, table.u)
         infos = {q: mutual_information(g) for q, g in grids.items()}
         info_bits = infos[(0, 0)]
         spread = max(infos.values()) - min(infos.values())

@@ -10,8 +10,16 @@ measurement-basis vector per party, so it carries a
 
 B hands the parties' vectors across, B (a (x) b) = (U b) (x) a, so
 the orbit is built from its labels and checked one step at a time
-through U on the d x d form of each state; the d^2 x d^2 matrix B is
+through U on the two factors of each state; the d^2 x d^2 matrix B is
 formed only for the verification sweep and the tests.
+
+Everything rests on one object per instance, its root table
+(:func:`_root_table`): the shift's Fourier eigenbasis w_j, U's
+eigenvalues lambda_j with their exact integer root indices, and U
+itself. It is built once and passed down explicitly to the orbit, the
+quantum-bound routes, the two-setting statistics and the verification
+sweep; :func:`fourier_eigenbasis` and :func:`root_unitary` are public
+views of it.
 """
 
 from __future__ import annotations
@@ -92,37 +100,86 @@ def translation_matrix(d: int) -> np.ndarray:
     return t
 
 
+class _RootTable(NamedTuple):
+    """One instance's shift eigenbasis and root unitary, built once by
+    :func:`_root_table` and handed to everything that needs them."""
+
+    rows: np.ndarray  # (d, d); row j is the Fourier vector w_j
+    lambdas: np.ndarray  # (d,); U w_j = lambda_j w_j
+    indices: list[int]  # lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
+    u: np.ndarray  # the root unitary U
+
+
+def _fourier(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier rows w_j and eigenphases theta_j of the shift, as arrays
+    (see :func:`fourier_eigenbasis`)."""
+    js = np.arange(d)
+    rows = np.exp(2j * np.pi * js[:, None] * js / d) / np.sqrt(d)
+    # theta_j = -2*pi*j/d reduced to (-pi, pi], the branch decided in
+    # exact integer arithmetic so the boundary never flips sign
+    thetas = -2.0 * np.pi * js / d
+    above = 2 * js > d
+    thetas[above] = 2.0 * np.pi * (d - js[above]) / d
+    thetas[2 * js == d] = np.pi
+    return rows, thetas
+
+
+def _root_indices(d: int, order: int) -> list[int]:
+    """Exact root index of each lambda_j = exp(i theta_j / M), order =
+    2*M*d: theta_j / M is 2*pi*(-2j)/order below the boundary, pi/M =
+    2*pi*d/order on it and 2*pi*2(d - j)/order above it."""
+    return [
+        (-2 * j) % order if 2 * j < d else d if 2 * j == d else 2 * (d - j)
+        for j in range(d)
+    ]
+
+
+def _root_table(spec: ProblemSpec) -> _RootTable:
+    """The instance's root table: Fourier rows, U's eigenvalues with
+    their exact root indices, and U itself.
+
+    lambda_j is exp(i * (theta_j / M)); the indices come from integer
+    arithmetic and are checked against lambda_j in one snap, within
+    1e-9, which raises RuntimeError on a mismatch (a branch-convention
+    bug). U is the ordered sum of lambda_j w_j w_j^H over j, the same
+    additions in the same order as summing the terms one at a time.
+    """
+    d, order = spec.outcomes, spec.orbit_length
+    rows, thetas = _fourier(d)
+    lambdas = np.exp(1j * (thetas / spec.settings))
+    indices = _root_indices(d, order)
+    snap = np.abs(lambdas - np.exp(2j * np.pi * np.array(indices) / order))
+    worst = int(snap.argmax())
+    if snap[worst] > 1e-9:
+        raise RuntimeError(
+            f"root table: lambda_{worst} = {complex(lambdas[worst])!r} is not "
+            f"the order-{order} root of unity with index {indices[worst]} "
+            f"(snap error {float(snap[worst]):.3e} exceeds 1e-9)"
+        )
+    # lambda_j w_j w_j^H stacked, then summed in order, all in one buffer
+    terms = rows[:, :, None] * rows.conj()[:, None, :]
+    np.multiply(lambdas[:, None, None], terms, out=terms)
+    np.cumsum(terms, axis=0, out=terms)
+    return _RootTable(rows, lambdas, indices, terms[-1].copy())
+
+
 def fourier_eigenbasis(d: int) -> list[tuple[np.ndarray, float]]:
     """Eigenvectors of the cyclic shift with their eigenphases.
 
     Vector j has components exp(2*pi*i*j*k/d) / sqrt(d) and satisfies
     T w_j = exp(i * theta_j) w_j with theta_j in (-pi, pi]. The branch
     cut matters: the boundary phase is represented as +pi, never -pi,
-    which pins down the root taken in :func:`root_unitary`.
+    which pins down the root taken in :func:`root_unitary`. The vectors
+    are the rows of the root table's Fourier array.
     """
-    out: list[tuple[np.ndarray, float]] = []
-    ks = np.arange(d)
-    for j in range(d):
-        w = np.exp(2j * np.pi * j * ks / d) / np.sqrt(d)
-        # theta_j = -2*pi*j/d reduced to (-pi, pi], decided in exact
-        # integer arithmetic so the boundary never flips sign.
-        if 2 * j < d:
-            theta = -2.0 * np.pi * j / d
-        elif 2 * j == d:
-            theta = np.pi
-        else:
-            theta = 2.0 * np.pi * (d - j) / d
-        out.append((w, float(theta)))
-    return out
+    rows, thetas = _fourier(d)
+    return [(rows[j], float(thetas[j])) for j in range(d)]
 
 
 def root_unitary(spec: ProblemSpec) -> np.ndarray:
-    """M-th root U of the cyclic shift, U = sum_j e^{i theta_j / M} |w_j><w_j|."""
-    d = spec.outcomes
-    u = np.zeros((d, d), dtype=complex)
-    for w, theta in fourier_eigenbasis(d):
-        u += np.exp(1j * theta / spec.settings) * np.outer(w, w.conj())
-    return u
+    """M-th root U of the cyclic shift, U = sum_j e^{i theta_j / M} |w_j><w_j|,
+    as held by the instance's root table."""
+    return _root_table(spec).u
 
 
 def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
@@ -199,16 +256,24 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     :func:`label_step` j times from ((0,0), (0,0)), and as its vector
     v_j the product of the two labels' basis columns (Alice's column of
     U^s (x) Bob's column of U^t). The orbit relation is checked one
-    step at a time without forming B: a state X in d x d form steps to
-    B X = U X^T. Step 0 must be |00>, and for 1 <= j <= n = 2*M*d,
-    B v_(j-1) must be v_j, with v_n = |00> at the closing step, where
-    the label walk must also be back at ((0,0), (0,0)). Any mismatch
-    beyond 1e-10 means an index-convention bug and raises RuntimeError,
-    naming the first bad step, rather than returning silently wrong
-    terms.
+    step at a time without forming B, on the factors: B (a (x) b) =
+    (U b) (x) a, so step j compares (U b_(j-1)) (x) a_(j-1) with
+    a_j (x) b_j, O(d^2) per step. Step 0 must be |00>, and for
+    1 <= j <= n = 2*M*d, B v_(j-1) must be v_j, with v_n = |00> at the
+    closing step, where the label walk must also be back at
+    ((0,0), (0,0)). Any mismatch beyond 1e-10 means an index-convention
+    bug and raises RuntimeError, naming the first bad step, rather than
+    returning silently wrong terms.
     """
+    return _orbit(spec, _root_table(spec))[0]
+
+
+def _orbit(spec: ProblemSpec, table: _RootTable) -> tuple[list[OrbitEntry], np.ndarray]:
+    """:func:`orbit` from the instance's root table, with the orbit
+    vectors also stacked as the rows of one (n, d^2) array (the entries'
+    vectors are views of its rows)."""
     d, n = spec.outcomes, spec.orbit_length
-    u = root_unitary(spec)
+    u = table.u
     bases = np.array(measurement_bases(u, spec.settings))
 
     walk = [(MeasLabel(0, 0), MeasLabel(0, 0))]
@@ -224,12 +289,15 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     bob_cols = bases[sides[:, 1, 0], :, sides[:, 1, 1]]
     states = alice_cols[:, :, None] * bob_cols[:, None, :]
 
-    # row 0: v_0 - |00>; row j >= 1: B v_(j-1) - v_j, with v_n = |00>
+    # row 0: v_0 - |00>; row j >= 1: B v_(j-1) - v_j with v_n = |00>,
+    # B v_(j-1) = np.outer(U b_(j-1), a_(j-1)) formed from the factors
+    # (as rank-one matmuls, which need no broadcasting buffer)
     seed = np.zeros((d, d), dtype=complex)
     seed[0, 0] = 1.0
     diffs = np.empty((n + 1, d, d), dtype=complex)
     diffs[0] = states[0] - seed
-    np.matmul(u, states.transpose(0, 2, 1), out=diffs[1:])
+    stepped = bob_cols @ u.T
+    np.matmul(stepped[:, :, None], alice_cols[:, None, :], out=diffs[1:])
     diffs[1:n] -= states[1:]
     diffs[n] -= seed
     errs = np.abs(diffs).max(axis=(1, 2))
@@ -243,10 +311,11 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
             f"(max deviation {float(errs[step]):.3e}): index-convention bug"
         )
     vectors = states.reshape(n, d * d)
-    return [
+    entries = [
         OrbitEntry(step, alice, bob, vector)
         for step, ((alice, bob), vector) in enumerate(zip(walk, vectors))
     ]
+    return entries, vectors
 
 
 def condition_label_pairs(spec: ProblemSpec) -> set[tuple[MeasLabel, MeasLabel]]:

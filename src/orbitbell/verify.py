@@ -22,26 +22,27 @@ import numpy as np
 
 from .bounds import (
     STRATEGY_GUARD,
+    _analytic_bound,
     _chained_bell_bound,
     _check_memory_ceiling,
+    _check_orbit_ceiling,
+    _eigensystem,
     _over_strategy_guard,
     accumulate_A,
-    b_eigensystem,
     classical_bound,
-    quantum_bound_analytic,
     quantum_bound_gram,
     quantum_bound_numeric,
 )
 from .games import joint_distribution, mutual_information
 from .orbit import (
     ProblemSpec,
+    _orbit,
+    _root_table,
     _step_from_root,
     _step_product,
     condition_label_pairs,
     label_step,
     measurement_bases,
-    orbit as build_orbit,
-    root_unitary,
     swap_matrix,
     translation_matrix,
 )
@@ -104,11 +105,17 @@ class VerificationReport:
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
     """Run every check on every cell of the grid.
 
+    Each cell builds its root table once, and every check reads it: U,
+    the orbit, the closed-form eigensystem, the root-index bound and
+    the M = 2 bases.
+
     Raises InstanceTooLarge before the first cell when ``outcomes_max``
-    is beyond the memory ceiling; the enumeration guard only skips the
-    classical comparison per cell.
+    is beyond the memory ceiling, or when the largest cell's orbit
+    arrays would be; the enumeration guard only skips the classical
+    comparison per cell.
     """
     _check_memory_ceiling(outcomes_max)
+    _check_orbit_ceiling(outcomes_max, settings_max)
     checks = {
         "unitary": CheckResult("generator matrices are unitary", 1e-12),
         "root": CheckResult("settings-th power of the root unitary is the shift", 1e-11),
@@ -145,11 +152,12 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             length = spec.orbit_length
             try:
                 t = translation_matrix(d)
-                u = root_unitary(spec)
+                table = _root_table(spec)
+                u = table.u
                 s = swap_matrix(d)
                 b = _step_from_root(u)
                 dense_b = _step_product(u)
-                entries = build_orbit(spec)
+                entries, orbit_vecs = _orbit(spec, table)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 checks["consistency"].fail(cell, str(exc))
                 summary.append(f"{cell}: construction failed ({exc})")
@@ -180,28 +188,28 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             closes = label_step(entries[-1].alice, entries[-1].bob, spec) == labels[0]
             if not (len(entries) == length and distinct and closes):
                 checks["labels"].fail(cell, "orbit does not close into distinct labels")
-            if set(labels) != condition_label_pairs(spec):
+            families = condition_label_pairs(spec)
+            if set(labels) != families:
                 checks["families"].fail(cell, "label set mismatch")
             # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
-            orbit_vecs = np.array([e.vector for e in entries])
-            successors = np.roll(orbit_vecs, -1, axis=0)
-            checks["stepping"].record(
-                float(np.max(np.abs(b @ orbit_vecs.T - successors.T))), cell
-            )
+            stepped = b @ orbit_vecs.T
+            stepped[:, :-1] -= orbit_vecs[1:].T
+            stepped[:, -1] -= orbit_vecs[0]
+            checks["stepping"].record(float(np.max(np.abs(stepped))), cell)
 
-            eigenpairs = b_eigensystem(spec)
+            eigenpairs = _eigensystem(spec, table)
             # all residuals B v - lambda v in one product, one column per pair
             vecs = np.array([pair.vector for pair in eigenpairs]).T
             roots = np.array([pair.root_index for pair in eigenpairs])
             lams = np.exp(2j * np.pi * roots / length)
             checks["eigen"].record(float(np.max(np.abs(b @ vecs - vecs * lams))), cell)
 
-            a = accumulate_A(entries)
+            a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
             numeric = quantum_bound_numeric(a)
-            analytic, state = quantum_bound_analytic(spec, entries)
+            analytic, state = _analytic_bound(spec, table, orbit_vecs[0])
             checks["agree"].record(abs(numeric - analytic), cell)
-            checks["gram"].record(abs(quantum_bound_gram(entries) - analytic), cell)
+            checks["gram"].record(abs(quantum_bound_gram(orbit_vecs) - analytic), cell)
 
             rayleigh = np.vdot(state, b @ state)
             checks["maximizer"].record(
@@ -219,7 +227,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 c_value, witness = classical_bound(entries, spec)
                 checks["dominance"].record(max(0.0, c_value - analytic), cell)
                 try:
-                    chained = _chained_bell_bound(spec, labels)
+                    chained = _chained_bell_bound(spec, labels, families)
                 except RuntimeError as exc:
                     checks["chained"].fail(cell, str(exc))
                 else:

@@ -34,6 +34,7 @@ from orbitbell.bounds import (
     STRATEGY_GUARD,
     _chained_bell_bound,
     _check_memory_ceiling,
+    _check_orbit_ceiling,
     _over_strategy_guard,
 )
 
@@ -312,20 +313,23 @@ def test_chained_bell_route_counts_the_witness_hits(monkeypatch):
 
 
 def test_build_inequality_checks_guard_before_any_work(monkeypatch):
-    def no_orbit(spec):
+    def no_orbit(*args):
         raise AssertionError("orbit built for an instance beyond the guard")
 
-    monkeypatch.setattr("orbitbell.bounds.orbit", no_orbit)
+    # the root table is the first thing built, then the orbit from it
+    monkeypatch.setattr("orbitbell.bounds._root_table", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._orbit", no_orbit)
     with pytest.raises(InstanceTooLarge, match="too large"):
         build_inequality(ProblemSpec(10, 5))
 
 
 @pytest.mark.parametrize("d,m", [(5000, 1), (65, 2)])
 def test_build_inequality_checks_memory_ceiling_before_any_work(monkeypatch, d, m):
-    def no_orbit(spec):
+    def no_orbit(*args):
         raise AssertionError("orbit built for an instance beyond the ceiling")
 
-    monkeypatch.setattr("orbitbell.bounds.orbit", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._root_table", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._orbit", no_orbit)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         build_inequality(ProblemSpec(d, m))
 
@@ -344,6 +348,30 @@ def test_verify_checks_memory_ceiling_before_the_first_cell(monkeypatch):
     monkeypatch.setattr("orbitbell.verify.ProblemSpec", no_cell)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         run_verification(65, 1)
+
+
+def test_verify_checks_orbit_ceiling_before_the_first_cell(monkeypatch):
+    def no_cell(outcomes, settings):
+        raise AssertionError("cell started for a sweep beyond the ceiling")
+
+    monkeypatch.setattr("orbitbell.verify.ProblemSpec", no_cell)
+    with pytest.raises(InstanceTooLarge, match="has 4000000000 steps"):
+        run_verification(2, 10**9)
+
+
+@pytest.mark.parametrize(
+    "d,m,admitted",
+    [(6, 6, True), (10, 4, True), (16, 2, True), (64, 10, True), (64, 11, False),
+     (2, 835, True), (2, 836, False)],
+)
+def test_orbit_ceiling_counts_states_residuals_and_gram_table(d, m, admitted):
+    n = 2 * m * d
+    assert (40 * d**2 * n + 24 * n**2 <= MEMORY_CEILING) == admitted
+    if admitted:
+        _check_orbit_ceiling(d, m)
+    else:
+        with pytest.raises(InstanceTooLarge, match="memory ceiling"):
+            _check_orbit_ceiling(d, m)
 
 
 def test_build_inequality_qubit():

@@ -1,17 +1,18 @@
 """Each analyzed instance is built once.
 
-``analyze`` builds the orbit once and the root unitary at most twice,
-independent of the number of settings M: the orbit forms its M
-measurement bases from one root unitary, and at M = 2 the four joint
-grids, which the prediction rule reads too, from one more. At any other
-M the orbit's root unitary is the only one. ``analyze`` runs the
-root-index and Gram routes of the quantum bound, never the dense ones,
-and never places the d^2 x d^2 step operator: the orbit is checked
-through U. Its classical bound is the chained-Bell value, with no
-d^M enumeration.
-The verification sweep builds one root unitary for its own checks and
-one closed-form eigensystem per cell, and runs the enumeration once per
-cell inside the enumeration guard.
+Everything rests on one root table per instance (the shift's Fourier
+rows, U's eigenvalues with their exact root indices, and U): ``analyze``
+builds it once at every M and hands it to the orbit, to both quantum
+routes and, at M = 2, to the four joint grids, which the prediction
+rule reads too. No public view of the table (``root_unitary``,
+``fourier_eigenbasis``) runs on that path. ``analyze`` builds the orbit
+once, runs the root-index and Gram routes of the quantum bound, never
+the dense ones, and never places the d^2 x d^2 step operator: the orbit
+is checked through U. Its classical bound is the chained-Bell value,
+with no d^M enumeration.
+The verification sweep builds one root table, one orbit and one
+closed-form eigensystem per cell, all from that table, and runs the
+enumeration once per cell inside the enumeration guard.
 """
 
 import functools
@@ -44,22 +45,26 @@ def count_calls(monkeypatch, module_name, attr):
 
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12), (10, 2)])
 def test_analyze_builds_each_instance_once(monkeypatch, d, m):
-    orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
+    tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
+    fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
+    orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
+    # the public views of the table rebuild it, so they stay off the path
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
+    bases = count_calls(monkeypatch, "orbitbell.orbit", "fourier_eigenbasis")
+    public_orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
     grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
-    analytic = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_analytic")
+    analytic = count_calls(monkeypatch, "orbitbell.bounds", "_analytic_bound")
     # the dense routes belong to verify and the tests only
     numeric = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_numeric")
     projector_sums = count_calls(monkeypatch, "orbitbell.bounds", "accumulate_A")
-    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "b_eigensystem")
+    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "_eigensystem")
     step_operators = count_calls(monkeypatch, "orbitbell.orbit", "_step_from_root")
     enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
-    assert orbits[0] == 1
-    # the orbit's, plus one for the four M = 2 grids
-    assert roots[0] == (2 if m == 2 else 1)
+    assert tables[0] == fouriers[0] == orbits[0] == 1
+    assert roots[0] == bases[0] == public_orbits[0] == 0
     assert grids[0] == (4 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
     assert numeric[0] == projector_sums[0] == eigensystems[0] == 0
@@ -70,20 +75,27 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])
 def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
     grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
-    roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
+    tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     report = analyze(ProblemSpec(d, m))
     assert report.joint_grids is None
     assert grids[0] == 0
-    assert roots[0] == 1
+    assert tables[0] == 1
 
 
 def test_verify_builds_each_cell_once(monkeypatch):
+    tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
+    fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
+    orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
+    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "_eigensystem")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
-    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "b_eigensystem")
-    report = run_verification(3, 3)  # 6 cells
+    families = count_calls(monkeypatch, "orbitbell.orbit", "condition_label_pairs")
+    report = run_verification(3, 3)  # 6 cells, all inside the guard
     assert report.passed
-    assert eigensystems[0] == 6
-    assert roots[0] == 2 * 6  # the sweep's own checks, then the orbit
+    assert tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
+    assert roots[0] == 0
+    # one family set per cell, shared by the families check and the
+    # chained-Bell comparison
+    assert families[0] == 6
 
 
 def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):

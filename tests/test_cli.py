@@ -187,6 +187,27 @@ def test_absurd_settings_count_exits_3_at_once():
     assert proc.stdout == ""
 
 
+def test_absurd_verify_settings_max_exits_3_at_once():
+    # the largest cell's orbit arrays are sized before the first cell
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "orbitbell", "verify",
+            "--outcomes-max", "2", "--settings-max", "1000000000",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(
+        "error: instance too large: the orbit at 2 outcomes and 1000000000 "
+        "settings has 4000000000 steps"
+    )
+    assert "memory ceiling of 256 MiB" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_unwritable_out_exits_2(tmp_path):
     # a directory cannot be written as a file
     proc = run_cli(

@@ -344,3 +344,64 @@ def test_orbit_check_catches_a_wrong_basis_column(monkeypatch, capsys):
     assert rc == 4
     assert captured.out == ""
     assert "disagree at step 1 " in captured.err
+
+
+def per_row_reference(d, m):
+    """Reference: the Fourier rows, their phases, U's eigenvalues and U,
+    built one row at a time, each phase and eigenvalue a Python scalar
+    and U summed term by term."""
+    ks = np.arange(d)
+    rows, thetas, lambdas = [], [], []
+    u = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        w = np.exp(2j * np.pi * j * ks / d) / np.sqrt(d)
+        if 2 * j < d:
+            theta = -2.0 * np.pi * j / d
+        elif 2 * j == d:
+            theta = np.pi
+        else:
+            theta = 2.0 * np.pi * (d - j) / d
+        lam = np.exp(1j * float(theta) / m)
+        u += lam * np.outer(w, w.conj())
+        rows.append(w)
+        thetas.append(float(theta))
+        lambdas.append(lam)
+    return np.array(rows), thetas, np.array(lambdas), u
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_root_table_is_bit_identical_to_the_per_row_loop(d):
+    orbit_module = importlib.import_module("orbitbell.orbit")
+    for m in range(1, 17):
+        rows, thetas, lambdas, u = per_row_reference(d, m)
+        table = orbit_module._root_table(ProblemSpec(d, m))
+        assert table.rows.tobytes() == rows.tobytes()
+        assert table.lambdas.tobytes() == lambdas.tobytes()
+        assert table.u.tobytes() == u.tobytes()
+        assert root_unitary(ProblemSpec(d, m)).tobytes() == u.tobytes()
+    basis = fourier_eigenbasis(d)
+    assert [theta for _, theta in basis] == thetas
+    assert all(type(theta) is float for _, theta in basis)
+    assert np.array([w for w, _ in basis]).tobytes() == rows.tobytes()
+
+
+def test_wrong_root_index_is_caught_by_the_snap(monkeypatch, capsys):
+    # an index arithmetic that is one off at a single row no longer
+    # names lambda_j, and the table refuses to be built
+    orbit_module = importlib.import_module("orbitbell.orbit")
+    real_indices = orbit_module._root_indices
+
+    def one_off(d, order):
+        indices = real_indices(d, order)
+        indices[1] = (indices[1] + 1) % order
+        return indices
+
+    monkeypatch.setattr(orbit_module, "_root_indices", one_off)
+    with pytest.raises(RuntimeError, match="root table: lambda_1 "):
+        root_unitary(ProblemSpec(3, 2))
+    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal consistency check failed:")
+    assert "root table: lambda_1 " in captured.err

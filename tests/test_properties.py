@@ -8,8 +8,10 @@ label-pair lists (repeats allowed, one Bob setting sharing terms with
 up to M Alice settings) reach the hit tables wider than the orbit's
 two Alice settings per Bob setting. On every full orbit within the
 guard, the chained-Bell route equals the enumeration in value and
-witness. The root-index quantum route is checked bit for bit against
-grouping the whole closed-form eigensystem, the Gram-spectrum and
+witness. The root table's integer root indices are checked against
+snapping each eigenvalue, over d <= 64 and M <= 16. The root-index
+quantum route is checked bit for bit against grouping the whole
+closed-form eigensystem, the Gram-spectrum and
 LAPACK routes against it to 1e-9, the one-product projector sum
 against the per-entry outer-product sum, and the orbit against its
 defining identities: its product-form vectors against the dense
@@ -36,11 +38,13 @@ from orbitbell import (
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
+    root_of_unity_index,
     root_unitary,
     step_operator,
     translation_matrix,
 )
 from orbitbell.bounds import _chained_bell_bound, quantum_bound_gram
+from orbitbell.orbit import _root_table
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -233,6 +237,17 @@ def test_per_term_probabilities_are_uniform_to_rounding(cell):
     ineq = build_inequality(ProblemSpec(*cell))
     uniform = ineq.quantum_bound / len(ineq.terms)
     assert np.max(np.abs(ineq.per_term_probs - uniform)) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 64), st.integers(1, 16))
+def test_root_table_indices_are_the_snapped_eigenvalues(d, m):
+    # the integer index arithmetic names the root that snapping each
+    # eigenvalue lambda_j finds
+    table = _root_table(ProblemSpec(d, m))
+    order = 2 * m * d
+    assert table.indices == [root_of_unity_index(lam, order) for lam in table.lambdas]
+    assert all(type(idx) is int for idx in table.indices)
 
 
 @PROPERTY_SETTINGS
