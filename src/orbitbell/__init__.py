@@ -13,16 +13,11 @@ nonlocal game and the correlation statistics of the optimal state.
 from .bounds import (
     BellInequality,
     DeterministicStrategy,
-    EigenPair,
     InstanceTooLarge,
     STRATEGY_GUARD,
-    accumulate_A,
-    b_eigensystem,
     build_inequality,
     classical_bound,
     quantum_bound_analytic,
-    quantum_bound_numeric,
-    root_of_unity_index,
 )
 from .certificate import (
     SCHEMA_VERSION,
@@ -34,33 +29,20 @@ from .games import (
     AnalysisReport,
     GameSpec,
     analyze,
-    classical_win_direct,
     game_spec,
     joint_distribution,
     mutual_information,
     prediction_probability,
-    quantum_win_direct,
     winning_probabilities,
 )
-from .linalg import (
-    hermiticity_defect,
-    kron,
-    mat_power,
-    unitarity_defect,
-)
+from .linalg import quantum_bound_numeric
 from .orbit import (
     MeasLabel,
     OrbitEntry,
     ProblemSpec,
-    condition_label_pairs,
-    fourier_eigenbasis,
-    label_step,
     measurement_bases,
     orbit,
     root_unitary,
-    step_operator,
-    swap_matrix,
-    translation_matrix,
 )
 from .verify import CheckResult, VerificationReport, run_verification
 
@@ -71,7 +53,6 @@ __all__ = [
     "BellInequality",
     "CheckResult",
     "DeterministicStrategy",
-    "EigenPair",
     "GameSpec",
     "InstanceTooLarge",
     "MeasLabel",
@@ -80,22 +61,13 @@ __all__ = [
     "SCHEMA_VERSION",
     "STRATEGY_GUARD",
     "VerificationReport",
-    "accumulate_A",
     "analyze",
-    "b_eigensystem",
     "build_certificate",
     "build_inequality",
     "certificate_json",
     "classical_bound",
-    "classical_win_direct",
-    "condition_label_pairs",
-    "fourier_eigenbasis",
     "game_spec",
-    "hermiticity_defect",
     "joint_distribution",
-    "kron",
-    "label_step",
-    "mat_power",
     "measurement_bases",
     "mutual_information",
     "orbit",
@@ -103,13 +75,7 @@ __all__ = [
     "prediction_probability",
     "quantum_bound_analytic",
     "quantum_bound_numeric",
-    "quantum_win_direct",
-    "root_of_unity_index",
     "root_unitary",
     "run_verification",
-    "step_operator",
-    "swap_matrix",
-    "translation_matrix",
-    "unitarity_defect",
     "winning_probabilities",
 ]

@@ -23,9 +23,10 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   with period n, G_jk = <v_0|B^(k-j)|v_0> depends only on k - j mod n:
   G is circulant, and its eigenvalues are the discrete Fourier
   transform of its first row, with no eigensolver either;
-* dense (:func:`quantum_bound_numeric`): LAPACK ``eigvalsh`` on A
-  itself, built by :func:`accumulate_A`. It is independent of both
-  routes above and runs only in ``verify`` and the tests.
+* dense (``linalg.quantum_bound_numeric``): LAPACK ``eigvalsh`` on A
+  itself, built by ``linalg.accumulate_A``. It is independent of both
+  routes above and runs only in ``verify`` and the tests; this module
+  imports nothing from ``linalg``.
 
 The classical bound is the exact maximum of the same expression over
 deterministic local strategies. Two routes compute it:
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermiticity_defect
 from .orbit import (
     MeasLabel,
     OrbitEntry,
@@ -64,16 +64,11 @@ from .orbit import (
 )
 
 __all__ = [
-    "EigenPair",
     "DeterministicStrategy",
     "BellInequality",
     "InstanceTooLarge",
     "STRATEGY_GUARD",
     "MEMORY_CEILING",
-    "root_of_unity_index",
-    "accumulate_A",
-    "quantum_bound_numeric",
-    "b_eigensystem",
     "quantum_bound_analytic",
     "quantum_bound_gram",
     "classical_bound",
@@ -167,15 +162,6 @@ def _check_guards(spec: ProblemSpec) -> None:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """Eigenvector of the step operator; eigenvalue is the root of unity
-    exp(2*pi*i*root_index / (2*M*d))."""
-
-    root_index: int
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class DeterministicStrategy:
     """Fixed outcome per setting for each party."""
 
@@ -196,54 +182,12 @@ class BellInequality:
     witness: DeterministicStrategy
 
 
-def root_of_unity_index(value: complex, order: int, tol: float = 1e-9) -> int:
-    """Snap a unit-modulus value to its nearest order-th root of unity.
-
-    Raises RuntimeError when the snap error exceeds ``tol``; that only
-    happens on a branch-convention bug, never from roundoff.
-    """
-    idx = int(round(float(np.angle(value)) * order / (2.0 * np.pi))) % order
-    err = abs(value - np.exp(2j * np.pi * idx / order))
-    if err > tol:
-        raise RuntimeError(
-            f"{value!r} is not an order-{order} root of unity "
-            f"(snap error {err:.3e} exceeds {tol:.1e})"
-        )
-    return idx
-
-
 def _stacked(orbit_entries: list[OrbitEntry] | np.ndarray) -> np.ndarray:
     """The orbit vectors as the rows of one (n, d^2) array: the array
     itself when given one, else stacked from the entries."""
     if isinstance(orbit_entries, np.ndarray):
         return orbit_entries
     return np.array([entry.vector for entry in orbit_entries])
-
-
-def accumulate_A(orbit_entries: list[OrbitEntry] | np.ndarray) -> np.ndarray:
-    """Sum of projectors onto the orbit states, as one product V^T conj(V)
-    over the matrix V whose rows are the orbit vectors (the orbit's
-    entries, or V itself)."""
-    v = _stacked(orbit_entries)
-    return v.T @ v.conj()
-
-
-def quantum_bound_numeric(a: np.ndarray) -> float:
-    """Top eigenvalue of the projector sum, by LAPACK ``eigvalsh``.
-
-    Raises ValueError if ``a`` is not square or not Hermitian within
-    1e-12.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = hermiticity_defect(a)
-    if defect > 1e-12:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} "
-            "exceeds tolerance 1e-12"
-        )
-    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def _block_roots(idx_j: int, idx_k: int, order: int) -> tuple[int, int]:
@@ -277,40 +221,6 @@ def _block_vectors(
     return plus_vector, minus_vector
 
 
-def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
-    """Closed-form eigensystem of the step operator B.
-
-    B permutes the products of shift eigenvectors: w_j w_j is an
-    eigenvector with U's eigenvalue lambda_j, and each unordered pair
-    j < k spans a 2-dimensional block whose eigenvalues are the two
-    square roots +/- sqrt(lambda_j lambda_k). All eigenvalues are
-    2*M*d-th roots of unity; they are kept as exact integer indices so
-    that degeneracy detection never depends on floating-point
-    clustering. The principal branch (half the phase of the product
-    taken in (-pi, pi], boundary at +pi) fixes the signs reproducibly.
-    Order: the d diagonal vectors, then each pair j < k with its plus
-    vector before its minus vector.
-    """
-    return _eigensystem(spec, _root_table(spec))
-
-
-def _eigensystem(spec: ProblemSpec, table: _RootTable) -> list[EigenPair]:
-    """:func:`b_eigensystem` from the instance's root table."""
-    d, order = spec.outcomes, spec.orbit_length
-    ws, lambdas, indices = table.rows, table.lambdas, table.indices
-
-    pairs: list[EigenPair] = []
-    for j in range(d):
-        pairs.append(EigenPair(indices[j], np.outer(ws[j], ws[j]).ravel()))
-    for j in range(d):
-        for k in range(j + 1, d):
-            plus, minus = _block_roots(indices[j], indices[k], order)
-            vp, vm = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
-            pairs.append(EigenPair(plus, vp))
-            pairs.append(EigenPair(minus, vm))
-    return pairs
-
-
 def quantum_bound_analytic(
     spec: ProblemSpec, orbit_entries: list[OrbitEntry]
 ) -> tuple[float, np.ndarray]:
@@ -328,7 +238,7 @@ def quantum_bound_analytic(
     weight 1/d^2 on each diagonal vector w_j w_j and (1 +/- cos phi)/d^2
     on the plus/minus vectors of block j < k, phi = 2*pi*(plus - idx_j)
     / (2*M*d). Only the winning group's O(d) vectors are built, in
-    :func:`b_eigensystem`'s order and arithmetic, so value and state
+    ``linalg.b_eigensystem``'s order and arithmetic, so value and state
     are those of grouping the whole eigensystem. The weights only pick
     the group; value and state come from the members' coefficients.
     """

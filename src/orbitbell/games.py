@@ -24,8 +24,6 @@ __all__ = [
     "AnalysisReport",
     "game_spec",
     "winning_probabilities",
-    "quantum_win_direct",
-    "classical_win_direct",
     "joint_distribution",
     "mutual_information",
     "prediction_probability",
@@ -107,30 +105,6 @@ def winning_probabilities(ineq: BellInequality, game: GameSpec) -> tuple[float, 
     """(quantum, classical) winning probability under uniform questions."""
     n = len(game.questions)
     return ineq.quantum_bound / n, ineq.classical_bound / n
-
-
-def quantum_win_direct(ineq: BellInequality, game: GameSpec) -> float:
-    """Winning probability of the optimal state, summed question by question.
-
-    Independent of the eigenvalue route; used to cross-check
-    :func:`winning_probabilities`.
-    """
-    bases = measurement_bases(root_unitary(ineq.spec), ineq.spec.settings)
-    total = 0.0
-    for (s, t), win in zip(game.questions, game.winning):
-        grid = joint_distribution(ineq.optimal_state, bases[s], bases[t])
-        total += float(sum(grid[a, b] for a, b in win))
-    return total / len(game.questions)
-
-
-def classical_win_direct(ineq: BellInequality, game: GameSpec) -> float:
-    """Winning probability of the witness strategy, question by question."""
-    wins = 0
-    for (s, t), win in zip(game.questions, game.winning):
-        answers = (ineq.witness.alice_map[s], ineq.witness.bob_map[t])
-        if answers in win:
-            wins += 1
-    return wins / len(game.questions)
 
 
 def joint_distribution(

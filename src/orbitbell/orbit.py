@@ -10,8 +10,9 @@ measurement-basis vector per party, so it carries a
 
 B hands the parties' vectors across, B (a (x) b) = (U b) (x) a, so
 the orbit is built from its labels and checked one step at a time
-through U on the two factors of each state; the d^2 x d^2 matrix B is
-formed only for the verification sweep and the tests.
+through U on the two factors of each state. This module forms no
+d^2 x d^2 matrix: B, the shift T and the swap S as matrices are the
+``linalg`` module's, for the verification sweep and the tests.
 
 Everything rests on one object per instance, its root table
 (:func:`_root_table`): the shift's Fourier eigenbasis w_j, U's
@@ -30,18 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import kron
-
 __all__ = [
     "ProblemSpec",
     "MeasLabel",
     "OrbitEntry",
-    "translation_matrix",
     "fourier_eigenbasis",
     "root_unitary",
     "measurement_bases",
-    "swap_matrix",
-    "step_operator",
     "label_step",
     "orbit",
     "condition_label_pairs",
@@ -56,16 +52,9 @@ class ProblemSpec:
     settings: int
 
     def __post_init__(self) -> None:
-        for name in ("outcomes", "settings"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            # plain int, so that sizes such as d^(2M) cannot wrap around
-            object.__setattr__(self, name, int(value))
-        if self.outcomes < 2:
-            raise ValueError("outcomes must be at least 2")
-        if self.settings < 1:
-            raise ValueError("settings must be at least 1")
+        outcomes, settings = _sizes(self.outcomes, self.settings)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "settings", settings)
 
     @property
     def orbit_length(self) -> int:
@@ -74,6 +63,23 @@ class ProblemSpec:
     @property
     def hilbert_dim(self) -> int:
         return self.outcomes**2
+
+
+def _sizes(
+    outcomes: object, settings: object, names: tuple[str, str] = ("outcomes", "settings")
+) -> tuple[int, int]:
+    """(outcomes, settings) as plain ints, so that sizes such as d^(2M)
+    cannot wrap around. TypeError for a non-integer or a ``bool``
+    (numpy's too), then ValueError below 2 outcomes or 1 setting."""
+    for name, value in zip(names, (outcomes, settings)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    outcomes, settings = int(outcomes), int(settings)
+    if outcomes < 2:
+        raise ValueError(f"{names[0]} must be at least 2")
+    if settings < 1:
+        raise ValueError(f"{names[1]} must be at least 1")
+    return outcomes, settings
 
 
 class MeasLabel(NamedTuple):
@@ -90,14 +96,6 @@ class OrbitEntry(NamedTuple):
     alice: MeasLabel
     bob: MeasLabel
     vector: np.ndarray
-
-
-def translation_matrix(d: int) -> np.ndarray:
-    """Cyclic shift T with T|j> = |j+1 mod d>."""
-    t = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        t[(j + 1) % d, j] = 1.0
-    return t
 
 
 class _RootTable(NamedTuple):
@@ -195,41 +193,6 @@ def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
     for _ in range(2, settings):
         bases.append(bases[-1] @ u)
     return bases[:settings]
-
-
-def swap_matrix(d: int) -> np.ndarray:
-    """Party exchange S with S|j>|k> = |k>|j>."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            s[k * d + j, j * d + k] = 1.0
-    return s
-
-
-def step_operator(spec: ProblemSpec) -> np.ndarray:
-    """Orbit generator B = (U (x) 1) S. Satisfies B^2 = U (x) U."""
-    return _step_from_root(root_unitary(spec))
-
-
-def _step_from_root(u: np.ndarray) -> np.ndarray:
-    """B = (U (x) 1) S from an already built root unitary U.
-
-    B|j>|k> = (U|k>)|j>, so entry ((a, c), (j, k)) is U[a, k] when
-    c = j and 0 otherwise: placed by index in O(d^4), without forming
-    the dense product of :func:`_step_product`.
-    """
-    d = u.shape[0]
-    b = np.zeros((d, d, d, d), dtype=complex)
-    diag = np.arange(d)
-    b[:, diag, diag, :] = u[:, None, :]
-    return b.reshape(d * d, d * d)
-
-
-def _step_product(u: np.ndarray) -> np.ndarray:
-    """B as the dense product (U (x) 1) S, its definition; the
-    verification sweep checks :func:`_step_from_root` against it."""
-    d = u.shape[0]
-    return kron(u, np.eye(d, dtype=complex)) @ swap_matrix(d)
 
 
 def label_step(

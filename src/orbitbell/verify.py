@@ -6,12 +6,13 @@ pass/fail line per check. Instances whose deterministic-strategy space
 exceeds the enumeration guard keep their quantum-side checks and skip
 only the classical comparison.
 
-The dense routes that ``analyze`` no longer runs live here: the d^2 x
-d^2 step operator B, placed by index and checked against the matrix
-product (U x 1) S, then applied to every orbit vector at once; LAPACK
-``eigvalsh`` on the projector sum; the residuals of the whole
-closed-form eigensystem; and the d^M enumeration of the classical
-bound. Each is compared with the hot path's route at every cell.
+The sweep runs the routes that ``analyze`` does not: from the
+``linalg`` module, the d^2 x d^2 step operator B, placed by index and
+checked against the matrix product (U x 1) S, then applied to every
+orbit vector at once, LAPACK ``eigvalsh`` on the projector sum and the
+residuals of the whole closed-form eigensystem; from ``bounds``, the
+d^M enumeration of the classical bound. Each is compared with the hot
+path's route at every cell.
 """
 
 from __future__ import annotations
@@ -26,25 +27,28 @@ from .bounds import (
     _chained_bell_bound,
     _check_memory_ceiling,
     _check_orbit_ceiling,
-    _eigensystem,
     _over_strategy_guard,
-    accumulate_A,
     classical_bound,
     quantum_bound_gram,
-    quantum_bound_numeric,
 )
 from .games import joint_distribution, mutual_information
+from .linalg import (
+    _eigensystem,
+    _step_product,
+    accumulate_A,
+    quantum_bound_numeric,
+    step_operator,
+    swap_matrix,
+    translation_matrix,
+)
 from .orbit import (
     ProblemSpec,
     _orbit,
     _root_table,
-    _step_from_root,
-    _step_product,
+    _sizes,
     condition_label_pairs,
     label_step,
     measurement_bases,
-    swap_matrix,
-    translation_matrix,
 )
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -109,11 +113,17 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
     the orbit, the closed-form eigensystem, the root-index bound and
     the M = 2 bases.
 
-    Raises InstanceTooLarge before the first cell when ``outcomes_max``
-    is beyond the memory ceiling, or when the largest cell's orbit
-    arrays would be; the enumeration guard only skips the classical
-    comparison per cell.
+    The two bounds are checked by :class:`ProblemSpec`'s rules before
+    any work: a non-integer or ``bool`` bound raises TypeError, and
+    ``outcomes_max < 2`` or ``settings_max < 1`` raises ValueError,
+    rather than passing an empty sweep. Raises InstanceTooLarge before
+    the first cell when ``outcomes_max`` is beyond the memory ceiling,
+    or when the largest cell's orbit arrays would be; the enumeration
+    guard only skips the classical comparison per cell.
     """
+    outcomes_max, settings_max = _sizes(
+        outcomes_max, settings_max, ("outcomes_max", "settings_max")
+    )
     _check_memory_ceiling(outcomes_max)
     _check_orbit_ceiling(outcomes_max, settings_max)
     checks = {
@@ -155,7 +165,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 table = _root_table(spec)
                 u = table.u
                 s = swap_matrix(d)
-                b = _step_from_root(u)
+                b = step_operator(u)
                 dense_b = _step_product(u)
                 entries, orbit_vecs = _orbit(spec, table)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed

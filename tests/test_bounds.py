@@ -11,23 +11,20 @@ import itertools
 import numpy as np
 import pytest
 
+from numpy import kron
+
 from orbitbell import (
     DeterministicStrategy,
     InstanceTooLarge,
     MeasLabel,
     ProblemSpec,
-    accumulate_A,
-    b_eigensystem,
     build_inequality,
     classical_bound,
-    fourier_eigenbasis,
-    kron,
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
-    root_of_unity_index,
+    root_unitary,
     run_verification,
-    step_operator,
 )
 from orbitbell.bounds import (
     MEMORY_CEILING,
@@ -37,6 +34,13 @@ from orbitbell.bounds import (
     _check_orbit_ceiling,
     _over_strategy_guard,
 )
+from orbitbell.linalg import (
+    accumulate_A,
+    b_eigensystem,
+    root_of_unity_index,
+    step_operator,
+)
+from orbitbell.orbit import fourier_eigenbasis
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -160,7 +164,7 @@ def test_b_eigensystem_qutrit_degeneracy():
 @pytest.mark.parametrize("d,m", GRID)
 def test_b_eigensystem_residuals(d, m):
     spec = ProblemSpec(d, m)
-    b = step_operator(spec)
+    b = step_operator(root_unitary(spec))
     pairs = b_eigensystem(spec)
     assert len(pairs) == d * d
     vectors = np.column_stack([p.vector for p in pairs])
@@ -348,6 +352,31 @@ def test_verify_checks_memory_ceiling_before_the_first_cell(monkeypatch):
     monkeypatch.setattr("orbitbell.verify.ProblemSpec", no_cell)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         run_verification(65, 1)
+
+
+@pytest.mark.parametrize(
+    "outcomes_max,settings_max,error",
+    [
+        (1, 1, ValueError),
+        (3, 0, ValueError),
+        (-5, 2, ValueError),
+        (True, 1, TypeError),
+        (np.bool_(True), 2, TypeError),
+        (3, np.bool_(True), TypeError),
+        (2.5, 2, TypeError),
+        (3, "2", TypeError),
+    ],
+)
+def test_verify_rejects_a_grid_bound_before_any_work(
+    monkeypatch, outcomes_max, settings_max, error
+):
+    # an empty or mistyped grid must not pass a sweep that checked nothing
+    def no_cell(outcomes, settings):
+        raise AssertionError("cell started for an invalid grid")
+
+    monkeypatch.setattr("orbitbell.verify.ProblemSpec", no_cell)
+    with pytest.raises(error, match="_max must be"):
+        run_verification(outcomes_max, settings_max)
 
 
 def test_verify_checks_orbit_ceiling_before_the_first_cell(monkeypatch):

@@ -6,23 +6,35 @@ builds it once at every M and hands it to the orbit, to both quantum
 routes and, at M = 2, to the four joint grids, which the prediction
 rule reads too. No public view of the table (``root_unitary``,
 ``fourier_eigenbasis``) runs on that path. ``analyze`` builds the orbit
-once, runs the root-index and Gram routes of the quantum bound, never
-the dense ones, and never places the d^2 x d^2 step operator: the orbit
-is checked through U. Its classical bound is the chained-Bell value,
-with no d^M enumeration.
+once, runs the root-index and Gram routes of the quantum bound, and
+calls none of the ``linalg`` module's dense routes: the orbit is
+checked through U. Its classical bound is the chained-Bell value, with
+no d^M enumeration. The modules on that path import neither ``linalg``
+nor ``verify``.
 The verification sweep builds one root table, one orbit and one
 closed-form eigensystem per cell, all from that table, and runs the
 enumeration once per cell inside the enumeration guard.
 """
 
+import ast
 import functools
 import importlib
+import inspect
 import sys
+from pathlib import Path
 
 import pytest
 
+import orbitbell.linalg
 from orbitbell import ProblemSpec, analyze, run_verification
 from orbitbell.bounds import _over_strategy_guard
+
+# every dense d^2 x d^2 route: the linalg module's public functions, the
+# dense product B is checked against and the whole closed-form eigensystem
+DENSE_ROUTES = [
+    name for name in orbitbell.linalg.__all__
+    if inspect.isfunction(getattr(orbitbell.linalg, name))
+] + ["_step_product", "_eigensystem"]
 
 
 def count_calls(monkeypatch, module_name, attr):
@@ -56,10 +68,9 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     analytic = count_calls(monkeypatch, "orbitbell.bounds", "_analytic_bound")
     # the dense routes belong to verify and the tests only
-    numeric = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_numeric")
-    projector_sums = count_calls(monkeypatch, "orbitbell.bounds", "accumulate_A")
-    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "_eigensystem")
-    step_operators = count_calls(monkeypatch, "orbitbell.orbit", "_step_from_root")
+    dense = {
+        name: count_calls(monkeypatch, "orbitbell.linalg", name) for name in DENSE_ROUTES
+    }
     enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
@@ -67,8 +78,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert roots[0] == bases[0] == public_orbits[0] == 0
     assert grids[0] == (4 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
-    assert numeric[0] == projector_sums[0] == eigensystems[0] == 0
-    assert step_operators[0] == 0
+    assert {name: calls[0] for name, calls in dense.items()} == dict.fromkeys(DENSE_ROUTES, 0)
     assert enumerations[0] == 0
 
 
@@ -86,7 +96,7 @@ def test_verify_builds_each_cell_once(monkeypatch):
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
     orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
-    eigensystems = count_calls(monkeypatch, "orbitbell.bounds", "_eigensystem")
+    eigensystems = count_calls(monkeypatch, "orbitbell.linalg", "_eigensystem")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     families = count_calls(monkeypatch, "orbitbell.orbit", "condition_label_pairs")
     report = run_verification(3, 3)  # 6 cells, all inside the guard
@@ -107,3 +117,21 @@ def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):
     assert report.passed
     assert len(inside) == 25 and len(report.skipped) == 3
     assert enumerations[0] == len(inside)
+
+
+@pytest.mark.parametrize("module", ["orbit", "bounds", "games", "certificate"])
+def test_hot_path_modules_import_neither_linalg_nor_verify(module):
+    # the dependency runs one way: linalg and verify import the hot path,
+    # never the reverse
+    source = Path(importlib.import_module(f"orbitbell.{module}").__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            joint = base if base.endswith(".") else base + "."
+            imported.add(base)
+            imported.update(joint + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    banned = {".linalg", ".verify", "orbitbell.linalg", "orbitbell.verify"}
+    assert not imported & banned

@@ -317,8 +317,8 @@ def test_corrupted_swap_fails_verification(monkeypatch):
     def not_a_swap(spec):
         return np.eye(spec.hilbert_dim, dtype=complex)
 
-    orbit_module = importlib.import_module("orbitbell.orbit")
-    monkeypatch.setattr(orbit_module, "swap_matrix", not_a_swap)
+    linalg_module = importlib.import_module("orbitbell.linalg")
+    monkeypatch.setattr(linalg_module, "swap_matrix", not_a_swap)
     report = run_verification(2, 2)
     assert report.passed is False
     assert any(not c.passed for c in report.checks)
@@ -328,8 +328,8 @@ def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
     # B^T in place of B: the dense step through the orbit must notice
     # and name the cell, and the sweep must exit 1
     verify_module = importlib.import_module("orbitbell.verify")
-    real_step = verify_module._step_from_root
-    monkeypatch.setattr(verify_module, "_step_from_root", lambda u: real_step(u).T)
+    real_step = verify_module.step_operator
+    monkeypatch.setattr(verify_module, "step_operator", lambda u: real_step(u).T)
     name = "dense step operator maps each orbit vector to the next"
     report = run_verification(3, 2)
     (check,) = [c for c in report.checks if c.name == name]

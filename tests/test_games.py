@@ -12,19 +12,40 @@ from orbitbell import (
     ProblemSpec,
     analyze,
     build_inequality,
-    classical_win_direct,
     game_spec,
     joint_distribution,
     measurement_bases,
     mutual_information,
     orbit,
     prediction_probability,
-    quantum_win_direct,
     root_unitary,
     winning_probabilities,
 )
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
+
+
+def quantum_win_direct(ineq, game):
+    """Reference: winning probability of the optimal state, summed
+    question by question from its joint grids, independent of the
+    eigenvalue route."""
+    bases = measurement_bases(root_unitary(ineq.spec), ineq.spec.settings)
+    total = 0.0
+    for (s, t), win in zip(game.questions, game.winning):
+        grid = joint_distribution(ineq.optimal_state, bases[s], bases[t])
+        total += float(sum(grid[a, b] for a, b in win))
+    return total / len(game.questions)
+
+
+def classical_win_direct(ineq, game):
+    """Reference: winning probability of the witness strategy, question
+    by question."""
+    wins = 0
+    for (s, t), win in zip(game.questions, game.winning):
+        answers = (ineq.witness.alice_map[s], ineq.witness.bob_map[t])
+        if answers in win:
+            wins += 1
+    return wins / len(game.questions)
 
 
 def make_game(d, m):

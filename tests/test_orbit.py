@@ -10,28 +10,29 @@ import importlib
 import numpy as np
 import pytest
 
+from numpy import kron
+from numpy.linalg import matrix_power as mat_power
+
 from orbitbell import (
     MeasLabel,
     ProblemSpec,
-    condition_label_pairs,
-    fourier_eigenbasis,
-    kron,
-    label_step,
-    mat_power,
     measurement_bases,
     orbit,
     root_unitary,
-    step_operator,
-    swap_matrix,
-    translation_matrix,
-    unitarity_defect,
 )
 from orbitbell.cli import main as cli_main
+from orbitbell.linalg import step_operator, swap_matrix, translation_matrix
+from orbitbell.orbit import condition_label_pairs, fourier_eigenbasis, label_step
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
 PLUS_X = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 MINUS_X = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
+
+
+def unitarity_defect(m):
+    """Largest entrywise deviation of m^H m from the identity."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
 
 def test_problem_spec_validation():
@@ -156,8 +157,8 @@ def test_swap_matrix():
 @pytest.mark.parametrize("d,m", GRID)
 def test_step_operator_structure(d, m):
     spec = ProblemSpec(d, m)
-    b = step_operator(spec)
     u = root_unitary(spec)
+    b = step_operator(u)
     assert unitarity_defect(b) <= 1e-12
     # B placed entry by entry equals (U (x) 1) S formed as a matrix product
     assert np.array_equal(b, kron(u, np.eye(d)) @ swap_matrix(d))

@@ -24,27 +24,29 @@ import numpy as np
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from numpy.linalg import matrix_power as mat_power
+
 from orbitbell import (
     DeterministicStrategy,
     MeasLabel,
     OrbitEntry,
     ProblemSpec,
-    accumulate_A,
-    b_eigensystem,
     build_inequality,
     classical_bound,
-    label_step,
-    mat_power,
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
-    root_of_unity_index,
     root_unitary,
+)
+from orbitbell.bounds import _chained_bell_bound, quantum_bound_gram
+from orbitbell.linalg import (
+    accumulate_A,
+    b_eigensystem,
+    root_of_unity_index,
     step_operator,
     translation_matrix,
 )
-from orbitbell.bounds import _chained_bell_bound, quantum_bound_gram
-from orbitbell.orbit import _root_table
+from orbitbell.orbit import _root_table, label_step
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -129,7 +131,7 @@ def per_map_loop(entries, spec):
 
 def dense_recurrence(spec):
     """Reference: the orbit vectors as B^j |00>, one dense B @ v per step."""
-    b = step_operator(spec)
+    b = step_operator(root_unitary(spec))
     vecs = np.zeros((spec.orbit_length, spec.hilbert_dim), dtype=complex)
     vecs[0, 0] = 1.0
     for step in range(1, spec.orbit_length):
