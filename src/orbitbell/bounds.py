@@ -14,7 +14,7 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   are ever built and no eigensolver runs. The Fourier rows, U's
   eigenvalues and their exact root indices come from the instance's
   root table (``orbit._root_table``), the one the orbit was built
-  from: :func:`build_inequality` builds it once and passes it down;
+  from: :func:`_inequality` builds it once and passes it down;
 * Gram spectrum (:func:`quantum_bound_gram`), ``analyze``'s
   cross-check, to 1e-9. A = V^T conj(V) for the matrix V whose rows
   are the orbit vectors v_j = B^j v_0 (the orbit's own stacked array
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -389,16 +390,13 @@ def classical_bound(
 
 
 def _chained_bell_bound(
-    spec: ProblemSpec,
-    terms: Sequence[tuple[MeasLabel, MeasLabel]],
-    families: set[tuple[MeasLabel, MeasLabel]] | None = None,
+    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
 ) -> tuple[int, DeterministicStrategy]:
     """Classical bound of the orbit's terms: 2M - 1, with the all-zero
     strategy as witness, in O(2*M*d) work.
 
     The terms must be the label pairs of :func:`condition_label_pairs`,
-    each once; a caller that has built that set already passes it as
-    ``families``. Then, with a_s and b_s the outcomes a deterministic
+    each once. Then, with a_s and b_s the outcomes a deterministic
     strategy gives at setting s:
 
     1. For M >= 2 the terms sit on 2M setting pairs, and each pair's
@@ -418,8 +416,7 @@ def _chained_bell_bound(
     either failing raises RuntimeError.
     """
     m = spec.settings
-    if families is None:
-        families = condition_label_pairs(spec)
+    families = condition_label_pairs(spec)
     if len(terms) != len(families) or set(terms) != families:
         raise RuntimeError(
             f"chained-Bell route: the {len(terms)} orbit terms are not the "
@@ -441,7 +438,30 @@ def _chained_bell_bound(
 
 
 def build_inequality(spec: ProblemSpec) -> BellInequality:
-    """Assemble the Bell inequality for one instance.
+    """Assemble the Bell inequality for one instance: check the guards,
+    then run :func:`_inequality`.
+
+    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or a
+    dense d^2 x d^2 cross-check matrix would exceed MEMORY_CEILING,
+    before any orbit or matrix is built, so that verify's cross-checks
+    reach every analyzed instance.
+    """
+    _check_guards(spec)
+    return _inequality(spec).inequality
+
+
+class _Instance(NamedTuple):
+    """One assembled instance and the objects it was built from."""
+
+    inequality: BellInequality
+    table: _RootTable
+    entries: list[OrbitEntry]
+    vectors: np.ndarray  # (n, d^2); row j is entries[j].vector
+
+
+def _inequality(spec: ProblemSpec) -> _Instance:
+    """The one assembly of an instance, for :func:`build_inequality`,
+    ``analyze`` and each ``verify`` cell.
 
     Builds the instance's root table once and reads everything from it:
     the orbit, and the quantum bound by the root-index route and by the
@@ -453,18 +473,10 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
     route and the per-term probabilities read the orbit's stacked
     (n, d^2) array, the latter as one product with the conjugate state.
 
-    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or a
-    dense d^2 x d^2 cross-check matrix would exceed MEMORY_CEILING,
-    before any orbit or matrix is built, so that verify's cross-checks
-    reach every analyzed instance.
+    Checks no guard: :func:`build_inequality` and ``analyze`` check
+    them first, and ``verify`` bounds its whole grid before its first
+    cell, then assembles cells beyond the enumeration guard too.
     """
-    return _inequality(spec)[0]
-
-
-def _inequality(spec: ProblemSpec) -> tuple[BellInequality, _RootTable]:
-    """:func:`build_inequality`, with the root table it was built from
-    for the caller's further use."""
-    _check_guards(spec)
     table = _root_table(spec)
     entries, vectors = _orbit(spec, table)
     gram = quantum_bound_gram(vectors)
@@ -486,4 +498,4 @@ def _inequality(spec: ProblemSpec) -> tuple[BellInequality, _RootTable]:
         per_term_probs=probs,
         witness=witness,
     )
-    return inequality, table
+    return _Instance(inequality, table, entries, vectors)

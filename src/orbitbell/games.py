@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BellInequality, _inequality
+from .bounds import BellInequality, _check_guards, _inequality
 from .orbit import MeasLabel, ProblemSpec, measurement_bases, root_unitary
 
 __all__ = [
@@ -190,8 +190,10 @@ def _prediction_from_grids(
 
 def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance, from one root table: the
-    inequality's, whose U also gives the M = 2 grids."""
-    ineq, table = _inequality(spec)
+    inequality's, whose U also gives the M = 2 grids. Checks the guards
+    first (see :func:`~orbitbell.bounds.build_inequality`)."""
+    _check_guards(spec)
+    ineq, table, _, _ = _inequality(spec)
     game = game_spec(spec, ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
     if spec.settings == 2:

@@ -6,13 +6,14 @@ pass/fail line per check. Instances whose deterministic-strategy space
 exceeds the enumeration guard keep their quantum-side checks and skip
 only the classical comparison.
 
-The sweep runs the routes that ``analyze`` does not: from the
+Each cell runs the assembly ``analyze`` runs (``bounds._inequality``),
+whose own checks raise into one construction line, and checks what it
+reports with the routes that ``analyze`` does not run: from the
 ``linalg`` module, the d^2 x d^2 step operator B, placed by index and
 checked against the matrix product (U x 1) S, then applied to every
 orbit vector at once, LAPACK ``eigvalsh`` on the projector sum and the
 residuals of the whole closed-form eigensystem; from ``bounds``, the
-d^M enumeration of the classical bound. Each is compared with the hot
-path's route at every cell.
+d^M enumeration of the classical bound.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ import numpy as np
 
 from .bounds import (
     STRATEGY_GUARD,
-    _analytic_bound,
-    _chained_bell_bound,
     _check_memory_ceiling,
     _check_orbit_ceiling,
+    _inequality,
     _over_strategy_guard,
     classical_bound,
     quantum_bound_gram,
 )
-from .games import joint_distribution, mutual_information
+from .games import _two_setting_grids, mutual_information
 from .linalg import (
     _eigensystem,
     _step_product,
@@ -41,15 +41,7 @@ from .linalg import (
     swap_matrix,
     translation_matrix,
 )
-from .orbit import (
-    ProblemSpec,
-    _orbit,
-    _root_table,
-    _sizes,
-    condition_label_pairs,
-    label_step,
-    measurement_bases,
-)
+from .orbit import ProblemSpec, _sizes
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -109,9 +101,9 @@ class VerificationReport:
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
     """Run every check on every cell of the grid.
 
-    Each cell builds its root table once, and every check reads it: U,
-    the orbit, the closed-form eigensystem, the root-index bound and
-    the M = 2 bases.
+    Each cell assembles its instance once, as ``analyze`` does, and
+    every check reads it: the inequality, the orbit and the root table,
+    whose U also gives the closed-form eigensystem and the M = 2 grids.
 
     The two bounds are checked by :class:`ProblemSpec`'s rules before
     any work: a non-integer or ``bool`` bound raises TypeError, and
@@ -131,9 +123,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "root": CheckResult("settings-th power of the root unitary is the shift", 1e-11),
         "product": CheckResult("step operator equals the dense product (U x 1) S", 1e-12),
         "period": CheckResult("step operator has period 2*M*d", 1e-10),
-        "labels": CheckResult("orbit: 2*M*d distinct labels, closed cycle", None),
-        "families": CheckResult("orbit labels equal the three membership families", None),
-        "consistency": CheckResult("orbit vectors match their labels", None),
+        "construction": CheckResult(
+            "instance builds and passes analyze's own checks", None
+        ),
         "stepping": CheckResult(
             "dense step operator maps each orbit vector to the next", 1e-10
         ),
@@ -162,16 +154,17 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             length = spec.orbit_length
             try:
                 t = translation_matrix(d)
-                table = _root_table(spec)
-                u = table.u
+                instance = _inequality(spec)
+                u = instance.table.u
                 s = swap_matrix(d)
                 b = step_operator(u)
                 dense_b = _step_product(u)
-                entries, orbit_vecs = _orbit(spec, table)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                checks["consistency"].fail(cell, str(exc))
+                checks["construction"].fail(cell, str(exc))
                 summary.append(f"{cell}: construction failed ({exc})")
                 continue
+            ineq, orbit_vecs = instance.inequality, instance.vectors
+            analytic, state = ineq.quantum_bound, ineq.optimal_state
 
             checks["unitary"].record(
                 max(
@@ -193,21 +186,13 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 cell,
             )
 
-            labels = [(e.alice, e.bob) for e in entries]
-            distinct = len(set(labels)) == length
-            closes = label_step(entries[-1].alice, entries[-1].bob, spec) == labels[0]
-            if not (len(entries) == length and distinct and closes):
-                checks["labels"].fail(cell, "orbit does not close into distinct labels")
-            families = condition_label_pairs(spec)
-            if set(labels) != families:
-                checks["families"].fail(cell, "label set mismatch")
             # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
             stepped = b @ orbit_vecs.T
             stepped[:, :-1] -= orbit_vecs[1:].T
             stepped[:, -1] -= orbit_vecs[0]
             checks["stepping"].record(float(np.max(np.abs(stepped))), cell)
 
-            eigenpairs = _eigensystem(spec, table)
+            eigenpairs = _eigensystem(spec, instance.table)
             # all residuals B v - lambda v in one product, one column per pair
             vecs = np.array([pair.vector for pair in eigenpairs]).T
             roots = np.array([pair.root_index for pair in eigenpairs])
@@ -216,35 +201,27 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
 
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
-            numeric = quantum_bound_numeric(a)
-            analytic, state = _analytic_bound(spec, table, orbit_vecs[0])
-            checks["agree"].record(abs(numeric - analytic), cell)
+            checks["agree"].record(abs(quantum_bound_numeric(a) - analytic), cell)
             checks["gram"].record(abs(quantum_bound_gram(orbit_vecs) - analytic), cell)
 
             rayleigh = np.vdot(state, b @ state)
             checks["maximizer"].record(
                 float(np.max(np.abs(b @ state - rayleigh * state))), cell
             )
-            per_term = np.abs(orbit_vecs @ state.conj()) ** 2
             checks["uniform"].record(
-                float(np.max(np.abs(per_term - analytic / length))), cell
+                float(np.max(np.abs(ineq.per_term_probs - analytic / length))), cell
             )
 
             if _over_strategy_guard(d, m):
                 skipped.append(cell)
                 summary.append(f"{cell}: Q_s={analytic:.4f} C_s=skipped")
             else:
-                c_value, witness = classical_bound(entries, spec)
+                c_value, witness = classical_bound(instance.entries, spec)
                 checks["dominance"].record(max(0.0, c_value - analytic), cell)
-                try:
-                    chained = _chained_bell_bound(spec, labels, families)
-                except RuntimeError as exc:
-                    checks["chained"].fail(cell, str(exc))
-                else:
-                    if chained != (c_value, witness):
-                        checks["chained"].fail(
-                            cell, f"enumeration gives C_s={c_value}, {witness}"
-                        )
+                if (c_value, witness) != (ineq.classical_bound, ineq.witness):
+                    checks["chained"].fail(
+                        cell, f"enumeration gives C_s={c_value}, {witness}"
+                    )
                 summary.append(f"{cell}: Q_s={analytic:.4f} C_s={c_value}")
                 if d == 2 and m == 1:
                     checks["degenerate"].record(abs(analytic - 1.0), cell)
@@ -252,12 +229,8 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                         checks["degenerate"].fail(cell, f"C_s={c_value}, expected 1")
 
             if m == 2:
-                bases = measurement_bases(u, 2)
-                infos = [
-                    mutual_information(joint_distribution(state, bases[sa], bases[sb]))
-                    for sa in range(2)
-                    for sb in range(2)
-                ]
+                grids = _two_setting_grids(ineq, u)
+                infos = [mutual_information(grid) for grid in grids.values()]
                 checks["information"].record(max(infos) - min(infos), cell)
 
     return VerificationReport(list(checks.values()), summary, skipped)

@@ -11,8 +11,9 @@ calls none of the ``linalg`` module's dense routes: the orbit is
 checked through U. Its classical bound is the chained-Bell value, with
 no d^M enumeration. The modules on that path import neither ``linalg``
 nor ``verify``.
-The verification sweep builds one root table, one orbit and one
-closed-form eigensystem per cell, all from that table, and runs the
+The verification sweep runs the same assembly once per cell, so it
+checks the instance ``analyze`` reports, with one root table, one
+orbit and one closed-form eigensystem from that table, and runs the
 enumeration once per cell inside the enumeration guard.
 """
 
@@ -93,6 +94,7 @@ def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
 
 
 def test_verify_builds_each_cell_once(monkeypatch):
+    assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
     orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
@@ -101,15 +103,15 @@ def test_verify_builds_each_cell_once(monkeypatch):
     families = count_calls(monkeypatch, "orbitbell.orbit", "condition_label_pairs")
     report = run_verification(3, 3)  # 6 cells, all inside the guard
     assert report.passed
-    assert tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
+    assert assemblies[0] == tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
     assert roots[0] == 0
-    # one family set per cell, shared by the families check and the
-    # chained-Bell comparison
+    # one family set per cell, built by the assembly's chained-Bell route
     assert families[0] == 6
 
 
 def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):
     enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
+    assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
     report = run_verification(5, 7)  # 28 cells, 3 of them beyond the guard
     inside = [
         (d, m) for d in range(2, 6) for m in range(1, 8) if not _over_strategy_guard(d, m)
@@ -117,6 +119,8 @@ def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):
     assert report.passed
     assert len(inside) == 25 and len(report.skipped) == 3
     assert enumerations[0] == len(inside)
+    # the guard is the enumeration's alone: every cell is assembled
+    assert assemblies[0] == 28
 
 
 @pytest.mark.parametrize("module", ["orbit", "bounds", "games", "certificate"])

@@ -313,15 +313,17 @@ def test_certificate_top_level_keys():
 
 
 def test_corrupted_swap_fails_verification(monkeypatch):
-    # break the two-party exchange operator; the sweep must notice
-    def not_a_swap(spec):
-        return np.eye(spec.hilbert_dim, dtype=complex)
+    # break the two-party exchange operator in the dense product (U x 1) S;
+    # the product check, and only it, must fail at every cell
+    def not_a_swap(d: int):
+        return np.eye(d * d, dtype=complex)
 
     linalg_module = importlib.import_module("orbitbell.linalg")
     monkeypatch.setattr(linalg_module, "swap_matrix", not_a_swap)
     report = run_verification(2, 2)
-    assert report.passed is False
-    assert any(not c.passed for c in report.checks)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["step operator equals the dense product (U x 1) S"]
+    assert [note.split(":")[0] for note in failed[0].notes] == ["d=2 M=1", "d=2 M=2"]
 
 
 def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
@@ -359,6 +361,45 @@ def test_wrong_enumerated_witness_fails_the_chained_bell_check(monkeypatch, caps
     assert not check.passed
     assert [note.split(":")[0] for note in check.notes] == ["d=2 M=1", "d=2 M=2"]
     rc = cli_main(["verify", "--outcomes-max", "2", "--settings-max", "2"])
+    assert rc == 1
+    assert f"FAIL  {name} (exact)" in capsys.readouterr().out
+
+
+def test_wrong_reported_state_fails_verification(monkeypatch):
+    # verify checks the state the assembly reports, not a copy of its own:
+    # a rolled optimal state is no B eigenvector and skews the term weights
+    bounds_module = importlib.import_module("orbitbell.bounds")
+    real_bound = bounds_module._analytic_bound
+
+    def rolled_state(spec, table, seed):
+        value, state = real_bound(spec, table, seed)
+        return value, np.roll(state, 1)
+
+    monkeypatch.setattr(bounds_module, "_analytic_bound", rolled_state)
+    report = run_verification(3, 2)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert "optimal state is a step-operator eigenvector" in failed
+    assert "per-term probabilities equal Q_s/(2*M*d)" in failed
+
+
+def test_broken_chained_bell_families_fail_verification(monkeypatch, capsys):
+    # a family list one pair short fails the assembly's chained-Bell route,
+    # and the sweep files it under its construction line
+    bounds_module = importlib.import_module("orbitbell.bounds")
+    real_families = bounds_module.condition_label_pairs
+
+    def one_pair_short(spec):
+        pairs = real_families(spec)
+        pairs.discard(min(pairs))
+        return pairs
+
+    monkeypatch.setattr(bounds_module, "condition_label_pairs", one_pair_short)
+    name = "instance builds and passes analyze's own checks"
+    report = run_verification(3, 2)
+    (check,) = [c for c in report.checks if c.name == name]
+    assert not check.passed
+    assert check.notes and all("chained-Bell route" in note for note in check.notes)
+    rc = cli_main(["verify", "--outcomes-max", "3", "--settings-max", "2"])
     assert rc == 1
     assert f"FAIL  {name} (exact)" in capsys.readouterr().out
 
