@@ -17,12 +17,13 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   from: :func:`_inequality` builds it once and passes it down;
 * Gram spectrum (:func:`quantum_bound_gram`), ``analyze``'s
   cross-check, to 1e-9. A = V^T conj(V) for the matrix V whose rows
-  are the orbit vectors v_j = B^j v_0 (the orbit's own stacked array
-  on the hot path), and the n x n Gram matrix
+  are the orbit vectors v_j = B^j v_0, and the n x n Gram matrix
   G = conj(V) V^T has the same nonzero spectrum. Because B is unitary
   with period n, G_jk = <v_0|B^(k-j)|v_0> depends only on k - j mod n:
   G is circulant, and its eigenvalues are the discrete Fourier
-  transform of its first row, with no eigensolver either;
+  transform of its first row, with no eigensolver either. Each v_j is
+  the product a_j (x) b_j of the orbit's two factor arrays, so that
+  row is read from the factors, without forming V;
 * dense (``linalg.quantum_bound_numeric``): LAPACK ``eigvalsh`` on A
   itself, built by ``linalg.accumulate_A``. It is independent of both
   routes above and runs only in ``verify`` and the tests; this module
@@ -53,11 +54,11 @@ import numpy as np
 
 from .orbit import (
     MeasLabel,
-    OrbitEntry,
     ProblemSpec,
     _orbit,
     _root_table,
     _RootTable,
+    _states,
     condition_label_pairs,
     # bound here as orbitbell.bounds.orbit, which the benchmark's tracer
     # tests read; the hot path builds the orbit through _orbit
@@ -87,13 +88,15 @@ STRATEGY_GUARD = 10**8
 # cell: the step operator B, the dense product (U x 1) S with its two
 # factors, the projector sum A with eigvalsh's workspace, and the d^2
 # closed-form eigenvectors. analyze builds none of them; it keeps the
-# same limit so that every analyzed instance can be cross-checked. Its
-# largest arrays are the 2*M*d orbit states and their step residuals,
-# 16 d^2 bytes per step each: ru_maxrss of a whole analyze --format
-# json is 35 MiB at (d, M) = (32, 2), 38 MiB at (48, 1), 50 MiB at
-# (64, 1) and 71 MiB at (64, 2) (Python 3.11, numpy 2.4, Linux).
-# verify's grid is unbounded in M, so it also holds its largest cell's
-# orbit arrays to this ceiling (see _check_orbit_ceiling).
+# same limit so that every analyzed instance can be cross-checked. It
+# holds the orbit as two (2*M*d, d) factor arrays, and its largest
+# array is the 2*M*d orbit states of 16 d^2 bytes each, formed once
+# for the per-term probabilities: ru_maxrss of a whole analyze
+# --format json is 33 MiB at (d, M) = (32, 2), 35 MiB at (48, 1),
+# 41 MiB at (64, 1) and 50 MiB at (64, 2) (Python 3.11, numpy 2.4,
+# Linux). verify's grid is unbounded in M, so it also holds its
+# largest cell's orbit arrays to this ceiling (see
+# _check_orbit_ceiling).
 MEMORY_CEILING = 256 * 2**20
 
 
@@ -120,12 +123,12 @@ def _check_orbit_ceiling(outcomes: int, settings: int) -> None:
     """Raise InstanceTooLarge when the orbit arrays of instance
     (d, M) = (outcomes, settings) would exceed MEMORY_CEILING.
 
-    Over its n = 2*M*d steps the orbit holds the states, one complex
-    residual array of the same size and the residuals' magnitudes
-    (40 d^2 bytes per step, in the orbit check and in verify's dense
-    stepping check alike), and the Gram spectrum an n x n integer index
-    table with the phases it looks up (24 n^2 bytes). Plain int
-    arithmetic, so an absurd M is rejected without allocating.
+    Over its n = 2*M*d steps, verify's dense stepping check holds the
+    orbit states, their product with the dense step operator and that
+    product's magnitudes (40 d^2 bytes per step), and the Gram spectrum
+    an n x n integer index table with the phases it looks up
+    (24 n^2 bytes). Plain int arithmetic, so an absurd M is rejected
+    without allocating.
     """
     steps = 2 * settings * outcomes
     needed = 40 * outcomes**2 * steps + 24 * steps**2
@@ -183,14 +186,6 @@ class BellInequality:
     witness: DeterministicStrategy
 
 
-def _stacked(orbit_entries: list[OrbitEntry] | np.ndarray) -> np.ndarray:
-    """The orbit vectors as the rows of one (n, d^2) array: the array
-    itself when given one, else stacked from the entries."""
-    if isinstance(orbit_entries, np.ndarray):
-        return orbit_entries
-    return np.array([entry.vector for entry in orbit_entries])
-
-
 def _block_roots(idx_j: int, idx_k: int, order: int) -> tuple[int, int]:
     """Root indices (plus, minus) of the 2-dimensional block j < k:
     the two square roots of lambda_j lambda_k, plus on the principal
@@ -222,9 +217,7 @@ def _block_vectors(
     return plus_vector, minus_vector
 
 
-def quantum_bound_analytic(
-    spec: ProblemSpec, orbit_entries: list[OrbitEntry]
-) -> tuple[float, np.ndarray]:
+def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
     """Quantum bound from the closed-form eigenstructure of B.
 
     A commutes with B, so grouping B's eigenvectors by (exact)
@@ -243,14 +236,11 @@ def quantum_bound_analytic(
     are those of grouping the whole eigensystem. The weights only pick
     the group; value and state come from the members' coefficients.
     """
-    return _analytic_bound(spec, _root_table(spec), orbit_entries[0].vector)
+    return _analytic_bound(spec, _root_table(spec))
 
 
-def _analytic_bound(
-    spec: ProblemSpec, table: _RootTable, seed: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """:func:`quantum_bound_analytic` from the instance's root table and
-    the seed state v_0."""
+def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray]:
+    """:func:`quantum_bound_analytic` from the instance's root table."""
     d, order = spec.outcomes, spec.orbit_length
     ws, lambdas, indices = table.rows, table.lambdas, table.indices
 
@@ -278,13 +268,13 @@ def _analytic_bound(
             vp, vm = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
             members.append(vp if top == plus else vm)
 
-    coeffs = [np.vdot(v, seed) for v in members]
+    coeffs = [v[0].conjugate() for v in members]  # <v|00>
     weight = float(sum(abs(c) ** 2 for c in coeffs))
     x = sum(c * v for c, v in zip(coeffs, members))
     return order * weight, x / np.linalg.norm(x)
 
 
-def quantum_bound_gram(orbit_entries: list[OrbitEntry] | np.ndarray) -> float:
+def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
     """Quantum bound from the spectrum of the orbit's Gram matrix.
 
     With v_j = B^j v_0 and B unitary of period n = 2*M*d, the Gram
@@ -292,17 +282,17 @@ def quantum_bound_gram(orbit_entries: list[OrbitEntry] | np.ndarray) -> float:
     row g_r = <v_0|v_r>, so its eigenvalues are sum_r g_r w^(q r),
     w = exp(2*pi*i/n). G = conj(V) V^T and A = V^T conj(V) share their
     nonzero spectrum, so the largest of these is A's top eigenvalue.
-    The first row is one product V conj(v_0) of the stacked orbit
-    vectors (the orbit's entries, or V itself), and the DFT one n x n
-    product with phases looked up by the integer index (q r) mod n.
+    The states are products, v_r = a_r (x) b_r, so the first row is
+    g_r = <a_0|a_r> <b_0|b_r>, two products of the (n, d) factor arrays
+    ``alice`` and ``bob``, and the DFT one n x n product with phases
+    looked up by the integer index (q r) mod n.
 
     Raises RuntimeError if an eigenvalue has an imaginary part above
     1e-9: the first row describes a Hermitian circulant, g_(n-r) =
     conj(g_r), only if the orbit closes after n steps.
     """
-    vectors = _stacked(orbit_entries)
-    n = len(vectors)
-    g = vectors @ vectors[0].conj()
+    n = len(alice)
+    g = (alice @ alice[0].conj()) * (bob @ bob[0].conj())
     ramp = np.arange(n)
     roots = np.exp(2j * np.pi * ramp / n)
     spectrum = roots[np.outer(ramp, ramp) % n] @ g
@@ -316,7 +306,7 @@ def quantum_bound_gram(orbit_entries: list[OrbitEntry] | np.ndarray) -> float:
 
 
 def _best_reply(
-    alice_map: tuple[int, ...], terms: list[tuple[MeasLabel, MeasLabel]], d: int, m: int
+    alice_map: tuple[int, ...], terms: Sequence[tuple[MeasLabel, MeasLabel]], d: int, m: int
 ) -> tuple[int, tuple[int, ...]]:
     """Bob's best reply to a fixed Alice map and the terms it satisfies.
 
@@ -338,9 +328,11 @@ def _best_reply(
 
 
 def classical_bound(
-    orbit_entries: list[OrbitEntry], spec: ProblemSpec
+    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
 ) -> tuple[int, DeterministicStrategy]:
-    """Exact maximum of the Bell expression over deterministic strategies.
+    """Exact maximum over deterministic strategies of the Bell expression
+    whose terms are the label pairs ``terms`` (such as
+    ``BellInequality.terms``).
 
     Equivalent to scanning all d^(2M) strategy pairs: for a fixed
     Alice assignment the terms split by Bob's setting, so Bob's best
@@ -364,7 +356,6 @@ def classical_bound(
     """
     _check_guards(spec)
     d, m = spec.outcomes, spec.settings
-    terms = [(e.alice, e.bob) for e in orbit_entries]
 
     by_bob: dict[int, list[tuple[MeasLabel, MeasLabel]]] = {}
     for a, b in terms:
@@ -451,12 +442,14 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
 
 
 class _Instance(NamedTuple):
-    """One assembled instance and the objects it was built from."""
+    """One assembled instance, the objects it was built from and the
+    value of its Gram cross-check."""
 
     inequality: BellInequality
     table: _RootTable
-    entries: list[OrbitEntry]
-    vectors: np.ndarray  # (n, d^2); row j is entries[j].vector
+    alice: np.ndarray  # (n, d); orbit state j is alice[j] (x) bob[j]
+    bob: np.ndarray
+    gram: float  # quantum_bound_gram(alice, bob)
 
 
 def _inequality(spec: ProblemSpec) -> _Instance:
@@ -469,26 +462,26 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     value and state are the ones reported. The classical bound and
     witness come from the chained-Bell route; the d^M enumeration is
     verify's. No d^2 x d^2 matrix is built: the orbit comes from its
-    labels and is checked through U (see :func:`orbit`), and the Gram
-    route and the per-term probabilities read the orbit's stacked
-    (n, d^2) array, the latter as one product with the conjugate state.
+    labels and is checked through U on its two (n, d) factor arrays
+    (see :func:`orbit`), which the Gram route reads; the per-term
+    probabilities are one product of the (n, d^2) states with the
+    conjugate state.
 
     Checks no guard: :func:`build_inequality` and ``analyze`` check
     them first, and ``verify`` bounds its whole grid before its first
     cell, then assembles cells beyond the enumeration guard too.
     """
     table = _root_table(spec)
-    entries, vectors = _orbit(spec, table)
-    gram = quantum_bound_gram(vectors)
-    analytic, state = _analytic_bound(spec, table, vectors[0])
+    terms, alice, bob = _orbit(spec, table)
+    gram = quantum_bound_gram(alice, bob)
+    analytic, state = _analytic_bound(spec, table)
     if abs(gram - analytic) > 1e-9:
         raise RuntimeError(
             f"quantum bound routes disagree: Gram spectrum {gram!r} vs "
             f"analytic {analytic!r}"
         )
-    terms = tuple((e.alice, e.bob) for e in entries)
     c_value, witness = _chained_bell_bound(spec, terms)
-    probs = np.abs(vectors @ state.conj()) ** 2
+    probs = np.abs(_states(alice, bob) @ state.conj()) ** 2
     inequality = BellInequality(
         spec=spec,
         terms=terms,
@@ -498,4 +491,4 @@ def _inequality(spec: ProblemSpec) -> _Instance:
         per_term_probs=probs,
         witness=witness,
     )
-    return _Instance(inequality, table, entries, vectors)
+    return _Instance(inequality, table, alice, bob, gram)

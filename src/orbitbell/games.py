@@ -193,7 +193,7 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     inequality's, whose U also gives the M = 2 grids. Checks the guards
     first (see :func:`~orbitbell.bounds.build_inequality`)."""
     _check_guards(spec)
-    ineq, table, _, _ = _inequality(spec)
+    ineq, table, *_ = _inequality(spec)
     game = game_spec(spec, ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
     if spec.settings == 2:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _block_roots, _block_vectors, _stacked
-from .orbit import OrbitEntry, ProblemSpec, _root_table, _RootTable
+from .bounds import _block_roots, _block_vectors
+from .orbit import ProblemSpec, _root_table, _RootTable
 
 __all__ = [
     "EigenPair",
@@ -94,12 +94,10 @@ def root_of_unity_index(value: complex, order: int, tol: float = 1e-9) -> int:
     return idx
 
 
-def accumulate_A(orbit_entries: list[OrbitEntry] | np.ndarray) -> np.ndarray:
+def accumulate_A(vectors: np.ndarray) -> np.ndarray:
     """Sum of projectors onto the orbit states, as one product V^T conj(V)
-    over the matrix V whose rows are the orbit vectors (the orbit's
-    entries, or V itself)."""
-    v = _stacked(orbit_entries)
-    return v.T @ v.conj()
+    over the (n, d^2) array V whose rows are the orbit vectors."""
+    return vectors.T @ vectors.conj()
 
 
 def quantum_bound_numeric(a: np.ndarray) -> float:

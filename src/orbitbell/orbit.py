@@ -9,10 +9,13 @@ measurement-basis vector per party, so it carries a
 (setting, outcome) label pair.
 
 B hands the parties' vectors across, B (a (x) b) = (U b) (x) a, so
-the orbit is built from its labels and checked one step at a time
-through U on the two factors of each state. This module forms no
-d^2 x d^2 matrix: B, the shift T and the swap S as matrices are the
-``linalg`` module's, for the verification sweep and the tests.
+state j is named by its two factors, a_j and b_j, and the orbit is
+held as its label pairs and two (n, d) factor arrays, built from the
+labels and checked one step at a time through U on the factors. The
+d^2-long states are formed only where a product needs them
+(:func:`_states`). This module forms no d^2 x d^2 matrix: B, the
+shift T and the swap S as matrices are the ``linalg`` module's, for
+the verification sweep and the tests.
 
 Everything rests on one object per instance, its root table
 (:func:`_root_table`): the shift's Fourier eigenbasis w_j, U's
@@ -217,24 +220,37 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
 
     Entry j carries the label pair obtained by iterating
     :func:`label_step` j times from ((0,0), (0,0)), and as its vector
-    v_j the product of the two labels' basis columns (Alice's column of
-    U^s (x) Bob's column of U^t). The orbit relation is checked one
-    step at a time without forming B, on the factors: B (a (x) b) =
-    (U b) (x) a, so step j compares (U b_(j-1)) (x) a_(j-1) with
-    a_j (x) b_j, O(d^2) per step. Step 0 must be |00>, and for
-    1 <= j <= n = 2*M*d, B v_(j-1) must be v_j, with v_n = |00> at the
-    closing step, where the label walk must also be back at
-    ((0,0), (0,0)). Any mismatch beyond 1e-10 means an index-convention
-    bug and raises RuntimeError, naming the first bad step, rather than
-    returning silently wrong terms.
+    v_j = a_j (x) b_j the product of the two labels' basis columns
+    (Alice's column a_j of U^s, Bob's column b_j of U^t). The orbit
+    relation is checked one step at a time without forming B, on the
+    factors: B (a (x) b) = (U b) (x) a, so step j compares a_j with
+    U b_(j-1) and b_j with a_(j-1), O(d^2) per step. Step 0 must be
+    |0>|0>, and for 1 <= j <= n = 2*M*d, B v_(j-1) must be v_j, with
+    v_n = |0>|0> at the closing step, where the label walk must also
+    be back at ((0,0), (0,0)). Any mismatch beyond 1e-10 means an
+    index-convention bug and raises RuntimeError, naming the first bad
+    step, rather than returning silently wrong terms.
     """
-    return _orbit(spec, _root_table(spec))[0]
+    terms, alice, bob = _orbit(spec, _root_table(spec))
+    return [
+        OrbitEntry(step, a, b, vector)
+        for step, ((a, b), vector) in enumerate(zip(terms, _states(alice, bob)))
+    ]
 
 
-def _orbit(spec: ProblemSpec, table: _RootTable) -> tuple[list[OrbitEntry], np.ndarray]:
-    """:func:`orbit` from the instance's root table, with the orbit
-    vectors also stacked as the rows of one (n, d^2) array (the entries'
-    vectors are views of its rows)."""
+def _states(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """The orbit states a_j (x) b_j as the rows of one (n, d^2) array,
+    from the (n, d) factor arrays of :func:`_orbit`."""
+    n, d = alice.shape
+    return (alice[:, :, None] * bob[:, None, :]).reshape(n, d * d)
+
+
+def _orbit(
+    spec: ProblemSpec, table: _RootTable
+) -> tuple[tuple[tuple[MeasLabel, MeasLabel], ...], np.ndarray, np.ndarray]:
+    """:func:`orbit` from the instance's root table, as the walk's label
+    pairs and the two (n, d) factor arrays, alice[j] = a_j and
+    bob[j] = b_j (see :func:`_states` for the states themselves)."""
     d, n = spec.outcomes, spec.orbit_length
     u = table.u
     bases = np.array(measurement_bases(u, spec.settings))
@@ -246,24 +262,16 @@ def _orbit(spec: ProblemSpec, table: _RootTable) -> tuple[list[OrbitEntry], np.n
     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(walk))
     # (step, party, setting/outcome)
     sides = np.fromiter(flat, dtype=np.intp, count=4 * n).reshape(n, 2, 2)
+    alice = bases[sides[:, 0, 0], :, sides[:, 0, 1]]
+    bob = bases[sides[:, 1, 0], :, sides[:, 1, 1]]
 
-    # v_j = np.outer(alice_column, bob_column), one d x d slice per step
-    alice_cols = bases[sides[:, 0, 0], :, sides[:, 0, 1]]
-    bob_cols = bases[sides[:, 1, 0], :, sides[:, 1, 1]]
-    states = alice_cols[:, :, None] * bob_cols[:, None, :]
-
-    # row 0: v_0 - |00>; row j >= 1: B v_(j-1) - v_j with v_n = |00>,
-    # B v_(j-1) = np.outer(U b_(j-1), a_(j-1)) formed from the factors
-    # (as rank-one matmuls, which need no broadcasting buffer)
-    seed = np.zeros((d, d), dtype=complex)
-    seed[0, 0] = 1.0
-    diffs = np.empty((n + 1, d, d), dtype=complex)
-    diffs[0] = states[0] - seed
-    stepped = bob_cols @ u.T
-    np.matmul(stepped[:, :, None], alice_cols[:, None, :], out=diffs[1:])
-    diffs[1:n] -= states[1:]
-    diffs[n] -= seed
-    errs = np.abs(diffs).max(axis=(1, 2))
+    # row j of (found, expected): (a_j, b_j) against what B makes of
+    # step j - 1, (U b_(j-1), a_(j-1)); |0>|0> before step 0 and at n
+    seed = np.zeros((1, 2, d), dtype=complex)
+    seed[0, :, 0] = 1.0
+    found = np.concatenate([np.stack([alice, bob], axis=1), seed])
+    expected = np.concatenate([seed, np.stack([bob @ u.T, alice], axis=1)])
+    errs = np.abs(found - expected).max(axis=(1, 2))
     bad = np.flatnonzero(errs > 1e-10).tolist()
     if closing != walk[0]:
         bad.append(n)
@@ -273,12 +281,7 @@ def _orbit(spec: ProblemSpec, table: _RootTable) -> tuple[list[OrbitEntry], np.n
             f"orbit vector and label disagree at step {step} "
             f"(max deviation {float(errs[step]):.3e}): index-convention bug"
         )
-    vectors = states.reshape(n, d * d)
-    entries = [
-        OrbitEntry(step, alice, bob, vector)
-        for step, ((alice, bob), vector) in enumerate(zip(walk, vectors))
-    ]
-    return entries, vectors
+    return tuple(walk), alice, bob
 
 
 def condition_label_pairs(spec: ProblemSpec) -> set[tuple[MeasLabel, MeasLabel]]:

@@ -29,7 +29,6 @@ from .bounds import (
     _inequality,
     _over_strategy_guard,
     classical_bound,
-    quantum_bound_gram,
 )
 from .games import _two_setting_grids, mutual_information
 from .linalg import (
@@ -41,7 +40,7 @@ from .linalg import (
     swap_matrix,
     translation_matrix,
 )
-from .orbit import ProblemSpec, _sizes
+from .orbit import ProblemSpec, _sizes, _states
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -163,7 +162,8 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 checks["construction"].fail(cell, str(exc))
                 summary.append(f"{cell}: construction failed ({exc})")
                 continue
-            ineq, orbit_vecs = instance.inequality, instance.vectors
+            ineq = instance.inequality
+            orbit_vecs = _states(instance.alice, instance.bob)
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
             checks["unitary"].record(
@@ -202,7 +202,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
             checks["agree"].record(abs(quantum_bound_numeric(a) - analytic), cell)
-            checks["gram"].record(abs(quantum_bound_gram(orbit_vecs) - analytic), cell)
+            checks["gram"].record(abs(instance.gram - analytic), cell)
 
             rayleigh = np.vdot(state, b @ state)
             checks["maximizer"].record(
@@ -216,7 +216,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 skipped.append(cell)
                 summary.append(f"{cell}: Q_s={analytic:.4f} C_s=skipped")
             else:
-                c_value, witness = classical_bound(instance.entries, spec)
+                c_value, witness = classical_bound(spec, ineq.terms)
                 checks["dominance"].record(max(0.0, c_value - analytic), cell)
                 if (c_value, witness) != (ineq.classical_bound, ineq.witness):
                     checks["chained"].fail(

@@ -48,6 +48,16 @@ PLUS_X = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 MINUS_X = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
 
+def stacked(entries):
+    """The orbit vectors as the rows of one (n, d^2) array."""
+    return np.array([e.vector for e in entries])
+
+
+def labels(spec):
+    """The orbit's label pairs, in orbit order."""
+    return [(e.alice, e.bob) for e in orbit(spec)]
+
+
 def naive_classical_scan(entries, spec):
     """Oracle: literally try every deterministic strategy pair."""
     d, m = spec.outcomes, spec.settings
@@ -77,14 +87,14 @@ def test_root_of_unity_index_snaps():
 def test_accumulate_A_single_setting_is_identity():
     # d=2, M=1: the four orbit states are the computational basis
     entries = orbit(ProblemSpec(2, 1))
-    a = accumulate_A(entries)
+    a = accumulate_A(stacked(entries))
     assert np.max(np.abs(a - np.eye(4))) <= 1e-12
 
 
 @pytest.mark.parametrize("d,m", GRID)
 def test_accumulate_A_structure(d, m):
     spec = ProblemSpec(d, m)
-    a = accumulate_A(orbit(spec))
+    a = accumulate_A(stacked(orbit(spec)))
     # hermitian to roundoff (numpy's complex multiply is not exactly
     # symmetric under conjugate swap), well inside the 1e-12 gate
     assert np.max(np.abs(a - a.conj().T)) <= 1e-12
@@ -95,14 +105,14 @@ def test_accumulate_A_structure(d, m):
 
 
 def test_quantum_bound_numeric_qubit():
-    a = accumulate_A(orbit(ProblemSpec(2, 2)))
+    a = accumulate_A(stacked(orbit(ProblemSpec(2, 2))))
     value = quantum_bound_numeric(a)
     assert isinstance(value, float)
     assert value == pytest.approx(2 + np.sqrt(2), abs=1e-9)
 
 
 def test_quantum_bound_numeric_qutrit():
-    a = accumulate_A(orbit(ProblemSpec(3, 2)))
+    a = accumulate_A(stacked(orbit(ProblemSpec(3, 2))))
     value = quantum_bound_numeric(a)
     assert value == pytest.approx(10 / 3, abs=1e-9)
 
@@ -178,7 +188,7 @@ def test_b_eigensystem_residuals(d, m):
 
 def test_quantum_bound_analytic_qubit():
     spec = ProblemSpec(2, 2)
-    value, state = quantum_bound_analytic(spec, orbit(spec))
+    value, state = quantum_bound_analytic(spec)
     assert value == pytest.approx(2 + np.sqrt(2), abs=1e-12)
     u2 = (kron(PLUS_X, MINUS_X) + np.exp(1j * np.pi / 4) * kron(MINUS_X, PLUS_X)) / np.sqrt(2)
     assert abs(np.vdot(u2, state)) ** 2 == pytest.approx(1.0, abs=1e-12)
@@ -186,7 +196,7 @@ def test_quantum_bound_analytic_qubit():
 
 def test_quantum_bound_analytic_qutrit_state():
     spec = ProblemSpec(3, 2)
-    value, state = quantum_bound_analytic(spec, orbit(spec))
+    value, state = quantum_bound_analytic(spec)
     assert value == pytest.approx(10 / 3, abs=1e-12)
     # closed-form maximizer, flat index = 3*alice_level + bob_level
     ref = np.zeros(9)
@@ -202,7 +212,7 @@ def test_quantum_bound_analytic_qutrit_state():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_quantum_bound_qubit_family(m):
     spec = ProblemSpec(2, m)
-    value, state = quantum_bound_analytic(spec, orbit(spec))
+    value, state = quantum_bound_analytic(spec)
     assert value == pytest.approx(m * (1 + np.cos(np.pi / (2 * m))), abs=1e-12)
     if m >= 2:
         expected = (
@@ -215,9 +225,8 @@ def test_quantum_bound_qubit_family(m):
 @pytest.mark.parametrize("d,m", GRID)
 def test_quantum_bound_routes_agree(d, m):
     spec = ProblemSpec(d, m)
-    entries = orbit(spec)
-    numeric = quantum_bound_numeric(accumulate_A(entries))
-    analytic, state = quantum_bound_analytic(spec, entries)
+    numeric = quantum_bound_numeric(accumulate_A(stacked(orbit(spec))))
+    analytic, state = quantum_bound_analytic(spec)
     assert abs(numeric - analytic) <= 1e-9
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -236,7 +245,7 @@ def test_analytic_group_values_sum_to_orbit_length(d, m):
 def test_classical_bound_examples():
     for d, m, expected in [(2, 2, 3), (3, 2, 3), (2, 3, 5), (2, 1, 1)]:
         spec = ProblemSpec(d, m)
-        value, witness = classical_bound(orbit(spec), spec)
+        value, witness = classical_bound(spec, labels(spec))
         assert value == expected
         # the all-zeros table achieves the optimum and is lex-smallest
         assert witness == DeterministicStrategy((0,) * m, (0,) * m)
@@ -245,7 +254,7 @@ def test_classical_bound_examples():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_classical_bound_qubit_family(m):
     spec = ProblemSpec(2, m)
-    value, _ = classical_bound(orbit(spec), spec)
+    value, _ = classical_bound(spec, labels(spec))
     assert value == 2 * m - 1
 
 
@@ -253,7 +262,7 @@ def test_classical_bound_qubit_family(m):
 def test_classical_bound_matches_naive_scan(d, m):
     spec = ProblemSpec(d, m)
     entries = orbit(spec)
-    value, witness = classical_bound(entries, spec)
+    value, witness = classical_bound(spec, labels(spec))
     ref_value, ref_witness = naive_classical_scan(entries, spec)
     assert value == ref_value
     assert witness == ref_witness
@@ -263,7 +272,7 @@ def test_classical_bound_counts_are_honest():
     # recount the witness's satisfied terms directly
     spec = ProblemSpec(3, 3)
     entries = orbit(spec)
-    value, witness = classical_bound(entries, spec)
+    value, witness = classical_bound(spec, labels(spec))
     recount = sum(
         1
         for e in entries
@@ -276,7 +285,7 @@ def test_classical_bound_counts_are_honest():
 def test_classical_bound_guard():
     spec = ProblemSpec(10, 5)
     with pytest.raises(InstanceTooLarge, match="too large"):
-        classical_bound(orbit(spec), spec)
+        classical_bound(spec, labels(spec))
 
 
 @pytest.mark.parametrize("d", [2, 3, 10, 64, 10**6])

@@ -13,8 +13,9 @@ no d^M enumeration. The modules on that path import neither ``linalg``
 nor ``verify``.
 The verification sweep runs the same assembly once per cell, so it
 checks the instance ``analyze`` reports, with one root table, one
-orbit and one closed-form eigensystem from that table, and runs the
-enumeration once per cell inside the enumeration guard.
+orbit, one Gram spectrum and one closed-form eigensystem from that
+table, and runs the enumeration once per cell inside the enumeration
+guard.
 """
 
 import ast
@@ -101,9 +102,12 @@ def test_verify_builds_each_cell_once(monkeypatch):
     eigensystems = count_calls(monkeypatch, "orbitbell.linalg", "_eigensystem")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     families = count_calls(monkeypatch, "orbitbell.orbit", "condition_label_pairs")
+    gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     report = run_verification(3, 3)  # 6 cells, all inside the guard
     assert report.passed
     assert assemblies[0] == tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
+    # the Gram line reads the assembly's value instead of a second route run
+    assert gram[0] == 6
     assert roots[0] == 0
     # one family set per cell, built by the assembly's chained-Bell route
     assert families[0] == 6

@@ -223,7 +223,7 @@ def test_internal_consistency_failure_exits_4(monkeypatch, capsys):
     # a Gram route that disagrees with the closed form trips the
     # 1e-9 agreement check inside build_inequality
     bounds_module = importlib.import_module("orbitbell.bounds")
-    monkeypatch.setattr(bounds_module, "quantum_bound_gram", lambda entries: 0.0)
+    monkeypatch.setattr(bounds_module, "quantum_bound_gram", lambda alice, bob: 0.0)
     rc = cli_main(["analyze", "--outcomes", "2", "--settings", "2"])
     captured = capsys.readouterr()
     assert rc == 4
@@ -350,8 +350,8 @@ def test_wrong_enumerated_witness_fails_the_chained_bell_check(monkeypatch, caps
     verify_module = importlib.import_module("orbitbell.verify")
     real_bound = verify_module.classical_bound
 
-    def shifted_witness(entries, spec):
-        value, witness = real_bound(entries, spec)
+    def shifted_witness(spec, terms):
+        value, witness = real_bound(spec, terms)
         return value, DeterministicStrategy(witness.alice_map, (1,) * spec.settings)
 
     monkeypatch.setattr(verify_module, "classical_bound", shifted_witness)
@@ -371,8 +371,8 @@ def test_wrong_reported_state_fails_verification(monkeypatch):
     bounds_module = importlib.import_module("orbitbell.bounds")
     real_bound = bounds_module._analytic_bound
 
-    def rolled_state(spec, table, seed):
-        value, state = real_bound(spec, table, seed)
+    def rolled_state(spec, table):
+        value, state = real_bound(spec, table)
         return value, np.roll(state, 1)
 
     monkeypatch.setattr(bounds_module, "_analytic_bound", rolled_state)

@@ -6,6 +6,7 @@ explicit rotated bases for two and three outcomes.
 """
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from orbitbell import (
 )
 from orbitbell.cli import main as cli_main
 from orbitbell.linalg import step_operator, swap_matrix, translation_matrix
-from orbitbell.orbit import condition_label_pairs, fourier_eigenbasis, label_step
+from orbitbell.orbit import (
+    _orbit,
+    _root_table,
+    _states,
+    condition_label_pairs,
+    fourier_eigenbasis,
+    label_step,
+)
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -247,6 +255,35 @@ def test_orbit_invariants(d, m):
         assert np.linalg.norm(e.vector) == pytest.approx(1.0, abs=1e-12)
     # exactly the three membership families
     assert set(labels) == condition_label_pairs(spec)
+
+
+def test_orbit_is_held_as_labels_and_two_factor_arrays():
+    # the orbit builds O(n d) memory, not the n states of d^2 entries:
+    # its peak stays below the 16 n d^2 bytes of the states alone
+    spec = ProblemSpec(32, 2)
+    n, d = spec.orbit_length, spec.outcomes
+    table = _root_table(spec)
+    tracemalloc.start()
+    try:
+        built = _orbit(spec, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * d**2
+    terms, alice, bob = built
+    # plain pairs of labels, not OrbitEntry (a tuple subclass)
+    assert type(terms) is tuple and len(terms) == n
+    assert all(
+        type(pair) is tuple and [type(label) for label in pair] == [MeasLabel] * 2
+        for pair in terms
+    )
+    for factors in (alice, bob):
+        assert type(factors) is np.ndarray
+        assert factors.shape == (n, d) and factors.dtype == complex
+    # the public orbit is the same labels and their products
+    entries = orbit(spec)
+    assert terms == tuple((e.alice, e.bob) for e in entries)
+    assert _states(alice, bob).tobytes() == np.array([e.vector for e in entries]).tobytes()
 
 
 @pytest.mark.parametrize("d", range(2, 7))

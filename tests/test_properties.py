@@ -2,7 +2,7 @@
 
 The factorised classical search is checked against the plain
 per-Alice-map loop it replaced, on random non-empty subsets of orbit
-entries: a subset breaks the symmetry of the full orbit, so it reaches
+terms: a subset breaks the symmetry of the full orbit, so it reaches
 ties and tie-breaks that full orbits never produce. Arbitrary
 label-pair lists (repeats allowed, one Bob setting sharing terms with
 up to M Alice settings) reach the hit tables wider than the orbit's
@@ -29,7 +29,6 @@ from numpy.linalg import matrix_power as mat_power
 from orbitbell import (
     DeterministicStrategy,
     MeasLabel,
-    OrbitEntry,
     ProblemSpec,
     build_inequality,
     classical_bound,
@@ -46,7 +45,7 @@ from orbitbell.linalg import (
     step_operator,
     translation_matrix,
 )
-from orbitbell.orbit import _root_table, label_step
+from orbitbell.orbit import _orbit, _root_table, label_step
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -106,10 +105,14 @@ def grouped_eigensystem_bound(spec, entries):
     return best_value, best_state
 
 
-def per_map_loop(entries, spec):
+def stacked(entries):
+    """The orbit vectors as the rows of one (n, d^2) array."""
+    return np.array([e.vector for e in entries])
+
+
+def per_map_loop(spec, terms):
     """Reference: best reply to every Alice map in turn, first strict max wins."""
     d, m = spec.outcomes, spec.settings
-    terms = [(e.alice, e.bob) for e in entries]
     best, best_strategy = -1, None
     for alice_map in itertools.product(range(d), repeat=m):
         hits = [[0] * d for _ in range(m)]
@@ -144,12 +147,12 @@ def dense_recurrence(spec):
 def test_classical_bound_matches_per_map_loop_on_term_subsets(data):
     d, m = data.draw(st.sampled_from(ENUMERABLE), label="(d, M)")
     spec = ProblemSpec(d, m)
-    entries = orbit(spec)
+    terms = [(e.alice, e.bob) for e in orbit(spec)]
     picked = data.draw(
-        st.sets(st.integers(0, len(entries) - 1), min_size=1), label="terms"
+        st.sets(st.integers(0, len(terms) - 1), min_size=1), label="terms"
     )
-    subset = [entries[i] for i in sorted(picked)]
-    assert classical_bound(subset, spec) == per_map_loop(subset, spec)
+    subset = [terms[i] for i in sorted(picked)]
+    assert classical_bound(spec, subset) == per_map_loop(spec, subset)
 
 
 @PROPERTY_SETTINGS
@@ -162,17 +165,15 @@ def test_classical_bound_matches_per_map_loop_on_label_pair_lists(data):
     # one Bob label linked to up to M Alice settings
     hub = data.draw(label, label="hub")
     pairs += [(a, hub) for a in data.draw(st.lists(label, max_size=m), label="linked")]
-    entries = [OrbitEntry(i, a, b, np.zeros(0)) for i, (a, b) in enumerate(pairs)]
-    assert classical_bound(entries, spec) == per_map_loop(entries, spec)
+    assert classical_bound(spec, pairs) == per_map_loop(spec, pairs)
 
 
 @PROPERTY_SETTINGS
 @given(st.integers(2, 8), st.integers(1, 6))
 def test_quantum_bound_routes_agree_on_random_instances(d, m):
     spec = ProblemSpec(d, m)
-    entries = orbit(spec)
-    numeric = quantum_bound_numeric(accumulate_A(entries))
-    analytic, _ = quantum_bound_analytic(spec, entries)
+    numeric = quantum_bound_numeric(accumulate_A(stacked(orbit(spec))))
+    analytic, _ = quantum_bound_analytic(spec)
     assert abs(numeric - analytic) <= 1e-9
 
 
@@ -181,9 +182,8 @@ def test_quantum_bound_routes_agree_on_random_instances(d, m):
 @every_cell(SMALL)
 def test_root_index_route_is_bit_identical_to_grouping_the_eigensystem(cell):
     spec = ProblemSpec(*cell)
-    entries = orbit(spec)
-    value, state = quantum_bound_analytic(spec, entries)
-    ref_value, ref_state = grouped_eigensystem_bound(spec, entries)
+    value, state = quantum_bound_analytic(spec)
+    ref_value, ref_state = grouped_eigensystem_bound(spec, orbit(spec))
     assert value == ref_value
     assert state.tobytes() == ref_state.tobytes()
 
@@ -192,9 +192,10 @@ def test_root_index_route_is_bit_identical_to_grouping_the_eigensystem(cell):
 @given(st.sampled_from(GRAM_CELLS))
 @every_cell(GRAM_CELLS)
 def test_gram_route_agrees_with_dense_eigvalsh(cell):
-    entries = orbit(ProblemSpec(*cell))
-    dense = float(np.linalg.eigvalsh(accumulate_A(entries))[-1])
-    assert abs(quantum_bound_gram(entries) - dense) <= 1e-9
+    spec = ProblemSpec(*cell)
+    dense = float(np.linalg.eigvalsh(accumulate_A(stacked(orbit(spec))))[-1])
+    _, alice, bob = _orbit(spec, _root_table(spec))
+    assert abs(quantum_bound_gram(alice, bob) - dense) <= 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -204,11 +205,10 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
     # C_s = 2M - 1 with the all-zero table as witness, and C_s <= Q_s <= 2M
     d, m = cell
     spec = ProblemSpec(d, m)
-    entries = orbit(spec)
-    value, witness = classical_bound(entries, spec)
+    value, witness = classical_bound(spec, [(e.alice, e.bob) for e in orbit(spec)])
     assert value == 2 * m - 1
     assert witness == DeterministicStrategy((0,) * m, (0,) * m)
-    analytic, _ = quantum_bound_analytic(spec, entries)
+    analytic, _ = quantum_bound_analytic(spec)
     assert value - 1e-9 <= analytic <= 2 * m + 1e-9
 
 
@@ -218,9 +218,8 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
 def test_chained_bell_route_equals_the_enumeration(cell):
     # the hot path's C_s and witness are the d^M enumeration's, exactly
     spec = ProblemSpec(*cell)
-    entries = orbit(spec)
-    terms = [(e.alice, e.bob) for e in entries]
-    assert _chained_bell_bound(spec, terms) == classical_bound(entries, spec)
+    terms = [(e.alice, e.bob) for e in orbit(spec)]
+    assert _chained_bell_bound(spec, terms) == classical_bound(spec, terms)
 
 
 @EVERY_CELL_SETTINGS
@@ -274,7 +273,7 @@ def test_orbit_closes_over_distinct_labels(d, m):
 def test_per_term_probabilities_are_uniform(d, m):
     spec = ProblemSpec(d, m)
     entries = orbit(spec)
-    analytic, state = quantum_bound_analytic(spec, entries)
+    analytic, state = quantum_bound_analytic(spec)
     probs = np.array([abs(np.vdot(state, e.vector)) ** 2 for e in entries])
     assert np.max(np.abs(probs - analytic / spec.orbit_length)) <= 1e-9
 
@@ -286,4 +285,4 @@ def test_accumulate_A_matches_per_entry_outer_sum(d, m):
     reference = np.zeros((d * d, d * d), dtype=complex)
     for e in entries:
         reference += np.outer(e.vector, e.vector.conj())
-    assert np.max(np.abs(accumulate_A(entries) - reference)) <= 1e-12
+    assert np.max(np.abs(accumulate_A(stacked(entries)) - reference)) <= 1e-12
