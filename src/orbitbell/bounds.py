@@ -99,6 +99,11 @@ STRATEGY_GUARD = 10**8
 # _check_orbit_ceiling).
 MEMORY_CEILING = 256 * 2**20
 
+# How far two routes to the same quantum bound may disagree: the
+# root-index value against the Gram spectrum here, and against LAPACK
+# eigvalsh in verify, which imports it.
+_ROUTE_TOL = 1e-9
+
 
 class InstanceTooLarge(Exception):
     """Instance beyond the enumeration guard or the memory ceiling."""
@@ -288,8 +293,8 @@ def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
     looked up by the integer index (q r) mod n.
 
     Raises RuntimeError if an eigenvalue has an imaginary part above
-    1e-9: the first row describes a Hermitian circulant, g_(n-r) =
-    conj(g_r), only if the orbit closes after n steps.
+    1e-9, or a NaN one: the first row describes a Hermitian circulant,
+    g_(n-r) = conj(g_r), only if the orbit closes after n steps.
     """
     n = len(alice)
     g = (alice @ alice[0].conj()) * (bob @ bob[0].conj())
@@ -297,7 +302,7 @@ def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
     roots = np.exp(2j * np.pi * ramp / n)
     spectrum = roots[np.outer(ramp, ramp) % n] @ g
     drift = float(np.abs(spectrum.imag).max())
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise RuntimeError(
             f"orbit Gram spectrum is not real: imaginary part {drift:.3e} "
             "exceeds 1e-9"
@@ -458,7 +463,8 @@ def _inequality(spec: ProblemSpec) -> _Instance:
 
     Builds the instance's root table once and reads everything from it:
     the orbit, and the quantum bound by the root-index route and by the
-    orbit's Gram spectrum, which must agree to 1e-9; the root-index
+    orbit's Gram spectrum, which must agree to 1e-9 (a NaN on either
+    route is a disagreement); the root-index
     value and state are the ones reported. The classical bound and
     witness come from the chained-Bell route; the d^M enumeration is
     verify's. No d^2 x d^2 matrix is built: the orbit comes from its
@@ -475,7 +481,7 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     terms, alice, bob = _orbit(spec, table)
     gram = quantum_bound_gram(alice, bob)
     analytic, state = _analytic_bound(spec, table)
-    if abs(gram - analytic) > 1e-9:
+    if not abs(gram - analytic) <= _ROUTE_TOL:
         raise RuntimeError(
             f"quantum bound routes disagree: Gram spectrum {gram!r} vs "
             f"analytic {analytic!r}"

@@ -7,7 +7,8 @@ cross-check sweep. Exit codes: 0 success, 1 verification failure,
 2 usage error (including an ``--out`` file that cannot be written),
 3 instance over the enumeration guard or the memory ceiling, 4 internal
 consistency check failed (a RuntimeError such as the orbit
-label/vector check or the quantum-bound route agreement).
+label/vector check or the quantum-bound route agreement, or a
+ValueError such as a non-finite certificate value).
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .bounds import InstanceTooLarge, _check_guards
 from .certificate import build_certificate, certificate_json
 from .games import AnalysisReport, analyze
-from .orbit import ProblemSpec
+from .orbit import ProblemSpec, _sizes
 from .verify import run_verification
 
 __all__ = ["main", "build_parser"]
@@ -61,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_or_usage(parser: argparse.ArgumentParser, outcomes: int, settings: int) -> ProblemSpec:
+def _or_usage(parser: argparse.ArgumentParser, check: Callable[..., Any], *args: Any) -> Any:
+    """``check(*args)``, with its ValueError reported as a usage error."""
     try:
-        return ProblemSpec(outcomes, settings)
+        return check(*args)
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
@@ -140,7 +142,7 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = _spec_or_usage(parser, args.outcomes, args.settings)
+    spec = _or_usage(parser, ProblemSpec, args.outcomes, args.settings)
     report = analyze(spec)
     if args.format == "json":
         text = certificate_json(build_certificate(report)) + "\n"
@@ -172,16 +174,14 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_game(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = _spec_or_usage(parser, args.outcomes, args.settings)
+    spec = _or_usage(parser, ProblemSpec, args.outcomes, args.settings)
     sys.stdout.write(render_game(analyze(spec)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.outcomes_max < 2:
-        parser.error("--outcomes-max must be at least 2")
-    if args.settings_max < 1:
-        parser.error("--settings-max must be at least 1")
+    names = ("--outcomes-max", "--settings-max")
+    _or_usage(parser, _sizes, args.outcomes_max, args.settings_max, names)
     report = run_verification(args.outcomes_max, args.settings_max)
     sys.stdout.write("\n".join(report.lines()) + "\n")
     return 0 if report.passed else 1
@@ -195,6 +195,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
         return 4

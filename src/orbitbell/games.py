@@ -12,12 +12,12 @@ inequality data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import BellInequality, _check_guards, _inequality
-from .orbit import MeasLabel, ProblemSpec, measurement_bases, root_unitary
+from .orbit import MeasLabel, ProblemSpec, _root_table
 
 __all__ = [
     "GameSpec",
@@ -75,24 +75,19 @@ def game_spec(
     spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
 ) -> GameSpec:
     """Group the orbit terms (alice, bob label pairs in orbit order, as
-    in ``BellInequality.terms``) into 2M question slots.
+    in ``BellInequality.terms``) into 2M question slots, in order of
+    first appearance.
 
-    For two or more settings the slot is just the setting pair. For a
-    single setting the equal-settings and wrap-around families both
-    carry the pair (0, 0) and are told apart by whether the outcomes
-    match, which keeps the slot count at 2M.
+    A term's slot is its setting pair and whether its outcomes match,
+    at every M: only the wrap-around family's never do, so at M = 1
+    it keeps its own slot beside the equal-settings one at (0, 0).
     """
-    m = spec.settings
     questions: list[tuple[int, int]] = []
     winning: list[set[tuple[int, int]]] = []
     slot_of: dict[tuple[int, int, bool], int] = {}
     for alice, bob in terms:
         sa, sb = alice.setting, bob.setting
-        if m == 1:
-            diagonal = alice.outcome == bob.outcome
-        else:
-            diagonal = sa == sb
-        key = (sa, sb, diagonal)
+        key = (sa, sb, alice.outcome == bob.outcome)
         if key not in slot_of:
             slot_of[key] = len(questions)
             questions.append((sa, sb))
@@ -120,12 +115,12 @@ def joint_distribution(
 def mutual_information(joint: np.ndarray) -> float:
     """Mutual information, in bits, of a joint outcome distribution.
 
-    Zero probabilities contribute zero. Entries below -1e-12 are
-    rejected; tiny negative roundoff is clipped.
+    Zero probabilities contribute zero. Entries below -1e-12, and NaN
+    entries, are rejected; tiny negative roundoff is clipped.
     """
     p = np.asarray(joint, dtype=float)
     low = float(p.min())
-    if low < -1e-12:
+    if not low >= -1e-12:
         raise ValueError(f"negative probability entry {low:.3e} in joint grid")
     p = np.clip(p, 0.0, None)
     pa = p.sum(axis=1)
@@ -151,70 +146,49 @@ def prediction_probability(ineq: BellInequality) -> float:
             "the prediction rule needs exactly 2 settings per party, "
             f"got {spec.settings}"
         )
-    return _prediction_from_grids(ineq, _two_setting_grids(ineq, root_unitary(spec)))
+    return _two_setting_stats(ineq, _root_table(spec).bases).prediction
 
 
-def _two_setting_grids(
-    ineq: BellInequality, u: np.ndarray
-) -> dict[tuple[int, int], np.ndarray]:
-    """Joint grid of the optimal state per setting pair (s, t), M = 2,
-    all from the instance's root unitary ``u``."""
-    bases = measurement_bases(u, 2)
-    return {
+class _TwoSettingStats(NamedTuple):
+    """The last four fields of :class:`AnalysisReport`, in its order."""
+
+    prediction: float  # p, see prediction_probability
+    info_bits: float  # mutual information of grid (0, 0)
+    spread: float  # max minus min mutual information over the grids
+    grids: dict[tuple[int, int], np.ndarray]  # joint grid per setting pair (s, t)
+
+
+def _two_setting_stats(ineq: BellInequality, bases: np.ndarray) -> _TwoSettingStats:
+    """The M = 2 statistics of the optimal state, from the root table's
+    bases; ``analyze`` reports them and ``verify`` checks them."""
+    grids = {
         (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
         for s in range(2)
         for t in range(2)
     }
+    infos = {q: mutual_information(g) for q, g in grids.items()}
 
-
-def _prediction_from_grids(
-    ineq: BellInequality, grids: dict[tuple[int, int], np.ndarray]
-) -> float:
-    """:func:`prediction_probability` from the four joint grids of the
-    optimal state, keyed by setting pair (s, t)."""
     predicted: dict[tuple[int, int, int], int] = {}
     for alice, bob in ineq.terms:
         key = (alice.setting, alice.outcome, bob.setting)
         if key in predicted:
             raise RuntimeError(f"ambiguous prediction for {key}: orbit bug")
         predicted[key] = bob.outcome
-
     total = 0.0
-    for s in range(2):
-        for t in range(2):
-            grid = grids[(s, t)]
-            for a in range(ineq.spec.outcomes):
-                total += float(grid[a, predicted[(s, a, t)]])
-    return total / 4.0
+    for (s, t), grid in grids.items():
+        for a in range(ineq.spec.outcomes):
+            total += float(grid[a, predicted[(s, a, t)]])
+    spread = max(infos.values()) - min(infos.values())
+    return _TwoSettingStats(total / 4.0, infos[(0, 0)], spread, grids)
 
 
 def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance, from one root table: the
-    inequality's, whose U also gives the M = 2 grids. Checks the guards
-    first (see :func:`~orbitbell.bounds.build_inequality`)."""
+    inequality's, whose bases also give the M = 2 statistics. Checks the
+    guards first (see :func:`~orbitbell.bounds.build_inequality`)."""
     _check_guards(spec)
     ineq, table, *_ = _inequality(spec)
     game = game_spec(spec, ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
-    if spec.settings == 2:
-        grids = _two_setting_grids(ineq, table.u)
-        infos = {q: mutual_information(g) for q, g in grids.items()}
-        info_bits = infos[(0, 0)]
-        spread = max(infos.values()) - min(infos.values())
-        prediction = _prediction_from_grids(ineq, grids)
-    else:
-        grids = None
-        info_bits = None
-        spread = None
-        prediction = None
-    return AnalysisReport(
-        spec=spec,
-        inequality=ineq,
-        game=game,
-        quantum_win=quantum_win,
-        classical_win=classical_win,
-        prediction_prob=prediction,
-        mutual_info_bits=info_bits,
-        mutual_info_spread=spread,
-        joint_grids=grids,
-    )
+    stats = _two_setting_stats(ineq, table.bases) if spec.settings == 2 else (None,) * 4
+    return AnalysisReport(spec, ineq, game, quantum_win, classical_win, *stats)

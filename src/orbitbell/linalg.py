@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _block_roots, _block_vectors
-from .orbit import ProblemSpec, _root_table, _RootTable
+from .orbit import _SNAP_TOL, ProblemSpec, _root_table, _RootTable
 
 __all__ = [
     "EigenPair",
@@ -71,25 +71,27 @@ def step_operator(u: np.ndarray) -> np.ndarray:
     return b.reshape(d * d, d * d)
 
 
-def _step_product(u: np.ndarray) -> np.ndarray:
-    """B as the dense product (U (x) 1) S, its definition; the
-    verification sweep checks :func:`step_operator` against it."""
-    d = u.shape[0]
-    return np.kron(u, np.eye(d, dtype=complex)) @ swap_matrix(d)
+def _step_product(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """B as the dense product (U (x) 1) S, its definition, with ``s``
+    the swap of :func:`swap_matrix`; the verification sweep checks
+    :func:`step_operator` against it."""
+    return np.kron(u, np.eye(u.shape[0], dtype=complex)) @ s
 
 
-def root_of_unity_index(value: complex, order: int, tol: float = 1e-9) -> int:
+def root_of_unity_index(value: complex, order: int) -> int:
     """Snap a unit-modulus value to its nearest order-th root of unity.
 
-    Raises RuntimeError when the snap error exceeds ``tol``; that only
-    happens on a branch-convention bug, never from roundoff.
+    Raises RuntimeError when the snap error exceeds the root table's
+    snap tolerance, 1e-9; that only happens on a branch-convention bug
+    or a NaN (which snaps to index 0 and fails), never from roundoff.
     """
-    idx = int(round(float(np.angle(value)) * order / (2.0 * np.pi))) % order
+    turns = float(np.nan_to_num(np.angle(value))) * order / (2.0 * np.pi)
+    idx = int(round(turns)) % order
     err = abs(value - np.exp(2j * np.pi * idx / order))
-    if err > tol:
+    if not err <= _SNAP_TOL:
         raise RuntimeError(
             f"{value!r} is not an order-{order} root of unity "
-            f"(snap error {err:.3e} exceeds {tol:.1e})"
+            f"(snap error {err:.3e} exceeds {_SNAP_TOL:.0e})"
         )
     return idx
 
@@ -104,13 +106,13 @@ def quantum_bound_numeric(a: np.ndarray) -> float:
     """Top eigenvalue of the projector sum, by LAPACK ``eigvalsh``.
 
     Raises ValueError if ``a`` is not square or not Hermitian within
-    1e-12.
+    1e-12 (a NaN entry counts as not Hermitian).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     defect = float(np.max(np.abs(a - a.conj().T)))
-    if defect > 1e-12:
+    if not defect <= 1e-12:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} "
             "exceeds tolerance 1e-12"

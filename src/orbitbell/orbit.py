@@ -19,11 +19,11 @@ the verification sweep and the tests.
 
 Everything rests on one object per instance, its root table
 (:func:`_root_table`): the shift's Fourier eigenbasis w_j, U's
-eigenvalues lambda_j with their exact integer root indices, and U
-itself. It is built once and passed down explicitly to the orbit, the
-quantum-bound routes, the two-setting statistics and the verification
-sweep; :func:`fourier_eigenbasis` and :func:`root_unitary` are public
-views of it.
+eigenvalues lambda_j with their exact integer root indices, U itself
+and the M measurement bases U^s. It is built once and passed down
+explicitly to the orbit, the quantum-bound routes, the two-setting
+statistics and the verification sweep; :func:`fourier_eigenbasis` and
+:func:`root_unitary` are public views of it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ __all__ = [
     "orbit",
     "condition_label_pairs",
 ]
+
+# Tolerances of the root table's snap and of an orbit step, also read
+# by linalg and verify. Checks are written ``not err <= tol``: NaN fails.
+_SNAP_TOL = 1e-9
+_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,13 +107,14 @@ class OrbitEntry(NamedTuple):
 
 
 class _RootTable(NamedTuple):
-    """One instance's shift eigenbasis and root unitary, built once by
-    :func:`_root_table` and handed to everything that needs them."""
+    """One instance's shift eigenbasis, root unitary and measurement
+    bases, built once by :func:`_root_table` and handed down."""
 
     rows: np.ndarray  # (d, d); row j is the Fourier vector w_j
     lambdas: np.ndarray  # (d,); U w_j = lambda_j w_j
     indices: list[int]  # lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
     u: np.ndarray  # the root unitary U
+    bases: np.ndarray  # (M, d, d); bases[s] = U^s, from measurement_bases
 
 
 def _fourier(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,31 +143,34 @@ def _root_indices(d: int, order: int) -> list[int]:
 
 def _root_table(spec: ProblemSpec) -> _RootTable:
     """The instance's root table: Fourier rows, U's eigenvalues with
-    their exact root indices, and U itself.
+    their exact root indices, U itself and its M measurement bases.
 
     lambda_j is exp(i * (theta_j / M)); the indices come from integer
     arithmetic and are checked against lambda_j in one snap, within
     1e-9, which raises RuntimeError on a mismatch (a branch-convention
-    bug). U is the ordered sum of lambda_j w_j w_j^H over j, the same
-    additions in the same order as summing the terms one at a time.
+    bug) or a NaN. U is the ordered sum of lambda_j w_j w_j^H over j,
+    the same additions in the same order as summing the terms one at a
+    time.
     """
     d, order = spec.outcomes, spec.orbit_length
     rows, thetas = _fourier(d)
     lambdas = np.exp(1j * (thetas / spec.settings))
     indices = _root_indices(d, order)
     snap = np.abs(lambdas - np.exp(2j * np.pi * np.array(indices) / order))
-    worst = int(snap.argmax())
-    if snap[worst] > 1e-9:
+    worst = int(snap.argmax())  # the first NaN, if any
+    if not snap[worst] <= _SNAP_TOL:
         raise RuntimeError(
             f"root table: lambda_{worst} = {complex(lambdas[worst])!r} is not "
             f"the order-{order} root of unity with index {indices[worst]} "
-            f"(snap error {float(snap[worst]):.3e} exceeds 1e-9)"
+            f"(snap error {float(snap[worst]):.3e} exceeds {_SNAP_TOL:.0e})"
         )
     # lambda_j w_j w_j^H stacked, then summed in order, all in one buffer
     terms = rows[:, :, None] * rows.conj()[:, None, :]
     np.multiply(lambdas[:, None, None], terms, out=terms)
     np.cumsum(terms, axis=0, out=terms)
-    return _RootTable(rows, lambdas, indices, terms[-1].copy())
+    u = terms[-1].copy()
+    bases = np.array(measurement_bases(u, spec.settings))
+    return _RootTable(rows, lambdas, indices, u, bases)
 
 
 def fourier_eigenbasis(d: int) -> list[tuple[np.ndarray, float]]:
@@ -186,9 +195,8 @@ def root_unitary(spec: ProblemSpec) -> np.ndarray:
 def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
     """Orthonormal basis per setting s < settings: the columns of U^s.
 
-    ``u`` is the instance's root unitary (see :func:`root_unitary`);
-    build it once and pass it to every caller that needs the bases.
-    The powers are running products U^s = U^(s-1) U, settings - 1
+    ``u`` is the instance's root unitary; the root table holds its
+    bases. The powers are running products U^s = U^(s-1) U, settings - 1
     matrix products in all; U^0 is the identity and U^1 is ``u``
     itself.
     """
@@ -252,8 +260,7 @@ def _orbit(
     pairs and the two (n, d) factor arrays, alice[j] = a_j and
     bob[j] = b_j (see :func:`_states` for the states themselves)."""
     d, n = spec.outcomes, spec.orbit_length
-    u = table.u
-    bases = np.array(measurement_bases(u, spec.settings))
+    u, bases = table.u, table.bases
 
     walk = [(MeasLabel(0, 0), MeasLabel(0, 0))]
     for _ in range(n - 1):
@@ -272,7 +279,7 @@ def _orbit(
     found = np.concatenate([np.stack([alice, bob], axis=1), seed])
     expected = np.concatenate([seed, np.stack([bob @ u.T, alice], axis=1)])
     errs = np.abs(found - expected).max(axis=(1, 2))
-    bad = np.flatnonzero(errs > 1e-10).tolist()
+    bad = np.flatnonzero(~(errs <= _STEP_TOL)).tolist()
     if closing != walk[0]:
         bad.append(n)
     if bad:

@@ -10,19 +10,24 @@ Each cell runs the assembly ``analyze`` runs (``bounds._inequality``),
 whose own checks raise into one construction line, and checks what it
 reports with the routes that ``analyze`` does not run: from the
 ``linalg`` module, the d^2 x d^2 step operator B, placed by index and
-checked against the matrix product (U x 1) S, then applied to every
-orbit vector at once, LAPACK ``eigvalsh`` on the projector sum and the
-residuals of the whole closed-form eigensystem; from ``bounds``, the
-d^M enumeration of the classical bound.
+checked against the matrix product (U x 1) S with the cell's one swap
+S, then applied to every orbit vector at once, LAPACK ``eigvalsh`` on
+the projector sum and the residuals of the whole closed-form
+eigensystem; from ``bounds``, the d^M enumeration of the classical
+bound. At M = 2 it checks ``analyze``'s statistics: the mutual
+information does not depend on the setting pair, and p = Q_s / 4. A NaN
+residual fails its line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import (
+    _ROUTE_TOL,
     STRATEGY_GUARD,
     _check_memory_ceiling,
     _check_orbit_ceiling,
@@ -30,7 +35,7 @@ from .bounds import (
     _over_strategy_guard,
     classical_bound,
 )
-from .games import _two_setting_grids, mutual_information
+from .games import _two_setting_stats
 from .linalg import (
     _eigensystem,
     _step_product,
@@ -40,7 +45,7 @@ from .linalg import (
     swap_matrix,
     translation_matrix,
 )
-from .orbit import ProblemSpec, _sizes, _states
+from .orbit import _STEP_TOL, ProblemSpec, _sizes, _states
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -54,9 +59,10 @@ class CheckResult:
     notes: list[str] = field(default_factory=list)
 
     def record(self, value: float, cell: str) -> None:
-        if value > self.worst:
+        # a NaN residual is the worst there is, and fails
+        if value > self.worst or math.isnan(value):
             self.worst = value
-        if self.tolerance is not None and value > self.tolerance:
+        if self.tolerance is not None and not value <= self.tolerance:
             self.passed = False
             self.notes.append(f"{cell}: residual {value:.3e}")
 
@@ -97,12 +103,18 @@ class VerificationReport:
         return out
 
 
+def _largest(residuals: np.ndarray | list[float]) -> float:
+    """Largest magnitude among ``residuals``, NaN if any is NaN."""
+    return float(np.max(np.abs(residuals)))
+
+
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
     """Run every check on every cell of the grid.
 
     Each cell assembles its instance once, as ``analyze`` does, and
     every check reads it: the inequality, the orbit and the root table,
-    whose U also gives the closed-form eigensystem and the M = 2 grids.
+    whose U also gives the closed-form eigensystem and whose bases give
+    the M = 2 statistics.
 
     The two bounds are checked by :class:`ProblemSpec`'s rules before
     any work: a non-integer or ``bool`` bound raises TypeError, and
@@ -126,12 +138,14 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             "instance builds and passes analyze's own checks", None
         ),
         "stepping": CheckResult(
-            "dense step operator maps each orbit vector to the next", 1e-10
+            "dense step operator maps each orbit vector to the next", _STEP_TOL
         ),
         "eigen": CheckResult("closed-form eigenpairs satisfy B v = lambda v", 1e-9),
         "trace": CheckResult("projector sum has trace 2*M*d", 1e-10),
-        "agree": CheckResult("analytic and numeric quantum bounds agree", 1e-9),
-        "gram": CheckResult("orbit Gram spectrum and analytic quantum bound agree", 1e-9),
+        "agree": CheckResult("analytic and numeric quantum bounds agree", _ROUTE_TOL),
+        "gram": CheckResult(
+            "orbit Gram spectrum and analytic quantum bound agree", _ROUTE_TOL
+        ),
         "maximizer": CheckResult("optimal state is a step-operator eigenvector", 1e-9),
         "uniform": CheckResult("per-term probabilities equal Q_s/(2*M*d)", 1e-9),
         "dominance": CheckResult("quantum bound is at least the classical bound", 1e-9),
@@ -140,6 +154,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         ),
         "information": CheckResult(
             "mutual information independent of the setting pair (M=2)", 1e-9
+        ),
+        "prediction": CheckResult(
+            "prediction probability equals the quantum win probability (M=2)", 1e-9
         ),
         "degenerate": CheckResult("single-setting case gives Q_s = C_s = 1", 1e-9),
     }
@@ -157,7 +174,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 u = instance.table.u
                 s = swap_matrix(d)
                 b = step_operator(u)
-                dense_b = _step_product(u)
+                dense_b = _step_product(u, s)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 checks["construction"].fail(cell, str(exc))
                 summary.append(f"{cell}: construction failed ({exc})")
@@ -166,38 +183,25 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             orbit_vecs = _states(instance.alice, instance.bob)
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
-            checks["unitary"].record(
-                max(
-                    float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))))
-                    for g in (t, u, s, b)
-                ),
-                cell,
-            )
-            checks["root"].record(
-                float(np.max(np.abs(np.linalg.matrix_power(u, m) - t))), cell
-            )
-            checks["product"].record(float(np.max(np.abs(b - dense_b))), cell)
-            checks["period"].record(
-                float(
-                    np.max(
-                        np.abs(np.linalg.matrix_power(b, length) - np.eye(b.shape[0]))
-                    )
-                ),
-                cell,
-            )
+            unitarity = [_largest(g.conj().T @ g - np.eye(len(g))) for g in (t, u, s, b)]
+            checks["unitary"].record(_largest(unitarity), cell)
+            checks["root"].record(_largest(np.linalg.matrix_power(u, m) - t), cell)
+            checks["product"].record(_largest(b - dense_b), cell)
+            period = np.linalg.matrix_power(b, length) - np.eye(len(b))
+            checks["period"].record(_largest(period), cell)
 
             # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
             stepped = b @ orbit_vecs.T
             stepped[:, :-1] -= orbit_vecs[1:].T
             stepped[:, -1] -= orbit_vecs[0]
-            checks["stepping"].record(float(np.max(np.abs(stepped))), cell)
+            checks["stepping"].record(_largest(stepped), cell)
 
             eigenpairs = _eigensystem(spec, instance.table)
             # all residuals B v - lambda v in one product, one column per pair
             vecs = np.array([pair.vector for pair in eigenpairs]).T
             roots = np.array([pair.root_index for pair in eigenpairs])
             lams = np.exp(2j * np.pi * roots / length)
-            checks["eigen"].record(float(np.max(np.abs(b @ vecs - vecs * lams))), cell)
+            checks["eigen"].record(_largest(b @ vecs - vecs * lams), cell)
 
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
@@ -205,12 +209,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             checks["gram"].record(abs(instance.gram - analytic), cell)
 
             rayleigh = np.vdot(state, b @ state)
-            checks["maximizer"].record(
-                float(np.max(np.abs(b @ state - rayleigh * state))), cell
-            )
-            checks["uniform"].record(
-                float(np.max(np.abs(ineq.per_term_probs - analytic / length))), cell
-            )
+            checks["maximizer"].record(_largest(b @ state - rayleigh * state), cell)
+            uniform = ineq.per_term_probs - analytic / length
+            checks["uniform"].record(_largest(uniform), cell)
 
             if _over_strategy_guard(d, m):
                 skipped.append(cell)
@@ -228,9 +229,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                     if c_value != 1:
                         checks["degenerate"].fail(cell, f"C_s={c_value}, expected 1")
 
-            if m == 2:
-                grids = _two_setting_grids(ineq, u)
-                infos = [mutual_information(grid) for grid in grids.values()]
-                checks["information"].record(max(infos) - min(infos), cell)
+            if m == 2:  # the quantum win is Q_s over the 2M = 4 questions
+                stats = _two_setting_stats(ineq, instance.table.bases)
+                checks["information"].record(stats.spread, cell)
+                checks["prediction"].record(abs(stats.prediction - analytic / 4), cell)
 
     return VerificationReport(list(checks.values()), summary, skipped)

@@ -1,10 +1,12 @@
 """Each analyzed instance is built once.
 
 Everything rests on one root table per instance (the shift's Fourier
-rows, U's eigenvalues with their exact root indices, and U): ``analyze``
+rows, U's eigenvalues with their exact root indices, U and the M
+measurement bases, from one ``measurement_bases`` call): ``analyze``
 builds it once at every M and hands it to the orbit, to both quantum
-routes and, at M = 2, to the four joint grids, which the prediction
-rule reads too. No public view of the table (``root_unitary``,
+routes and, at M = 2, to the one statistics function, which forms the
+four joint grids and reads the mutual information and the prediction
+probability from them, and which runs at no other M. No public view of the table (``root_unitary``,
 ``fourier_eigenbasis``) runs on that path. ``analyze`` builds the orbit
 once, runs the root-index and Gram routes of the quantum bound, and
 calls none of the ``linalg`` module's dense routes: the orbit is
@@ -14,8 +16,8 @@ nor ``verify``.
 The verification sweep runs the same assembly once per cell, so it
 checks the instance ``analyze`` reports, with one root table, one
 orbit, one Gram spectrum and one closed-form eigensystem from that
-table, and runs the enumeration once per cell inside the enumeration
-guard.
+table, runs the statistics function once per M = 2 cell, and runs the
+enumeration once per cell inside the enumeration guard.
 """
 
 import ast
@@ -62,10 +64,12 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
     orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
+    measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
     # the public views of the table rebuild it, so they stay off the path
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     bases = count_calls(monkeypatch, "orbitbell.orbit", "fourier_eigenbasis")
     public_orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
+    stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
     grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     analytic = count_calls(monkeypatch, "orbitbell.bounds", "_analytic_bound")
@@ -76,8 +80,9 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
-    assert tables[0] == fouriers[0] == orbits[0] == 1
+    assert tables[0] == fouriers[0] == orbits[0] == measurement[0] == 1
     assert roots[0] == bases[0] == public_orbits[0] == 0
+    assert stats[0] == (1 if m == 2 else 0)
     assert grids[0] == (4 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
     assert {name: calls[0] for name, calls in dense.items()} == dict.fromkeys(DENSE_ROUTES, 0)
@@ -86,11 +91,12 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
 
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])
 def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
+    stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
     grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     report = analyze(ProblemSpec(d, m))
     assert report.joint_grids is None
-    assert grids[0] == 0
+    assert stats[0] == grids[0] == 0
     assert tables[0] == 1
 
 
@@ -103,9 +109,17 @@ def test_verify_builds_each_cell_once(monkeypatch):
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     families = count_calls(monkeypatch, "orbitbell.orbit", "condition_label_pairs")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
+    measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
+    stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
+    swaps = count_calls(monkeypatch, "orbitbell.linalg", "swap_matrix")
     report = run_verification(3, 3)  # 6 cells, all inside the guard
     assert report.passed
     assert assemblies[0] == tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
+    # the bases come with the table, and the dense product reuses the cell's S
+    assert measurement[0] == swaps[0] == 6
+    # the information and prediction lines read one statistics run per
+    # M = 2 cell, (2, 2) and (3, 2)
+    assert stats[0] == 2
     # the Gram line reads the assembly's value instead of a second route run
     assert gram[0] == 6
     assert roots[0] == 0

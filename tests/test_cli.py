@@ -318,8 +318,14 @@ def test_corrupted_swap_fails_verification(monkeypatch):
     def not_a_swap(d: int):
         return np.eye(d * d, dtype=complex)
 
-    linalg_module = importlib.import_module("orbitbell.linalg")
-    monkeypatch.setattr(linalg_module, "swap_matrix", not_a_swap)
+    # every namespace that binds swap_matrix, so that the sweep's one S
+    # per cell is the corrupted one wherever it is built
+    real_swap = importlib.import_module("orbitbell.linalg").swap_matrix
+    for name, module in list(sys.modules.items()):
+        if name == "orbitbell" or name.startswith("orbitbell."):
+            for key, value in list(vars(module).items()):
+                if value is real_swap:
+                    monkeypatch.setattr(module, key, not_a_swap)
     report = run_verification(2, 2)
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["step operator equals the dense product (U x 1) S"]
@@ -342,6 +348,25 @@ def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert f"FAIL  {name} (" in captured.out
+
+
+def test_transposed_joint_grids_fail_the_prediction_check(monkeypatch, capsys):
+    # grids with the parties' roles exchanged keep each grid's mutual
+    # information but move p off the quantum win probability at every
+    # M = 2 cell with d >= 3: only the prediction line may fail
+    games_module = importlib.import_module("orbitbell.games")
+    real_joint = games_module.joint_distribution
+    monkeypatch.setattr(
+        games_module, "joint_distribution", lambda *args: real_joint(*args).T
+    )
+    name = "prediction probability equals the quantum win probability (M=2)"
+    report = run_verification(4, 2)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [name]
+    assert [note.split(":")[0] for note in failed[0].notes] == ["d=3 M=2", "d=4 M=2"]
+    rc = cli_main(["verify", "--outcomes-max", "4", "--settings-max", "2"])
+    assert rc == 1
+    assert f"FAIL  {name} (" in capsys.readouterr().out
 
 
 def test_wrong_enumerated_witness_fails_the_chained_bell_check(monkeypatch, capsys):

@@ -15,7 +15,9 @@ closed-form eigensystem, the Gram-spectrum and
 LAPACK routes against it to 1e-9, the one-product projector sum
 against the per-entry outer-product sum, and the orbit against its
 defining identities: its product-form vectors against the dense
-recurrence v_j = B v_(j-1) from |00> that they replaced.
+recurrence v_j = B v_(j-1) from |00> that they replaced. The game's
+question-slot rule gives 2M slots in order of first appearance on every
+orbit with d <= 12 and M <= 8.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from orbitbell import (
     ProblemSpec,
     build_inequality,
     classical_bound,
+    game_spec,
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
@@ -66,6 +69,9 @@ CHAINED = [
 SMALL = [(d, m) for d in range(2, 17) for m in range(1, 9)]
 
 GRAM_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 7)]
+
+# every (d, M) with d <= 12, M <= 8, guard or not
+SLOT_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 9)]
 
 # every (d, M) with d <= 16, M <= 8 within the enumeration guard
 ANALYZABLE = [(d, m) for d, m in SMALL if d ** (2 * m) <= 10**8]
@@ -220,6 +226,37 @@ def test_chained_bell_route_equals_the_enumeration(cell):
     spec = ProblemSpec(*cell)
     terms = [(e.alice, e.bob) for e in orbit(spec)]
     assert _chained_bell_bound(spec, terms) == classical_bound(spec, terms)
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(SLOT_CELLS))
+@every_cell(SLOT_CELLS)
+def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
+    # a term's slot is (alice setting, bob setting, outcomes equal): 2M
+    # slots, numbered as they first appear along the orbit, each winning
+    # set the outcome pairs of its terms
+    spec = ProblemSpec(*cell)
+    terms, _, _ = _orbit(spec, _root_table(spec))
+    game = game_spec(spec, terms)
+    keys = [(a.setting, b.setting, a.outcome == b.outcome) for a, b in terms]
+    slots = list(dict.fromkeys(keys))
+    assert len(slots) == 2 * spec.settings
+    assert game.questions == tuple((s, t) for s, t, _ in slots)
+    assert game.winning == tuple(
+        frozenset((a.outcome, b.outcome) for (a, b), key in zip(terms, keys) if key == slot)
+        for slot in slots
+    )
+    if spec.settings > 1:
+        # the setting pair alone tells the slots apart
+        assert len(set(game.questions)) == 2 * spec.settings
+    else:
+        # one setting: the matching and the wrap-around outcome pairs
+        d = spec.outcomes
+        assert game.questions == ((0, 0), (0, 0))
+        assert game.winning == (
+            frozenset((k, k) for k in range(d)),
+            frozenset(((k + 1) % d, k) for k in range(d)),
+        )
 
 
 @EVERY_CELL_SETTINGS
