@@ -78,25 +78,26 @@ __all__ = [
 ]
 
 # Deterministic strategy pairs are capped at this count; larger
-# instances are rejected instead of silently running for hours. The
-# enumeration runs only in verify and the tests; analyze keeps the
-# guard so that every analyzed instance can be cross-checked.
+# instances are rejected instead of silently running for hours. It
+# bounds only the d^M enumeration of classical_bound, which runs in
+# verify and the tests: verify skips the classical comparison at cells
+# beyond it, and analyze, which takes C_s from the chained-Bell route,
+# never meets it.
 STRATEGY_GUARD = 10**8
 
-# Bytes one dense d^2 x d^2 complex matrix may take (16 d^4); 256 MiB
-# admits d <= 64. Such matrices are verify's cross-checks, several per
-# cell: the step operator B, the dense product (U x 1) S with its two
-# factors, the projector sum A with eigvalsh's workspace, and the d^2
-# closed-form eigenvectors. analyze builds none of them; it keeps the
-# same limit so that every analyzed instance can be cross-checked. It
-# holds the orbit as two (2*M*d, d) factor arrays, and its largest
-# array is the 2*M*d orbit states of 16 d^2 bytes each, formed once
-# for the per-term probabilities: ru_maxrss of a whole analyze
-# --format json is 33 MiB at (d, M) = (32, 2), 35 MiB at (48, 1),
-# 41 MiB at (64, 1) and 50 MiB at (64, 2) (Python 3.11, numpy 2.4,
-# Linux). verify's grid is unbounded in M, so it also holds its
-# largest cell's orbit arrays to this ceiling (see
-# _check_orbit_ceiling).
+# Bytes that verify's cross-checks of one instance may take: one dense
+# d^2 x d^2 complex matrix (16 d^4, so d <= 64), of which verify holds
+# several per cell (the step operator B, the dense product (U x 1) S
+# with its two factors, the projector sum A with eigvalsh's workspace,
+# and the d^2 closed-form eigenvectors), and the orbit arrays of its
+# dense stepping check and Gram spectrum (see _check_size). analyze,
+# build_inequality, game and table refuse exactly the instances beyond
+# it, so that every analyzed instance can be cross-checked. Of these
+# arrays they build only the Gram route's n x n phase table, most of
+# their peak at the edge cells: an in-process analyze --format json
+# takes 0.26 s and peaks at 287 MiB ru_maxrss at (d, M) = (2, 835),
+# 0.24 s / 259 MiB at (16, 98) and 0.16 s / 118 MiB at (64, 10)
+# (Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
 MEMORY_CEILING = 256 * 2**20
 
 # How far two routes to the same quantum bound may disagree: the
@@ -106,12 +107,23 @@ _ROUTE_TOL = 1e-9
 
 
 class InstanceTooLarge(Exception):
-    """Instance beyond the enumeration guard or the memory ceiling."""
+    """Instance beyond the memory ceiling of verify's cross-checks, or,
+    for :func:`classical_bound` alone, beyond the enumeration guard."""
 
 
-def _check_memory_ceiling(outcomes: int) -> None:
-    """Raise InstanceTooLarge when one dense d^2 x d^2 cross-check
-    matrix at this outcome count would exceed MEMORY_CEILING."""
+def _check_size(outcomes: int, settings: int) -> None:
+    """Raise InstanceTooLarge when verify could not cross-check instance
+    (d, M) = (outcomes, settings) within MEMORY_CEILING; the one size
+    rule of analyze, build_inequality, game, table and verify.
+
+    First, one dense d^2 x d^2 cross-check matrix must fit. Then the
+    orbit arrays: over its n = 2*M*d steps, verify's dense stepping
+    check holds the orbit states, their product with the dense step
+    operator and that product's magnitudes (40 d^2 bytes per step), and
+    the Gram spectrum an n x n integer index table with the phases it
+    looks up (24 n^2 bytes). Plain int arithmetic, so an absurd d or M
+    is rejected without allocating.
+    """
     needed = 16 * outcomes**4
     if needed > MEMORY_CEILING:
         dim = outcomes**2
@@ -122,19 +134,6 @@ def _check_memory_ceiling(outcomes: int) -> None:
             "(analyze keeps the same limit, so that every analyzed instance "
             "can be cross-checked)"
         )
-
-
-def _check_orbit_ceiling(outcomes: int, settings: int) -> None:
-    """Raise InstanceTooLarge when the orbit arrays of instance
-    (d, M) = (outcomes, settings) would exceed MEMORY_CEILING.
-
-    Over its n = 2*M*d steps, verify's dense stepping check holds the
-    orbit states, their product with the dense step operator and that
-    product's magnitudes (40 d^2 bytes per step), and the Gram spectrum
-    an n x n integer index table with the phases it looks up
-    (24 n^2 bytes). Plain int arithmetic, so an absurd M is rejected
-    without allocating.
-    """
     steps = 2 * settings * outcomes
     needed = 40 * outcomes**2 * steps + 24 * steps**2
     if needed > MEMORY_CEILING:
@@ -156,18 +155,6 @@ def _over_strategy_guard(outcomes: int, settings: int) -> bool:
     if 2 * settings >= STRATEGY_GUARD.bit_length():
         return True
     return outcomes ** (2 * settings) > STRATEGY_GUARD
-
-
-def _check_guards(spec: ProblemSpec) -> None:
-    """Raise InstanceTooLarge when the instance exceeds the memory
-    ceiling or d^(2M) exceeds STRATEGY_GUARD."""
-    _check_memory_ceiling(spec.outcomes)
-    d, m = spec.outcomes, spec.settings
-    if _over_strategy_guard(d, m):
-        raise InstanceTooLarge(
-            f"instance too large: {d}^{2 * m} deterministic strategies "
-            f"exceed the enumeration guard of {STRATEGY_GUARD:.0e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -354,13 +341,19 @@ def classical_bound(
     to what the naive double scan would return.
 
     Memory: the d^M totals plus one table of d^(1+|S_t|) entries at a
-    time, d^3 on the orbit and at most d^(M+1) for any term list.
+    time, d^3 on the orbit (d^2 at M = 1) and at most d^(M+1) for any
+    term list.
 
-    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or the
-    instance exceeds MEMORY_CEILING.
+    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD, the only
+    check of that guard, which also bounds the largest orbit table (d^2
+    at M = 1) to 10^8 entries.
     """
-    _check_guards(spec)
     d, m = spec.outcomes, spec.settings
+    if _over_strategy_guard(d, m):
+        raise InstanceTooLarge(
+            f"instance too large: {d}^{2 * m} deterministic strategies "
+            f"exceed the enumeration guard of {STRATEGY_GUARD:.0e}"
+        )
 
     by_bob: dict[int, list[tuple[MeasLabel, MeasLabel]]] = {}
     for a, b in terms:
@@ -434,15 +427,16 @@ def _chained_bell_bound(
 
 
 def build_inequality(spec: ProblemSpec) -> BellInequality:
-    """Assemble the Bell inequality for one instance: check the guards,
+    """Assemble the Bell inequality for one instance: check its size,
     then run :func:`_inequality`.
 
-    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD or a
-    dense d^2 x d^2 cross-check matrix would exceed MEMORY_CEILING,
-    before any orbit or matrix is built, so that verify's cross-checks
-    reach every analyzed instance.
+    Raises InstanceTooLarge, before any orbit or matrix is built, for
+    exactly the instances whose verify cross-checks would exceed
+    MEMORY_CEILING (see :func:`_check_size`), so that verify reaches
+    every instance this accepts. STRATEGY_GUARD does not apply: the
+    classical bound comes from the chained-Bell route.
     """
-    _check_guards(spec)
+    _check_size(spec.outcomes, spec.settings)
     return _inequality(spec).inequality
 
 
@@ -473,9 +467,10 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     probabilities are one product of the (n, d^2) states with the
     conjugate state.
 
-    Checks no guard: :func:`build_inequality` and ``analyze`` check
-    them first, and ``verify`` bounds its whole grid before its first
-    cell, then assembles cells beyond the enumeration guard too.
+    Checks no size: :func:`build_inequality` and ``analyze`` run
+    :func:`_check_size` on the instance first, and ``verify`` on its
+    largest cell before its first; nothing here enumerates, so
+    STRATEGY_GUARD does not apply.
     """
     table = _root_table(spec)
     terms, alice, bob = _orbit(spec, table)

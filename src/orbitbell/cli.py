@@ -5,8 +5,8 @@ certificate), ``table`` the two-setting survey over a range of outcome
 counts, ``game`` the induced nonlocal game, ``verify`` the structural
 cross-check sweep. Exit codes: 0 success, 1 verification failure,
 2 usage error (including an ``--out`` file that cannot be written),
-3 instance over the enumeration guard or the memory ceiling, 4 internal
-consistency check failed (a RuntimeError such as the orbit
+3 instance beyond what verify can cross-check (the memory ceiling),
+4 internal consistency check failed (a RuntimeError such as the orbit
 label/vector check or the quantum-bound route agreement, or a
 ValueError such as a non-finite certificate value).
 """
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .bounds import InstanceTooLarge, _check_guards
+from .bounds import InstanceTooLarge, _check_size
 from .certificate import build_certificate, certificate_json
 from .games import AnalysisReport, analyze
 from .orbit import ProblemSpec, _sizes
@@ -152,16 +152,16 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Print the M = 2 survey. Every row is checked against analyze's
+    size rule before the first runs, so the first row over it fails
+    with analyze's own error and no row prints; d > 64 always fails."""
     lo, hi = args.outcomes_from, args.outcomes_to
     if lo < 2:
         parser.error("--outcomes-from must be at least 2")
     if hi < lo:
         parser.error("--outcomes-to must not be smaller than --outcomes-from")
-    # before any row runs, the first row over the guards fails with its
-    # own error; every d > 64 is over the memory ceiling, so at most 63
-    # rows are checked
     for d in range(lo, hi + 1):
-        _check_guards(ProblemSpec(d, 2))
+        _check_size(d, 2)
     rows = ["   d     Q_s  C_s       p    I_ab"]
     for d in range(lo, hi + 1):
         report = analyze(ProblemSpec(d, 2))

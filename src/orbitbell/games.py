@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import BellInequality, _check_guards, _inequality
+from .bounds import BellInequality, _check_size, _inequality
 from .orbit import MeasLabel, ProblemSpec, _root_table
 
 __all__ = [
@@ -71,9 +71,7 @@ class AnalysisReport:
         return self.inequality.classical_bound
 
 
-def game_spec(
-    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
-) -> GameSpec:
+def game_spec(terms: Sequence[tuple[MeasLabel, MeasLabel]]) -> GameSpec:
     """Group the orbit terms (alice, bob label pairs in orbit order, as
     in ``BellInequality.terms``) into 2M question slots, in order of
     first appearance.
@@ -184,11 +182,14 @@ def _two_setting_stats(ineq: BellInequality, bases: np.ndarray) -> _TwoSettingSt
 
 def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance, from one root table: the
-    inequality's, whose bases also give the M = 2 statistics. Checks the
-    guards first (see :func:`~orbitbell.bounds.build_inequality`)."""
-    _check_guards(spec)
+    inequality's, whose bases also give the M = 2 statistics.
+
+    Raises InstanceTooLarge first for exactly the instances ``verify``
+    could not cross-check (see :func:`~orbitbell.bounds.build_inequality`);
+    no enumeration runs, so STRATEGY_GUARD does not apply."""
+    _check_size(spec.outcomes, spec.settings)
     ineq, table, *_ = _inequality(spec)
-    game = game_spec(spec, ineq.terms)
+    game = game_spec(ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
     stats = _two_setting_stats(ineq, table.bases) if spec.settings == 2 else (None,) * 4
     return AnalysisReport(spec, ineq, game, quantum_win, classical_win, *stats)

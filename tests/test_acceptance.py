@@ -85,7 +85,7 @@ def test_criterion_4_qubit_setting_family():
             failures.append(f"M={m}: quantum bound off closed form")
         if ineq.classical_bound != 2 * m - 1:
             failures.append(f"M={m}: classical bound != 2M-1")
-        quantum, classical = winning_probabilities(ineq, game_spec(spec, ineq.terms))
+        quantum, classical = winning_probabilities(ineq, game_spec(ineq.terms))
         if not quantum > classical:
             failures.append(f"M={m}: game value not strictly above classical")
     criterion(4, "d=2, M=2..8 closed-form family and strict game advantage", failures)

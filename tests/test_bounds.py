@@ -30,8 +30,7 @@ from orbitbell.bounds import (
     MEMORY_CEILING,
     STRATEGY_GUARD,
     _chained_bell_bound,
-    _check_memory_ceiling,
-    _check_orbit_ceiling,
+    _check_size,
     _over_strategy_guard,
 )
 from orbitbell.linalg import (
@@ -329,11 +328,12 @@ def test_build_inequality_checks_guard_before_any_work(monkeypatch):
     def no_orbit(*args):
         raise AssertionError("orbit built for an instance beyond the guard")
 
-    # the root table is the first thing built, then the orbit from it
+    # the root table is the first thing built, then the orbit from it;
+    # (2, 836) is the first d = 2 cell whose orbit arrays exceed the ceiling
     monkeypatch.setattr("orbitbell.bounds._root_table", no_orbit)
     monkeypatch.setattr("orbitbell.bounds._orbit", no_orbit)
-    with pytest.raises(InstanceTooLarge, match="too large"):
-        build_inequality(ProblemSpec(10, 5))
+    with pytest.raises(InstanceTooLarge, match="memory ceiling"):
+        build_inequality(ProblemSpec(2, 836))
 
 
 @pytest.mark.parametrize("d,m", [(5000, 1), (65, 2)])
@@ -349,9 +349,11 @@ def test_build_inequality_checks_memory_ceiling_before_any_work(monkeypatch, d, 
 
 def test_memory_ceiling_admits_64_outcomes():
     assert 16 * 64**4 <= MEMORY_CEILING < 16 * 65**4
-    _check_memory_ceiling(64)
-    with pytest.raises(InstanceTooLarge, match="memory ceiling"):
-        _check_memory_ceiling(65)
+    _check_size(64, 1)
+    # the dense check comes first, also where the orbit check trips too
+    for m in (1, 10**9):
+        with pytest.raises(InstanceTooLarge, match="dense 4225 x 4225"):
+            _check_size(65, m)
 
 
 def test_verify_checks_memory_ceiling_before_the_first_cell(monkeypatch):
@@ -400,16 +402,25 @@ def test_verify_checks_orbit_ceiling_before_the_first_cell(monkeypatch):
 @pytest.mark.parametrize(
     "d,m,admitted",
     [(6, 6, True), (10, 4, True), (16, 2, True), (64, 10, True), (64, 11, False),
-     (2, 835, True), (2, 836, False)],
+     (2, 835, True), (2, 836, False), (16, 98, True), (16, 99, False)],
 )
-def test_orbit_ceiling_counts_states_residuals_and_gram_table(d, m, admitted):
+def test_orbit_ceiling_counts_states_residuals_and_gram_table(monkeypatch, d, m, admitted):
+    # one rule: build_inequality (and so analyze) admits exactly the
+    # cells whose verify cross-checks fit, beyond the enumeration guard too
     n = 2 * m * d
     assert (40 * d**2 * n + 24 * n**2 <= MEMORY_CEILING) == admitted
+    spec = ProblemSpec(d, m)
     if admitted:
-        _check_orbit_ceiling(d, m)
+        ineq = build_inequality(spec)
+        assert ineq.classical_bound == 2 * m - 1
+        assert len(ineq.terms) == n
     else:
-        with pytest.raises(InstanceTooLarge, match="memory ceiling"):
-            _check_orbit_ceiling(d, m)
+        def no_table(*args):
+            raise AssertionError("root table built for an instance beyond the ceiling")
+
+        monkeypatch.setattr("orbitbell.bounds._root_table", no_table)
+        with pytest.raises(InstanceTooLarge, match=f"has {n} steps"):
+            build_inequality(spec)
 
 
 def test_build_inequality_qubit():

@@ -127,9 +127,21 @@ def test_usage_errors_exit_2(argv):
 
 
 def test_oversized_instance_exits_3():
-    proc = run_cli("analyze", "--outcomes", "10", "--settings", "5")
+    # (16, 99) is the first M at d = 16 whose orbit verify cannot cross-check
+    proc = run_cli("analyze", "--outcomes", "16", "--settings", "99")
     assert proc.returncode == 3
     assert "instance too large" in proc.stderr
+
+
+def test_instances_beyond_the_enumeration_guard_exit_0():
+    # 10^10 and 2^80 strategy pairs: analyze takes C_s = 2M - 1 from the
+    # chained-Bell route and enumerates nothing
+    analyzed = run_cli("analyze", "--outcomes", "10", "--settings", "5")
+    game = run_cli("game", "--outcomes", "2", "--settings", "40")
+    assert analyzed.returncode == game.returncode == 0
+    assert analyzed.stderr == game.stderr == ""
+    assert "  classical bound C_s = 9\n" in analyzed.stdout
+    assert "classical_win = 0.9875\n" in game.stdout  # C_s / 2M = 79 / 80
 
 
 @pytest.mark.parametrize(
@@ -172,7 +184,7 @@ def test_table_checks_the_guards_before_the_first_row(monkeypatch, capsys, lo, h
 
 
 def test_absurd_settings_count_exits_3_at_once():
-    # the guard is decided without forming 2^(2*10^9)
+    # the orbit's size is decided in int arithmetic, without allocating
     proc = subprocess.run(
         [sys.executable, "-m", "orbitbell", "analyze", "--outcomes", "2", "--settings", "1000000000"],
         capture_output=True,
@@ -181,8 +193,9 @@ def test_absurd_settings_count_exits_3_at_once():
     )
     assert proc.returncode == 3
     assert proc.stderr == (
-        "error: instance too large: 2^2000000000 deterministic strategies "
-        "exceed the enumeration guard of 1e+08\n"
+        "error: instance too large: the orbit at 2 outcomes and 1000000000 "
+        "settings has 4000000000 steps, whose states, step residuals and Gram "
+        "phase table need 366210938110352 MiB, over the memory ceiling of 256 MiB\n"
     )
     assert proc.stdout == ""
 

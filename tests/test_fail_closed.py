@@ -7,9 +7,10 @@ table's snap, the orbit's step check, the Gram route's imaginary drift
 and its agreement with the root-index route, the root-of-unity snap,
 the Hermitian test of the dense route, the joint grid of the mutual
 information, and each ``verify`` line, which prints it as ``nan``, also
-when it is one of several residuals the line takes the largest of. The
-command line turns the result into exit 4, with one ``error:`` line,
-also for a ValueError that escapes a subcommand.
+when it is one of several residuals the line takes the largest of, or
+one it floors at zero. The command line turns the result into exit 4,
+with one ``error:`` line, also for a ValueError that escapes a
+subcommand.
 """
 
 import importlib
@@ -65,6 +66,21 @@ def test_nan_from_a_dense_route_fails_verify(monkeypatch, capsys):
     rc = cli_main(["verify", "--outcomes-max", "2", "--settings-max", "2"])
     assert rc == 1
     assert f"FAIL  {name} (worst residual nan, tolerance 1e-09)" in capsys.readouterr().out
+
+
+def test_nan_classical_value_fails_the_dominance_line(monkeypatch):
+    # max(0.0, nan) is 0.0: the line must take the NaN, not the floor
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_bound = verify_module.classical_bound
+    monkeypatch.setattr(
+        verify_module, "classical_bound", lambda spec, terms: (NAN, real_bound(spec, terms)[1])
+    )
+    name = "quantum bound is at least the classical bound"
+    report = run_verification(2, 2)
+    (check,) = [c for c in report.checks if c.name == name]
+    assert not check.passed
+    assert check.line() == f"FAIL  {name} (worst residual nan, tolerance 1e-09)"
+    assert check.notes == ["d=2 M=1: residual nan", "d=2 M=2: residual nan"]
 
 
 def test_nan_in_one_generator_fails_the_unitarity_line(monkeypatch):

@@ -51,7 +51,7 @@ def classical_win_direct(ineq, game):
 def make_game(d, m):
     spec = ProblemSpec(d, m)
     ineq = build_inequality(spec)
-    return spec, ineq, game_spec(spec, ineq.terms)
+    return spec, ineq, game_spec(ineq.terms)
 
 
 def test_game_spec_qubit_two_settings():
@@ -90,7 +90,7 @@ def test_game_spec_single_setting_has_two_slots():
 @pytest.mark.parametrize("d,m", GRID)
 def test_game_spec_structure(d, m):
     spec = ProblemSpec(d, m)
-    game = game_spec(spec, [(e.alice, e.bob) for e in orbit(spec)])
+    game = game_spec([(e.alice, e.bob) for e in orbit(spec)])
     assert len(game.questions) == 2 * m
     for win in game.winning:
         assert len(win) == d

@@ -237,7 +237,7 @@ def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
     # set the outcome pairs of its terms
     spec = ProblemSpec(*cell)
     terms, _, _ = _orbit(spec, _root_table(spec))
-    game = game_spec(spec, terms)
+    game = game_spec(terms)
     keys = [(a.setting, b.setting, a.outcome == b.outcome) for a, b in terms]
     slots = list(dict.fromkeys(keys))
     assert len(slots) == 2 * spec.settings
