@@ -97,7 +97,8 @@ STRATEGY_GUARD = 10**8
 # their peak at the edge cells: an in-process analyze --format json
 # takes 0.26 s and peaks at 287 MiB ru_maxrss at (d, M) = (2, 835),
 # 0.24 s / 259 MiB at (16, 98) and 0.16 s / 118 MiB at (64, 10)
-# (Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
+# (Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux). classical_bound keeps
+# its enumeration tables under it too, for any caller.
 MEMORY_CEILING = 256 * 2**20
 
 # How far two routes to the same quantum bound may disagree: the
@@ -108,7 +109,8 @@ _ROUTE_TOL = 1e-9
 
 class InstanceTooLarge(Exception):
     """Instance beyond the memory ceiling of verify's cross-checks, or,
-    for :func:`classical_bound` alone, beyond the enumeration guard."""
+    for :func:`classical_bound` alone, beyond the enumeration guard or
+    the memory ceiling of the enumeration's tables."""
 
 
 def _check_size(outcomes: int, settings: int) -> None:
@@ -341,12 +343,14 @@ def classical_bound(
     to what the naive double scan would return.
 
     Memory: the d^M totals plus one table of d^(1+|S_t|) entries at a
-    time, d^3 on the orbit (d^2 at M = 1) and at most d^(M+1) for any
-    term list.
+    time, 8 bytes each: d^3 on the orbit (d^2 at M = 1) and at most
+    d^(M+1) for any term list.
 
     Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD, the only
-    check of that guard, which also bounds the largest orbit table (d^2
-    at M = 1) to 10^8 entries.
+    check of that guard, and, before any table is allocated, when the
+    totals with the largest hit table would exceed MEMORY_CEILING (at
+    M = 1 on the orbit, every d > 5792). Both are decided in plain int
+    arithmetic.
     """
     d, m = spec.outcomes, spec.settings
     if _over_strategy_guard(d, m):
@@ -358,9 +362,18 @@ def classical_bound(
     by_bob: dict[int, list[tuple[MeasLabel, MeasLabel]]] = {}
     for a, b in terms:
         by_bob.setdefault(b.setting, []).append((a, b))
+    groups = [(group, sorted({a.setting for a, _ in group})) for group in by_bob.values()]
+    widest = max((len(linked) for _, linked in groups), default=0)
+    needed = 8 * (d**m + d ** (1 + widest))
+    if needed > MEMORY_CEILING:
+        raise InstanceTooLarge(
+            f"instance too large: the enumeration's tables at {d} outcomes "
+            f"and {m} settings need {needed / 2**20:.1f} MiB, over the memory "
+            f"ceiling of {MEMORY_CEILING // 2**20} MiB"
+        )
+
     totals = np.zeros((d,) * m, dtype=np.int64)
-    for group in by_bob.values():
-        linked = sorted({a.setting for a, _ in group})
+    for group, linked in groups:
         hits = np.zeros((d,) * (1 + len(linked)), dtype=np.int64)
         for a, b in group:
             # indicator of Alice's outcome, broadcast along the other axes

@@ -9,11 +9,14 @@ cross-check sweep. Exit codes: 0 success, 1 verification failure,
 4 internal consistency check failed (a RuntimeError such as the orbit
 label/vector check or the quantum-bound route agreement, or a
 ValueError such as a non-finite certificate value).
+
+``main`` builds its parser once per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -60,6 +63,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every call of :func:`main` shares, built on the first.
+
+    Sharing is safe: ``parse_args`` returns a new Namespace per call and
+    leaves the parser unchanged, and the help formatter reads the
+    terminal width when it formats, not when the parser is built.
+    """
+    return build_parser()
 
 
 def _or_usage(parser: argparse.ArgumentParser, check: Callable[..., Any], *args: Any) -> Any:
@@ -188,7 +202,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)

@@ -7,6 +7,7 @@ naive strategy scan as the oracle for the factored classical search.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from orbitbell.linalg import (
     root_of_unity_index,
     step_operator,
 )
-from orbitbell.orbit import fourier_eigenbasis
+from orbitbell.orbit import condition_label_pairs, fourier_eigenbasis
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -287,6 +288,22 @@ def test_classical_bound_guard():
         classical_bound(spec, labels(spec))
 
 
+@pytest.mark.parametrize("d", [5793, 10**4])
+def test_classical_bound_tables_over_memory_ceiling_raise_before_allocating(d):
+    # within the strategy guard, but the (d, d) hit table at M = 1 takes
+    # 8 d^2 bytes: 256 MiB first passed at d = 5793, 763 MiB at d = 10^4
+    spec = ProblemSpec(d, 1)
+    terms = condition_label_pairs(spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge, match="enumeration's tables .* memory ceiling"):
+            classical_bound(spec, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("d", [2, 3, 10, 64, 10**6])
 def test_strategy_guard_matches_the_power(d):
     for m in range(1, 40):
@@ -446,8 +463,6 @@ def test_build_inequality_survey_values():
 
 @pytest.mark.parametrize("d,m", GRID)
 def test_quantum_dominates_classical(d, m):
-    if ProblemSpec(d, m).outcomes ** (2 * m) > 10**8:
-        pytest.skip("beyond the enumeration guard")
     ineq = build_inequality(ProblemSpec(d, m))
     assert ineq.quantum_bound >= ineq.classical_bound - 1e-9
 

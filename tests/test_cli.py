@@ -18,7 +18,7 @@ from orbitbell import (
     parse_certificate,
     run_verification,
 )
-from orbitbell.cli import main as cli_main
+from orbitbell.cli import build_parser, main as cli_main
 
 
 def run_cli(*args):
@@ -443,12 +443,18 @@ def test_broken_chained_bell_families_fail_verification(monkeypatch, capsys):
 
 
 def test_repeated_main_calls_give_fresh_process_results(capsys):
-    # main keeps no state between calls: each run in one process must
-    # match the same run in a fresh interpreter
+    # main shares one parser across calls, which is safe because
+    # parse_args returns a new Namespace and leaves the parser as it was:
+    # each run, through every handler and exit code, must match the same
+    # run in a fresh interpreter
     runs = [
         ("analyze", "--outcomes", "3", "--settings", "2", "--format", "json"),
         ("analyze", "--outcomes", "3"),
         ("verify", "--outcomes-max", "3", "--settings-max", "2"),
+        ("game", "--outcomes", "3", "--settings", "2"),
+        ("table", "--outcomes-from", "2", "--outcomes-to", "3"),
+        ("table", "--outcomes-from", "5", "--outcomes-to", "3"),
+        ("analyze", "--outcomes", "16", "--settings", "99"),
         ("analyze", "--outcomes", "3", "--settings", "2", "--format", "json"),
     ]
     codes = []
@@ -465,4 +471,43 @@ def test_repeated_main_calls_give_fresh_process_results(capsys):
             fresh.stderr,
         ), argv
         codes.append(rc)
-    assert codes == [0, 2, 0, 0]
+    assert codes == [0, 2, 0, 0, 0, 2, 3, 0]
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import orbitbell.cli as cli; print(cli._parser.cache_info().currsize)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    cli_module = importlib.import_module("orbitbell.cli")
+    real_build = cli_module.build_parser
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    cli_module._parser.cache_clear()
+    monkeypatch.setattr(cli_module, "build_parser", counting_build)
+    codes = [
+        cli_main(["analyze", "--outcomes", "2", "--settings", "2"]),
+        cli_main(["game", "--outcomes", "2", "--settings", "2"]),
+        cli_main(["table", "--outcomes-from", "2", "--outcomes-to", "3"]),
+        cli_main(["verify", "--outcomes-max", "2", "--settings-max", "2"]),
+    ]
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0]
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()

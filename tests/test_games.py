@@ -248,8 +248,6 @@ def test_analyze_three_settings_has_no_two_setting_stats():
 
 @pytest.mark.parametrize("d,m", GRID)
 def test_analyze_win_identities(d, m):
-    if d ** (2 * m) > 10**8:
-        pytest.skip("beyond the enumeration guard")
     report = analyze(ProblemSpec(d, m))
     assert report.quantum_win == pytest.approx(
         report.quantum_bound / (2 * m), abs=1e-12
