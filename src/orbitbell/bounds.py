@@ -85,16 +85,21 @@ __all__ = [
 # never meets it.
 STRATEGY_GUARD = 10**8
 
-# Bytes that verify's cross-checks of one instance may take: one dense
-# d^2 x d^2 complex matrix (16 d^4, so d <= 64), of which verify holds
-# several per cell (the step operator B, the dense product (U x 1) S
-# with its two factors, the projector sum A with eigvalsh's workspace,
-# and the d^2 closed-form eigenvectors), and the orbit arrays of its
-# dense stepping check and Gram spectrum (see _check_size). analyze,
+# The ceiling of the one size rule (see _check_size), in bytes. The
+# rule counts one dense d^2 x d^2 complex matrix of verify's
+# cross-checks (16 d^4, so d <= 64) and, on their own, the orbit arrays
+# of its dense stepping check and Gram spectrum; analyze,
 # build_inequality, game and table refuse exactly the instances beyond
-# it, so that every analyzed instance can be cross-checked. Of these
-# arrays they build only the Gram route's n x n phase table, most of
-# their peak at the edge cells: an in-process analyze --format json
+# it. It does not bound verify's peak: verify holds several dense
+# matrices per cell (the step operator B, the dense product (U x 1) S
+# with its two factors, the projector sum A with eigvalsh's workspace,
+# and the d^2 closed-form eigenvectors), so the peak passes the ceiling
+# far below d = 64. An in-process verify --outcomes-max D
+# --settings-max 1 peaks at 84 MiB ru_maxrss at D = 24 (1.9 s),
+# 203 MiB at D = 32 (11.5 s) and 288 MiB at D = 36 (19 s) (Python
+# 3.11, numpy 2.4, 2-vCPU Xeon, Linux). Of the counted arrays analyze
+# builds only the Gram route's n x n phase table, most of its peak at
+# the edge cells: an in-process analyze --format json
 # takes 0.26 s and peaks at 287 MiB ru_maxrss at (d, M) = (2, 835),
 # 0.24 s / 259 MiB at (16, 98) and 0.16 s / 118 MiB at (64, 10)
 # (Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux). classical_bound keeps
@@ -114,17 +119,20 @@ class InstanceTooLarge(Exception):
 
 
 def _check_size(outcomes: int, settings: int) -> None:
-    """Raise InstanceTooLarge when verify could not cross-check instance
-    (d, M) = (outcomes, settings) within MEMORY_CEILING; the one size
-    rule of analyze, build_inequality, game, table and verify.
+    """Raise InstanceTooLarge when one of two counts of verify's
+    cross-check arrays for instance (d, M) = (outcomes, settings)
+    exceeds MEMORY_CEILING; the one size rule of analyze,
+    build_inequality, game, table and verify.
 
     First, one dense d^2 x d^2 cross-check matrix must fit. Then the
     orbit arrays: over its n = 2*M*d steps, verify's dense stepping
     check holds the orbit states, their product with the dense step
     operator and that product's magnitudes (40 d^2 bytes per step), and
     the Gram spectrum an n x n integer index table with the phases it
-    looks up (24 n^2 bytes). Plain int arithmetic, so an absurd d or M
-    is rejected without allocating.
+    looks up (24 n^2 bytes). Neither count is verify's whole peak, which
+    holds several dense matrices per cell and is past the ceiling by
+    d = 36 (see MEMORY_CEILING). Plain int arithmetic, so an
+    absurd d or M is rejected without allocating.
     """
     needed = 16 * outcomes**4
     if needed > MEMORY_CEILING:
@@ -444,9 +452,10 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
     then run :func:`_inequality`.
 
     Raises InstanceTooLarge, before any orbit or matrix is built, for
-    exactly the instances whose verify cross-checks would exceed
-    MEMORY_CEILING (see :func:`_check_size`), so that verify reaches
-    every instance this accepts. STRATEGY_GUARD does not apply: the
+    exactly the instances beyond verify's size rule, whose counts of
+    verify's cross-check arrays exceed MEMORY_CEILING (see
+    :func:`_check_size`), so that verify accepts every instance this
+    accepts. STRATEGY_GUARD does not apply: the
     classical bound comes from the chained-Bell route.
     """
     _check_size(spec.outcomes, spec.settings)
@@ -474,9 +483,10 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     route is a disagreement); the root-index
     value and state are the ones reported. The classical bound and
     witness come from the chained-Bell route; the d^M enumeration is
-    verify's. No d^2 x d^2 matrix is built: the orbit comes from its
-    labels and is checked through U on its two (n, d) factor arrays
-    (see :func:`orbit`), which the Gram route reads; the per-term
+    verify's. No d^2 x d^2 matrix is built: the orbit's two (n, d)
+    factor arrays are read from the root table by one index rule and
+    checked through U (see :func:`orbit`), and the Gram route reads
+    them; the per-term
     probabilities are one product of the (n, d^2) states with the
     conjugate state.
 

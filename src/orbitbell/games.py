@@ -184,8 +184,8 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance, from one root table: the
     inequality's, whose bases also give the M = 2 statistics.
 
-    Raises InstanceTooLarge first for exactly the instances ``verify``
-    could not cross-check (see :func:`~orbitbell.bounds.build_inequality`);
+    Raises InstanceTooLarge first for exactly the instances ``verify``'s
+    size rule refuses (see :func:`~orbitbell.bounds.build_inequality`);
     no enumeration runs, so STRATEGY_GUARD does not apply."""
     _check_size(spec.outcomes, spec.settings)
     ineq, table, *_ = _inequality(spec)

@@ -11,15 +11,12 @@ eigenvalue to its root of unity. Flat index j * d + k for |j>|k>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bounds import _block_roots, _block_vectors
 from .orbit import _SNAP_TOL, ProblemSpec, _root_table, _RootTable
 
 __all__ = [
-    "EigenPair",
     "translation_matrix",
     "swap_matrix",
     "step_operator",
@@ -28,15 +25,6 @@ __all__ = [
     "quantum_bound_numeric",
     "b_eigensystem",
 ]
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvector of the step operator; eigenvalue is the root of unity
-    exp(2*pi*i*root_index / (2*M*d))."""
-
-    root_index: int
-    vector: np.ndarray
 
 
 def translation_matrix(d: int) -> np.ndarray:
@@ -120,8 +108,11 @@ def quantum_bound_numeric(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
-def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
-    """Closed-form eigensystem of the step operator B.
+def b_eigensystem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigensystem of the step operator B, as two arrays:
+    the root indices, (d^2,) integers, and the eigenvectors, the rows
+    of one (d^2, d^2) array. Row r has eigenvalue the root of unity
+    exp(2*pi*i*root_indices[r] / (2*M*d)).
 
     B permutes the products of shift eigenvectors: w_j w_j is an
     eigenvector with U's eigenvalue lambda_j, and each unordered pair
@@ -137,18 +128,20 @@ def b_eigensystem(spec: ProblemSpec) -> list[EigenPair]:
     return _eigensystem(spec, _root_table(spec))
 
 
-def _eigensystem(spec: ProblemSpec, table: _RootTable) -> list[EigenPair]:
+def _eigensystem(spec: ProblemSpec, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:
     """:func:`b_eigensystem` from the instance's root table."""
     d, order = spec.outcomes, spec.orbit_length
     ws, lambdas, indices = table.rows, table.lambdas, table.indices
 
-    pairs: list[EigenPair] = []
-    for j in range(d):
-        pairs.append(EigenPair(indices[j], np.outer(ws[j], ws[j]).ravel()))
+    roots = np.empty(d * d, dtype=np.int64)
+    vectors = np.empty((d * d, d * d), dtype=complex)
+    roots[:d] = indices
+    vectors[:d] = (ws[:, :, None] * ws[:, None, :]).reshape(d, d * d)
+    row = d
     for j in range(d):
         for k in range(j + 1, d):
             plus, minus = _block_roots(indices[j], indices[k], order)
-            vp, vm = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
-            pairs.append(EigenPair(plus, vp))
-            pairs.append(EigenPair(minus, vm))
-    return pairs
+            roots[row : row + 2] = plus, minus
+            vectors[row : row + 2] = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
+            row += 2
+    return roots, vectors

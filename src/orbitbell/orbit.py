@@ -8,10 +8,14 @@ T. Repeated application of B to |0>|0> walks a closed orbit of
 measurement-basis vector per party, so it carries a
 (setting, outcome) label pair.
 
-B hands the parties' vectors across, B (a (x) b) = (U b) (x) a, so
-state j is named by its two factors, a_j and b_j, and the orbit is
-held as its label pairs and two (n, d) factor arrays, built from the
-labels and checked one step at a time through U on the factors. The
+B hands the parties' vectors across, B (a (x) b) = (U b) (x) a, and
+U^M = T, so with c_k = U^k|0>, column k div M of U^(k mod M) and
+labelled (k mod M, k div M), orbit state j is
+c_ceil(j/2) (x) c_floor(j/2), indices taken mod M*d. The orbit is held
+as its label pairs and two (n, d) factor arrays, read by this one
+index rule from the root table's M*d columns and checked one step at
+a time through U on the factors; :func:`label_step`, the same walk
+one step at a time, is the rule the tests check it against. The
 d^2-long states are formed only where a product needs them
 (:func:`_states`). This module forms no d^2 x d^2 matrix: B, the
 shift T and the swap S as matrices are the ``linalg`` module's, for
@@ -28,7 +32,6 @@ statistics and the verification sweep; :func:`fourier_eigenbasis` and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,6 +118,13 @@ class _RootTable(NamedTuple):
     indices: list[int]  # lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
     u: np.ndarray  # the root unitary U
     bases: np.ndarray  # (M, d, d); bases[s] = U^s, from measurement_bases
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(M*d, d) column table; row k is c_k = U^k|0>, which, as
+        U^M = T, is column k div M of U^(k mod M)."""
+        m, d, _ = self.bases.shape
+        return self.bases.transpose(2, 0, 1).reshape(m * d, d)
 
 
 def _fourier(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +224,9 @@ def label_step(
     B hands Alice's vector to Bob unchanged and gives Alice one more
     application of U on Bob's old vector: the setting increments until
     it tops out at settings-1, after which U^M = T bumps the outcome
-    by one (mod d) and resets the setting to 0.
+    by one (mod d) and resets the setting to 0. :func:`orbit` names
+    every state by one index rule instead; the tests check its labels
+    against this walk.
     """
     if bob.setting < spec.settings - 1:
         stepped = MeasLabel(bob.setting + 1, bob.outcome)
@@ -226,18 +238,20 @@ def label_step(
 def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     """The full closed orbit of B on |0>|0>, one entry per step.
 
-    Entry j carries the label pair obtained by iterating
-    :func:`label_step` j times from ((0,0), (0,0)), and as its vector
-    v_j = a_j (x) b_j the product of the two labels' basis columns
-    (Alice's column a_j of U^s, Bob's column b_j of U^t). The orbit
-    relation is checked one step at a time without forming B, on the
-    factors: B (a (x) b) = (U b) (x) a, so step j compares a_j with
-    U b_(j-1) and b_j with a_(j-1), O(d^2) per step. Step 0 must be
-    |0>|0>, and for 1 <= j <= n = 2*M*d, B v_(j-1) must be v_j, with
-    v_n = |0>|0> at the closing step, where the label walk must also
-    be back at ((0,0), (0,0)). Any mismatch beyond 1e-10 means an
-    index-convention bug and raises RuntimeError, naming the first bad
-    step, rather than returning silently wrong terms.
+    Entry j is state c_ceil(j/2) (x) c_floor(j/2), with c_k = U^k|0>
+    (indices mod M*d) labelled (k mod M, k div M): column k div M of
+    U^(k mod M). So entry j carries the label pair that iterating
+    :func:`label_step` j times from ((0,0), (0,0)) reaches, the rule
+    the tests check it against, and as its vector v_j = a_j (x) b_j the
+    product of the two labels' basis columns. The orbit relation is
+    checked one step at a time without forming B, on the factors:
+    B (a (x) b) = (U b) (x) a, so step j compares a_j with U b_(j-1)
+    and b_j with a_(j-1), O(d^2) per step. Step 0 must be |0>|0>, and
+    for 1 <= j <= n = 2*M*d, B v_(j-1) must be v_j, with v_n, the
+    closing state the index rule names, equal to |0>|0>. Any mismatch
+    beyond 1e-10 means an index-convention bug and raises RuntimeError,
+    naming the first bad step, rather than returning silently wrong
+    terms.
     """
     terms, alice, bob = _orbit(spec, _root_table(spec))
     return [
@@ -253,42 +267,56 @@ def _states(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     return (alice[:, :, None] * bob[:, None, :]).reshape(n, d * d)
 
 
+def _factor_indices(spec: ProblemSpec) -> np.ndarray:
+    """The index rule as one sequence, k_i = floor(i/2) mod M*d for
+    i = 0..n+1: orbit row j = 0..n is c_(k_(j+1)) (x) c_(k_j), Alice's
+    factor column ceil(j/2) and Bob's floor(j/2) of the column table,
+    and b_(j+1) = a_j is B handing Alice's vector to Bob. The closing
+    row n is named |0>|0> again."""
+    period = spec.settings * spec.outcomes
+    return (np.arange(period + 1) % period).repeat(2)
+
+
 def _orbit(
     spec: ProblemSpec, table: _RootTable
 ) -> tuple[tuple[tuple[MeasLabel, MeasLabel], ...], np.ndarray, np.ndarray]:
-    """:func:`orbit` from the instance's root table, as the walk's label
-    pairs and the two (n, d) factor arrays, alice[j] = a_j and
-    bob[j] = b_j (see :func:`_states` for the states themselves)."""
-    d, n = spec.outcomes, spec.orbit_length
-    u, bases = table.u, table.bases
+    """:func:`orbit` from the instance's root table, as its label pairs
+    and the two (n, d) factor arrays, alice[j] = a_j and bob[j] = b_j
+    (see :func:`_states` for the states themselves).
 
-    walk = [(MeasLabel(0, 0), MeasLabel(0, 0))]
-    for _ in range(n - 1):
-        walk.append(label_step(*walk[-1], spec))
-    closing = label_step(*walk[-1], spec)
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(walk))
-    # (step, party, setting/outcome)
-    sides = np.fromiter(flat, dtype=np.intp, count=4 * n).reshape(n, 2, 2)
-    alice = bases[sides[:, 0, 0], :, sides[:, 0, 1]]
-    bob = bases[sides[:, 1, 0], :, sides[:, 1, 1]]
+    State j is c_ceil(j/2) (x) c_floor(j/2), with c_k = U^k|0> row k of
+    the table's columns, labelled (k mod M, k div M). The labels and
+    both factor arrays are read at the indices of
+    :func:`_factor_indices`, over rows 0..n, and the gathered factors
+    are checked one step at a time through U. :func:`label_step` is the
+    one-step rule the tests check these labels against.
+    """
+    d, m, n = spec.outcomes, spec.settings, spec.orbit_length
+    labels = [MeasLabel(k % m, k // m) for k in range(m * d)]
+    columns, index = table.columns, _factor_indices(spec)
+    alice = columns.take(index[1:], axis=0)
+    bob = columns.take(index[:-1], axis=0)
 
     # row j of (found, expected): (a_j, b_j) against what B makes of
-    # step j - 1, (U b_(j-1), a_(j-1)); |0>|0> before step 0 and at n
-    seed = np.zeros((1, 2, d), dtype=complex)
-    seed[0, :, 0] = 1.0
-    found = np.concatenate([np.stack([alice, bob], axis=1), seed])
-    expected = np.concatenate([seed, np.stack([bob @ u.T, alice], axis=1)])
-    errs = np.abs(found - expected).max(axis=(1, 2))
-    bad = np.flatnonzero(~(errs <= _STEP_TOL)).tolist()
-    if closing != walk[0]:
-        bad.append(n)
-    if bad:
-        step = bad[0]
+    # row j - 1, (U b_(j-1), a_(j-1)), and against |0>|0> at row 0;
+    # the closing row n must be |0>|0> as well
+    found = np.concatenate([alice, bob], axis=1)
+    expected = np.empty_like(found)
+    expected[0] = 0.0
+    expected[0, [0, d]] = 1.0
+    np.matmul(bob[:n], table.u.T, out=expected[1:, :d])
+    expected[1:, d:] = alice[:n]
+    errs = np.abs(found - expected).max(axis=1)
+    errs[n] = np.maximum(errs[n], np.abs(found[n] - expected[0]).max())
+    bad = np.flatnonzero(~(errs <= _STEP_TOL))
+    if bad.size:
+        step = int(bad[0])
         raise RuntimeError(
             f"orbit vector and label disagree at step {step} "
             f"(max deviation {float(errs[step]):.3e}): index-convention bug"
         )
-    return tuple(walk), alice, bob
+    walk = [labels[i] for i in index.tolist()]
+    return tuple(zip(walk[1 : n + 1], walk[:n])), alice[:n], bob[:n]
 
 
 def condition_label_pairs(spec: ProblemSpec) -> set[tuple[MeasLabel, MeasLabel]]:

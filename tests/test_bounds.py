@@ -129,13 +129,13 @@ def test_quantum_bound_numeric_rejects_non_square():
 
 def test_b_eigensystem_qubit_two_settings():
     spec = ProblemSpec(2, 2)
-    pairs = b_eigensystem(spec)
-    assert len(pairs) == 4
+    roots, vectors = b_eigensystem(spec)
+    assert roots.shape == (4,) and vectors.shape == (4, 4)
     # eighth-root indices: 1 and i from the diagonal products, and the
     # two square roots of i, e^{i pi/4} and -e^{i pi/4} = e^{5 i pi/4}
     # (the second root is NOT e^{-i pi/4}: its square must equal i)
-    assert sorted(p.root_index for p in pairs) == [0, 1, 2, 5]
-    by_index = {p.root_index: p.vector for p in pairs}
+    assert sorted(roots.tolist()) == [0, 1, 2, 5]
+    by_index = dict(zip(roots.tolist(), vectors))
     u2 = (kron(PLUS_X, MINUS_X) + np.exp(1j * np.pi / 4) * kron(MINUS_X, PLUS_X)) / np.sqrt(2)
     assert np.max(np.abs(by_index[1] - u2)) <= 1e-12
     # overlap magnitude with the seed: (1/2) sqrt(1 + 1/sqrt(2))
@@ -148,17 +148,17 @@ def test_b_eigensystem_qubit_two_settings():
 
 def test_b_eigensystem_qubit_three_settings():
     # twelfth-root indices {0, 2, 1, 7}: 1, e^{i pi/3}, +/- e^{i pi/6}
-    pairs = b_eigensystem(ProblemSpec(2, 3))
-    assert sorted(p.root_index for p in pairs) == [0, 1, 2, 7]
+    roots, _ = b_eigensystem(ProblemSpec(2, 3))
+    assert sorted(roots.tolist()) == [0, 1, 2, 7]
 
 
 def test_b_eigensystem_qutrit_degeneracy():
     spec = ProblemSpec(3, 2)
-    pairs = b_eigensystem(spec)
-    assert len(pairs) == 9
+    roots, vectors = b_eigensystem(spec)
+    assert roots.shape == (9,) and vectors.shape == (9, 9)
     counts = {}
-    for p in pairs:
-        counts[p.root_index] = counts.get(p.root_index, 0) + 1
+    for idx in roots.tolist():
+        counts[idx] = counts.get(idx, 0) + 1
     # only the eigenvalue 1 (index 0) is degenerate, with two members
     assert counts[0] == 2
     assert all(c == 1 for idx, c in counts.items() if idx != 0)
@@ -166,7 +166,7 @@ def test_b_eigensystem_qutrit_degeneracy():
     basis = fourier_eigenbasis(3)
     w1, w2 = basis[1][0], basis[2][0]
     w12 = (kron(w1, w2) + np.exp(1j * np.pi / 3) * kron(w2, w1)) / np.sqrt(2)
-    members = [p.vector for p in pairs if p.root_index == 0]
+    members = vectors[roots == 0]
     overlaps = sorted(abs(np.vdot(m, w12)) for m in members)
     assert overlaps[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -175,15 +175,14 @@ def test_b_eigensystem_qutrit_degeneracy():
 def test_b_eigensystem_residuals(d, m):
     spec = ProblemSpec(d, m)
     b = step_operator(root_unitary(spec))
-    pairs = b_eigensystem(spec)
-    assert len(pairs) == d * d
-    vectors = np.column_stack([p.vector for p in pairs])
-    # orthonormal eigenbasis
-    gram = vectors.conj().T @ vectors
+    roots, vectors = b_eigensystem(spec)
+    assert roots.shape == (d * d,) and vectors.shape == (d * d, d * d)
+    # orthonormal eigenbasis, one vector per row
+    gram = vectors.conj() @ vectors.T
     assert np.max(np.abs(gram - np.eye(d * d))) <= 1e-12
-    for p in pairs:
-        lam = np.exp(2j * np.pi * p.root_index / spec.orbit_length)
-        assert np.max(np.abs(b @ p.vector - lam * p.vector)) <= 1e-9
+    for idx, vector in zip(roots.tolist(), vectors):
+        lam = np.exp(2j * np.pi * idx / spec.orbit_length)
+        assert np.max(np.abs(b @ vector - lam * vector)) <= 1e-9
 
 
 def test_quantum_bound_analytic_qubit():
@@ -238,7 +237,8 @@ def test_analytic_group_values_sum_to_orbit_length(d, m):
     spec = ProblemSpec(d, m)
     entries = orbit(spec)
     seed = entries[0].vector
-    total = sum(abs(np.vdot(p.vector, seed)) ** 2 for p in b_eigensystem(spec))
+    _, vectors = b_eigensystem(spec)
+    total = sum(abs(np.vdot(vector, seed)) ** 2 for vector in vectors)
     assert spec.orbit_length * total == pytest.approx(spec.orbit_length, abs=1e-9)
 
 

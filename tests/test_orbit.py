@@ -257,6 +257,34 @@ def test_orbit_invariants(d, m):
     assert set(labels) == condition_label_pairs(spec)
 
 
+@pytest.mark.parametrize("d", range(2, 13))
+def test_index_rule_matches_the_label_walk_and_the_powers_of_u(d):
+    # the orbit names state j by one index rule; label_step, iterated
+    # 2*M*d times from ((0,0),(0,0)), is the one-step reference, and
+    # column k of the column table is U^k|0> with U^k formed by
+    # repeated products
+    for m in range(1, 9):
+        spec = ProblemSpec(d, m)
+        table = _root_table(spec)
+        terms, alice, bob = _orbit(spec, table)
+        pair, walk = (MeasLabel(0, 0), MeasLabel(0, 0)), []
+        for _ in range(spec.orbit_length):
+            walk.append(pair)
+            pair = label_step(*pair, spec)
+        assert terms == tuple(walk)
+        assert pair == walk[0]
+        # each factor is its label's basis column, gathered unchanged
+        for (a, b), a_j, b_j in zip(terms, alice, bob):
+            assert np.array_equal(a_j, table.bases[a.setting][:, a.outcome])
+            assert np.array_equal(b_j, table.bases[b.setting][:, b.outcome])
+        columns = table.columns
+        assert columns.shape == (m * d, d)
+        power = np.eye(d, dtype=complex)
+        for k in range(m * d):
+            assert np.max(np.abs(columns[k] - power[:, 0])) <= 1e-10
+            power = power @ table.u
+
+
 def test_orbit_is_held_as_labels_and_two_factor_arrays():
     # the orbit builds O(n d) memory, not the n states of d^2 entries:
     # its peak stays below the 16 n d^2 bytes of the states alone
@@ -308,22 +336,27 @@ def test_condition_label_pairs_single_setting():
     }
 
 
-def test_orbit_check_names_the_first_wrong_step(monkeypatch, capsys):
-    # a label walk that goes wrong mid-orbit trips the label/vector
-    # check at exactly that step, in the library and through the CLI
-    spec = ProblemSpec(3, 2)
-    good = [(e.alice, e.bob) for e in orbit(spec)]
+def perturb_alice_index(monkeypatch, row):
+    """Make the orbit's index rule name Alice's factor at ``row`` one
+    outcome on, column index + M (mod M*d). Alice's index at row j is
+    entry j + 1 of the rule, which is also Bob's at row j + 1."""
     orbit_module = importlib.import_module("orbitbell.orbit")
-    real_step = orbit_module.label_step
+    real_indices = orbit_module._factor_indices
 
-    def faulty_step(alice, bob, spec):
-        stepped = real_step(alice, bob, spec)
-        if stepped == good[5]:
-            a, b = stepped
-            return a, MeasLabel(b.setting, (b.outcome + 1) % spec.outcomes)
-        return stepped
+    def faulty_indices(spec):
+        index = real_indices(spec).copy()
+        period = spec.settings * spec.outcomes
+        index[row + 1] = (index[row + 1] + spec.settings) % period
+        return index
 
-    monkeypatch.setattr(orbit_module, "label_step", faulty_step)
+    monkeypatch.setattr(orbit_module, "_factor_indices", faulty_indices)
+
+
+def test_orbit_check_names_the_first_wrong_step(monkeypatch, capsys):
+    # an index rule that goes wrong mid-orbit trips the step check at
+    # exactly that row, in the library and through the CLI
+    spec = ProblemSpec(3, 2)
+    perturb_alice_index(monkeypatch, 5)
     with pytest.raises(RuntimeError, match="disagree at step 5 "):
         orbit(spec)
     rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
@@ -335,22 +368,12 @@ def test_orbit_check_names_the_first_wrong_step(monkeypatch, capsys):
 
 
 def test_orbit_check_covers_the_closing_step(monkeypatch, capsys):
-    # a label walk that fails only to return to the seed trips the
-    # check at step n = 2*M*d, in the library and through the CLI
+    # an index rule that fails only to name |0>|0> at the closing row
+    # trips the check at step n = 2*M*d, in the library and through
+    # the CLI
     spec = ProblemSpec(3, 2)
     n = spec.orbit_length
-    good = [(e.alice, e.bob) for e in orbit(spec)]
-    orbit_module = importlib.import_module("orbitbell.orbit")
-    real_step = orbit_module.label_step
-
-    def faulty_step(alice, bob, spec):
-        stepped = real_step(alice, bob, spec)
-        if (alice, bob) == good[-1]:
-            a, b = stepped
-            return a, MeasLabel(b.setting, (b.outcome + 1) % spec.outcomes)
-        return stepped
-
-    monkeypatch.setattr(orbit_module, "label_step", faulty_step)
+    perturb_alice_index(monkeypatch, n)
     with pytest.raises(RuntimeError, match=f"disagree at step {n} "):
         orbit(spec)
     rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])

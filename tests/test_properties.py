@@ -93,12 +93,12 @@ def grouped_eigensystem_bound(spec, entries):
     ascending; a group wins only above the running best + 1e-12."""
     seed = entries[0].vector
     groups = {}
-    for pair in b_eigensystem(spec):
-        groups.setdefault(pair.root_index, []).append(pair)
+    for idx, vector in zip(*b_eigensystem(spec)):
+        groups.setdefault(int(idx), []).append(vector)
     best_value, best_state = -1.0, None
     for idx in sorted(groups):
         members = groups[idx]
-        coeffs = [np.vdot(p.vector, seed) for p in members]
+        coeffs = [np.vdot(v, seed) for v in members]
         weight = float(sum(abs(c) ** 2 for c in coeffs))
         value = 0.0 if weight < 1e-15 else spec.orbit_length * weight
         if value > best_value + 1e-12:
@@ -106,7 +106,7 @@ def grouped_eigensystem_bound(spec, entries):
             if weight < 1e-15:
                 best_state = None
             else:
-                x = sum(c * p.vector for c, p in zip(coeffs, members))
+                x = sum(c * v for c, v in zip(coeffs, members))
                 best_state = x / np.linalg.norm(x)
     return best_value, best_state
 
