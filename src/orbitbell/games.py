@@ -1,8 +1,10 @@
 """Nonlocal game and correlation statistics induced by the orbit.
 
-The referee draws one of the 2M orbit question slots uniformly (M
-equal-settings questions, M-1 stepped ones, one wrap-around) and the
-players win when their outcome pair sits in that slot's winning set.
+B^(2M) = T x T shifts both outcomes by one, so the game's 2M question
+slots are the cosets of <T x T> along the orbit: slot q holds terms
+q, q + 2M, ... (M equal-settings questions, M-1 stepped ones, one
+wrap-around). The referee draws a slot uniformly and the players win
+when their outcome pair sits in that slot's winning set.
 Winning probabilities, the full joint outcome distributions of the
 optimal state, the mutual information they carry, and Alice's
 prediction probability for Bob's outcome all follow from the
@@ -34,8 +36,9 @@ __all__ = [
 @dataclass(frozen=True)
 class GameSpec:
     """Questions (setting pairs) and their winning outcome sets, aligned
-    by position. With a single setting per party the two question slots
-    share the label (0, 0) but keep disjoint winning sets."""
+    by position: slot q is the coset of orbit terms q, q + 2M, ... With
+    a single setting per party the two question slots share the label
+    (0, 0) but keep disjoint winning sets."""
 
     questions: tuple[tuple[int, int], ...]
     winning: tuple[frozenset[tuple[int, int]], ...]
@@ -72,26 +75,21 @@ class AnalysisReport:
 
 
 def game_spec(terms: Sequence[tuple[MeasLabel, MeasLabel]]) -> GameSpec:
-    """Group the orbit terms (alice, bob label pairs in orbit order, as
-    in ``BellInequality.terms``) into 2M question slots, in order of
-    first appearance.
+    """The 2M question slots of the orbit terms (alice, bob label pairs
+    in orbit order, as in ``BellInequality.terms``).
 
-    A term's slot is its setting pair and whether its outcomes match,
-    at every M: only the wrap-around family's never do, so at M = 1
-    it keeps its own slot beside the equal-settings one at (0, 0).
+    B^(2M) = T x T shifts both outcomes by one, so slot q is the coset
+    of terms q, q + 2M, ...: its question is the setting pair of term q
+    and its winning set the outcome pairs of the coset. 2M is read off
+    the last term, a wrap-around one, with Bob at his last setting M-1.
     """
-    questions: list[tuple[int, int]] = []
-    winning: list[set[tuple[int, int]]] = []
-    slot_of: dict[tuple[int, int, bool], int] = {}
-    for alice, bob in terms:
-        sa, sb = alice.setting, bob.setting
-        key = (sa, sb, alice.outcome == bob.outcome)
-        if key not in slot_of:
-            slot_of[key] = len(questions)
-            questions.append((sa, sb))
-            winning.append(set())
-        winning[slot_of[key]].add((alice.outcome, bob.outcome))
-    return GameSpec(tuple(questions), tuple(frozenset(w) for w in winning))
+    period = 2 * (terms[-1][1].setting + 1) if terms else 0
+    questions = tuple((alice.setting, bob.setting) for alice, bob in terms[:period])
+    winning = tuple(
+        frozenset((alice.outcome, bob.outcome) for alice, bob in terms[q::period])
+        for q in range(period)
+    )
+    return GameSpec(questions, winning)
 
 
 def winning_probabilities(ineq: BellInequality, game: GameSpec) -> tuple[float, float]:
@@ -131,12 +129,13 @@ def mutual_information(joint: np.ndarray) -> float:
 def prediction_probability(ineq: BellInequality) -> float:
     """How well Alice predicts Bob's outcome with the two-setting rule.
 
-    Each orbit term tells Alice which outcome of Bob goes with her own
-    (setting, outcome) pair at each of Bob's settings; with two
-    settings per party the lookup is unambiguous. The value is the
-    probability that the prediction comes true, averaged uniformly
-    over the four setting pairs, with outcomes drawn from the optimal
-    state. Raises ValueError for any other number of settings.
+    The terms q, q + 4, ... of slot q differ by powers of T x T, which
+    shift both outcomes alike, so at the slot's setting pair Alice
+    predicts Bob's outcome as a - delta mod d, with delta her outcome
+    minus Bob's on the slot's first term. The value is the probability
+    that the prediction comes true, averaged uniformly over the four
+    setting pairs, with outcomes drawn from the optimal state. Raises
+    ValueError for any other number of settings.
     """
     spec = ineq.spec
     if spec.settings != 2:
@@ -158,7 +157,8 @@ class _TwoSettingStats(NamedTuple):
 
 def _two_setting_stats(ineq: BellInequality, bases: np.ndarray) -> _TwoSettingStats:
     """The M = 2 statistics of the optimal state, from the root table's
-    bases; ``analyze`` reports them and ``verify`` checks them."""
+    bases; ``analyze`` reports them and ``verify`` checks them. The
+    assembly has checked the terms against the chained-Bell families."""
     grids = {
         (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
         for s in range(2)
@@ -166,16 +166,13 @@ def _two_setting_stats(ineq: BellInequality, bases: np.ndarray) -> _TwoSettingSt
     }
     infos = {q: mutual_information(g) for q, g in grids.items()}
 
-    predicted: dict[tuple[int, int, int], int] = {}
-    for alice, bob in ineq.terms:
-        key = (alice.setting, alice.outcome, bob.setting)
-        if key in predicted:
-            raise RuntimeError(f"ambiguous prediction for {key}: orbit bug")
-        predicted[key] = bob.outcome
-    total = 0.0
-    for (s, t), grid in grids.items():
-        for a in range(ineq.spec.outcomes):
-            total += float(grid[a, predicted[(s, a, t)]])
+    # the four slots' first terms in the grids' (s, t) order, the order the sum adds in
+    firsts = sorted(ineq.terms[:4], key=lambda pair: (pair[0].setting, pair[1].setting))
+    d, total = ineq.spec.outcomes, 0.0
+    for alice, bob in firsts:
+        grid, delta = grids[alice.setting, bob.setting], alice.outcome - bob.outcome
+        for a in range(d):
+            total += float(grid[a, (a - delta) % d])
     spread = max(infos.values()) - min(infos.values())
     return _TwoSettingStats(total / 4.0, infos[(0, 0)], spread, grids)
 

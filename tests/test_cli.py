@@ -267,6 +267,36 @@ def test_broken_chained_bell_families_exit_4(monkeypatch, capsys):
     )
 
 
+def test_bumped_orbit_label_exits_4_before_the_statistics(monkeypatch, capsys):
+    # one Bob outcome label off by one, the vectors untouched: the
+    # chained-Bell term-set check refuses the terms before the M = 2
+    # statistics read any slot's first term
+    bounds_module = importlib.import_module("orbitbell.bounds")
+    games_module = importlib.import_module("orbitbell.games")
+    real_orbit = bounds_module._orbit
+
+    def bumped_bob(spec, table):
+        terms, alice, bob = real_orbit(spec, table)
+        (a, b), *rest = terms
+        bumped = b._replace(outcome=(b.outcome + 1) % spec.outcomes)
+        return ((a, bumped), *rest), alice, bob
+
+    stats_calls = []
+    monkeypatch.setattr(bounds_module, "_orbit", bumped_bob)
+    monkeypatch.setattr(
+        games_module, "_two_setting_stats", lambda *args: stats_calls.append(args)
+    )
+    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal consistency check failed: chained-Bell route: the 12 "
+        "orbit terms are not the 12 label pairs of the three chained-Bell families\n"
+    )
+    assert stats_calls == []
+
+
 def test_table_survey():
     proc = run_cli("table", "--outcomes-from", "2", "--outcomes-to", "5")
     assert proc.returncode == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from orbitbell import (
+    GameSpec,
     ProblemSpec,
     analyze,
     build_inequality,
@@ -85,6 +86,10 @@ def test_game_spec_single_setting_has_two_slots():
     assert game.questions == ((0, 0), (0, 0))
     assert game.winning[0] == {(0, 0), (1, 1)}
     assert game.winning[1] == {(1, 0), (0, 1)}
+
+
+def test_game_spec_of_no_terms_has_no_slots():
+    assert game_spec([]) == GameSpec((), ())
 
 
 @pytest.mark.parametrize("d,m", GRID)

@@ -15,9 +15,15 @@ closed-form eigensystem, the Gram-spectrum and
 LAPACK routes against it to 1e-9, the one-product projector sum
 against the per-entry outer-product sum, and the orbit against its
 defining identities: its product-form vectors against the dense
-recurrence v_j = B v_(j-1) from |00> that they replaced. The game's
-question-slot rule gives 2M slots in order of first appearance on every
-orbit with d <= 12 and M <= 8.
+recurrence v_j = B v_(j-1) from |00> that they replaced. B^(2M) = T x T
+shifts both outcomes by one, so the game's question slots are the
+cosets of terms q, q + 2M, ...: terms j and j + 2M share their settings
+with both outcomes one up on every orbit with d <= 12 and M <= 8, and
+the coset slots equal the grouping by (alice setting, bob setting,
+outcomes equal) in order of first appearance that they replaced, there
+and at analyze's edge cells. The M = 2 prediction read off each slot's
+first term equals the per-term lookup it replaced, bit for bit, at every
+d <= 64.
 """
 
 import itertools
@@ -40,7 +46,8 @@ from orbitbell import (
     quantum_bound_numeric,
     root_unitary,
 )
-from orbitbell.bounds import _chained_bell_bound, quantum_bound_gram
+from orbitbell.bounds import _chained_bell_bound, _inequality, quantum_bound_gram
+from orbitbell.games import _two_setting_stats
 from orbitbell.linalg import (
     accumulate_A,
     b_eigensystem,
@@ -72,6 +79,12 @@ GRAM_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 7)]
 
 # every (d, M) with d <= 12, M <= 8, guard or not
 SLOT_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 9)]
+
+# the largest cells analyze admits at d = 64, 16 and 2
+EDGE_CELLS = [(64, 2), (64, 10), (16, 98), (2, 835)]
+
+# every two-setting (d, M) with d <= 64
+TWO_SETTING_CELLS = [(d, 2) for d in range(2, 65)]
 
 # every (d, M) with d <= 16, M <= 8 within the enumeration guard
 ANALYZABLE = [(d, m) for d, m in SMALL if d ** (2 * m) <= 10**8]
@@ -136,6 +149,21 @@ def per_map_loop(spec, terms):
             best = total
             best_strategy = DeterministicStrategy(alice_map, tuple(bob_map))
     return best, best_strategy
+
+
+def per_term_prediction(ineq, grids):
+    """Reference: Bob's outcome looked up per term by (alice setting,
+    alice outcome, bob setting), averaged over the grids in their order."""
+    predicted = {}
+    for alice, bob in ineq.terms:
+        key = (alice.setting, alice.outcome, bob.setting)
+        assert key not in predicted, f"ambiguous prediction for {key}"
+        predicted[key] = bob.outcome
+    total = 0.0
+    for (s, t), grid in grids.items():
+        for a in range(ineq.spec.outcomes):
+            total += float(grid[a, predicted[(s, a, t)]])
+    return total / 4.0
 
 
 def dense_recurrence(spec):
@@ -231,10 +259,23 @@ def test_chained_bell_route_equals_the_enumeration(cell):
 @EVERY_CELL_SETTINGS
 @given(st.sampled_from(SLOT_CELLS))
 @every_cell(SLOT_CELLS)
+def test_terms_2m_apart_differ_by_one_outcome_shift(cell):
+    # B^(2M) = T x T: the coset fact the game's slot slicing rests on
+    d, m = cell
+    spec = ProblemSpec(d, m)
+    terms, _, _ = _orbit(spec, _root_table(spec))
+    for (a, b), (a2, b2) in zip(terms, terms[2 * m :] + terms[: 2 * m]):
+        assert (a2.setting, b2.setting) == (a.setting, b.setting)
+        assert (a2.outcome, b2.outcome) == ((a.outcome + 1) % d, (b.outcome + 1) % d)
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(SLOT_CELLS + EDGE_CELLS))
+@every_cell(SLOT_CELLS + EDGE_CELLS)
 def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
-    # a term's slot is (alice setting, bob setting, outcomes equal): 2M
-    # slots, numbered as they first appear along the orbit, each winning
-    # set the outcome pairs of its terms
+    # reference: a term's slot is (alice setting, bob setting, outcomes
+    # equal), 2M slots numbered as they first appear along the orbit,
+    # each winning set the outcome pairs of its terms
     spec = ProblemSpec(*cell)
     terms, _, _ = _orbit(spec, _root_table(spec))
     game = game_spec(terms)
@@ -257,6 +298,15 @@ def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
             frozenset((k, k) for k in range(d)),
             frozenset(((k + 1) % d, k) for k in range(d)),
         )
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(TWO_SETTING_CELLS))
+@every_cell(TWO_SETTING_CELLS)
+def test_slot_prediction_is_the_per_term_lookup_bit_for_bit(cell):
+    instance = _inequality(ProblemSpec(*cell))
+    stats = _two_setting_stats(instance.inequality, instance.table.bases)
+    assert stats.prediction == per_term_prediction(instance.inequality, stats.grids)
 
 
 @EVERY_CELL_SETTINGS
