@@ -7,14 +7,29 @@ with A the sum of orbit projectors, so the quantum bound is the top
 eigenvalue of A. Three routes compute it, and each runs in one place:
 
 * root index (:func:`quantum_bound_analytic`), the reported value, on
-  the hot path. B's eigenbasis is known in closed form and A commutes
-  with B, so A's eigenvalues are n times the seed weight that each
-  degenerate eigenvalue group of B captures. The weights follow from
-  integer root indices alone, so only the top group's O(d) vectors
-  are ever built and no eigensolver runs. The Fourier rows, U's
-  eigenvalues and their exact root indices come from the instance's
-  root table (``orbit._root_table``), the one the orbit was built
-  from: :func:`_inequality` builds it once and passes it down;
+  the hot path. A commutes with B, so the seed's projection P_mu|00>
+  onto each eigenspace of B is an eigenvector of A, with eigenvalue
+  n ||P_mu|00>||^2. Write w_a for the shift's Fourier rows, U w_a =
+  lambda_a w_a, and take exact integer root indices, lambda_a =
+  exp(2*pi*i*r_a/n) and mu = exp(2*pi*i*rho/n). Since
+  B (w_a (x) w_b) = lambda_b w_b (x) w_a, B^2 is lambda_a lambda_b on
+  w_a (x) w_b, so on the pairs with lambda_a lambda_b = mu^2 the
+  projector onto eigenvalue mu is P_mu = (1 + B/mu)/2. With
+  |00> = (1/d) sum_ab w_a (x) w_b this gives
+
+      P_mu|00> = (1/2d) sum over lambda_a lambda_b = mu^2
+                 of (1 + lambda_a/mu) w_a (x) w_b,
+
+  and ||P_mu|00>||^2 sums (1 + cos(2*pi*(r_a - rho)/n)) / (2 d^2) over
+  those ordered pairs. The condition reads 2 rho = r_a + r_b mod n, so
+  pair (a, b) belongs to rho = h and rho = h + n/2, with
+  h = ((r_a + r_b) mod n) / 2 (the root indices are even). Every
+  group's weight thus follows from integer indices alone, and only the
+  winning group's state is built, from its d x d coefficient matrix in
+  the Fourier basis; no eigensolver runs. The Fourier rows and the root
+  indices come from the instance's root table (``orbit._root_table``),
+  the one the orbit was built from: :func:`_inequality` builds it once
+  and passes it down;
 * Gram spectrum (:func:`quantum_bound_gram`), ``analyze``'s
   cross-check, to 1e-9. A = V^T conj(V) for the matrix V whose rows
   are the orbit vectors v_j = B^j v_0, and the n x n Gram matrix
@@ -45,7 +60,6 @@ deterministic local strategies. Two routes compute it:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -188,55 +202,25 @@ class BellInequality:
     witness: DeterministicStrategy
 
 
-def _block_roots(idx_j: int, idx_k: int, order: int) -> tuple[int, int]:
-    """Root indices (plus, minus) of the 2-dimensional block j < k:
-    the two square roots of lambda_j lambda_k, plus on the principal
-    branch (half the phase of the product taken in (-pi, pi], boundary
-    at +pi)."""
-    half = order // 2  # = M * d
-    total = (idx_j + idx_k) % order
-    if total % 2:
-        raise RuntimeError(
-            "odd root-index sum in a two-dimensional block: "
-            "branch arithmetic bug"
-        )
-    principal = total if total <= half else total - order
-    plus = (principal // 2) % order
-    return plus, (plus + half) % order
-
-
-def _block_vectors(
-    wj: np.ndarray, wk: np.ndarray, lam_j: complex, plus: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors (plus, minus) of the block j < k:
-    (w_j w_k +/- (mu / lambda_j) w_k w_j) / sqrt(2) with mu the plus root."""
-    mu = np.exp(2j * np.pi * plus / order)
-    ratio = mu / lam_j
-    direct = np.outer(wj, wk).ravel()
-    swapped = np.outer(wk, wj).ravel()
-    plus_vector = (direct + ratio * swapped) / np.sqrt(2)
-    minus_vector = (direct - ratio * swapped) / np.sqrt(2)
-    return plus_vector, minus_vector
-
-
 def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
-    """Quantum bound from the closed-form eigenstructure of B.
+    """Quantum bound from the closed-form eigenspaces of B.
 
-    A commutes with B, so grouping B's eigenvectors by (exact)
-    eigenvalue index, the seed state's weight in each group gives one
-    eigenvalue of A, namely 2*M*d times that weight, with eigenvector
-    the (normalized) projection of the seed onto the group. Returns the
-    largest such value with its state; ties go to the smallest root
-    index (groups in ascending index, a later group wins only above
-    the running best + 1e-12).
+    A commutes with B, so the seed's projection onto each eigenspace of
+    B is an eigenvector of A, with eigenvalue n = 2*M*d times the seed's
+    weight there. On the Fourier products w_a (x) w_b with
+    lambda_a lambda_b = mu^2 the projector onto eigenvalue mu is
+    (1 + B/mu)/2, so the projection is (1/2d) sum (1 + lambda_a/mu)
+    w_a (x) w_b, of weight sum (1 + cos(2*pi*(r_a - rho)/n)) / (2 d^2)
+    (derived in the module docstring). Pair (a, b) lies in the groups
+    rho = h and h + n/2, h = ((r_a + r_b) mod n) / 2, so every group's
+    weight comes from two ``np.bincount`` sums over the d^2 pairs of
+    integer root indices. Returns n times the largest weight, ties to
+    the smallest root index (a later group wins only above the running
+    best + 1e-12), and the normalized state W^T C W: W the Fourier rows,
+    C[a, b] = 1 + lambda_a/mu on the group's pairs and 0 elsewhere.
 
-    The group is picked from root indices alone: the seed |00> has
-    weight 1/d^2 on each diagonal vector w_j w_j and (1 +/- cos phi)/d^2
-    on the plus/minus vectors of block j < k, phi = 2*pi*(plus - idx_j)
-    / (2*M*d). Only the winning group's O(d) vectors are built, in
-    ``linalg.b_eigensystem``'s order and arithmetic, so value and state
-    are those of grouping the whole eigensystem. The weights only pick
-    the group; value and state come from the members' coefficients.
+    Raises RuntimeError on an odd root index, a branch-arithmetic bug
+    that would put a pair between two groups.
     """
     return _analytic_bound(spec, _root_table(spec))
 
@@ -244,36 +228,35 @@ def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
 def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray]:
     """:func:`quantum_bound_analytic` from the instance's root table."""
     d, order = spec.outcomes, spec.orbit_length
-    ws, lambdas, indices = table.rows, table.lambdas, table.indices
-
-    weights: dict[int, float] = {}
-    for idx in indices:
-        weights[idx] = weights.get(idx, 0.0) + 1.0 / d**2
-    blocks = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            plus, minus = _block_roots(indices[j], indices[k], order)
-            cos_phi = math.cos(2.0 * math.pi * (plus - indices[j]) / order)
-            weights[plus] = weights.get(plus, 0.0) + (1.0 + cos_phi) / d**2
-            weights[minus] = weights.get(minus, 0.0) + (1.0 - cos_phi) / d**2
-            blocks.append((j, k, plus, minus))
+    half = order // 2  # = M * d
+    r = np.array(table.indices)
+    odd = np.flatnonzero(r % 2)
+    if odd.size:
+        j = int(odd[0])
+        raise RuntimeError(
+            f"odd root index {table.indices[j]} of lambda_{j}: "
+            "branch arithmetic bug"
+        )
+    # pair (a, b) lies in groups h and h + half; summing its count and
+    # its cosine apart keeps the integer part of every weight exact
+    h = (r[:, None] + r) % order // 2
+    cos = np.cos(2 * np.pi * (r[:, None] - h) / order)
+    count = np.bincount(h.ravel(), minlength=half)
+    cosines = np.bincount(h.ravel(), cos.ravel(), minlength=half)
+    values = np.concatenate([count + cosines, count - cosines]) * (order / (2 * d**2))
 
     best_value, top = -1.0, -1
-    for idx in sorted(weights):
-        value = 0.0 if weights[idx] < 1e-15 else order * weights[idx]
+    groups = np.flatnonzero(values)
+    for idx, value in zip(groups.tolist(), values[groups].tolist()):
         if value > best_value + 1e-12:
             best_value, top = value, idx
 
-    members = [np.outer(ws[j], ws[j]).ravel() for j in range(d) if indices[j] == top]
-    for j, k, plus, minus in blocks:
-        if top in (plus, minus):
-            vp, vm = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
-            members.append(vp if top == plus else vm)
-
-    coeffs = [v[0].conjugate() for v in members]  # <v|00>
-    weight = float(sum(abs(c) ** 2 for c in coeffs))
-    x = sum(c * v for c, v in zip(coeffs, members))
-    return order * weight, x / np.linalg.norm(x)
+    # the top group holds the pairs with h = top mod half, and its
+    # coefficient matrix C is 1 + lambda_a/mu on them
+    members = h == top % half
+    coeffs = np.where(members, 1 + np.exp(2j * np.pi * (r[:, None] - top) / order), 0)
+    x = (table.rows.T @ coeffs @ table.rows).ravel()
+    return best_value, x / np.linalg.norm(x)
 
 
 def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:

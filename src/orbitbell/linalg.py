@@ -2,18 +2,20 @@
 
 ``analyze`` runs none of these: ``verify`` and the tests compare each
 with the matrix-free route of ``orbit`` or ``bounds``. This module
-imports from those two, never the reverse. It holds the shift T, the
-swap S, the step operator B = (U (x) 1) S placed by index and as the
-dense product of its definition, the projector sum A with its LAPACK
-top eigenvalue, B's whole closed-form eigensystem, and the snap of one
-eigenvalue to its root of unity. Flat index j * d + k for |j>|k>.
+imports only ``orbit``, and only ``verify`` and the package namespace
+import it, so the dense routes share no code with the ``bounds``
+routes they check. It holds the shift T, the swap S, the step operator
+B = (U (x) 1) S placed by index and as the dense product of its
+definition, the projector sum A with its LAPACK top eigenvalue, B's
+whole closed-form eigensystem, built block by block with its own
+branch arithmetic, and the snap of one eigenvalue to its root of
+unity. Flat index j * d + k for |j>|k>.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bounds import _block_roots, _block_vectors
 from .orbit import _SNAP_TOL, ProblemSpec, _root_table, _RootTable
 
 __all__ = [
@@ -131,6 +133,7 @@ def b_eigensystem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 def _eigensystem(spec: ProblemSpec, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:
     """:func:`b_eigensystem` from the instance's root table."""
     d, order = spec.outcomes, spec.orbit_length
+    half = order // 2  # = M * d
     ws, lambdas, indices = table.rows, table.lambdas, table.indices
 
     roots = np.empty(d * d, dtype=np.int64)
@@ -140,8 +143,19 @@ def _eigensystem(spec: ProblemSpec, table: _RootTable) -> tuple[np.ndarray, np.n
     row = d
     for j in range(d):
         for k in range(j + 1, d):
-            plus, minus = _block_roots(indices[j], indices[k], order)
-            roots[row : row + 2] = plus, minus
-            vectors[row : row + 2] = _block_vectors(ws[j], ws[k], lambdas[j], plus, order)
+            total = (indices[j] + indices[k]) % order
+            if total % 2:
+                raise RuntimeError(
+                    "odd root-index sum in a two-dimensional block: "
+                    "branch arithmetic bug"
+                )
+            plus = ((total if total <= half else total - order) // 2) % order
+            roots[row : row + 2] = plus, (plus + half) % order
+            # (w_j w_k +/- (mu / lambda_j) w_k w_j) / sqrt(2), mu the plus root
+            ratio = np.exp(2j * np.pi * plus / order) / lambdas[j]
+            direct = np.outer(ws[j], ws[k]).ravel()
+            swapped = np.outer(ws[k], ws[j]).ravel()
+            vectors[row] = (direct + ratio * swapped) / np.sqrt(2)
+            vectors[row + 1] = (direct - ratio * swapped) / np.sqrt(2)
             row += 2
     return roots, vectors

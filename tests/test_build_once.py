@@ -12,7 +12,8 @@ once, runs the root-index and Gram routes of the quantum bound, and
 calls none of the ``linalg`` module's dense routes: the orbit is
 checked through U. Its classical bound is the chained-Bell value, with
 no d^M enumeration. The modules on that path import neither ``linalg``
-nor ``verify``.
+nor ``verify``, and ``linalg`` imports ``orbit`` alone, so the dense
+eigensystem shares no code with the root-index route it checks.
 The verification sweep runs the same assembly once per cell, so it
 checks the instance ``analyze`` reports, with one root table, one
 orbit, one Gram spectrum and one closed-form eigensystem from that
@@ -141,10 +142,10 @@ def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):
     assert assemblies[0] == 28
 
 
-@pytest.mark.parametrize("module", ["orbit", "bounds", "games", "certificate"])
-def test_hot_path_modules_import_neither_linalg_nor_verify(module):
-    # the dependency runs one way: linalg and verify import the hot path,
-    # never the reverse
+def imported_modules(module):
+    """Every module and module member that ``orbitbell.<module>``
+    imports, as written: relative (".orbit", ".orbit._orbit") or
+    absolute."""
     source = Path(importlib.import_module(f"orbitbell.{module}").__file__).read_text()
     imported = set()
     for node in ast.walk(ast.parse(source)):
@@ -155,5 +156,24 @@ def test_hot_path_modules_import_neither_linalg_nor_verify(module):
             imported.update(joint + alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+    return imported
+
+
+@pytest.mark.parametrize("module", ["orbit", "bounds", "games", "certificate"])
+def test_hot_path_modules_import_neither_linalg_nor_verify(module):
+    # the dependency runs one way: linalg and verify import the hot path,
+    # never the reverse
     banned = {".linalg", ".verify", "orbitbell.linalg", "orbitbell.verify"}
-    assert not imported & banned
+    assert not imported_modules(module) & banned
+
+
+def test_linalg_imports_nothing_from_bounds():
+    # the dense eigensystem shares no code with the root-index route it
+    # cross-checks; its package imports are orbit's alone
+    package = {
+        name for name in imported_modules("linalg")
+        if name.startswith(".") or name.startswith("orbitbell")
+    }
+    assert package and all(
+        name == ".orbit" or name.startswith(".orbit.") for name in package
+    )

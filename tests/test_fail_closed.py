@@ -10,7 +10,8 @@ information, and each ``verify`` line, which prints it as ``nan``, also
 when it is one of several residuals the line takes the largest of, or
 one it floors at zero. The command line turns the result into exit 4,
 with one ``error:`` line, also for a ValueError that escapes a
-subcommand.
+subcommand. An odd root index, which the root table never makes, fails
+the root-index route, whose group rule assumes even indices.
 """
 
 import importlib
@@ -27,7 +28,7 @@ from orbitbell import (
     root_unitary,
     run_verification,
 )
-from orbitbell.bounds import _inequality, quantum_bound_gram
+from orbitbell.bounds import _analytic_bound, _inequality, quantum_bound_gram
 from orbitbell.cli import main as cli_main
 from orbitbell.linalg import root_of_unity_index
 from orbitbell.orbit import _orbit, _root_table
@@ -150,6 +151,17 @@ def test_nan_analytic_value_exits_4(monkeypatch, capsys, fmt):
     )
     argv = ["analyze", "--outcomes", "3", "--settings", "2", "--format", fmt]
     assert_exit_4(capsys, argv, "analytic nan")
+
+
+def test_odd_root_index_fails_the_root_index_route():
+    # the root table's indices are even; an odd one would put the pairs
+    # that hold it between two eigenvalue groups of B
+    spec = ProblemSpec(3, 2)
+    table = _root_table(spec)
+    bumped = list(table.indices)
+    bumped[1] += 1
+    with pytest.raises(RuntimeError, match="odd root index 11 of lambda_1"):
+        _analytic_bound(spec, table._replace(indices=bumped))
 
 
 def test_nan_factor_fails_the_gram_drift_check():

@@ -10,9 +10,14 @@ two Alice settings per Bob setting. On every full orbit within the
 guard, the chained-Bell route equals the enumeration in value and
 witness. The root table's integer root indices are checked against
 snapping each eigenvalue, over d <= 64 and M <= 16. The root-index
-quantum route is checked bit for bit against grouping the whole
-closed-form eigensystem, the Gram-spectrum and
-LAPACK routes against it to 1e-9, the one-product projector sum
+quantum route, which builds the state from P_mu = (1 + B/mu)/2, is
+checked against grouping the whole closed-form eigensystem (the same
+root index, the state to 1e-14 and Q_s to 1e-13 relative), and against
+the closed form Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))) and the
+Fourier pairing rule (at most one Fourier pair per row and column of
+the state's amplitudes) on d <= 32, M <= 12 and analyze's edge cells;
+the Gram-spectrum and LAPACK routes are checked against it to 1e-9, the
+one-product projector sum
 against the per-entry outer-product sum, and the orbit against its
 defining identities: its product-form vectors against the dense
 recurrence v_j = B v_(j-1) from |00> that they replaced. B^(2M) = T x T
@@ -55,7 +60,7 @@ from orbitbell.linalg import (
     step_operator,
     translation_matrix,
 )
-from orbitbell.orbit import _orbit, _root_table, label_step
+from orbitbell.orbit import _orbit, _root_table, fourier_eigenbasis, label_step
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -83,6 +88,9 @@ SLOT_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 9)]
 # the largest cells analyze admits at d = 64, 16 and 2
 EDGE_CELLS = [(64, 2), (64, 10), (16, 98), (2, 835)]
 
+# every (d, M) with d <= 32, M <= 12, and analyze's edge cells
+CLOSED_FORM_CELLS = [(d, m) for d in range(2, 33) for m in range(1, 13)] + EDGE_CELLS
+
 # every two-setting (d, M) with d <= 64
 TWO_SETTING_CELLS = [(d, 2) for d in range(2, 65)]
 
@@ -103,25 +111,33 @@ def every_cell(cells):
 
 def grouped_eigensystem_bound(spec, entries):
     """Reference: group every closed-form eigenpair of B by root index,
-    ascending; a group wins only above the running best + 1e-12."""
+    ascending; a group wins only above the running best + 1e-12.
+    Returns the winning root index, value and state."""
     seed = entries[0].vector
     groups = {}
     for idx, vector in zip(*b_eigensystem(spec)):
         groups.setdefault(int(idx), []).append(vector)
-    best_value, best_state = -1.0, None
+    best_idx, best_value, best_state = -1, -1.0, None
     for idx in sorted(groups):
         members = groups[idx]
         coeffs = [np.vdot(v, seed) for v in members]
         weight = float(sum(abs(c) ** 2 for c in coeffs))
         value = 0.0 if weight < 1e-15 else spec.orbit_length * weight
         if value > best_value + 1e-12:
-            best_value = value
+            best_idx, best_value = idx, value
             if weight < 1e-15:
                 best_state = None
             else:
                 x = sum(c * v for c, v in zip(coeffs, members))
                 best_state = x / np.linalg.norm(x)
-    return best_value, best_state
+    return best_idx, best_value, best_state
+
+
+def closed_form_bound(d, m):
+    """Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))), and 1 at M = 1."""
+    if m == 1:
+        return 1.0
+    return m * (1 + np.sin(np.pi / m) / (d * np.sin(np.pi / (d * m))))
 
 
 def stacked(entries):
@@ -214,12 +230,38 @@ def test_quantum_bound_routes_agree_on_random_instances(d, m):
 @EVERY_CELL_SETTINGS
 @given(st.sampled_from(SMALL))
 @every_cell(SMALL)
-def test_root_index_route_is_bit_identical_to_grouping_the_eigensystem(cell):
+def test_root_index_route_matches_grouping_the_eigensystem(cell):
+    # the same group, read off the state as its eigenvalue under the
+    # dense B, and the same state and value to rounding
     spec = ProblemSpec(*cell)
     value, state = quantum_bound_analytic(spec)
-    ref_value, ref_state = grouped_eigensystem_bound(spec, orbit(spec))
-    assert value == ref_value
-    assert state.tobytes() == ref_state.tobytes()
+    ref_idx, ref_value, ref_state = grouped_eigensystem_bound(spec, orbit(spec))
+    b = step_operator(root_unitary(spec))
+    assert root_of_unity_index(np.vdot(state, b @ state), spec.orbit_length) == ref_idx
+    assert np.max(np.abs(state - ref_state)) <= 1e-14
+    assert abs(value - ref_value) <= 1e-13 * ref_value
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(CLOSED_FORM_CELLS))
+@every_cell(CLOSED_FORM_CELLS)
+def test_quantum_bound_is_the_closed_form(cell):
+    value, _ = quantum_bound_analytic(ProblemSpec(*cell))
+    assert abs(value - closed_form_bound(*cell)) <= 1e-12
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(CLOSED_FORM_CELLS))
+@every_cell(CLOSED_FORM_CELLS)
+def test_optimal_state_pairs_each_fourier_vector_with_at_most_one(cell):
+    # amplitudes F[a, b] = <w_a (x) w_b|psi>: at most one entry above
+    # 1e-12 in each row and each column
+    d = cell[0]
+    _, state = quantum_bound_analytic(ProblemSpec(*cell))
+    w = np.array([vector for vector, _ in fourier_eigenbasis(d)])
+    amplitudes = w.conj() @ state.reshape(d, d) @ w.conj().T
+    large = np.abs(amplitudes) > 1e-12
+    assert large.sum(axis=0).max() <= 1 and large.sum(axis=1).max() <= 1
 
 
 @EVERY_CELL_SETTINGS
