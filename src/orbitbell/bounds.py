@@ -21,22 +21,51 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
                  of (1 + lambda_a/mu) w_a (x) w_b,
 
   and ||P_mu|00>||^2 sums (1 + cos(2*pi*(r_a - rho)/n)) / (2 d^2) over
-  those ordered pairs. The condition reads 2 rho = r_a + r_b mod n, so
-  pair (a, b) belongs to rho = h and rho = h + n/2, with
-  h = ((r_a + r_b) mod n) / 2 (the root indices are even). Every
-  group's weight thus follows from integer indices alone, and only the
-  winning group's state is built, from its d x d coefficient matrix in
-  the Fourier basis; no eigensolver runs. The Fourier rows and the root
-  indices come from the instance's root table (``orbit._root_table``),
-  the one the orbit was built from: :func:`_inequality` builds it once
-  and passes it down;
+  those ordered pairs, the group of rho: r_a + r_b = 2 rho mod n.
+  Which group wins is proved, so none is scanned:
+
+  - The root indices, read as signed integers s_a = -2a for 2a < d,
+    d for 2a = d and 2(d - a) for 2a > d, are the even integers of
+    (-d, d]: a step-2 progression of length d, symmetric about
+    sigma_0 = 0 at odd d and 1 at even d. As s_a = -2a mod 2d, the
+    group of rho pairs each a with exactly one b = -a - rho mod d.
+  - At M >= 2, n = 2Md >= 4d, so s_a + s_b never wraps mod n: pair
+    (a, b) lies in the groups sigma = (s_a + s_b)/2 and sigma + n/2,
+    with weights (1 +/- cos(pi delta/(Md))) / (2 d^2),
+    delta = (s_a - s_b)/2. As |delta| <= d - 1, the angle is below
+    pi/M <= pi/2 and the cosine positive: each + group beats its -
+    twin, and the - groups, near n/2, meet no + group.
+  - Group sigma holds L = d - |sigma - sigma_0| pairs, whose delta
+    form a step-2 progression of length L symmetric about 0. By the
+    Dirichlet sum sum_k cos((2k - L + 1) c) = sin(Lc)/sin(c), with
+    c = pi/(Md), its weight is W(L) = L + sin(Lc)/sin(c) in units of
+    1/(2 d^2), and W(L+1) - W(L) = 1 + cos((L + 1/2) c)/cos(c/2) > 0
+    for L < d, where the angle stays below pi/2. So W increases
+    strictly, and sigma_0, the one group with L = d, wins strictly:
+    rho = sigma_0 = 1 - d mod 2, and
+    Q_s = n W(d) / (2 d^2) = M (1 + sin(pi/M) / (d sin(pi/(dM)))),
+    Wehner's M (1 + cos(pi/2M)) at d = 2.
+  - At M = 1, U = T and the 2d orbit states are distinct
+    computational basis states, so A is a projector: every non-empty
+    group has value 1. Group rho = 0, the smallest root index, is
+    taken.
+
+  So Q_s is n (d + sum_a cos(2*pi*(r_a - rho)/n)) / (2 d^2), and the
+  state is d Fourier coefficients on the pairing: amplitude (X, Y) of
+  P_mu|00> is f[(X - Y) mod d] exp(-2*pi*i*rho*Y/d) / (2d), with
+  f = ifft(1 + lambda_a/mu) over a. No eigensolver runs and no group is
+  scanned; a wrong rho fails the Gram cross-check below, and
+  ``verify``'s ``eigvalsh``. The root indices come from the instance's
+  root table (``orbit._root_table``), the one the orbit was built
+  from: :func:`_inequality` builds it once and passes it down;
 * Gram spectrum (:func:`quantum_bound_gram`), ``analyze``'s
   cross-check, to 1e-9. A = V^T conj(V) for the matrix V whose rows
   are the orbit vectors v_j = B^j v_0, and the n x n Gram matrix
   G = conj(V) V^T has the same nonzero spectrum. Because B is unitary
   with period n, G_jk = <v_0|B^(k-j)|v_0> depends only on k - j mod n:
   G is circulant, and its eigenvalues are the discrete Fourier
-  transform of its first row, with no eigensolver either. Each v_j is
+  transform of its first row (``np.fft``), with no eigensolver either,
+  in O(n) memory. Each v_j is
   the product a_j (x) b_j of the orbit's two factor arrays, so that
   row is read from the factors, without forming V;
 * dense (``linalg.quantum_bound_numeric``): LAPACK ``eigvalsh`` on A
@@ -111,13 +140,16 @@ STRATEGY_GUARD = 10**8
 # far below d = 64. An in-process verify --outcomes-max D
 # --settings-max 1 peaks at 84 MiB ru_maxrss at D = 24 (1.9 s),
 # 203 MiB at D = 32 (11.5 s) and 288 MiB at D = 36 (19 s) (Python
-# 3.11, numpy 2.4, 2-vCPU Xeon, Linux). Of the counted arrays analyze
-# builds only the Gram route's n x n phase table, most of its peak at
-# the edge cells: an in-process analyze --format json
-# takes 0.26 s and peaks at 287 MiB ru_maxrss at (d, M) = (2, 835),
-# 0.24 s / 259 MiB at (16, 98) and 0.16 s / 118 MiB at (64, 10)
-# (Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux). classical_bound keeps
-# its enumeration tables under it too, for any caller.
+# 3.11, numpy 2.4, 2-vCPU Xeon, Linux). The rule's 24 n^2 term counts
+# no array: the Gram route takes its DFT with np.fft in O(n) memory,
+# and the term stays only as the rule's limit on n. analyze
+# builds none of the counted arrays: an in-process analyze --format
+# json takes 0.07 s and peaks at 37 MiB ru_maxrss at (d, M) = (2, 835),
+# 0.06 s / 46 MiB at (16, 98) and 0.08 s / 117 MiB at (64, 10), most of
+# that the (n, d^2) states of the per-term probabilities (median of
+# five fresh processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
+# classical_bound keeps its enumeration tables under it too, for any
+# caller.
 MEMORY_CEILING = 256 * 2**20
 
 # How far two routes to the same quantum bound may disagree: the
@@ -141,12 +173,14 @@ def _check_size(outcomes: int, settings: int) -> None:
     First, one dense d^2 x d^2 cross-check matrix must fit. Then the
     orbit arrays: over its n = 2*M*d steps, verify's dense stepping
     check holds the orbit states, their product with the dense step
-    operator and that product's magnitudes (40 d^2 bytes per step), and
-    the Gram spectrum an n x n integer index table with the phases it
-    looks up (24 n^2 bytes). Neither count is verify's whole peak, which
-    holds several dense matrices per cell and is past the ceiling by
-    d = 36 (see MEMORY_CEILING). Plain int arithmetic, so an
-    absurd d or M is rejected without allocating.
+    operator and that product's magnitudes (40 d^2 bytes per step),
+    plus 24 n^2 bytes, which count no array: the Gram spectrum is one
+    ``np.fft`` in O(n) memory, and the term, which the error message
+    still calls the Gram phase table, stays only as the rule's limit on
+    n. Neither count is verify's whole peak, which holds several dense
+    matrices per cell and is past the ceiling by d = 36 (see
+    MEMORY_CEILING). Plain int arithmetic, so an absurd d or M is
+    rejected without allocating.
     """
     needed = 16 * outcomes**4
     if needed > MEMORY_CEILING:
@@ -203,24 +237,22 @@ class BellInequality:
 
 
 def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
-    """Quantum bound from the closed-form eigenspaces of B.
+    """Quantum bound from the proved winning eigenspace of B.
 
     A commutes with B, so the seed's projection onto each eigenspace of
     B is an eigenvector of A, with eigenvalue n = 2*M*d times the seed's
-    weight there. On the Fourier products w_a (x) w_b with
-    lambda_a lambda_b = mu^2 the projector onto eigenvalue mu is
-    (1 + B/mu)/2, so the projection is (1/2d) sum (1 + lambda_a/mu)
-    w_a (x) w_b, of weight sum (1 + cos(2*pi*(r_a - rho)/n)) / (2 d^2)
-    (derived in the module docstring). Pair (a, b) lies in the groups
-    rho = h and h + n/2, h = ((r_a + r_b) mod n) / 2, so every group's
-    weight comes from two ``np.bincount`` sums over the d^2 pairs of
-    integer root indices. Returns n times the largest weight, ties to
-    the smallest root index (a later group wins only above the running
-    best + 1e-12), and the normalized state W^T C W: W the Fourier rows,
-    C[a, b] = 1 + lambda_a/mu on the group's pairs and 0 elsewhere.
-
-    Raises RuntimeError on an odd root index, a branch-arithmetic bug
-    that would put a pair between two groups.
+    weight there. The eigenspace of mu = exp(2*pi*i*rho/n) holds the
+    Fourier products w_a (x) w_b with b = -a - rho mod d, its projector
+    there is (1 + B/mu)/2, and the winning one is rho = 1 - d mod 2 at
+    M >= 2, strictly, by the Dirichlet sum W(L) = L + sin(Lc)/sin(c),
+    c = pi/(Md), which increases with the group's pair count L (proved
+    in the module docstring). At M = 1 the orbit states are distinct
+    basis states and every group has value 1; rho = 0 is taken.
+    Returns n (d + sum_a cos(2*pi*(r_a - rho)/n)) / (2 d^2), which is
+    M (1 + sin(pi/M) / (d sin(pi/(dM)))) at M >= 2 and 1 at M = 1, and
+    the normalized state x[X, Y] = f[(X - Y) mod d] exp(-2*pi*i*rho*Y/d),
+    f = ifft(1 + exp(2*pi*i*(r_a - rho)/n)): d Fourier coefficients,
+    with no group scan and no eigensolver.
     """
     return _analytic_bound(spec, _root_table(spec))
 
@@ -228,35 +260,15 @@ def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
 def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray]:
     """:func:`quantum_bound_analytic` from the instance's root table."""
     d, order = spec.outcomes, spec.orbit_length
-    half = order // 2  # = M * d
-    r = np.array(table.indices)
-    odd = np.flatnonzero(r % 2)
-    if odd.size:
-        j = int(odd[0])
-        raise RuntimeError(
-            f"odd root index {table.indices[j]} of lambda_{j}: "
-            "branch arithmetic bug"
-        )
-    # pair (a, b) lies in groups h and h + half; summing its count and
-    # its cosine apart keeps the integer part of every weight exact
-    h = (r[:, None] + r) % order // 2
-    cos = np.cos(2 * np.pi * (r[:, None] - h) / order)
-    count = np.bincount(h.ravel(), minlength=half)
-    cosines = np.bincount(h.ravel(), cos.ravel(), minlength=half)
-    values = np.concatenate([count + cosines, count - cosines]) * (order / (2 * d**2))
-
-    best_value, top = -1.0, -1
-    groups = np.flatnonzero(values)
-    for idx, value in zip(groups.tolist(), values[groups].tolist()):
-        if value > best_value + 1e-12:
-            best_value, top = value, idx
-
-    # the top group holds the pairs with h = top mod half, and its
-    # coefficient matrix C is 1 + lambda_a/mu on them
-    members = h == top % half
-    coeffs = np.where(members, 1 + np.exp(2j * np.pi * (r[:, None] - top) / order), 0)
-    x = (table.rows.T @ coeffs @ table.rows).ravel()
-    return best_value, x / np.linalg.norm(x)
+    rho = 0 if spec.settings == 1 or d % 2 else 1
+    angles = 2 * np.pi * (np.array(table.indices) - rho) / order
+    # one running sum in index order, so Q_s keeps the bits of summing
+    # the group's pairs one at a time
+    value = (d + sum(np.cos(angles).tolist())) * (order / (2 * d**2))
+    f = np.fft.ifft(1 + np.exp(1j * angles))
+    ramp = np.arange(d)
+    x = (f[(ramp[:, None] - ramp) % d] * np.exp(-2j * np.pi * rho * ramp / d)).ravel()
+    return value, x / np.linalg.norm(x)
 
 
 def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
@@ -265,12 +277,12 @@ def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
     With v_j = B^j v_0 and B unitary of period n = 2*M*d, the Gram
     matrix G_jk = <v_j|v_k> = <v_0|B^(k-j)|v_0> is circulant with first
     row g_r = <v_0|v_r>, so its eigenvalues are sum_r g_r w^(q r),
-    w = exp(2*pi*i/n). G = conj(V) V^T and A = V^T conj(V) share their
-    nonzero spectrum, so the largest of these is A's top eigenvalue.
-    The states are products, v_r = a_r (x) b_r, so the first row is
-    g_r = <a_0|a_r> <b_0|b_r>, two products of the (n, d) factor arrays
-    ``alice`` and ``bob``, and the DFT one n x n product with phases
-    looked up by the integer index (q r) mod n.
+    w = exp(2*pi*i/n), that is n ``np.fft.ifft(g)``. G = conj(V) V^T
+    and A = V^T conj(V) share their nonzero spectrum, so the largest of
+    these is A's top eigenvalue. The states are products,
+    v_r = a_r (x) b_r, so the first row is g_r = <a_0|a_r> <b_0|b_r>,
+    two products of the (n, d) factor arrays ``alice`` and ``bob``; no
+    array beyond O(n) is formed besides those.
 
     Raises RuntimeError if an eigenvalue has an imaginary part above
     1e-9, or a NaN one: the first row describes a Hermitian circulant,
@@ -278,9 +290,7 @@ def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
     """
     n = len(alice)
     g = (alice @ alice[0].conj()) * (bob @ bob[0].conj())
-    ramp = np.arange(n)
-    roots = np.exp(2j * np.pi * ramp / n)
-    spectrum = roots[np.outer(ramp, ramp) % n] @ g
+    spectrum = n * np.fft.ifft(g)
     drift = float(np.abs(spectrum.imag).max())
     if not drift <= 1e-9:
         raise RuntimeError(

@@ -8,21 +8,19 @@ routes they check. It holds the shift T, the swap S, the step operator
 B = (U (x) 1) S placed by index and as the dense product of its
 definition, the projector sum A with its LAPACK top eigenvalue, B's
 whole closed-form eigensystem, built block by block with its own
-branch arithmetic, and the snap of one eigenvalue to its root of
-unity. Flat index j * d + k for |j>|k>.
+branch arithmetic. Flat index j * d + k for |j>|k>.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .orbit import _SNAP_TOL, ProblemSpec, _root_table, _RootTable
+from .orbit import ProblemSpec, _root_table, _RootTable
 
 __all__ = [
     "translation_matrix",
     "swap_matrix",
     "step_operator",
-    "root_of_unity_index",
     "accumulate_A",
     "quantum_bound_numeric",
     "b_eigensystem",
@@ -66,24 +64,6 @@ def _step_product(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     the swap of :func:`swap_matrix`; the verification sweep checks
     :func:`step_operator` against it."""
     return np.kron(u, np.eye(u.shape[0], dtype=complex)) @ s
-
-
-def root_of_unity_index(value: complex, order: int) -> int:
-    """Snap a unit-modulus value to its nearest order-th root of unity.
-
-    Raises RuntimeError when the snap error exceeds the root table's
-    snap tolerance, 1e-9; that only happens on a branch-convention bug
-    or a NaN (which snaps to index 0 and fails), never from roundoff.
-    """
-    turns = float(np.nan_to_num(np.angle(value))) * order / (2.0 * np.pi)
-    idx = int(round(turns)) % order
-    err = abs(value - np.exp(2j * np.pi * idx / order))
-    if not err <= _SNAP_TOL:
-        raise RuntimeError(
-            f"{value!r} is not an order-{order} root of unity "
-            f"(snap error {err:.3e} exceeds {_SNAP_TOL:.0e})"
-        )
-    return idx
 
 
 def accumulate_A(vectors: np.ndarray) -> np.ndarray:

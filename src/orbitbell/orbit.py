@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # Tolerances of the root table's snap and of an orbit step, also read
-# by linalg and verify. Checks are written ``not err <= tol``: NaN fails.
+# by verify. Checks are written ``not err <= tol``: NaN fails.
 _SNAP_TOL = 1e-9
 _STEP_TOL = 1e-10
 

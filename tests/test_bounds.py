@@ -34,13 +34,9 @@ from orbitbell.bounds import (
     _check_size,
     _over_strategy_guard,
 )
-from orbitbell.linalg import (
-    accumulate_A,
-    b_eigensystem,
-    root_of_unity_index,
-    step_operator,
-)
+from orbitbell.linalg import accumulate_A, b_eigensystem, step_operator
 from orbitbell.orbit import condition_label_pairs, fourier_eigenbasis
+from reference import root_of_unity_index
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 

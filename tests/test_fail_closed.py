@@ -10,8 +10,9 @@ information, and each ``verify`` line, which prints it as ``nan``, also
 when it is one of several residuals the line takes the largest of, or
 one it floors at zero. The command line turns the result into exit 4,
 with one ``error:`` line, also for a ValueError that escapes a
-subcommand. An odd root index, which the root table never makes, fails
-the root-index route, whose group rule assumes even indices.
+subcommand. A root index bumped by 2, which names another eigenvalue
+of U, moves the root-index value off the Gram spectrum, which reads the
+orbit, so the route agreement fails and ``analyze`` exits 4.
 """
 
 import importlib
@@ -28,10 +29,10 @@ from orbitbell import (
     root_unitary,
     run_verification,
 )
-from orbitbell.bounds import _analytic_bound, _inequality, quantum_bound_gram
+from orbitbell.bounds import _inequality, quantum_bound_gram
 from orbitbell.cli import main as cli_main
-from orbitbell.linalg import root_of_unity_index
 from orbitbell.orbit import _orbit, _root_table
+from reference import root_of_unity_index
 
 NAN = float("nan")
 
@@ -153,15 +154,27 @@ def test_nan_analytic_value_exits_4(monkeypatch, capsys, fmt):
     assert_exit_4(capsys, argv, "analytic nan")
 
 
-def test_odd_root_index_fails_the_root_index_route():
-    # the root table's indices are even; an odd one would put the pairs
-    # that hold it between two eigenvalue groups of B
-    spec = ProblemSpec(3, 2)
-    table = _root_table(spec)
-    bumped = list(table.indices)
-    bumped[1] += 1
-    with pytest.raises(RuntimeError, match="odd root index 11 of lambda_1"):
-        _analytic_bound(spec, table._replace(indices=bumped))
+def test_bumped_root_index_fails_the_route_agreement(monkeypatch, capsys):
+    # lambda_1's index 2 up: the root-index route reports 11/3 at (3, 2),
+    # while the Gram spectrum of the orbit, built from U, stays at 10/3
+    bounds_module = importlib.import_module("orbitbell.bounds")
+    real_table = bounds_module._root_table
+
+    def bumped(spec):
+        table = real_table(spec)
+        indices = list(table.indices)
+        indices[1] += 2
+        return table._replace(indices=indices)
+
+    monkeypatch.setattr(bounds_module, "_root_table", bumped)
+    with pytest.raises(
+        RuntimeError,
+        match=r"routes disagree: Gram spectrum 3\.3333\d* vs analytic 3\.6666",
+    ):
+        _inequality(ProblemSpec(3, 2))
+    assert_exit_4(
+        capsys, ["analyze", "--outcomes", "3", "--settings", "2"], "routes disagree"
+    )
 
 
 def test_nan_factor_fails_the_gram_drift_check():

@@ -15,7 +15,12 @@ checked against grouping the whole closed-form eigensystem (the same
 root index, the state to 1e-14 and Q_s to 1e-13 relative), and against
 the closed form Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))) and the
 Fourier pairing rule (at most one Fourier pair per row and column of
-the state's amplitudes) on d <= 32, M <= 12 and analyze's edge cells;
+the state's amplitudes) on d <= 32, M <= 12 and analyze's edge cells.
+There, too, its proved group rho = 1 - d mod 2 (0 at M = 1) is checked
+against scanning every eigenvalue group's weight from the integer root
+indices: at M >= 2 it is the unique maximum, by a positive margin, at
+M = 1 the first of the non-empty groups, which all have value 1, and
+its state is the scan's winning-group state to 1e-14;
 the Gram-spectrum and LAPACK routes are checked against it to 1e-9, the
 one-product projector sum
 against the per-entry outer-product sum, and the orbit against its
@@ -56,11 +61,11 @@ from orbitbell.games import _two_setting_stats
 from orbitbell.linalg import (
     accumulate_A,
     b_eigensystem,
-    root_of_unity_index,
     step_operator,
     translation_matrix,
 )
 from orbitbell.orbit import _orbit, _root_table, fourier_eigenbasis, label_step
+from reference import root_of_unity_index
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -131,6 +136,35 @@ def grouped_eigensystem_bound(spec, entries):
                 x = sum(c * v for c, v in zip(coeffs, members))
                 best_state = x / np.linalg.norm(x)
     return best_idx, best_value, best_state
+
+
+def scanned_group_values(spec, table):
+    """Reference: the value of every eigenvalue group of B, indexed by
+    root index, and the number of Fourier pairs in each. Pair (a, b)
+    lies in the groups h and h + n/2, h = ((r_a + r_b) mod n) / 2, with
+    weights (1 +/- cos(2 pi (r_a - h)/n)) / (2 d^2): two bincount sums
+    over the d^2 pairs of integer root indices. Also returns h."""
+    d, order = spec.outcomes, spec.orbit_length
+    half = order // 2
+    r = np.array(table.indices)
+    h = (r[:, None] + r) % order // 2
+    cos = np.cos(2 * np.pi * (r[:, None] - h) / order)
+    count = np.bincount(h.ravel(), minlength=half)
+    cosines = np.bincount(h.ravel(), cos.ravel(), minlength=half)
+    values = np.concatenate([count + cosines, count - cosines]) * (order / (2 * d**2))
+    return values, np.concatenate([count, count]), h
+
+
+def scanned_group_state(spec, table, h, group):
+    """Reference: the normalized projection of |00> onto the eigenvalue
+    group ``group``, W^T C W with W the Fourier rows and C[a, b] =
+    1 + lambda_a/mu on the group's pairs and 0 elsewhere."""
+    order = spec.orbit_length
+    r = np.array(table.indices)
+    members = h == group % (order // 2)
+    coeffs = np.where(members, 1 + np.exp(2j * np.pi * (r[:, None] - group) / order), 0)
+    x = (table.rows.T @ coeffs @ table.rows).ravel()
+    return x / np.linalg.norm(x)
 
 
 def closed_form_bound(d, m):
@@ -248,6 +282,27 @@ def test_root_index_route_matches_grouping_the_eigensystem(cell):
 def test_quantum_bound_is_the_closed_form(cell):
     value, _ = quantum_bound_analytic(ProblemSpec(*cell))
     assert abs(value - closed_form_bound(*cell)) <= 1e-12
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(CLOSED_FORM_CELLS))
+@every_cell(CLOSED_FORM_CELLS)
+def test_proved_group_is_the_scan_winner(cell):
+    d, m = cell
+    spec = ProblemSpec(d, m)
+    table = _root_table(spec)
+    values, counts, h = scanned_group_values(spec, table)
+    rho = 0 if m == 1 or d % 2 else 1
+    if m == 1:
+        # every non-empty group ties at 1; rho = 0 is the first of them
+        filled = np.flatnonzero(counts)
+        assert filled[0] == rho
+        assert np.max(np.abs(values[filled] - 1)) <= 1e-12
+    else:
+        runner_up = np.max(np.delete(values, rho))
+        assert values[rho] - runner_up > 1e-9
+    _, state = quantum_bound_analytic(spec)
+    assert np.max(np.abs(state - scanned_group_state(spec, table, h, rho))) <= 1e-14
 
 
 @EVERY_CELL_SETTINGS
