@@ -89,7 +89,7 @@ deterministic local strategies. Two routes compute it:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -137,9 +137,9 @@ STRATEGY_GUARD = 10**8
 # matrices per cell (the step operator B, the dense product (U x 1) S
 # with its two factors, the projector sum A with eigvalsh's workspace,
 # and the d^2 closed-form eigenvectors), so the peak passes the ceiling
-# far below d = 64. An in-process verify --outcomes-max D
-# --settings-max 1 peaks at 84 MiB ru_maxrss at D = 24 (1.9 s),
-# 203 MiB at D = 32 (11.5 s) and 288 MiB at D = 36 (19 s) (Python
+# below d = 64. An in-process verify --outcomes-max D --settings-max 1
+# peaks at 65 MiB ru_maxrss at D = 24 (1.2-2.3 s), 143 MiB at D = 32
+# (8.7-10.8 s) and 210 MiB at D = 36 (15-22 s) (Python
 # 3.11, numpy 2.4, 2-vCPU Xeon, Linux). The rule's 24 n^2 term counts
 # no array: the Gram route takes its DFT with np.fft in O(n) memory,
 # and the term stays only as the rule's limit on n. analyze
@@ -174,10 +174,9 @@ def _check_size(outcomes: int, settings: int) -> None:
     orbit arrays: over its n = 2*M*d steps, verify's dense stepping
     check holds the orbit states, their product with the dense step
     operator and that product's magnitudes (40 d^2 bytes per step),
-    plus 24 n^2 bytes, which count no array: the Gram spectrum is one
-    ``np.fft`` in O(n) memory, and the term, which the error message
-    still calls the Gram phase table, stays only as the rule's limit on
-    n. Neither count is verify's whole peak, which holds several dense
+    plus 24 n^2 bytes, 24 per pair of steps, which count no array: the
+    Gram spectrum is one ``np.fft`` in O(n) memory, and the term stays
+    only as the rule's limit on n. Neither count is verify's whole peak, which holds several dense
     matrices per cell and is past the ceiling by d = 36 (see
     MEMORY_CEILING). Plain int arithmetic, so an absurd d or M is
     rejected without allocating.
@@ -197,9 +196,10 @@ def _check_size(outcomes: int, settings: int) -> None:
     if needed > MEMORY_CEILING:
         raise InstanceTooLarge(
             f"instance too large: the orbit at {outcomes} outcomes and "
-            f"{settings} settings has {steps} steps, whose states, step "
-            f"residuals and Gram phase table need {needed / 2**20:.0f} MiB, "
-            f"over the memory ceiling of {MEMORY_CEILING // 2**20} MiB"
+            f"{settings} settings has {steps} steps, whose states and step "
+            "residuals, with 24 bytes per pair of steps, need "
+            f"{needed / 2**20:.0f} MiB, over the memory ceiling of "
+            f"{MEMORY_CEILING // 2**20} MiB"
         )
 
 
@@ -323,11 +323,11 @@ def _best_reply(
 
 
 def classical_bound(
-    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
+    spec: ProblemSpec, terms: Iterable[tuple[MeasLabel, MeasLabel]]
 ) -> tuple[int, DeterministicStrategy]:
     """Exact maximum over deterministic strategies of the Bell expression
     whose terms are the label pairs ``terms`` (such as
-    ``BellInequality.terms``).
+    ``BellInequality.terms``), any iterable of them, read once.
 
     Equivalent to scanning all d^(2M) strategy pairs: for a fixed
     Alice assignment the terms split by Bob's setting, so Bob's best
@@ -336,10 +336,12 @@ def classical_bound(
     t depends only on Alice's outcomes at the settings S_t that share
     a term with t (on the orbit, t and t+1 mod M). So each Bob setting
     gets a small hit table indexed by Bob's outcome and Alice's
-    outcomes on S_t, its maximum over Bob's outcome is broadcast onto
-    the (d,)*M table of map totals, and C-order index i of that table
-    is the map with outcome i // d^(M-1-s) % d at setting s, so index
-    order is lexicographic order. Ties are broken toward the
+    outcomes on S_t: for each s in S_t, one ``np.bincount`` of the
+    flat codes b * d + a of the terms at (s, t), broadcast along the
+    other settings of S_t. Its maximum over Bob's outcome is broadcast
+    onto the (d,)*M table of map totals, and C-order index i of that
+    table is the map with outcome i // d^(M-1-s) % d at setting s, so
+    index order is lexicographic order. Ties are broken toward the
     lexicographically smallest (alice_map, bob_map) table, identical
     to what the naive double scan would return.
 
@@ -351,7 +353,8 @@ def classical_bound(
     check of that guard, and, before any table is allocated, when the
     totals with the largest hit table would exceed MEMORY_CEILING (at
     M = 1 on the orbit, every d > 5792). Both are decided in plain int
-    arithmetic.
+    arithmetic. Raises ValueError for a term with an outcome outside
+    0..d-1, which a flat code would file under another outcome pair.
     """
     d, m = spec.outcomes, spec.settings
     if _over_strategy_guard(d, m):
@@ -360,11 +363,16 @@ def classical_bound(
             f"exceed the enumeration guard of {STRATEGY_GUARD:.0e}"
         )
 
-    by_bob: dict[int, list[tuple[MeasLabel, MeasLabel]]] = {}
+    terms = tuple(terms)  # read twice: the hit tables, then Bob's best reply
+    # each term's flat code b.outcome * d + a.outcome, grouped by Bob's
+    # setting, then by Alice's
+    codes: dict[int, dict[int, list[int]]] = {}
     for a, b in terms:
-        by_bob.setdefault(b.setting, []).append((a, b))
-    groups = [(group, sorted({a.setting for a, _ in group})) for group in by_bob.values()]
-    widest = max((len(linked) for _, linked in groups), default=0)
+        if not (0 <= a.outcome < d and 0 <= b.outcome < d):
+            raise ValueError(f"term {(a, b)} has an outcome outside 0..{d - 1}")
+        by_alice = codes.setdefault(b.setting, {})
+        by_alice.setdefault(a.setting, []).append(b.outcome * d + a.outcome)
+    widest = max(map(len, codes.values()), default=0)
     needed = 8 * (d**m + d ** (1 + widest))
     if needed > MEMORY_CEILING:
         raise InstanceTooLarge(
@@ -374,13 +382,15 @@ def classical_bound(
         )
 
     totals = np.zeros((d,) * m, dtype=np.int64)
-    for group, linked in groups:
+    for by_alice in codes.values():
+        linked = sorted(by_alice)
         hits = np.zeros((d,) * (1 + len(linked)), dtype=np.int64)
-        for a, b in group:
-            # indicator of Alice's outcome, broadcast along the other axes
-            index = [b.outcome] + [slice(None)] * len(linked)
-            index[1 + linked.index(a.setting)] = a.outcome
-            hits[tuple(index)] += 1
+        for axis, s in enumerate(linked, 1):
+            # the (Bob outcome, Alice outcome) counts of one linked
+            # setting, broadcast along the other linked settings' axes
+            counts = [d] + [1] * len(linked)
+            counts[axis] = d
+            hits += np.bincount(by_alice[s], minlength=d * d).reshape(counts)
         shape = [1] * m
         for s in linked:
             shape[s] = d

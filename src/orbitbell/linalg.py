@@ -7,8 +7,9 @@ import it, so the dense routes share no code with the ``bounds``
 routes they check. It holds the shift T, the swap S, the step operator
 B = (U (x) 1) S placed by index and as the dense product of its
 definition, the projector sum A with its LAPACK top eigenvalue, B's
-whole closed-form eigensystem, built block by block with its own
-branch arithmetic. Flat index j * d + k for |j>|k>.
+whole closed-form eigensystem, every two-dimensional block built at
+once over index arrays, with its own branch arithmetic. Flat index
+j * d + k for |j>|k>.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def _step_product(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """B as the dense product (U (x) 1) S, its definition, with ``s``
     the swap of :func:`swap_matrix`; the verification sweep checks
     :func:`step_operator` against it."""
-    return np.kron(u, np.eye(u.shape[0], dtype=complex)) @ s
+    d = u.shape[0]
+    # (U (x) 1)[(a, c), (j, k)] = U[a, j] 1[c, k], broadcast as np.kron forms it
+    u_x_1 = u[:, None, :, None] * np.eye(d, dtype=complex)[None, :, None, :]
+    return u_x_1.reshape(d * d, d * d) @ s
 
 
 def accumulate_A(vectors: np.ndarray) -> np.ndarray:
@@ -111,31 +115,36 @@ def b_eigensystem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigensystem(spec: ProblemSpec, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`b_eigensystem` from the instance's root table."""
+    """:func:`b_eigensystem` from the instance's root table, every block
+    at once: the pairs j < k and their root indices as index arrays,
+    and the vectors written straight into the (d^2, d^2) output."""
     d, order = spec.outcomes, spec.orbit_length
     half = order // 2  # = M * d
-    ws, lambdas, indices = table.rows, table.lambdas, table.indices
+    ws, lambdas, indices = table.rows, table.lambdas, np.asarray(table.indices)
 
     roots = np.empty(d * d, dtype=np.int64)
     vectors = np.empty((d * d, d * d), dtype=complex)
     roots[:d] = indices
-    vectors[:d] = (ws[:, :, None] * ws[:, None, :]).reshape(d, d * d)
-    row = d
-    for j in range(d):
-        for k in range(j + 1, d):
-            total = (indices[j] + indices[k]) % order
-            if total % 2:
-                raise RuntimeError(
-                    "odd root-index sum in a two-dimensional block: "
-                    "branch arithmetic bug"
-                )
-            plus = ((total if total <= half else total - order) // 2) % order
-            roots[row : row + 2] = plus, (plus + half) % order
-            # (w_j w_k +/- (mu / lambda_j) w_k w_j) / sqrt(2), mu the plus root
-            ratio = np.exp(2j * np.pi * plus / order) / lambdas[j]
-            direct = np.outer(ws[j], ws[k]).ravel()
-            swapped = np.outer(ws[k], ws[j]).ravel()
-            vectors[row] = (direct + ratio * swapped) / np.sqrt(2)
-            vectors[row + 1] = (direct - ratio * swapped) / np.sqrt(2)
-            row += 2
+    np.multiply(ws[:, :, None], ws[:, None, :], out=vectors[:d].reshape(d, d, d))
+
+    ramp = np.arange(d)
+    j, k = np.nonzero(ramp[:, None] < ramp)  # the pairs j < k, in lexicographic order
+    total = (indices[j] + indices[k]) % order
+    if (total % 2).any():
+        raise RuntimeError(
+            "odd root-index sum in a two-dimensional block: branch arithmetic bug"
+        )
+    plus = (np.where(total <= half, total, total - order) // 2) % order
+    roots[d::2] = plus
+    roots[d + 1 :: 2] = (plus + half) % order
+    # (w_j w_k +/- (mu / lambda_j) w_k w_j) / sqrt(2), mu the plus root;
+    # pair p fills rows d + 2p (plus) and d + 2p + 1 (minus)
+    blocks = vectors[d:].reshape(len(j), 2, d, d)
+    plus_rows, minus_rows = blocks[:, 0], blocks[:, 1]
+    np.multiply(ws[j][:, :, None], ws[k][:, None, :], out=plus_rows)  # w_j w_k
+    swapped = ws[k][:, :, None] * ws[j][:, None, :]
+    swapped *= (np.exp(2j * np.pi * plus / order) / lambdas[j])[:, None, None]
+    np.subtract(plus_rows, swapped, out=minus_rows)
+    plus_rows += swapped
+    vectors[d:] /= np.sqrt(2)
     return roots, vectors

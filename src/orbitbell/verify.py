@@ -10,13 +10,17 @@ Each cell runs the assembly ``analyze`` runs (``bounds._inequality``),
 whose own checks raise into one construction line, and checks what it
 reports with the routes that ``analyze`` does not run: from the
 ``linalg`` module, the d^2 x d^2 step operator B, placed by index and
-checked against the matrix product (U x 1) S with the cell's one swap
-S, then applied to every orbit vector at once, LAPACK ``eigvalsh`` on
-the projector sum and the residuals of the whole closed-form
-eigensystem; from ``bounds``, the d^M enumeration of the classical
-bound. At M = 2 it checks ``analyze``'s statistics: the mutual
-information does not depend on the setting pair, and p = Q_s / 4. A NaN
-residual fails its line.
+checked against the matrix product (U x 1) S, then applied to every
+orbit vector at once, LAPACK ``eigvalsh`` on the projector sum and the
+residuals of the whole closed-form eigensystem; from ``bounds``, the
+d^M enumeration of the classical bound. The shift T, the swap S and
+the d^2 identity depend on d alone and are built once per outcome
+count. Q_s is checked against its proved closed form
+M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1, to a relative 1e-12.
+At M = 2 it checks ``analyze``'s statistics: the mutual information
+does not depend on the setting pair, and p = Q_s / 4. A NaN residual
+fails its line. Each dense matrix is released once its checks are
+read, so that at most a few d^2 x d^2 arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -104,7 +108,15 @@ class VerificationReport:
 
 def _largest(residuals: np.ndarray | list[float]) -> float:
     """Largest magnitude among ``residuals``, NaN if any is NaN."""
-    return float(np.max(np.abs(residuals)))
+    return float(np.abs(residuals).max())
+
+
+def _closed_form(d: int, m: int) -> float:
+    """The proved quantum bound, M (1 + sin(pi/M) / (d sin(pi/(dM))))
+    at M >= 2 and 1 at M = 1 (see the ``bounds`` module docstring)."""
+    if m == 1:
+        return 1.0
+    return m * (1 + math.sin(math.pi / m) / (d * math.sin(math.pi / (d * m))))
 
 
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
@@ -145,6 +157,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "gram": CheckResult(
             "orbit Gram spectrum and analytic quantum bound agree", _ROUTE_TOL
         ),
+        "closed": CheckResult("quantum bound equals the closed form", 1e-12),
         "maximizer": CheckResult("optimal state is a step-operator eigenvector", 1e-9),
         "uniform": CheckResult("per-term probabilities equal Q_s/(2*M*d)", 1e-9),
         "dominance": CheckResult("quantum bound is at least the classical bound", 1e-9),
@@ -163,15 +176,26 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
     skipped: list[str] = []
 
     for d in range(2, outcomes_max + 1):
+        # the shift, the swap and the d^2 identity depend on d alone; a
+        # failure to build them fails the construction line of each cell
+        try:
+            row: tuple[np.ndarray, ...] | Exception = (
+                translation_matrix(d),
+                swap_matrix(d),
+                np.eye(d * d, dtype=complex),
+            )
+        except Exception as exc:  # noqa: BLE001 - reported per cell, not swallowed
+            row = exc
         for m in range(1, settings_max + 1):
             cell = f"d={d} M={m}"
             spec = ProblemSpec(d, m)
             length = spec.orbit_length
             try:
-                t = translation_matrix(d)
+                if isinstance(row, Exception):
+                    raise row
+                t, s, eye = row
                 instance = _inequality(spec)
                 u = instance.table.u
-                s = swap_matrix(d)
                 b = step_operator(u)
                 dense_b = _step_product(u, s)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -182,12 +206,18 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             orbit_vecs = _states(instance.alice, instance.bob)
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
-            unitarity = [_largest(g.conj().T @ g - np.eye(len(g))) for g in (t, u, s, b)]
+            small_eye = eye[:d, :d]  # I_d, the d^2 identity's first block
+            unitarity = [
+                _largest(g.conj().T @ g - identity)
+                for g, identity in ((t, small_eye), (u, small_eye), (s, eye), (b, eye))
+            ]
             checks["unitary"].record(_largest(unitarity), cell)
             checks["root"].record(_largest(np.linalg.matrix_power(u, m) - t), cell)
             checks["product"].record(_largest(b - dense_b), cell)
-            period = np.linalg.matrix_power(b, length) - np.eye(len(b))
+            del dense_b
+            period = np.linalg.matrix_power(b, length) - eye
             checks["period"].record(_largest(period), cell)
+            del period
 
             # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
             stepped = b @ orbit_vecs.T
@@ -199,14 +229,19 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             # all residuals B v - lambda v in one product, one column per pair
             lams = np.exp(2j * np.pi * roots / length)
             checks["eigen"].record(_largest(b @ vecs.T - vecs.T * lams), cell)
+            del vecs
 
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
             checks["agree"].record(abs(quantum_bound_numeric(a) - analytic), cell)
+            del a
             checks["gram"].record(abs(instance.gram - analytic), cell)
+            closed = _closed_form(d, m)
+            checks["closed"].record(abs(analytic - closed) / closed, cell)
 
-            rayleigh = np.vdot(state, b @ state)
-            checks["maximizer"].record(_largest(b @ state - rayleigh * state), cell)
+            b_state = b @ state
+            rayleigh = np.vdot(state, b_state)
+            checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
             uniform = ineq.per_term_probs - analytic / length
             checks["uniform"].record(_largest(uniform), cell)
 

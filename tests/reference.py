@@ -1,7 +1,10 @@
 """Reference routes that only the tests use, shared by several test
 modules: the snap of one unit-modulus value to its root of unity, by
 its phase, which checks the root table's integer root indices and the
-eigenvalue of a reported state without the package's index arithmetic.
+eigenvalue of a reported state without the package's index arithmetic;
+and the loop forms of two whole-array cross-check routes, B's
+closed-form eigensystem one block at a time and the classical
+enumeration's hit tables one term at a time.
 """
 
 import numpy as np
@@ -25,3 +28,69 @@ def root_of_unity_index(value: complex, order: int) -> int:
             f"(snap error {err:.3e} exceeds {_SNAP_TOL:.0e})"
         )
     return idx
+
+
+def eigensystem_by_pair(spec, table):
+    """B's closed-form eigensystem one block at a time: the d diagonal
+    products, then each pair j < k with its plus vector before its
+    minus vector, each from two ``np.outer`` products; the reference
+    that ``linalg._eigensystem``'s whole-array form is checked against.
+    """
+    d, order = spec.outcomes, spec.orbit_length
+    half = order // 2
+    ws, lambdas, indices = table.rows, table.lambdas, table.indices
+    roots = np.empty(d * d, dtype=np.int64)
+    vectors = np.empty((d * d, d * d), dtype=complex)
+    roots[:d] = indices
+    vectors[:d] = (ws[:, :, None] * ws[:, None, :]).reshape(d, d * d)
+    row = d
+    for j in range(d):
+        for k in range(j + 1, d):
+            total = (indices[j] + indices[k]) % order
+            if total % 2:
+                raise RuntimeError(
+                    "odd root-index sum in a two-dimensional block: "
+                    "branch arithmetic bug"
+                )
+            plus = ((total if total <= half else total - order) // 2) % order
+            roots[row : row + 2] = plus, (plus + half) % order
+            ratio = np.exp(2j * np.pi * plus / order) / lambdas[j]
+            direct = np.outer(ws[j], ws[k]).ravel()
+            swapped = np.outer(ws[k], ws[j]).ravel()
+            vectors[row] = (direct + ratio * swapped) / np.sqrt(2)
+            vectors[row + 1] = (direct - ratio * swapped) / np.sqrt(2)
+            row += 2
+    return roots, vectors
+
+
+def classical_bound_by_term(spec, terms):
+    """``bounds.classical_bound``'s enumeration with each Bob setting's
+    hit table filled one term at a time, by one broadcast ``+=`` per
+    term: the reference for the ``np.bincount`` tables. Returns the
+    value and the (alice_map, bob_map) witness, ties broken toward the
+    lexicographically smallest table. No size guard."""
+    d, m = spec.outcomes, spec.settings
+    by_bob = {}
+    for a, b in terms:
+        by_bob.setdefault(b.setting, []).append((a, b))
+    totals = np.zeros((d,) * m, dtype=np.int64)
+    for group in by_bob.values():
+        linked = sorted({a.setting for a, _ in group})
+        hits = np.zeros((d,) * (1 + len(linked)), dtype=np.int64)
+        for a, b in group:
+            index = [b.outcome] + [slice(None)] * len(linked)
+            index[1 + linked.index(a.setting)] = a.outcome
+            hits[tuple(index)] += 1
+        shape = [1] * m
+        for s in linked:
+            shape[s] = d
+        totals += hits.max(axis=0).reshape(shape)
+    best = int(totals.argmax())
+    alice_map = tuple(best // d ** (m - 1 - s) % d for s in range(m))
+    hits = [[0] * d for _ in range(m)]
+    for a, b in terms:
+        if alice_map[a.setting] == a.outcome:
+            hits[b.setting][b.outcome] += 1
+    bob_map = tuple(max(range(d), key=row.__getitem__) for row in hits)
+    value = sum(row[pick] for row, pick in zip(hits, bob_map))
+    return value, (alice_map, bob_map)

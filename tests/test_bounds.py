@@ -264,6 +264,12 @@ def test_classical_bound_matches_naive_scan(d, m):
     assert witness == ref_witness
 
 
+def test_classical_bound_reads_a_one_shot_iterator_like_a_list():
+    # the terms are read for the hit tables and again for Bob's reply
+    spec = ProblemSpec(3, 2)
+    assert classical_bound(spec, iter(labels(spec))) == classical_bound(spec, labels(spec))
+
+
 def test_classical_bound_counts_are_honest():
     # recount the witness's satisfied terms directly
     spec = ProblemSpec(3, 3)
@@ -298,6 +304,21 @@ def test_classical_bound_tables_over_memory_ceiling_raise_before_allocating(d):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (MeasLabel(0, 2), MeasLabel(0, 0)),  # flat code 2 is (b, a) = (1, 0)
+        (MeasLabel(0, 0), MeasLabel(0, 2)),
+        (MeasLabel(0, -1), MeasLabel(0, 1)),
+    ],
+)
+def test_classical_bound_rejects_an_outcome_outside_the_instance(pair):
+    # a flat code b * d + a would file such a term under another pair
+    spec = ProblemSpec(2, 2)
+    with pytest.raises(ValueError, match=r"outcome outside 0\.\.1"):
+        classical_bound(spec, labels(spec) + [pair])
 
 
 @pytest.mark.parametrize("d", [2, 3, 10, 64, 10**6])

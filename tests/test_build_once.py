@@ -18,7 +18,9 @@ The verification sweep runs the same assembly once per cell, so it
 checks the instance ``analyze`` reports, with one root table, one
 orbit, one Gram spectrum and one closed-form eigensystem from that
 table, runs the statistics function once per M = 2 cell, and runs the
-enumeration once per cell inside the enumeration guard.
+enumeration once per cell inside the enumeration guard. The shift T and
+the swap S depend on d alone, so the sweep builds them once per outcome
+count.
 """
 
 import ast
@@ -113,11 +115,15 @@ def test_verify_builds_each_cell_once(monkeypatch):
     measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
     swaps = count_calls(monkeypatch, "orbitbell.linalg", "swap_matrix")
+    shifts = count_calls(monkeypatch, "orbitbell.linalg", "translation_matrix")
     report = run_verification(3, 3)  # 6 cells, all inside the guard
     assert report.passed
     assert assemblies[0] == tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
-    # the bases come with the table, and the dense product reuses the cell's S
-    assert measurement[0] == swaps[0] == 6
+    # the bases come with the table
+    assert measurement[0] == 6
+    # T and S depend on d alone: one each per outcome count, d = 2 and 3,
+    # shared by the row's cells and the dense product
+    assert swaps[0] == shifts[0] == 2
     # the information and prediction lines read one statistics run per
     # M = 2 cell, (2, 2) and (3, 2)
     assert stats[0] == 2

@@ -194,8 +194,9 @@ def test_absurd_settings_count_exits_3_at_once():
     assert proc.returncode == 3
     assert proc.stderr == (
         "error: instance too large: the orbit at 2 outcomes and 1000000000 "
-        "settings has 4000000000 steps, whose states, step residuals and Gram "
-        "phase table need 366210938110352 MiB, over the memory ceiling of 256 MiB\n"
+        "settings has 4000000000 steps, whose states and step residuals, with "
+        "24 bytes per pair of steps, need 366210938110352 MiB, over the memory "
+        "ceiling of 256 MiB\n"
     )
     assert proc.stdout == ""
 
@@ -362,7 +363,7 @@ def test_corrupted_swap_fails_verification(monkeypatch):
         return np.eye(d * d, dtype=complex)
 
     # every namespace that binds swap_matrix, so that the sweep's one S
-    # per cell is the corrupted one wherever it is built
+    # per outcome count is the corrupted one wherever it is built
     real_swap = importlib.import_module("orbitbell.linalg").swap_matrix
     for name, module in list(sys.modules.items()):
         if name == "orbitbell" or name.startswith("orbitbell."):
@@ -448,6 +449,29 @@ def test_wrong_reported_state_fails_verification(monkeypatch):
     failed = {c.name for c in report.checks if not c.passed}
     assert "optimal state is a step-operator eigenvector" in failed
     assert "per-term probabilities equal Q_s/(2*M*d)" in failed
+
+
+def test_bound_off_its_closed_form_fails_only_the_closed_form_line(monkeypatch, capsys):
+    # Q_s 1e-10 high passes every 1e-9 route agreement, but not the
+    # closed form's relative 1e-12
+    bounds_module = importlib.import_module("orbitbell.bounds")
+    real_bound = bounds_module._analytic_bound
+
+    def raised(spec, table):
+        value, state = real_bound(spec, table)
+        return value + 1e-10, state
+
+    monkeypatch.setattr(bounds_module, "_analytic_bound", raised)
+    name = "quantum bound equals the closed form"
+    report = run_verification(3, 2)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [name]
+    assert [note.split(":")[0] for note in failed[0].notes] == [
+        "d=2 M=1", "d=2 M=2", "d=3 M=1", "d=3 M=2"
+    ]
+    rc = cli_main(["verify", "--outcomes-max", "3", "--settings-max", "2"])
+    assert rc == 1
+    assert f"FAIL  {name} (" in capsys.readouterr().out
 
 
 def test_broken_chained_bell_families_fail_verification(monkeypatch, capsys):

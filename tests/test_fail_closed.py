@@ -12,7 +12,11 @@ one it floors at zero. The command line turns the result into exit 4,
 with one ``error:`` line, also for a ValueError that escapes a
 subcommand. A root index bumped by 2, which names another eigenvalue
 of U, moves the root-index value off the Gram spectrum, which reads the
-orbit, so the route agreement fails and ``analyze`` exits 4.
+orbit, so the route agreement fails and ``analyze`` exits 4; bumped by
+1, it makes a block's root-index sum odd, which the dense closed-form
+eigensystem refuses. A NaN in the root unitary fails ``verify``'s
+unitarity line, and a swap matrix that cannot be built fails the
+construction line of every cell of its outcome count.
 """
 
 import importlib
@@ -31,6 +35,7 @@ from orbitbell import (
 )
 from orbitbell.bounds import _inequality, quantum_bound_gram
 from orbitbell.cli import main as cli_main
+from orbitbell.linalg import _eigensystem
 from orbitbell.orbit import _orbit, _root_table
 from reference import root_of_unity_index
 
@@ -100,6 +105,59 @@ def test_nan_in_one_generator_fails_the_unitarity_line(monkeypatch):
     name = "generator matrices are unitary"
     (check,) = [c for c in run_verification(2, 1).checks if c.name == name]
     assert check.line() == f"FAIL  {name} (worst residual nan, tolerance 1e-12)"
+
+
+def test_nan_in_the_root_unitary_fails_the_unitarity_line(monkeypatch):
+    # U reaches the line as the assembly's table holds it
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_inequality = verify_module._inequality
+
+    def nan_unitary(spec):
+        instance = real_inequality(spec)
+        u = instance.table.u.copy()
+        u[0, 1] = NAN
+        return instance._replace(table=instance.table._replace(u=u))
+
+    monkeypatch.setattr(verify_module, "_inequality", nan_unitary)
+    name = "generator matrices are unitary"
+    (check,) = [c for c in run_verification(2, 2).checks if c.name == name]
+    assert check.line() == f"FAIL  {name} (worst residual nan, tolerance 1e-12)"
+    assert check.notes == ["d=2 M=1: residual nan", "d=2 M=2: residual nan"]
+
+
+def test_unbuilt_swap_fails_the_construction_line_of_its_row(monkeypatch):
+    # S is built once per outcome count: its failure is each cell's
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_swap = verify_module.swap_matrix
+
+    def no_swap_at_three(d):
+        if d == 3:
+            raise RuntimeError("no swap at d=3")
+        return real_swap(d)
+
+    monkeypatch.setattr(verify_module, "swap_matrix", no_swap_at_three)
+    report = run_verification(3, 2)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["instance builds and passes analyze's own checks"]
+    assert failed[0].notes == ["d=3 M=1: no swap at d=3", "d=3 M=2: no swap at d=3"]
+    assert report.summary[2:] == [
+        "d=3 M=1: construction failed (no swap at d=3)",
+        "d=3 M=2: construction failed (no swap at d=3)",
+    ]
+
+
+def test_odd_root_index_sum_fails_the_dense_eigensystem():
+    # lambda_1's index 1 up at (3, 2): its block with lambda_0 has an odd
+    # index sum, so no 2Md-th root squares to lambda_0 lambda_1
+    spec = ProblemSpec(3, 2)
+    table = _root_table(spec)
+    indices = list(table.indices)
+    indices[1] += 1
+    with pytest.raises(
+        RuntimeError,
+        match="^odd root-index sum in a two-dimensional block: branch arithmetic bug$",
+    ):
+        _eigensystem(spec, table._replace(indices=indices))
 
 
 def test_nan_eigenphase_fails_the_root_table_snap(monkeypatch, capsys):

@@ -3,7 +3,11 @@
 The factorised classical search is checked against the plain
 per-Alice-map loop it replaced, on random non-empty subsets of orbit
 terms: a subset breaks the symmetry of the full orbit, so it reaches
-ties and tie-breaks that full orbits never produce. Arbitrary
+ties and tie-breaks that full orbits never produce. Its hit tables,
+one ``np.bincount`` per pair of settings, are checked against filling
+them one term at a time, in value and witness, at every cell with
+d, M <= 6 inside the guard, on the orbit's terms and on shuffled,
+halved, duplicated and random term lists. Arbitrary
 label-pair lists (repeats allowed, one Bob setting sharing terms with
 up to M Alice settings) reach the hit tables wider than the orbit's
 two Alice settings per Bob setting. On every full orbit within the
@@ -11,7 +15,10 @@ guard, the chained-Bell route equals the enumeration in value and
 witness. The root table's integer root indices are checked against
 snapping each eigenvalue, over d <= 64 and M <= 16. The root-index
 quantum route, which builds the state from P_mu = (1 + B/mu)/2, is
-checked against grouping the whole closed-form eigensystem (the same
+checked against grouping the whole closed-form eigensystem, itself
+built at once and checked against building each two-dimensional block
+with its own outer products (the same roots in the same row order, the
+vectors to 1e-15, d <= 16, M <= 8) (the same
 root index, the state to 1e-14 and Q_s to 1e-13 relative), and against
 the closed form Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))) and the
 Fourier pairing rule (at most one Fourier pair per row and column of
@@ -56,16 +63,22 @@ from orbitbell import (
     quantum_bound_numeric,
     root_unitary,
 )
-from orbitbell.bounds import _chained_bell_bound, _inequality, quantum_bound_gram
+from orbitbell.bounds import (
+    _chained_bell_bound,
+    _inequality,
+    _over_strategy_guard,
+    quantum_bound_gram,
+)
 from orbitbell.games import _two_setting_stats
 from orbitbell.linalg import (
+    _eigensystem,
     accumulate_A,
     b_eigensystem,
     step_operator,
     translation_matrix,
 )
 from orbitbell.orbit import _orbit, _root_table, fourier_eigenbasis, label_step
-from reference import root_of_unity_index
+from reference import classical_bound_by_term, eigensystem_by_pair, root_of_unity_index
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -101,6 +114,11 @@ TWO_SETTING_CELLS = [(d, 2) for d in range(2, 65)]
 
 # every (d, M) with d <= 16, M <= 8 within the enumeration guard
 ANALYZABLE = [(d, m) for d, m in SMALL if d ** (2 * m) <= 10**8]
+
+# every (d, M) with d, M <= 6 within the enumeration guard
+ENUMERATION_CELLS = [
+    (d, m) for d in range(2, 7) for m in range(1, 7) if not _over_strategy_guard(d, m)
+]
 
 
 def every_cell(cells):
@@ -250,6 +268,47 @@ def test_classical_bound_matches_per_map_loop_on_label_pair_lists(data):
     hub = data.draw(label, label="hub")
     pairs += [(a, hub) for a in data.draw(st.lists(label, max_size=m), label="linked")]
     assert classical_bound(spec, pairs) == per_map_loop(spec, pairs)
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(ENUMERATION_CELLS))
+@every_cell(ENUMERATION_CELLS)
+def test_classical_bound_matches_the_per_term_hit_tables(cell):
+    # the bincount tables against one += per term, on the orbit's terms
+    # and on lists that break its symmetry: halving and random labels
+    # reach ties, and so the lexicographic witness
+    d, m = cell
+    spec = ProblemSpec(d, m)
+    rng = np.random.default_rng(100 * d + m)
+    terms = list(_inequality(spec).inequality.terms)
+    shuffled = [terms[i] for i in rng.permutation(len(terms))]
+    labels = rng.integers(0, [m, d, m, d], size=(len(terms), 4)).tolist()
+    lists = {
+        "orbit": terms,
+        "shuffled": shuffled,
+        "halved": shuffled[: len(terms) // 2],
+        "duplicated": terms + shuffled[: len(terms) // 2],
+        "random": [(MeasLabel(s, a), MeasLabel(t, b)) for s, a, t, b in labels],
+    }
+    for name, pairs in lists.items():
+        value, witness = classical_bound(spec, pairs)
+        found = value, (witness.alice_map, witness.bob_map)
+        assert found == classical_bound_by_term(spec, pairs), name
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(SMALL))
+@every_cell(SMALL)
+def test_eigensystem_matches_the_per_pair_loop(cell):
+    # the same roots in the same row order, and the same vectors to
+    # rounding, as building each block with its own np.outer products
+    spec = ProblemSpec(*cell)
+    table = _root_table(spec)
+    roots, vectors = _eigensystem(spec, table)
+    ref_roots, ref_vectors = eigensystem_by_pair(spec, table)
+    assert roots.dtype == ref_roots.dtype
+    assert np.array_equal(roots, ref_roots)
+    assert np.max(np.abs(vectors - ref_vectors)) <= 1e-15
 
 
 @PROPERTY_SETTINGS
