@@ -139,8 +139,9 @@ STRATEGY_GUARD = 10**8
 # and the d^2 closed-form eigenvectors), so the peak passes the ceiling
 # below d = 64. An in-process verify --outcomes-max D --settings-max 1
 # peaks at 65 MiB ru_maxrss at D = 24 (1.2-2.3 s), 143 MiB at D = 32
-# (8.7-10.8 s) and 210 MiB at D = 36 (15-22 s) (Python
-# 3.11, numpy 2.4, 2-vCPU Xeon, Linux). The rule's 24 n^2 term counts
+# (8.7-10.8 s), 210 MiB at D = 36 (15-22 s), 252 MiB at D = 38 (25 s)
+# and 304 MiB at D = 40 (35 s) (Python 3.11, numpy 2.4, 2-vCPU Xeon,
+# Linux). The rule's 24 n^2 term counts
 # no array: the Gram route takes its DFT with np.fft in O(n) memory,
 # and the term stays only as the rule's limit on n. analyze
 # builds none of the counted arrays: an in-process analyze --format
@@ -176,9 +177,9 @@ def _check_size(outcomes: int, settings: int) -> None:
     operator and that product's magnitudes (40 d^2 bytes per step),
     plus 24 n^2 bytes, 24 per pair of steps, which count no array: the
     Gram spectrum is one ``np.fft`` in O(n) memory, and the term stays
-    only as the rule's limit on n. Neither count is verify's whole peak, which holds several dense
-    matrices per cell and is past the ceiling by d = 36 (see
-    MEMORY_CEILING). Plain int arithmetic, so an absurd d or M is
+    only as the rule's limit on n. Neither count is verify's whole
+    peak, which holds several dense matrices per cell and is past the
+    ceiling by d = 40 (see MEMORY_CEILING). Plain int arithmetic, so an absurd d or M is
     rejected without allocating.
     """
     needed = 16 * outcomes**4

@@ -15,10 +15,7 @@ guard, the chained-Bell route equals the enumeration in value and
 witness. The root table's integer root indices are checked against
 snapping each eigenvalue, over d <= 64 and M <= 16. The root-index
 quantum route, which builds the state from P_mu = (1 + B/mu)/2, is
-checked against grouping the whole closed-form eigensystem, itself
-built at once and checked against building each two-dimensional block
-with its own outer products (the same roots in the same row order, the
-vectors to 1e-15, d <= 16, M <= 8) (the same
+checked against grouping the whole closed-form eigensystem (the same
 root index, the state to 1e-14 and Q_s to 1e-13 relative), and against
 the closed form Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))) and the
 Fourier pairing rule (at most one Fourier pair per row and column of
@@ -27,8 +24,12 @@ There, too, its proved group rho = 1 - d mod 2 (0 at M = 1) is checked
 against scanning every eigenvalue group's weight from the integer root
 indices: at M >= 2 it is the unique maximum, by a positive margin, at
 M = 1 the first of the non-empty groups, which all have value 1, and
-its state is the scan's winning-group state to 1e-14;
-the Gram-spectrum and LAPACK routes are checked against it to 1e-9, the
+its state is the scan's winning-group state to 1e-14. That
+eigensystem, every block built at once, is checked against building
+each two-dimensional block with its own outer products: the same roots
+in the same row order and the vectors to 1e-15, over d <= 16, M <= 8.
+The Gram-spectrum and LAPACK routes are checked against the root-index
+route to 1e-9, the
 one-product projector sum
 against the per-entry outer-product sum, and the orbit against its
 defining identities: its product-form vectors against the dense
