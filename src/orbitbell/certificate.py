@@ -6,17 +6,22 @@ amplitudes are {"re": ..., "im": ...} pairs in flat-index order
 with sorted keys and two-space indentation, byte for byte what
 ``json.dumps(certificate, indent=2, sort_keys=True)`` gives, so repeated
 runs emit byte-identical documents. It is written directly: one fixed
-``%``-template per row kind (term, amplitude, probability, question,
-winning pair) and one for the outer document, with keys in sorted order
-and numbers spelled by ``repr`` (the spelling ``json`` uses for ints and
-finite floats). ``json.dumps`` with ``indent`` always runs the
-pure-Python encoder, which cost more than the analysis it printed.
+positional ``%``-template per row kind (term, amplitude, probability,
+question, winning pair) and one for the outer document, with keys in
+sorted order and numbers spelled by ``repr`` (the spelling ``json``
+uses for ints and finite floats). Row fields are read with
+``operator.itemgetter`` and rows are formatted through ``map``; the
+certificate's floats come from the report's arrays by ``tolist``.
+``json.dumps`` with ``indent`` always runs the pure-Python encoder,
+which cost more than the analysis it printed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 from .games import AnalysisReport
@@ -41,22 +46,30 @@ _TOP_LEVEL_KEYS = frozenset(
 
 _TERM_KEYS = ("alice_outcome", "alice_setting", "bob_outcome", "bob_setting")
 
+# Row fields in template order; the amplitude is checked in (re, im)
+# order and written in (im, re) order, its keys' sorted order.
+_term_fields = itemgetter(*_TERM_KEYS)
+_amplitude_check = itemgetter("re", "im")
+_amplitude_fields = itemgetter("im", "re")
+_winning_fields = itemgetter("alice_outcome", "bob_outcome")
+_setting_fields = itemgetter("alice_setting", "bob_setting")
+
 # Row and document templates, keys in sorted order, indented as
 # json.dumps(indent=2) indents them at their depth.
 _TERM = (
     "    {\n"
-    '      "alice_outcome": %(alice_outcome)r,\n'
-    '      "alice_setting": %(alice_setting)r,\n'
-    '      "bob_outcome": %(bob_outcome)r,\n'
-    '      "bob_setting": %(bob_setting)r\n'
+    '      "alice_outcome": %r,\n'
+    '      "alice_setting": %r,\n'
+    '      "bob_outcome": %r,\n'
+    '      "bob_setting": %r\n'
     "    }"
 )
-_AMPLITUDE = '    {\n      "im": %(im)r,\n      "re": %(re)r\n    }'
+_AMPLITUDE = '    {\n      "im": %r,\n      "re": %r\n    }'
 _PROBABILITY = "    %r"
 _WINNING = (
     "          {\n"
-    '            "alice_outcome": %(alice_outcome)r,\n'
-    '            "bob_outcome": %(bob_outcome)r\n'
+    '            "alice_outcome": %r,\n'
+    '            "bob_outcome": %r\n'
     "          }"
 )
 _QUESTION = (
@@ -91,6 +104,7 @@ _DOCUMENT = """{
 
 def build_certificate(report: AnalysisReport) -> dict[str, Any]:
     ineq = report.inequality
+    state = ineq.optimal_state
     return {
         "schema_version": SCHEMA_VERSION,
         "spec": {
@@ -109,9 +123,10 @@ def build_certificate(report: AnalysisReport) -> dict[str, Any]:
         "classical_bound": int(ineq.classical_bound),
         "quantum_bound": float(ineq.quantum_bound),
         "optimal_state": [
-            {"re": float(z.real), "im": float(z.imag)} for z in ineq.optimal_state
+            {"re": re, "im": im}
+            for re, im in zip(state.real.tolist(), state.imag.tolist())
         ],
-        "per_term_probs": [float(p) for p in ineq.per_term_probs],
+        "per_term_probs": ineq.per_term_probs.tolist(),
         "game": {
             "questions": [
                 {
@@ -177,37 +192,36 @@ def certificate_json(certificate: dict[str, Any]) -> str:
     probs = certificate["per_term_probs"]
     spec = certificate["spec"]
     stats = certificate["stats"]
-    terms = certificate["terms"]
     questions = certificate["game"]["questions"]
     floats = [certificate["quantum_bound"], stats["classical_win"], stats["quantum_win"]]
     floats += [stats[key] for key in ("p", "I_ab") if stats[key] is not None]
     floats += probs
-    floats += [z[part] for z in state for part in ("re", "im")]
-    bad = [x for x in floats if type(x) is not float or not math.isfinite(x)]
-    if bad:
+    floats += chain.from_iterable(map(_amplitude_check, state))
+    # C-level passes; the comprehension only runs to name the first bad value
+    if not set(map(type, floats)) <= {float} or not all(map(math.isfinite, floats)):
+        bad = [x for x in floats if type(x) is not float or not math.isfinite(x)]
         raise ValueError(f"certificate value {bad[0]!r} is not a finite float")
+    terms = list(map(_term_fields, certificate["terms"]))
     ints = [certificate["classical_bound"], spec["outcomes"], spec["settings"]]
-    ints += [t[key] for t in terms for key in _TERM_KEYS]
+    ints += chain.from_iterable(terms)
+    settings, winning = [], []
     for q in questions:
-        ints += [q["alice_setting"], q["bob_setting"]]
-        ints += [w[key] for w in q["winning"] for key in ("alice_outcome", "bob_outcome")]
-    bad = [x for x in ints if type(x) is not int]
-    if bad:
+        settings.append(_setting_fields(q))
+        winning.append(list(map(_winning_fields, q["winning"])))
+        ints += settings[-1]
+        ints += chain.from_iterable(winning[-1])
+    if not set(map(type, ints)) <= {int}:
+        bad = [x for x in ints if type(x) is not int]
         raise ValueError(f"certificate value {bad[0]!r} is not an int")
     rendered = [
-        _QUESTION
-        % (
-            q["alice_setting"],
-            q["bob_setting"],
-            _array([_WINNING % w for w in q["winning"]], "        "),
-        )
-        for q in questions
+        _QUESTION % (s, t, _array(list(map(_WINNING.__mod__, rows)), "        "))
+        for (s, t), rows in zip(settings, winning)
     ]
     return _DOCUMENT % (
         certificate["classical_bound"],
         _array(rendered, "    "),
-        _array([_AMPLITUDE % z for z in state], "  "),
-        _array([_PROBABILITY % p for p in probs], "  "),
+        _array(list(map(_AMPLITUDE.__mod__, map(_amplitude_fields, state))), "  "),
+        _array(list(map(_PROBABILITY.__mod__, probs)), "  "),
         certificate["quantum_bound"],
         spec["outcomes"],
         spec["settings"],
@@ -215,7 +229,7 @@ def certificate_json(certificate: dict[str, Any]) -> str:
         stats["classical_win"],
         _optional(stats["p"]),
         stats["quantum_win"],
-        _array([_TERM % t for t in terms], "  "),
+        _array(list(map(_TERM.__mod__, terms)), "  "),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -166,9 +167,10 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Print the M = 2 survey. Every row is checked against analyze's
-    size rule before the first runs, so the first row over it fails
-    with analyze's own error and no row prints; d > 64 always fails."""
+    """Print the M = 2 survey and a footnote with the d -> inf limit of
+    Q_s. Every row is checked against analyze's size rule before the
+    first runs, so the first row over it fails with analyze's own error
+    and no row prints; d > 64 always fails."""
     lo, hi = args.outcomes_from, args.outcomes_to
     if lo < 2:
         parser.error("--outcomes-from must be at least 2")
@@ -183,6 +185,10 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             f"{d:4d}  {report.quantum_bound:.4f}  {report.classical_bound:3d}"
             f"  {report.prediction_prob:.4f}  {report.mutual_info_bits:.4f}"
         )
+    # d sin(pi/(dM)) -> pi/M in the closed form of Q_s; 2 + 4/pi at M = 2
+    m = 2
+    limit = m * (1 + (m / math.pi) * math.sin(math.pi / m))
+    rows.append(f"d -> inf: Q_s -> M (1 + (M/pi) sin(pi/M)) = {limit:.4f} at M = {m}")
     sys.stdout.write("\n".join(rows) + "\n")
     return 0
 

@@ -102,28 +102,36 @@ def joint_distribution(
     state: np.ndarray, alice_basis: np.ndarray, bob_basis: np.ndarray
 ) -> np.ndarray:
     """d x d outcome distribution of ``state`` measured in one basis per
-    party (columns are the outcomes; see :func:`measurement_bases`)."""
-    d = alice_basis.shape[0]
-    amplitudes = alice_basis.conj().T @ state.reshape(d, d) @ bob_basis.conj()
+    party (columns are the outcomes; see :func:`measurement_bases`).
+
+    The bases broadcast over their leading axes, so stacks of bases
+    give the stack of grids in one product: ``bases[:2, None]`` against
+    ``bases[None, :2]`` gives the four grids, indexed [s, t]."""
+    d = alice_basis.shape[-1]
+    alice = alice_basis.conj().swapaxes(-1, -2)
+    amplitudes = alice @ state.reshape(d, d) @ bob_basis.conj()
     return np.abs(amplitudes) ** 2
 
 
-def mutual_information(joint: np.ndarray) -> float:
+def mutual_information(joint: np.ndarray) -> float | np.ndarray:
     """Mutual information, in bits, of a joint outcome distribution.
 
-    Zero probabilities contribute zero. Entries below -1e-12, and NaN
-    entries, are rejected; tiny negative roundoff is clipped.
+    Reduces over the last two axes: a float for one d x d grid, an
+    array of values for a stack of grids. Zero probabilities contribute
+    zero. Entries below -1e-12, and NaN entries, in any grid are
+    rejected; tiny negative roundoff is clipped.
     """
     p = np.asarray(joint, dtype=float)
     low = float(p.min())
     if not low >= -1e-12:
         raise ValueError(f"negative probability entry {low:.3e} in joint grid")
     p = np.clip(p, 0.0, None)
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    denom = np.outer(pa, pb)
+    denom = p.sum(axis=-1)[..., :, None] * p.sum(axis=-2)[..., None, :]
     mask = p > 0.0
-    return float(np.sum(p[mask] * np.log2(p[mask] / denom[mask])))
+    # a zero entry's ratio is 1/1, so its term is 0 * log2(1) = 0
+    ratio = np.where(mask, p, 1.0) / np.where(mask, denom, 1.0)
+    info = np.sum(p * np.log2(ratio), axis=(-2, -1))
+    return float(info) if info.ndim == 0 else info
 
 
 def prediction_probability(ineq: BellInequality) -> float:
@@ -158,23 +166,26 @@ class _TwoSettingStats(NamedTuple):
 def _two_setting_stats(ineq: BellInequality, bases: np.ndarray) -> _TwoSettingStats:
     """The M = 2 statistics of the optimal state, from the root table's
     bases; ``analyze`` reports them and ``verify`` checks them. The
-    assembly has checked the terms against the chained-Bell families."""
-    grids = {
-        (s, t): joint_distribution(ineq.optimal_state, bases[s], bases[t])
-        for s in range(2)
-        for t in range(2)
-    }
-    infos = {q: mutual_information(g) for q, g in grids.items()}
+    assembly has checked the terms against the chained-Bell families.
+
+    The four grids come from one broadcast product, stacked [s, t], and
+    their mutual information from one stacked reduction. p gathers each
+    grid's predicted entries, grid[a, (a - delta) mod d], in (s, t)
+    order and then a order, and sums them left to right."""
+    stack = joint_distribution(ineq.optimal_state, bases[:2, None], bases[None, :2])
+    infos = mutual_information(stack)
 
     # the four slots' first terms in the grids' (s, t) order, the order the sum adds in
     firsts = sorted(ineq.terms[:4], key=lambda pair: (pair[0].setting, pair[1].setting))
-    d, total = ineq.spec.outcomes, 0.0
-    for alice, bob in firsts:
-        grid, delta = grids[alice.setting, bob.setting], alice.outcome - bob.outcome
-        for a in range(d):
-            total += float(grid[a, (a - delta) % d])
-    spread = max(infos.values()) - min(infos.values())
-    return _TwoSettingStats(total / 4.0, infos[(0, 0)], spread, grids)
+    s, t, delta = np.array(
+        [(a.setting, b.setting, a.outcome - b.outcome) for a, b in firsts]
+    ).T[:, :, None]
+    d = ineq.spec.outcomes
+    rows = np.arange(d)
+    total = sum(stack[s, t, rows, (rows - delta) % d].ravel().tolist())
+    grids = {(i, j): stack[i, j] for i in range(2) for j in range(2)}
+    spread = float(infos.max() - infos.min())
+    return _TwoSettingStats(total / 4.0, float(infos[0, 0]), spread, grids)
 
 
 def analyze(spec: ProblemSpec) -> AnalysisReport:

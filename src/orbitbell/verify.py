@@ -11,9 +11,10 @@ whose own checks raise into one construction line, and checks what it
 reports with the routes that ``analyze`` does not run: from the
 ``linalg`` module, the d^2 x d^2 step operator B, placed by index and
 checked against the matrix product (U x 1) S, then applied to every
-orbit vector at once, LAPACK ``eigvalsh`` on the projector sum and the
-residuals of the whole closed-form eigensystem; from ``bounds``, the
-d^M enumeration of the classical bound. The shift T, the swap S and
+orbit vector at once, its period read off B B = U x U and T^d = 1,
+LAPACK ``eigvalsh`` on the projector sum and the residuals of the
+whole closed-form eigensystem; from ``bounds``, the d^M enumeration of
+the classical bound. The shift T, the swap S and
 the d^2 identity depend on d alone and are built once per outcome
 count. Q_s is checked against its proved closed form
 M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1, to a relative 1e-12.
@@ -119,6 +120,19 @@ def _closed_form(d: int, m: int) -> float:
     return m * (1 + math.sin(math.pi / m) / (d * math.sin(math.pi / (d * m))))
 
 
+def _period_residual(t: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
+    """The largest residual of B B - U x U and of T^d - 1.
+
+    B B = (U x 1) S (U x 1) S = (U x 1)(1 x U) S S = U x U, and the root
+    line checks U^M = T, so B^(2Md) = (U x U)^(Md) = (T x T)^d
+    = T^d x T^d, which is 1 once T^d = 1: B has period 2Md without
+    the 2Md-th power being formed."""
+    square = b @ b
+    square -= np.kron(u, u)
+    d = len(t)
+    return _largest([_largest(square), _largest(np.linalg.matrix_power(t, d) - np.eye(d))])
+
+
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
     """Run every check on every cell of the grid.
 
@@ -215,9 +229,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             checks["root"].record(_largest(np.linalg.matrix_power(u, m) - t), cell)
             checks["product"].record(_largest(b - dense_b), cell)
             del dense_b
-            period = np.linalg.matrix_power(b, length) - eye
-            checks["period"].record(_largest(period), cell)
-            del period
+            checks["period"].record(_period_residual(t, u, b), cell)
 
             # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
             stepped = b @ orbit_vecs.T

@@ -2,9 +2,10 @@
 modules: the snap of one unit-modulus value to its root of unity, by
 its phase, which checks the root table's integer root indices and the
 eigenvalue of a reported state without the package's index arithmetic;
-and the loop forms of two whole-array cross-check routes, B's
-closed-form eigensystem one block at a time and the classical
-enumeration's hit tables one term at a time.
+and the loop forms of three whole-array routes: B's closed-form
+eigensystem one block at a time, the classical enumeration's hit
+tables one term at a time, and the M = 2 statistics one grid at a
+time.
 """
 
 import numpy as np
@@ -94,3 +95,48 @@ def classical_bound_by_term(spec, terms):
     bob_map = tuple(max(range(d), key=row.__getitem__) for row in hits)
     value = sum(row[pick] for row, pick in zip(hits, bob_map))
     return value, (alice_map, bob_map)
+
+
+def joint_grid(state, alice_basis, bob_basis):
+    """One d x d outcome grid from 2-D bases, by the transpose form."""
+    d = alice_basis.shape[0]
+    amplitudes = alice_basis.conj().T @ state.reshape(d, d) @ bob_basis.conj()
+    return np.abs(amplitudes) ** 2
+
+
+def grid_mutual_information(joint):
+    """Mutual information, in bits, of one grid: the sum over its
+    nonzero entries only, against the ``np.outer`` of its marginals."""
+    p = np.asarray(joint, dtype=float)
+    low = float(p.min())
+    if not low >= -1e-12:
+        raise ValueError(f"negative probability entry {low:.3e} in joint grid")
+    p = np.clip(p, 0.0, None)
+    pa = p.sum(axis=1)
+    pb = p.sum(axis=0)
+    denom = np.outer(pa, pb)
+    mask = p > 0.0
+    return float(np.sum(p[mask] * np.log2(p[mask] / denom[mask])))
+
+
+def two_setting_stats_by_grid(ineq, bases):
+    """``games._two_setting_stats`` one grid at a time: four grid
+    products, four mutual informations, and p summed one entry at a
+    time in (s, t) order, then a order. Returns (p, I_ab, spread,
+    grids) in the order of ``_TwoSettingStats``."""
+    grids = {
+        (s, t): joint_grid(ineq.optimal_state, bases[s], bases[t])
+        for s in range(2)
+        for t in range(2)
+    }
+    infos = {q: grid_mutual_information(g) for q, g in grids.items()}
+
+    # the four slots' first terms in the grids' (s, t) order, the order the sum adds in
+    firsts = sorted(ineq.terms[:4], key=lambda pair: (pair[0].setting, pair[1].setting))
+    d, total = ineq.spec.outcomes, 0.0
+    for alice, bob in firsts:
+        grid, delta = grids[alice.setting, bob.setting], alice.outcome - bob.outcome
+        for a in range(d):
+            total += float(grid[a, (a - delta) % d])
+    spread = max(infos.values()) - min(infos.values())
+    return total / 4.0, infos[(0, 0)], spread, grids

@@ -5,9 +5,10 @@ rows, U's eigenvalues with their exact root indices, U and the M
 measurement bases, from one ``measurement_bases`` call): ``analyze``
 builds it once at every M and hands it to the orbit, to both quantum
 routes and, at M = 2, to the one statistics function, which forms the
-four joint grids and reads the mutual information and the prediction
-probability from them, and which runs at no other M. No public view of the table (``root_unitary``,
-``fourier_eigenbasis``) runs on that path. ``analyze`` builds the orbit
+four joint grids in one broadcast ``joint_distribution`` call and reads
+the mutual information and the prediction probability from them, and
+which runs at no other M. No public view of the table
+(``root_unitary``, ``fourier_eigenbasis``) runs on that path. ``analyze`` builds the orbit
 once, runs the root-index and Gram routes of the quantum bound, and
 calls none of the ``linalg`` module's dense routes: the orbit is
 checked through U. Its classical bound is the chained-Bell value, with
@@ -86,7 +87,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert tables[0] == fouriers[0] == orbits[0] == measurement[0] == 1
     assert roots[0] == bases[0] == public_orbits[0] == 0
     assert stats[0] == (1 if m == 2 else 0)
-    assert grids[0] == (4 if m == 2 else 0)
+    assert grids[0] == (1 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
     assert {name: calls[0] for name, calls in dense.items()} == dict.fromkeys(DENSE_ROUTES, 0)
     assert enumerations[0] == 0

@@ -7,6 +7,7 @@ same, on every small cell, on the benchmark cells, and with arbitrary
 finite floats in every float slot of a real certificate.
 """
 
+import copy
 import functools
 import itertools
 import json
@@ -26,6 +27,26 @@ BENCHMARK = [
     (2, 2), (3, 2), (5, 4), (6, 4), (8, 2), (10, 2),
     (2, 12), (2, 13), (3, 8), (4, 6),
 ]
+# the largest cells analyze admits at d = 64, 16 and 2: the most
+# amplitudes, and the most terms and questions
+EDGE = [(64, 2), (16, 98), (2, 835)]
+
+# each row kind's schema keys, and where its first row sits
+ROWS = {
+    "term": (
+        ("alice_outcome", "alice_setting", "bob_outcome", "bob_setting"),
+        lambda cert: cert["terms"][0],
+    ),
+    "amplitude": (("im", "re"), lambda cert: cert["optimal_state"][0]),
+    "question": (
+        ("alice_setting", "bob_setting", "winning"),
+        lambda cert: cert["game"]["questions"][0],
+    ),
+    "winning": (
+        ("alice_outcome", "bob_outcome"),
+        lambda cert: cert["game"]["questions"][0]["winning"][0],
+    ),
+}
 
 
 def reference_json(cert):
@@ -37,10 +58,27 @@ def real_certificate(d, m):
     return build_certificate(analyze(ProblemSpec(d, m)))
 
 
-@pytest.mark.parametrize("cell", sorted(set(SMALL) | set(BENCHMARK)))
+@pytest.mark.parametrize("cell", sorted(set(SMALL) | set(BENCHMARK) | set(EDGE)))
 def test_writer_matches_json_dumps(cell):
     cert = real_certificate(*cell)
     assert certificate_json(cert) == reference_json(cert)
+
+
+@pytest.mark.parametrize(
+    "row, key", [(row, key) for row, (keys, _) in ROWS.items() for key in keys]
+)
+def test_writer_raises_key_error_for_a_row_missing_a_key(row, key):
+    cert = copy.deepcopy(real_certificate(2, 2))
+    del ROWS[row][1](cert)[key]
+    with pytest.raises(KeyError, match=key):
+        certificate_json(cert)
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_writer_leaves_out_an_extra_key_in_a_row(row):
+    cert = copy.deepcopy(real_certificate(2, 2))
+    ROWS[row][1](cert)["extra"] = 1
+    assert certificate_json(cert) == certificate_json(real_certificate(2, 2))
 
 
 def refill(node, kind, values):

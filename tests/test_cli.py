@@ -302,8 +302,8 @@ def test_table_survey():
     proc = run_cli("table", "--outcomes-from", "2", "--outcomes-to", "5")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
-    assert len(lines) == 5
-    rows = [line.split() for line in lines[1:]]
+    assert len(lines) == 6
+    rows = [line.split() for line in lines[1:-1]]
     expected = [
         ("2", "3.4142", "3", "0.8536", "0.3991"),
         ("3", "3.3333", "3", "0.8333", "0.8146"),
@@ -311,6 +311,8 @@ def test_table_survey():
         ("5", "3.2944", "3", "0.8236", "1.4223"),
     ]
     assert [tuple(r) for r in rows] == expected
+    # 2 + 4/pi, below every row: Q_s falls with d toward it
+    assert lines[-1] == "d -> inf: Q_s -> M (1 + (M/pi) sin(pi/M)) = 3.2732 at M = 2"
 
 
 def test_game_output():
@@ -394,14 +396,36 @@ def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
     assert f"FAIL  {name} (" in captured.out
 
 
+def test_phase_perturbed_step_operator_fails_the_period_check(monkeypatch, capsys):
+    # e^(i 1e-6) B is unitary, but B B is off U x U by up to 2e-6 times
+    # U x U's largest entry: the period line must fail and name every cell
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_step = verify_module.step_operator
+    monkeypatch.setattr(
+        verify_module, "step_operator", lambda u: real_step(u) * np.exp(1e-6j)
+    )
+    name = "step operator has period 2*M*d"
+    report = run_verification(3, 2)
+    (check,) = [c for c in report.checks if c.name == name]
+    assert not check.passed
+    cells = ["d=2 M=1", "d=2 M=2", "d=3 M=1", "d=3 M=2"]
+    assert [note.split(":")[0] for note in check.notes] == cells
+    assert all(1e-7 < float(note.split("residual ")[1]) <= 2e-6 for note in check.notes)
+    rc = cli_main(["verify", "--outcomes-max", "3", "--settings-max", "2"])
+    assert rc == 1
+    assert f"FAIL  {name} (" in capsys.readouterr().out
+
+
 def test_transposed_joint_grids_fail_the_prediction_check(monkeypatch, capsys):
-    # grids with the parties' roles exchanged keep each grid's mutual
-    # information but move p off the quantum win probability at every
+    # grids with the parties' roles exchanged within each grid keep its
+    # mutual information but move p off the quantum win probability at every
     # M = 2 cell with d >= 3: only the prediction line may fail
     games_module = importlib.import_module("orbitbell.games")
     real_joint = games_module.joint_distribution
     monkeypatch.setattr(
-        games_module, "joint_distribution", lambda *args: real_joint(*args).T
+        games_module,
+        "joint_distribution",
+        lambda *args: real_joint(*args).swapaxes(-1, -2),
     )
     name = "prediction probability equals the quantum win probability (M=2)"
     report = run_verification(4, 2)

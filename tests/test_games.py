@@ -195,6 +195,27 @@ def test_mutual_information_rejects_negative():
         mutual_information(np.array([[0.6, -0.1], [0.3, 0.2]]))
 
 
+def test_mutual_information_of_a_stack_is_its_per_grid_values():
+    rng = np.random.default_rng(7)
+    stack = rng.random((2, 3, 4, 4))
+    stack[0, 1, 2] = 0.0  # a zero row: its entries contribute 0
+    stack /= stack.sum(axis=(-2, -1), keepdims=True)
+    infos = mutual_information(stack)
+    assert infos.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        single = mutual_information(stack[index])
+        assert type(single) is float
+        assert infos[index] == single
+
+
+@pytest.mark.parametrize("index", list(np.ndindex(2, 2)))
+def test_mutual_information_rejects_a_nan_in_any_grid(index):
+    stack = np.full((2, 2, 3, 3), 1 / 9)
+    stack[index + (1, 2)] = np.nan
+    with pytest.raises(ValueError, match="negative probability entry nan"):
+        mutual_information(stack)
+
+
 def test_mutual_information_clips_roundoff():
     grid = np.array([[0.5, -1e-15], [0.0, 0.5]])
     assert mutual_information(grid) == pytest.approx(1.0, abs=1e-9)

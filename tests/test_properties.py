@@ -41,7 +41,13 @@ the coset slots equal the grouping by (alice setting, bob setting,
 outcomes equal) in order of first appearance that they replaced, there
 and at analyze's edge cells. The M = 2 prediction read off each slot's
 first term equals the per-term lookup it replaced, bit for bit, at every
-d <= 64.
+d <= 64. The M = 2 statistics, four grids from one broadcast product
+and their mutual information from one stacked reduction, equal the
+per-grid loop they replaced: the grids to 1e-15, I_ab and its spread to
+1e-14 and p bit for bit, at d <= 32 and at (64, 2). ``verify``'s period
+line, read off B B = U x U and T^d = 1, gives the verdict of the
+2Md-th matrix power it replaced on every cell with d <= 8, M <= 6, for
+B and for B with its phase moved.
 """
 
 import itertools
@@ -79,7 +85,13 @@ from orbitbell.linalg import (
     translation_matrix,
 )
 from orbitbell.orbit import _orbit, _root_table, fourier_eigenbasis, label_step
-from reference import classical_bound_by_term, eigensystem_by_pair, root_of_unity_index
+from orbitbell.verify import _largest, _period_residual
+from reference import (
+    classical_bound_by_term,
+    eigensystem_by_pair,
+    root_of_unity_index,
+    two_setting_stats_by_grid,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 # only the @example cells, each once
@@ -112,6 +124,12 @@ CLOSED_FORM_CELLS = [(d, m) for d in range(2, 33) for m in range(1, 13)] + EDGE_
 
 # every two-setting (d, M) with d <= 64
 TWO_SETTING_CELLS = [(d, 2) for d in range(2, 65)]
+
+# every two-setting (d, M) with d <= 32, and analyze's largest at d = 64
+STATS_CELLS = [(d, 2) for d in range(2, 33)] + [(64, 2)]
+
+# every (d, M) with d <= 8, M <= 6
+PERIOD_CELLS = [(d, m) for d in range(2, 9) for m in range(1, 7)]
 
 # every (d, M) with d <= 16, M <= 8 within the enumeration guard
 ANALYZABLE = [(d, m) for d, m in SMALL if d ** (2 * m) <= 10**8]
@@ -464,6 +482,40 @@ def test_slot_prediction_is_the_per_term_lookup_bit_for_bit(cell):
     instance = _inequality(ProblemSpec(*cell))
     stats = _two_setting_stats(instance.inequality, instance.table.bases)
     assert stats.prediction == per_term_prediction(instance.inequality, stats.grids)
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(STATS_CELLS))
+@every_cell(STATS_CELLS)
+def test_broadcast_statistics_match_the_per_grid_loop(cell):
+    instance = _inequality(ProblemSpec(*cell))
+    stats = _two_setting_stats(instance.inequality, instance.table.bases)
+    p, info, spread, grids = two_setting_stats_by_grid(
+        instance.inequality, instance.table.bases
+    )
+    assert list(stats.grids) == list(grids)
+    for key, grid in grids.items():
+        assert np.max(np.abs(stats.grids[key] - grid)) <= 1e-15
+    assert abs(stats.info_bits - info) <= 1e-14
+    assert abs(stats.spread - spread) <= 1e-14
+    assert stats.prediction == p
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(PERIOD_CELLS))
+@every_cell(PERIOD_CELLS)
+def test_period_line_agrees_with_the_matrix_power(cell):
+    # a phase e^(i phi) on B moves B B off U x U by |e^(2 i phi) - 1|
+    # and B^(2Md) off 1 by |e^(2Md i phi) - 1|: both fail at phi = 1e-6
+    spec = ProblemSpec(*cell)
+    d, length = spec.outcomes, spec.orbit_length
+    u = _root_table(spec).u
+    t = translation_matrix(d)
+    for phase, passes in ((0.0, True), (1e-6, False)):
+        b = step_operator(u) * np.exp(1j * phase)
+        power = _largest(mat_power(b, length) - np.eye(d * d))
+        algebraic = _period_residual(t, u, b)
+        assert (power <= 1e-10, algebraic <= 1e-10) == (passes, passes)
 
 
 @EVERY_CELL_SETTINGS
