@@ -127,9 +127,9 @@ def _period_residual(t: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
     line checks U^M = T, so B^(2Md) = (U x U)^(Md) = (T x T)^d
     = T^d x T^d, which is 1 once T^d = 1: B has period 2Md without
     the 2Md-th power being formed."""
-    square = b @ b
-    square -= np.kron(u, u)
     d = len(t)
+    square = b @ b
+    square -= (u[:, None, :, None] * u[None, :, None, :]).reshape(d * d, d * d)  # U x U
     return _largest([_largest(square), _largest(np.linalg.matrix_power(t, d) - np.eye(d))])
 
 

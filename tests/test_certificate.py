@@ -3,8 +3,10 @@
 ``certificate_json`` writes the schema-"1" document from fixed
 templates. ``json.dumps(cert, indent=2, sort_keys=True)`` is kept here
 as the reference: every certificate must come out byte for byte the
-same, on every small cell, on the benchmark cells, and with arbitrary
-finite floats in every float slot of a real certificate.
+same, on every small cell, on the benchmark cells, on analyze's edge
+cells with the most rows, and with arbitrary finite floats in every
+float slot of a real certificate. A row missing one of its schema keys
+raises KeyError, and a key outside the schema is not written.
 """
 
 import copy
