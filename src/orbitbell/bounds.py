@@ -101,7 +101,6 @@ from .orbit import (
     _orbit,
     _root_table,
     _RootTable,
-    _states,
     condition_label_pairs,
     # bound here as orbitbell.bounds.orbit, which the benchmark's tracer
     # tests read; the hot path builds the orbit through _orbit
@@ -144,11 +143,11 @@ STRATEGY_GUARD = 10**8
 # Linux). The rule's 24 n^2 term counts
 # no array: the Gram route takes its DFT with np.fft in O(n) memory,
 # and the term stays only as the rule's limit on n. analyze
-# builds none of the counted arrays: an in-process analyze --format
-# json takes 0.07 s and peaks at 37 MiB ru_maxrss at (d, M) = (2, 835),
-# 0.06 s / 46 MiB at (16, 98) and 0.08 s / 117 MiB at (64, 10), most of
-# that the (n, d^2) states of the per-term probabilities (median of
-# five fresh processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
+# builds none of the counted arrays, and no (n, d^2) one: an
+# in-process analyze --format json takes 0.04 s and peaks at 38 MiB
+# ru_maxrss at (d, M) = (2, 835), 0.04 s / 38 MiB at (16, 98) and
+# 0.04 s / 42 MiB at (64, 10), mostly the interpreter and numpy (median
+# of five fresh processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
 # classical_bound keeps its enumeration tables under it too, for any
 # caller.
 MEMORY_CEILING = 256 * 2**20
@@ -490,9 +489,10 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     verify's. No d^2 x d^2 matrix is built: the orbit's two (n, d)
     factor arrays are read from the root table by one index rule and
     checked through U (see :func:`orbit`), and the Gram route reads
-    them; the per-term
-    probabilities are one product of the (n, d^2) states with the
-    conjugate state.
+    them. So do the per-term probabilities,
+    |<psi|a_j (x) b_j>|^2 = |sum_xy a_jx conj(psi_xy) b_jy|^2,
+    one (n, d) x (d, d) product and one row sum, with no (n, d^2)
+    states.
 
     Checks no size: :func:`build_inequality` and ``analyze`` run
     :func:`_check_size` on the instance first, and ``verify`` on its
@@ -509,7 +509,8 @@ def _inequality(spec: ProblemSpec) -> _Instance:
             f"analytic {analytic!r}"
         )
     c_value, witness = _chained_bell_bound(spec, terms)
-    probs = np.abs(_states(alice, bob) @ state.conj()) ** 2
+    # |<psi|a_j (x) b_j>|^2 with psi as the d x d array psi[x, y]
+    probs = np.abs(((alice @ state.reshape(alice.shape[1], -1).conj()) * bob).sum(1)) ** 2
     inequality = BellInequality(
         spec=spec,
         terms=terms,

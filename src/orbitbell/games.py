@@ -102,11 +102,13 @@ def joint_distribution(
     state: np.ndarray, alice_basis: np.ndarray, bob_basis: np.ndarray
 ) -> np.ndarray:
     """d x d outcome distribution of ``state`` measured in one basis per
-    party (columns are the outcomes; see :func:`measurement_bases`).
+    party (columns are the outcomes; setting s measures in the columns
+    of U^s, see :func:`measurement_bases`).
 
     The bases broadcast over their leading axes, so stacks of bases
-    give the stack of grids in one product: ``bases[:2, None]`` against
-    ``bases[None, :2]`` gives the four grids, indexed [s, t]."""
+    give the stack of grids in one product: with ``bases`` the stack
+    (I, U), ``bases[:, None]`` against ``bases[None, :]`` gives the
+    four grids, indexed [s, t]."""
     d = alice_basis.shape[-1]
     alice = alice_basis.conj().swapaxes(-1, -2)
     amplitudes = alice @ state.reshape(d, d) @ bob_basis.conj()
@@ -151,7 +153,7 @@ def prediction_probability(ineq: BellInequality) -> float:
             "the prediction rule needs exactly 2 settings per party, "
             f"got {spec.settings}"
         )
-    return _two_setting_stats(ineq, _root_table(spec).bases).prediction
+    return _two_setting_stats(ineq, _root_table(spec).u).prediction
 
 
 class _TwoSettingStats(NamedTuple):
@@ -163,16 +165,20 @@ class _TwoSettingStats(NamedTuple):
     grids: dict[tuple[int, int], np.ndarray]  # joint grid per setting pair (s, t)
 
 
-def _two_setting_stats(ineq: BellInequality, bases: np.ndarray) -> _TwoSettingStats:
-    """The M = 2 statistics of the optimal state, from the root table's
-    bases; ``analyze`` reports them and ``verify`` checks them. The
-    assembly has checked the terms against the chained-Bell families.
+def _two_setting_stats(ineq: BellInequality, u: np.ndarray) -> _TwoSettingStats:
+    """The M = 2 statistics of the optimal state, from the root unitary
+    U of the root table; ``analyze`` reports them and ``verify`` checks
+    them. The assembly has checked the terms against the chained-Bell
+    families.
 
-    The four grids come from one broadcast product, stacked [s, t], and
-    their mutual information from one stacked reduction. p gathers each
-    grid's predicted entries, grid[a, (a - delta) mod d], in (s, t)
-    order and then a order, and sums them left to right."""
-    stack = joint_distribution(ineq.optimal_state, bases[:2, None], bases[None, :2])
+    Setting s measures in the columns of U^s, so the bases are the
+    stack (I, U). The four grids come from one broadcast product,
+    stacked [s, t], and their mutual information from one stacked
+    reduction. p gathers each grid's predicted entries,
+    grid[a, (a - delta) mod d], in (s, t) order and then a order, and
+    sums them left to right."""
+    bases = np.stack([np.eye(len(u), dtype=complex), u])
+    stack = joint_distribution(ineq.optimal_state, bases[:, None], bases[None, :])
     infos = mutual_information(stack)
 
     # the four slots' first terms in the grids' (s, t) order, the order the sum adds in
@@ -190,7 +196,7 @@ def _two_setting_stats(ineq: BellInequality, bases: np.ndarray) -> _TwoSettingSt
 
 def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance, from one root table: the
-    inequality's, whose bases also give the M = 2 statistics.
+    inequality's, whose U also gives the M = 2 statistics.
 
     Raises InstanceTooLarge first for exactly the instances ``verify``'s
     size rule refuses (see :func:`~orbitbell.bounds.build_inequality`);
@@ -199,5 +205,5 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     ineq, table, *_ = _inequality(spec)
     game = game_spec(ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
-    stats = _two_setting_stats(ineq, table.bases) if spec.settings == 2 else (None,) * 4
+    stats = _two_setting_stats(ineq, table.u) if spec.settings == 2 else (None,) * 4
     return AnalysisReport(spec, ineq, game, quantum_win, classical_win, *stats)

@@ -11,10 +11,12 @@ measurement-basis vector per party, so it carries a
 B hands the parties' vectors across, B (a (x) b) = (U b) (x) a, and
 U^M = T, so with c_k = U^k|0>, column k div M of U^(k mod M) and
 labelled (k mod M, k div M), orbit state j is
-c_ceil(j/2) (x) c_floor(j/2), indices taken mod M*d. The orbit is held
-as its label pairs and two (n, d) factor arrays, read by this one
-index rule from the root table's M*d columns and checked one step at
-a time through U on the factors; :func:`label_step`, the same walk
+c_ceil(j/2) (x) c_floor(j/2), indices taken mod M*d. U commutes with
+T, so every power U^s is circulant, fixed by its first column
+u_s = U^s|0>, and c_k = roll(u_(k mod M), k div M). The orbit is held
+as its label pairs and two (n, d) factor arrays, gathered by this one
+index rule from the root table's first columns and checked one step
+at a time through U on the factors; :func:`label_step`, the same walk
 one step at a time, is the rule the tests check it against. The
 d^2-long states are formed only where a product needs them
 (:func:`_states`). This module forms no d^2 x d^2 matrix: B, the
@@ -23,11 +25,14 @@ the verification sweep and the tests.
 
 Everything rests on one object per instance, its root table
 (:func:`_root_table`): the shift's Fourier eigenbasis w_j, U's
-eigenvalues lambda_j with their exact integer root indices, U itself
-and the M measurement bases U^s. It is built once and passed down
-explicitly to the orbit, the quantum-bound routes, the two-setting
-statistics and the verification sweep; :func:`fourier_eigenbasis` and
-:func:`root_unitary` are public views of it.
+eigenvalues lambda_j with their exact integer root indices, and the
+first columns u_0..u_M of the powers of U, from exact index powers;
+U itself is the circulant gather of u_1. It is built once and passed
+down explicitly to the orbit, the quantum-bound routes, the
+two-setting statistics and the verification sweep;
+:func:`fourier_eigenbasis` and :func:`root_unitary` are public views
+of it, and :func:`measurement_bases`, the powers of U by running
+products, is the tests' reference for its first columns.
 """
 
 from __future__ import annotations
@@ -110,21 +115,20 @@ class OrbitEntry(NamedTuple):
 
 
 class _RootTable(NamedTuple):
-    """One instance's shift eigenbasis, root unitary and measurement
-    bases, built once by :func:`_root_table` and handed down."""
+    """One instance's shift eigenbasis, root eigenvalues and the first
+    columns of the powers of U, built once by :func:`_root_table` and
+    handed down."""
 
     rows: np.ndarray  # (d, d); row j is the Fourier vector w_j
     lambdas: np.ndarray  # (d,); U w_j = lambda_j w_j
     indices: list[int]  # lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
-    u: np.ndarray  # the root unitary U
-    bases: np.ndarray  # (M, d, d); bases[s] = U^s, from measurement_bases
+    firsts: np.ndarray  # (M+1, d); row s is u_s = U^s|0>
 
     @property
-    def columns(self) -> np.ndarray:
-        """(M*d, d) column table; row k is c_k = U^k|0>, which, as
-        U^M = T, is column k div M of U^(k mod M)."""
-        m, d, _ = self.bases.shape
-        return self.bases.transpose(2, 0, 1).reshape(m * d, d)
+    def u(self) -> np.ndarray:
+        """The root unitary U, circulant: U[x, y] = u_1[(x - y) mod d]."""
+        ramp = np.arange(self.firsts.shape[1])
+        return self.firsts[1][(ramp[:, None] - ramp) % len(ramp)]
 
 
 def _fourier(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,34 +157,34 @@ def _root_indices(d: int, order: int) -> list[int]:
 
 def _root_table(spec: ProblemSpec) -> _RootTable:
     """The instance's root table: Fourier rows, U's eigenvalues with
-    their exact root indices, U itself and its M measurement bases.
+    their exact root indices, and the first columns u_0..u_M of the
+    powers of U.
 
-    lambda_j is exp(i * (theta_j / M)); the indices come from integer
-    arithmetic and are checked against lambda_j in one snap, within
-    1e-9, which raises RuntimeError on a mismatch (a branch-convention
-    bug) or a NaN. U is the ordered sum of lambda_j w_j w_j^H over j,
-    the same additions in the same order as summing the terms one at a
-    time.
+    The indices come from integer arithmetic, and lambda_j is
+    exp(2*pi*i*r_j / n), n = 2*M*d. They are checked against the phase
+    rule's eigenvalue exp(i * (theta_j / M)) in one snap, within 1e-9,
+    which raises RuntimeError on a mismatch (a branch-convention bug)
+    or a NaN. U = sum_j lambda_j w_j w_j^H is circulant, and so is U^s,
+    whose first column is u_s = ifft(lambda^s): row s of ``firsts``,
+    with lambda_j^s the exact index power exp(2*pi*i*((s r_j) mod n)/n),
+    so no power of U accumulates rounding. Row M, u_M = T|0>, makes
+    row 1 exist at M = 1, where U = T.
     """
     d, order = spec.outcomes, spec.orbit_length
     rows, thetas = _fourier(d)
-    lambdas = np.exp(1j * (thetas / spec.settings))
     indices = _root_indices(d, order)
-    snap = np.abs(lambdas - np.exp(2j * np.pi * np.array(indices) / order))
+    powers = np.arange(spec.settings + 1)[:, None] * indices % order
+    phases = np.exp(1j * (2 * np.pi * powers / order))  # row s is lambda^s
+    rooted = np.exp(1j * (thetas / spec.settings))
+    snap = np.abs(rooted - phases[1])
     worst = int(snap.argmax())  # the first NaN, if any
     if not snap[worst] <= _SNAP_TOL:
         raise RuntimeError(
-            f"root table: lambda_{worst} = {complex(lambdas[worst])!r} is not "
+            f"root table: lambda_{worst} = {complex(rooted[worst])!r} is not "
             f"the order-{order} root of unity with index {indices[worst]} "
             f"(snap error {float(snap[worst]):.3e} exceeds {_SNAP_TOL:.0e})"
         )
-    # lambda_j w_j w_j^H stacked, then summed in order, all in one buffer
-    terms = rows[:, :, None] * rows.conj()[:, None, :]
-    np.multiply(lambdas[:, None, None], terms, out=terms)
-    np.cumsum(terms, axis=0, out=terms)
-    u = terms[-1].copy()
-    bases = np.array(measurement_bases(u, spec.settings))
-    return _RootTable(rows, lambdas, indices, u, bases)
+    return _RootTable(rows, phases[1], indices, np.fft.ifft(phases, axis=1))
 
 
 def fourier_eigenbasis(d: int) -> list[tuple[np.ndarray, float]]:
@@ -205,10 +209,12 @@ def root_unitary(spec: ProblemSpec) -> np.ndarray:
 def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
     """Orthonormal basis per setting s < settings: the columns of U^s.
 
-    ``u`` is the instance's root unitary; the root table holds its
-    bases. The powers are running products U^s = U^(s-1) U, settings - 1
-    matrix products in all; U^0 is the identity and U^1 is ``u``
-    itself.
+    ``u`` is the instance's root unitary. The powers are running
+    products U^s = U^(s-1) U, settings - 1 matrix products in all; U^0
+    is the identity and U^1 is ``u`` itself. The package does not call
+    it: the root table holds each U^s as its first column u_s, from
+    exact index powers, and U^s[:, k] = roll(u_s, k). It is the tests'
+    reference for those columns.
     """
     bases = [np.eye(u.shape[0], dtype=complex), u]
     for _ in range(2, settings):
@@ -248,10 +254,12 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     B (a (x) b) = (U b) (x) a, so step j compares a_j with U b_(j-1)
     and b_j with a_(j-1), O(d^2) per step. Step 0 must be |0>|0>, and
     for 1 <= j <= n = 2*M*d, B v_(j-1) must be v_j, with v_n, the
-    closing state the index rule names, equal to |0>|0>. Any mismatch
-    beyond 1e-10 means an index-convention bug and raises RuntimeError,
-    naming the first bad step, rather than returning silently wrong
-    terms.
+    closing state the index rule names, equal to |0>|0>. As U commutes
+    with the rolls, this checks U u_s = u_(s+1) for s < M - 1 and
+    U u_(M-1) = roll(u_0, 1) = u_M on the root table's first columns.
+    Any mismatch beyond 1e-10 means an index-convention bug and raises
+    RuntimeError, naming the first bad step, rather than returning
+    silently wrong terms.
     """
     terms, alice, bob = _orbit(spec, _root_table(spec))
     return [
@@ -270,9 +278,9 @@ def _states(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
 def _factor_indices(spec: ProblemSpec) -> np.ndarray:
     """The index rule as one sequence, k_i = floor(i/2) mod M*d for
     i = 0..n+1: orbit row j = 0..n is c_(k_(j+1)) (x) c_(k_j), Alice's
-    factor column ceil(j/2) and Bob's floor(j/2) of the column table,
-    and b_(j+1) = a_j is B handing Alice's vector to Bob. The closing
-    row n is named |0>|0> again."""
+    factor c_ceil(j/2) and Bob's c_floor(j/2), and b_(j+1) = a_j is B
+    handing Alice's vector to Bob. The closing row n is named |0>|0>
+    again."""
     period = spec.settings * spec.outcomes
     return (np.arange(period + 1) % period).repeat(2)
 
@@ -284,18 +292,20 @@ def _orbit(
     and the two (n, d) factor arrays, alice[j] = a_j and bob[j] = b_j
     (see :func:`_states` for the states themselves).
 
-    State j is c_ceil(j/2) (x) c_floor(j/2), with c_k = U^k|0> row k of
-    the table's columns, labelled (k mod M, k div M). The labels and
-    both factor arrays are read at the indices of
-    :func:`_factor_indices`, over rows 0..n, and the gathered factors
-    are checked one step at a time through U. :func:`label_step` is the
-    one-step rule the tests check these labels against.
+    State j is c_ceil(j/2) (x) c_floor(j/2), labelled (k mod M, k div M),
+    with c_k = U^k|0> = roll(u_(k mod M), k div M) gathered from the
+    table's first columns: entry x of c_k is u_(k mod M)[(x - k div M)
+    mod d]. The labels and both factor arrays are read at the indices
+    of :func:`_factor_indices`, over rows 0..n, in one fancy index, and
+    the gathered factors are checked one step at a time through U.
+    :func:`label_step` is the one-step rule the tests check these
+    labels against.
     """
     d, m, n = spec.outcomes, spec.settings, spec.orbit_length
     labels = [MeasLabel(k % m, k // m) for k in range(m * d)]
-    columns, index = table.columns, _factor_indices(spec)
-    alice = columns.take(index[1:], axis=0)
-    bob = columns.take(index[:-1], axis=0)
+    index = _factor_indices(spec)
+    factors = table.firsts[(index % m)[:, None], (np.arange(d) - (index // m)[:, None]) % d]
+    alice, bob = factors[1:], factors[:-1]
 
     # row j of (found, expected): (a_j, b_j) against what B makes of
     # row j - 1, (U b_(j-1), a_(j-1)), and against |0>|0> at row 0;

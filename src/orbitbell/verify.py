@@ -17,10 +17,16 @@ whole closed-form eigensystem; from ``bounds``, the d^M enumeration of
 the classical bound. The shift T, the swap S and
 the d^2 identity depend on d alone and are built once per outcome
 count. Q_s is checked against its proved closed form
-M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1, to a relative 1e-12.
-At M = 2 it checks ``analyze``'s statistics: the mutual information
-does not depend on the setting pair, and p = Q_s / 4. A NaN residual
-fails its line. Each dense matrix is released once its checks are
+M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1, to a relative 1e-12,
+and the reported state, built from d Fourier coefficients on the
+pairing, against the definition of the projector onto B's eigenvalue
+mu = exp(2*pi*i*rho/n): P_mu|00> = (1/n) sum_j mu^(-j) v_j over the
+orbit states v_j = B^j|00>, normalized, with the proved
+rho = 1 - d mod 2 (0 at M = 1), with no phase fitted. At M = 2 it
+checks ``analyze``'s statistics: the mutual information does not
+depend on the setting pair, and p = Q_s / 4. A NaN residual fails its
+line, and a NaN grid entry, which the mutual information refuses,
+fails the information line. Each dense matrix is released once its checks are
 read, so that at most a few d^2 x d^2 arrays are alive at a time.
 """
 
@@ -138,8 +144,8 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
 
     Each cell assembles its instance once, as ``analyze`` does, and
     every check reads it: the inequality, the orbit and the root table,
-    whose U also gives the closed-form eigensystem and whose bases give
-    the M = 2 statistics.
+    whose U also gives the M = 2 statistics and whose eigenvalues give
+    the closed-form eigensystem.
 
     The two bounds are checked by :class:`ProblemSpec`'s rules before
     any work: a non-integer or ``bool`` bound raises TypeError, and
@@ -173,6 +179,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         ),
         "closed": CheckResult("quantum bound equals the closed form", 1e-12),
         "maximizer": CheckResult("optimal state is a step-operator eigenvector", 1e-9),
+        "projection": CheckResult(
+            "optimal state equals the projection of |00> onto B's mu-eigenspace", 1e-9
+        ),
         "uniform": CheckResult("per-term probabilities equal Q_s/(2*M*d)", 1e-9),
         "dominance": CheckResult("quantum bound is at least the classical bound", 1e-9),
         "chained": CheckResult(
@@ -254,6 +263,10 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             b_state = b @ state
             rayleigh = np.vdot(state, b_state)
             checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
+            rho = 0 if m == 1 or d % 2 else 1
+            projection = np.exp(-2j * np.pi * rho * np.arange(length) / length) @ orbit_vecs
+            residual = state - projection / np.linalg.norm(projection)  # no phase fitted
+            checks["projection"].record(_largest(residual), cell)
             uniform = ineq.per_term_probs - analytic / length
             checks["uniform"].record(_largest(uniform), cell)
 
@@ -274,8 +287,12 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                         checks["degenerate"].fail(cell, f"C_s={c_value}, expected 1")
 
             if m == 2:  # the quantum win is Q_s over the 2M = 4 questions
-                stats = _two_setting_stats(ineq, instance.table.bases)
-                checks["information"].record(stats.spread, cell)
-                checks["prediction"].record(abs(stats.prediction - analytic / 4), cell)
+                try:
+                    stats = _two_setting_stats(ineq, u)
+                except ValueError as exc:  # a NaN or negative entry in a grid
+                    checks["information"].fail(cell, str(exc))
+                else:
+                    checks["information"].record(stats.spread, cell)
+                    checks["prediction"].record(abs(stats.prediction - analytic / 4), cell)
 
     return VerificationReport(list(checks.values()), summary, skipped)

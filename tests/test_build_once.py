@@ -1,14 +1,16 @@
 """Each analyzed instance is built once.
 
 Everything rests on one root table per instance (the shift's Fourier
-rows, U's eigenvalues with their exact root indices, U and the M
-measurement bases, from one ``measurement_bases`` call): ``analyze``
-builds it once at every M and hands it to the orbit, to both quantum
-routes and, at M = 2, to the one statistics function, which forms the
-four joint grids in one broadcast ``joint_distribution`` call and reads
-the mutual information and the prediction probability from them, and
-which runs at no other M. No public view of the table
-(``root_unitary``, ``fourier_eigenbasis``) runs on that path. ``analyze`` builds the orbit
+rows, U's eigenvalues with their exact root indices, and the first
+columns u_0..u_M of the powers of U, from exact index powers, whose
+u_1 gives U): ``analyze`` builds it once at every M and hands it to the
+orbit, to both quantum routes and, at M = 2, U to the one statistics
+function, which forms the four joint grids in one broadcast
+``joint_distribution`` call and reads the mutual information and the
+prediction probability from them, and which runs at no other M. No
+public view of the table (``root_unitary``, ``fourier_eigenbasis``)
+runs on that path, and neither does ``measurement_bases``, the running
+products of U that the tests check the first columns against. ``analyze`` builds the orbit
 once, runs the root-index and Gram routes of the quantum bound, and
 calls none of the ``linalg`` module's dense routes: the orbit is
 checked through U. Its classical bound is the chained-Bell value, with
@@ -69,7 +71,8 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
     orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
     measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
-    # the public views of the table rebuild it, so they stay off the path
+    # the public views of the table rebuild it, so they stay off the
+    # path, and the running products are the tests' reference only
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     bases = count_calls(monkeypatch, "orbitbell.orbit", "fourier_eigenbasis")
     public_orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
@@ -84,8 +87,8 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
-    assert tables[0] == fouriers[0] == orbits[0] == measurement[0] == 1
-    assert roots[0] == bases[0] == public_orbits[0] == 0
+    assert tables[0] == fouriers[0] == orbits[0] == 1
+    assert roots[0] == bases[0] == public_orbits[0] == measurement[0] == 0
     assert stats[0] == (1 if m == 2 else 0)
     assert grids[0] == (1 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
@@ -120,8 +123,8 @@ def test_verify_builds_each_cell_once(monkeypatch):
     report = run_verification(3, 3)  # 6 cells, all inside the guard
     assert report.passed
     assert assemblies[0] == tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
-    # the bases come with the table
-    assert measurement[0] == 6
+    # the first columns come with the table; no running products
+    assert measurement[0] == 0
     # T and S depend on d alone: one each per outcome count, d = 2 and 3,
     # shared by the row's cells and the dense product
     assert swaps[0] == shifts[0] == 2

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report content, JSON certificate shape,
 byte-level determinism, and the verify subcommand."""
 
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -19,6 +20,7 @@ from orbitbell import (
     run_verification,
 )
 from orbitbell.cli import build_parser, main as cli_main
+from orbitbell.orbit import _states
 
 
 def run_cli(*args):
@@ -473,6 +475,35 @@ def test_wrong_reported_state_fails_verification(monkeypatch):
     failed = {c.name for c in report.checks if not c.passed}
     assert "optimal state is a step-operator eigenvector" in failed
     assert "per-term probabilities equal Q_s/(2*M*d)" in failed
+
+
+def test_state_of_the_flipped_group_fails_the_projection_line(monkeypatch):
+    # the state of group 1 - rho, the normalized projection of |00> onto
+    # B's eigenvalue exp(2 pi i (1 - rho) / n), is still a B eigenvector,
+    # so only the projection onto the proved group tells it apart
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_inequality = verify_module._inequality
+
+    def flipped(spec):
+        instance = real_inequality(spec)
+        n, d = spec.orbit_length, spec.outcomes
+        rho = 1 - (0 if spec.settings == 1 or d % 2 else 1)
+        vectors = _states(instance.alice, instance.bob)
+        state = np.exp(-2j * np.pi * rho * np.arange(n) / n) @ vectors
+        ineq = dataclasses.replace(
+            instance.inequality, optimal_state=state / np.linalg.norm(state)
+        )
+        return instance._replace(inequality=ineq)
+
+    monkeypatch.setattr(verify_module, "_inequality", flipped)
+    checks = {c.name: c for c in run_verification(3, 2).checks}
+    name = "optimal state equals the projection of |00> onto B's mu-eigenspace"
+    assert checks[name].line().startswith(f"FAIL  {name} (worst residual ")
+    assert [note.split(":")[0] for note in checks[name].notes] == [
+        "d=2 M=1", "d=2 M=2", "d=3 M=1", "d=3 M=2"
+    ]
+    assert checks["optimal state is a step-operator eigenvector"].passed
+    assert checks["instance builds and passes analyze's own checks"].passed
 
 
 def test_bound_off_its_closed_form_fails_only_the_closed_form_line(monkeypatch, capsys):

@@ -15,8 +15,9 @@ of U, moves the root-index value off the Gram spectrum, which reads the
 orbit, so the route agreement fails and ``analyze`` exits 4; bumped by
 1, it makes a block's root-index sum odd, which the dense closed-form
 eigensystem refuses. A NaN in the root unitary fails ``verify``'s
-unitarity line, and a swap matrix that cannot be built fails the
-construction line of every cell of its outcome count.
+unitarity line, and at M = 2 its mutual-information line, whose grids
+it reaches; a swap matrix that cannot be built fails the construction
+line of every cell of its outcome count.
 """
 
 import importlib
@@ -108,21 +109,27 @@ def test_nan_in_one_generator_fails_the_unitarity_line(monkeypatch):
 
 
 def test_nan_in_the_root_unitary_fails_the_unitarity_line(monkeypatch):
-    # U reaches the line as the assembly's table holds it
+    # U reaches the line as the circulant of the assembly's table's u_1,
+    # so a NaN in u_1 after the assembly's own checks is a NaN in U; at
+    # M = 2 it reaches the joint grids too, whose mutual information
+    # refuses it, and that fails the information line
     verify_module = importlib.import_module("orbitbell.verify")
     real_inequality = verify_module._inequality
 
     def nan_unitary(spec):
         instance = real_inequality(spec)
-        u = instance.table.u.copy()
-        u[0, 1] = NAN
-        return instance._replace(table=instance.table._replace(u=u))
+        firsts = instance.table.firsts.copy()
+        firsts[1, 1] = NAN
+        return instance._replace(table=instance.table._replace(firsts=firsts))
 
     monkeypatch.setattr(verify_module, "_inequality", nan_unitary)
+    checks = {c.name: c for c in run_verification(2, 2).checks}
     name = "generator matrices are unitary"
-    (check,) = [c for c in run_verification(2, 2).checks if c.name == name]
-    assert check.line() == f"FAIL  {name} (worst residual nan, tolerance 1e-12)"
-    assert check.notes == ["d=2 M=1: residual nan", "d=2 M=2: residual nan"]
+    assert checks[name].line() == f"FAIL  {name} (worst residual nan, tolerance 1e-12)"
+    assert checks[name].notes == ["d=2 M=1: residual nan", "d=2 M=2: residual nan"]
+    information = checks["mutual information independent of the setting pair (M=2)"]
+    assert not information.passed
+    assert information.notes == ["d=2 M=2: negative probability entry nan in joint grid"]
 
 
 def test_unbuilt_swap_fails_the_construction_line_of_its_row(monkeypatch):
@@ -176,16 +183,19 @@ def test_nan_eigenphase_fails_the_root_table_snap(monkeypatch, capsys):
 
 
 def test_nan_basis_column_fails_the_step_check(monkeypatch, capsys):
-    # step 1 is Alice at (1, 0): a NaN in column 0 of setting 1
+    # step 1 is Alice at (1, 0): a NaN in entry 0 of u_1, the first
+    # column of setting 1, puts NaN in both v_1 and B v_0 = U|0> (x) |0>
     orbit_module = importlib.import_module("orbitbell.orbit")
-    real_bases = orbit_module.measurement_bases
+    real_table = orbit_module._root_table
 
-    def nan_column(u, settings):
-        bases = [b.copy() for b in real_bases(u, settings)]
-        bases[1][:, 0] = NAN
-        return bases
+    def nan_column(spec):
+        table = real_table(spec)
+        firsts = table.firsts.copy()
+        firsts[1, 0] = NAN
+        return table._replace(firsts=firsts)
 
-    monkeypatch.setattr(orbit_module, "measurement_bases", nan_column)
+    for name in ("orbitbell.orbit", "orbitbell.bounds"):
+        monkeypatch.setattr(importlib.import_module(name), "_root_table", nan_column)
     with pytest.raises(RuntimeError, match=r"disagree at step 1 \(max deviation nan\)"):
         orbit(ProblemSpec(3, 2))
     assert_exit_4(capsys, ["analyze", "--outcomes", "3", "--settings", "2"], "step 1 ")

@@ -261,7 +261,7 @@ def test_orbit_invariants(d, m):
 def test_index_rule_matches_the_label_walk_and_the_powers_of_u(d):
     # the orbit names state j by one index rule; label_step, iterated
     # 2*M*d times from ((0,0),(0,0)), is the one-step reference, and
-    # column k of the column table is U^k|0> with U^k formed by
+    # c_k = roll(u_(k mod M), k div M) is U^k|0> with U^k formed by
     # repeated products
     for m in range(1, 9):
         spec = ProblemSpec(d, m)
@@ -273,15 +273,16 @@ def test_index_rule_matches_the_label_walk_and_the_powers_of_u(d):
             pair = label_step(*pair, spec)
         assert terms == tuple(walk)
         assert pair == walk[0]
-        # each factor is its label's basis column, gathered unchanged
+        # each factor is its setting's first column rolled by its
+        # outcome, gathered unchanged
         for (a, b), a_j, b_j in zip(terms, alice, bob):
-            assert np.array_equal(a_j, table.bases[a.setting][:, a.outcome])
-            assert np.array_equal(b_j, table.bases[b.setting][:, b.outcome])
-        columns = table.columns
-        assert columns.shape == (m * d, d)
+            assert np.array_equal(a_j, np.roll(table.firsts[a.setting], a.outcome))
+            assert np.array_equal(b_j, np.roll(table.firsts[b.setting], b.outcome))
+        assert table.firsts.shape == (m + 1, d)
         power = np.eye(d, dtype=complex)
         for k in range(m * d):
-            assert np.max(np.abs(columns[k] - power[:, 0])) <= 1e-10
+            column = np.roll(table.firsts[k % m], k // m)
+            assert np.max(np.abs(column - power[:, 0])) <= 1e-10
             power = power @ table.u
 
 
@@ -385,61 +386,75 @@ def test_orbit_check_covers_the_closing_step(monkeypatch, capsys):
 
 
 def test_orbit_check_catches_a_wrong_basis_column(monkeypatch, capsys):
-    # step 1 is Alice at (1, 0), Bob at (0, 0): a perturbed column 0 of
-    # setting 1 makes v_1 differ from B v_0 = U|0> (x) |0>, which the
-    # step check forms from U itself
+    # u_1 = U|0> 1e-6 off at entry 0 moves U by 1e-6 times the identity,
+    # since U is the circulant of u_1: steps 1 and 2 compare u_1 with
+    # U u_0, both perturbed alike, and step 3, the first that compares
+    # U u_1 with c_2 = roll(u_0, 1) = T|0>, finds it about 2e-6 u_1 off
     spec = ProblemSpec(3, 2)
     orbit_module = importlib.import_module("orbitbell.orbit")
-    real_bases = orbit_module.measurement_bases
+    real_table = orbit_module._root_table
 
-    def perturbed_bases(u, settings):
-        bases = [b.copy() for b in real_bases(u, settings)]
-        bases[1][:, 0] += 1e-6
-        return bases
+    def perturbed(spec):
+        table = real_table(spec)
+        firsts = table.firsts.copy()
+        firsts[1, 0] += 1e-6
+        return table._replace(firsts=firsts)
 
-    monkeypatch.setattr(orbit_module, "measurement_bases", perturbed_bases)
-    with pytest.raises(RuntimeError, match="disagree at step 1 "):
+    for name in ("orbitbell.orbit", "orbitbell.bounds"):
+        monkeypatch.setattr(importlib.import_module(name), "_root_table", perturbed)
+    with pytest.raises(RuntimeError, match="disagree at step 3 "):
         orbit(spec)
     rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
-    assert "disagree at step 1 " in captured.err
+    assert "disagree at step 3 " in captured.err
 
 
 def per_row_reference(d, m):
     """Reference: the Fourier rows, their phases, U's eigenvalues and U,
-    built one row at a time, each phase and eigenvalue a Python scalar
-    and U summed term by term."""
+    built one row at a time. Each phase is a Python scalar, each
+    eigenvalue the exact index power exp(2*pi*i*r_j/n) of its integer
+    root index r_j, n = 2*M*d, and U the circulant of u_1 = ifft(lambda),
+    filled one entry at a time; also U as the sum of lambda_j w_j w_j^H,
+    term by term."""
     ks = np.arange(d)
+    n = 2 * m * d
     rows, thetas, lambdas = [], [], []
-    u = np.zeros((d, d), dtype=complex)
+    summed = np.zeros((d, d), dtype=complex)
     for j in range(d):
         w = np.exp(2j * np.pi * j * ks / d) / np.sqrt(d)
         if 2 * j < d:
-            theta = -2.0 * np.pi * j / d
+            theta, r = -2.0 * np.pi * j / d, (-2 * j) % n
         elif 2 * j == d:
-            theta = np.pi
+            theta, r = np.pi, d
         else:
-            theta = 2.0 * np.pi * (d - j) / d
-        lam = np.exp(1j * float(theta) / m)
-        u += lam * np.outer(w, w.conj())
+            theta, r = 2.0 * np.pi * (d - j) / d, 2 * (d - j)
+        lam = np.exp(1j * (2 * np.pi * r / n))
+        summed += lam * np.outer(w, w.conj())
         rows.append(w)
         thetas.append(float(theta))
         lambdas.append(lam)
-    return np.array(rows), thetas, np.array(lambdas), u
+    first = np.fft.ifft(np.array(lambdas))
+    u = np.empty((d, d), dtype=complex)
+    for x in range(d):
+        for y in range(d):
+            u[x, y] = first[(x - y) % d]
+    return np.array(rows), thetas, np.array(lambdas), u, summed
 
 
 @pytest.mark.parametrize("d", range(2, 65))
 def test_root_table_is_bit_identical_to_the_per_row_loop(d):
     orbit_module = importlib.import_module("orbitbell.orbit")
     for m in range(1, 17):
-        rows, thetas, lambdas, u = per_row_reference(d, m)
+        rows, thetas, lambdas, u, summed = per_row_reference(d, m)
         table = orbit_module._root_table(ProblemSpec(d, m))
         assert table.rows.tobytes() == rows.tobytes()
         assert table.lambdas.tobytes() == lambdas.tobytes()
         assert table.u.tobytes() == u.tobytes()
         assert root_unitary(ProblemSpec(d, m)).tobytes() == u.tobytes()
+        # the circulant is U = sum_j lambda_j w_j w_j^H, its definition
+        assert np.max(np.abs(u - summed)) <= 1e-12
     basis = fourier_eigenbasis(d)
     assert [theta for _, theta in basis] == thetas
     assert all(type(theta) is float for _, theta in basis)

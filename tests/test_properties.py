@@ -13,7 +13,11 @@ up to M Alice settings) reach the hit tables wider than the orbit's
 two Alice settings per Bob setting. On every full orbit within the
 guard, the chained-Bell route equals the enumeration in value and
 witness. The root table's integer root indices are checked against
-snapping each eigenvalue, over d <= 64 and M <= 16. The root-index
+snapping each eigenvalue exp(i theta_j / M) of the phase rule, over
+d <= 64 and M <= 16, and its first columns u_s = U^s|0>, exact index
+powers through one inverse FFT, against column 0 of the running
+products U^s of ``measurement_bases``, and u_M against T|0>, to 1e-12
+over d <= 32 and M <= 12. The root-index
 quantum route, which builds the state from P_mu = (1 + B/mu)/2, is
 checked against grouping the whole closed-form eigensystem (the same
 root index, the state to 1e-14 and Q_s to 1e-13 relative), and against
@@ -65,6 +69,7 @@ from orbitbell import (
     build_inequality,
     classical_bound,
     game_spec,
+    measurement_bases,
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
@@ -119,8 +124,11 @@ SLOT_CELLS = [(d, m) for d in range(2, 13) for m in range(1, 9)]
 # the largest cells analyze admits at d = 64, 16 and 2
 EDGE_CELLS = [(64, 2), (64, 10), (16, 98), (2, 835)]
 
-# every (d, M) with d <= 32, M <= 12, and analyze's edge cells
-CLOSED_FORM_CELLS = [(d, m) for d in range(2, 33) for m in range(1, 13)] + EDGE_CELLS
+# every (d, M) with d <= 32, M <= 12
+POWER_CELLS = [(d, m) for d in range(2, 33) for m in range(1, 13)]
+
+# those and analyze's edge cells
+CLOSED_FORM_CELLS = POWER_CELLS + EDGE_CELLS
 
 # every two-setting (d, M) with d <= 64
 TWO_SETTING_CELLS = [(d, 2) for d in range(2, 65)]
@@ -480,7 +488,7 @@ def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
 @every_cell(TWO_SETTING_CELLS)
 def test_slot_prediction_is_the_per_term_lookup_bit_for_bit(cell):
     instance = _inequality(ProblemSpec(*cell))
-    stats = _two_setting_stats(instance.inequality, instance.table.bases)
+    stats = _two_setting_stats(instance.inequality, instance.table.u)
     assert stats.prediction == per_term_prediction(instance.inequality, stats.grids)
 
 
@@ -489,9 +497,9 @@ def test_slot_prediction_is_the_per_term_lookup_bit_for_bit(cell):
 @every_cell(STATS_CELLS)
 def test_broadcast_statistics_match_the_per_grid_loop(cell):
     instance = _inequality(ProblemSpec(*cell))
-    stats = _two_setting_stats(instance.inequality, instance.table.bases)
+    stats = _two_setting_stats(instance.inequality, instance.table.u)
     p, info, spread, grids = two_setting_stats_by_grid(
-        instance.inequality, instance.table.bases
+        instance.inequality, measurement_bases(instance.table.u, 2)
     )
     assert list(stats.grids) == list(grids)
     for key, grid in grids.items():
@@ -540,11 +548,27 @@ def test_per_term_probabilities_are_uniform_to_rounding(cell):
 @given(st.integers(2, 64), st.integers(1, 16))
 def test_root_table_indices_are_the_snapped_eigenvalues(d, m):
     # the integer index arithmetic names the root that snapping each
-    # eigenvalue lambda_j finds
+    # eigenvalue exp(i theta_j / M) of the phase rule finds
     table = _root_table(ProblemSpec(d, m))
     order = 2 * m * d
-    assert table.indices == [root_of_unity_index(lam, order) for lam in table.lambdas]
+    rooted = [np.exp(1j * theta / m) for _, theta in fourier_eigenbasis(d)]
+    assert table.indices == [root_of_unity_index(lam, order) for lam in rooted]
     assert all(type(idx) is int for idx in table.indices)
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(POWER_CELLS))
+@every_cell(POWER_CELLS)
+def test_first_columns_are_the_running_products_first_columns(cell):
+    # u_s from exact index powers against column 0 of U^s = U^(s-1) U,
+    # and the extra row u_M against T|0> = |1>
+    d, m = cell
+    table = _root_table(ProblemSpec(d, m))
+    assert table.firsts.shape == (m + 1, d)
+    bases = measurement_bases(table.u, m)
+    for s in range(m):
+        assert np.max(np.abs(table.firsts[s] - bases[s][:, 0])) <= 1e-12
+    assert np.max(np.abs(table.firsts[m] - translation_matrix(d)[:, 0])) <= 1e-12
 
 
 @PROPERTY_SETTINGS
