@@ -65,13 +65,21 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   with period n, G_jk = <v_0|B^(k-j)|v_0> depends only on k - j mod n:
   G is circulant, and its eigenvalues are the discrete Fourier
   transform of its first row (``np.fft``), with no eigensolver either,
-  in O(n) memory. Each v_j is
-  the product a_j (x) b_j of the orbit's two factor arrays, so that
-  row is read from the factors, without forming V;
+  in O(n) memory. Each v_j is the product a_j (x) b_j, and
+  a_0 = b_0 = |0>, so that row is g_r = <a_0|a_r> <b_0|b_r> =
+  a_r[0] b_r[0]: entry 0 of two factors, an O(n) gather from the root
+  table's first columns, with no (n, d) factor array and no V;
 * dense (``linalg.quantum_bound_numeric``): LAPACK ``eigvalsh`` on A
   itself, built by ``linalg.accumulate_A``. It is independent of both
   routes above and runs only in ``verify`` and the tests; this module
   imports nothing from ``linalg``.
+
+Every term has the same probability at the reported state, with no
+product formed: psi is an eigenvector of B, B psi = mu psi with
+|mu| = 1, and B is unitary, so term j's probability is
+|<v_j|psi>|^2 = |<v_0|B^(-j) psi>|^2 = |mu^(-j) <00|psi>|^2 = |psi_00|^2,
+psi's entry at flat index 0. They sum to <psi|A|psi> = Q_s, so each is
+Q_s/n; ``verify`` checks both against the dense orbit states.
 
 The classical bound is the exact maximum of the same expression over
 deterministic local strategies. Two routes compute it:
@@ -98,12 +106,13 @@ import numpy as np
 from .orbit import (
     MeasLabel,
     ProblemSpec,
-    _orbit,
+    _gather,
     _root_table,
     _RootTable,
+    _terms,
     condition_label_pairs,
     # bound here as orbitbell.bounds.orbit, which the benchmark's tracer
-    # tests read; the hot path builds the orbit through _orbit
+    # tests read; the hot path reads the orbit through _terms and _gather
     orbit,  # noqa: F401
 )
 
@@ -140,14 +149,13 @@ STRATEGY_GUARD = 10**8
 # peaks at 65 MiB ru_maxrss at D = 24 (1.2-2.3 s), 143 MiB at D = 32
 # (8.7-10.8 s), 210 MiB at D = 36 (15-22 s), 252 MiB at D = 38 (25 s)
 # and 304 MiB at D = 40 (35 s) (Python 3.11, numpy 2.4, 2-vCPU Xeon,
-# Linux). The rule's 24 n^2 term counts
-# no array: the Gram route takes its DFT with np.fft in O(n) memory,
-# and the term stays only as the rule's limit on n. analyze
-# builds none of the counted arrays, and no (n, d^2) one: an
-# in-process analyze --format json takes 0.04 s and peaks at 38 MiB
-# ru_maxrss at (d, M) = (2, 835), 0.04 s / 38 MiB at (16, 98) and
-# 0.04 s / 42 MiB at (64, 10), mostly the interpreter and numpy (median
-# of five fresh processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
+# Linux). The rule's 24 n^2 term counts no array: the Gram route takes
+# its DFT with np.fft in O(n) memory, and the term is only a limit on
+# n. analyze builds none of the counted arrays, no (n, d^2) one and no
+# (n, d) one: an in-process analyze --format json peaks at 37.6 MiB
+# ru_maxrss at (d, M) = (2, 835), 36.0 MiB at (16, 98) and 35.6 MiB at
+# (64, 10), mostly the interpreter and numpy (median of nine fresh
+# processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
 # classical_bound keeps its enumeration tables under it too, for any
 # caller.
 MEMORY_CEILING = 256 * 2**20
@@ -173,13 +181,14 @@ def _check_size(outcomes: int, settings: int) -> None:
     First, one dense d^2 x d^2 cross-check matrix must fit. Then the
     orbit arrays: over its n = 2*M*d steps, verify's dense stepping
     check holds the orbit states, their product with the dense step
-    operator and that product's magnitudes (40 d^2 bytes per step),
-    plus 24 n^2 bytes, 24 per pair of steps, which count no array: the
-    Gram spectrum is one ``np.fft`` in O(n) memory, and the term stays
-    only as the rule's limit on n. Neither count is verify's whole
-    peak, which holds several dense matrices per cell and is past the
-    ceiling by d = 40 (see MEMORY_CEILING). Plain int arithmetic, so an absurd d or M is
-    rejected without allocating.
+    operator and that product's magnitudes (40 d^2 bytes per step).
+    The second count adds 24 n^2 bytes, 24 per pair of steps, which
+    count no array (the Gram spectrum is one ``np.fft`` in O(n)
+    memory): that term is only a limit on the orbit length n, kept so
+    that the admitted cells stay what they were. Neither count is
+    verify's whole peak, which holds several dense matrices per cell
+    and is past the ceiling by d = 40 (see MEMORY_CEILING). Plain int
+    arithmetic, so an absurd d or M is rejected without allocating.
     """
     needed = 16 * outcomes**4
     if needed > MEMORY_CEILING:
@@ -271,7 +280,7 @@ def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.nda
     return value, x / np.linalg.norm(x)
 
 
-def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
+def quantum_bound_gram(g: np.ndarray) -> float:
     """Quantum bound from the spectrum of the orbit's Gram matrix.
 
     With v_j = B^j v_0 and B unitary of period n = 2*M*d, the Gram
@@ -279,18 +288,16 @@ def quantum_bound_gram(alice: np.ndarray, bob: np.ndarray) -> float:
     row g_r = <v_0|v_r>, so its eigenvalues are sum_r g_r w^(q r),
     w = exp(2*pi*i/n), that is n ``np.fft.ifft(g)``. G = conj(V) V^T
     and A = V^T conj(V) share their nonzero spectrum, so the largest of
-    these is A's top eigenvalue. The states are products,
-    v_r = a_r (x) b_r, so the first row is g_r = <a_0|a_r> <b_0|b_r>,
-    two products of the (n, d) factor arrays ``alice`` and ``bob``; no
-    array beyond O(n) is formed besides those.
+    these is A's top eigenvalue. ``g`` is that first row, (n,) complex:
+    the states are products v_r = a_r (x) b_r with a_0 = b_0 = |0>, so
+    g_r = a_r[0] b_r[0] (see :func:`_inequality`). No array beyond O(n)
+    is formed.
 
     Raises RuntimeError if an eigenvalue has an imaginary part above
     1e-9, or a NaN one: the first row describes a Hermitian circulant,
     g_(n-r) = conj(g_r), only if the orbit closes after n steps.
     """
-    n = len(alice)
-    g = (alice @ alice[0].conj()) * (bob @ bob[0].conj())
-    spectrum = n * np.fft.ifft(g)
+    spectrum = len(g) * np.fft.ifft(g)
     drift = float(np.abs(spectrum.imag).max())
     if not drift <= 1e-9:
         raise RuntimeError(
@@ -466,33 +473,30 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
 
 
 class _Instance(NamedTuple):
-    """One assembled instance, the objects it was built from and the
+    """One assembled instance, the root table it was built from and the
     value of its Gram cross-check."""
 
     inequality: BellInequality
     table: _RootTable
-    alice: np.ndarray  # (n, d); orbit state j is alice[j] (x) bob[j]
-    bob: np.ndarray
-    gram: float  # quantum_bound_gram(alice, bob)
+    gram: float  # quantum_bound_gram of the orbit's first Gram row
 
 
 def _inequality(spec: ProblemSpec) -> _Instance:
     """The one assembly of an instance, for :func:`build_inequality`,
     ``analyze`` and each ``verify`` cell.
 
-    Builds the instance's root table once and reads everything from it:
-    the orbit, and the quantum bound by the root-index route and by the
+    Builds the instance's root table once, its first columns checked
+    through U as it is built, and reads everything from it: the orbit's
+    terms, and the quantum bound by the root-index route and by the
     orbit's Gram spectrum, which must agree to 1e-9 (a NaN on either
-    route is a disagreement); the root-index
-    value and state are the ones reported. The classical bound and
-    witness come from the chained-Bell route; the d^M enumeration is
-    verify's. No d^2 x d^2 matrix is built: the orbit's two (n, d)
-    factor arrays are read from the root table by one index rule and
-    checked through U (see :func:`orbit`), and the Gram route reads
-    them. So do the per-term probabilities,
-    |<psi|a_j (x) b_j>|^2 = |sum_xy a_jx conj(psi_xy) b_jy|^2,
-    one (n, d) x (d, d) product and one row sum, with no (n, d^2)
-    states.
+    route is a disagreement); the root-index value and state are the
+    ones reported. The classical bound and witness come from the
+    chained-Bell route; the d^M enumeration is verify's. Only the
+    integer root indices and the (M + 1, d) first columns are read: the
+    Gram row g_j = a_j[0] b_j[0] is entry 0 of the factors, gathered by
+    the index rule, and every per-term probability is |psi_00|^2 (see
+    the module docstring). No (n, d) factor array, no Fourier row and
+    no d^2 x d^2 matrix is built.
 
     Checks no size: :func:`build_inequality` and ``analyze`` run
     :func:`_check_size` on the instance first, and ``verify`` on its
@@ -500,8 +504,9 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     STRATEGY_GUARD does not apply.
     """
     table = _root_table(spec)
-    terms, alice, bob = _orbit(spec, table)
-    gram = quantum_bound_gram(alice, bob)
+    terms = _terms(spec)
+    c0 = _gather(spec, table, np.zeros(1, dtype=int))[:, 0]  # c_(k_i)[0], i = 0..n
+    gram = quantum_bound_gram(c0[1:] * c0[:-1])  # g_j = a_j[0] b_j[0]
     analytic, state = _analytic_bound(spec, table)
     if not abs(gram - analytic) <= _ROUTE_TOL:
         raise RuntimeError(
@@ -509,8 +514,7 @@ def _inequality(spec: ProblemSpec) -> _Instance:
             f"analytic {analytic!r}"
         )
     c_value, witness = _chained_bell_bound(spec, terms)
-    # |<psi|a_j (x) b_j>|^2 with psi as the d x d array psi[x, y]
-    probs = np.abs(((alice @ state.reshape(alice.shape[1], -1).conj()) * bob).sum(1)) ** 2
+    probs = np.full(spec.orbit_length, abs(state[0]) ** 2)  # |<v_j|psi>|^2 = |psi_00|^2
     inequality = BellInequality(
         spec=spec,
         terms=terms,
@@ -520,4 +524,4 @@ def _inequality(spec: ProblemSpec) -> _Instance:
         per_term_probs=probs,
         witness=witness,
     )
-    return _Instance(inequality, table, alice, bob, gram)
+    return _Instance(inequality, table, gram)

@@ -9,7 +9,12 @@ runs emit byte-identical documents. It is written directly: one fixed
 positional ``%``-template per row kind (term, amplitude, probability,
 question, winning pair) and one for the outer document, with keys in
 sorted order and numbers spelled by ``repr`` (the spelling ``json``
-uses for ints and finite floats). Row fields are read with
+uses for ints and finite floats). The rows' floats repeat (every
+per-term probability is the same value, and the state's amplitudes
+take few distinct values), so each distinct one is spelled once and
+the spelling reused, looked up by its bit pattern, which keeps 0.0
+and -0.0 apart although they compare equal; likewise each distinct
+winning set of the game's questions is rendered once. Row fields are read with
 ``operator.itemgetter`` and rows are formatted through ``map``; the
 certificate's floats come from the report's arrays by ``tolist``.
 ``json.dumps`` with ``indent`` always runs the pure-Python encoder,
@@ -23,6 +28,8 @@ import math
 from itertools import chain
 from operator import itemgetter
 from typing import Any
+
+import numpy as np
 
 from .games import AnalysisReport
 
@@ -46,11 +53,10 @@ _TOP_LEVEL_KEYS = frozenset(
 
 _TERM_KEYS = ("alice_outcome", "alice_setting", "bob_outcome", "bob_setting")
 
-# Row fields in template order; the amplitude is checked in (re, im)
+# Row fields in template order; the amplitude is read in (re, im)
 # order and written in (im, re) order, its keys' sorted order.
 _term_fields = itemgetter(*_TERM_KEYS)
-_amplitude_check = itemgetter("re", "im")
-_amplitude_fields = itemgetter("im", "re")
+_amplitude_fields = itemgetter("re", "im")
 _winning_fields = itemgetter("alice_outcome", "bob_outcome")
 _setting_fields = itemgetter("alice_setting", "bob_setting")
 
@@ -64,8 +70,8 @@ _TERM = (
     '      "bob_setting": %r\n'
     "    }"
 )
-_AMPLITUDE = '    {\n      "im": %r,\n      "re": %r\n    }'
-_PROBABILITY = "    %r"
+_AMPLITUDE = '    {\n      "im": %s,\n      "re": %s\n    }'
+_PROBABILITY = "    %s"
 _WINNING = (
     "          {\n"
     '            "alice_outcome": %r,\n'
@@ -164,6 +170,17 @@ def _optional(value: float | None) -> str:
     return "null" if value is None else repr(value)
 
 
+def _spellings(floats: list[float]) -> list[str]:
+    """``repr`` of each of ``floats``, finite floats, with ``repr`` run
+    once per distinct value. The lookup is keyed by each float's 64-bit
+    pattern, so 0.0 and -0.0, equal as floats, keep their own
+    spellings."""
+    keys = np.array(floats, dtype=float).view(np.int64).tolist()
+    distinct = dict(zip(keys, floats))
+    spelled = dict(zip(distinct, map(repr, distinct.values())))
+    return list(map(spelled.__getitem__, keys))
+
+
 def certificate_json(certificate: dict[str, Any]) -> str:
     """Deterministic serialization: sorted keys, fixed indentation.
 
@@ -193,10 +210,10 @@ def certificate_json(certificate: dict[str, Any]) -> str:
     spec = certificate["spec"]
     stats = certificate["stats"]
     questions = certificate["game"]["questions"]
+    rows = [*probs, *chain.from_iterable(map(_amplitude_fields, state))]
     floats = [certificate["quantum_bound"], stats["classical_win"], stats["quantum_win"]]
     floats += [stats[key] for key in ("p", "I_ab") if stats[key] is not None]
-    floats += probs
-    floats += chain.from_iterable(map(_amplitude_check, state))
+    floats += rows
     # C-level passes; the comprehension only runs to name the first bad value
     if not set(map(type, floats)) <= {float} or not all(map(math.isfinite, floats)):
         bad = [x for x in floats if type(x) is not float or not math.isfinite(x)]
@@ -213,15 +230,20 @@ def certificate_json(certificate: dict[str, Any]) -> str:
     if not set(map(type, ints)) <= {int}:
         bad = [x for x in ints if type(x) is not int]
         raise ValueError(f"certificate value {bad[0]!r} is not an int")
-    rendered = [
-        _QUESTION % (s, t, _array(list(map(_WINNING.__mod__, rows)), "        "))
-        for (s, t), rows in zip(settings, winning)
-    ]
+    spelled = _spellings(rows)
+    spelled_probs, parts = spelled[: len(probs)], spelled[len(probs) :]  # parts: re, im, ...
+    # the slots share few winning sets (two on the orbit): each distinct
+    # one is rendered once; all plain ints by now, so equal means same spelling
+    keys = list(map(tuple, winning))
+    arrays = {
+        key: _array(list(map(_WINNING.__mod__, key)), "        ") for key in set(keys)
+    }
+    rendered = [_QUESTION % (s, t, arrays[key]) for (s, t), key in zip(settings, keys)]
     return _DOCUMENT % (
         certificate["classical_bound"],
         _array(rendered, "    "),
-        _array(list(map(_AMPLITUDE.__mod__, map(_amplitude_fields, state))), "  "),
-        _array(list(map(_PROBABILITY.__mod__, probs)), "  "),
+        _array(list(map(_AMPLITUDE.__mod__, zip(parts[1::2], parts[::2]))), "  "),
+        _array(list(map(_PROBABILITY.__mod__, spelled_probs)), "  "),
         certificate["quantum_bound"],
         spec["outcomes"],
         spec["settings"],

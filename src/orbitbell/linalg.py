@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .orbit import ProblemSpec, _root_table, _RootTable
+from .orbit import ProblemSpec, _fourier, _root_table, _RootTable
 
 __all__ = [
     "translation_matrix",
@@ -115,12 +115,13 @@ def b_eigensystem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigensystem(spec: ProblemSpec, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`b_eigensystem` from the instance's root table, every block
-    at once: the pairs j < k and their root indices as index arrays,
-    and the vectors written straight into the (d^2, d^2) output."""
+    """:func:`b_eigensystem` from the instance's root table and the
+    shift's Fourier rows (``orbit._fourier``), every block at once: the
+    pairs j < k and their root indices as index arrays, and the vectors
+    written straight into the (d^2, d^2) output."""
     d, order = spec.outcomes, spec.orbit_length
     half = order // 2  # = M * d
-    ws, lambdas, indices = table.rows, table.lambdas, np.asarray(table.indices)
+    ws, lambdas, indices = _fourier(d), table.lambdas, np.asarray(table.indices)
 
     roots = np.empty(d * d, dtype=np.int64)
     vectors = np.empty((d * d, d * d), dtype=complex)

@@ -13,26 +13,29 @@ U^M = T, so with c_k = U^k|0>, column k div M of U^(k mod M) and
 labelled (k mod M, k div M), orbit state j is
 c_ceil(j/2) (x) c_floor(j/2), indices taken mod M*d. U commutes with
 T, so every power U^s is circulant, fixed by its first column
-u_s = U^s|0>, and c_k = roll(u_(k mod M), k div M). The orbit is held
-as its label pairs and two (n, d) factor arrays, gathered by this one
-index rule from the root table's first columns and checked one step
-at a time through U on the factors; :func:`label_step`, the same walk
-one step at a time, is the rule the tests check it against. The
-d^2-long states are formed only where a product needs them
-(:func:`_states`). This module forms no d^2 x d^2 matrix: B, the
-shift T and the swap S as matrices are the ``linalg`` module's, for
-the verification sweep and the tests.
+u_s = U^s|0>, and c_k = roll(u_(k mod M), k div M). The orbit's labels
+(:func:`_terms`) and any entries of its factors (:func:`_gather`) are
+read by this one index rule from the root table's first columns;
+:func:`label_step`, the same walk one step at a time, is the rule the
+tests check it against. ``analyze`` reads entry 0 alone, for the Gram
+row; the whole (n, d) factors and the d^2-long states (:func:`_states`)
+are formed only for the public :func:`orbit` and ``verify``. This
+module forms no d^2 x d^2 matrix: B, the shift T and the swap S as
+matrices are the ``linalg`` module's, for the verification sweep and
+the tests.
 
 Everything rests on one object per instance, its root table
-(:func:`_root_table`): the shift's Fourier eigenbasis w_j, U's
-eigenvalues lambda_j with their exact integer root indices, and the
-first columns u_0..u_M of the powers of U, from exact index powers;
+(:func:`_root_table`): U's eigenvalues lambda_j with their exact
+integer root indices, and the first columns u_0..u_M of the powers of
+U, from exact index powers and checked through U as they are built;
 U itself is the circulant gather of u_1. It is built once and passed
 down explicitly to the orbit, the quantum-bound routes, the
-two-setting statistics and the verification sweep;
-:func:`fourier_eigenbasis` and :func:`root_unitary` are public views
-of it, and :func:`measurement_bases`, the powers of U by running
-products, is the tests' reference for its first columns.
+two-setting statistics and the verification sweep. The shift's
+Fourier rows w_j (:func:`_fourier`) are not part of it: only
+:func:`fourier_eigenbasis` and the dense eigensystem of ``linalg``
+read them. :func:`root_unitary` is a public view of the table, and
+:func:`measurement_bases`, the powers of U by running products, is the
+tests' reference for the first columns.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ __all__ = [
     "condition_label_pairs",
 ]
 
-# Tolerances of the root table's snap and of an orbit step, also read
-# by verify. Checks are written ``not err <= tol``: NaN fails.
+# Tolerances of the root table's snap and of its column check, also
+# read by verify. Checks are written ``not err <= tol``: NaN fails.
 _SNAP_TOL = 1e-9
 _STEP_TOL = 1e-10
 
@@ -115,11 +118,9 @@ class OrbitEntry(NamedTuple):
 
 
 class _RootTable(NamedTuple):
-    """One instance's shift eigenbasis, root eigenvalues and the first
-    columns of the powers of U, built once by :func:`_root_table` and
-    handed down."""
+    """One instance's root eigenvalues and the first columns of the
+    powers of U, built once by :func:`_root_table` and handed down."""
 
-    rows: np.ndarray  # (d, d); row j is the Fourier vector w_j
     lambdas: np.ndarray  # (d,); U w_j = lambda_j w_j
     indices: list[int]  # lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
     firsts: np.ndarray  # (M+1, d); row s is u_s = U^s|0>
@@ -131,18 +132,23 @@ class _RootTable(NamedTuple):
         return self.firsts[1][(ramp[:, None] - ramp) % len(ramp)]
 
 
-def _fourier(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier rows w_j and eigenphases theta_j of the shift, as arrays
-    (see :func:`fourier_eigenbasis`)."""
+def _fourier(d: int) -> np.ndarray:
+    """The shift's Fourier rows w_j, as one (d, d) array (see
+    :func:`fourier_eigenbasis`)."""
     js = np.arange(d)
-    rows = np.exp(2j * np.pi * js[:, None] * js / d) / np.sqrt(d)
-    # theta_j = -2*pi*j/d reduced to (-pi, pi], the branch decided in
-    # exact integer arithmetic so the boundary never flips sign
+    return np.exp(2j * np.pi * js[:, None] * js / d) / np.sqrt(d)
+
+
+def _eigenphases(d: int) -> np.ndarray:
+    """The shift's eigenphases theta_j = -2*pi*j/d reduced to (-pi, pi],
+    the branch decided in exact integer arithmetic so the boundary never
+    flips sign (see :func:`fourier_eigenbasis`)."""
+    js = np.arange(d)
     thetas = -2.0 * np.pi * js / d
     above = 2 * js > d
     thetas[above] = 2.0 * np.pi * (d - js[above]) / d
     thetas[2 * js == d] = np.pi
-    return rows, thetas
+    return thetas
 
 
 def _root_indices(d: int, order: int) -> list[int]:
@@ -156,9 +162,8 @@ def _root_indices(d: int, order: int) -> list[int]:
 
 
 def _root_table(spec: ProblemSpec) -> _RootTable:
-    """The instance's root table: Fourier rows, U's eigenvalues with
-    their exact root indices, and the first columns u_0..u_M of the
-    powers of U.
+    """The instance's root table: U's eigenvalues with their exact root
+    indices, and the first columns u_0..u_M of the powers of U.
 
     The indices come from integer arithmetic, and lambda_j is
     exp(2*pi*i*r_j / n), n = 2*M*d. They are checked against the phase
@@ -168,14 +173,14 @@ def _root_table(spec: ProblemSpec) -> _RootTable:
     whose first column is u_s = ifft(lambda^s): row s of ``firsts``,
     with lambda_j^s the exact index power exp(2*pi*i*((s r_j) mod n)/n),
     so no power of U accumulates rounding. Row M, u_M = T|0>, makes
-    row 1 exist at M = 1, where U = T.
+    row 1 exist at M = 1, where U = T. The columns are then checked
+    through U (:func:`_check_columns`).
     """
     d, order = spec.outcomes, spec.orbit_length
-    rows, thetas = _fourier(d)
     indices = _root_indices(d, order)
     powers = np.arange(spec.settings + 1)[:, None] * indices % order
     phases = np.exp(1j * (2 * np.pi * powers / order))  # row s is lambda^s
-    rooted = np.exp(1j * (thetas / spec.settings))
+    rooted = np.exp(1j * (_eigenphases(d) / spec.settings))
     snap = np.abs(rooted - phases[1])
     worst = int(snap.argmax())  # the first NaN, if any
     if not snap[worst] <= _SNAP_TOL:
@@ -184,7 +189,44 @@ def _root_table(spec: ProblemSpec) -> _RootTable:
             f"the order-{order} root of unity with index {indices[worst]} "
             f"(snap error {float(snap[worst]):.3e} exceeds {_SNAP_TOL:.0e})"
         )
-    return _RootTable(rows, phases[1], indices, np.fft.ifft(phases, axis=1))
+    table = _RootTable(phases[1], indices, np.fft.ifft(phases, axis=1))
+    _check_columns(table)
+    return table
+
+
+def _check_columns(table: _RootTable) -> None:
+    """Check the first columns through U: u_0 = |0>, U u_s = u_(s+1)
+    for s < M, and u_M = T|0> = |1>, within 1e-10, in one (M, d) x
+    (d, d) product. With the index rule this is the whole orbit
+    relation: B v_j = v_(j+1) comes down to U c_k = c_(k+1), and, as U
+    commutes with the rolls, to U u_s = u_(s+1) and
+    U u_(M-1) = u_M = roll(u_0, 1), which also closes the orbit after
+    n = 2*M*d steps. Raises RuntimeError naming the first bad column,
+    also for a NaN.
+    """
+    firsts = table.firsts
+    m, d = firsts.shape[0] - 1, firsts.shape[1]
+    # row 0 is u_0 - |0>, row s + 1 is U u_s - u_(s+1) for s < M, and
+    # row M + 1 is u_M - T|0>
+    residual = np.empty((m + 2, d), dtype=complex)
+    np.matmul(firsts[:m], table.u.T, out=residual[1 : m + 1])
+    residual[1 : m + 1] -= firsts[1:]
+    residual[0], residual[m + 1] = firsts[0], firsts[m]
+    residual[0, 0] -= 1.0
+    residual[m + 1, 1] -= 1.0
+    errs = np.abs(residual).max(axis=1)
+    passed = errs <= _STEP_TOL
+    if not passed.all():
+        row = int(passed.argmin())  # the first failure, a NaN included
+        claim = (
+            "u_0 = |0>" if row == 0
+            else f"u_{m} = T|0>" if row == m + 1
+            else f"U u_{row - 1} = u_{row}"
+        )
+        raise RuntimeError(
+            f"root table: {claim} fails (max deviation {float(errs[row]):.3e} "
+            f"exceeds {_STEP_TOL:.0e}): index-convention bug"
+        )
 
 
 def fourier_eigenbasis(d: int) -> list[tuple[np.ndarray, float]]:
@@ -194,9 +236,9 @@ def fourier_eigenbasis(d: int) -> list[tuple[np.ndarray, float]]:
     T w_j = exp(i * theta_j) w_j with theta_j in (-pi, pi]. The branch
     cut matters: the boundary phase is represented as +pi, never -pi,
     which pins down the root taken in :func:`root_unitary`. The vectors
-    are the rows of the root table's Fourier array.
+    are the rows of :func:`_fourier`, the phases :func:`_eigenphases`.
     """
-    rows, thetas = _fourier(d)
+    rows, thetas = _fourier(d), _eigenphases(d)
     return [(rows[j], float(thetas[j])) for j in range(d)]
 
 
@@ -249,84 +291,60 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     U^(k mod M). So entry j carries the label pair that iterating
     :func:`label_step` j times from ((0,0), (0,0)) reaches, the rule
     the tests check it against, and as its vector v_j = a_j (x) b_j the
-    product of the two labels' basis columns. The orbit relation is
-    checked one step at a time without forming B, on the factors:
-    B (a (x) b) = (U b) (x) a, so step j compares a_j with U b_(j-1)
-    and b_j with a_(j-1), O(d^2) per step. Step 0 must be |0>|0>, and
-    for 1 <= j <= n = 2*M*d, B v_(j-1) must be v_j, with v_n, the
-    closing state the index rule names, equal to |0>|0>. As U commutes
-    with the rolls, this checks U u_s = u_(s+1) for s < M - 1 and
-    U u_(M-1) = roll(u_0, 1) = u_M on the root table's first columns.
-    Any mismatch beyond 1e-10 means an index-convention bug and raises
-    RuntimeError, naming the first bad step, rather than returning
-    silently wrong terms.
+    product of the two labels' basis columns. The orbit relation
+    B v_j = v_(j+1), closing after n = 2*M*d steps, is checked on the
+    root table's first columns as the table is built (see
+    :func:`_check_columns`), which raises RuntimeError on a mismatch
+    beyond 1e-10 rather than returning silently wrong terms; ``verify``
+    checks it again on every state with the dense B.
     """
-    terms, alice, bob = _orbit(spec, _root_table(spec))
+    table = _root_table(spec)
+    entries = _gather(spec, table, np.arange(spec.outcomes))
+    states = _states(entries[1:], entries[:-1])
     return [
         OrbitEntry(step, a, b, vector)
-        for step, ((a, b), vector) in enumerate(zip(terms, _states(alice, bob)))
+        for step, ((a, b), vector) in enumerate(zip(_terms(spec), states))
     ]
 
 
 def _states(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """The orbit states a_j (x) b_j as the rows of one (n, d^2) array,
-    from the (n, d) factor arrays of :func:`_orbit`."""
+    from the (n, d) factor arrays alice[j] = a_j and bob[j] = b_j."""
     n, d = alice.shape
     return (alice[:, :, None] * bob[:, None, :]).reshape(n, d * d)
 
 
 def _factor_indices(spec: ProblemSpec) -> np.ndarray:
     """The index rule as one sequence, k_i = floor(i/2) mod M*d for
-    i = 0..n+1: orbit row j = 0..n is c_(k_(j+1)) (x) c_(k_j), Alice's
-    factor c_ceil(j/2) and Bob's c_floor(j/2), and b_(j+1) = a_j is B
-    handing Alice's vector to Bob. The closing row n is named |0>|0>
-    again."""
-    period = spec.settings * spec.outcomes
-    return (np.arange(period + 1) % period).repeat(2)
+    i = 0..n: orbit state j is c_(k_(j+1)) (x) c_(k_j), Alice's factor
+    c_ceil(j/2) and Bob's c_floor(j/2), and b_(j+1) = a_j is B handing
+    Alice's vector to Bob."""
+    return np.arange(spec.orbit_length + 1) // 2 % (spec.settings * spec.outcomes)
 
 
-def _orbit(
-    spec: ProblemSpec, table: _RootTable
-) -> tuple[tuple[tuple[MeasLabel, MeasLabel], ...], np.ndarray, np.ndarray]:
-    """:func:`orbit` from the instance's root table, as its label pairs
-    and the two (n, d) factor arrays, alice[j] = a_j and bob[j] = b_j
-    (see :func:`_states` for the states themselves).
-
-    State j is c_ceil(j/2) (x) c_floor(j/2), labelled (k mod M, k div M),
-    with c_k = U^k|0> = roll(u_(k mod M), k div M) gathered from the
-    table's first columns: entry x of c_k is u_(k mod M)[(x - k div M)
-    mod d]. The labels and both factor arrays are read at the indices
-    of :func:`_factor_indices`, over rows 0..n, in one fancy index, and
-    the gathered factors are checked one step at a time through U.
-    :func:`label_step` is the one-step rule the tests check these
-    labels against.
-    """
-    d, m, n = spec.outcomes, spec.settings, spec.orbit_length
-    labels = [MeasLabel(k % m, k // m) for k in range(m * d)]
+def _gather(spec: ProblemSpec, table: _RootTable, entries: np.ndarray) -> np.ndarray:
+    """Entries ``entries`` of c_(k_i) for i = 0..n, as the rows of one
+    (n + 1, len(entries)) array, so that rows 1..n are Alice's factors
+    and rows 0..n-1 Bob's. Entry x of c_k = roll(u_(k mod M), k div M)
+    is u_(k mod M)[(x - k div M) mod d], read from the table's first
+    columns in one fancy index at the indices of
+    :func:`_factor_indices`."""
     index = _factor_indices(spec)
-    factors = table.firsts[(index % m)[:, None], (np.arange(d) - (index // m)[:, None]) % d]
-    alice, bob = factors[1:], factors[:-1]
+    m = spec.settings
+    return table.firsts[
+        (index % m)[:, None], (entries - (index // m)[:, None]) % spec.outcomes
+    ]
 
-    # row j of (found, expected): (a_j, b_j) against what B makes of
-    # row j - 1, (U b_(j-1), a_(j-1)), and against |0>|0> at row 0;
-    # the closing row n must be |0>|0> as well
-    found = np.concatenate([alice, bob], axis=1)
-    expected = np.empty_like(found)
-    expected[0] = 0.0
-    expected[0, [0, d]] = 1.0
-    np.matmul(bob[:n], table.u.T, out=expected[1:, :d])
-    expected[1:, d:] = alice[:n]
-    errs = np.abs(found - expected).max(axis=1)
-    errs[n] = np.maximum(errs[n], np.abs(found[n] - expected[0]).max())
-    bad = np.flatnonzero(~(errs <= _STEP_TOL))
-    if bad.size:
-        step = int(bad[0])
-        raise RuntimeError(
-            f"orbit vector and label disagree at step {step} "
-            f"(max deviation {float(errs[step]):.3e}): index-convention bug"
-        )
-    walk = [labels[i] for i in index.tolist()]
-    return tuple(zip(walk[1 : n + 1], walk[:n])), alice[:n], bob[:n]
+
+def _terms(spec: ProblemSpec) -> tuple[tuple[MeasLabel, MeasLabel], ...]:
+    """The orbit's label pairs, term j labelled (Alice's, Bob's) =
+    (k_(j+1), k_j) by the index rule of :func:`_factor_indices`, label
+    (k mod M, k div M) for column index k. :func:`label_step` is the
+    one-step rule the tests check them against."""
+    m = spec.settings
+    labels = [MeasLabel(k % m, k // m) for k in range(m * spec.outcomes)]
+    walk = [labels[k] for k in _factor_indices(spec).tolist()]
+    return tuple(zip(walk[1:], walk[:-1]))
 
 
 def condition_label_pairs(spec: ProblemSpec) -> set[tuple[MeasLabel, MeasLabel]]:

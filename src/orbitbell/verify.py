@@ -14,20 +14,29 @@ checked against the matrix product (U x 1) S, then applied to every
 orbit vector at once, its period read off B B = U x U and T^d = 1,
 LAPACK ``eigvalsh`` on the projector sum and the residuals of the
 whole closed-form eigensystem; from ``bounds``, the d^M enumeration of
-the classical bound. The shift T, the swap S and
-the d^2 identity depend on d alone and are built once per outcome
-count. Q_s is checked against its proved closed form
+the classical bound. The orbit vectors are verify's own: the (n, d)
+factors gathered by the index rule from the root table's first
+columns, with no labels and no check of their own, multiplied out into
+(n, d^2) states, which the dense stepping line checks against B one
+step at a time. The shift T, the swap S and the d^2 identity depend on
+d alone: they are built once per outcome count, and the unitarity of
+T and S and T^d = 1 are checked there, their residuals recorded at
+each cell of the row. Q_s is checked against its proved closed form
 M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1, to a relative 1e-12,
 and the reported state, built from d Fourier coefficients on the
 pairing, against the definition of the projector onto B's eigenvalue
 mu = exp(2*pi*i*rho/n): P_mu|00> = (1/n) sum_j mu^(-j) v_j over the
 orbit states v_j = B^j|00>, normalized, with the proved
-rho = 1 - d mod 2 (0 at M = 1), with no phase fitted. At M = 2 it
+rho = 1 - d mod 2 (0 at M = 1), with no phase fitted. The per-term
+probabilities, which ``analyze`` reports as |psi_00|^2, and
+|conj(V) psi|^2 from the dense states V must both equal Q_s/n. At M = 2 it
 checks ``analyze``'s statistics: the mutual information does not
 depend on the setting pair, and p = Q_s / 4. A NaN residual fails its
-line, and a NaN grid entry, which the mutual information refuses,
-fails the information line. Each dense matrix is released once its checks are
-read, so that at most a few d^2 x d^2 arrays are alive at a time.
+line, a NaN grid entry, which the mutual information refuses, fails
+the information line, and a NaN in the projector sum, which
+``eigvalsh``'s Hermitian test refuses, fails the agreement line. Each
+dense matrix is released once its checks are read, so that at most a
+few d^2 x d^2 arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .linalg import (
     swap_matrix,
     translation_matrix,
 )
-from .orbit import _STEP_TOL, ProblemSpec, _sizes, _states
+from .orbit import _STEP_TOL, ProblemSpec, _gather, _sizes, _states
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -126,17 +135,18 @@ def _closed_form(d: int, m: int) -> float:
     return m * (1 + math.sin(math.pi / m) / (d * math.sin(math.pi / (d * m))))
 
 
-def _period_residual(t: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
-    """The largest residual of B B - U x U and of T^d - 1.
+def _period_residual(shift_period: float, u: np.ndarray, b: np.ndarray) -> float:
+    """The largest residual of B B - U x U and of T^d - 1, the latter
+    given as ``shift_period``, read once per outcome count.
 
     B B = (U x 1) S (U x 1) S = (U x 1)(1 x U) S S = U x U, and the root
     line checks U^M = T, so B^(2Md) = (U x U)^(Md) = (T x T)^d
     = T^d x T^d, which is 1 once T^d = 1: B has period 2Md without
     the 2Md-th power being formed."""
-    d = len(t)
+    d = len(u)
     square = b @ b
     square -= (u[:, None, :, None] * u[None, :, None, :]).reshape(d * d, d * d)  # U x U
-    return _largest([_largest(square), _largest(np.linalg.matrix_power(t, d) - np.eye(d))])
+    return _largest([_largest(square), shift_period])
 
 
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
@@ -199,14 +209,17 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
     skipped: list[str] = []
 
     for d in range(2, outcomes_max + 1):
-        # the shift, the swap and the d^2 identity depend on d alone; a
-        # failure to build them fails the construction line of each cell
+        # the shift, the swap and the d^2 identity depend on d alone, and
+        # so do T's and S's unitarity and T^d = 1; a failure to build
+        # them fails the construction line of each cell
         try:
-            row: tuple[np.ndarray, ...] | Exception = (
-                translation_matrix(d),
-                swap_matrix(d),
-                np.eye(d * d, dtype=complex),
+            t, s, eye = translation_matrix(d), swap_matrix(d), np.eye(d * d, dtype=complex)
+            small_eye = eye[:d, :d]  # I_d, the d^2 identity's first block
+            shift_unitarity = _largest(
+                [_largest(t.conj().T @ t - small_eye), _largest(s.conj().T @ s - eye)]
             )
+            shift_period = _largest(np.linalg.matrix_power(t, d) - small_eye)
+            row: tuple | Exception = (t, s, eye, shift_unitarity, shift_period)
         except Exception as exc:  # noqa: BLE001 - reported per cell, not swallowed
             row = exc
         for m in range(1, settings_max + 1):
@@ -216,7 +229,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             try:
                 if isinstance(row, Exception):
                     raise row
-                t, s, eye = row
+                t, s, eye, shift_unitarity, shift_period = row
                 instance = _inequality(spec)
                 u = instance.table.u
                 b = step_operator(u)
@@ -226,19 +239,22 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 summary.append(f"{cell}: construction failed ({exc})")
                 continue
             ineq = instance.inequality
-            orbit_vecs = _states(instance.alice, instance.bob)
+            # the orbit states from the index rule's factors, a_j in
+            # rows 1..n and b_j in rows 0..n-1
+            factors = _gather(spec, instance.table, np.arange(d))
+            orbit_vecs = _states(factors[1:], factors[:-1])
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
-            small_eye = eye[:d, :d]  # I_d, the d^2 identity's first block
             unitarity = [
-                _largest(g.conj().T @ g - identity)
-                for g, identity in ((t, small_eye), (u, small_eye), (s, eye), (b, eye))
+                shift_unitarity,
+                _largest(u.conj().T @ u - eye[:d, :d]),
+                _largest(b.conj().T @ b - eye),
             ]
             checks["unitary"].record(_largest(unitarity), cell)
             checks["root"].record(_largest(np.linalg.matrix_power(u, m) - t), cell)
             checks["product"].record(_largest(b - dense_b), cell)
             del dense_b
-            checks["period"].record(_period_residual(t, u, b), cell)
+            checks["period"].record(_period_residual(shift_period, u, b), cell)
 
             # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
             stepped = b @ orbit_vecs.T
@@ -254,7 +270,12 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
 
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
-            checks["agree"].record(abs(quantum_bound_numeric(a) - analytic), cell)
+            try:
+                numeric = quantum_bound_numeric(a)
+            except ValueError as exc:  # a NaN in the states makes A non-Hermitian
+                checks["agree"].fail(cell, str(exc))
+            else:
+                checks["agree"].record(abs(numeric - analytic), cell)
             del a
             checks["gram"].record(abs(instance.gram - analytic), cell)
             closed = _closed_form(d, m)
@@ -265,9 +286,15 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
             rho = 0 if m == 1 or d % 2 else 1
             projection = np.exp(-2j * np.pi * rho * np.arange(length) / length) @ orbit_vecs
-            residual = state - projection / np.linalg.norm(projection)  # no phase fitted
+            # no phase fitted; times the inverse norm, which a NaN state passes quietly
+            residual = state - projection * (1 / np.linalg.norm(projection))
             checks["projection"].record(_largest(residual), cell)
-            uniform = ineq.per_term_probs - analytic / length
+            # the reported |psi_00|^2 and |<v_j|psi>|^2 from the dense states
+            dense_probs = np.abs(orbit_vecs.conj() @ state) ** 2
+            uniform = [
+                _largest(probs - analytic / length)
+                for probs in (dense_probs, ineq.per_term_probs)
+            ]
             checks["uniform"].record(_largest(uniform), cell)
 
             if _over_strategy_guard(d, m):

@@ -2,15 +2,16 @@
 modules: the snap of one unit-modulus value to its root of unity, by
 its phase, which checks the root table's integer root indices and the
 eigenvalue of a reported state without the package's index arithmetic;
-and the loop forms of three whole-array routes: B's closed-form
+the loop forms of three whole-array routes: B's closed-form
 eigensystem one block at a time, the classical enumeration's hit
 tables one term at a time, and the M = 2 statistics one grid at a
-time.
+time; and the factor forms of the orbit's first Gram row and per-term
+probabilities, from the whole (n, d) factor arrays.
 """
 
 import numpy as np
 
-from orbitbell.orbit import _SNAP_TOL
+from orbitbell.orbit import _SNAP_TOL, _fourier
 
 
 def root_of_unity_index(value: complex, order: int) -> int:
@@ -39,7 +40,7 @@ def eigensystem_by_pair(spec, table):
     """
     d, order = spec.outcomes, spec.orbit_length
     half = order // 2
-    ws, lambdas, indices = table.rows, table.lambdas, table.indices
+    ws, lambdas, indices = _fourier(d), table.lambdas, table.indices
     roots = np.empty(d * d, dtype=np.int64)
     vectors = np.empty((d * d, d * d), dtype=complex)
     roots[:d] = indices
@@ -140,3 +141,18 @@ def two_setting_stats_by_grid(ineq, bases):
             total += float(grid[a, (a - delta) % d])
     spread = max(infos.values()) - min(infos.values())
     return total / 4.0, infos[(0, 0)], spread, grids
+
+
+def gram_row_from_factors(alice, bob):
+    """The orbit's first Gram row g_r = <v_0|v_r> = <a_0|a_r> <b_0|b_r>,
+    two products of the whole (n, d) factor arrays: the reference for
+    the entry-0 gather a_r[0] b_r[0] of ``bounds._inequality``."""
+    return (alice @ alice[0].conj()) * (bob @ bob[0].conj())
+
+
+def term_probabilities_from_factors(alice, bob, state):
+    """Per-term probabilities |<a_j (x) b_j|psi>|^2 =
+    |sum_xy a_jx conj(psi_xy) b_jy|^2, one (n, d) x (d, d) product and
+    one row sum: the reference for the reported |psi_00|^2."""
+    d = alice.shape[1]
+    return np.abs(((alice @ state.reshape(d, d).conj()) * bob).sum(1)) ** 2

@@ -32,11 +32,17 @@ from orbitbell.bounds import (
     STRATEGY_GUARD,
     _chained_bell_bound,
     _check_size,
+    _inequality,
     _over_strategy_guard,
+    quantum_bound_gram,
 )
 from orbitbell.linalg import accumulate_A, b_eigensystem, step_operator
-from orbitbell.orbit import condition_label_pairs, fourier_eigenbasis
-from reference import root_of_unity_index
+from orbitbell.orbit import _gather, condition_label_pairs, fourier_eigenbasis
+from reference import (
+    gram_row_from_factors,
+    root_of_unity_index,
+    term_probabilities_from_factors,
+)
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -362,10 +368,12 @@ def test_build_inequality_checks_guard_before_any_work(monkeypatch):
     def no_orbit(*args):
         raise AssertionError("orbit built for an instance beyond the guard")
 
-    # the root table is the first thing built, then the orbit from it;
+    # the root table is the first thing built, then the orbit's terms
+    # and Gram row from it;
     # (2, 836) is the first d = 2 cell whose orbit arrays exceed the ceiling
     monkeypatch.setattr("orbitbell.bounds._root_table", no_orbit)
-    monkeypatch.setattr("orbitbell.bounds._orbit", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._terms", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._gather", no_orbit)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         build_inequality(ProblemSpec(2, 836))
 
@@ -376,7 +384,8 @@ def test_build_inequality_checks_memory_ceiling_before_any_work(monkeypatch, d, 
         raise AssertionError("orbit built for an instance beyond the ceiling")
 
     monkeypatch.setattr("orbitbell.bounds._root_table", no_orbit)
-    monkeypatch.setattr("orbitbell.bounds._orbit", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._terms", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._gather", no_orbit)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         build_inequality(ProblemSpec(d, m))
 
@@ -491,3 +500,26 @@ def test_two_setting_quantum_bound_decreases_with_outcomes(d):
     q_small = build_inequality(ProblemSpec(d - 1, 2)).quantum_bound
     q_large = build_inequality(ProblemSpec(d, 2)).quantum_bound
     assert q_large < q_small
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_first_columns_give_the_factor_forms_of_gram_row_and_probabilities(d):
+    # every cell with d <= 32, M <= 12: analyze reads entry 0 of the
+    # factors, a_r[0] b_r[0], for the Gram row, and |psi_00|^2 for every
+    # term; both against their forms from the whole (n, d) factors
+    for m in range(1, 13):
+        spec = ProblemSpec(d, m)
+        instance = _inequality(spec)
+        ineq = instance.inequality
+        factors = _gather(spec, instance.table, np.arange(d))
+        alice, bob = factors[1:], factors[:-1]
+        c0 = _gather(spec, instance.table, np.zeros(1, dtype=int))[:, 0]
+        gram_row = c0[1:] * c0[:-1]
+        reference = gram_row_from_factors(alice, bob)
+        assert np.max(np.abs(gram_row - reference)) <= 1e-14
+        assert instance.gram == quantum_bound_gram(gram_row)
+        assert abs(instance.gram - quantum_bound_gram(reference)) <= 1e-13
+        probs = term_probabilities_from_factors(alice, bob, ineq.optimal_state)
+        assert np.max(np.abs(ineq.per_term_probs - probs)) <= 1e-14
+        assert ineq.per_term_probs.shape == (spec.orbit_length,)
+        assert (ineq.per_term_probs == abs(ineq.optimal_state[0]) ** 2).all()

@@ -1,27 +1,30 @@
 """Each analyzed instance is built once.
 
-Everything rests on one root table per instance (the shift's Fourier
-rows, U's eigenvalues with their exact root indices, and the first
-columns u_0..u_M of the powers of U, from exact index powers, whose
-u_1 gives U): ``analyze`` builds it once at every M and hands it to the
-orbit, to both quantum routes and, at M = 2, U to the one statistics
+Everything rests on one root table per instance (U's eigenvalues with
+their exact root indices, and the first columns u_0..u_M of the powers
+of U, from exact index powers and checked through U, whose u_1 gives
+U): ``analyze`` builds it once at every M and hands it to the orbit's
+Gram row, to both quantum routes and, at M = 2, U to the one statistics
 function, which forms the four joint grids in one broadcast
 ``joint_distribution`` call and reads the mutual information and the
 prediction probability from them, and which runs at no other M. No
 public view of the table (``root_unitary``, ``fourier_eigenbasis``)
 runs on that path, and neither does ``measurement_bases``, the running
-products of U that the tests check the first columns against. ``analyze`` builds the orbit
-once, runs the root-index and Gram routes of the quantum bound, and
-calls none of the ``linalg`` module's dense routes: the orbit is
-checked through U. Its classical bound is the chained-Bell value, with
-no d^M enumeration. The modules on that path import neither ``linalg``
-nor ``verify``, and ``linalg`` imports ``orbit`` alone, so the dense
-eigensystem shares no code with the root-index route it checks.
+products of U that the tests check the first columns against.
+``analyze`` reads the orbit's terms once and gathers entry 0 of its
+factors once, with no (n, d) factor array, no orbit state and no
+Fourier row; it runs the root-index and Gram routes of the quantum
+bound, and calls none of the ``linalg`` module's dense routes. Its
+classical bound is the chained-Bell value, with no d^M enumeration.
+The modules on that path import neither ``linalg`` nor ``verify``, and
+``linalg`` imports ``orbit`` alone, so the dense eigensystem shares no
+code with the root-index route it checks.
 The verification sweep runs the same assembly once per cell, so it
 checks the instance ``analyze`` reports, with one root table, one
-orbit, one Gram spectrum and one closed-form eigensystem from that
-table, runs the statistics function once per M = 2 cell, and runs the
-enumeration once per cell inside the enumeration guard. The shift T and
+term list, one Gram spectrum, one gather of the whole factors and one
+closed-form eigensystem, the only reader of the Fourier rows, from
+that table; it runs the statistics function once per M = 2 cell, and
+runs the enumeration once per cell inside the enumeration guard. The shift T and
 the swap S depend on d alone, so the sweep builds them once per outcome
 count.
 """
@@ -65,11 +68,34 @@ def count_calls(monkeypatch, module_name, attr):
     return calls
 
 
+def record_shapes(monkeypatch, module_name, attr):
+    """Wrap a function in every orbitbell namespace that binds it, and
+    list the shapes of the arrays it returns."""
+    fn = getattr(importlib.import_module(module_name), attr)
+    shapes = []
+
+    @functools.wraps(fn)
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        shapes.append(result.shape)
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name == "orbitbell" or name.startswith("orbitbell."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, recorded)
+    return shapes
+
+
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12), (10, 2)])
 def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
+    checks = count_calls(monkeypatch, "orbitbell.orbit", "_check_columns")
     fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
-    orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
+    terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
+    gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
+    states = count_calls(monkeypatch, "orbitbell.orbit", "_states")
     measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
     # the public views of the table rebuild it, so they stay off the
     # path, and the running products are the tests' reference only
@@ -87,7 +113,10 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
-    assert tables[0] == fouriers[0] == orbits[0] == 1
+    assert tables[0] == checks[0] == terms[0] == 1
+    # entry 0 of the factors alone: no (n, d) array, no state, no Fourier row
+    assert gathers == [(2 * m * d + 1, 1)]
+    assert fouriers[0] == states[0] == 0
     assert roots[0] == bases[0] == public_orbits[0] == measurement[0] == 0
     assert stats[0] == (1 if m == 2 else 0)
     assert grids[0] == (1 if m == 2 else 0)
@@ -111,7 +140,8 @@ def test_verify_builds_each_cell_once(monkeypatch):
     assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
-    orbits = count_calls(monkeypatch, "orbitbell.orbit", "_orbit")
+    terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
+    gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
     eigensystems = count_calls(monkeypatch, "orbitbell.linalg", "_eigensystem")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     families = count_calls(monkeypatch, "orbitbell.orbit", "condition_label_pairs")
@@ -122,7 +152,14 @@ def test_verify_builds_each_cell_once(monkeypatch):
     shifts = count_calls(monkeypatch, "orbitbell.linalg", "translation_matrix")
     report = run_verification(3, 3)  # 6 cells, all inside the guard
     assert report.passed
-    assert assemblies[0] == tables[0] == fouriers[0] == orbits[0] == eigensystems[0] == 6
+    assert assemblies[0] == tables[0] == terms[0] == eigensystems[0] == 6
+    # the Fourier rows for the eigensystem alone
+    assert fouriers[0] == 6
+    # per cell, the assembly's entry 0 and verify's whole factors
+    cells = [(d, m) for d in (2, 3) for m in (1, 2, 3)]
+    assert gathers == [
+        shape for d, m in cells for shape in ((2 * m * d + 1, 1), (2 * m * d + 1, d))
+    ]
     # the first columns come with the table; no running products
     assert measurement[0] == 0
     # T and S depend on d alone: one each per outcome count, d = 2 and 3,

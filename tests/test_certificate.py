@@ -155,3 +155,19 @@ def test_writer_rejects_values_json_spells_differently(slot, kind, value):
     expected = "is not a finite float" if kind is float else "is not an int"
     with pytest.raises(ValueError, match=expected):
         certificate_json({**cert, slot: changed})
+
+
+def test_signed_zeros_keep_their_spellings():
+    # 0.0 == -0.0 and both hash alike, but json spells them apart: a
+    # writer that spells each distinct float once must not let one
+    # zero's spelling stand for the other
+    cert = copy.deepcopy(real_certificate(3, 2))
+    state, probs = cert["optimal_state"], cert["per_term_probs"]
+    state[0] = {"re": 0.0, "im": -0.0}
+    state[1] = {"re": -0.0, "im": 0.0}
+    probs[:4] = [-0.0, 0.0, 0.0, -0.0]
+    text = certificate_json(cert)
+    assert text == reference_json(cert)
+    assert '"im": -0.0,\n      "re": 0.0' in text
+    assert '"im": 0.0,\n      "re": -0.0' in text
+    assert '"per_term_probs": [\n    -0.0,\n    0.0,\n    0.0,\n    -0.0,' in text

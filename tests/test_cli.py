@@ -16,11 +16,11 @@ from orbitbell import (
     analyze,
     build_certificate,
     certificate_json,
+    orbit,
     parse_certificate,
     run_verification,
 )
 from orbitbell.cli import build_parser, main as cli_main
-from orbitbell.orbit import _states
 
 
 def run_cli(*args):
@@ -239,7 +239,7 @@ def test_internal_consistency_failure_exits_4(monkeypatch, capsys):
     # a Gram route that disagrees with the closed form trips the
     # 1e-9 agreement check inside build_inequality
     bounds_module = importlib.import_module("orbitbell.bounds")
-    monkeypatch.setattr(bounds_module, "quantum_bound_gram", lambda alice, bob: 0.0)
+    monkeypatch.setattr(bounds_module, "quantum_bound_gram", lambda g: 0.0)
     rc = cli_main(["analyze", "--outcomes", "2", "--settings", "2"])
     captured = capsys.readouterr()
     assert rc == 4
@@ -276,16 +276,15 @@ def test_bumped_orbit_label_exits_4_before_the_statistics(monkeypatch, capsys):
     # statistics read any slot's first term
     bounds_module = importlib.import_module("orbitbell.bounds")
     games_module = importlib.import_module("orbitbell.games")
-    real_orbit = bounds_module._orbit
+    real_terms = bounds_module._terms
 
-    def bumped_bob(spec, table):
-        terms, alice, bob = real_orbit(spec, table)
-        (a, b), *rest = terms
+    def bumped_bob(spec):
+        (a, b), *rest = real_terms(spec)
         bumped = b._replace(outcome=(b.outcome + 1) % spec.outcomes)
-        return ((a, bumped), *rest), alice, bob
+        return ((a, bumped), *rest)
 
     stats_calls = []
-    monkeypatch.setattr(bounds_module, "_orbit", bumped_bob)
+    monkeypatch.setattr(bounds_module, "_terms", bumped_bob)
     monkeypatch.setattr(
         games_module, "_two_setting_stats", lambda *args: stats_calls.append(args)
     )
@@ -477,6 +476,32 @@ def test_wrong_reported_state_fails_verification(monkeypatch):
     assert "per-term probabilities equal Q_s/(2*M*d)" in failed
 
 
+def test_state_off_the_orbit_fails_the_uniform_line_with_uniform_reports(monkeypatch):
+    # the reported per-term probabilities are |psi_00|^2 by construction,
+    # so the line reads |<v_j|psi>|^2 from verify's dense states too: a
+    # state whose other entries are rolled keeps psi_00, its norm and
+    # the reported values, and still fails it
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_inequality = verify_module._inequality
+
+    def rolled_tail(spec):
+        instance = real_inequality(spec)
+        state = instance.inequality.optimal_state.copy()
+        state[1:] = np.roll(state[1:], 1)
+        ineq = dataclasses.replace(instance.inequality, optimal_state=state)
+        return instance._replace(inequality=ineq)
+
+    monkeypatch.setattr(verify_module, "_inequality", rolled_tail)
+    checks = {c.name: c for c in run_verification(3, 2).checks}
+    name = "per-term probabilities equal Q_s/(2*M*d)"
+    # at (2, 1) the state is (1, 1, 1, 1)/2 up to rounding, which rolling
+    # leaves in place
+    assert not checks[name].passed
+    assert [note.split(":")[0] for note in checks[name].notes] == [
+        "d=2 M=2", "d=3 M=1", "d=3 M=2"
+    ]
+
+
 def test_state_of_the_flipped_group_fails_the_projection_line(monkeypatch):
     # the state of group 1 - rho, the normalized projection of |00> onto
     # B's eigenvalue exp(2 pi i (1 - rho) / n), is still a B eigenvector,
@@ -488,7 +513,7 @@ def test_state_of_the_flipped_group_fails_the_projection_line(monkeypatch):
         instance = real_inequality(spec)
         n, d = spec.orbit_length, spec.outcomes
         rho = 1 - (0 if spec.settings == 1 or d % 2 else 1)
-        vectors = _states(instance.alice, instance.bob)
+        vectors = np.array([e.vector for e in orbit(spec)])
         state = np.exp(-2j * np.pi * rho * np.arange(n) / n) @ vectors
         ineq = dataclasses.replace(
             instance.inequality, optimal_state=state / np.linalg.norm(state)

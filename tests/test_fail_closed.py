@@ -3,21 +3,22 @@
 A check written ``x > tol`` lets a NaN through, since every comparison
 with NaN is false; each check is written ``not x <= tol`` instead. A
 NaN injected at each checked quantity must fail its check: the root
-table's snap, the orbit's step check, the Gram route's imaginary drift
-and its agreement with the root-index route, the root-of-unity snap,
-the Hermitian test of the dense route, the joint grid of the mutual
-information, and each ``verify`` line, which prints it as ``nan``, also
-when it is one of several residuals the line takes the largest of, or
-one it floors at zero. The command line turns the result into exit 4,
-with one ``error:`` line, also for a ValueError that escapes a
-subcommand. A root index bumped by 2, which names another eigenvalue
-of U, moves the root-index value off the Gram spectrum, which reads the
-orbit, so the route agreement fails and ``analyze`` exits 4; bumped by
-1, it makes a block's root-index sum odd, which the dense closed-form
-eigensystem refuses. A NaN in the root unitary fails ``verify``'s
-unitarity line, and at M = 2 its mutual-information line, whose grids
-it reaches; a swap matrix that cannot be built fails the construction
-line of every cell of its outcome count.
+table's snap and its column check through U, the Gram route's
+imaginary drift and its agreement with the root-index route, the
+root-of-unity snap, the Hermitian test of the dense route, the joint
+grid of the mutual information, and each ``verify`` line, which prints
+it as ``nan``, also when it is one of several residuals the line takes
+the largest of, or one it floors at zero. The command line turns the
+result into exit 4, with one ``error:`` line, also for a ValueError
+that escapes a subcommand. A root index bumped by 2, which names
+another eigenvalue of U, moves the root-index value off the Gram
+spectrum, which reads the orbit's first columns, so the route
+agreement fails and ``analyze`` exits 4; bumped by 1, it makes a
+block's root-index sum odd, which the dense closed-form eigensystem
+refuses. A NaN in the root unitary fails ``verify``'s unitarity line,
+and at M = 2 its mutual-information line, whose grids it reaches; a
+swap matrix that cannot be built fails the construction line of every
+cell of its outcome count.
 """
 
 import importlib
@@ -37,7 +38,7 @@ from orbitbell import (
 from orbitbell.bounds import _inequality, quantum_bound_gram
 from orbitbell.cli import main as cli_main
 from orbitbell.linalg import _eigensystem
-from orbitbell.orbit import _orbit, _root_table
+from orbitbell.orbit import _gather, _root_table
 from reference import root_of_unity_index
 
 NAN = float("nan")
@@ -169,41 +170,41 @@ def test_odd_root_index_sum_fails_the_dense_eigensystem():
 
 def test_nan_eigenphase_fails_the_root_table_snap(monkeypatch, capsys):
     orbit_module = importlib.import_module("orbitbell.orbit")
-    real_fourier = orbit_module._fourier
+    real_phases = orbit_module._eigenphases
 
     def nan_phase(d):
-        rows, thetas = real_fourier(d)
+        thetas = real_phases(d)
         thetas[1] = NAN
-        return rows, thetas
+        return thetas
 
-    monkeypatch.setattr(orbit_module, "_fourier", nan_phase)
+    monkeypatch.setattr(orbit_module, "_eigenphases", nan_phase)
     with pytest.raises(RuntimeError, match="root table: lambda_1 .*snap error nan"):
         root_unitary(ProblemSpec(3, 2))
     assert_exit_4(capsys, ["analyze", "--outcomes", "3", "--settings", "2"], "lambda_1")
 
 
 def test_nan_basis_column_fails_the_step_check(monkeypatch, capsys):
-    # step 1 is Alice at (1, 0): a NaN in entry 0 of u_1, the first
-    # column of setting 1, puts NaN in both v_1 and B v_0 = U|0> (x) |0>
+    # orbit step 1 is Alice at (1, 0), u_1 = U u_0: a NaN in entry 0 of
+    # u_1, the first column of setting 1, as the table is built puts NaN
+    # in both u_1 and U u_0, the circulant of u_1 applied to |0>
     orbit_module = importlib.import_module("orbitbell.orbit")
-    real_table = orbit_module._root_table
+    real_check = orbit_module._check_columns
 
-    def nan_column(spec):
-        table = real_table(spec)
-        firsts = table.firsts.copy()
-        firsts[1, 0] = NAN
-        return table._replace(firsts=firsts)
+    def nan_column(table):
+        table.firsts[1, 0] = NAN
+        real_check(table)
 
-    for name in ("orbitbell.orbit", "orbitbell.bounds"):
-        monkeypatch.setattr(importlib.import_module(name), "_root_table", nan_column)
-    with pytest.raises(RuntimeError, match=r"disagree at step 1 \(max deviation nan\)"):
+    monkeypatch.setattr(orbit_module, "_check_columns", nan_column)
+    with pytest.raises(RuntimeError, match=r"U u_0 = u_1 fails \(max deviation nan "):
         orbit(ProblemSpec(3, 2))
-    assert_exit_4(capsys, ["analyze", "--outcomes", "3", "--settings", "2"], "step 1 ")
+    assert_exit_4(
+        capsys, ["analyze", "--outcomes", "3", "--settings", "2"], "U u_0 = u_1 fails"
+    )
 
 
 def test_nan_gram_value_fails_the_route_agreement(monkeypatch, capsys):
     bounds_module = importlib.import_module("orbitbell.bounds")
-    monkeypatch.setattr(bounds_module, "quantum_bound_gram", lambda alice, bob: NAN)
+    monkeypatch.setattr(bounds_module, "quantum_bound_gram", lambda g: NAN)
     with pytest.raises(RuntimeError, match="routes disagree: Gram spectrum nan"):
         _inequality(ProblemSpec(2, 2))
     assert_exit_4(
@@ -246,12 +247,13 @@ def test_bumped_root_index_fails_the_route_agreement(monkeypatch, capsys):
 
 
 def test_nan_factor_fails_the_gram_drift_check():
+    # entry 0 of Alice's factor a_2, which the Gram row g_2 = a_2[0] b_2[0]
+    # reads; it is row 3 of the gather
     spec = ProblemSpec(3, 2)
-    _, alice, bob = _orbit(spec, _root_table(spec))
-    alice = alice.copy()
-    alice[2, 0] = NAN
+    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int))[:, 0]
+    c0[3] = NAN
     with pytest.raises(RuntimeError, match="imaginary part nan"):
-        quantum_bound_gram(alice, bob)
+        quantum_bound_gram(c0[1:] * c0[:-1])
 
 
 def test_nan_fails_the_root_of_unity_snap():

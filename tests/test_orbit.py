@@ -21,12 +21,15 @@ from orbitbell import (
     orbit,
     root_unitary,
 )
+from orbitbell.bounds import build_inequality
 from orbitbell.cli import main as cli_main
 from orbitbell.linalg import step_operator, swap_matrix, translation_matrix
 from orbitbell.orbit import (
-    _orbit,
+    _fourier,
+    _gather,
     _root_table,
     _states,
+    _terms,
     condition_label_pairs,
     fourier_eigenbasis,
     label_step,
@@ -266,7 +269,9 @@ def test_index_rule_matches_the_label_walk_and_the_powers_of_u(d):
     for m in range(1, 9):
         spec = ProblemSpec(d, m)
         table = _root_table(spec)
-        terms, alice, bob = _orbit(spec, table)
+        terms = _terms(spec)
+        factors = _gather(spec, table, np.arange(d))
+        alice, bob = factors[1:], factors[:-1]
         pair, walk = (MeasLabel(0, 0), MeasLabel(0, 0)), []
         for _ in range(spec.orbit_length):
             walk.append(pair)
@@ -287,28 +292,35 @@ def test_index_rule_matches_the_label_walk_and_the_powers_of_u(d):
 
 
 def test_orbit_is_held_as_labels_and_two_factor_arrays():
-    # the orbit builds O(n d) memory, not the n states of d^2 entries:
-    # its peak stays below the 16 n d^2 bytes of the states alone
+    # the whole factors take O(n d) memory, not the n states of d^2
+    # entries: the gather's peak stays below the 16 n d^2 bytes of the
+    # states alone; entry 0 alone, analyze's Gram row, takes O(n), below
+    # the 16 n d bytes of one (n, d) factor array
     spec = ProblemSpec(32, 2)
     n, d = spec.orbit_length, spec.outcomes
     table = _root_table(spec)
-    tracemalloc.start()
-    try:
-        built = _orbit(spec, table)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * n * d**2
-    terms, alice, bob = built
+    gathered, peaks = [], []
+    for entries in (np.arange(d), np.zeros(1, dtype=int)):
+        tracemalloc.start()
+        try:
+            gathered.append(_gather(spec, table, entries))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 16 * n * d**2
+    assert peaks[1] < 16 * n * d
+    factors, heads = gathered
+    assert heads.shape == (n + 1, 1) and np.array_equal(heads[:, 0], factors[:, 0])
+    terms, alice, bob = _terms(spec), factors[1:], factors[:-1]
     # plain pairs of labels, not OrbitEntry (a tuple subclass)
     assert type(terms) is tuple and len(terms) == n
     assert all(
         type(pair) is tuple and [type(label) for label in pair] == [MeasLabel] * 2
         for pair in terms
     )
-    for factors in (alice, bob):
-        assert type(factors) is np.ndarray
-        assert factors.shape == (n, d) and factors.dtype == complex
+    for array in (alice, bob):
+        assert type(array) is np.ndarray
+        assert array.shape == (n, d) and array.dtype == complex
     # the public orbit is the same labels and their products
     entries = orbit(spec)
     assert terms == tuple((e.alice, e.bob) for e in entries)
@@ -353,62 +365,83 @@ def perturb_alice_index(monkeypatch, row):
     monkeypatch.setattr(orbit_module, "_factor_indices", faulty_indices)
 
 
-def test_orbit_check_names_the_first_wrong_step(monkeypatch, capsys):
-    # an index rule that goes wrong mid-orbit trips the step check at
-    # exactly that row, in the library and through the CLI
-    spec = ProblemSpec(3, 2)
-    perturb_alice_index(monkeypatch, 5)
-    with pytest.raises(RuntimeError, match="disagree at step 5 "):
-        orbit(spec)
-    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
+def perturb_columns(monkeypatch, perturb):
+    """Apply ``perturb`` to the root table's first columns in place as
+    the table is built, before its column check reads them."""
+    orbit_module = importlib.import_module("orbitbell.orbit")
+    real_check = orbit_module._check_columns
+
+    def perturbed(table):
+        perturb(table.firsts)
+        real_check(table)
+
+    monkeypatch.setattr(orbit_module, "_check_columns", perturbed)
+
+
+def assert_analyze_exits_4(capsys, d, m, message):
+    rc = cli_main(["analyze", "--outcomes", str(d), "--settings", str(m)])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
     assert captured.err.startswith("error: internal consistency check failed:")
-    assert "disagree at step 5 " in captured.err
+    assert message in captured.err
+
+
+def test_orbit_check_names_the_first_wrong_step(monkeypatch, capsys):
+    # an index rule that goes wrong mid-orbit leaves the root table, and
+    # so its column check, alone; the Gram row, gathered by the same
+    # rule, then no longer describes the orbit of B, and the route
+    # agreement refuses it, in the library and through the CLI
+    spec = ProblemSpec(3, 2)
+    perturb_alice_index(monkeypatch, 5)
+    with pytest.raises(RuntimeError, match=r"routes disagree: Gram spectrum 3\.0 vs"):
+        build_inequality(spec)
+    assert_analyze_exits_4(capsys, 3, 2, "routes disagree")
+
+
+@pytest.mark.parametrize("column, claim", [(2, "U u_1 = u_2"), (0, "u_0 = |0>")])
+def test_column_check_names_the_first_wrong_column(monkeypatch, capsys, column, claim):
+    # u_2 off at (3, 4): U u_1 = u_2 fails first, and U u_2 = u_3 after
+    # it; u_0 off fails its own row, before U u_0 = u_1
+    def off(firsts):
+        firsts[column, 1] += 1e-6
+
+    perturb_columns(monkeypatch, off)
+    with pytest.raises(RuntimeError) as raised:
+        orbit(ProblemSpec(3, 4))
+    assert str(raised.value) == (
+        f"root table: {claim} fails (max deviation 1.000e-06 exceeds 1e-10): "
+        "index-convention bug"
+    )
+    assert_analyze_exits_4(capsys, 3, 4, f"{claim} fails")
 
 
 def test_orbit_check_covers_the_closing_step(monkeypatch, capsys):
-    # an index rule that fails only to name |0>|0> at the closing row
-    # trips the check at step n = 2*M*d, in the library and through
-    # the CLI
-    spec = ProblemSpec(3, 2)
-    n = spec.orbit_length
-    perturb_alice_index(monkeypatch, n)
-    with pytest.raises(RuntimeError, match=f"disagree at step {n} "):
-        orbit(spec)
-    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
-    captured = capsys.readouterr()
-    assert rc == 4
-    assert captured.out == ""
-    assert captured.err.startswith("error: internal consistency check failed:")
-    assert f"disagree at step {n} " in captured.err
+    # the orbit closes after n = 2*M*d steps because u_M = T|0>: powers
+    # of e^(i/10) U, each column u_s turned by e^(i s/10), pass every
+    # U u_s = u_(s+1) row, and only the closing row refuses them, in
+    # the library and through the CLI
+    def turned(firsts):
+        firsts *= np.exp(0.1j * np.arange(len(firsts)))[:, None]
+
+    perturb_columns(monkeypatch, turned)
+    with pytest.raises(RuntimeError, match=r"root table: u_2 = T\|0> fails"):
+        orbit(ProblemSpec(3, 2))
+    assert_analyze_exits_4(capsys, 3, 2, "u_2 = T|0> fails")
 
 
 def test_orbit_check_catches_a_wrong_basis_column(monkeypatch, capsys):
     # u_1 = U|0> 1e-6 off at entry 0 moves U by 1e-6 times the identity,
-    # since U is the circulant of u_1: steps 1 and 2 compare u_1 with
-    # U u_0, both perturbed alike, and step 3, the first that compares
-    # U u_1 with c_2 = roll(u_0, 1) = T|0>, finds it about 2e-6 u_1 off
-    spec = ProblemSpec(3, 2)
-    orbit_module = importlib.import_module("orbitbell.orbit")
-    real_table = orbit_module._root_table
-
-    def perturbed(spec):
-        table = real_table(spec)
-        firsts = table.firsts.copy()
+    # since U is the circulant of u_1: U u_0 = u_1 holds, both perturbed
+    # alike, and U u_1 = u_2, the first row that compares with an
+    # unperturbed column, u_2 = T|0>, finds it about 2e-6 u_1 off
+    def off(firsts):
         firsts[1, 0] += 1e-6
-        return table._replace(firsts=firsts)
 
-    for name in ("orbitbell.orbit", "orbitbell.bounds"):
-        monkeypatch.setattr(importlib.import_module(name), "_root_table", perturbed)
-    with pytest.raises(RuntimeError, match="disagree at step 3 "):
-        orbit(spec)
-    rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
-    captured = capsys.readouterr()
-    assert rc == 4
-    assert captured.out == ""
-    assert "disagree at step 3 " in captured.err
+    perturb_columns(monkeypatch, off)
+    with pytest.raises(RuntimeError, match="U u_1 = u_2 fails"):
+        orbit(ProblemSpec(3, 2))
+    assert_analyze_exits_4(capsys, 3, 2, "U u_1 = u_2 fails")
 
 
 def per_row_reference(d, m):
@@ -449,7 +482,7 @@ def test_root_table_is_bit_identical_to_the_per_row_loop(d):
     for m in range(1, 17):
         rows, thetas, lambdas, u, summed = per_row_reference(d, m)
         table = orbit_module._root_table(ProblemSpec(d, m))
-        assert table.rows.tobytes() == rows.tobytes()
+        assert _fourier(d).tobytes() == rows.tobytes()
         assert table.lambdas.tobytes() == lambdas.tobytes()
         assert table.u.tobytes() == u.tobytes()
         assert root_unitary(ProblemSpec(d, m)).tobytes() == u.tobytes()

@@ -89,7 +89,14 @@ from orbitbell.linalg import (
     step_operator,
     translation_matrix,
 )
-from orbitbell.orbit import _orbit, _root_table, fourier_eigenbasis, label_step
+from orbitbell.orbit import (
+    _fourier,
+    _gather,
+    _root_table,
+    _terms,
+    fourier_eigenbasis,
+    label_step,
+)
 from orbitbell.verify import _largest, _period_residual
 from reference import (
     classical_bound_by_term,
@@ -208,7 +215,8 @@ def scanned_group_state(spec, table, h, group):
     r = np.array(table.indices)
     members = h == group % (order // 2)
     coeffs = np.where(members, 1 + np.exp(2j * np.pi * (r[:, None] - group) / order), 0)
-    x = (table.rows.T @ coeffs @ table.rows).ravel()
+    rows = _fourier(spec.outcomes)
+    x = (rows.T @ coeffs @ rows).ravel()
     return x / np.linalg.norm(x)
 
 
@@ -411,8 +419,8 @@ def test_optimal_state_pairs_each_fourier_vector_with_at_most_one(cell):
 def test_gram_route_agrees_with_dense_eigvalsh(cell):
     spec = ProblemSpec(*cell)
     dense = float(np.linalg.eigvalsh(accumulate_A(stacked(orbit(spec))))[-1])
-    _, alice, bob = _orbit(spec, _root_table(spec))
-    assert abs(quantum_bound_gram(alice, bob) - dense) <= 1e-9
+    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int))[:, 0]
+    assert abs(quantum_bound_gram(c0[1:] * c0[:-1]) - dense) <= 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -446,7 +454,7 @@ def test_terms_2m_apart_differ_by_one_outcome_shift(cell):
     # B^(2M) = T x T: the coset fact the game's slot slicing rests on
     d, m = cell
     spec = ProblemSpec(d, m)
-    terms, _, _ = _orbit(spec, _root_table(spec))
+    terms = _terms(spec)
     for (a, b), (a2, b2) in zip(terms, terms[2 * m :] + terms[: 2 * m]):
         assert (a2.setting, b2.setting) == (a.setting, b.setting)
         assert (a2.outcome, b2.outcome) == ((a.outcome + 1) % d, (b.outcome + 1) % d)
@@ -460,7 +468,7 @@ def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
     # equal), 2M slots numbered as they first appear along the orbit,
     # each winning set the outcome pairs of its terms
     spec = ProblemSpec(*cell)
-    terms, _, _ = _orbit(spec, _root_table(spec))
+    terms = _terms(spec)
     game = game_spec(terms)
     keys = [(a.setting, b.setting, a.outcome == b.outcome) for a, b in terms]
     slots = list(dict.fromkeys(keys))
@@ -522,7 +530,7 @@ def test_period_line_agrees_with_the_matrix_power(cell):
     for phase, passes in ((0.0, True), (1e-6, False)):
         b = step_operator(u) * np.exp(1j * phase)
         power = _largest(mat_power(b, length) - np.eye(d * d))
-        algebraic = _period_residual(t, u, b)
+        algebraic = _period_residual(_largest(mat_power(t, d) - np.eye(d)), u, b)
         assert (power <= 1e-10, algebraic <= 1e-10) == (passes, passes)
 
 
