@@ -21,7 +21,6 @@ from .bounds import (
 )
 from .certificate import (
     SCHEMA_VERSION,
-    build_certificate,
     certificate_json,
     parse_certificate,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "STRATEGY_GUARD",
     "VerificationReport",
     "analyze",
-    "build_certificate",
     "build_inequality",
     "certificate_json",
     "classical_bound",

@@ -110,7 +110,6 @@ from .orbit import (
     _root_table,
     _RootTable,
     _terms,
-    condition_label_pairs,
     # bound here as orbitbell.bounds.orbit, which the benchmark's tracer
     # tests read; the hot path reads the orbit through _terms and _gather
     orbit,  # noqa: F401
@@ -409,15 +408,34 @@ def classical_bound(
     return value, DeterministicStrategy(alice_map, bob_map)
 
 
+def _chained_bell_terms(
+    terms: Sequence[tuple[MeasLabel, MeasLabel]], d: int, m: int
+) -> bool:
+    """Whether every term is in one of the three chained-Bell families:
+    Bob's label in range, and either equal outcomes with Alice at Bob's
+    setting or one ahead of it, short of M, or the wrap-around
+    (0, (k+1) mod d | M-1, k). One pass, one predicate per term."""
+    return all(
+        0 <= bs < m
+        and 0 <= bo < d
+        and (
+            (ao == bo and (a_s == bs or a_s == bs + 1 < m))
+            or (a_s == 0 and bs == m - 1 and ao == (bo + 1) % d)
+        )
+        for (a_s, ao), (bs, bo) in terms
+    )
+
+
 def _chained_bell_bound(
     spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
 ) -> tuple[int, DeterministicStrategy]:
     """Classical bound of the orbit's terms: 2M - 1, with the all-zero
     strategy as witness, in O(2*M*d) work.
 
-    The terms must be the label pairs of :func:`condition_label_pairs`,
-    each once. Then, with a_s and b_s the outcomes a deterministic
-    strategy gives at setting s:
+    The terms must be 2Md distinct label pairs of the three chained-Bell
+    families (:func:`_chained_bell_terms`), which hold 2Md pairs in
+    all, so they are each family pair once. Then, with a_s and b_s the
+    outcomes a deterministic strategy gives at setting s:
 
     1. For M >= 2 the terms sit on 2M setting pairs, and each pair's
        terms are the graph of a bijection (b = a at (s, s) and (s+1, s),
@@ -432,29 +450,24 @@ def _chained_bell_bound(
        :func:`classical_bound`'s enumeration breaks ties: both routes
        return the same value and witness.
 
-    The term set and the witness's hit count are checked, not assumed;
-    either failing raises RuntimeError.
+    The term set and the witness's hit count, the terms with both
+    outcomes 0, are checked, not assumed; either failing raises
+    RuntimeError.
     """
-    m = spec.settings
-    families = condition_label_pairs(spec)
-    if len(terms) != len(families) or set(terms) != families:
+    d, m = spec.outcomes, spec.settings
+    n = spec.orbit_length
+    if not (_chained_bell_terms(terms, d, m) and len(terms) == len(set(terms)) == n):
         raise RuntimeError(
             f"chained-Bell route: the {len(terms)} orbit terms are not the "
-            f"{len(families)} label pairs of the three chained-Bell families"
+            f"{n} label pairs of the three chained-Bell families"
         )
-    witness = DeterministicStrategy((0,) * m, (0,) * m)
-    hits = sum(
-        1
-        for a, b in terms
-        if witness.alice_map[a.setting] == a.outcome
-        and witness.bob_map[b.setting] == b.outcome
-    )
+    hits = sum(1 for (_, ao), (_, bo) in terms if ao == bo == 0)
     if hits != 2 * m - 1:
         raise RuntimeError(
             f"chained-Bell route: the all-zero strategy meets {hits} terms, "
             f"not 2M - 1 = {2 * m - 1}"
         )
-    return 2 * m - 1, witness
+    return 2 * m - 1, DeterministicStrategy((0,) * m, (0,) * m)
 
 
 def build_inequality(spec: ProblemSpec) -> BellInequality:

@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Subcommands: ``analyze`` one instance (text report or JSON
-certificate), ``table`` the two-setting survey over a range of outcome
-counts, ``game`` the induced nonlocal game, ``verify`` the structural
-cross-check sweep. Exit codes: 0 success, 1 verification failure,
-2 usage error (including an ``--out`` file that cannot be written),
-3 instance beyond what verify can cross-check (the memory ceiling),
-4 internal consistency check failed (a RuntimeError such as the orbit
-label/vector check or the quantum-bound route agreement, or a
-ValueError such as a non-finite certificate value).
+Subcommands: ``analyze`` one instance (text report, or the JSON
+certificate, which ``certificate_json`` writes from the report with no
+dict in between), ``table`` the two-setting survey over a range of
+outcome counts, ``game`` the induced nonlocal game, ``verify`` the
+structural cross-check sweep. Exit codes: 0 success, 1 verification
+failure, 2 usage error (including an ``--out`` file that cannot be
+written), 3 instance beyond what verify can cross-check (the memory
+ceiling), 4 internal consistency check failed (a RuntimeError such as
+the root table's column check, the quantum-bound route agreement or
+the chained-Bell term check, or a ValueError such as a certificate
+value that is not a finite float).
 
 ``main`` builds its parser once per process, on its first call.
 """
@@ -23,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .bounds import InstanceTooLarge, _check_size
-from .certificate import build_certificate, certificate_json
+from .certificate import certificate_json
 from .games import AnalysisReport, analyze
 from .orbit import ProblemSpec, _sizes
 from .verify import run_verification
@@ -160,7 +162,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     spec = _or_usage(parser, ProblemSpec, args.outcomes, args.settings)
     report = analyze(spec)
     if args.format == "json":
-        text = certificate_json(build_certificate(report)) + "\n"
+        text = certificate_json(report) + "\n"
     else:
         text = render_text_report(report)
     return _emit(text, args.out)

@@ -54,7 +54,6 @@ __all__ = [
     "measurement_bases",
     "label_step",
     "orbit",
-    "condition_label_pairs",
 ]
 
 # Tolerances of the root table's snap and of its column check, also
@@ -345,20 +344,3 @@ def _terms(spec: ProblemSpec) -> tuple[tuple[MeasLabel, MeasLabel], ...]:
     labels = [MeasLabel(k % m, k // m) for k in range(m * spec.outcomes)]
     walk = [labels[k] for k in _factor_indices(spec).tolist()]
     return tuple(zip(walk[1:], walk[:-1]))
-
-
-def condition_label_pairs(spec: ProblemSpec) -> set[tuple[MeasLabel, MeasLabel]]:
-    """Label pairs the orbit must consist of, listed directly.
-
-    Three families: equal settings with equal outcomes; Alice one
-    setting ahead with equal outcomes; and the wrap-around where Alice
-    is back at setting 0 with the outcome advanced by one (mod d)
-    while Bob sits at the last setting. Each of the d*M labels is built
-    once and shared by the pairs that name it.
-    """
-    d, m = spec.outcomes, spec.settings
-    label = [[MeasLabel(s, k) for k in range(d)] for s in range(m)]
-    pairs = {(label[s][k], label[s][k]) for s in range(m) for k in range(d)}
-    pairs.update((label[s + 1][k], label[s][k]) for s in range(m - 1) for k in range(d))
-    pairs.update((label[0][(k + 1) % d], label[m - 1][k]) for k in range(d))
-    return pairs

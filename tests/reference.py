@@ -5,13 +5,15 @@ eigenvalue of a reported state without the package's index arithmetic;
 the loop forms of three whole-array routes: B's closed-form
 eigensystem one block at a time, the classical enumeration's hit
 tables one term at a time, and the M = 2 statistics one grid at a
-time; and the factor forms of the orbit's first Gram row and per-term
-probabilities, from the whole (n, d) factor arrays.
+time; the factor forms of the orbit's first Gram row and per-term
+probabilities, from the whole (n, d) factor arrays; the three
+chained-Bell families listed as a set of label pairs; and the
+certificate as a dict of JSON values, for ``json.dumps``.
 """
 
 import numpy as np
 
-from orbitbell.orbit import _SNAP_TOL, _fourier
+from orbitbell.orbit import _SNAP_TOL, MeasLabel, _fourier
 
 
 def root_of_unity_index(value: complex, order: int) -> int:
@@ -156,3 +158,75 @@ def term_probabilities_from_factors(alice, bob, state):
     one row sum: the reference for the reported |psi_00|^2."""
     d = alice.shape[1]
     return np.abs(((alice @ state.reshape(d, d).conj()) * bob).sum(1)) ** 2
+
+
+def condition_label_pairs(spec):
+    """Label pairs the orbit must consist of, listed directly: the
+    reference for ``bounds._chained_bell_terms``' one predicate per term.
+
+    Three families: equal settings with equal outcomes; Alice one
+    setting ahead with equal outcomes; and the wrap-around where Alice
+    is back at setting 0 with the outcome advanced by one (mod d)
+    while Bob sits at the last setting.
+    """
+    d, m = spec.outcomes, spec.settings
+    label = [[MeasLabel(s, k) for k in range(d)] for s in range(m)]
+    pairs = {(label[s][k], label[s][k]) for s in range(m) for k in range(d)}
+    pairs.update((label[s + 1][k], label[s][k]) for s in range(m - 1) for k in range(d))
+    pairs.update((label[0][(k + 1) % d], label[m - 1][k]) for k in range(d))
+    return pairs
+
+
+def certificate_dict(report):
+    """The schema-"1" certificate of ``report`` as a dict of JSON
+    values, one dict per term, amplitude and winning pair: the document
+    whose ``json.dumps(..., indent=2, sort_keys=True)`` the package's
+    ``certificate_json`` must equal byte for byte."""
+    ineq = report.inequality
+    state = ineq.optimal_state
+    return {
+        "schema_version": "1",
+        "spec": {
+            "outcomes": report.spec.outcomes,
+            "settings": report.spec.settings,
+        },
+        "terms": [
+            {
+                "alice_setting": a.setting,
+                "alice_outcome": a.outcome,
+                "bob_setting": b.setting,
+                "bob_outcome": b.outcome,
+            }
+            for a, b in ineq.terms
+        ],
+        "classical_bound": int(ineq.classical_bound),
+        "quantum_bound": float(ineq.quantum_bound),
+        "optimal_state": [
+            {"re": re, "im": im}
+            for re, im in zip(state.real.tolist(), state.imag.tolist())
+        ],
+        "per_term_probs": ineq.per_term_probs.tolist(),
+        "game": {
+            "questions": [
+                {
+                    "alice_setting": s,
+                    "bob_setting": t,
+                    "winning": [
+                        {"alice_outcome": a, "bob_outcome": b}
+                        for a, b in sorted(win)
+                    ],
+                }
+                for (s, t), win in zip(report.game.questions, report.game.winning)
+            ]
+        },
+        "stats": {
+            "quantum_win": float(report.quantum_win),
+            "classical_win": float(report.classical_win),
+            "p": None
+            if report.prediction_prob is None
+            else float(report.prediction_prob),
+            "I_ab": None
+            if report.mutual_info_bits is None
+            else float(report.mutual_info_bits),
+        },
+    }

@@ -26,7 +26,6 @@ PUBLIC = [
     "STRATEGY_GUARD",
     "VerificationReport",
     "analyze",
-    "build_certificate",
     "build_inequality",
     "certificate_json",
     "classical_bound",
@@ -46,7 +45,7 @@ PUBLIC = [
 
 
 def test_public_names_are_the_pinned_list():
-    assert len(orbitbell.__all__) == len(set(orbitbell.__all__)) == 29
+    assert len(orbitbell.__all__) == len(set(orbitbell.__all__)) == 28
     assert set(orbitbell.__all__) == set(PUBLIC)
 
 

@@ -31,14 +31,16 @@ from orbitbell.bounds import (
     MEMORY_CEILING,
     STRATEGY_GUARD,
     _chained_bell_bound,
+    _chained_bell_terms,
     _check_size,
     _inequality,
     _over_strategy_guard,
     quantum_bound_gram,
 )
 from orbitbell.linalg import accumulate_A, b_eigensystem, step_operator
-from orbitbell.orbit import _gather, condition_label_pairs, fourier_eigenbasis
+from orbitbell.orbit import _gather, fourier_eigenbasis
 from reference import (
+    condition_label_pairs,
     gram_row_from_factors,
     root_of_unity_index,
     term_probabilities_from_factors,
@@ -351,15 +353,40 @@ def test_chained_bell_route_rejects_other_term_lists():
             _chained_bell_bound(spec, wrong)
 
 
+def test_chained_bell_route_refuses_alice_past_her_last_setting():
+    # (M, k | M-1, k) has equal outcomes and Alice one setting ahead of
+    # Bob, but past her last one: in place of the wrap term with the
+    # same Bob label, it keeps 2Md distinct terms and must still fail
+    for d, m in [(3, 2), (2, 1), (4, 3)]:
+        spec = ProblemSpec(d, m)
+        terms = labels(spec)
+        wrap = terms.index((MeasLabel(0, 1), MeasLabel(m - 1, 0)))
+        terms[wrap] = (MeasLabel(m, 0), MeasLabel(m - 1, 0))
+        assert len(set(terms)) == len(terms) == spec.orbit_length
+        with pytest.raises(RuntimeError, match="chained-Bell route: the .* orbit terms"):
+            _chained_bell_bound(spec, terms)
+
+
+@pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 3), (5, 4)])
+def test_chained_bell_term_predicate_is_membership_in_the_families(d, m):
+    # every label pair with settings and outcomes one past either end of
+    # their ranges: the one-pass predicate accepts exactly the three
+    # families' pairs, listed directly by the reference
+    families = condition_label_pairs(ProblemSpec(d, m))
+    span = [MeasLabel(s, k) for s in range(-1, m + 1) for k in range(-1, d + 1)]
+    for pair in itertools.product(span, span):
+        assert _chained_bell_terms([pair], d, m) == (pair in families), pair
+
+
 def test_chained_bell_route_counts_the_witness_hits(monkeypatch):
-    # Alice's outcomes shifted by one: a family list that matches these
+    # Alice's outcomes shifted by one: a term check that accepts these
     # terms still leaves the all-zero strategy no term to meet at d = 3
     spec = ProblemSpec(3, 2)
     shifted = [
         (MeasLabel(e.alice.setting, (e.alice.outcome + 1) % 3), e.bob)
         for e in orbit(spec)
     ]
-    monkeypatch.setattr("orbitbell.bounds.condition_label_pairs", lambda spec: set(shifted))
+    monkeypatch.setattr("orbitbell.bounds._chained_bell_terms", lambda *args: True)
     with pytest.raises(RuntimeError, match="all-zero strategy meets 0 terms, not 2M - 1 = 3"):
         _chained_bell_bound(spec, shifted)
 

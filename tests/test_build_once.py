@@ -144,7 +144,6 @@ def test_verify_builds_each_cell_once(monkeypatch):
     gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
     eigensystems = count_calls(monkeypatch, "orbitbell.linalg", "_eigensystem")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
-    families = count_calls(monkeypatch, "orbitbell.orbit", "condition_label_pairs")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
@@ -171,8 +170,6 @@ def test_verify_builds_each_cell_once(monkeypatch):
     # the Gram line reads the assembly's value instead of a second route run
     assert gram[0] == 6
     assert roots[0] == 0
-    # one family set per cell, built by the assembly's chained-Bell route
-    assert families[0] == 6
 
 
 def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):

@@ -1,26 +1,38 @@
 """The certificate writer against the JSON encoder it replaced.
 
-``certificate_json`` writes the schema-"1" document from fixed
-templates. ``json.dumps(cert, indent=2, sort_keys=True)`` is kept here
-as the reference: every certificate must come out byte for byte the
-same, on every small cell, on the benchmark cells, on analyze's edge
-cells with the most rows, and with arbitrary finite floats in every
-float slot of a real certificate. A row missing one of its schema keys
-raises KeyError, and a key outside the schema is not written.
+``certificate_json`` writes the schema-"1" document of a report from
+fixed templates. ``json.dumps(certificate_dict(report), indent=2,
+sort_keys=True)`` is kept here as the reference, with
+``certificate_dict`` the certificate as a dict (``tests/reference.py``):
+every certificate must come out byte for byte the same, on every small
+cell, on the benchmark cells, on analyze's edge cells with the most
+rows, and with arbitrary finite floats in every float field of a real
+report; and parsing it must give that dict back. A non-finite float, or
+anything but a plain int in an int slot, is refused.
 """
 
 import copy
+import dataclasses
 import functools
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitbell import ProblemSpec, analyze, build_certificate, certificate_json
+from orbitbell import (
+    GameSpec,
+    MeasLabel,
+    ProblemSpec,
+    analyze,
+    certificate_json,
+    parse_certificate,
+)
+from reference import certificate_dict
 
 # every cell with d <= 8, M <= 4; 8^8 is inside the d^(2M) <= 1e8 guard
 SMALL = [(d, m) for d in range(2, 9) for m in range(1, 5)]
@@ -33,66 +45,59 @@ BENCHMARK = [
 # amplitudes, and the most terms and questions
 EDGE = [(64, 2), (16, 98), (2, 835)]
 
-# each row kind's schema keys, and where its first row sits
-ROWS = {
-    "term": (
-        ("alice_outcome", "alice_setting", "bob_outcome", "bob_setting"),
-        lambda cert: cert["terms"][0],
-    ),
-    "amplitude": (("im", "re"), lambda cert: cert["optimal_state"][0]),
-    "question": (
-        ("alice_setting", "bob_setting", "winning"),
-        lambda cert: cert["game"]["questions"][0],
-    ),
-    "winning": (
-        ("alice_outcome", "bob_outcome"),
-        lambda cert: cert["game"]["questions"][0]["winning"][0],
-    ),
-}
+# the report's float fields outside the two arrays; p and I_ab are None
+# unless M = 2
+SCALARS = ["quantum_bound", "quantum_win", "classical_win", "prediction_prob", "mutual_info_bits"]
 
 
-def reference_json(cert):
-    return json.dumps(cert, indent=2, sort_keys=True)
+def reference_json(report):
+    return json.dumps(certificate_dict(report), indent=2, sort_keys=True)
 
 
 @functools.cache
-def real_certificate(d, m):
-    return build_certificate(analyze(ProblemSpec(d, m)))
+def real_report(d, m):
+    return analyze(ProblemSpec(d, m))
+
+
+def with_floats(report, quantum_bound=None, state=None, probs=None, **stats):
+    """Copy of ``report`` with the given float fields replaced; the
+    statistics by their ``AnalysisReport`` names."""
+    ineq = report.inequality
+    changes = {}
+    if quantum_bound is not None:
+        changes["quantum_bound"] = quantum_bound
+    if state is not None:
+        changes["optimal_state"] = state
+    if probs is not None:
+        changes["per_term_probs"] = probs
+    return dataclasses.replace(
+        report, inequality=dataclasses.replace(ineq, **changes), **stats
+    )
 
 
 @pytest.mark.parametrize("cell", sorted(set(SMALL) | set(BENCHMARK) | set(EDGE)))
 def test_writer_matches_json_dumps(cell):
-    cert = real_certificate(*cell)
-    assert certificate_json(cert) == reference_json(cert)
+    report = real_report(*cell)
+    text = certificate_json(report)
+    assert text == reference_json(report)
+    assert parse_certificate(text) == certificate_dict(report)
 
 
-@pytest.mark.parametrize(
-    "row, key", [(row, key) for row, (keys, _) in ROWS.items() for key in keys]
-)
-def test_writer_raises_key_error_for_a_row_missing_a_key(row, key):
-    cert = copy.deepcopy(real_certificate(2, 2))
-    del ROWS[row][1](cert)[key]
-    with pytest.raises(KeyError, match=key):
-        certificate_json(cert)
-
-
-@pytest.mark.parametrize("row", ROWS)
-def test_writer_leaves_out_an_extra_key_in_a_row(row):
-    cert = copy.deepcopy(real_certificate(2, 2))
-    ROWS[row][1](cert)["extra"] = 1
-    assert certificate_json(cert) == certificate_json(real_certificate(2, 2))
-
-
-def refill(node, kind, values):
-    """Copy of ``node`` with every leaf of type ``kind`` replaced by the
-    next of ``values``."""
-    if isinstance(node, dict):
-        return {key: refill(value, kind, values) for key, value in node.items()}
-    if isinstance(node, list):
-        return [refill(value, kind, values) for value in node]
-    if type(node) is kind:
-        return next(values)
-    return node
+def refilled(report, values):
+    """Copy of ``report`` with every float of its float fields, the
+    state's real and imaginary parts included, replaced by the next of
+    ``values``, in certificate order."""
+    ineq = report.inequality
+    state = ineq.optimal_state.copy()
+    probs = np.array([next(values) for _ in ineq.per_term_probs])
+    state.real = [next(values) for _ in state]
+    state.imag = [next(values) for _ in state]
+    stats = {
+        name: next(values)
+        for name in SCALARS[1:]
+        if getattr(report, name) is not None
+    }
+    return with_floats(report, next(values), state, probs, **stats)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -106,27 +111,72 @@ def refill(node, kind, values):
 @example(cell=(3, 2), floats=[1e16, 1e-7, 1e22, 5e-324, -0.0, 0.1, -1.5e300])
 @example(cell=(2, 3), floats=[-0.0, 5e-324, 1e22, 1e-7, 1e16])
 def test_writer_matches_json_dumps_for_any_finite_floats(cell, floats):
-    cert = refill(real_certificate(*cell), float, itertools.cycle(floats))
-    assert certificate_json(cert) == reference_json(cert)
-
-
-def without(cert, key):
-    return {k: v for k, v in cert.items() if k != key}
+    report = refilled(real_report(*cell), itertools.cycle(floats))
+    assert certificate_json(report) == reference_json(report)
 
 
 @pytest.mark.parametrize(
-    "change",
-    [
-        lambda cert: without(cert, "stats"),
-        lambda cert: without(cert, "schema_version"),
-        lambda cert: {**cert, "diagnostics": {}},
-        lambda cert: {**cert, "schema_version": "2"},
-    ],
-    ids=["missing-key", "missing-version", "extra-key", "other-version"],
+    "field", [*SCALARS, "optimal_state.real", "optimal_state.imag", "per_term_probs"]
 )
-def test_writer_rejects_documents_outside_schema_1(change):
-    with pytest.raises(ValueError, match="not a schema-1 certificate"):
-        certificate_json(change(real_certificate(2, 2)))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_writer_rejects_a_non_finite_value_in_each_float_field(field, value):
+    # one value among finite ones: the last amplitude part or probability
+    report = real_report(3, 2)
+    if field in SCALARS:
+        changed = with_floats(report, **{field: value})
+    elif field == "per_term_probs":
+        probs = report.inequality.per_term_probs.copy()
+        probs[-1] = value
+        changed = with_floats(report, probs=probs)
+    else:
+        state = report.inequality.optimal_state.copy()
+        getattr(state, field.split(".")[1])[-1] = value
+        changed = with_floats(report, state=state)
+    expected = re.escape(f"certificate value {value!r} is not a finite float")
+    with pytest.raises(ValueError, match=expected):
+        certificate_json(changed)
+
+
+def filled(array, value):
+    """An array of ``array``'s shape holding ``value`` alone: of
+    ``array``'s dtype for a built-in float, an int array for an int,
+    and an object array for a numpy scalar."""
+    if type(value) is float:
+        return np.full(array.shape, value, dtype=array.dtype)
+    kind = object if isinstance(value, np.generic) else type(value)
+    return np.full(array.shape, value, dtype=kind)
+
+
+def with_slot(report, slot, value):
+    """Copy of ``report`` with every value of one certificate slot set
+    to ``value``."""
+    ineq, game = report.inequality, report.game
+    if slot == "quantum_bound":
+        return with_floats(report, quantum_bound=value)
+    if slot == "per_term_probs":
+        return with_floats(report, probs=filled(ineq.per_term_probs, value))
+    if slot == "optimal_state":
+        return with_floats(report, state=filled(ineq.optimal_state, value))
+    if slot == "stats":
+        return with_floats(report, **dict.fromkeys(SCALARS[1:], value))
+    if slot == "spec":
+        # ProblemSpec refuses these values; set them past its checks
+        spec = copy.copy(report.spec)
+        object.__setattr__(spec, "outcomes", value)
+        object.__setattr__(spec, "settings", value)
+        return dataclasses.replace(report, spec=spec)
+    if slot == "terms":
+        label = MeasLabel(value, value)
+        terms = ((label, label),) * len(ineq.terms)
+        return dataclasses.replace(report, inequality=dataclasses.replace(ineq, terms=terms))
+    if slot == "classical_bound":
+        changed = dataclasses.replace(ineq, classical_bound=value)
+        return dataclasses.replace(report, inequality=changed)
+    assert slot == "game"
+    count = len(game.questions)
+    questions = ((value, value),) * count
+    winning = (frozenset({(value, value)}),) * count
+    return dataclasses.replace(report, game=GameSpec(questions, winning))
 
 
 FLOAT_SLOTS = ["quantum_bound", "per_term_probs", "optimal_state", "stats"]
@@ -148,26 +198,51 @@ INT_SLOTS = ["spec", "terms", "classical_bound", "game"]
 )
 def test_writer_rejects_values_json_spells_differently(slot, kind, value):
     # repr gives nan, inf, True and np.float64(0.5) where json gives NaN,
-    # Infinity, true and 0.5; an int in a float slot, or a float in an
-    # int slot, is not what the schema holds
-    cert = real_certificate(2, 2)
-    changed = refill(cert[slot], kind, itertools.repeat(value))
+    # Infinity, true and 0.5; an int in a float slot (an int array for
+    # the arrays), or a float in an int slot, is not what the schema
+    # holds, nor is a numpy scalar (in an object array for the arrays)
+    changed = with_slot(real_report(2, 2), slot, value)
     expected = "is not a finite float" if kind is float else "is not an int"
     with pytest.raises(ValueError, match=expected):
-        certificate_json({**cert, slot: changed})
+        certificate_json(changed)
+
+
+def test_writer_refuses_a_non_int_in_each_int_field():
+    # one bad value among plain ints, in a term label, a question's
+    # settings, a winning pair and C_s: an int subclass (bool), a numpy
+    # int and a float that equals an int, where json would write true,
+    # fail to encode, or write 1.0
+    report = real_report(3, 2)
+    ineq, game = report.inequality, report.game
+    (a, b), *terms = ineq.terms
+    (s, t), *questions = game.questions
+    first, *winning = game.winning
+    pair = min(first)  # (0, 0): no other pair of the set equals (value, 0)
+    for value in (True, np.int64(1), 1.0):
+        bumped = ((a._replace(outcome=value), b), *terms)
+        for part, changed in (
+            ("inequality", dataclasses.replace(ineq, terms=bumped)),
+            ("game", GameSpec(((value, t), *questions), game.winning)),
+            ("game", GameSpec(game.questions, (first - {pair} | {(value, 0)}, *winning))),
+            ("inequality", dataclasses.replace(ineq, classical_bound=value)),
+        ):
+            expected = re.escape(f"certificate value {value!r} is not an int")
+            with pytest.raises(ValueError, match=expected):
+                certificate_json(dataclasses.replace(report, **{part: changed}))
 
 
 def test_signed_zeros_keep_their_spellings():
     # 0.0 == -0.0 and both hash alike, but json spells them apart: a
     # writer that spells each distinct float once must not let one
     # zero's spelling stand for the other
-    cert = copy.deepcopy(real_certificate(3, 2))
-    state, probs = cert["optimal_state"], cert["per_term_probs"]
-    state[0] = {"re": 0.0, "im": -0.0}
-    state[1] = {"re": -0.0, "im": 0.0}
+    report = real_report(3, 2)
+    state = report.inequality.optimal_state.copy()
+    probs = report.inequality.per_term_probs.copy()
+    state[:2] = [complex(0.0, -0.0), complex(-0.0, 0.0)]
     probs[:4] = [-0.0, 0.0, 0.0, -0.0]
-    text = certificate_json(cert)
-    assert text == reference_json(cert)
+    changed = with_floats(report, state=state, probs=probs)
+    text = certificate_json(changed)
+    assert text == reference_json(changed)
     assert '"im": -0.0,\n      "re": 0.0' in text
     assert '"im": 0.0,\n      "re": -0.0' in text
     assert '"per_term_probs": [\n    -0.0,\n    0.0,\n    0.0,\n    -0.0,' in text

@@ -14,13 +14,13 @@ from orbitbell import (
     DeterministicStrategy,
     ProblemSpec,
     analyze,
-    build_certificate,
     certificate_json,
     orbit,
     parse_certificate,
     run_verification,
 )
 from orbitbell.cli import build_parser, main as cli_main
+from reference import certificate_dict
 
 
 def run_cli(*args):
@@ -249,24 +249,19 @@ def test_internal_consistency_failure_exits_4(monkeypatch, capsys):
 
 
 def test_broken_chained_bell_families_exit_4(monkeypatch, capsys):
-    # a family list missing one label pair no longer matches the orbit's
-    # terms, and the chained-Bell route refuses to report C_s
+    # a term list missing one label pair no longer covers the three
+    # chained-Bell families, and the chained-Bell route refuses to
+    # report C_s
     bounds_module = importlib.import_module("orbitbell.bounds")
-    real_families = bounds_module.condition_label_pairs
-
-    def one_pair_short(spec):
-        pairs = real_families(spec)
-        pairs.discard(min(pairs))
-        return pairs
-
-    monkeypatch.setattr(bounds_module, "condition_label_pairs", one_pair_short)
+    real_terms = bounds_module._terms
+    monkeypatch.setattr(bounds_module, "_terms", lambda spec: real_terms(spec)[1:])
     rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
     assert captured.err == (
-        "error: internal consistency check failed: chained-Bell route: the 12 "
-        "orbit terms are not the 11 label pairs of the three chained-Bell families\n"
+        "error: internal consistency check failed: chained-Bell route: the 11 "
+        "orbit terms are not the 12 label pairs of the three chained-Bell families\n"
     )
 
 
@@ -339,12 +334,12 @@ def test_help_exits_zero():
 
 
 def test_certificate_round_trip():
-    cert = build_certificate(analyze(ProblemSpec(3, 2)))
-    assert parse_certificate(certificate_json(cert)) == cert
+    report = analyze(ProblemSpec(3, 2))
+    assert parse_certificate(certificate_json(report)) == certificate_dict(report)
 
 
 def test_certificate_top_level_keys():
-    cert = build_certificate(analyze(ProblemSpec(2, 1)))
+    cert = parse_certificate(certificate_json(analyze(ProblemSpec(2, 1))))
     assert set(cert) == {
         "schema_version",
         "spec",
@@ -555,17 +550,11 @@ def test_bound_off_its_closed_form_fails_only_the_closed_form_line(monkeypatch, 
 
 
 def test_broken_chained_bell_families_fail_verification(monkeypatch, capsys):
-    # a family list one pair short fails the assembly's chained-Bell route,
+    # a term list one pair short fails the assembly's chained-Bell route,
     # and the sweep files it under its construction line
     bounds_module = importlib.import_module("orbitbell.bounds")
-    real_families = bounds_module.condition_label_pairs
-
-    def one_pair_short(spec):
-        pairs = real_families(spec)
-        pairs.discard(min(pairs))
-        return pairs
-
-    monkeypatch.setattr(bounds_module, "condition_label_pairs", one_pair_short)
+    real_terms = bounds_module._terms
+    monkeypatch.setattr(bounds_module, "_terms", lambda spec: real_terms(spec)[1:])
     name = "instance builds and passes analyze's own checks"
     report = run_verification(3, 2)
     (check,) = [c for c in report.checks if c.name == name]

@@ -21,6 +21,7 @@ swap matrix that cannot be built fails the construction line of every
 cell of its outcome count.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -274,14 +275,17 @@ def test_nan_joint_grid_is_rejected():
 
 
 def test_value_error_in_a_subcommand_exits_4(monkeypatch, capsys):
-    # a non-finite certificate value is refused by the writer; the
-    # command line reports it like any other failed internal check
+    # a report whose Q_s is NaN, past the assembly's checks, is refused
+    # by the certificate writer; the command line reports it like any
+    # other failed internal check
     cli_module = importlib.import_module("orbitbell.cli")
-    real_build = cli_module.build_certificate
+    real_analyze = cli_module.analyze
 
-    def nan_bound(report):
-        return {**real_build(report), "quantum_bound": NAN}
+    def nan_bound(spec):
+        report = real_analyze(spec)
+        inequality = dataclasses.replace(report.inequality, quantum_bound=NAN)
+        return dataclasses.replace(report, inequality=inequality)
 
-    monkeypatch.setattr(cli_module, "build_certificate", nan_bound)
+    monkeypatch.setattr(cli_module, "analyze", nan_bound)
     argv = ["analyze", "--outcomes", "2", "--settings", "2", "--format", "json"]
     assert_exit_4(capsys, argv, "is not a finite float")

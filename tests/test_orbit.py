@@ -30,10 +30,10 @@ from orbitbell.orbit import (
     _root_table,
     _states,
     _terms,
-    condition_label_pairs,
     fourier_eigenbasis,
     label_step,
 )
+from reference import condition_label_pairs
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
