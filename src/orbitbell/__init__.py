@@ -14,7 +14,6 @@ from .bounds import (
     BellInequality,
     DeterministicStrategy,
     InstanceTooLarge,
-    STRATEGY_GUARD,
     build_inequality,
     classical_bound,
     quantum_bound_analytic,
@@ -58,7 +57,6 @@ __all__ = [
     "OrbitEntry",
     "ProblemSpec",
     "SCHEMA_VERSION",
-    "STRATEGY_GUARD",
     "VerificationReport",
     "analyze",
     "build_inequality",

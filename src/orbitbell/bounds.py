@@ -89,16 +89,19 @@ deterministic local strategies. Two routes compute it:
   setting pairs (Braunstein-Caves 1990; Barrett-Kent-Pironio 2006), so
   C_s = 2M - 1 with the all-zero strategy as witness. It checks the
   term set and counts the witness's hits, O(2*M*d) work;
-* enumeration (:func:`classical_bound`): the maximum over all d^M
-  Alice maps, each with Bob's best reply. It makes no assumption on
-  the terms and runs only in ``verify`` and the tests, which compare
-  its value and witness with the chained-Bell route's.
+* max-plus elimination (:func:`classical_bound`): the maximum over
+  Alice's maps, with Bob's best reply, by eliminating Alice's settings
+  one at a time, exact at every cell in O(M d^3) on the orbit. It
+  makes no assumption on the terms and runs only in ``verify`` and the
+  tests, which compare its value and witness with the chained-Bell
+  route's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -119,21 +122,12 @@ __all__ = [
     "DeterministicStrategy",
     "BellInequality",
     "InstanceTooLarge",
-    "STRATEGY_GUARD",
     "MEMORY_CEILING",
     "quantum_bound_analytic",
     "quantum_bound_gram",
     "classical_bound",
     "build_inequality",
 ]
-
-# Deterministic strategy pairs are capped at this count; larger
-# instances are rejected instead of silently running for hours. It
-# bounds only the d^M enumeration of classical_bound, which runs in
-# verify and the tests: verify skips the classical comparison at cells
-# beyond it, and analyze, which takes C_s from the chained-Bell route,
-# never meets it.
-STRATEGY_GUARD = 10**8
 
 # The ceiling of the one size rule (see _check_size), in bytes. The
 # rule counts one dense d^2 x d^2 complex matrix of verify's
@@ -155,8 +149,8 @@ STRATEGY_GUARD = 10**8
 # ru_maxrss at (d, M) = (2, 835), 36.0 MiB at (16, 98) and 35.6 MiB at
 # (64, 10), mostly the interpreter and numpy (median of nine fresh
 # processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
-# classical_bound keeps its enumeration tables under it too, for any
-# caller.
+# classical_bound keeps what its elimination holds under it too, for
+# any caller.
 MEMORY_CEILING = 256 * 2**20
 
 # How far two routes to the same quantum bound may disagree: the
@@ -167,8 +161,8 @@ _ROUTE_TOL = 1e-9
 
 class InstanceTooLarge(Exception):
     """Instance beyond the memory ceiling of verify's cross-checks, or,
-    for :func:`classical_bound` alone, beyond the enumeration guard or
-    the memory ceiling of the enumeration's tables."""
+    for :func:`classical_bound` alone, one whose elimination tables
+    would pass the memory ceiling."""
 
 
 def _check_size(outcomes: int, settings: int) -> None:
@@ -209,18 +203,6 @@ def _check_size(outcomes: int, settings: int) -> None:
             f"{needed / 2**20:.0f} MiB, over the memory ceiling of "
             f"{MEMORY_CEILING // 2**20} MiB"
         )
-
-
-def _over_strategy_guard(outcomes: int, settings: int) -> bool:
-    """Whether d^(2M) strategy pairs exceed STRATEGY_GUARD.
-
-    Since d >= 2, d^(2M) >= 2^(2M), which exceeds the guard once 2M
-    reaches the guard's bit length (M >= 14), so an absurd M is decided
-    without forming the power.
-    """
-    if 2 * settings >= STRATEGY_GUARD.bit_length():
-        return True
-    return outcomes ** (2 * settings) > STRATEGY_GUARD
 
 
 @dataclass(frozen=True)
@@ -318,14 +300,8 @@ def _best_reply(
     for a, b in terms:
         if alice_map[a.setting] == a.outcome:
             hits[b.setting][b.outcome] += 1
-    total = 0
-    bob_map = []
-    for s in range(m):
-        row = hits[s]
-        pick = max(range(d), key=row.__getitem__)  # first max: smallest outcome
-        bob_map.append(pick)
-        total += row[pick]
-    return total, tuple(bob_map)
+    bob_map = tuple(max(range(d), key=row.__getitem__) for row in hits)  # first max
+    return sum(row[pick] for row, pick in zip(hits, bob_map)), bob_map
 
 
 def classical_bound(
@@ -335,77 +311,114 @@ def classical_bound(
     whose terms are the label pairs ``terms`` (such as
     ``BellInequality.terms``), any iterable of them, read once.
 
-    Equivalent to scanning all d^(2M) strategy pairs: for a fixed
-    Alice assignment the terms split by Bob's setting, so Bob's best
-    reply is a per-setting argmax and needs no enumeration. The scan
-    over Alice's d^M maps factorises too: Bob's best score at setting
-    t depends only on Alice's outcomes at the settings S_t that share
-    a term with t (on the orbit, t and t+1 mod M). So each Bob setting
-    gets a small hit table indexed by Bob's outcome and Alice's
-    outcomes on S_t: for each s in S_t, one ``np.bincount`` of the
-    flat codes b * d + a of the terms at (s, t), broadcast along the
-    other settings of S_t. Its maximum over Bob's outcome is broadcast
-    onto the (d,)*M table of map totals, and C-order index i of that
-    table is the map with outcome i // d^(M-1-s) % d at setting s, so
-    index order is lexicographic order. Ties are broken toward the
-    lexicographically smallest (alice_map, bob_map) table, identical
-    to what the naive double scan would return.
+    Max-plus elimination over Alice's settings. For a fixed Alice map
+    the terms split by Bob's setting, so Bob's best reply is a
+    per-setting argmax, and Bob's best score at setting t depends only
+    on Alice's outcomes at the settings S_t that share a term with t
+    (on the orbit, t and t+1 mod M). Each Bob setting's hit table,
+    indexed by Bob's outcome and Alice's outcomes on S_t, is one
+    ``np.bincount`` of the flat codes b * d + a of the terms at (s, t)
+    per s in S_t, broadcast along the other settings of S_t; its max
+    over Bob's outcome is a factor over S_t, filed in the bucket of the
+    highest setting of S_t. Settings a_(M-1) down to a_0 are then
+    eliminated: a bucket's factors are summed into one table over the
+    union of their scopes, whose argmax over a_k is kept and whose max
+    over a_k is filed in the bucket of the next-highest setting of that
+    union. Decoding from a_0 up, each a_k is the kept argmax at the
+    settings already chosen, the smallest a_k that attains the max, so
+    the Alice map is the lexicographically smallest optimal one; a
+    setting in no term is 0. Bob's reply is :func:`_best_reply`'s.
+    Ties are broken toward the lexicographically smallest
+    (alice_map, bob_map) table, identical to what the naive double scan
+    over all d^(2M) strategy pairs would return.
 
-    Memory: the d^M totals plus one table of d^(1+|S_t|) entries at a
-    time, 8 bytes each: d^3 on the orbit (d^2 at M = 1) and at most
-    d^(M+1) for any term list.
+    Exact int64 work. On the orbit's cycle each hit table and each
+    bucket's table has d^3 entries (d^2 and d at M = 1), so O(M d^3)
+    time and O(M d^2 + d^3) memory. For any term list a hit table has
+    at most d^(M+1) entries and a bucket's table at most d^M, the sizes
+    of a scan over all d^M Alice maps.
 
-    Raises InstanceTooLarge when d^(2M) exceeds STRATEGY_GUARD, the only
-    check of that guard, and, before any table is allocated, when the
-    totals with the largest hit table would exceed MEMORY_CEILING (at
-    M = 1 on the orbit, every d > 5792). Both are decided in plain int
-    arithmetic. Raises ValueError for a term with an outcome outside
-    0..d-1, which a flat code would file under another outcome pair.
+    Raises InstanceTooLarge before allocating when what the route holds
+    would exceed MEMORY_CEILING, counted in plain int arithmetic at 8
+    bytes a slot and never decreased: Bob's hit rows, the two maps and
+    1 KiB of Python and numpy objects per setting, 32 bytes per term,
+    numpy's ufunc buffers, every factor, message and kept argmax, and
+    the table being summed, twice, for the partial sum or bincount
+    beside it (at M = 1 on the orbit, two d x d tables: every
+    d >= 4093 is refused; at ``ProblemSpec(2, 10**9)`` the per-setting
+    count alone is). Raises
+    ValueError for a term with a setting outside 0..M-1 or an outcome
+    outside 0..d-1, which would be filed under another label.
     """
     d, m = spec.outcomes, spec.settings
-    if _over_strategy_guard(d, m):
-        raise InstanceTooLarge(
-            f"instance too large: {d}^{2 * m} deterministic strategies "
-            f"exceed the enumeration guard of {STRATEGY_GUARD:.0e}"
-        )
+    held = 0  # bytes held so far, never decreased
+
+    def hold(kept: int, filling: int = 0) -> None:
+        nonlocal held
+        held += 8 * kept
+        if held + 8 * filling > MEMORY_CEILING:
+            raise InstanceTooLarge(
+                f"instance too large: the classical bound's tables at {d} "
+                f"outcomes and {m} settings need {(held + 8 * filling) / 2**20:.1f} "
+                f"MiB, over the memory ceiling of {MEMORY_CEILING // 2**20} MiB"
+            )
 
     terms = tuple(terms)  # read twice: the hit tables, then Bob's best reply
+    # Bob's hit rows and the two maps, each setting's Python and numpy
+    # objects, each term's slot and flat code, and 128 KiB for numpy's
+    # ufunc buffers
+    hold(m * (d + 128) + 4 * len(terms) + 2**14)
     # each term's flat code b.outcome * d + a.outcome, grouped by Bob's
     # setting, then by Alice's
     codes: dict[int, dict[int, list[int]]] = {}
     for a, b in terms:
-        if not (0 <= a.outcome < d and 0 <= b.outcome < d):
-            raise ValueError(f"term {(a, b)} has an outcome outside 0..{d - 1}")
+        if not (
+            0 <= a.setting < m and 0 <= b.setting < m and 0 <= a.outcome < d and 0 <= b.outcome < d
+        ):
+            raise ValueError(
+                f"term {(a, b)} has a setting outside 0..{m - 1} or an outcome "
+                f"outside 0..{d - 1}"
+            )
         by_alice = codes.setdefault(b.setting, {})
         by_alice.setdefault(a.setting, []).append(b.outcome * d + a.outcome)
-    widest = max(map(len, codes.values()), default=0)
-    needed = 8 * (d**m + d ** (1 + widest))
-    if needed > MEMORY_CEILING:
-        raise InstanceTooLarge(
-            f"instance too large: the enumeration's tables at {d} outcomes "
-            f"and {m} settings need {needed / 2**20:.1f} MiB, over the memory "
-            f"ceiling of {MEMORY_CEILING // 2**20} MiB"
-        )
 
-    totals = np.zeros((d,) * m, dtype=np.int64)
+    # the (scope, table) pairs to sum at each setting, scopes ascending
+    buckets: dict[int, list[tuple[list[int], np.ndarray]]] = {}
     for by_alice in codes.values():
         linked = sorted(by_alice)
-        hits = np.zeros((d,) * (1 + len(linked)), dtype=np.int64)
-        for axis, s in enumerate(linked, 1):
-            # the (Bob outcome, Alice outcome) counts of one linked
-            # setting, broadcast along the other linked settings' axes
-            counts = [d] + [1] * len(linked)
-            counts[axis] = d
-            hits += np.bincount(by_alice[s], minlength=d * d).reshape(counts)
-        shape = [1] * m
-        for s in linked:
-            shape[s] = d
-        totals += hits.max(axis=0).reshape(shape)
+        # the (Bob outcome, Alice outcome) counts of each linked setting,
+        # broadcast along the other linked settings' axes and summed
+        hold(d ** len(linked), 2 * d ** (1 + len(linked)))
+        hits = reduce(
+            np.add,
+            (
+                np.bincount(by_alice[s], minlength=d * d).reshape(
+                    [d] + [d if x == s else 1 for x in linked]
+                )
+                for s in linked
+            ),
+        )
+        buckets.setdefault(linked[-1], []).append((linked, hits.max(axis=0)))
+        del hits  # before the next table is made
 
-    best = int(totals.argmax())  # first max in C order: lexicographically smallest map
-    alice_map = tuple(best // d ** (m - 1 - s) % d for s in range(m))
-    value, bob_map = _best_reply(alice_map, terms, d, m)
-    return value, DeterministicStrategy(alice_map, bob_map)
+    # every linked setting gets a bucket by its turn: a message carries
+    # the union's other settings to the highest of them
+    kept = []
+    for k in sorted({s for by_alice in codes.values() for s in by_alice}, reverse=True):
+        bucket = buckets.pop(k)
+        scope = sorted(set().union(*(s for s, _ in bucket)))
+        hold(2 * d ** (len(scope) - 1), 2 * d ** len(scope))
+        table = reduce(np.add, (f.reshape([d if x in s else 1 for x in scope]) for s, f in bucket))
+        kept.append((scope, table.argmax(axis=-1)))  # first max: smallest a_k
+        if len(scope) > 1:
+            buckets.setdefault(scope[-2], []).append((scope[:-1], table.max(axis=-1)))
+        del table
+
+    alice_map = [0] * m
+    for scope, choice in reversed(kept):  # a_0 up
+        alice_map[scope[-1]] = int(choice[tuple(alice_map[s] for s in scope[:-1])])
+    value, bob_map = _best_reply(tuple(alice_map), terms, d, m)
+    return value, DeterministicStrategy(tuple(alice_map), bob_map)
 
 
 def _chained_bell_terms(
@@ -447,7 +460,7 @@ def _chained_bell_bound(
        both a = b and a = b + 1 there, since d >= 2.
     4. The all-zero strategy meets every pair but the wrap, 2M - 1
        terms, and it is the lexicographically smallest table, to which
-       :func:`classical_bound`'s enumeration breaks ties: both routes
+       :func:`classical_bound`'s elimination breaks ties: both routes
        return the same value and witness.
 
     The term set and the witness's hit count, the terms with both
@@ -478,8 +491,7 @@ def build_inequality(spec: ProblemSpec) -> BellInequality:
     exactly the instances beyond verify's size rule, whose counts of
     verify's cross-check arrays exceed MEMORY_CEILING (see
     :func:`_check_size`), so that verify accepts every instance this
-    accepts. STRATEGY_GUARD does not apply: the
-    classical bound comes from the chained-Bell route.
+    accepts. The classical bound comes from the chained-Bell route.
     """
     _check_size(spec.outcomes, spec.settings)
     return _inequality(spec).inequality
@@ -504,7 +516,7 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     orbit's Gram spectrum, which must agree to 1e-9 (a NaN on either
     route is a disagreement); the root-index value and state are the
     ones reported. The classical bound and witness come from the
-    chained-Bell route; the d^M enumeration is verify's. Only the
+    chained-Bell route; the max-plus elimination is verify's. Only the
     integer root indices and the (M + 1, d) first columns are read: the
     Gram row g_j = a_j[0] b_j[0] is entry 0 of the factors, gathered by
     the index rule, and every per-term probability is |psi_00|^2 (see
@@ -513,8 +525,7 @@ def _inequality(spec: ProblemSpec) -> _Instance:
 
     Checks no size: :func:`build_inequality` and ``analyze`` run
     :func:`_check_size` on the instance first, and ``verify`` on its
-    largest cell before its first; nothing here enumerates, so
-    STRATEGY_GUARD does not apply.
+    largest cell before its first.
     """
     table = _root_table(spec)
     terms = _terms(spec)

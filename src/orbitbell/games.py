@@ -199,8 +199,7 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     inequality's, whose U also gives the M = 2 statistics.
 
     Raises InstanceTooLarge first for exactly the instances ``verify``'s
-    size rule refuses (see :func:`~orbitbell.bounds.build_inequality`);
-    no enumeration runs, so STRATEGY_GUARD does not apply."""
+    size rule refuses (see :func:`~orbitbell.bounds.build_inequality`)."""
     _check_size(spec.outcomes, spec.settings)
     ineq, table, *_ = _inequality(spec)
     game = game_spec(ineq.terms)

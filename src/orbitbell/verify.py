@@ -2,9 +2,7 @@
 
 Runs every structural cross-check the construction promises, for all
 outcomes 2..outcomes_max and settings 1..settings_max, and reports one
-pass/fail line per check. Instances whose deterministic-strategy space
-exceeds the enumeration guard keep their quantum-side checks and skip
-only the classical comparison.
+pass/fail line per check. Every line runs at every cell.
 
 Each cell runs the assembly ``analyze`` runs (``bounds._inequality``),
 whose own checks raise into one construction line, and checks what it
@@ -13,12 +11,12 @@ reports with the routes that ``analyze`` does not run: from the
 checked against the matrix product (U x 1) S, then applied to every
 orbit vector at once, its period read off B B = U x U and T^d = 1,
 LAPACK ``eigvalsh`` on the projector sum and the residuals of the
-whole closed-form eigensystem; from ``bounds``, the d^M enumeration of
-the classical bound. The orbit vectors are verify's own: the (n, d)
-factors gathered by the index rule from the root table's first
-columns, with no labels and no check of their own, multiplied out into
-(n, d^2) states, which the dense stepping line checks against B one
-step at a time. The shift T, the swap S and the d^2 identity depend on
+whole closed-form eigensystem; from ``bounds``, the max-plus
+elimination of the classical bound. The orbit vectors are verify's
+own: the (n, d) factors gathered by the index rule from the root
+table's first columns, with no labels and no check of their own,
+multiplied out into (n, d^2) states, which the dense stepping line
+checks against B one step at a time. The shift T, the swap S and the d^2 identity depend on
 d alone: they are built once per outcome count, and the unitarity of
 T and S and T^d = 1 are checked there, their residuals recorded at
 each cell of the row. Q_s is checked against its proved closed form
@@ -48,10 +46,8 @@ import numpy as np
 
 from .bounds import (
     _ROUTE_TOL,
-    STRATEGY_GUARD,
     _check_size,
     _inequality,
-    _over_strategy_guard,
     classical_bound,
 )
 from .games import _two_setting_stats
@@ -102,7 +98,6 @@ class CheckResult:
 class VerificationReport:
     checks: list[CheckResult]
     summary: list[str]
-    skipped: list[str]
 
     @property
     def passed(self) -> bool:
@@ -112,11 +107,6 @@ class VerificationReport:
         out = [c.line() for c in self.checks]
         for c in self.checks:
             out.extend(f"      {note}" for note in c.notes)
-        if self.skipped:
-            out.append(
-                "note: classical bound skipped (search space beyond "
-                f"{STRATEGY_GUARD:.0e}) at " + ", ".join(self.skipped)
-            )
         out.append("")
         out.extend(self.summary)
         return out
@@ -163,8 +153,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
     rather than passing an empty sweep. Raises InstanceTooLarge before
     the first cell when the largest cell is beyond the size rule that
     ``analyze`` applies to each instance (``bounds._check_size``), so
-    the sweep reaches every instance ``analyze`` accepts; the
-    enumeration guard only skips the classical comparison per cell.
+    the sweep reaches every instance ``analyze`` accepts.
     """
     outcomes_max, settings_max = _sizes(
         outcomes_max, settings_max, ("outcomes_max", "settings_max")
@@ -194,9 +183,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         ),
         "uniform": CheckResult("per-term probabilities equal Q_s/(2*M*d)", 1e-9),
         "dominance": CheckResult("quantum bound is at least the classical bound", 1e-9),
-        "chained": CheckResult(
-            "enumerated classical bound equals the chained-Bell value 2M-1", None
-        ),
+        "chained": CheckResult("classical bound equals the chained-Bell value 2M-1", None),
         "information": CheckResult(
             "mutual information independent of the setting pair (M=2)", 1e-9
         ),
@@ -206,7 +193,6 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "degenerate": CheckResult("single-setting case gives Q_s = C_s = 1", 1e-9),
     }
     summary: list[str] = []
-    skipped: list[str] = []
 
     for d in range(2, outcomes_max + 1):
         # the shift, the swap and the d^2 identity depend on d alone, and
@@ -297,21 +283,15 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             ]
             checks["uniform"].record(_largest(uniform), cell)
 
-            if _over_strategy_guard(d, m):
-                skipped.append(cell)
-                summary.append(f"{cell}: Q_s={analytic:.4f} C_s=skipped")
-            else:
-                c_value, witness = classical_bound(spec, ineq.terms)
-                checks["dominance"].record(max(c_value - analytic, 0.0), cell)  # keeps a NaN
-                if (c_value, witness) != (ineq.classical_bound, ineq.witness):
-                    checks["chained"].fail(
-                        cell, f"enumeration gives C_s={c_value}, {witness}"
-                    )
-                summary.append(f"{cell}: Q_s={analytic:.4f} C_s={c_value}")
-                if d == 2 and m == 1:
-                    checks["degenerate"].record(abs(analytic - 1.0), cell)
-                    if c_value != 1:
-                        checks["degenerate"].fail(cell, f"C_s={c_value}, expected 1")
+            c_value, witness = classical_bound(spec, ineq.terms)
+            checks["dominance"].record(max(c_value - analytic, 0.0), cell)  # keeps a NaN
+            if (c_value, witness) != (ineq.classical_bound, ineq.witness):
+                checks["chained"].fail(cell, f"elimination gives C_s={c_value}, {witness}")
+            summary.append(f"{cell}: Q_s={analytic:.4f} C_s={c_value}")
+            if d == 2 and m == 1:
+                checks["degenerate"].record(abs(analytic - 1.0), cell)
+                if c_value != 1:
+                    checks["degenerate"].fail(cell, f"C_s={c_value}, expected 1")
 
             if m == 2:  # the quantum win is Q_s over the 2M = 4 questions
                 try:
@@ -322,4 +302,4 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                     checks["information"].record(stats.spread, cell)
                     checks["prediction"].record(abs(stats.prediction - analytic / 4), cell)
 
-    return VerificationReport(list(checks.values()), summary, skipped)
+    return VerificationReport(list(checks.values()), summary)

@@ -3,9 +3,9 @@ modules: the snap of one unit-modulus value to its root of unity, by
 its phase, which checks the root table's integer root indices and the
 eigenvalue of a reported state without the package's index arithmetic;
 the loop forms of three whole-array routes: B's closed-form
-eigensystem one block at a time, the classical enumeration's hit
-tables one term at a time, and the M = 2 statistics one grid at a
-time; the factor forms of the orbit's first Gram row and per-term
+eigensystem one block at a time, the classical bound as a scan of
+every Alice map with its hit tables filled one term at a time, and the
+M = 2 statistics one grid at a time; the factor forms of the orbit's first Gram row and per-term
 probabilities, from the whole (n, d) factor arrays; the three
 chained-Bell families listed as a set of label pairs; and the
 certificate as a dict of JSON values, for ``json.dumps``.
@@ -68,11 +68,12 @@ def eigensystem_by_pair(spec, table):
 
 
 def classical_bound_by_term(spec, terms):
-    """``bounds.classical_bound``'s enumeration with each Bob setting's
-    hit table filled one term at a time, by one broadcast ``+=`` per
-    term: the reference for the ``np.bincount`` tables. Returns the
-    value and the (alice_map, bob_map) witness, ties broken toward the
-    lexicographically smallest table. No size guard."""
+    """The classical bound as a scan of the d^M totals of every Alice
+    map, each Bob setting's hit table filled one term at a time, by one
+    broadcast ``+=`` per term: the reference for ``bounds.classical_bound``'s
+    ``np.bincount`` tables and its elimination. Returns the value and the
+    (alice_map, bob_map) witness, ties broken toward the
+    lexicographically smallest table. No size check."""
     d, m = spec.outcomes, spec.settings
     by_bob = {}
     for a, b in terms:

@@ -2,11 +2,13 @@
 
 Anchors: the qubit two-setting value 2 + sqrt(2) against classical 3,
 the qutrit value 10/3 with its explicit maximizing state, the qubit
-M-setting family M*(1 + cos(pi/2M)) against 2M - 1, and an exhaustive
-naive strategy scan as the oracle for the factored classical search.
+M-setting family M*(1 + cos(pi/2M)) against 2M - 1, an exhaustive
+naive strategy scan as the oracle for the max-plus classical search,
+and the chained-Bell route as its check on orbits far past any scan.
 """
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,12 +31,10 @@ from orbitbell import (
 )
 from orbitbell.bounds import (
     MEMORY_CEILING,
-    STRATEGY_GUARD,
     _chained_bell_bound,
     _chained_bell_terms,
     _check_size,
     _inequality,
-    _over_strategy_guard,
     quantum_bound_gram,
 )
 from orbitbell.linalg import accumulate_A, b_eigensystem, step_operator
@@ -292,21 +292,45 @@ def test_classical_bound_counts_are_honest():
     assert recount == value
 
 
-def test_classical_bound_guard():
-    spec = ProblemSpec(10, 5)
-    with pytest.raises(InstanceTooLarge, match="too large"):
-        classical_bound(spec, labels(spec))
+@pytest.mark.parametrize("d,m", [(10, 5), (64, 2), (64, 10), (16, 98), (2, 835)])
+def test_classical_bound_equals_the_chained_bell_route_past_any_scan(d, m):
+    # 10^10 to 2^1670 strategy pairs, up to analyze's edge cells: the
+    # elimination assumes nothing of the terms, and meets the chained-Bell
+    # argument in value and witness
+    spec = ProblemSpec(d, m)
+    terms = labels(spec)
+    assert classical_bound(spec, terms) == _chained_bell_bound(spec, terms)
 
 
-@pytest.mark.parametrize("d", [5793, 10**4])
+@pytest.mark.parametrize("d", [4093, 5793, 10**4])
 def test_classical_bound_tables_over_memory_ceiling_raise_before_allocating(d):
-    # within the strategy guard, but the (d, d) hit table at M = 1 takes
-    # 8 d^2 bytes: 256 MiB first passed at d = 5793, 763 MiB at d = 10^4
+    # at M = 1 the (d, d) hit table is counted twice, for a partial sum
+    # or bincount beside it, 16 d^2 bytes: with the rest of the count,
+    # 256 MiB is first passed at d = 4093, and about 1.5 GiB is asked at
+    # d = 10^4
     spec = ProblemSpec(d, 1)
     terms = condition_label_pairs(spec)
     tracemalloc.start()
     try:
-        with pytest.raises(InstanceTooLarge, match="enumeration's tables .* memory ceiling"):
+        with pytest.raises(InstanceTooLarge, match="classical bound's tables .* memory ceiling"):
+            classical_bound(spec, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[], [(MeasLabel(0, 0), MeasLabel(0, 0)), (MeasLabel(7, 1), MeasLabel(10**9 - 1, 0))]],
+)
+def test_classical_bound_refuses_absurd_settings_at_once(terms):
+    # 10^9 settings: Bob's hit rows and the two maps alone pass the
+    # ceiling, and nothing per setting is made before the refusal
+    spec = ProblemSpec(2, 10**9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge, match="classical bound's tables .* memory ceiling"):
             classical_bound(spec, terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -329,10 +353,23 @@ def test_classical_bound_rejects_an_outcome_outside_the_instance(pair):
         classical_bound(spec, labels(spec) + [pair])
 
 
-@pytest.mark.parametrize("d", [2, 3, 10, 64, 10**6])
-def test_strategy_guard_matches_the_power(d):
-    for m in range(1, 40):
-        assert _over_strategy_guard(d, m) == (d ** (2 * m) > STRATEGY_GUARD)
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (MeasLabel(-1, 1), MeasLabel(0, 0)),  # would be filed under setting M - 1
+        (MeasLabel(2, 0), MeasLabel(0, 0)),
+        (MeasLabel(0, 0), MeasLabel(-1, 1)),
+        (MeasLabel(0, 0), MeasLabel(2, 0)),
+    ],
+)
+def test_classical_bound_rejects_a_setting_outside_the_instance(pair):
+    # a negative index would wrap to the last setting, and M would index
+    # past the maps; the term is named either way
+    spec = ProblemSpec(2, 2)
+    message = rf"term {re.escape(str(pair))} has a setting outside 0\.\.1"
+    for terms in ([pair], labels(spec) + [pair]):
+        with pytest.raises(ValueError, match=message):
+            classical_bound(spec, terms)
 
 
 @pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (5, 4), (2, 13)])
@@ -476,7 +513,7 @@ def test_verify_checks_orbit_ceiling_before_the_first_cell(monkeypatch):
 )
 def test_orbit_ceiling_counts_states_residuals_and_gram_table(monkeypatch, d, m, admitted):
     # one rule: build_inequality (and so analyze) admits exactly the
-    # cells whose verify cross-checks fit, beyond the enumeration guard too
+    # cells whose verify cross-checks fit, however many strategies they have
     n = 2 * m * d
     assert (40 * d**2 * n + 24 * n**2 <= MEMORY_CEILING) == admitted
     spec = ProblemSpec(d, m)

@@ -15,7 +15,7 @@ products of U that the tests check the first columns against.
 factors once, with no (n, d) factor array, no orbit state and no
 Fourier row; it runs the root-index and Gram routes of the quantum
 bound, and calls none of the ``linalg`` module's dense routes. Its
-classical bound is the chained-Bell value, with no d^M enumeration.
+classical bound is the chained-Bell value, with no max-plus elimination.
 The modules on that path import neither ``linalg`` nor ``verify``, and
 ``linalg`` imports ``orbit`` alone, so the dense eigensystem shares no
 code with the root-index route it checks.
@@ -24,9 +24,9 @@ checks the instance ``analyze`` reports, with one root table, one
 term list, one Gram spectrum, one gather of the whole factors and one
 closed-form eigensystem, the only reader of the Fourier rows, from
 that table; it runs the statistics function once per M = 2 cell, and
-runs the enumeration once per cell inside the enumeration guard. The shift T and
-the swap S depend on d alone, so the sweep builds them once per outcome
-count.
+the max-plus elimination of the classical bound once per cell. The
+shift T and the swap S depend on d alone, so the sweep builds them
+once per outcome count.
 """
 
 import ast
@@ -40,7 +40,6 @@ import pytest
 
 import orbitbell.linalg
 from orbitbell import ProblemSpec, analyze, run_verification
-from orbitbell.bounds import _over_strategy_guard
 
 # every dense d^2 x d^2 route: the linalg module's public functions, the
 # dense product B is checked against and the whole closed-form eigensystem
@@ -110,7 +109,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     dense = {
         name: count_calls(monkeypatch, "orbitbell.linalg", name) for name in DENSE_ROUTES
     }
-    enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
+    eliminations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
     assert tables[0] == checks[0] == terms[0] == 1
@@ -122,7 +121,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert grids[0] == (1 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
     assert {name: calls[0] for name, calls in dense.items()} == dict.fromkeys(DENSE_ROUTES, 0)
-    assert enumerations[0] == 0
+    assert eliminations[0] == 0
 
 
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])
@@ -149,7 +148,7 @@ def test_verify_builds_each_cell_once(monkeypatch):
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
     swaps = count_calls(monkeypatch, "orbitbell.linalg", "swap_matrix")
     shifts = count_calls(monkeypatch, "orbitbell.linalg", "translation_matrix")
-    report = run_verification(3, 3)  # 6 cells, all inside the guard
+    report = run_verification(3, 3)  # 6 cells
     assert report.passed
     assert assemblies[0] == tables[0] == terms[0] == eigensystems[0] == 6
     # the Fourier rows for the eigensystem alone
@@ -173,17 +172,17 @@ def test_verify_builds_each_cell_once(monkeypatch):
 
 
 def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):
-    enumerations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
+    # one max-plus elimination and one assembly at each of the 28 cells,
+    # those with more than 10^8 strategy pairs, (4, 7), (5, 6) and
+    # (5, 7), too, and every summary row reads C_s = 2M - 1
+    eliminations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
-    report = run_verification(5, 7)  # 28 cells, 3 of them beyond the guard
-    inside = [
-        (d, m) for d in range(2, 6) for m in range(1, 8) if not _over_strategy_guard(d, m)
-    ]
+    report = run_verification(5, 7)
     assert report.passed
-    assert len(inside) == 25 and len(report.skipped) == 3
-    assert enumerations[0] == len(inside)
-    # the guard is the enumeration's alone: every cell is assembled
-    assert assemblies[0] == 28
+    assert eliminations[0] == assemblies[0] == 28
+    assert [row.split(" C_s=")[1] for row in report.summary] == [
+        str(2 * m - 1) for d in range(2, 6) for m in range(1, 8)
+    ]
 
 
 def imported_modules(module):

@@ -34,7 +34,7 @@ from orbitbell import (
 )
 from reference import certificate_dict
 
-# every cell with d <= 8, M <= 4; 8^8 is inside the d^(2M) <= 1e8 guard
+# every cell with d <= 8, M <= 4
 SMALL = [(d, m) for d in range(2, 9) for m in range(1, 5)]
 # the cells the benchmark's workloads analyze
 BENCHMARK = [

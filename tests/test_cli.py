@@ -137,7 +137,7 @@ def test_oversized_instance_exits_3():
 
 def test_instances_beyond_the_enumeration_guard_exit_0():
     # 10^10 and 2^80 strategy pairs: analyze takes C_s = 2M - 1 from the
-    # chained-Bell route and enumerates nothing
+    # chained-Bell route and runs no classical search
     analyzed = run_cli("analyze", "--outcomes", "10", "--settings", "5")
     game = run_cli("game", "--outcomes", "2", "--settings", "40")
     assert analyzed.returncode == game.returncode == 0
@@ -434,8 +434,8 @@ def test_transposed_joint_grids_fail_the_prediction_check(monkeypatch, capsys):
 
 
 def test_wrong_enumerated_witness_fails_the_chained_bell_check(monkeypatch, capsys):
-    # an enumeration that disagrees with the chained-Bell route in its
-    # witness alone must fail the sweep and name the cell
+    # a classical search that disagrees with the chained-Bell route in
+    # its witness alone must fail the sweep and name the cell
     verify_module = importlib.import_module("orbitbell.verify")
     real_bound = verify_module.classical_bound
 
@@ -444,7 +444,7 @@ def test_wrong_enumerated_witness_fails_the_chained_bell_check(monkeypatch, caps
         return value, DeterministicStrategy(witness.alice_map, (1,) * spec.settings)
 
     monkeypatch.setattr(verify_module, "classical_bound", shifted_witness)
-    name = "enumerated classical bound equals the chained-Bell value 2M-1"
+    name = "classical bound equals the chained-Bell value 2M-1"
     report = run_verification(2, 2)
     (check,) = [c for c in report.checks if c.name == name]
     assert not check.passed

@@ -6,13 +6,13 @@ terms: a subset breaks the symmetry of the full orbit, so it reaches
 ties and tie-breaks that full orbits never produce. Its hit tables,
 one ``np.bincount`` per pair of settings, are checked against filling
 them one term at a time, in value and witness, at every cell with
-d, M <= 6 inside the guard, on the orbit's terms and on shuffled,
+d, M <= 6, on the orbit's terms and on shuffled,
 halved, duplicated and random term lists. Arbitrary
 label-pair lists (repeats allowed, one Bob setting sharing terms with
 up to M Alice settings) reach the hit tables wider than the orbit's
-two Alice settings per Bob setting. On every full orbit within the
-guard, the chained-Bell route equals the enumeration in value and
-witness. The root table's integer root indices are checked against
+two Alice settings per Bob setting. On every full orbit with d <= 12,
+M <= 13, the chained-Bell route equals the max-plus elimination in
+value and witness. The root table's integer root indices are checked against
 snapping each eigenvalue exp(i theta_j / M) of the phase rule, over
 d <= 64 and M <= 16, and its first columns u_s = U^s|0>, exact index
 powers through one inverse FFT, against column 0 of the running
@@ -78,7 +78,6 @@ from orbitbell import (
 from orbitbell.bounds import (
     _chained_bell_bound,
     _inequality,
-    _over_strategy_guard,
     quantum_bound_gram,
 )
 from orbitbell.games import _two_setting_stats
@@ -114,10 +113,8 @@ ENUMERABLE = [
     (d, m) for d in range(2, 9) for m in range(1, 10) if d ** (2 * m) <= 10**6
 ]
 
-# every (d, M) with d <= 12 within the enumeration guard d^(2M) <= 1e8
-CHAINED = [
-    (d, m) for d in range(2, 13) for m in range(1, 14) if d ** (2 * m) <= 10**8
-]
+# every (d, M) with d <= 12, M <= 13
+CHAINED = [(d, m) for d in range(2, 13) for m in range(1, 14)]
 
 
 # every (d, M) with d <= 16, M <= 8, guard or not
@@ -146,13 +143,8 @@ STATS_CELLS = [(d, 2) for d in range(2, 33)] + [(64, 2)]
 # every (d, M) with d <= 8, M <= 6
 PERIOD_CELLS = [(d, m) for d in range(2, 9) for m in range(1, 7)]
 
-# every (d, M) with d <= 16, M <= 8 within the enumeration guard
-ANALYZABLE = [(d, m) for d, m in SMALL if d ** (2 * m) <= 10**8]
-
-# every (d, M) with d, M <= 6 within the enumeration guard
-ENUMERATION_CELLS = [
-    (d, m) for d in range(2, 7) for m in range(1, 7) if not _over_strategy_guard(d, m)
-]
+# every (d, M) with d, M <= 6
+ENUMERATION_CELLS = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
 
 def every_cell(cells):
@@ -441,7 +433,7 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
 @given(st.sampled_from(CHAINED))
 @every_cell(CHAINED)
 def test_chained_bell_route_equals_the_enumeration(cell):
-    # the hot path's C_s and witness are the d^M enumeration's, exactly
+    # the hot path's C_s and witness are the max-plus elimination's, exactly
     spec = ProblemSpec(*cell)
     terms = [(e.alice, e.bob) for e in orbit(spec)]
     assert _chained_bell_bound(spec, terms) == classical_bound(spec, terms)
@@ -544,8 +536,8 @@ def test_product_form_orbit_matches_the_dense_recurrence(cell):
 
 
 @EVERY_CELL_SETTINGS
-@given(st.sampled_from(ANALYZABLE))
-@every_cell(ANALYZABLE)
+@given(st.sampled_from(SMALL))
+@every_cell(SMALL)
 def test_per_term_probabilities_are_uniform_to_rounding(cell):
     ineq = build_inequality(ProblemSpec(*cell))
     uniform = ineq.quantum_bound / len(ineq.terms)
