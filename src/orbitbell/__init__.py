@@ -38,7 +38,6 @@ from .orbit import (
     MeasLabel,
     OrbitEntry,
     ProblemSpec,
-    measurement_bases,
     orbit,
     root_unitary,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "classical_bound",
     "game_spec",
     "joint_distribution",
-    "measurement_bases",
     "mutual_information",
     "orbit",
     "parse_certificate",

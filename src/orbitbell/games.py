@@ -82,8 +82,16 @@ def game_spec(terms: Sequence[tuple[MeasLabel, MeasLabel]]) -> GameSpec:
     of terms q, q + 2M, ...: its question is the setting pair of term q
     and its winning set the outcome pairs of the coset. 2M is read off
     the last term, a wrap-around one, with Bob at his last setting M-1.
+    Raises ValueError unless there are a positive multiple of 2M terms,
+    as on every orbit, so that each slot has a question and a winning
+    set.
     """
     period = 2 * (terms[-1][1].setting + 1) if terms else 0
+    if not period or len(terms) % period:
+        raise ValueError(
+            f"expected a positive multiple of 2M terms, got {len(terms)}"
+            + (f", with 2M = {period} read off the last term" if terms else "")
+        )
     questions = tuple((alice.setting, bob.setting) for alice, bob in terms[:period])
     winning = tuple(
         frozenset((alice.outcome, bob.outcome) for alice, bob in terms[q::period])
@@ -103,7 +111,7 @@ def joint_distribution(
 ) -> np.ndarray:
     """d x d outcome distribution of ``state`` measured in one basis per
     party (columns are the outcomes; setting s measures in the columns
-    of U^s, see :func:`measurement_bases`).
+    of U^s, with U = :func:`~orbitbell.orbit.root_unitary`).
 
     The bases broadcast over their leading axes, so stacks of bases
     give the stack of grids in one product: with ``bases`` the stack

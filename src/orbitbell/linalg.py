@@ -6,17 +6,17 @@ imports only ``orbit``, and only ``verify`` and the package namespace
 import it, so the dense routes share no code with the ``bounds``
 routes they check. It holds the shift T, the swap S, the step operator
 B = (U (x) 1) S placed by index and as the dense product of its
-definition, the projector sum A with its LAPACK top eigenvalue, B's
-whole closed-form eigensystem, every two-dimensional block built at
-once over index arrays, with its own branch arithmetic. Flat index
-j * d + k for |j>|k>.
+definition, the projector sum A with its LAPACK top eigenvalue, the
+shift's Fourier rows, and B's whole closed-form eigensystem, every
+two-dimensional block built at once over index arrays, with its own
+branch arithmetic. Flat index j * d + k for |j>|k>.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .orbit import ProblemSpec, _fourier, _root_table, _RootTable
+from .orbit import ProblemSpec, _root_table, _RootTable
 
 __all__ = [
     "translation_matrix",
@@ -94,6 +94,14 @@ def quantum_bound_numeric(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
+def _fourier(d: int) -> np.ndarray:
+    """The shift's Fourier rows w_j, as one (d, d) array: row j has
+    components exp(2*pi*i*j*k/d) / sqrt(d), and T w_j = exp(i theta_j) w_j
+    with theta_j the principal phase of ``orbit._eigenphases``."""
+    js = np.arange(d)
+    return np.exp(2j * np.pi * js[:, None] * js / d) / np.sqrt(d)
+
+
 def b_eigensystem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigensystem of the step operator B, as two arrays:
     the root indices, (d^2,) integers, and the eigenvectors, the rows
@@ -116,7 +124,7 @@ def b_eigensystem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigensystem(spec: ProblemSpec, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:
     """:func:`b_eigensystem` from the instance's root table and the
-    shift's Fourier rows (``orbit._fourier``), every block at once: the
+    shift's Fourier rows (:func:`_fourier`), every block at once: the
     pairs j < k and their root indices as index arrays, and the vectors
     written straight into the (d^2, d^2) output."""
     d, order = spec.outcomes, spec.orbit_length

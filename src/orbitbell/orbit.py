@@ -15,14 +15,12 @@ c_ceil(j/2) (x) c_floor(j/2), indices taken mod M*d. U commutes with
 T, so every power U^s is circulant, fixed by its first column
 u_s = U^s|0>, and c_k = roll(u_(k mod M), k div M). The orbit's labels
 (:func:`_terms`) and any entries of its factors (:func:`_gather`) are
-read by this one index rule from the root table's first columns;
-:func:`label_step`, the same walk one step at a time, is the rule the
-tests check it against. ``analyze`` reads entry 0 alone, for the Gram
-row; the whole (n, d) factors and the d^2-long states (:func:`_states`)
-are formed only for the public :func:`orbit` and ``verify``. This
-module forms no d^2 x d^2 matrix: B, the shift T and the swap S as
-matrices are the ``linalg`` module's, for the verification sweep and
-the tests.
+read by this one index rule from the root table's first columns.
+``analyze`` reads entry 0 alone, for the Gram row; the whole (n, d)
+factors and the d^2-long states (:func:`_states`) are formed only for
+the public :func:`orbit` and ``verify``. This module forms no
+d^2 x d^2 matrix: B, the shift T and the swap S as matrices are the
+``linalg`` module's, for the verification sweep and the tests.
 
 Everything rests on one object per instance, its root table
 (:func:`_root_table`): U's eigenvalues lambda_j with their exact
@@ -31,11 +29,9 @@ U, from exact index powers and checked through U as they are built;
 U itself is the circulant gather of u_1. It is built once and passed
 down explicitly to the orbit, the quantum-bound routes, the
 two-setting statistics and the verification sweep. The shift's
-Fourier rows w_j (:func:`_fourier`) are not part of it: only
-:func:`fourier_eigenbasis` and the dense eigensystem of ``linalg``
-read them. :func:`root_unitary` is a public view of the table, and
-:func:`measurement_bases`, the powers of U by running products, is the
-tests' reference for the first columns.
+Fourier rows w_j are not part of it: only the dense eigensystem of
+``linalg`` reads them, and ``linalg`` holds them. :func:`root_unitary`
+is a public view of the table.
 """
 
 from __future__ import annotations
@@ -49,10 +45,7 @@ __all__ = [
     "ProblemSpec",
     "MeasLabel",
     "OrbitEntry",
-    "fourier_eigenbasis",
     "root_unitary",
-    "measurement_bases",
-    "label_step",
     "orbit",
 ]
 
@@ -131,17 +124,11 @@ class _RootTable(NamedTuple):
         return self.firsts[1][(ramp[:, None] - ramp) % len(ramp)]
 
 
-def _fourier(d: int) -> np.ndarray:
-    """The shift's Fourier rows w_j, as one (d, d) array (see
-    :func:`fourier_eigenbasis`)."""
-    js = np.arange(d)
-    return np.exp(2j * np.pi * js[:, None] * js / d) / np.sqrt(d)
-
-
 def _eigenphases(d: int) -> np.ndarray:
     """The shift's eigenphases theta_j = -2*pi*j/d reduced to (-pi, pi],
-    the branch decided in exact integer arithmetic so the boundary never
-    flips sign (see :func:`fourier_eigenbasis`)."""
+    T w_j = exp(i theta_j) w_j, the branch decided in exact integer
+    arithmetic so the boundary phase is +pi, never -pi, which pins down
+    the root taken in :func:`root_unitary`."""
     js = np.arange(d)
     thetas = -2.0 * np.pi * js / d
     above = 2 * js > d
@@ -228,58 +215,10 @@ def _check_columns(table: _RootTable) -> None:
         )
 
 
-def fourier_eigenbasis(d: int) -> list[tuple[np.ndarray, float]]:
-    """Eigenvectors of the cyclic shift with their eigenphases.
-
-    Vector j has components exp(2*pi*i*j*k/d) / sqrt(d) and satisfies
-    T w_j = exp(i * theta_j) w_j with theta_j in (-pi, pi]. The branch
-    cut matters: the boundary phase is represented as +pi, never -pi,
-    which pins down the root taken in :func:`root_unitary`. The vectors
-    are the rows of :func:`_fourier`, the phases :func:`_eigenphases`.
-    """
-    rows, thetas = _fourier(d), _eigenphases(d)
-    return [(rows[j], float(thetas[j])) for j in range(d)]
-
-
 def root_unitary(spec: ProblemSpec) -> np.ndarray:
     """M-th root U of the cyclic shift, U = sum_j e^{i theta_j / M} |w_j><w_j|,
     as held by the instance's root table."""
     return _root_table(spec).u
-
-
-def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
-    """Orthonormal basis per setting s < settings: the columns of U^s.
-
-    ``u`` is the instance's root unitary. The powers are running
-    products U^s = U^(s-1) U, settings - 1 matrix products in all; U^0
-    is the identity and U^1 is ``u`` itself. The package does not call
-    it: the root table holds each U^s as its first column u_s, from
-    exact index powers, and U^s[:, k] = roll(u_s, k). It is the tests'
-    reference for those columns.
-    """
-    bases = [np.eye(u.shape[0], dtype=complex), u]
-    for _ in range(2, settings):
-        bases.append(bases[-1] @ u)
-    return bases[:settings]
-
-
-def label_step(
-    alice: MeasLabel, bob: MeasLabel, spec: ProblemSpec
-) -> tuple[MeasLabel, MeasLabel]:
-    """Advance a label pair the way B advances the underlying state.
-
-    B hands Alice's vector to Bob unchanged and gives Alice one more
-    application of U on Bob's old vector: the setting increments until
-    it tops out at settings-1, after which U^M = T bumps the outcome
-    by one (mod d) and resets the setting to 0. :func:`orbit` names
-    every state by one index rule instead; the tests check its labels
-    against this walk.
-    """
-    if bob.setting < spec.settings - 1:
-        stepped = MeasLabel(bob.setting + 1, bob.outcome)
-    else:
-        stepped = MeasLabel(0, (bob.outcome + 1) % spec.outcomes)
-    return stepped, alice
 
 
 def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
@@ -287,9 +226,8 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
 
     Entry j is state c_ceil(j/2) (x) c_floor(j/2), with c_k = U^k|0>
     (indices mod M*d) labelled (k mod M, k div M): column k div M of
-    U^(k mod M). So entry j carries the label pair that iterating
-    :func:`label_step` j times from ((0,0), (0,0)) reaches, the rule
-    the tests check it against, and as its vector v_j = a_j (x) b_j the
+    U^(k mod M). So entry j carries the label pair that j steps of B
+    reach from ((0,0), (0,0)), and as its vector v_j = a_j (x) b_j the
     product of the two labels' basis columns. The orbit relation
     B v_j = v_(j+1), closing after n = 2*M*d steps, is checked on the
     root table's first columns as the table is built (see
@@ -338,8 +276,7 @@ def _gather(spec: ProblemSpec, table: _RootTable, entries: np.ndarray) -> np.nda
 def _terms(spec: ProblemSpec) -> tuple[tuple[MeasLabel, MeasLabel], ...]:
     """The orbit's label pairs, term j labelled (Alice's, Bob's) =
     (k_(j+1), k_j) by the index rule of :func:`_factor_indices`, label
-    (k mod M, k div M) for column index k. :func:`label_step` is the
-    one-step rule the tests check them against."""
+    (k mod M, k div M) for column index k."""
     m = spec.settings
     labels = [MeasLabel(k % m, k // m) for k in range(m * spec.outcomes)]
     walk = [labels[k] for k in _factor_indices(spec).tolist()]

@@ -2,18 +2,22 @@
 modules: the snap of one unit-modulus value to its root of unity, by
 its phase, which checks the root table's integer root indices and the
 eigenvalue of a reported state without the package's index arithmetic;
-the loop forms of three whole-array routes: B's closed-form
-eigensystem one block at a time, the classical bound as a scan of
-every Alice map with its hit tables filled one term at a time, and the
-M = 2 statistics one grid at a time; the factor forms of the orbit's first Gram row and per-term
-probabilities, from the whole (n, d) factor arrays; the three
-chained-Bell families listed as a set of label pairs; and the
-certificate as a dict of JSON values, for ``json.dumps``.
+the one-step label rule, the reference for the orbit's index rule;
+the measurement bases U^s as running products of U, the reference for
+the root table's first columns; the loop forms of three whole-array
+routes: B's closed-form eigensystem one block at a time, the classical
+bound as a scan of every Alice map with its hit tables filled one term
+at a time, and the M = 2 statistics one grid at a time; the factor
+forms of the orbit's first Gram row and per-term probabilities, from
+the whole (n, d) factor arrays; the three chained-Bell families listed
+as a set of label pairs; and the certificate as a dict of JSON values,
+for ``json.dumps``.
 """
 
 import numpy as np
 
-from orbitbell.orbit import _SNAP_TOL, MeasLabel, _fourier
+from orbitbell.linalg import _fourier
+from orbitbell.orbit import _SNAP_TOL, MeasLabel, ProblemSpec
 
 
 def root_of_unity_index(value: complex, order: int) -> int:
@@ -32,6 +36,40 @@ def root_of_unity_index(value: complex, order: int) -> int:
             f"(snap error {err:.3e} exceeds {_SNAP_TOL:.0e})"
         )
     return idx
+
+
+def label_step(
+    alice: MeasLabel, bob: MeasLabel, spec: ProblemSpec
+) -> tuple[MeasLabel, MeasLabel]:
+    """Advance a label pair the way B advances the underlying state.
+
+    B hands Alice's vector to Bob unchanged and gives Alice one more
+    application of U on Bob's old vector: the setting increments until
+    it tops out at settings-1, after which U^M = T bumps the outcome
+    by one (mod d) and resets the setting to 0. The orbit names every
+    state by one index rule instead; the tests check its labels against
+    this walk.
+    """
+    if bob.setting < spec.settings - 1:
+        stepped = MeasLabel(bob.setting + 1, bob.outcome)
+    else:
+        stepped = MeasLabel(0, (bob.outcome + 1) % spec.outcomes)
+    return stepped, alice
+
+
+def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
+    """Orthonormal basis per setting s < settings: the columns of U^s.
+
+    ``u`` is the instance's root unitary. The powers are running
+    products U^s = U^(s-1) U, settings - 1 matrix products in all; U^0
+    is the identity and U^1 is ``u`` itself. The root table holds each
+    U^s as its first column u_s, from exact index powers, and
+    U^s[:, k] = roll(u_s, k); these are the reference for those columns.
+    """
+    bases = [np.eye(u.shape[0], dtype=complex), u]
+    for _ in range(2, settings):
+        bases.append(bases[-1] @ u)
+    return bases[:settings]
 
 
 def eigensystem_by_pair(spec, table):

@@ -30,7 +30,6 @@ PUBLIC = [
     "classical_bound",
     "game_spec",
     "joint_distribution",
-    "measurement_bases",
     "mutual_information",
     "orbit",
     "parse_certificate",
@@ -44,7 +43,7 @@ PUBLIC = [
 
 
 def test_public_names_are_the_pinned_list():
-    assert len(orbitbell.__all__) == len(set(orbitbell.__all__)) == 27
+    assert len(orbitbell.__all__) == len(set(orbitbell.__all__)) == 26
     assert set(orbitbell.__all__) == set(PUBLIC)
 
 

@@ -37,8 +37,8 @@ from orbitbell.bounds import (
     _inequality,
     quantum_bound_gram,
 )
-from orbitbell.linalg import accumulate_A, b_eigensystem, step_operator
-from orbitbell.orbit import _gather, fourier_eigenbasis
+from orbitbell.linalg import _fourier, accumulate_A, b_eigensystem, step_operator
+from orbitbell.orbit import _gather
 from reference import (
     condition_label_pairs,
     gram_row_from_factors,
@@ -167,8 +167,7 @@ def test_b_eigensystem_qutrit_degeneracy():
     assert counts[0] == 2
     assert all(c == 1 for idx, c in counts.items() if idx != 0)
     # the paired member at eigenvalue 1 is (w1 w2 + e^{i pi/3} w2 w1)/sqrt(2)
-    basis = fourier_eigenbasis(3)
-    w1, w2 = basis[1][0], basis[2][0]
+    _, w1, w2 = _fourier(3)
     w12 = (kron(w1, w2) + np.exp(1j * np.pi / 3) * kron(w2, w1)) / np.sqrt(2)
     members = vectors[roots == 0]
     overlaps = sorted(abs(np.vdot(m, w12)) for m in members)

@@ -8,15 +8,14 @@ Gram row, to both quantum routes and, at M = 2, U to the one statistics
 function, which forms the four joint grids in one broadcast
 ``joint_distribution`` call and reads the mutual information and the
 prediction probability from them, and which runs at no other M. No
-public view of the table (``root_unitary``, ``fourier_eigenbasis``)
-runs on that path, and neither does ``measurement_bases``, the running
-products of U that the tests check the first columns against.
-``analyze`` reads the orbit's terms once and gathers entry 0 of its
-factors once, with no (n, d) factor array, no orbit state and no
+public view of the table (``root_unitary``, ``orbit``) runs on that
+path. ``analyze`` reads the orbit's terms once and gathers entry 0 of
+its factors once, with no (n, d) factor array, no orbit state and no
 Fourier row; it runs the root-index and Gram routes of the quantum
 bound, and calls none of the ``linalg`` module's dense routes. Its
 classical bound is the chained-Bell value, with no max-plus elimination.
-The modules on that path import neither ``linalg`` nor ``verify``, and
+The modules on that path import neither ``linalg`` nor ``verify``, so
+none of them can read the Fourier rows, which ``linalg`` holds, and
 ``linalg`` imports ``orbit`` alone, so the dense eigensystem shares no
 code with the root-index route it checks.
 The verification sweep runs the same assembly once per cell, so it
@@ -91,15 +90,12 @@ def record_shapes(monkeypatch, module_name, attr):
 def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     checks = count_calls(monkeypatch, "orbitbell.orbit", "_check_columns")
-    fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
+    fouriers = count_calls(monkeypatch, "orbitbell.linalg", "_fourier")
     terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
     gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
     states = count_calls(monkeypatch, "orbitbell.orbit", "_states")
-    measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
-    # the public views of the table rebuild it, so they stay off the
-    # path, and the running products are the tests' reference only
+    # the public views of the table rebuild it, so they stay off the path
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
-    bases = count_calls(monkeypatch, "orbitbell.orbit", "fourier_eigenbasis")
     public_orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
     grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
@@ -116,7 +112,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     # entry 0 of the factors alone: no (n, d) array, no state, no Fourier row
     assert gathers == [(2 * m * d + 1, 1)]
     assert fouriers[0] == states[0] == 0
-    assert roots[0] == bases[0] == public_orbits[0] == measurement[0] == 0
+    assert roots[0] == public_orbits[0] == 0
     assert stats[0] == (1 if m == 2 else 0)
     assert grids[0] == (1 if m == 2 else 0)
     assert gram[0] == analytic[0] == 1
@@ -138,13 +134,12 @@ def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
 def test_verify_builds_each_cell_once(monkeypatch):
     assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
-    fouriers = count_calls(monkeypatch, "orbitbell.orbit", "_fourier")
+    fouriers = count_calls(monkeypatch, "orbitbell.linalg", "_fourier")
     terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
     gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
     eigensystems = count_calls(monkeypatch, "orbitbell.linalg", "_eigensystem")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
-    measurement = count_calls(monkeypatch, "orbitbell.orbit", "measurement_bases")
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
     swaps = count_calls(monkeypatch, "orbitbell.linalg", "swap_matrix")
     shifts = count_calls(monkeypatch, "orbitbell.linalg", "translation_matrix")
@@ -158,8 +153,6 @@ def test_verify_builds_each_cell_once(monkeypatch):
     assert gathers == [
         shape for d, m in cells for shape in ((2 * m * d + 1, 1), (2 * m * d + 1, d))
     ]
-    # the first columns come with the table; no running products
-    assert measurement[0] == 0
     # T and S depend on d alone: one each per outcome count, d = 2 and 3,
     # shared by the row's cells and the dense product
     assert swaps[0] == shifts[0] == 2
@@ -171,10 +164,10 @@ def test_verify_builds_each_cell_once(monkeypatch):
     assert roots[0] == 0
 
 
-def test_verify_enumerates_each_cell_inside_the_guard_once(monkeypatch):
+def test_verify_eliminates_once_per_cell(monkeypatch):
     # one max-plus elimination and one assembly at each of the 28 cells,
-    # those with more than 10^8 strategy pairs, (4, 7), (5, 6) and
-    # (5, 7), too, and every summary row reads C_s = 2M - 1
+    # the largest, (5, 7), with 5^14 strategy pairs, included, and every
+    # summary row reads C_s = 2M - 1
     eliminations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
     report = run_verification(5, 7)

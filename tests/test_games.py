@@ -15,13 +15,13 @@ from orbitbell import (
     build_inequality,
     game_spec,
     joint_distribution,
-    measurement_bases,
     mutual_information,
     orbit,
     prediction_probability,
     root_unitary,
     winning_probabilities,
 )
+from reference import measurement_bases
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -89,7 +89,41 @@ def test_game_spec_single_setting_has_two_slots():
 
 
 def test_game_spec_of_no_terms_has_no_slots():
-    assert game_spec([]) == GameSpec((), ())
+    # no slots, no game: refused, rather than an empty game whose
+    # winning probabilities would divide by zero
+    for terms in ([], ()):
+        with pytest.raises(ValueError, match="positive multiple of 2M terms, got 0$"):
+            game_spec(terms)
+
+
+def test_game_spec_refuses_a_partial_period():
+    # at (2, 2), 2M = 4: the first three terms would give 3 questions
+    # and 4 winning sets
+    terms = build_inequality(ProblemSpec(2, 2)).terms
+    with pytest.raises(ValueError, match="got 3, with 2M = 4 read off the last term"):
+        game_spec(terms[:3])
+
+
+@pytest.mark.parametrize("d,m", GRID)
+def test_game_spec_is_aligned_or_refused(d, m):
+    # on the orbit's terms, the 2M slots of terms q, q + 2M, ...; on any
+    # shorter prefix, a game whose questions and winning sets align, or
+    # a ValueError
+    terms = build_inequality(ProblemSpec(d, m)).terms
+    assert game_spec(terms) == GameSpec(
+        tuple((a.setting, b.setting) for a, b in terms[: 2 * m]),
+        tuple(
+            frozenset((a.outcome, b.outcome) for a, b in terms[q :: 2 * m])
+            for q in range(2 * m)
+        ),
+    )
+    for k in range(1, len(terms)):
+        try:
+            game = game_spec(terms[:k])
+        except ValueError:
+            continue
+        assert len(game.questions) == len(game.winning) > 0
+        assert k % len(game.questions) == 0
 
 
 @pytest.mark.parametrize("d,m", GRID)

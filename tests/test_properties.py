@@ -16,13 +16,13 @@ value and witness. The root table's integer root indices are checked against
 snapping each eigenvalue exp(i theta_j / M) of the phase rule, over
 d <= 64 and M <= 16, and its first columns u_s = U^s|0>, exact index
 powers through one inverse FFT, against column 0 of the running
-products U^s of ``measurement_bases``, and u_M against T|0>, to 1e-12
-over d <= 32 and M <= 12. The root-index
-quantum route, which builds the state from P_mu = (1 + B/mu)/2, is
-checked against grouping the whole closed-form eigensystem (the same
-root index, the state to 1e-14 and Q_s to 1e-13 relative), and against
-the closed form Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))) and the
-Fourier pairing rule (at most one Fourier pair per row and column of
+products U^s of ``reference.measurement_bases``, and u_M against T|0>,
+to 1e-12 over d <= 32 and M <= 12. The root-index quantum route,
+which builds the state from P_mu = (1 + B/mu)/2, is checked against
+grouping the whole closed-form eigensystem (the same root index, the
+state to 1e-14 and Q_s to 1e-13 relative), and against the closed
+form Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))) and the Fourier
+pairing rule (at most one Fourier pair per row and column of
 the state's amplitudes) on d <= 32, M <= 12 and analyze's edge cells.
 There, too, its proved group rho = 1 - d mod 2 (0 at M = 1) is checked
 against scanning every eigenvalue group's weight from the integer root
@@ -69,7 +69,6 @@ from orbitbell import (
     build_inequality,
     classical_bound,
     game_spec,
-    measurement_bases,
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
@@ -83,23 +82,19 @@ from orbitbell.bounds import (
 from orbitbell.games import _two_setting_stats
 from orbitbell.linalg import (
     _eigensystem,
+    _fourier,
     accumulate_A,
     b_eigensystem,
     step_operator,
     translation_matrix,
 )
-from orbitbell.orbit import (
-    _fourier,
-    _gather,
-    _root_table,
-    _terms,
-    fourier_eigenbasis,
-    label_step,
-)
+from orbitbell.orbit import _eigenphases, _gather, _root_table, _terms
 from orbitbell.verify import _largest, _period_residual
 from reference import (
     classical_bound_by_term,
     eigensystem_by_pair,
+    label_step,
+    measurement_bases,
     root_of_unity_index,
     two_setting_stats_by_grid,
 )
@@ -399,7 +394,7 @@ def test_optimal_state_pairs_each_fourier_vector_with_at_most_one(cell):
     # 1e-12 in each row and each column
     d = cell[0]
     _, state = quantum_bound_analytic(ProblemSpec(*cell))
-    w = np.array([vector for vector, _ in fourier_eigenbasis(d)])
+    w = _fourier(d)
     amplitudes = w.conj() @ state.reshape(d, d) @ w.conj().T
     large = np.abs(amplitudes) > 1e-12
     assert large.sum(axis=0).max() <= 1 and large.sum(axis=1).max() <= 1
@@ -551,7 +546,7 @@ def test_root_table_indices_are_the_snapped_eigenvalues(d, m):
     # eigenvalue exp(i theta_j / M) of the phase rule finds
     table = _root_table(ProblemSpec(d, m))
     order = 2 * m * d
-    rooted = [np.exp(1j * theta / m) for _, theta in fourier_eigenbasis(d)]
+    rooted = [np.exp(1j * theta / m) for theta in _eigenphases(d).tolist()]
     assert table.indices == [root_of_unity_index(lam, order) for lam in rooted]
     assert all(type(idx) is int for idx in table.indices)
 
