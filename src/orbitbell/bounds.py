@@ -107,8 +107,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .orbit import (
+    MEMORY_CEILING,
+    InstanceTooLarge,
     MeasLabel,
     ProblemSpec,
+    _check_size,
     _gather,
     _root_table,
     _RootTable,
@@ -129,80 +132,10 @@ __all__ = [
     "build_inequality",
 ]
 
-# The ceiling of the one size rule (see _check_size), in bytes. The
-# rule counts one dense d^2 x d^2 complex matrix of verify's
-# cross-checks (16 d^4, so d <= 64) and, on their own, the orbit arrays
-# of its dense stepping check and Gram spectrum; analyze,
-# build_inequality, game and table refuse exactly the instances beyond
-# it. It does not bound verify's peak: verify holds several dense
-# matrices per cell (the step operator B, the dense product (U x 1) S
-# with its two factors, the projector sum A with eigvalsh's workspace,
-# and the d^2 closed-form eigenvectors), so the peak passes the ceiling
-# below d = 64. An in-process verify --outcomes-max D --settings-max 1
-# peaks at 65 MiB ru_maxrss at D = 24 (1.2-2.3 s), 143 MiB at D = 32
-# (8.7-10.8 s), 210 MiB at D = 36 (15-22 s), 252 MiB at D = 38 (25 s)
-# and 304 MiB at D = 40 (35 s) (Python 3.11, numpy 2.4, 2-vCPU Xeon,
-# Linux). The rule's 24 n^2 term counts no array: the Gram route takes
-# its DFT with np.fft in O(n) memory, and the term is only a limit on
-# n. analyze builds none of the counted arrays, no (n, d^2) one and no
-# (n, d) one: an in-process analyze --format json peaks at 37.6 MiB
-# ru_maxrss at (d, M) = (2, 835), 36.0 MiB at (16, 98) and 35.6 MiB at
-# (64, 10), mostly the interpreter and numpy (median of nine fresh
-# processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
-# classical_bound keeps what its elimination holds under it too, for
-# any caller.
-MEMORY_CEILING = 256 * 2**20
-
 # How far two routes to the same quantum bound may disagree: the
 # root-index value against the Gram spectrum here, and against LAPACK
 # eigvalsh in verify, which imports it.
 _ROUTE_TOL = 1e-9
-
-
-class InstanceTooLarge(Exception):
-    """Instance beyond the memory ceiling of verify's cross-checks, or,
-    for :func:`classical_bound` alone, one whose elimination tables
-    would pass the memory ceiling."""
-
-
-def _check_size(outcomes: int, settings: int) -> None:
-    """Raise InstanceTooLarge when one of two counts of verify's
-    cross-check arrays for instance (d, M) = (outcomes, settings)
-    exceeds MEMORY_CEILING; the one size rule of analyze,
-    build_inequality, game, table and verify.
-
-    First, one dense d^2 x d^2 cross-check matrix must fit. Then the
-    orbit arrays: over its n = 2*M*d steps, verify's dense stepping
-    check holds the orbit states, their product with the dense step
-    operator and that product's magnitudes (40 d^2 bytes per step).
-    The second count adds 24 n^2 bytes, 24 per pair of steps, which
-    count no array (the Gram spectrum is one ``np.fft`` in O(n)
-    memory): that term is only a limit on the orbit length n, kept so
-    that the admitted cells stay what they were. Neither count is
-    verify's whole peak, which holds several dense matrices per cell
-    and is past the ceiling by d = 40 (see MEMORY_CEILING). Plain int
-    arithmetic, so an absurd d or M is rejected without allocating.
-    """
-    needed = 16 * outcomes**4
-    if needed > MEMORY_CEILING:
-        dim = outcomes**2
-        raise InstanceTooLarge(
-            f"instance too large: verify's dense {dim} x {dim} cross-check "
-            f"matrices at {outcomes} outcomes need {needed / 2**20:.0f} MiB "
-            f"each, over the memory ceiling of {MEMORY_CEILING // 2**20} MiB "
-            "(analyze keeps the same limit, so that every analyzed instance "
-            "can be cross-checked)"
-        )
-    steps = 2 * settings * outcomes
-    needed = 40 * outcomes**2 * steps + 24 * steps**2
-    if needed > MEMORY_CEILING:
-        raise InstanceTooLarge(
-            f"instance too large: the orbit at {outcomes} outcomes and "
-            f"{settings} settings has {steps} steps, whose states and step "
-            "residuals, with 24 bytes per pair of steps, need "
-            f"{needed / 2**20:.0f} MiB, over the memory ceiling of "
-            f"{MEMORY_CEILING // 2**20} MiB"
-        )
 
 
 @dataclass(frozen=True)
@@ -243,7 +176,11 @@ def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
     the normalized state x[X, Y] = f[(X - Y) mod d] exp(-2*pi*i*rho*Y/d),
     f = ifft(1 + exp(2*pi*i*(r_a - rho)/n)): d Fourier coefficients,
     with no group scan and no eigensolver.
+
+    Raises InstanceTooLarge first for the instances that
+    :func:`build_inequality` refuses (see ``orbit._check_size``).
     """
+    _check_size(spec.outcomes, spec.settings)
     return _analytic_bound(spec, _root_table(spec))
 
 

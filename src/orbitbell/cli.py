@@ -24,10 +24,9 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .bounds import InstanceTooLarge, _check_size
 from .certificate import certificate_json
 from .games import AnalysisReport, analyze
-from .orbit import ProblemSpec, _sizes
+from .orbit import InstanceTooLarge, ProblemSpec, _check_size, _sizes
 from .verify import run_verification
 
 __all__ = ["main", "build_parser"]

@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import BellInequality, _check_size, _inequality
-from .orbit import MeasLabel, ProblemSpec, _root_table
+from .bounds import BellInequality, _inequality
+from .orbit import MeasLabel, ProblemSpec, _check_size, _root_table
 
 __all__ = [
     "GameSpec",

@@ -2,21 +2,17 @@
 
 ``analyze`` runs none of these: ``verify`` and the tests compare each
 with the matrix-free route of ``orbit`` or ``bounds``. This module
-imports only ``orbit``, and only ``verify`` and the package namespace
-import it, so the dense routes share no code with the ``bounds``
-routes they check. It holds the shift T, the swap S, the step operator
-B = (U (x) 1) S placed by index and as the dense product of its
-definition, the projector sum A with its LAPACK top eigenvalue, the
-shift's Fourier rows, and B's whole closed-form eigensystem, every
-two-dimensional block built at once over index arrays, with its own
-branch arithmetic. Flat index j * d + k for |j>|k>.
+imports no ``orbitbell`` module, and only ``verify`` and the package
+namespace import it, so the dense routes share no code with the
+routes they check. It holds the shift T, the swap S, the step
+operator B = (U (x) 1) S placed by index and as the dense product of
+its definition, and the projector sum A with its LAPACK top
+eigenvalue. Flat index j * d + k for |j>|k>.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .orbit import ProblemSpec, _root_table, _RootTable
 
 __all__ = [
     "translation_matrix",
@@ -24,7 +20,6 @@ __all__ = [
     "step_operator",
     "accumulate_A",
     "quantum_bound_numeric",
-    "b_eigensystem",
 ]
 
 
@@ -92,68 +87,3 @@ def quantum_bound_numeric(a: np.ndarray) -> float:
             "exceeds tolerance 1e-12"
         )
     return float(np.linalg.eigvalsh(a)[-1])
-
-
-def _fourier(d: int) -> np.ndarray:
-    """The shift's Fourier rows w_j, as one (d, d) array: row j has
-    components exp(2*pi*i*j*k/d) / sqrt(d), and T w_j = exp(i theta_j) w_j
-    with theta_j the principal phase of ``orbit._eigenphases``."""
-    js = np.arange(d)
-    return np.exp(2j * np.pi * js[:, None] * js / d) / np.sqrt(d)
-
-
-def b_eigensystem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigensystem of the step operator B, as two arrays:
-    the root indices, (d^2,) integers, and the eigenvectors, the rows
-    of one (d^2, d^2) array. Row r has eigenvalue the root of unity
-    exp(2*pi*i*root_indices[r] / (2*M*d)).
-
-    B permutes the products of shift eigenvectors: w_j w_j is an
-    eigenvector with U's eigenvalue lambda_j, and each unordered pair
-    j < k spans a 2-dimensional block whose eigenvalues are the two
-    square roots +/- sqrt(lambda_j lambda_k). All eigenvalues are
-    2*M*d-th roots of unity; they are kept as exact integer indices so
-    that degeneracy detection never depends on floating-point
-    clustering. The principal branch (half the phase of the product
-    taken in (-pi, pi], boundary at +pi) fixes the signs reproducibly.
-    Order: the d diagonal vectors, then each pair j < k with its plus
-    vector before its minus vector.
-    """
-    return _eigensystem(spec, _root_table(spec))
-
-
-def _eigensystem(spec: ProblemSpec, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`b_eigensystem` from the instance's root table and the
-    shift's Fourier rows (:func:`_fourier`), every block at once: the
-    pairs j < k and their root indices as index arrays, and the vectors
-    written straight into the (d^2, d^2) output."""
-    d, order = spec.outcomes, spec.orbit_length
-    half = order // 2  # = M * d
-    ws, lambdas, indices = _fourier(d), table.lambdas, np.asarray(table.indices)
-
-    roots = np.empty(d * d, dtype=np.int64)
-    vectors = np.empty((d * d, d * d), dtype=complex)
-    roots[:d] = indices
-    np.multiply(ws[:, :, None], ws[:, None, :], out=vectors[:d].reshape(d, d, d))
-
-    ramp = np.arange(d)
-    j, k = np.nonzero(ramp[:, None] < ramp)  # the pairs j < k, in lexicographic order
-    total = (indices[j] + indices[k]) % order
-    if (total % 2).any():
-        raise RuntimeError(
-            "odd root-index sum in a two-dimensional block: branch arithmetic bug"
-        )
-    plus = (np.where(total <= half, total, total - order) // 2) % order
-    roots[d::2] = plus
-    roots[d + 1 :: 2] = (plus + half) % order
-    # (w_j w_k +/- (mu / lambda_j) w_k w_j) / sqrt(2), mu the plus root;
-    # pair p fills rows d + 2p (plus) and d + 2p + 1 (minus)
-    blocks = vectors[d:].reshape(len(j), 2, d, d)
-    plus_rows, minus_rows = blocks[:, 0], blocks[:, 1]
-    np.multiply(ws[j][:, :, None], ws[k][:, None, :], out=plus_rows)  # w_j w_k
-    swapped = ws[k][:, :, None] * ws[j][:, None, :]
-    swapped *= (np.exp(2j * np.pi * plus / order) / lambdas[j])[:, None, None]
-    np.subtract(plus_rows, swapped, out=minus_rows)
-    plus_rows += swapped
-    vectors[d:] /= np.sqrt(2)
-    return roots, vectors

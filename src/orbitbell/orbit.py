@@ -23,15 +23,17 @@ d^2 x d^2 matrix: B, the shift T and the swap S as matrices are the
 ``linalg`` module's, for the verification sweep and the tests.
 
 Everything rests on one object per instance, its root table
-(:func:`_root_table`): U's eigenvalues lambda_j with their exact
-integer root indices, and the first columns u_0..u_M of the powers of
+(:func:`_root_table`): the exact integer root indices of U's
+eigenvalues lambda_j, and the first columns u_0..u_M of the powers of
 U, from exact index powers and checked through U as they are built;
 U itself is the circulant gather of u_1. It is built once and passed
 down explicitly to the orbit, the quantum-bound routes, the
-two-setting statistics and the verification sweep. The shift's
-Fourier rows w_j are not part of it: only the dense eigensystem of
-``linalg`` reads them, and ``linalg`` holds them. :func:`root_unitary`
-is a public view of the table.
+two-setting statistics and the verification sweep. No route reads
+the shift's Fourier rows w_j or the d^2 x d^2 eigensystem of B:
+the quantum bound needs only the root indices. :func:`root_unitary`
+and :func:`orbit` are public views of the table, and like ``analyze``
+they refuse an instance beyond the size rule (:func:`_check_size`)
+before building it.
 """
 
 from __future__ import annotations
@@ -93,6 +95,84 @@ def _sizes(
     return outcomes, settings
 
 
+# The ceiling of the one size rule (see _check_size), in bytes. The
+# rule counts one dense d^2 x d^2 complex matrix of verify's
+# cross-checks (16 d^4, so d <= 64) and, on their own, the orbit
+# arrays of its dense stepping check and Gram spectrum; analyze,
+# build_inequality, game and table refuse exactly the instances beyond
+# it, and so do the public views root_unitary, orbit and
+# quantum_bound_analytic. It does not bound verify's peak: verify
+# holds several dense matrices per cell (the step operator B, the
+# dense product (U x 1) S with its two factors, and the projector sum
+# A with eigvalsh's workspace), so the peak passes the ceiling below
+# d = 64. An in-process verify --outcomes-max D --settings-max 1 peaks
+# at 69-74 MiB ru_maxrss at D = 24 (0.5-1.4 s), 148 MiB at D = 32
+# (3.1-3.5 s), 247 MiB at D = 36 (5.5-7.1 s), 260 MiB at D = 38
+# (8.6 s) and 336 MiB at D = 40 (12.7 s) (Python 3.11, numpy 2.4,
+# 2-vCPU Xeon, Linux). The numpy arrays alive at once peak at 34, 108
+# and 174 MiB under tracemalloc at D = 24, 32 and 36; ru_maxrss adds
+# the interpreter, LAPACK's workspace and whatever freed memory the
+# allocator keeps resident.
+# The rule's 24 n^2 term counts no array: the Gram route takes its DFT
+# with np.fft in O(n) memory, and the term is only a limit on n.
+# analyze builds none of the counted arrays, no (n, d^2) one and no
+# (n, d) one: an in-process analyze --format json peaks at 37.6 MiB
+# ru_maxrss at (d, M) = (2, 835), 36.0 MiB at (16, 98) and 35.6 MiB at
+# (64, 10), mostly the interpreter and numpy (median of nine fresh
+# processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
+# bounds.classical_bound keeps what its elimination holds under it
+# too, for any caller.
+MEMORY_CEILING = 256 * 2**20
+
+
+class InstanceTooLarge(Exception):
+    """Instance beyond the memory ceiling of verify's cross-checks, or,
+    for ``bounds.classical_bound`` alone, one whose elimination tables
+    would pass the memory ceiling."""
+
+
+def _check_size(outcomes: int, settings: int) -> None:
+    """Raise InstanceTooLarge when one of two counts of verify's
+    cross-check arrays for instance (d, M) = (outcomes, settings)
+    exceeds MEMORY_CEILING; the one size rule of analyze,
+    build_inequality, game, table and verify, and of the public views
+    :func:`root_unitary`, :func:`orbit` and
+    ``bounds.quantum_bound_analytic``.
+
+    First, one dense d^2 x d^2 cross-check matrix must fit. Then the
+    orbit arrays: over its n = 2*M*d steps, verify's dense stepping
+    check holds the orbit states, their product with the dense step
+    operator and that product's magnitudes (40 d^2 bytes per step).
+    The second count adds 24 n^2 bytes, 24 per pair of steps, which
+    count no array (the Gram spectrum is one ``np.fft`` in O(n)
+    memory): that term is only a limit on the orbit length n, kept so
+    that the admitted cells stay what they were. Neither count is
+    verify's whole peak, which holds several dense matrices per cell
+    and is past the ceiling by d = 40 (see MEMORY_CEILING). Plain int
+    arithmetic, so an absurd d or M is rejected without allocating.
+    """
+    needed = 16 * outcomes**4
+    if needed > MEMORY_CEILING:
+        dim = outcomes**2
+        raise InstanceTooLarge(
+            f"instance too large: verify's dense {dim} x {dim} cross-check "
+            f"matrices at {outcomes} outcomes need {needed / 2**20:.0f} MiB "
+            f"each, over the memory ceiling of {MEMORY_CEILING // 2**20} MiB "
+            "(analyze keeps the same limit, so that every analyzed instance "
+            "can be cross-checked)"
+        )
+    steps = 2 * settings * outcomes
+    needed = 40 * outcomes**2 * steps + 24 * steps**2
+    if needed > MEMORY_CEILING:
+        raise InstanceTooLarge(
+            f"instance too large: the orbit at {outcomes} outcomes and "
+            f"{settings} settings has {steps} steps, whose states and step "
+            "residuals, with 24 bytes per pair of steps, need "
+            f"{needed / 2**20:.0f} MiB, over the memory ceiling of "
+            f"{MEMORY_CEILING // 2**20} MiB"
+        )
+
+
 class MeasLabel(NamedTuple):
     """One party's measurement choice and result."""
 
@@ -110,11 +190,11 @@ class OrbitEntry(NamedTuple):
 
 
 class _RootTable(NamedTuple):
-    """One instance's root eigenvalues and the first columns of the
-    powers of U, built once by :func:`_root_table` and handed down."""
+    """One instance's root indices and the first columns of the powers
+    of U, built once by :func:`_root_table` and handed down."""
 
-    lambdas: np.ndarray  # (d,); U w_j = lambda_j w_j
-    indices: list[int]  # lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
+    # U w_j = lambda_j w_j with lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
+    indices: list[int]
     firsts: np.ndarray  # (M+1, d); row s is u_s = U^s|0>
 
     @property
@@ -148,8 +228,8 @@ def _root_indices(d: int, order: int) -> list[int]:
 
 
 def _root_table(spec: ProblemSpec) -> _RootTable:
-    """The instance's root table: U's eigenvalues with their exact root
-    indices, and the first columns u_0..u_M of the powers of U.
+    """The instance's root table: the exact root indices of U's
+    eigenvalues, and the first columns u_0..u_M of the powers of U.
 
     The indices come from integer arithmetic, and lambda_j is
     exp(2*pi*i*r_j / n), n = 2*M*d. They are checked against the phase
@@ -175,7 +255,7 @@ def _root_table(spec: ProblemSpec) -> _RootTable:
             f"the order-{order} root of unity with index {indices[worst]} "
             f"(snap error {float(snap[worst]):.3e} exceeds {_SNAP_TOL:.0e})"
         )
-    table = _RootTable(phases[1], indices, np.fft.ifft(phases, axis=1))
+    table = _RootTable(indices, np.fft.ifft(phases, axis=1))
     _check_columns(table)
     return table
 
@@ -217,7 +297,12 @@ def _check_columns(table: _RootTable) -> None:
 
 def root_unitary(spec: ProblemSpec) -> np.ndarray:
     """M-th root U of the cyclic shift, U = sum_j e^{i theta_j / M} |w_j><w_j|,
-    as held by the instance's root table."""
+    as held by the instance's root table.
+
+    Raises InstanceTooLarge first for the instances beyond the size
+    rule (:func:`_check_size`), which ``analyze`` refuses too.
+    """
+    _check_size(spec.outcomes, spec.settings)
     return _root_table(spec).u
 
 
@@ -233,8 +318,11 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     root table's first columns as the table is built (see
     :func:`_check_columns`), which raises RuntimeError on a mismatch
     beyond 1e-10 rather than returning silently wrong terms; ``verify``
-    checks it again on every state with the dense B.
+    checks it again on every state with the dense B. Raises
+    InstanceTooLarge first for the instances beyond the size rule
+    (:func:`_check_size`), which ``analyze`` refuses too.
     """
+    _check_size(spec.outcomes, spec.settings)
     table = _root_table(spec)
     entries = _gather(spec, table, np.arange(spec.outcomes))
     states = _states(entries[1:], entries[:-1])

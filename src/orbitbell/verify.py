@@ -9,32 +9,32 @@ whose own checks raise into one construction line, and checks what it
 reports with the routes that ``analyze`` does not run: from the
 ``linalg`` module, the d^2 x d^2 step operator B, placed by index and
 checked against the matrix product (U x 1) S, then applied to every
-orbit vector at once, its period read off B B = U x U and T^d = 1,
-LAPACK ``eigvalsh`` on the projector sum and the residuals of the
-whole closed-form eigensystem; from ``bounds``, the max-plus
-elimination of the classical bound. The orbit vectors are verify's
-own: the (n, d) factors gathered by the index rule from the root
-table's first columns, with no labels and no check of their own,
+orbit vector at once, its period read off B B = U x U and T^d = 1, and
+LAPACK ``eigvalsh`` on the projector sum; from ``bounds``, the
+max-plus elimination of the classical bound. The orbit vectors are
+verify's own: the (n, d) factors gathered by the index rule from the
+root table's first columns, with no labels and no check of their own,
 multiplied out into (n, d^2) states, which the dense stepping line
-checks against B one step at a time. The shift T, the swap S and the d^2 identity depend on
-d alone: they are built once per outcome count, and the unitarity of
-T and S and T^d = 1 are checked there, their residuals recorded at
-each cell of the row. Q_s is checked against its proved closed form
-M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1, to a relative 1e-12,
-and the reported state, built from d Fourier coefficients on the
-pairing, against the definition of the projector onto B's eigenvalue
-mu = exp(2*pi*i*rho/n): P_mu|00> = (1/n) sum_j mu^(-j) v_j over the
-orbit states v_j = B^j|00>, normalized, with the proved
-rho = 1 - d mod 2 (0 at M = 1), with no phase fitted. The per-term
-probabilities, which ``analyze`` reports as |psi_00|^2, and
-|conj(V) psi|^2 from the dense states V must both equal Q_s/n. At M = 2 it
-checks ``analyze``'s statistics: the mutual information does not
-depend on the setting pair, and p = Q_s / 4. A NaN residual fails its
-line, a NaN grid entry, which the mutual information refuses, fails
-the information line, and a NaN in the projector sum, which
-``eigvalsh``'s Hermitian test refuses, fails the agreement line. Each
-dense matrix is released once its checks are read, so that at most a
-few d^2 x d^2 arrays are alive at a time.
+checks against B one step at a time. The shift T, the swap S and the
+d^2 identity depend on d alone: they are built once per outcome count,
+and the unitarity of T and S and T^d = 1 are checked there, their
+residuals recorded at each cell of the row. Q_s is checked against its
+proved closed form M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1,
+to a relative 1e-12, and the reported state, built from d Fourier
+coefficients on the pairing, against the definition of the projector
+onto B's eigenvalue mu = exp(2*pi*i*rho/n):
+P_mu|00> = (1/n) sum_j mu^(-j) v_j over the orbit states
+v_j = B^j|00>, normalized, with the proved rho = 1 - d mod 2 (0 at
+M = 1), with no phase fitted. The per-term probabilities, which
+``analyze`` reports as |psi_00|^2, and |conj(V) psi|^2 from the dense
+states V must both equal Q_s/n. At M = 2 it checks ``analyze``'s
+statistics: the mutual information does not depend on the setting
+pair, and p = Q_s / 4. A NaN residual fails its line, a NaN grid
+entry, which the mutual information refuses, fails the information
+line, and a NaN in the projector sum, which ``eigvalsh``'s Hermitian
+test refuses, fails the agreement line. Each dense matrix is released
+once its checks are read, so that at most a few d^2 x d^2 arrays are
+alive at a time.
 """
 
 from __future__ import annotations
@@ -44,15 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    _ROUTE_TOL,
-    _check_size,
-    _inequality,
-    classical_bound,
-)
+from .bounds import _ROUTE_TOL, _inequality, classical_bound
 from .games import _two_setting_stats
 from .linalg import (
-    _eigensystem,
     _step_product,
     accumulate_A,
     quantum_bound_numeric,
@@ -60,7 +54,7 @@ from .linalg import (
     swap_matrix,
     translation_matrix,
 )
-from .orbit import _STEP_TOL, ProblemSpec, _gather, _sizes, _states
+from .orbit import _STEP_TOL, ProblemSpec, _check_size, _gather, _sizes, _states
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -144,15 +138,15 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
 
     Each cell assembles its instance once, as ``analyze`` does, and
     every check reads it: the inequality, the orbit and the root table,
-    whose U also gives the M = 2 statistics and whose eigenvalues give
-    the closed-form eigensystem.
+    whose U also gives the dense step operator and the M = 2
+    statistics.
 
     The two bounds are checked by :class:`ProblemSpec`'s rules before
     any work: a non-integer or ``bool`` bound raises TypeError, and
     ``outcomes_max < 2`` or ``settings_max < 1`` raises ValueError,
     rather than passing an empty sweep. Raises InstanceTooLarge before
     the first cell when the largest cell is beyond the size rule that
-    ``analyze`` applies to each instance (``bounds._check_size``), so
+    ``analyze`` applies to each instance (``orbit._check_size``), so
     the sweep reaches every instance ``analyze`` accepts.
     """
     outcomes_max, settings_max = _sizes(
@@ -170,7 +164,6 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "stepping": CheckResult(
             "dense step operator maps each orbit vector to the next", _STEP_TOL
         ),
-        "eigen": CheckResult("closed-form eigenpairs satisfy B v = lambda v", 1e-9),
         "trace": CheckResult("projector sum has trace 2*M*d", 1e-10),
         "agree": CheckResult("analytic and numeric quantum bounds agree", _ROUTE_TOL),
         "gram": CheckResult(
@@ -190,7 +183,6 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "prediction": CheckResult(
             "prediction probability equals the quantum win probability (M=2)", 1e-9
         ),
-        "degenerate": CheckResult("single-setting case gives Q_s = C_s = 1", 1e-9),
     }
     summary: list[str] = []
 
@@ -248,12 +240,6 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             stepped[:, -1] -= orbit_vecs[0]
             checks["stepping"].record(_largest(stepped), cell)
 
-            roots, vecs = _eigensystem(spec, instance.table)
-            # all residuals B v - lambda v in one product, one column per pair
-            lams = np.exp(2j * np.pi * roots / length)
-            checks["eigen"].record(_largest(b @ vecs.T - vecs.T * lams), cell)
-            del vecs
-
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
             try:
@@ -288,10 +274,6 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             if (c_value, witness) != (ineq.classical_bound, ineq.witness):
                 checks["chained"].fail(cell, f"elimination gives C_s={c_value}, {witness}")
             summary.append(f"{cell}: Q_s={analytic:.4f} C_s={c_value}")
-            if d == 2 and m == 1:
-                checks["degenerate"].record(abs(analytic - 1.0), cell)
-                if c_value != 1:
-                    checks["degenerate"].fail(cell, f"C_s={c_value}, expected 1")
 
             if m == 2:  # the quantum win is Q_s over the 2M = 4 questions
                 try:

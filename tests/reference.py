@@ -4,8 +4,11 @@ its phase, which checks the root table's integer root indices and the
 eigenvalue of a reported state without the package's index arithmetic;
 the one-step label rule, the reference for the orbit's index rule;
 the measurement bases U^s as running products of U, the reference for
-the root table's first columns; the loop forms of three whole-array
-routes: B's closed-form eigensystem one block at a time, the classical
+the root table's first columns; the shift's Fourier rows; B's
+closed-form eigensystem one block at a time, from the root table's
+integer root indices, the reference for the paper's 2-D block
+structure of B, which the tests check against the dense step
+operator; the loop forms of two whole-array routes: the classical
 bound as a scan of every Alice map with its hit tables filled one term
 at a time, and the M = 2 statistics one grid at a time; the factor
 forms of the orbit's first Gram row and per-term probabilities, from
@@ -16,7 +19,6 @@ for ``json.dumps``.
 
 import numpy as np
 
-from orbitbell.linalg import _fourier
 from orbitbell.orbit import _SNAP_TOL, MeasLabel, ProblemSpec
 
 
@@ -72,15 +74,37 @@ def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
     return bases[:settings]
 
 
+def fourier_rows(d):
+    """The shift's Fourier rows w_j, as one (d, d) array: row j has
+    components exp(2*pi*i*j*k/d) / sqrt(d), and T w_j = exp(i theta_j) w_j
+    with theta_j the principal phase of ``orbit._eigenphases``."""
+    js = np.arange(d)
+    return np.exp(2j * np.pi * js[:, None] * js / d) / np.sqrt(d)
+
+
 def eigensystem_by_pair(spec, table):
-    """B's closed-form eigensystem one block at a time: the d diagonal
-    products, then each pair j < k with its plus vector before its
-    minus vector, each from two ``np.outer`` products; the reference
-    that ``linalg._eigensystem``'s whole-array form is checked against.
+    """Closed-form eigensystem of the step operator B, as two arrays:
+    the root indices, (d^2,) integers, and the eigenvectors, the rows
+    of one (d^2, d^2) array. Row r has eigenvalue the root of unity
+    exp(2*pi*i*root_indices[r] / (2*M*d)).
+
+    B permutes the products of shift eigenvectors: w_j w_j is an
+    eigenvector with U's eigenvalue lambda_j, and each unordered pair
+    j < k spans a 2-dimensional block whose eigenvalues are the two
+    square roots +/- sqrt(lambda_j lambda_k). All eigenvalues are
+    2*M*d-th roots of unity, kept as exact integer indices; lambda_j is
+    read off the root table's integer index r_j as exp(2*pi*i*r_j/n).
+    The principal branch (half the phase of the product taken in
+    (-pi, pi], boundary at +pi) fixes the signs reproducibly; an odd
+    index sum in a block, which has no such root, raises RuntimeError.
+    Order: the d diagonal vectors, then each pair j < k with its plus
+    vector before its minus vector, each from two ``np.outer`` products.
     """
     d, order = spec.outcomes, spec.orbit_length
     half = order // 2
-    ws, lambdas, indices = _fourier(d), table.lambdas, table.indices
+    indices = table.indices
+    ws = fourier_rows(d)
+    lambdas = np.exp(2j * np.pi * np.asarray(indices) / order)
     roots = np.empty(d * d, dtype=np.int64)
     vectors = np.empty((d * d, d * d), dtype=complex)
     roots[:d] = indices

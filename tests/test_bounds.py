@@ -37,10 +37,12 @@ from orbitbell.bounds import (
     _inequality,
     quantum_bound_gram,
 )
-from orbitbell.linalg import _fourier, accumulate_A, b_eigensystem, step_operator
-from orbitbell.orbit import _gather
+from orbitbell.linalg import accumulate_A, step_operator
+from orbitbell.orbit import _gather, _root_table
 from reference import (
     condition_label_pairs,
+    eigensystem_by_pair,
+    fourier_rows,
     gram_row_from_factors,
     root_of_unity_index,
     term_probabilities_from_factors,
@@ -133,7 +135,7 @@ def test_quantum_bound_numeric_rejects_non_square():
 
 def test_b_eigensystem_qubit_two_settings():
     spec = ProblemSpec(2, 2)
-    roots, vectors = b_eigensystem(spec)
+    roots, vectors = eigensystem_by_pair(spec, _root_table(spec))
     assert roots.shape == (4,) and vectors.shape == (4, 4)
     # eighth-root indices: 1 and i from the diagonal products, and the
     # two square roots of i, e^{i pi/4} and -e^{i pi/4} = e^{5 i pi/4}
@@ -152,13 +154,14 @@ def test_b_eigensystem_qubit_two_settings():
 
 def test_b_eigensystem_qubit_three_settings():
     # twelfth-root indices {0, 2, 1, 7}: 1, e^{i pi/3}, +/- e^{i pi/6}
-    roots, _ = b_eigensystem(ProblemSpec(2, 3))
+    spec = ProblemSpec(2, 3)
+    roots, _ = eigensystem_by_pair(spec, _root_table(spec))
     assert sorted(roots.tolist()) == [0, 1, 2, 7]
 
 
 def test_b_eigensystem_qutrit_degeneracy():
     spec = ProblemSpec(3, 2)
-    roots, vectors = b_eigensystem(spec)
+    roots, vectors = eigensystem_by_pair(spec, _root_table(spec))
     assert roots.shape == (9,) and vectors.shape == (9, 9)
     counts = {}
     for idx in roots.tolist():
@@ -167,7 +170,7 @@ def test_b_eigensystem_qutrit_degeneracy():
     assert counts[0] == 2
     assert all(c == 1 for idx, c in counts.items() if idx != 0)
     # the paired member at eigenvalue 1 is (w1 w2 + e^{i pi/3} w2 w1)/sqrt(2)
-    _, w1, w2 = _fourier(3)
+    _, w1, w2 = fourier_rows(3)
     w12 = (kron(w1, w2) + np.exp(1j * np.pi / 3) * kron(w2, w1)) / np.sqrt(2)
     members = vectors[roots == 0]
     overlaps = sorted(abs(np.vdot(m, w12)) for m in members)
@@ -178,7 +181,7 @@ def test_b_eigensystem_qutrit_degeneracy():
 def test_b_eigensystem_residuals(d, m):
     spec = ProblemSpec(d, m)
     b = step_operator(root_unitary(spec))
-    roots, vectors = b_eigensystem(spec)
+    roots, vectors = eigensystem_by_pair(spec, _root_table(spec))
     assert roots.shape == (d * d,) and vectors.shape == (d * d, d * d)
     # orthonormal eigenbasis, one vector per row
     gram = vectors.conj() @ vectors.T
@@ -240,7 +243,7 @@ def test_analytic_group_values_sum_to_orbit_length(d, m):
     spec = ProblemSpec(d, m)
     entries = orbit(spec)
     seed = entries[0].vector
-    _, vectors = b_eigensystem(spec)
+    _, vectors = eigensystem_by_pair(spec, _root_table(spec))
     total = sum(abs(np.vdot(vector, seed)) ** 2 for vector in vectors)
     assert spec.orbit_length * total == pytest.approx(spec.orbit_length, abs=1e-9)
 
@@ -451,6 +454,26 @@ def test_build_inequality_checks_memory_ceiling_before_any_work(monkeypatch, d, 
     monkeypatch.setattr("orbitbell.bounds._gather", no_orbit)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         build_inequality(ProblemSpec(d, m))
+
+
+@pytest.mark.parametrize("d", [65, 10**5])
+@pytest.mark.parametrize(
+    "view", [root_unitary, orbit, quantum_bound_analytic], ids=lambda view: view.__name__
+)
+def test_public_views_check_the_size_rule_first(view, d):
+    # the views refuse what build_inequality refuses, before the root
+    # table is built: at d = 10^5 one (d, d) complex U alone is 160 GB
+    spec = ProblemSpec(d, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge, match="memory ceiling"):
+            view(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with pytest.raises(InstanceTooLarge, match="memory ceiling"):
+        build_inequality(spec)
 
 
 def test_memory_ceiling_admits_64_outcomes():

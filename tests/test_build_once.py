@@ -1,7 +1,7 @@
 """Each analyzed instance is built once.
 
-Everything rests on one root table per instance (U's eigenvalues with
-their exact root indices, and the first columns u_0..u_M of the powers
+Everything rests on one root table per instance (the exact root
+indices of U's eigenvalues, and the first columns u_0..u_M of the powers
 of U, from exact index powers and checked through U, whose u_1 gives
 U): ``analyze`` builds it once at every M and hands it to the orbit's
 Gram row, to both quantum routes and, at M = 2, U to the one statistics
@@ -10,22 +10,20 @@ function, which forms the four joint grids in one broadcast
 prediction probability from them, and which runs at no other M. No
 public view of the table (``root_unitary``, ``orbit``) runs on that
 path. ``analyze`` reads the orbit's terms once and gathers entry 0 of
-its factors once, with no (n, d) factor array, no orbit state and no
-Fourier row; it runs the root-index and Gram routes of the quantum
-bound, and calls none of the ``linalg`` module's dense routes. Its
-classical bound is the chained-Bell value, with no max-plus elimination.
-The modules on that path import neither ``linalg`` nor ``verify``, so
-none of them can read the Fourier rows, which ``linalg`` holds, and
-``linalg`` imports ``orbit`` alone, so the dense eigensystem shares no
-code with the root-index route it checks.
+its factors once, with no (n, d) factor array and no orbit state; it
+runs the root-index and Gram routes of the quantum bound, and calls
+none of the ``linalg`` module's dense routes. Its classical bound is
+the chained-Bell value, with no max-plus elimination. The modules on
+that path import neither ``linalg`` nor ``verify``, and ``linalg``
+imports no ``orbitbell`` module, so the dense routes share no code
+with the routes they check.
 The verification sweep runs the same assembly once per cell, so it
-checks the instance ``analyze`` reports, with one root table, one
-term list, one Gram spectrum, one gather of the whole factors and one
-closed-form eigensystem, the only reader of the Fourier rows, from
-that table; it runs the statistics function once per M = 2 cell, and
-the max-plus elimination of the classical bound once per cell. The
-shift T and the swap S depend on d alone, so the sweep builds them
-once per outcome count.
+checks the instance ``analyze`` reports, with one root table, one term
+list, one Gram spectrum and one gather of the whole factors; it runs
+the statistics function once per M = 2 cell, and the max-plus
+elimination of the classical bound once per cell. The shift T and the
+swap S depend on d alone, so the sweep builds them once per outcome
+count.
 """
 
 import ast
@@ -40,12 +38,12 @@ import pytest
 import orbitbell.linalg
 from orbitbell import ProblemSpec, analyze, run_verification
 
-# every dense d^2 x d^2 route: the linalg module's public functions, the
-# dense product B is checked against and the whole closed-form eigensystem
+# every dense d^2 x d^2 route: the linalg module's public functions and
+# the dense product B is checked against
 DENSE_ROUTES = [
     name for name in orbitbell.linalg.__all__
     if inspect.isfunction(getattr(orbitbell.linalg, name))
-] + ["_step_product", "_eigensystem"]
+] + ["_step_product"]
 
 
 def count_calls(monkeypatch, module_name, attr):
@@ -90,7 +88,6 @@ def record_shapes(monkeypatch, module_name, attr):
 def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     checks = count_calls(monkeypatch, "orbitbell.orbit", "_check_columns")
-    fouriers = count_calls(monkeypatch, "orbitbell.linalg", "_fourier")
     terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
     gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
     states = count_calls(monkeypatch, "orbitbell.orbit", "_states")
@@ -109,9 +106,9 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
     assert tables[0] == checks[0] == terms[0] == 1
-    # entry 0 of the factors alone: no (n, d) array, no state, no Fourier row
+    # entry 0 of the factors alone: no (n, d) array and no state
     assert gathers == [(2 * m * d + 1, 1)]
-    assert fouriers[0] == states[0] == 0
+    assert states[0] == 0
     assert roots[0] == public_orbits[0] == 0
     assert stats[0] == (1 if m == 2 else 0)
     assert grids[0] == (1 if m == 2 else 0)
@@ -134,10 +131,8 @@ def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
 def test_verify_builds_each_cell_once(monkeypatch):
     assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
-    fouriers = count_calls(monkeypatch, "orbitbell.linalg", "_fourier")
     terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
     gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
-    eigensystems = count_calls(monkeypatch, "orbitbell.linalg", "_eigensystem")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
@@ -145,9 +140,7 @@ def test_verify_builds_each_cell_once(monkeypatch):
     shifts = count_calls(monkeypatch, "orbitbell.linalg", "translation_matrix")
     report = run_verification(3, 3)  # 6 cells
     assert report.passed
-    assert assemblies[0] == tables[0] == terms[0] == eigensystems[0] == 6
-    # the Fourier rows for the eigensystem alone
-    assert fouriers[0] == 6
+    assert assemblies[0] == tables[0] == terms[0] == 6
     # per cell, the assembly's entry 0 and verify's whole factors
     cells = [(d, m) for d in (2, 3) for m in (1, 2, 3)]
     assert gathers == [
@@ -203,13 +196,11 @@ def test_hot_path_modules_import_neither_linalg_nor_verify(module):
     assert not imported_modules(module) & banned
 
 
-def test_linalg_imports_nothing_from_bounds():
-    # the dense eigensystem shares no code with the root-index route it
-    # cross-checks; its package imports are orbit's alone
-    package = {
-        name for name in imported_modules("linalg")
-        if name.startswith(".") or name.startswith("orbitbell")
+def test_linalg_imports_no_orbitbell_module():
+    # the dense routes share no code with the routes they cross-check:
+    # linalg builds its matrices from numpy alone
+    imported = imported_modules("linalg")
+    assert "numpy" in imported
+    assert not {
+        name for name in imported if name.startswith(".") or name.startswith("orbitbell")
     }
-    assert package and all(
-        name == ".orbit" or name.startswith(".orbit.") for name in package
-    )

@@ -327,6 +327,32 @@ def test_verify_cli_small_grid():
     assert "d=3 M=2: Q_s=3.3333 C_s=3" in proc.stdout
 
 
+def test_verify_check_lines_are_pinned():
+    # the names and order of verify's check lines, so that a line added,
+    # removed or renamed shows up here
+    report = run_verification(2, 2)
+    assert report.passed
+    assert [c.name for c in report.checks] == [
+        "generator matrices are unitary",
+        "settings-th power of the root unitary is the shift",
+        "step operator equals the dense product (U x 1) S",
+        "step operator has period 2*M*d",
+        "instance builds and passes analyze's own checks",
+        "dense step operator maps each orbit vector to the next",
+        "projector sum has trace 2*M*d",
+        "analytic and numeric quantum bounds agree",
+        "orbit Gram spectrum and analytic quantum bound agree",
+        "quantum bound equals the closed form",
+        "optimal state is a step-operator eigenvector",
+        "optimal state equals the projection of |00> onto B's mu-eigenspace",
+        "per-term probabilities equal Q_s/(2*M*d)",
+        "quantum bound is at least the classical bound",
+        "classical bound equals the chained-Bell value 2M-1",
+        "mutual information independent of the setting pair (M=2)",
+        "prediction probability equals the quantum win probability (M=2)",
+    ]
+
+
 def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0

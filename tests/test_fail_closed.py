@@ -14,11 +14,11 @@ that escapes a subcommand. A root index bumped by 2, which names
 another eigenvalue of U, moves the root-index value off the Gram
 spectrum, which reads the orbit's first columns, so the route
 agreement fails and ``analyze`` exits 4; bumped by 1, it makes a
-block's root-index sum odd, which the dense closed-form eigensystem
-refuses. A NaN in the root unitary fails ``verify``'s unitarity line,
-and at M = 2 its mutual-information line, whose grids it reaches; a
-swap matrix that cannot be built fails the construction line of every
-cell of its outcome count.
+block's root-index sum odd, which the closed-form eigensystem of
+``reference.eigensystem_by_pair`` refuses. A NaN in the root unitary
+fails ``verify``'s unitarity line, and at M = 2 its mutual-information
+line, whose grids it reaches; a swap matrix that cannot be built fails
+the construction line of every cell of its outcome count.
 """
 
 import dataclasses
@@ -38,9 +38,8 @@ from orbitbell import (
 )
 from orbitbell.bounds import _inequality, quantum_bound_gram
 from orbitbell.cli import main as cli_main
-from orbitbell.linalg import _eigensystem
 from orbitbell.orbit import _gather, _root_table
-from reference import root_of_unity_index
+from reference import eigensystem_by_pair, root_of_unity_index
 
 NAN = float("nan")
 
@@ -166,7 +165,7 @@ def test_odd_root_index_sum_fails_the_dense_eigensystem():
         RuntimeError,
         match="^odd root-index sum in a two-dimensional block: branch arithmetic bug$",
     ):
-        _eigensystem(spec, table._replace(indices=indices))
+        eigensystem_by_pair(spec, table._replace(indices=indices))
 
 
 def test_nan_eigenphase_fails_the_root_table_snap(monkeypatch, capsys):

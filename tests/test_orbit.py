@@ -17,9 +17,17 @@ from numpy.linalg import matrix_power as mat_power
 from orbitbell import MeasLabel, ProblemSpec, orbit, root_unitary
 from orbitbell.bounds import build_inequality
 from orbitbell.cli import main as cli_main
-from orbitbell.linalg import _fourier, step_operator, swap_matrix, translation_matrix
-from orbitbell.orbit import _eigenphases, _gather, _root_table, _states, _terms
-from reference import condition_label_pairs, label_step, measurement_bases
+from orbitbell.linalg import step_operator, swap_matrix, translation_matrix
+from orbitbell.orbit import (
+    InstanceTooLarge,
+    _check_size,
+    _eigenphases,
+    _gather,
+    _root_table,
+    _states,
+    _terms,
+)
+from reference import condition_label_pairs, fourier_rows, label_step, measurement_bases
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -65,7 +73,7 @@ def test_translation_matrix_qutrit():
 def test_fourier_eigenbasis_diagonalizes_shift(d):
     # the Fourier rows with the phases of the root table's snap
     t = translation_matrix(d)
-    for w, theta in zip(_fourier(d), _eigenphases(d)):
+    for w, theta in zip(fourier_rows(d), _eigenphases(d)):
         assert np.max(np.abs(t @ w - np.exp(1j * theta) * w)) <= 1e-12
         assert np.linalg.norm(w) == pytest.approx(1.0)
         # phase lives in (-pi, pi], boundary pinned at +pi
@@ -105,7 +113,7 @@ def test_root_unitary_qutrit_two_settings():
     spec = ProblemSpec(3, 2)
     u = root_unitary(spec)
     # eigenvalues 1, e^{-i pi/3}, e^{i pi/3} on the shift eigenbasis
-    for j, w in enumerate(_fourier(3)):
+    for j, w in enumerate(fourier_rows(3)):
         lam = [1.0, np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)][j]
         assert np.max(np.abs(u @ w - lam * w)) <= 1e-12
     # rotated basis vectors: columns of U
@@ -432,12 +440,12 @@ def test_orbit_check_catches_a_wrong_basis_column(monkeypatch, capsys):
 
 
 def per_row_reference(d, m):
-    """Reference: the Fourier rows, their phases, U's eigenvalues and U,
-    built one row at a time. Each phase is a Python scalar, each
-    eigenvalue the exact index power exp(2*pi*i*r_j/n) of its integer
-    root index r_j, n = 2*M*d, and U the circulant of u_1 = ifft(lambda),
-    filled one entry at a time; also U as the sum of lambda_j w_j w_j^H,
-    term by term."""
+    """Reference: the Fourier rows, their phases and U, built one row at
+    a time. Each phase is a Python scalar, each eigenvalue of U the
+    exact index power exp(2*pi*i*r_j/n) of its integer root index r_j,
+    n = 2*M*d, and U the circulant of u_1 = ifft(lambda), filled one
+    entry at a time; also U as the sum of lambda_j w_j w_j^H, term by
+    term."""
     ks = np.arange(d)
     n = 2 * m * d
     rows, thetas, lambdas = [], [], []
@@ -460,19 +468,25 @@ def per_row_reference(d, m):
     for x in range(d):
         for y in range(d):
             u[x, y] = first[(x - y) % d]
-    return np.array(rows), thetas, np.array(lambdas), u, summed
+    return np.array(rows), thetas, u, summed
 
 
 @pytest.mark.parametrize("d", range(2, 65))
 def test_root_table_is_bit_identical_to_the_per_row_loop(d):
     orbit_module = importlib.import_module("orbitbell.orbit")
     for m in range(1, 17):
-        rows, thetas, lambdas, u, summed = per_row_reference(d, m)
+        rows, thetas, u, summed = per_row_reference(d, m)
         table = orbit_module._root_table(ProblemSpec(d, m))
-        assert _fourier(d).tobytes() == rows.tobytes()
-        assert table.lambdas.tobytes() == lambdas.tobytes()
+        assert fourier_rows(d).tobytes() == rows.tobytes()
         assert table.u.tobytes() == u.tobytes()
-        assert root_unitary(ProblemSpec(d, m)).tobytes() == u.tobytes()
+        # the public view refuses the cells beyond the size rule, (54, 16) on
+        try:
+            _check_size(d, m)
+        except InstanceTooLarge:
+            with pytest.raises(InstanceTooLarge):
+                root_unitary(ProblemSpec(d, m))
+        else:
+            assert root_unitary(ProblemSpec(d, m)).tobytes() == u.tobytes()
         # the circulant is U = sum_j lambda_j w_j w_j^H, its definition
         assert np.max(np.abs(u - summed)) <= 1e-12
     assert _eigenphases(d).tobytes() == np.array(thetas).tobytes()

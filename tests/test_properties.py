@@ -19,7 +19,8 @@ powers through one inverse FFT, against column 0 of the running
 products U^s of ``reference.measurement_bases``, and u_M against T|0>,
 to 1e-12 over d <= 32 and M <= 12. The root-index quantum route,
 which builds the state from P_mu = (1 + B/mu)/2, is checked against
-grouping the whole closed-form eigensystem (the same root index, the
+grouping the whole closed-form eigensystem of
+``reference.eigensystem_by_pair`` (the same root index, the
 state to 1e-14 and Q_s to 1e-13 relative), and against the closed
 form Q_s = M (1 + sin(pi/M) / (d sin(pi/(dM)))) and the Fourier
 pairing rule (at most one Fourier pair per row and column of
@@ -28,11 +29,8 @@ There, too, its proved group rho = 1 - d mod 2 (0 at M = 1) is checked
 against scanning every eigenvalue group's weight from the integer root
 indices: at M >= 2 it is the unique maximum, by a positive margin, at
 M = 1 the first of the non-empty groups, which all have value 1, and
-its state is the scan's winning-group state to 1e-14. That
-eigensystem, every block built at once, is checked against building
-each two-dimensional block with its own outer products: the same roots
-in the same row order and the vectors to 1e-15, over d <= 16, M <= 8.
-The Gram-spectrum and LAPACK routes are checked against the root-index
+its state is the scan's winning-group state to 1e-14. The
+Gram-spectrum and LAPACK routes are checked against the root-index
 route to 1e-9, the
 one-product projector sum
 against the per-entry outer-product sum, and the orbit against its
@@ -80,19 +78,13 @@ from orbitbell.bounds import (
     quantum_bound_gram,
 )
 from orbitbell.games import _two_setting_stats
-from orbitbell.linalg import (
-    _eigensystem,
-    _fourier,
-    accumulate_A,
-    b_eigensystem,
-    step_operator,
-    translation_matrix,
-)
+from orbitbell.linalg import accumulate_A, step_operator, translation_matrix
 from orbitbell.orbit import _eigenphases, _gather, _root_table, _terms
 from orbitbell.verify import _largest, _period_residual
 from reference import (
     classical_bound_by_term,
     eigensystem_by_pair,
+    fourier_rows,
     label_step,
     measurement_bases,
     root_of_unity_index,
@@ -159,7 +151,7 @@ def grouped_eigensystem_bound(spec, entries):
     Returns the winning root index, value and state."""
     seed = entries[0].vector
     groups = {}
-    for idx, vector in zip(*b_eigensystem(spec)):
+    for idx, vector in zip(*eigensystem_by_pair(spec, _root_table(spec))):
         groups.setdefault(int(idx), []).append(vector)
     best_idx, best_value, best_state = -1, -1.0, None
     for idx in sorted(groups):
@@ -202,7 +194,7 @@ def scanned_group_state(spec, table, h, group):
     r = np.array(table.indices)
     members = h == group % (order // 2)
     coeffs = np.where(members, 1 + np.exp(2j * np.pi * (r[:, None] - group) / order), 0)
-    rows = _fourier(spec.outcomes)
+    rows = fourier_rows(spec.outcomes)
     x = (rows.T @ coeffs @ rows).ravel()
     return x / np.linalg.norm(x)
 
@@ -318,21 +310,6 @@ def test_classical_bound_matches_the_per_term_hit_tables(cell):
         assert found == classical_bound_by_term(spec, pairs), name
 
 
-@EVERY_CELL_SETTINGS
-@given(st.sampled_from(SMALL))
-@every_cell(SMALL)
-def test_eigensystem_matches_the_per_pair_loop(cell):
-    # the same roots in the same row order, and the same vectors to
-    # rounding, as building each block with its own np.outer products
-    spec = ProblemSpec(*cell)
-    table = _root_table(spec)
-    roots, vectors = _eigensystem(spec, table)
-    ref_roots, ref_vectors = eigensystem_by_pair(spec, table)
-    assert roots.dtype == ref_roots.dtype
-    assert np.array_equal(roots, ref_roots)
-    assert np.max(np.abs(vectors - ref_vectors)) <= 1e-15
-
-
 @PROPERTY_SETTINGS
 @given(st.integers(2, 8), st.integers(1, 6))
 def test_quantum_bound_routes_agree_on_random_instances(d, m):
@@ -394,7 +371,7 @@ def test_optimal_state_pairs_each_fourier_vector_with_at_most_one(cell):
     # 1e-12 in each row and each column
     d = cell[0]
     _, state = quantum_bound_analytic(ProblemSpec(*cell))
-    w = _fourier(d)
+    w = fourier_rows(d)
     amplitudes = w.conj() @ state.reshape(d, d) @ w.conj().T
     large = np.abs(amplitudes) > 1e-12
     assert large.sum(axis=0).max() <= 1 and large.sum(axis=1).max() <= 1
