@@ -53,8 +53,13 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   So Q_s is n (d + sum_a cos(2*pi*(r_a - rho)/n)) / (2 d^2), and the
   state is d Fourier coefficients on the pairing: amplitude (X, Y) of
   P_mu|00> is f[(X - Y) mod d] exp(-2*pi*i*rho*Y/d) / (2d), with
-  f = ifft(1 + lambda_a/mu) over a. No eigensolver runs and no group is
-  scanned; a wrong rho fails the Gram cross-check below, and
+  f = ifft(1 + lambda_a/mu) over a. Each f entry appears d times, with
+  unit-modulus phases, so the normalized state is held as d
+  coefficients c = f / (sqrt(d) ||f||) and rho alone,
+  psi[X, Y] = c[(X - Y) mod d] exp(-2*pi*i*rho*Y/d); the d^2 amplitudes
+  are formed only on request (:func:`_expand_state`, behind
+  ``BellInequality.optimal_state``), never on ``analyze``'s path. No
+  eigensolver runs and no group is scanned; a wrong rho fails the Gram cross-check below, and
   ``verify``'s ``eigvalsh``. The root indices come from the instance's
   root table (``orbit._root_table``), the one the orbit was built
   from: :func:`_inequality` builds it once and passes it down;
@@ -78,7 +83,7 @@ Every term has the same probability at the reported state, with no
 product formed: psi is an eigenvector of B, B psi = mu psi with
 |mu| = 1, and B is unitary, so term j's probability is
 |<v_j|psi>|^2 = |<v_0|B^(-j) psi>|^2 = |mu^(-j) <00|psi>|^2 = |psi_00|^2,
-psi's entry at flat index 0. They sum to <psi|A|psi> = Q_s, so each is
+psi's entry at flat index 0, which is c_0. They sum to <psi|A|psi> = Q_s, so each is
 Q_s/n; ``verify`` checks both against the dense orbit states.
 
 The classical bound is the exact maximum of the same expression over
@@ -148,15 +153,26 @@ class DeterministicStrategy:
 
 @dataclass(frozen=True)
 class BellInequality:
-    """Everything derived for one instance: terms, bounds, maximizer."""
+    """Everything derived for one instance: terms, bounds, maximizer.
+
+    The maximizer is held as its d coefficients and the index rho of
+    its eigenvalue group (see :func:`_expand_state`);
+    :attr:`optimal_state` forms its d^2 amplitudes on each access."""
 
     spec: ProblemSpec
     terms: tuple[tuple[MeasLabel, MeasLabel], ...]
     classical_bound: int
     quantum_bound: float
-    optimal_state: np.ndarray
+    coefficients: np.ndarray  # (d,) complex, c_k = psi[k, 0]
+    rho: int
     per_term_probs: np.ndarray
     witness: DeterministicStrategy
+
+    @property
+    def optimal_state(self) -> np.ndarray:
+        """The maximizer's d^2 amplitudes in flat-index order, formed
+        from :attr:`coefficients` and :attr:`rho` on each access."""
+        return _expand_state(self.coefficients, self.rho)
 
 
 def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
@@ -173,19 +189,22 @@ def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
     basis states and every group has value 1; rho = 0 is taken.
     Returns n (d + sum_a cos(2*pi*(r_a - rho)/n)) / (2 d^2), which is
     M (1 + sin(pi/M) / (d sin(pi/(dM)))) at M >= 2 and 1 at M = 1, and
-    the normalized state x[X, Y] = f[(X - Y) mod d] exp(-2*pi*i*rho*Y/d),
-    f = ifft(1 + exp(2*pi*i*(r_a - rho)/n)): d Fourier coefficients,
+    the normalized state psi[X, Y] = c[(X - Y) mod d] exp(-2*pi*i*rho*Y/d)
+    as its d^2 amplitudes, expanded from the d coefficients
+    c = f / (sqrt(d) ||f||), f = ifft(1 + exp(2*pi*i*(r_a - rho)/n)),
     with no group scan and no eigensolver.
 
     Raises InstanceTooLarge first for the instances that
     :func:`build_inequality` refuses (see ``orbit._check_size``).
     """
     _check_size(spec.outcomes, spec.settings)
-    return _analytic_bound(spec, _root_table(spec))
+    value, coefficients, rho = _analytic_bound(spec, _root_table(spec))
+    return value, _expand_state(coefficients, rho)
 
 
-def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray]:
-    """:func:`quantum_bound_analytic` from the instance's root table."""
+def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray, int]:
+    """:func:`quantum_bound_analytic` from the instance's root table, with
+    the state as its d normalized coefficients c and its group's rho."""
     d, order = spec.outcomes, spec.orbit_length
     rho = 0 if spec.settings == 1 or d % 2 else 1
     angles = 2 * np.pi * (np.array(table.indices) - rho) / order
@@ -193,9 +212,20 @@ def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.nda
     # the group's pairs one at a time
     value = (d + sum(np.cos(angles).tolist())) * (order / (2 * d**2))
     f = np.fft.ifft(1 + np.exp(1j * angles))
+    # each f entry fills d of the d^2 amplitudes, with unit-modulus phases
+    return value, f / (np.sqrt(d) * np.linalg.norm(f)), rho
+
+
+def _expand_state(coefficients: np.ndarray, rho: int) -> np.ndarray:
+    """The d^2 amplitudes psi[X, Y] = c[(X - Y) mod d] exp(-2*pi*i*rho*Y/d)
+    of the state held as d coefficients c and its group's rho, in
+    flat-index order X * d + Y: the one place the d^2 vector is formed,
+    for :attr:`BellInequality.optimal_state` and
+    :func:`quantum_bound_analytic`."""
+    d = len(coefficients)
     ramp = np.arange(d)
-    x = (f[(ramp[:, None] - ramp) % d] * np.exp(-2j * np.pi * rho * ramp / d)).ravel()
-    return value, x / np.linalg.norm(x)
+    phases = np.exp(-2j * np.pi * rho * ramp / d)
+    return (coefficients[(ramp[:, None] - ramp) % d] * phases).ravel()
 
 
 def quantum_bound_gram(g: np.ndarray) -> float:
@@ -451,14 +481,15 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     through U as it is built, and reads everything from it: the orbit's
     terms, and the quantum bound by the root-index route and by the
     orbit's Gram spectrum, which must agree to 1e-9 (a NaN on either
-    route is a disagreement); the root-index value and state are the
-    ones reported. The classical bound and witness come from the
-    chained-Bell route; the max-plus elimination is verify's. Only the
+    route is a disagreement); the root-index value and state, the
+    latter as its d coefficients and rho, are the ones reported. The
+    classical bound and witness come from the chained-Bell route; the
+    max-plus elimination is verify's. Only the
     integer root indices and the (M + 1, d) first columns are read: the
     Gram row g_j = a_j[0] b_j[0] is entry 0 of the factors, gathered by
-    the index rule, and every per-term probability is |psi_00|^2 (see
-    the module docstring). No (n, d) factor array, no Fourier row and
-    no d^2 x d^2 matrix is built.
+    the index rule, and every per-term probability is |psi_00|^2 = |c_0|^2
+    (see the module docstring). No (n, d) factor array, no Fourier row,
+    no d^2-long state and no d^2 x d^2 matrix is built.
 
     Checks no size: :func:`build_inequality` and ``analyze`` run
     :func:`_check_size` on the instance first, and ``verify`` on its
@@ -468,20 +499,22 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     terms = _terms(spec)
     c0 = _gather(spec, table, np.zeros(1, dtype=int))[:, 0]  # c_(k_i)[0], i = 0..n
     gram = quantum_bound_gram(c0[1:] * c0[:-1])  # g_j = a_j[0] b_j[0]
-    analytic, state = _analytic_bound(spec, table)
+    analytic, coefficients, rho = _analytic_bound(spec, table)
     if not abs(gram - analytic) <= _ROUTE_TOL:
         raise RuntimeError(
             f"quantum bound routes disagree: Gram spectrum {gram!r} vs "
             f"analytic {analytic!r}"
         )
     c_value, witness = _chained_bell_bound(spec, terms)
-    probs = np.full(spec.orbit_length, abs(state[0]) ** 2)  # |<v_j|psi>|^2 = |psi_00|^2
+    # |<v_j|psi>|^2 = |psi_00|^2 = |c_0|^2
+    probs = np.full(spec.orbit_length, abs(coefficients[0]) ** 2)
     inequality = BellInequality(
         spec=spec,
         terms=terms,
         classical_bound=c_value,
         quantum_bound=analytic,
-        optimal_state=state,
+        coefficients=coefficients,
+        rho=rho,
         per_term_probs=probs,
         witness=witness,
     )

@@ -1,21 +1,25 @@
 """JSON certificate for an analyzed instance.
 
 The certificate is the report's inequality, bounds, state, game and
-statistics as a JSON document, schema "1". Complex amplitudes are
-{"re": ..., "im": ...} pairs in flat-index order (index =
-alice_level * outcomes + bob_level). :func:`certificate_json` writes it
+statistics as a JSON document, schema "2". The optimal state is
+{"coefficients": [...], "rho": ...}: its d coefficients c_k as
+{"re": ..., "im": ...} pairs, k = 0..d-1, and the integer rho of its
+eigenvalue group, from which every amplitude follows,
+psi[X, Y] = c[(X - Y) mod d] exp(-2*pi*i*rho*Y/d) at flat index
+X * outcomes + Y (X Alice's level, Y Bob's); schema "1" listed all d^2
+amplitudes instead. :func:`certificate_json` writes it
 from the :class:`~orbitbell.games.AnalysisReport` directly, with sorted
 keys and two-space indentation, byte for byte what
 ``json.dumps(certificate, indent=2, sort_keys=True)`` gives for the
 certificate as a dict (:func:`parse_certificate` of the text), so
 repeated runs emit byte-identical documents. No dict is built: one
-fixed positional ``%``-template per row kind (term, amplitude,
+fixed positional ``%``-template per row kind (term, coefficient,
 probability, question, winning pair) and one for the outer document,
 with keys in sorted order, are filled from the report's parts, each
 array of rows by one ``%`` over its fields in one flat list, and
 numbers are spelled by ``repr`` (the spelling ``json`` uses for ints
 and finite floats). The terms' labels are read as one flat list and
-the state and probabilities as one float array. The rows' floats
+the coefficients and probabilities as one float array. The rows' floats
 repeat (every per-term probability is the same value), so each
 distinct one is spelled once and the spelling reused, looked up by
 its bit pattern, which keeps 0.0 and -0.0 apart although they compare
@@ -37,7 +41,7 @@ from .games import AnalysisReport
 
 __all__ = ["SCHEMA_VERSION", "certificate_json", "parse_certificate"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # Row and document templates, keys in sorted order, indented as
 # json.dumps(indent=2) indents them at their depth.
@@ -49,7 +53,7 @@ _TERM = (
     '      "bob_setting": %r\n'
     "    }"
 )
-_AMPLITUDE = '    {\n      "im": %s,\n      "re": %s\n    }'
+_COEFFICIENT = '      {\n        "im": %s,\n        "re": %s\n      }'
 _PROBABILITY = "    %s"
 _WINNING = (
     "          {\n"
@@ -69,10 +73,13 @@ _DOCUMENT = """{
   "game": {
     "questions": %s
   },
-  "optimal_state": %s,
+  "optimal_state": {
+    "coefficients": %s,
+    "rho": %r
+  },
   "per_term_probs": %s,
   "quantum_bound": %r,
-  "schema_version": "1",
+  "schema_version": "2",
   "spec": {
     "outcomes": %r,
     "settings": %r
@@ -113,27 +120,27 @@ def _spellings(values: np.ndarray) -> list[str]:
 
 
 def certificate_json(report: AnalysisReport) -> str:
-    """The schema-"1" certificate of ``report``, sorted keys, fixed
+    """The schema-"2" certificate of ``report``, sorted keys, fixed
     indentation.
 
     Byte-identical to ``json.dumps(certificate, indent=2,
     sort_keys=True)`` of the certificate as a dict, which
     :func:`parse_certificate` gives back. Raises ValueError when a
-    float slot holds anything but a finite ``float`` (the optimal state
-    must be a complex and the per-term probabilities a float array,
-    and Q_s and the four statistics, where not None, floats), or when an
-    int slot (spec, terms, C_s, question settings, winning outcomes)
-    holds anything but an ``int``: ``repr`` spells ``nan``, ``inf``,
+    float slot holds anything but a finite ``float`` (the state's
+    coefficients must be a complex and the per-term probabilities a
+    float array, and Q_s and the four statistics, where not None,
+    floats), or when an int slot (spec, terms, C_s, rho, question
+    settings, winning outcomes) holds anything but an ``int``: ``repr`` spells ``nan``, ``inf``,
     ``True`` and numpy scalars differently from ``json``.
     """
     ineq, spec, game = report.inequality, report.spec, report.game
-    state, probs = ineq.optimal_state, ineq.per_term_probs
-    if state.dtype != complex or probs.dtype != float:
-        bad = state if state.dtype != complex else probs
+    coefficients, probs = ineq.coefficients, ineq.per_term_probs
+    if coefficients.dtype != complex or probs.dtype != float:
+        bad = coefficients if coefficients.dtype != complex else probs
         raise ValueError(f"certificate array of dtype {bad.dtype} is not a finite float array")
     scalars = [ineq.quantum_bound, report.classical_win, report.quantum_win]
     scalars += [x for x in (report.prediction_prob, report.mutual_info_bits) if x is not None]
-    values = np.concatenate((probs, state.ravel().view(float)))  # probs, then re, im, ...
+    values = np.concatenate((probs, coefficients.ravel().view(float)))  # probs, then re, im, ...
     # C-level passes; the comprehension only runs to name the first bad value
     if not (
         set(map(type, scalars)) <= {float}
@@ -145,7 +152,7 @@ def certificate_json(report: AnalysisReport) -> str:
         raise ValueError(f"certificate value {bad[0]!r} is not a finite float")
     # per term: alice setting, outcome, bob setting, outcome
     labels = list(chain.from_iterable(chain.from_iterable(ineq.terms)))
-    ints = [ineq.classical_bound, spec.outcomes, spec.settings, *labels]
+    ints = [ineq.classical_bound, ineq.rho, spec.outcomes, spec.settings, *labels]
     ints += chain.from_iterable(game.questions)
     ints += chain.from_iterable(chain.from_iterable(game.winning))
     if not set(map(type, ints)) <= {int}:
@@ -153,7 +160,7 @@ def certificate_json(report: AnalysisReport) -> str:
         raise ValueError(f"certificate value {bad[0]!r} is not an int")
     spelled = _spellings(values)
     n = len(probs)
-    # amplitudes are read (re, im) and written (im, re), their keys' sorted order
+    # coefficients are read (re, im) and written (im, re), their keys' sorted order
     parts = spelled[n:]
     parts[::2], parts[1::2] = spelled[n + 1 :: 2], spelled[n::2]
     # terms are read (alice setting, outcome, bob setting, outcome) and
@@ -174,7 +181,8 @@ def certificate_json(report: AnalysisReport) -> str:
     return _DOCUMENT % (
         ineq.classical_bound,
         _array(_QUESTION, questions, "    "),
-        _array(_AMPLITUDE, parts, "  "),
+        _array(_COEFFICIENT, parts, "    "),
+        ineq.rho,
         _array(_PROBABILITY, spelled[:n], "  "),
         ineq.quantum_bound,
         spec.outcomes,

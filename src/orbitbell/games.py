@@ -9,6 +9,25 @@ Winning probabilities, the full joint outcome distributions of the
 optimal state, the mutual information they carry, and Alice's
 prediction probability for Bob's outcome all follow from the
 inequality data.
+
+At M = 2 the joint grids are circulant. Setting s measures in the
+columns of U^s, and column x of the circulant U^s is u_s rolled by x,
+with u_s = U^s|0> the root table's first column. The state
+psi[X, Y] = c[(X - Y) mod d] exp(-2*pi*i*rho*Y/d) is an eigenvector of
+B^(2M) = T x T, so shifting both outcomes by one only multiplies an
+amplitude by exp(-2*pi*i*rho/d), and P(a_s = x, b_t = y) is
+delta_st[(x - y) mod d], with delta_st[x] = P(a_s = x, b_t = 0) the
+grid's column y = 0. Each grid is that one d-vector, and d delta_st is
+the distribution of a_s - b_t mod d. The column's amplitudes
+A(x, 0) = sum_XY conj(u_s[X - x]) conj(u_t[Y]) psi[X, Y] are a circular
+convolution of c with conj(u_t) exp(-2*pi*i*rho*Y/d), then a circular
+correlation with u_s: one ``np.fft`` product over the four setting
+pairs, with no d x d array. The marginals are uniform, so the mutual
+information is log2 d - H(d delta_st), and Alice's prediction, one
+offset per slot, hits with probability d delta_st[offset].
+:func:`joint_distribution` and :func:`mutual_information` are the
+dense forms, over whole d x d grids; ``verify`` checks the circulant
+statistics against them.
 """
 
 from __future__ import annotations
@@ -49,10 +68,12 @@ class AnalysisReport:
     """Bundled results for one instance.
 
     ``prediction_prob``, ``mutual_info_bits``, ``mutual_info_spread``
-    and ``joint_grids`` (the optimal state's outcome distribution per
-    setting pair (s, t)) are only defined for two settings per party
-    and are None otherwise; :func:`joint_distribution` gives any grid
-    directly.
+    and ``grid_columns`` are only defined for two settings per party
+    and are None otherwise. ``grid_columns[s, t]`` is column 0 of the
+    optimal state's circulant outcome grid at setting pair (s, t),
+    P(a_s = x, b_t = 0) for x = 0..d-1, which fixes the whole grid;
+    :attr:`joint_grids` forms the four d x d grids from it on each
+    access, and :func:`joint_distribution` gives any grid directly.
     """
 
     spec: ProblemSpec
@@ -63,7 +84,17 @@ class AnalysisReport:
     prediction_prob: float | None
     mutual_info_bits: float | None
     mutual_info_spread: float | None
-    joint_grids: dict[tuple[int, int], np.ndarray] | None
+    grid_columns: np.ndarray | None  # (2, 2, d)
+
+    @property
+    def joint_grids(self) -> dict[tuple[int, int], np.ndarray] | None:
+        """The optimal state's d x d outcome grid per setting pair (s, t),
+        grid[x, y] = grid_columns[s, t, (x - y) mod d], or None unless
+        M = 2."""
+        if self.grid_columns is None:
+            return None
+        grids = _circulant_grids(self.grid_columns)
+        return {(s, t): grids[s, t] for s in range(2) for t in range(2)}
 
     @property
     def quantum_bound(self) -> float:
@@ -161,7 +192,7 @@ def prediction_probability(ineq: BellInequality) -> float:
             "the prediction rule needs exactly 2 settings per party, "
             f"got {spec.settings}"
         )
-    return _two_setting_stats(ineq, _root_table(spec).u).prediction
+    return _two_setting_stats(ineq, _root_table(spec).firsts).prediction
 
 
 class _TwoSettingStats(NamedTuple):
@@ -170,41 +201,63 @@ class _TwoSettingStats(NamedTuple):
     prediction: float  # p, see prediction_probability
     info_bits: float  # mutual information of grid (0, 0)
     spread: float  # max minus min mutual information over the grids
-    grids: dict[tuple[int, int], np.ndarray]  # joint grid per setting pair (s, t)
+    columns: np.ndarray  # (2, 2, d): column 0 of the joint grid of (s, t)
 
 
-def _two_setting_stats(ineq: BellInequality, u: np.ndarray) -> _TwoSettingStats:
-    """The M = 2 statistics of the optimal state, from the root unitary
-    U of the root table; ``analyze`` reports them and ``verify`` checks
-    them. The assembly has checked the terms against the chained-Bell
+def _two_setting_stats(ineq: BellInequality, firsts: np.ndarray) -> _TwoSettingStats:
+    """The M = 2 statistics of the optimal state, from its coefficients
+    and rho and the root table's first columns ``firsts`` (rows u_0 and
+    u_1 are read); ``analyze`` reports them and ``verify`` checks them.
+    The assembly has checked the terms against the chained-Bell
     families.
 
-    Setting s measures in the columns of U^s, so the bases are the
-    stack (I, U). The four grids come from one broadcast product,
-    stacked [s, t], and their mutual information from one stacked
-    reduction. p gathers each grid's predicted entries,
-    grid[a, (a - delta) mod d], in (s, t) order and then a order, and
-    sums them left to right."""
-    bases = np.stack([np.eye(len(u), dtype=complex), u])
-    stack = joint_distribution(ineq.optimal_state, bases[:, None], bases[None, :])
-    infos = mutual_information(stack)
+    Each grid is its column delta_st (:func:`_grid_columns`), and
+    I_ab = log2 d - H(d delta_00), the spread the same over the four.
+    p is d/4 times the sum, in (s, t) order, of each grid's predicted
+    entry delta_st[delta mod d], with delta Alice's minus Bob's outcome
+    on the slot's first term. Raises ValueError for a NaN probability."""
+    d = ineq.spec.outcomes
+    columns = _grid_columns(ineq, firsts)
+    if np.isnan(columns).any():
+        raise ValueError("NaN outcome probability in an M = 2 joint grid")
+    offsets = d * columns  # the distributions of a_s - b_t mod d
+    # a zero probability's term is 0 * log2(1) = 0
+    infos = np.log2(d) + np.sum(offsets * np.log2(np.where(offsets > 0, offsets, 1.0)), axis=-1)
 
     # the four slots' first terms in the grids' (s, t) order, the order the sum adds in
-    firsts = sorted(ineq.terms[:4], key=lambda pair: (pair[0].setting, pair[1].setting))
-    s, t, delta = np.array(
-        [(a.setting, b.setting, a.outcome - b.outcome) for a, b in firsts]
-    ).T[:, :, None]
-    d = ineq.spec.outcomes
-    rows = np.arange(d)
-    total = sum(stack[s, t, rows, (rows - delta) % d].ravel().tolist())
-    grids = {(i, j): stack[i, j] for i in range(2) for j in range(2)}
+    slots = sorted(ineq.terms[:4], key=lambda pair: (pair[0].setting, pair[1].setting))
+    s, t, delta = np.array([(a.setting, b.setting, a.outcome - b.outcome) for a, b in slots]).T
+    total = sum(columns[s, t, delta % d].tolist())
     spread = float(infos.max() - infos.min())
-    return _TwoSettingStats(total / 4.0, float(infos[0, 0]), spread, grids)
+    return _TwoSettingStats(d * total / 4.0, float(infos[0, 0]), spread, columns)
+
+
+def _grid_columns(ineq: BellInequality, firsts: np.ndarray) -> np.ndarray:
+    """The (2, 2, d) columns delta_st[x] = P(a_s = x, b_t = 0) of the
+    optimal state's four M = 2 grids, stacked [s, t], from its
+    coefficients and rho and the first columns u_0, u_1 in rows 0 and
+    1 of ``firsts``: the amplitudes of all four from one ``np.fft``
+    product (see the module docstring), with no d x d array."""
+    d = ineq.spec.outcomes
+    ramp = np.arange(d)
+    # fft(u_s) for the correlation with Alice's basis, and fft of
+    # conj(u_t) exp(-2 pi i rho Y / d) for the convolution with Bob's
+    alice = np.fft.fft(firsts[:2]).conj()
+    bob = np.fft.fft(firsts[:2].conj() * np.exp(-2j * np.pi * ineq.rho * ramp / d))
+    amplitudes = np.fft.ifft(np.fft.fft(ineq.coefficients) * alice[:, None] * bob[None, :])
+    return np.abs(amplitudes) ** 2
+
+
+def _circulant_grids(columns: np.ndarray) -> np.ndarray:
+    """The (..., d, d) grids of the (..., d) columns of circulant grids,
+    grid[x, y] = column[(x - y) mod d]."""
+    ramp = np.arange(columns.shape[-1])
+    return columns[..., (ramp[:, None] - ramp) % len(ramp)]
 
 
 def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance, from one root table: the
-    inequality's, whose U also gives the M = 2 statistics.
+    inequality's, whose first columns also give the M = 2 statistics.
 
     Raises InstanceTooLarge first for exactly the instances ``verify``'s
     size rule refuses (see :func:`~orbitbell.bounds.build_inequality`)."""
@@ -212,5 +265,5 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     ineq, table, *_ = _inequality(spec)
     game = game_spec(ineq.terms)
     quantum_win, classical_win = winning_probabilities(ineq, game)
-    stats = _two_setting_stats(ineq, table.u) if spec.settings == 2 else (None,) * 4
+    stats = _two_setting_stats(ineq, table.firsts) if spec.settings == 2 else (None,) * 4
     return AnalysisReport(spec, ineq, game, quantum_win, classical_win, *stats)

@@ -105,21 +105,21 @@ def _sizes(
 # holds several dense matrices per cell (the step operator B, the
 # dense product (U x 1) S with its two factors, and the projector sum
 # A with eigvalsh's workspace), so the peak passes the ceiling below
-# d = 64. An in-process verify --outcomes-max D --settings-max 1 peaks
-# at 69-74 MiB ru_maxrss at D = 24 (0.5-1.4 s), 148 MiB at D = 32
-# (3.1-3.5 s), 247 MiB at D = 36 (5.5-7.1 s), 260 MiB at D = 38
-# (8.6 s) and 336 MiB at D = 40 (12.7 s) (Python 3.11, numpy 2.4,
-# 2-vCPU Xeon, Linux). The numpy arrays alive at once peak at 34, 108
-# and 174 MiB under tracemalloc at D = 24, 32 and 36; ru_maxrss adds
-# the interpreter, LAPACK's workspace and whatever freed memory the
-# allocator keeps resident.
+# d = 64. The stable measure of that peak is tracemalloc's, the numpy
+# arrays alive at once: an in-process verify --outcomes-max D
+# --settings-max 1 peaks there at 26.8, 82.6 and 131.6 MiB at D = 24,
+# 32 and 36. Its ru_maxrss (62, 128 and 187 MiB there; 336 MiB at
+# D = 40) adds the interpreter, LAPACK's workspace and whatever freed
+# memory the allocator keeps resident, and moves by tens of MiB with
+# changes that alter no array alive at the peak (Python 3.11, numpy
+# 2.4, 2-vCPU Xeon, Linux).
 # The rule's 24 n^2 term counts no array: the Gram route takes its DFT
 # with np.fft in O(n) memory, and the term is only a limit on n.
-# analyze builds none of the counted arrays, no (n, d^2) one and no
-# (n, d) one: an in-process analyze --format json peaks at 37.6 MiB
-# ru_maxrss at (d, M) = (2, 835), 36.0 MiB at (16, 98) and 35.6 MiB at
-# (64, 10), mostly the interpreter and numpy (median of nine fresh
-# processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
+# analyze builds none of the counted arrays, no (n, d^2) one, no (n, d)
+# one and no d^2-long state: an in-process analyze --format json peaks
+# at 35.0 MiB ru_maxrss at (d, M) = (2, 835), 34.0 MiB at (16, 98) and
+# 32.0 MiB at (64, 10), mostly the interpreter and numpy (median of
+# five fresh processes; Python 3.11, numpy 2.4, 2-vCPU Xeon, Linux).
 # bounds.classical_bound keeps what its elimination holds under it
 # too, for any caller.
 MEMORY_CEILING = 256 * 2**20

@@ -20,8 +20,8 @@ d^2 identity depend on d alone: they are built once per outcome count,
 and the unitarity of T and S and T^d = 1 are checked there, their
 residuals recorded at each cell of the row. Q_s is checked against its
 proved closed form M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1,
-to a relative 1e-12, and the reported state, built from d Fourier
-coefficients on the pairing, against the definition of the projector
+to a relative 1e-12, and the reported state, expanded from its d
+Fourier coefficients on the pairing, against the definition of the projector
 onto B's eigenvalue mu = exp(2*pi*i*rho/n):
 P_mu|00> = (1/n) sum_j mu^(-j) v_j over the orbit states
 v_j = B^j|00>, normalized, with the proved rho = 1 - d mod 2 (0 at
@@ -29,11 +29,16 @@ M = 1), with no phase fitted. The per-term probabilities, which
 ``analyze`` reports as |psi_00|^2, and |conj(V) psi|^2 from the dense
 states V must both equal Q_s/n. At M = 2 it checks ``analyze``'s
 statistics: the mutual information does not depend on the setting
-pair, and p = Q_s / 4. A NaN residual fails its line, a NaN grid
-entry, which the mutual information refuses, fails the information
-line, and a NaN in the projector sum, which ``eigvalsh``'s Hermitian
+pair, p = Q_s / 4, and the circulant grids, each one d-long column,
+and their I_ab against the dense grids of the d^2 amplitudes in the
+bases (I, U) and their mutual information, to 1e-12. A NaN residual
+fails its line, a NaN in a circulant column, which the statistics
+refuse, fails the information line, a NaN in a dense grid, which the
+mutual information refuses, the circulant line, and a NaN in the
+projector sum, which ``eigvalsh``'s Hermitian
 test refuses, fails the agreement line. Each dense matrix is released
-once its checks are read, so that at most a few d^2 x d^2 arrays are
+once its checks are read, and a row's T, S and identity before the
+next row's are built, so that at most a few d^2 x d^2 arrays are
 alive at a time.
 """
 
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _ROUTE_TOL, _inequality, classical_bound
-from .games import _two_setting_stats
+from .games import _circulant_grids, _two_setting_stats, joint_distribution, mutual_information
 from .linalg import (
     _step_product,
     accumulate_A,
@@ -138,8 +143,8 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
 
     Each cell assembles its instance once, as ``analyze`` does, and
     every check reads it: the inequality, the orbit and the root table,
-    whose U also gives the dense step operator and the M = 2
-    statistics.
+    whose U also gives the dense step operator and the dense M = 2
+    grids, and whose first columns give the circulant statistics.
 
     The two bounds are checked by :class:`ProblemSpec`'s rules before
     any work: a non-integer or ``bool`` bound raises TypeError, and
@@ -183,19 +188,24 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
         "prediction": CheckResult(
             "prediction probability equals the quantum win probability (M=2)", 1e-9
         ),
+        "circulant": CheckResult("circulant M = 2 statistics equal the dense grids'", 1e-12),
     }
     summary: list[str] = []
 
     for d in range(2, outcomes_max + 1):
         # the shift, the swap and the d^2 identity depend on d alone, and
         # so do T's and S's unitarity and T^d = 1; a failure to build
-        # them fails the construction line of each cell
+        # them fails the construction line of each cell; the last row's
+        # matrices are released first, so that the two rows' are never
+        # alive at once
+        row = None
         try:
             t, s, eye = translation_matrix(d), swap_matrix(d), np.eye(d * d, dtype=complex)
             small_eye = eye[:d, :d]  # I_d, the d^2 identity's first block
-            shift_unitarity = _largest(
-                [_largest(t.conj().T @ t - small_eye), _largest(s.conj().T @ s - eye)]
-            )
+            s_gram = s.conj().T @ s
+            s_gram -= eye
+            shift_unitarity = _largest([_largest(t.conj().T @ t - small_eye), _largest(s_gram)])
+            del s_gram
             shift_period = _largest(np.linalg.matrix_power(t, d) - small_eye)
             row: tuple | Exception = (t, s, eye, shift_unitarity, shift_period)
         except Exception as exc:  # noqa: BLE001 - reported per cell, not swallowed
@@ -223,15 +233,15 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             orbit_vecs = _states(factors[1:], factors[:-1])
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
-            unitarity = [
-                shift_unitarity,
-                _largest(u.conj().T @ u - eye[:d, :d]),
-                _largest(b.conj().T @ b - eye),
-            ]
+            dense_b -= b
+            checks["product"].record(_largest(dense_b), cell)
+            del dense_b  # before B^H B, so that the two are never alive at once
+            b_gram = b.conj().T @ b
+            b_gram -= eye
+            unitarity = [shift_unitarity, _largest(u.conj().T @ u - eye[:d, :d]), _largest(b_gram)]
+            del b_gram
             checks["unitary"].record(_largest(unitarity), cell)
             checks["root"].record(_largest(np.linalg.matrix_power(u, m) - t), cell)
-            checks["product"].record(_largest(b - dense_b), cell)
-            del dense_b
             checks["period"].record(_period_residual(shift_period, u, b), cell)
 
             # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
@@ -239,6 +249,10 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             stepped[:, :-1] -= orbit_vecs[1:].T
             stepped[:, -1] -= orbit_vecs[0]
             checks["stepping"].record(_largest(stepped), cell)
+            b_state = b @ state
+            rayleigh = np.vdot(state, b_state)
+            checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
+            del b  # before A, the last d^2 x d^2 matrix of the cell
 
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
@@ -253,9 +267,6 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             closed = _closed_form(d, m)
             checks["closed"].record(abs(analytic - closed) / closed, cell)
 
-            b_state = b @ state
-            rayleigh = np.vdot(state, b_state)
-            checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
             rho = 0 if m == 1 or d % 2 else 1
             projection = np.exp(-2j * np.pi * rho * np.arange(length) / length) @ orbit_vecs
             # no phase fitted; times the inverse norm, which a NaN state passes quietly
@@ -277,11 +288,25 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
 
             if m == 2:  # the quantum win is Q_s over the 2M = 4 questions
                 try:
-                    stats = _two_setting_stats(ineq, u)
-                except ValueError as exc:  # a NaN or negative entry in a grid
+                    stats = _two_setting_stats(ineq, instance.table.firsts)
+                except ValueError as exc:  # a NaN in a grid
                     checks["information"].fail(cell, str(exc))
-                else:
-                    checks["information"].record(stats.spread, cell)
-                    checks["prediction"].record(abs(stats.prediction - analytic / 4), cell)
+                    continue
+                checks["information"].record(stats.spread, cell)
+                checks["prediction"].record(abs(stats.prediction - analytic / 4), cell)
+                # the four dense grids in the bases (I, U), and their
+                # mutual information, against the circulant columns
+                bases = np.stack([eye[:d, :d], u])
+                grids = joint_distribution(state, bases[:, None], bases[None, :])
+                try:
+                    infos = mutual_information(grids)
+                except ValueError as exc:  # a NaN or negative entry in a grid
+                    checks["circulant"].fail(cell, str(exc))
+                    continue
+                circulant = [
+                    _largest(grids - _circulant_grids(stats.columns)),
+                    abs(float(infos[0, 0]) - stats.info_bits),
+                ]
+                checks["circulant"].record(_largest(circulant), cell)
 
     return VerificationReport(list(checks.values()), summary)

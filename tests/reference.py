@@ -8,9 +8,12 @@ the root table's first columns; the shift's Fourier rows; B's
 closed-form eigensystem one block at a time, from the root table's
 integer root indices, the reference for the paper's 2-D block
 structure of B, which the tests check against the dense step
-operator; the loop forms of two whole-array routes: the classical
-bound as a scan of every Alice map with its hit tables filled one term
-at a time, and the M = 2 statistics one grid at a time; the factor
+operator; the optimal state's d^2 amplitudes as the root-index route
+built them before the state was held as d coefficients, the reference
+for ``bounds._expand_state``; the loop forms of two whole-array
+routes: the classical bound as a scan of every Alice map with its hit
+tables filled one term at a time, and the M = 2 statistics one dense
+grid at a time; the factor
 forms of the orbit's first Gram row and per-term probabilities, from
 the whole (n, d) factor arrays; the three chained-Bell families listed
 as a set of label pairs; and the certificate as a dict of JSON values,
@@ -129,6 +132,21 @@ def eigensystem_by_pair(spec, table):
     return roots, vectors
 
 
+def analytic_state_by_amplitude(spec, table):
+    """The optimal state's d^2 amplitudes x[X, Y] = f[(X - Y) mod d]
+    exp(-2*pi*i*rho*Y/d), f = ifft(1 + exp(2*pi*i*(r_a - rho)/n)),
+    gathered into a d x d array and then normalized as a d^2 vector:
+    the reference for the expansion of the d normalized coefficients
+    c = f / (sqrt(d) ||f||) in ``bounds._expand_state``."""
+    d, order = spec.outcomes, spec.orbit_length
+    rho = 0 if spec.settings == 1 or d % 2 else 1
+    angles = 2 * np.pi * (np.array(table.indices) - rho) / order
+    f = np.fft.ifft(1 + np.exp(1j * angles))
+    ramp = np.arange(d)
+    x = (f[(ramp[:, None] - ramp) % d] * np.exp(-2j * np.pi * rho * ramp / d)).ravel()
+    return x / np.linalg.norm(x)
+
+
 def classical_bound_by_term(spec, terms):
     """The classical bound as a scan of the d^M totals of every Alice
     map, each Bob setting's hit table filled one term at a time, by one
@@ -186,10 +204,12 @@ def grid_mutual_information(joint):
 
 
 def two_setting_stats_by_grid(ineq, bases):
-    """``games._two_setting_stats`` one grid at a time: four grid
-    products, four mutual informations, and p summed one entry at a
-    time in (s, t) order, then a order. Returns (p, I_ab, spread,
-    grids) in the order of ``_TwoSettingStats``."""
+    """The M = 2 statistics from the dense d x d grids, one grid at a
+    time: four grid products of the d^2 amplitudes, four mutual
+    informations from each grid's own marginals, and p summed one entry
+    at a time in (s, t) order, then a order: the reference for the
+    circulant columns of ``games._two_setting_stats``. Returns (p, I_ab,
+    spread, grids), grids a dict by setting pair (s, t)."""
     grids = {
         (s, t): joint_grid(ineq.optimal_state, bases[s], bases[t])
         for s in range(2)
@@ -241,14 +261,14 @@ def condition_label_pairs(spec):
 
 
 def certificate_dict(report):
-    """The schema-"1" certificate of ``report`` as a dict of JSON
-    values, one dict per term, amplitude and winning pair: the document
-    whose ``json.dumps(..., indent=2, sort_keys=True)`` the package's
-    ``certificate_json`` must equal byte for byte."""
+    """The schema-"2" certificate of ``report`` as a dict of JSON
+    values, one dict per term, coefficient and winning pair: the
+    document whose ``json.dumps(..., indent=2, sort_keys=True)`` the
+    package's ``certificate_json`` must equal byte for byte."""
     ineq = report.inequality
-    state = ineq.optimal_state
+    coefficients = ineq.coefficients
     return {
-        "schema_version": "1",
+        "schema_version": "2",
         "spec": {
             "outcomes": report.spec.outcomes,
             "settings": report.spec.settings,
@@ -264,10 +284,13 @@ def certificate_dict(report):
         ],
         "classical_bound": int(ineq.classical_bound),
         "quantum_bound": float(ineq.quantum_bound),
-        "optimal_state": [
-            {"re": re, "im": im}
-            for re, im in zip(state.real.tolist(), state.imag.tolist())
-        ],
+        "optimal_state": {
+            "coefficients": [
+                {"re": re, "im": im}
+                for re, im in zip(coefficients.real.tolist(), coefficients.imag.tolist())
+            ],
+            "rho": ineq.rho,
+        },
         "per_term_probs": ineq.per_term_probs.tolist(),
         "game": {
             "questions": [

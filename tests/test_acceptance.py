@@ -157,6 +157,6 @@ def test_criterion_8_json_determinism():
         failures.append("analyze run failed")
     if first.stdout != second.stdout:
         failures.append("repeated runs differ byte for byte")
-    if not failures and json.loads(first.stdout)["schema_version"] != "1":
+    if not failures and json.loads(first.stdout)["schema_version"] != "2":
         failures.append("unexpected schema version")
     criterion(8, "repeated JSON analyze runs are byte-identical", failures)

@@ -34,12 +34,14 @@ from orbitbell.bounds import (
     _chained_bell_bound,
     _chained_bell_terms,
     _check_size,
+    _expand_state,
     _inequality,
     quantum_bound_gram,
 )
 from orbitbell.linalg import accumulate_A, step_operator
 from orbitbell.orbit import _gather, _root_table
 from reference import (
+    analytic_state_by_amplitude,
     condition_label_pairs,
     eigensystem_by_pair,
     fourier_rows,
@@ -609,3 +611,24 @@ def test_first_columns_give_the_factor_forms_of_gram_row_and_probabilities(d):
         assert np.max(np.abs(ineq.per_term_probs - probs)) <= 1e-14
         assert ineq.per_term_probs.shape == (spec.orbit_length,)
         assert (ineq.per_term_probs == abs(ineq.optimal_state[0]) ** 2).all()
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_state_expanded_from_its_coefficients_equals_the_amplitude_build(d):
+    # every d <= 64 with M in {1, 2, 3, 4, 6, 10}: the d^2 amplitudes
+    # c[(X - Y) mod d] exp(-2 pi i rho Y / d) of the reported coefficients,
+    # against gathering f into the d x d array and normalizing that, the
+    # route the coefficients replaced; and |psi_00|^2 = |c_0|^2, every
+    # per-term probability, against its entry 0
+    for m in (1, 2, 3, 4, 6, 10):
+        spec = ProblemSpec(d, m)
+        instance = _inequality(spec)
+        ineq = instance.inequality
+        reference = analytic_state_by_amplitude(spec, instance.table)
+        assert ineq.coefficients.shape == (d,)
+        assert ineq.rho == (0 if m == 1 or d % 2 else 1)
+        state = _expand_state(ineq.coefficients, ineq.rho)
+        assert (ineq.optimal_state == state).all()
+        assert np.max(np.abs(state - reference)) <= 1e-15
+        assert np.max(np.abs(ineq.per_term_probs - abs(reference[0]) ** 2)) <= 1e-15
+        assert (ineq.per_term_probs == abs(ineq.coefficients[0]) ** 2).all()

@@ -4,10 +4,13 @@ Everything rests on one root table per instance (the exact root
 indices of U's eigenvalues, and the first columns u_0..u_M of the powers
 of U, from exact index powers and checked through U, whose u_1 gives
 U): ``analyze`` builds it once at every M and hands it to the orbit's
-Gram row, to both quantum routes and, at M = 2, U to the one statistics
-function, which forms the four joint grids in one broadcast
-``joint_distribution`` call and reads the mutual information and the
-prediction probability from them, and which runs at no other M. No
+Gram row, to both quantum routes and, at M = 2, its first columns to
+the one statistics function, which reads each of the four joint grids
+as one d-long column of a circulant grid, and the mutual information
+and the prediction probability from those, and which runs at no other
+M. ``analyze`` holds the optimal state as its d coefficients and never
+forms its d^2 amplitudes, the four d x d grids or the dense grid and
+information routes, also when it writes the certificate. No
 public view of the table (``root_unitary``, ``orbit``) runs on that
 path. ``analyze`` reads the orbit's terms once and gathers entry 0 of
 its factors once, with no (n, d) factor array and no orbit state; it
@@ -36,7 +39,7 @@ from pathlib import Path
 import pytest
 
 import orbitbell.linalg
-from orbitbell import ProblemSpec, analyze, run_verification
+from orbitbell import ProblemSpec, analyze, certificate_json, run_verification
 
 # every dense d^2 x d^2 route: the linalg module's public functions and
 # the dense product B is checked against
@@ -111,7 +114,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert states[0] == 0
     assert roots[0] == public_orbits[0] == 0
     assert stats[0] == (1 if m == 2 else 0)
-    assert grids[0] == (1 if m == 2 else 0)
+    assert grids[0] == 0
     assert gram[0] == analytic[0] == 1
     assert {name: calls[0] for name, calls in dense.items()} == dict.fromkeys(DENSE_ROUTES, 0)
     assert eliminations[0] == 0
@@ -126,6 +129,29 @@ def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
     assert report.joint_grids is None
     assert stats[0] == grids[0] == 0
     assert tables[0] == 1
+
+
+@pytest.mark.parametrize("d,m", [(2, 2), (10, 2), (64, 2), (5, 4), (64, 10), (2, 835)])
+def test_analyze_forms_no_d2_state_and_no_grid_stack(monkeypatch, d, m):
+    # the state stays d coefficients and each M = 2 grid one d-long
+    # column, through the report and its certificate
+    expansions = count_calls(monkeypatch, "orbitbell.bounds", "_expand_state")
+    stacks = count_calls(monkeypatch, "orbitbell.games", "_circulant_grids")
+    grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
+    infos = count_calls(monkeypatch, "orbitbell.games", "mutual_information")
+    report = analyze(ProblemSpec(d, m))
+    certificate_json(report)
+    assert expansions[0] == stacks[0] == grids[0] == infos[0] == 0
+    ineq = report.inequality
+    assert ineq.coefficients.shape == (d,)
+    assert ineq.per_term_probs.shape == (2 * m * d,)
+    if m == 2:
+        assert report.grid_columns.shape == (2, 2, d)
+    else:
+        assert report.grid_columns is None
+    # forming them on request is the only way to them
+    assert report.inequality.optimal_state.shape == (d * d,)
+    assert expansions[0] == 1
 
 
 def test_verify_builds_each_cell_once(monkeypatch):

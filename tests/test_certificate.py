@@ -1,6 +1,6 @@
 """The certificate writer against the JSON encoder it replaced.
 
-``certificate_json`` writes the schema-"1" document of a report from
+``certificate_json`` writes the schema-"2" document of a report from
 fixed templates. ``json.dumps(certificate_dict(report), indent=2,
 sort_keys=True)`` is kept here as the reference, with
 ``certificate_dict`` the certificate as a dict (``tests/reference.py``):
@@ -60,14 +60,15 @@ def real_report(d, m):
 
 
 def with_floats(report, quantum_bound=None, state=None, probs=None, **stats):
-    """Copy of ``report`` with the given float fields replaced; the
-    statistics by their ``AnalysisReport`` names."""
+    """Copy of ``report`` with the given float fields replaced, ``state``
+    the optimal state's coefficients; the statistics by their
+    ``AnalysisReport`` names."""
     ineq = report.inequality
     changes = {}
     if quantum_bound is not None:
         changes["quantum_bound"] = quantum_bound
     if state is not None:
-        changes["optimal_state"] = state
+        changes["coefficients"] = state
     if probs is not None:
         changes["per_term_probs"] = probs
     return dataclasses.replace(
@@ -84,11 +85,11 @@ def test_writer_matches_json_dumps(cell):
 
 
 def refilled(report, values):
-    """Copy of ``report`` with every float of its float fields, the
-    state's real and imaginary parts included, replaced by the next of
-    ``values``, in certificate order."""
+    """Copy of ``report`` with every float of its float fields, the real
+    and imaginary parts of the state's coefficients included, replaced
+    by the next of ``values``, in certificate order."""
     ineq = report.inequality
-    state = ineq.optimal_state.copy()
+    state = ineq.coefficients.copy()
     probs = np.array([next(values) for _ in ineq.per_term_probs])
     state.real = [next(values) for _ in state]
     state.imag = [next(values) for _ in state]
@@ -120,7 +121,7 @@ def test_writer_matches_json_dumps_for_any_finite_floats(cell, floats):
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_writer_rejects_a_non_finite_value_in_each_float_field(field, value):
-    # one value among finite ones: the last amplitude part or probability
+    # one value among finite ones: the last coefficient part or probability
     report = real_report(3, 2)
     if field in SCALARS:
         changed = with_floats(report, **{field: value})
@@ -129,7 +130,7 @@ def test_writer_rejects_a_non_finite_value_in_each_float_field(field, value):
         probs[-1] = value
         changed = with_floats(report, probs=probs)
     else:
-        state = report.inequality.optimal_state.copy()
+        state = report.inequality.coefficients.copy()
         getattr(state, field.split(".")[1])[-1] = value
         changed = with_floats(report, state=state)
     expected = re.escape(f"certificate value {value!r} is not a finite float")
@@ -156,7 +157,7 @@ def with_slot(report, slot, value):
     if slot == "per_term_probs":
         return with_floats(report, probs=filled(ineq.per_term_probs, value))
     if slot == "optimal_state":
-        return with_floats(report, state=filled(ineq.optimal_state, value))
+        return with_floats(report, state=filled(ineq.coefficients, value))
     if slot == "stats":
         return with_floats(report, **dict.fromkeys(SCALARS[1:], value))
     if slot == "spec":
@@ -236,13 +237,13 @@ def test_signed_zeros_keep_their_spellings():
     # writer that spells each distinct float once must not let one
     # zero's spelling stand for the other
     report = real_report(3, 2)
-    state = report.inequality.optimal_state.copy()
+    state = report.inequality.coefficients.copy()
     probs = report.inequality.per_term_probs.copy()
     state[:2] = [complex(0.0, -0.0), complex(-0.0, 0.0)]
     probs[:4] = [-0.0, 0.0, 0.0, -0.0]
     changed = with_floats(report, state=state, probs=probs)
     text = certificate_json(changed)
     assert text == reference_json(changed)
-    assert '"im": -0.0,\n      "re": 0.0' in text
-    assert '"im": 0.0,\n      "re": -0.0' in text
+    assert '"im": -0.0,\n        "re": 0.0' in text
+    assert '"im": 0.0,\n        "re": -0.0' in text
     assert '"per_term_probs": [\n    -0.0,\n    0.0,\n    0.0,\n    -0.0,' in text

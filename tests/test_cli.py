@@ -35,7 +35,7 @@ def test_analyze_json_qubit():
     proc = run_cli("analyze", "--outcomes", "2", "--settings", "2", "--format", "json")
     assert proc.returncode == 0
     cert = json.loads(proc.stdout)
-    assert cert["schema_version"] == "1"
+    assert cert["schema_version"] == "2"
     assert cert["spec"] == {"outcomes": 2, "settings": 2}
     assert cert["classical_bound"] == 3
     assert cert["quantum_bound"] == pytest.approx(2 + np.sqrt(2), abs=1e-9)
@@ -45,7 +45,10 @@ def test_analyze_json_qubit():
         p == pytest.approx((2 + np.sqrt(2)) / 8, abs=1e-9)
         for p in cert["per_term_probs"]
     )
-    norm = sum(z["re"] ** 2 + z["im"] ** 2 for z in cert["optimal_state"])
+    # each of the d = 2 coefficients fills d of the d^2 amplitudes
+    state = cert["optimal_state"]
+    assert state["rho"] == 1
+    norm = 2 * sum(z["re"] ** 2 + z["im"] ** 2 for z in state["coefficients"])
     assert norm == pytest.approx(1.0, abs=1e-9)
     stats = cert["stats"]
     assert stats["quantum_win"] == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-9)
@@ -350,6 +353,7 @@ def test_verify_check_lines_are_pinned():
         "classical bound equals the chained-Bell value 2M-1",
         "mutual information independent of the setting pair (M=2)",
         "prediction probability equals the quantum win probability (M=2)",
+        "circulant M = 2 statistics equal the dense grids'",
     ]
 
 
@@ -378,6 +382,7 @@ def test_certificate_top_level_keys():
         "stats",
     }
     assert set(cert["stats"]) == {"quantum_win", "classical_win", "p", "I_ab"}
+    assert set(cert["optimal_state"]) == {"coefficients", "rho"}
 
 
 def test_corrupted_swap_fails_verification(monkeypatch):
@@ -439,17 +444,42 @@ def test_phase_perturbed_step_operator_fails_the_period_check(monkeypatch, capsy
 
 
 def test_transposed_joint_grids_fail_the_prediction_check(monkeypatch, capsys):
-    # grids with the parties' roles exchanged within each grid keep its
-    # mutual information but move p off the quantum win probability at every
-    # M = 2 cell with d >= 3: only the prediction line may fail
+    # circulant grids with the parties' roles exchanged within each grid,
+    # column x read at -x mod d, keep its mutual information but move p
+    # off the quantum win probability at every M = 2 cell with d >= 3,
+    # and there the grids off the dense ones: only those two lines may fail
     games_module = importlib.import_module("orbitbell.games")
-    real_joint = games_module.joint_distribution
+    real_columns = games_module._grid_columns
     monkeypatch.setattr(
         games_module,
-        "joint_distribution",
-        lambda *args: real_joint(*args).swapaxes(-1, -2),
+        "_grid_columns",
+        lambda *args: np.roll(real_columns(*args)[..., ::-1], 1, axis=-1),
     )
-    name = "prediction probability equals the quantum win probability (M=2)"
+    names = [
+        "prediction probability equals the quantum win probability (M=2)",
+        "circulant M = 2 statistics equal the dense grids'",
+    ]
+    report = run_verification(4, 2)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == names
+    for check in failed:
+        assert [note.split(":")[0] for note in check.notes] == ["d=3 M=2", "d=4 M=2"]
+    rc = cli_main(["verify", "--outcomes-max", "4", "--settings-max", "2"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert all(f"FAIL  {name} (" in out for name in names)
+
+
+def test_transposed_dense_grids_fail_only_the_circulant_line(monkeypatch, capsys):
+    # the dense grids transposed, the circulant statistics untouched: the
+    # reported p and I_ab stay right, and only the line that compares
+    # the two routes' grids may fail, at every M = 2 cell with d >= 3
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_joint = verify_module.joint_distribution
+    monkeypatch.setattr(
+        verify_module, "joint_distribution", lambda *args: real_joint(*args).swapaxes(-1, -2)
+    )
+    name = "circulant M = 2 statistics equal the dense grids'"
     report = run_verification(4, 2)
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == [name]
@@ -482,13 +512,14 @@ def test_wrong_enumerated_witness_fails_the_chained_bell_check(monkeypatch, caps
 
 def test_wrong_reported_state_fails_verification(monkeypatch):
     # verify checks the state the assembly reports, not a copy of its own:
-    # a rolled optimal state is no B eigenvector and skews the term weights
+    # rolled coefficients give (T x 1) psi, no B eigenvector, and skew
+    # the term weights
     bounds_module = importlib.import_module("orbitbell.bounds")
     real_bound = bounds_module._analytic_bound
 
     def rolled_state(spec, table):
-        value, state = real_bound(spec, table)
-        return value, np.roll(state, 1)
+        value, coefficients, rho = real_bound(spec, table)
+        return value, np.roll(coefficients, 1), rho
 
     monkeypatch.setattr(bounds_module, "_analytic_bound", rolled_state)
     report = run_verification(3, 2)
@@ -498,25 +529,26 @@ def test_wrong_reported_state_fails_verification(monkeypatch):
 
 
 def test_state_off_the_orbit_fails_the_uniform_line_with_uniform_reports(monkeypatch):
-    # the reported per-term probabilities are |psi_00|^2 by construction,
-    # so the line reads |<v_j|psi>|^2 from verify's dense states too: a
-    # state whose other entries are rolled keeps psi_00, its norm and
-    # the reported values, and still fails it
+    # the reported per-term probabilities are |psi_00|^2 = |c_0|^2 by
+    # construction, so the line reads |<v_j|psi>|^2 from verify's dense
+    # states too: a state whose other coefficients are rolled and negated
+    # keeps psi_00, its norm and the reported values, and still fails it
+    # (rolling moves the moduli at M = 1, negating the phases at d = 2)
     verify_module = importlib.import_module("orbitbell.verify")
     real_inequality = verify_module._inequality
 
-    def rolled_tail(spec):
+    def moved_tail(spec):
         instance = real_inequality(spec)
-        state = instance.inequality.optimal_state.copy()
-        state[1:] = np.roll(state[1:], 1)
-        ineq = dataclasses.replace(instance.inequality, optimal_state=state)
+        coefficients = instance.inequality.coefficients.copy()
+        coefficients[1:] = -np.roll(coefficients[1:], 1)
+        ineq = dataclasses.replace(instance.inequality, coefficients=coefficients)
         return instance._replace(inequality=ineq)
 
-    monkeypatch.setattr(verify_module, "_inequality", rolled_tail)
+    monkeypatch.setattr(verify_module, "_inequality", moved_tail)
     checks = {c.name: c for c in run_verification(3, 2).checks}
     name = "per-term probabilities equal Q_s/(2*M*d)"
-    # at (2, 1) the state is (1, 1, 1, 1)/2 up to rounding, which rolling
-    # leaves in place
+    # at (2, 1) the state is (1, 1, 1, 1)/2 up to rounding, and every
+    # term's probability is one |psi_XY|^2, which a sign leaves in place
     assert not checks[name].passed
     assert [note.split(":")[0] for note in checks[name].notes] == [
         "d=2 M=2", "d=3 M=1", "d=3 M=2"
@@ -536,9 +568,9 @@ def test_state_of_the_flipped_group_fails_the_projection_line(monkeypatch):
         rho = 1 - (0 if spec.settings == 1 or d % 2 else 1)
         vectors = np.array([e.vector for e in orbit(spec)])
         state = np.exp(-2j * np.pi * rho * np.arange(n) / n) @ vectors
-        ineq = dataclasses.replace(
-            instance.inequality, optimal_state=state / np.linalg.norm(state)
-        )
+        # its coefficients are its column Y = 0, where the phase is 1
+        coefficients = (state / np.linalg.norm(state)).reshape(d, d)[:, 0]
+        ineq = dataclasses.replace(instance.inequality, coefficients=coefficients, rho=rho)
         return instance._replace(inequality=ineq)
 
     monkeypatch.setattr(verify_module, "_inequality", flipped)
@@ -559,8 +591,8 @@ def test_bound_off_its_closed_form_fails_only_the_closed_form_line(monkeypatch, 
     real_bound = bounds_module._analytic_bound
 
     def raised(spec, table):
-        value, state = real_bound(spec, table)
-        return value + 1e-10, state
+        value, *state = real_bound(spec, table)
+        return value + 1e-10, *state
 
     monkeypatch.setattr(bounds_module, "_analytic_bound", raised)
     name = "quantum bound equals the closed form"

@@ -6,7 +6,8 @@ NaN injected at each checked quantity must fail its check: the root
 table's snap and its column check through U, the Gram route's
 imaginary drift and its agreement with the root-index route, the
 root-of-unity snap, the Hermitian test of the dense route, the joint
-grid of the mutual information, and each ``verify`` line, which prints
+grid of the mutual information, the circulant M = 2 statistics, and
+each ``verify`` line, which prints
 it as ``nan``, also when it is one of several residuals the line takes
 the largest of, or one it floors at zero. The command line turns the
 result into exit 4, with one ``error:`` line, also for a ValueError
@@ -17,8 +18,9 @@ agreement fails and ``analyze`` exits 4; bumped by 1, it makes a
 block's root-index sum odd, which the closed-form eigensystem of
 ``reference.eigensystem_by_pair`` refuses. A NaN in the root unitary
 fails ``verify``'s unitarity line, and at M = 2 its mutual-information
-line, whose grids it reaches; a swap matrix that cannot be built fails
-the construction line of every cell of its outcome count.
+line, whose circulant statistics read the same first column; a swap
+matrix that cannot be built fails the construction line of every cell
+of its outcome count.
 """
 
 import dataclasses
@@ -112,8 +114,8 @@ def test_nan_in_one_generator_fails_the_unitarity_line(monkeypatch):
 def test_nan_in_the_root_unitary_fails_the_unitarity_line(monkeypatch):
     # U reaches the line as the circulant of the assembly's table's u_1,
     # so a NaN in u_1 after the assembly's own checks is a NaN in U; at
-    # M = 2 it reaches the joint grids too, whose mutual information
-    # refuses it, and that fails the information line
+    # M = 2 it reaches the circulant statistics too, which read u_1 and
+    # refuse the NaN, and that fails the information line
     verify_module = importlib.import_module("orbitbell.verify")
     real_inequality = verify_module._inequality
 
@@ -130,7 +132,7 @@ def test_nan_in_the_root_unitary_fails_the_unitarity_line(monkeypatch):
     assert checks[name].notes == ["d=2 M=1: residual nan", "d=2 M=2: residual nan"]
     information = checks["mutual information independent of the setting pair (M=2)"]
     assert not information.passed
-    assert information.notes == ["d=2 M=2: negative probability entry nan in joint grid"]
+    assert information.notes == ["d=2 M=2: NaN outcome probability in an M = 2 joint grid"]
 
 
 def test_unbuilt_swap_fails_the_construction_line_of_its_row(monkeypatch):
@@ -217,7 +219,7 @@ def test_nan_analytic_value_exits_4(monkeypatch, capsys, fmt):
     bounds_module = importlib.import_module("orbitbell.bounds")
     real_bound = bounds_module._analytic_bound
     monkeypatch.setattr(
-        bounds_module, "_analytic_bound", lambda spec, table: (NAN, real_bound(spec, table)[1])
+        bounds_module, "_analytic_bound", lambda spec, table: (NAN, *real_bound(spec, table)[1:])
     )
     argv = ["analyze", "--outcomes", "3", "--settings", "2", "--format", fmt]
     assert_exit_4(capsys, argv, "analytic nan")

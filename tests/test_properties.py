@@ -42,11 +42,16 @@ with both outcomes one up on every orbit with d <= 12 and M <= 8, and
 the coset slots equal the grouping by (alice setting, bob setting,
 outcomes equal) in order of first appearance that they replaced, there
 and at analyze's edge cells. The M = 2 prediction read off each slot's
-first term equals the per-term lookup it replaced, bit for bit, at every
-d <= 64. The M = 2 statistics, four grids from one broadcast product
-and their mutual information from one stacked reduction, equal the
-per-grid loop they replaced: the grids to 1e-15, I_ab and its spread to
-1e-14 and p bit for bit, at d <= 32 and at (64, 2). ``verify``'s period
+first term reads, in every circulant grid, the entry the per-term
+lookup it replaced hits for each Alice outcome, and p is d/4 times
+their sum, bit for bit, at every d <= 64. The circulant M = 2
+statistics, each grid one d-long column from one ``np.fft`` product,
+equal the dense per-grid loop to 1e-12 (the grids, I_ab, its spread
+and p) at every d <= 40; the dense routes ``verify`` checks them with,
+four grids from one broadcast ``joint_distribution`` and their mutual
+information from one stacked reduction, equal that loop, the grids to
+1e-15 and I_ab and its spread to 1e-14, at d <= 32 and at (64, 2).
+``verify``'s period
 line, read off B B = U x U and T^d = 1, gives the verdict of the
 2Md-th matrix power it replaced on every cell with d <= 8, M <= 6, for
 B and for B with its phase moved.
@@ -67,6 +72,8 @@ from orbitbell import (
     build_inequality,
     classical_bound,
     game_spec,
+    joint_distribution,
+    mutual_information,
     orbit,
     quantum_bound_analytic,
     quantum_bound_numeric,
@@ -77,7 +84,7 @@ from orbitbell.bounds import (
     _inequality,
     quantum_bound_gram,
 )
-from orbitbell.games import _two_setting_stats
+from orbitbell.games import _circulant_grids, _two_setting_stats
 from orbitbell.linalg import accumulate_A, step_operator, translation_matrix
 from orbitbell.orbit import _eigenphases, _gather, _root_table, _terms
 from orbitbell.verify import _largest, _period_residual
@@ -126,6 +133,9 @@ TWO_SETTING_CELLS = [(d, 2) for d in range(2, 65)]
 
 # every two-setting (d, M) with d <= 32, and analyze's largest at d = 64
 STATS_CELLS = [(d, 2) for d in range(2, 33)] + [(64, 2)]
+
+# every two-setting (d, M) with d <= 40
+CIRCULANT_CELLS = [(d, 2) for d in range(2, 41)]
 
 # every (d, M) with d <= 8, M <= 6
 PERIOD_CELLS = [(d, m) for d in range(2, 9) for m in range(1, 7)]
@@ -233,19 +243,20 @@ def per_map_loop(spec, terms):
     return best, best_strategy
 
 
-def per_term_prediction(ineq, grids):
+def per_term_predicted_entries(ineq, grids):
     """Reference: Bob's outcome looked up per term by (alice setting,
-    alice outcome, bob setting), averaged over the grids in their order."""
+    alice outcome, bob setting), and the grid entry it hits for each
+    Alice outcome, per setting pair in the (2, 2, d, d) stack's order."""
     predicted = {}
     for alice, bob in ineq.terms:
         key = (alice.setting, alice.outcome, bob.setting)
         assert key not in predicted, f"ambiguous prediction for {key}"
         predicted[key] = bob.outcome
-    total = 0.0
-    for (s, t), grid in grids.items():
-        for a in range(ineq.spec.outcomes):
-            total += float(grid[a, predicted[(s, a, t)]])
-    return total / 4.0
+    return {
+        (s, t): [float(grids[s, t, a, predicted[(s, a, t)]]) for a in range(ineq.spec.outcomes)]
+        for s in range(2)
+        for t in range(2)
+    }
 
 
 def dense_recurrence(spec):
@@ -459,26 +470,56 @@ def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
 @given(st.sampled_from(TWO_SETTING_CELLS))
 @every_cell(TWO_SETTING_CELLS)
 def test_slot_prediction_is_the_per_term_lookup_bit_for_bit(cell):
+    # in each circulant grid every Alice outcome's looked-up entry is the
+    # one the slot's offset reads, and p is d/4 times their sum in
+    # (s, t) order
+    d = cell[0]
     instance = _inequality(ProblemSpec(*cell))
-    stats = _two_setting_stats(instance.inequality, instance.table.u)
-    assert stats.prediction == per_term_prediction(instance.inequality, stats.grids)
+    stats = _two_setting_stats(instance.inequality, instance.table.firsts)
+    picked = per_term_predicted_entries(instance.inequality, _circulant_grids(stats.columns))
+    assert all(len(set(entries)) == 1 for entries in picked.values())
+    assert stats.prediction == d * sum(entries[0] for entries in picked.values()) / 4.0
 
 
 @EVERY_CELL_SETTINGS
 @given(st.sampled_from(STATS_CELLS))
 @every_cell(STATS_CELLS)
 def test_broadcast_statistics_match_the_per_grid_loop(cell):
+    # the dense routes verify checks the circulant statistics with: the
+    # four grids from one broadcast joint_distribution and their mutual
+    # information from one stacked reduction
     instance = _inequality(ProblemSpec(*cell))
-    stats = _two_setting_stats(instance.inequality, instance.table.u)
+    u = instance.table.u
+    bases = np.stack([np.eye(len(u), dtype=complex), u])
+    stack = joint_distribution(instance.inequality.optimal_state, bases[:, None], bases[None, :])
+    infos = mutual_information(stack)
+    _, info, spread, grids = two_setting_stats_by_grid(
+        instance.inequality, measurement_bases(u, 2)
+    )
+    for (s, t), grid in grids.items():
+        assert np.max(np.abs(stack[s, t] - grid)) <= 1e-15
+    assert abs(infos[0, 0] - info) <= 1e-14
+    assert abs(infos.max() - infos.min() - spread) <= 1e-14
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(CIRCULANT_CELLS))
+@every_cell(CIRCULANT_CELLS)
+def test_circulant_statistics_match_the_dense_grids(cell):
+    # each M = 2 grid is one d-long column of a circulant grid: the
+    # columns against the dense d x d grids of the d^2 amplitudes, and
+    # the statistics read off them against those of the dense grids
+    instance = _inequality(ProblemSpec(*cell))
+    stats = _two_setting_stats(instance.inequality, instance.table.firsts)
     p, info, spread, grids = two_setting_stats_by_grid(
         instance.inequality, measurement_bases(instance.table.u, 2)
     )
-    assert list(stats.grids) == list(grids)
-    for key, grid in grids.items():
-        assert np.max(np.abs(stats.grids[key] - grid)) <= 1e-15
-    assert abs(stats.info_bits - info) <= 1e-14
-    assert abs(stats.spread - spread) <= 1e-14
-    assert stats.prediction == p
+    circulant = _circulant_grids(stats.columns)
+    for (s, t), grid in grids.items():
+        assert np.max(np.abs(circulant[s, t] - grid)) <= 1e-12
+    assert abs(stats.info_bits - info) <= 1e-12
+    assert abs(stats.spread - spread) <= 1e-12
+    assert abs(stats.prediction - p) <= 1e-12
 
 
 @EVERY_CELL_SETTINGS
