@@ -93,7 +93,8 @@ deterministic local strategies. Two routes compute it:
   the hot path. The orbit's terms form a chained-Bell cycle of 2M
   setting pairs (Braunstein-Caves 1990; Barrett-Kent-Pironio 2006), so
   C_s = 2M - 1 with the all-zero strategy as witness. It checks the
-  term set and counts the witness's hits, O(2*M*d) work;
+  term set and counts the witness's hits on the rows of the orbit's
+  (n, 4) label array, O(2*M*d) work;
 * max-plus elimination (:func:`classical_bound`): the maximum over
   Alice's maps, with Bob's best reply, by eliminating Alice's settings
   one at a time, exact at every cell in O(M d^3) on the orbit. It
@@ -116,13 +117,15 @@ from .orbit import (
     InstanceTooLarge,
     MeasLabel,
     ProblemSpec,
+    _as_labels,
     _check_size,
+    _factor_indices,
     _gather,
+    _labels,
     _root_table,
     _RootTable,
-    _terms,
     # bound here as orbitbell.bounds.orbit, which the benchmark's tracer
-    # tests read; the hot path reads the orbit through _terms and _gather
+    # tests read; the hot path reads the orbit through _labels and _gather
     orbit,  # noqa: F401
 )
 
@@ -155,18 +158,31 @@ class DeterministicStrategy:
 class BellInequality:
     """Everything derived for one instance: terms, bounds, maximizer.
 
-    The maximizer is held as its d coefficients and the index rho of
-    its eigenvalue group (see :func:`_expand_state`);
-    :attr:`optimal_state` forms its d^2 amplitudes on each access."""
+    The terms are held as one (n, 4) int64 array, :attr:`labels`, term
+    j's row (Alice's setting, Alice's outcome, Bob's setting, Bob's
+    outcome) in orbit order, read-only; :attr:`terms` forms them as
+    ``MeasLabel`` pairs on each access. The maximizer is held as its d coefficients
+    and the index rho of its eigenvalue group (see
+    :func:`_expand_state`); :attr:`optimal_state` forms its d^2
+    amplitudes on each access."""
 
     spec: ProblemSpec
-    terms: tuple[tuple[MeasLabel, MeasLabel], ...]
+    labels: np.ndarray  # (n, 4) int64, see orbit._labels
     classical_bound: int
     quantum_bound: float
     coefficients: np.ndarray  # (d,) complex, c_k = psi[k, 0]
     rho: int
     per_term_probs: np.ndarray
     witness: DeterministicStrategy
+
+    @property
+    def terms(self) -> tuple[tuple[MeasLabel, MeasLabel], ...]:
+        """The orbit's (alice, bob) label pairs in orbit order, formed
+        from :attr:`labels` on each access."""
+        return tuple(
+            (MeasLabel(a_s, a_o), MeasLabel(b_s, b_o))
+            for a_s, a_o, b_s, b_o in self.labels.tolist()
+        )
 
     @property
     def optimal_state(self) -> np.ndarray:
@@ -255,49 +271,39 @@ def quantum_bound_gram(g: np.ndarray) -> float:
     return float(spectrum.real.max())
 
 
-def _best_reply(
-    alice_map: tuple[int, ...], terms: Sequence[tuple[MeasLabel, MeasLabel]], d: int, m: int
-) -> tuple[int, tuple[int, ...]]:
-    """Bob's best reply to a fixed Alice map and the terms it satisfies.
-
-    Per Bob setting, the outcome that hits the most terms; ties go to
-    the smallest outcome.
-    """
-    hits = [[0] * d for _ in range(m)]
-    for a, b in terms:
-        if alice_map[a.setting] == a.outcome:
-            hits[b.setting][b.outcome] += 1
-    bob_map = tuple(max(range(d), key=row.__getitem__) for row in hits)  # first max
-    return sum(row[pick] for row, pick in zip(hits, bob_map)), bob_map
-
-
 def classical_bound(
-    spec: ProblemSpec, terms: Iterable[tuple[MeasLabel, MeasLabel]]
+    spec: ProblemSpec, terms: Iterable[tuple[MeasLabel, MeasLabel]] | np.ndarray
 ) -> tuple[int, DeterministicStrategy]:
     """Exact maximum over deterministic strategies of the Bell expression
-    whose terms are the label pairs ``terms`` (such as
-    ``BellInequality.terms``), any iterable of them, read once.
+    whose terms are the label pairs ``terms``: an (n, 4) int64 label
+    array such as ``BellInequality.labels``, read as it is, or any
+    iterable of (alice, bob) label pairs, such as
+    ``BellInequality.terms``, read once and converted to that array
+    (``orbit._as_labels``).
 
     Max-plus elimination over Alice's settings. For a fixed Alice map
     the terms split by Bob's setting, so Bob's best reply is a
     per-setting argmax, and Bob's best score at setting t depends only
     on Alice's outcomes at the settings S_t that share a term with t
-    (on the orbit, t and t+1 mod M). Each Bob setting's hit table,
-    indexed by Bob's outcome and Alice's outcomes on S_t, is one
-    ``np.bincount`` of the flat codes b * d + a of the terms at (s, t)
-    per s in S_t, broadcast along the other settings of S_t; its max
-    over Bob's outcome is a factor over S_t, filed in the bucket of the
-    highest setting of S_t. Settings a_(M-1) down to a_0 are then
-    eliminated: a bucket's factors are summed into one table over the
-    union of their scopes, whose argmax over a_k is kept and whose max
-    over a_k is filed in the bucket of the next-highest setting of that
-    union. Decoding from a_0 up, each a_k is the kept argmax at the
-    settings already chosen, the smallest a_k that attains the max, so
-    the Alice map is the lexicographically smallest optimal one; a
-    setting in no term is 0. Bob's reply is :func:`_best_reply`'s.
-    Ties are broken toward the lexicographically smallest
-    (alice_map, bob_map) table, identical to what the naive double scan
-    over all d^(2M) strategy pairs would return.
+    (on the orbit, t and t+1 mod M). One sort of an integer code per
+    term groups the terms by setting pair (t, s), and each Bob
+    setting's hit table, indexed by Bob's outcome and Alice's outcomes
+    on S_t, is one ``np.bincount`` of the flat codes b * d + a of the
+    group at (s, t) per s in S_t, broadcast along the other settings of
+    S_t; its max over Bob's outcome is a factor over S_t, filed in the
+    bucket of the highest setting of S_t. Settings a_(M-1) down to a_0
+    are then eliminated: a bucket's factors are summed into one table
+    over the union of their scopes, whose argmax over a_k is kept and
+    whose max over a_k is filed in the bucket of the next-highest
+    setting of that union. Decoding from a_0 up, each a_k is the kept
+    argmax at the settings already chosen, the smallest a_k that
+    attains the max, so the Alice map is the lexicographically smallest
+    optimal one; a setting in no term is 0. Bob's reply is one
+    ``np.bincount`` of the terms Alice's map meets: per setting, the
+    outcome that hits the most of them, the smallest on a tie. Ties are
+    broken toward the lexicographically smallest (alice_map, bob_map)
+    table, identical to what the naive double scan over all d^(2M)
+    strategy pairs would return.
 
     Exact int64 work. On the orbit's cycle each hit table and each
     bucket's table has d^3 entries (d^2 and d at M = 1), so O(M d^3)
@@ -308,14 +314,19 @@ def classical_bound(
     Raises InstanceTooLarge before allocating when what the route holds
     would exceed MEMORY_CEILING, counted in plain int arithmetic at 8
     bytes a slot and never decreased: Bob's hit rows, the two maps and
-    1 KiB of Python and numpy objects per setting, 32 bytes per term,
-    numpy's ufunc buffers, every factor, message and kept argmax, and
-    the table being summed, twice, for the partial sum or bincount
-    beside it (at M = 1 on the orbit, two d x d tables: every
-    d >= 4093 is refused; at ``ProblemSpec(2, 10**9)`` the per-setting
-    count alone is). Raises
-    ValueError for a term with a setting outside 0..M-1 or an outcome
-    outside 0..d-1, which would be filed under another label.
+    1 KiB of Python and numpy objects per setting, 32 bytes per term
+    for the route's per-term arrays (a list of pairs adds its label
+    array, converted before the count, beside the caller's pairs),
+    numpy's ufunc buffers, every
+    factor, message and kept argmax, and the table being summed, twice,
+    for the partial sum or bincount beside it (at M = 1 on the orbit,
+    two d x d tables: every d >= 4093 is refused; at
+    ``ProblemSpec(2, 10**9)`` the per-setting count alone is). Raises
+    ValueError, before any table is built, for a term with a label
+    that is not a 64-bit integer (a ``bool`` or a float, say; see
+    ``orbit._as_labels``), and for a term with a setting outside
+    0..M-1 or an outcome outside 0..d-1, which would be filed under
+    another label.
     """
     d, m = spec.outcomes, spec.settings
     held = 0  # bytes held so far, never decreased
@@ -330,36 +341,51 @@ def classical_bound(
                 f"MiB, over the memory ceiling of {MEMORY_CEILING // 2**20} MiB"
             )
 
-    terms = tuple(terms)  # read twice: the hit tables, then Bob's best reply
+    labels = _as_labels(terms)
     # Bob's hit rows and the two maps, each setting's Python and numpy
-    # objects, each term's slot and flat code, and 128 KiB for numpy's
-    # ufunc buffers
-    hold(m * (d + 128) + 4 * len(terms) + 2**14)
-    # each term's flat code b.outcome * d + a.outcome, grouped by Bob's
-    # setting, then by Alice's
-    codes: dict[int, dict[int, list[int]]] = {}
-    for a, b in terms:
-        if not (
-            0 <= a.setting < m and 0 <= b.setting < m and 0 <= a.outcome < d and 0 <= b.outcome < d
-        ):
-            raise ValueError(
-                f"term {(a, b)} has a setting outside 0..{m - 1} or an outcome "
-                f"outside 0..{d - 1}"
-            )
-        by_alice = codes.setdefault(b.setting, {})
-        by_alice.setdefault(a.setting, []).append(b.outcome * d + a.outcome)
+    # objects, 32 bytes a term, and 128 KiB for numpy's ufunc buffers.
+    # The per-term arrays peak at 25 bytes a term: 24 while the groups
+    # are cut (the sorted code, the setting pair and the flat code, of
+    # which the tables keep the flat code), then 25 in Bob's reply, once
+    # the rest are released (the mask, the met terms' Bob labels and
+    # their codes)
+    hold(m * (d + 128) + 4 * len(labels) + 2**14)
+    # one sort groups the terms by Bob's setting, then by Alice's: code
+    # (b_setting * M + a_setting) * d^2 + b * d + a, cut where the
+    # setting pair changes into each pair's flat codes b * d + a; the
+    # code refuses a label out of its range, a negative one too
+    try:
+        pairs, flat = np.divmod(
+            np.sort(
+                np.ravel_multi_index(
+                    (labels[:, 2], labels[:, 0], labels[:, 3], labels[:, 1]), (m, m, d, d)
+                )
+            ),
+            d * d,
+        )
+    except ValueError:
+        first = labels[(labels.view(np.uint64) >= (m, d, m, d)).any(axis=1).argmax()]
+        raise ValueError(
+            f"term {tuple(map(MeasLabel._make, first.reshape(2, 2).tolist()))} has a setting "
+            f"outside 0..{m - 1} or an outcome outside 0..{d - 1}"
+        ) from None
+    # a group starts at 0 and wherever the pair changes; with no terms there are none
+    starts = [0, *(np.flatnonzero(pairs[1:] != pairs[:-1]) + 1).tolist()][: len(pairs)]
+    groups: dict[int, dict[int, np.ndarray]] = {}
+    for lo, hi, pair in zip(starts, [*starts[1:], len(pairs)], pairs[starts].tolist()):
+        groups.setdefault(pair // m, {})[pair % m] = flat[lo:hi]
 
     # the (scope, table) pairs to sum at each setting, scopes ascending
     buckets: dict[int, list[tuple[list[int], np.ndarray]]] = {}
-    for by_alice in codes.values():
-        linked = sorted(by_alice)
+    for t in groups:  # by key, so that no name outlives groups with its slices
+        linked = sorted(groups[t])
         # the (Bob outcome, Alice outcome) counts of each linked setting,
         # broadcast along the other linked settings' axes and summed
         hold(d ** len(linked), 2 * d ** (1 + len(linked)))
         hits = reduce(
             np.add,
             (
-                np.bincount(by_alice[s], minlength=d * d).reshape(
+                np.bincount(groups[t][s], minlength=d * d).reshape(
                     [d] + [d if x == s else 1 for x in linked]
                 )
                 for s in linked
@@ -371,7 +397,7 @@ def classical_bound(
     # every linked setting gets a bucket by its turn: a message carries
     # the union's other settings to the highest of them
     kept = []
-    for k in sorted({s for by_alice in codes.values() for s in by_alice}, reverse=True):
+    for k in sorted({s for by_alice in groups.values() for s in by_alice}, reverse=True):
         bucket = buckets.pop(k)
         scope = sorted(set().union(*(s for s, _ in bucket)))
         hold(2 * d ** (len(scope) - 1), 2 * d ** len(scope))
@@ -381,39 +407,48 @@ def classical_bound(
             buckets.setdefault(scope[-2], []).append((scope[:-1], table.max(axis=-1)))
         del table
 
+    del groups, pairs, flat  # no per-term array of the route outlives the tables
     alice_map = [0] * m
     for scope, choice in reversed(kept):  # a_0 up
         alice_map[scope[-1]] = int(choice[tuple(alice_map[s] for s in scope[:-1])])
-    value, bob_map = _best_reply(tuple(alice_map), terms, d, m)
-    return value, DeterministicStrategy(tuple(alice_map), bob_map)
+    # Bob's reply: per setting, the outcome that hits the most of the
+    # terms Alice's map meets, the smallest on a tie, counted by each
+    # met term's code b_setting * d + b
+    hits = np.bincount(
+        labels[np.array(alice_map)[labels[:, 0]] == labels[:, 1], 2:] @ (d, 1), minlength=m * d
+    ).reshape(m, d)
+    return int(hits.max(axis=1).sum()), DeterministicStrategy(
+        tuple(alice_map), tuple(hits.argmax(axis=1).tolist())
+    )
 
 
-def _chained_bell_terms(
-    terms: Sequence[tuple[MeasLabel, MeasLabel]], d: int, m: int
-) -> bool:
-    """Whether every term is in one of the three chained-Bell families:
-    Bob's label in range, and either equal outcomes with Alice at Bob's
-    setting or one ahead of it, short of M, or the wrap-around
-    (0, (k+1) mod d | M-1, k). One pass, one predicate per term."""
-    return all(
+def _chained_bell_terms(rows: Iterable[Sequence[int]], d: int, m: int) -> list[bool]:
+    """Which label rows ``rows`` (the rows of an (n, 4) label array as
+    Python ints) are in one of the three chained-Bell families, a bool
+    per term: Bob's label in range, and either equal outcomes with Alice
+    at Bob's setting or one ahead of it, short of M, or the wrap-around
+    (0, (k+1) mod d | M-1, k), which puts Alice's label in range too.
+    One pass, one predicate per term."""
+    return [
         0 <= bs < m
         and 0 <= bo < d
         and (
             (ao == bo and (a_s == bs or a_s == bs + 1 < m))
             or (a_s == 0 and bs == m - 1 and ao == (bo + 1) % d)
         )
-        for (a_s, ao), (bs, bo) in terms
-    )
+        for a_s, ao, bs, bo in rows
+    ]
 
 
 def _chained_bell_bound(
-    spec: ProblemSpec, terms: Sequence[tuple[MeasLabel, MeasLabel]]
+    spec: ProblemSpec, labels: np.ndarray
 ) -> tuple[int, DeterministicStrategy]:
     """Classical bound of the orbit's terms: 2M - 1, with the all-zero
     strategy as witness, in O(2*M*d) work.
 
-    The terms must be 2Md distinct label pairs of the three chained-Bell
-    families (:func:`_chained_bell_terms`), which hold 2Md pairs in
+    The terms, the rows of the (n, 4) label array ``labels``, must be
+    2Md distinct label pairs of the three chained-Bell families
+    (:func:`_chained_bell_terms`), which hold 2Md pairs in
     all, so they are each family pair once. Then, with a_s and b_s the
     outcomes a deterministic strategy gives at setting s:
 
@@ -432,16 +467,18 @@ def _chained_bell_bound(
 
     The term set and the witness's hit count, the terms with both
     outcomes 0, are checked, not assumed; either failing raises
-    RuntimeError.
+    RuntimeError. Each check is one pass over the rows as Python ints:
+    at the tens of terms of most cells that costs less than the fixed
+    numpy calls of a vectorized test.
     """
-    d, m = spec.outcomes, spec.settings
-    n = spec.orbit_length
-    if not (_chained_bell_terms(terms, d, m) and len(terms) == len(set(terms)) == n):
+    d, m, n = spec.outcomes, spec.settings, spec.orbit_length
+    rows = list(zip(*labels.T.tolist()))  # one tuple per term
+    if not (len(rows) == n and all(_chained_bell_terms(rows, d, m)) and len(set(rows)) == n):
         raise RuntimeError(
-            f"chained-Bell route: the {len(terms)} orbit terms are not the "
+            f"chained-Bell route: the {len(labels)} orbit terms are not the "
             f"{n} label pairs of the three chained-Bell families"
         )
-    hits = sum(1 for (_, ao), (_, bo) in terms if ao == bo == 0)
+    hits = sum(1 for _, ao, _, bo in rows if ao == bo == 0)
     if hits != 2 * m - 1:
         raise RuntimeError(
             f"chained-Bell route: the all-zero strategy meets {hits} terms, "
@@ -496,8 +533,9 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     largest cell before its first.
     """
     table = _root_table(spec)
-    terms = _terms(spec)
-    c0 = _gather(spec, table, np.zeros(1, dtype=int))[:, 0]  # c_(k_i)[0], i = 0..n
+    index = _factor_indices(spec)
+    labels = _labels(spec, index)
+    c0 = _gather(spec, table, np.zeros(1, dtype=int), index)[:, 0]  # c_(k_i)[0], i = 0..n
     gram = quantum_bound_gram(c0[1:] * c0[:-1])  # g_j = a_j[0] b_j[0]
     analytic, coefficients, rho = _analytic_bound(spec, table)
     if not abs(gram - analytic) <= _ROUTE_TOL:
@@ -505,12 +543,12 @@ def _inequality(spec: ProblemSpec) -> _Instance:
             f"quantum bound routes disagree: Gram spectrum {gram!r} vs "
             f"analytic {analytic!r}"
         )
-    c_value, witness = _chained_bell_bound(spec, terms)
+    c_value, witness = _chained_bell_bound(spec, labels)
     # |<v_j|psi>|^2 = |psi_00|^2 = |c_0|^2
     probs = np.full(spec.orbit_length, abs(coefficients[0]) ** 2)
     inequality = BellInequality(
         spec=spec,
-        terms=terms,
+        labels=labels,
         classical_bound=c_value,
         quantum_bound=analytic,
         coefficients=coefficients,

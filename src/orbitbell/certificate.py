@@ -18,9 +18,11 @@ probability, question, winning pair) and one for the outer document,
 with keys in sorted order, are filled from the report's parts, each
 array of rows by one ``%`` over its fields in one flat list, and
 numbers are spelled by ``repr`` (the spelling ``json`` uses for ints
-and finite floats). The terms' labels are read as one flat list and
-the coefficients and probabilities as one float array. The rows' floats
-repeat (every per-term probability is the same value), so each
+and finite floats). The terms' rows are the report's (n, 4) int64 label
+array, its columns reordered to the keys' sorted order and read by one
+``.tolist()``, and the coefficients and probabilities are read as one
+float array. The rows' floats repeat (every per-term probability is
+the same value), so each
 distinct one is spelled once and the spelling reused, looked up by
 its bit pattern, which keeps 0.0 and -0.0 apart although they compare
 equal; likewise each distinct winning set of the game's questions is
@@ -129,15 +131,19 @@ def certificate_json(report: AnalysisReport) -> str:
     float slot holds anything but a finite ``float`` (the state's
     coefficients must be a complex and the per-term probabilities a
     float array, and Q_s and the four statistics, where not None,
-    floats), or when an int slot (spec, terms, C_s, rho, question
-    settings, winning outcomes) holds anything but an ``int``: ``repr`` spells ``nan``, ``inf``,
-    ``True`` and numpy scalars differently from ``json``.
+    floats), or when an int slot (spec, C_s, rho, question settings,
+    winning outcomes) holds anything but an ``int``, or the label array
+    is not of an integer dtype (whose ``.tolist()`` gives ints): ``repr``
+    spells ``nan``, ``inf``, ``True`` and numpy scalars differently from
+    ``json``.
     """
     ineq, spec, game = report.inequality, report.spec, report.game
-    coefficients, probs = ineq.coefficients, ineq.per_term_probs
+    coefficients, probs, labels = ineq.coefficients, ineq.per_term_probs, ineq.labels
     if coefficients.dtype != complex or probs.dtype != float:
         bad = coefficients if coefficients.dtype != complex else probs
         raise ValueError(f"certificate array of dtype {bad.dtype} is not a finite float array")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"certificate label array of dtype {labels.dtype} is not an int array")
     scalars = [ineq.quantum_bound, report.classical_win, report.quantum_win]
     scalars += [x for x in (report.prediction_prob, report.mutual_info_bits) if x is not None]
     values = np.concatenate((probs, coefficients.ravel().view(float)))  # probs, then re, im, ...
@@ -150,11 +156,14 @@ def certificate_json(report: AnalysisReport) -> str:
         floats = scalars + values.tolist()
         bad = [x for x in floats if type(x) is not float or not math.isfinite(x)]
         raise ValueError(f"certificate value {bad[0]!r} is not a finite float")
-    # per term: alice setting, outcome, bob setting, outcome
-    labels = list(chain.from_iterable(chain.from_iterable(ineq.terms)))
-    ints = [ineq.classical_bound, ineq.rho, spec.outcomes, spec.settings, *labels]
-    ints += chain.from_iterable(game.questions)
-    ints += chain.from_iterable(chain.from_iterable(game.winning))
+    ints = [
+        ineq.classical_bound,
+        ineq.rho,
+        spec.outcomes,
+        spec.settings,
+        *chain.from_iterable(game.questions),
+        *chain.from_iterable(chain.from_iterable(game.winning)),
+    ]
     if not set(map(type, ints)) <= {int}:
         bad = [x for x in ints if type(x) is not int]
         raise ValueError(f"certificate value {bad[0]!r} is not an int")
@@ -163,10 +172,6 @@ def certificate_json(report: AnalysisReport) -> str:
     # coefficients are read (re, im) and written (im, re), their keys' sorted order
     parts = spelled[n:]
     parts[::2], parts[1::2] = spelled[n + 1 :: 2], spelled[n::2]
-    # terms are read (alice setting, outcome, bob setting, outcome) and
-    # written (alice outcome, setting, bob outcome, setting)
-    terms = labels[:]
-    terms[::2], terms[1::2] = labels[1::2], labels[::2]
     # the slots share few winning sets (two on the orbit): each distinct
     # one is rendered once; all plain ints by now, so equal means same spelling
     arrays = {
@@ -191,7 +196,9 @@ def certificate_json(report: AnalysisReport) -> str:
         report.classical_win,
         _optional(report.prediction_prob),
         report.quantum_win,
-        _array(_TERM, terms, "  "),
+        # terms are held (alice setting, outcome, bob setting, outcome)
+        # and written (alice outcome, setting, bob outcome, setting)
+        _array(_TERM, labels[:, (1, 0, 3, 2)].ravel().tolist(), "  "),
     )
 
 

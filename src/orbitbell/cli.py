@@ -118,10 +118,10 @@ def render_text_report(report: AnalysisReport) -> str:
             f"  mutual information = {_fmt(report.mutual_info_bits)} bits",
         ]
     lines += ["", "terms (alice setting,outcome | bob setting,outcome | probability)"]
-    for (a, b), prob in zip(ineq.terms, ineq.per_term_probs):
-        lines.append(
-            f"  ({a.setting},{a.outcome} | {b.setting},{b.outcome})  {_fmt(prob)}"
-        )
+    lines += [
+        f"  ({a_s},{a_o} | {b_s},{b_o})  {_fmt(prob)}"
+        for (a_s, a_o, b_s, b_o), prob in zip(ineq.labels.tolist(), ineq.per_term_probs)
+    ]
     lines += [
         "",
         "classical witness",

@@ -3,7 +3,8 @@
 B^(2M) = T x T shifts both outcomes by one, so the game's 2M question
 slots are the cosets of <T x T> along the orbit: slot q holds terms
 q, q + 2M, ... (M equal-settings questions, M-1 stepped ones, one
-wrap-around). The referee draws a slot uniformly and the players win
+wrap-around), read off the orbit's (n, 4) label array by striding
+its columns. The referee draws a slot uniformly and the players win
 when their outcome pair sits in that slot's winning set.
 Winning probabilities, the full joint outcome distributions of the
 optimal state, the mutual information they carry, and Alice's
@@ -32,13 +33,14 @@ statistics against them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import BellInequality, _inequality
-from .orbit import MeasLabel, ProblemSpec, _check_size, _root_table
+from .orbit import MeasLabel, ProblemSpec, _as_labels, _check_size, _root_table
 
 __all__ = [
     "GameSpec",
@@ -105,30 +107,34 @@ class AnalysisReport:
         return self.inequality.classical_bound
 
 
-def game_spec(terms: Sequence[tuple[MeasLabel, MeasLabel]]) -> GameSpec:
+def game_spec(terms: Iterable[tuple[MeasLabel, MeasLabel]] | np.ndarray) -> GameSpec:
     """The 2M question slots of the orbit terms (alice, bob label pairs
-    in orbit order, as in ``BellInequality.terms``).
+    in orbit order, as in ``BellInequality.terms``, or their (n, 4)
+    label array, ``BellInequality.labels``; any iterable of pairs, read
+    once).
 
     B^(2M) = T x T shifts both outcomes by one, so slot q is the coset
     of terms q, q + 2M, ...: its question is the setting pair of term q
-    and its winning set the outcome pairs of the coset. 2M is read off
-    the last term, a wrap-around one, with Bob at his last setting M-1.
-    Raises ValueError unless there are a positive multiple of 2M terms,
-    as on every orbit, so that each slot has a question and a winning
-    set.
+    and its winning set the outcome pairs of the coset, every 2M-th of
+    the pairs read off the labels' two outcome columns. 2M is read off
+    the last term, a wrap-around one, with Bob at his last setting
+    M-1. Raises ValueError for a label that is not an integer (see
+    ``orbit._as_labels``), and unless 2M is positive and there are a
+    positive multiple of 2M terms, as on every orbit, so that each slot
+    has a question and a winning set.
     """
-    period = 2 * (terms[-1][1].setting + 1) if terms else 0
-    if not period or len(terms) % period:
+    labels = _as_labels(terms)
+    period = 2 * (int(labels[-1, 2]) + 1) if len(labels) else 0
+    if period <= 0 or len(labels) % period:
         raise ValueError(
-            f"expected a positive multiple of 2M terms, got {len(terms)}"
-            + (f", with 2M = {period} read off the last term" if terms else "")
+            f"expected a positive multiple of 2M terms, got {len(labels)}"
+            + (f", with 2M = {period} read off the last term" if len(labels) else "")
         )
-    questions = tuple((alice.setting, bob.setting) for alice, bob in terms[:period])
-    winning = tuple(
-        frozenset((alice.outcome, bob.outcome) for alice, bob in terms[q::period])
-        for q in range(period)
+    outcomes = list(zip(*labels[:, 1::2].T.tolist()))  # (alice, bob) per term
+    return GameSpec(
+        tuple(zip(*labels[:period, ::2].T.tolist())),
+        tuple(frozenset(outcomes[q::period]) for q in range(period)),
     )
-    return GameSpec(questions, winning)
 
 
 def winning_probabilities(ineq: BellInequality, game: GameSpec) -> tuple[float, float]:
@@ -209,7 +215,8 @@ def _two_setting_stats(ineq: BellInequality, firsts: np.ndarray) -> _TwoSettingS
     and rho and the root table's first columns ``firsts`` (rows u_0 and
     u_1 are read); ``analyze`` reports them and ``verify`` checks them.
     The assembly has checked the terms against the chained-Bell
-    families.
+    families; the four slots' first terms are the first four rows of
+    its label array.
 
     Each grid is its column delta_st (:func:`_grid_columns`), and
     I_ab = log2 d - H(d delta_00), the spread the same over the four.
@@ -225,11 +232,13 @@ def _two_setting_stats(ineq: BellInequality, firsts: np.ndarray) -> _TwoSettingS
     infos = np.log2(d) + np.sum(offsets * np.log2(np.where(offsets > 0, offsets, 1.0)), axis=-1)
 
     # the four slots' first terms in the grids' (s, t) order, the order the sum adds in
-    slots = sorted(ineq.terms[:4], key=lambda pair: (pair[0].setting, pair[1].setting))
-    s, t, delta = np.array([(a.setting, b.setting, a.outcome - b.outcome) for a, b in slots]).T
-    total = sum(columns[s, t, delta % d].tolist())
-    spread = float(infos.max() - infos.min())
-    return _TwoSettingStats(d * total / 4.0, float(infos[0, 0]), spread, columns)
+    s, a, t, b = ineq.labels[np.lexsort(ineq.labels[:4, 2::-2].T)].T  # by (s, t)
+    return _TwoSettingStats(
+        d * sum(columns[s, t, (a - b) % d].tolist()) / 4.0,
+        float(infos[0, 0]),
+        float(infos.max() - infos.min()),
+        columns,
+    )
 
 
 def _grid_columns(ineq: BellInequality, firsts: np.ndarray) -> np.ndarray:
@@ -263,7 +272,7 @@ def analyze(spec: ProblemSpec) -> AnalysisReport:
     size rule refuses (see :func:`~orbitbell.bounds.build_inequality`)."""
     _check_size(spec.outcomes, spec.settings)
     ineq, table, *_ = _inequality(spec)
-    game = game_spec(ineq.terms)
+    game = game_spec(ineq.labels)
     quantum_win, classical_win = winning_probabilities(ineq, game)
     stats = _two_setting_stats(ineq, table.firsts) if spec.settings == 2 else (None,) * 4
     return AnalysisReport(spec, ineq, game, quantum_win, classical_win, *stats)

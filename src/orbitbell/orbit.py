@@ -13,12 +13,18 @@ U^M = T, so with c_k = U^k|0>, column k div M of U^(k mod M) and
 labelled (k mod M, k div M), orbit state j is
 c_ceil(j/2) (x) c_floor(j/2), indices taken mod M*d. U commutes with
 T, so every power U^s is circulant, fixed by its first column
-u_s = U^s|0>, and c_k = roll(u_(k mod M), k div M). The orbit's labels
-(:func:`_terms`) and any entries of its factors (:func:`_gather`) are
-read by this one index rule from the root table's first columns.
-``analyze`` reads entry 0 alone, for the Gram row; the whole (n, d)
-factors and the d^2-long states (:func:`_states`) are formed only for
-the public :func:`orbit` and ``verify``. This module forms no
+u_s = U^s|0>, and c_k = roll(u_(k mod M), k div M). The index rule is
+one integer sequence per instance (:func:`_factor_indices`), and both
+the orbit's labels and any entries of its factors are read off it: the
+labels as one (n, 4) int64 array (:func:`_labels`), which every
+per-term consumer reads, and the factors' entries from the root
+table's first columns (:func:`_gather`). ``analyze`` reads entry 0
+alone, for the Gram row; the whole (n, d) factors and the d^2-long
+states (:func:`_states`) are formed only for the public :func:`orbit`
+and ``verify``, and ``MeasLabel`` pairs only for :func:`orbit` and
+``BellInequality.terms``. Label pairs from outside, given to
+``bounds.classical_bound`` or ``games.game_spec``, are converted to the
+same array in one place (:func:`_as_labels`). This module forms no
 d^2 x d^2 matrix: B, the shift T and the swap S as matrices are the
 ``linalg`` module's, for the verification sweep and the tests.
 
@@ -38,6 +44,7 @@ before building it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -323,12 +330,13 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     (:func:`_check_size`), which ``analyze`` refuses too.
     """
     _check_size(spec.outcomes, spec.settings)
-    table = _root_table(spec)
-    entries = _gather(spec, table, np.arange(spec.outcomes))
-    states = _states(entries[1:], entries[:-1])
+    index = _factor_indices(spec)
+    entries = _gather(spec, _root_table(spec), np.arange(spec.outcomes), index)
     return [
-        OrbitEntry(step, a, b, vector)
-        for step, ((a, b), vector) in enumerate(zip(_terms(spec), states))
+        OrbitEntry(step, MeasLabel(a_s, a_o), MeasLabel(b_s, b_o), vector)
+        for step, ((a_s, a_o, b_s, b_o), vector) in enumerate(
+            zip(_labels(spec, index).tolist(), _states(entries[1:], entries[:-1]))
+        )
     ]
 
 
@@ -343,29 +351,66 @@ def _factor_indices(spec: ProblemSpec) -> np.ndarray:
     """The index rule as one sequence, k_i = floor(i/2) mod M*d for
     i = 0..n: orbit state j is c_(k_(j+1)) (x) c_(k_j), Alice's factor
     c_ceil(j/2) and Bob's c_floor(j/2), and b_(j+1) = a_j is B handing
-    Alice's vector to Bob."""
+    Alice's vector to Bob. Computed once per instance, and read by both
+    :func:`_labels` and :func:`_gather`."""
     return np.arange(spec.orbit_length + 1) // 2 % (spec.settings * spec.outcomes)
 
 
-def _gather(spec: ProblemSpec, table: _RootTable, entries: np.ndarray) -> np.ndarray:
+def _gather(
+    spec: ProblemSpec, table: _RootTable, entries: np.ndarray, index: np.ndarray
+) -> np.ndarray:
     """Entries ``entries`` of c_(k_i) for i = 0..n, as the rows of one
     (n + 1, len(entries)) array, so that rows 1..n are Alice's factors
     and rows 0..n-1 Bob's. Entry x of c_k = roll(u_(k mod M), k div M)
     is u_(k mod M)[(x - k div M) mod d], read from the table's first
-    columns in one fancy index at the indices of
+    columns in one fancy index at ``index``, the sequence of
     :func:`_factor_indices`."""
-    index = _factor_indices(spec)
     m = spec.settings
     return table.firsts[
         (index % m)[:, None], (entries - (index // m)[:, None]) % spec.outcomes
     ]
 
 
-def _terms(spec: ProblemSpec) -> tuple[tuple[MeasLabel, MeasLabel], ...]:
-    """The orbit's label pairs, term j labelled (Alice's, Bob's) =
-    (k_(j+1), k_j) by the index rule of :func:`_factor_indices`, label
-    (k mod M, k div M) for column index k."""
-    m = spec.settings
-    labels = [MeasLabel(k % m, k // m) for k in range(m * spec.outcomes)]
-    walk = [labels[k] for k in _factor_indices(spec).tolist()]
-    return tuple(zip(walk[1:], walk[:-1]))
+def _labels(spec: ProblemSpec, index: np.ndarray) -> np.ndarray:
+    """The orbit's labels as one (n, 4) int64 array, term j's row
+    (Alice's setting, Alice's outcome, Bob's setting, Bob's outcome):
+    Alice's label is that of k_(j+1) and Bob's that of k_j, label
+    (k mod M, k div M) of column index k, read off ``index``, the
+    sequence of :func:`_factor_indices`, in one ``np.divmod``; the
+    array is built column by column, in column-major order, and is
+    read-only, since ``BellInequality`` hands it on uncopied.
+    ``BellInequality.terms`` forms the same labels as ``MeasLabel``
+    pairs on request."""
+    outcome, setting = np.divmod(index, spec.settings)
+    labels = np.array((setting[1:], outcome[1:], setting[:-1], outcome[:-1])).T
+    labels.flags.writeable = False
+    return labels
+
+
+def _as_labels(terms: Iterable[tuple[MeasLabel, MeasLabel]] | np.ndarray) -> np.ndarray:
+    """Label pairs as an (n, 4) int64 array of :func:`_labels`' columns:
+    an (n, 4) int64 array, such as ``BellInequality.labels``, as it is;
+    anything else as an iterable of (alice, bob) pairs of (setting,
+    outcome) labels, a one-shot iterator included, read once into a new
+    array. The one place that knows the label format, for
+    ``bounds.classical_bound`` and ``games.game_spec``. Raises
+    ValueError naming the first term with a label that is not a 64-bit
+    integer: a ``bool`` (numpy's too), a float, a numpy float, any
+    other type but ``int`` and numpy's integers, or an integer beyond
+    int64. Whether a label is in range is the caller's to check."""
+    if isinstance(terms, np.ndarray) and terms.dtype == np.int64 and terms.shape[1:] == (4,):
+        return terms
+    rows = [(*alice, *bob) for alice, bob in terms]
+    bad = [
+        j for j, row in enumerate(rows)
+        if not all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) and -(2**63) <= x < 2**63
+            for x in row
+        )
+    ]
+    if bad:
+        raise ValueError(
+            f"term {bad[0]} has a label that is not a 64-bit integer: "
+            f"alice {rows[bad[0]][:2]}, bob {rows[bad[0]][2:]}"
+        )
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)

@@ -11,7 +11,8 @@ reports with the routes that ``analyze`` does not run: from the
 checked against the matrix product (U x 1) S, then applied to every
 orbit vector at once, its period read off B B = U x U and T^d = 1, and
 LAPACK ``eigvalsh`` on the projector sum; from ``bounds``, the
-max-plus elimination of the classical bound. The orbit vectors are
+max-plus elimination of the classical bound, handed the assembly's
+(n, 4) int64 label array as it is. The orbit vectors are
 verify's own: the (n, d) factors gathered by the index rule from the
 root table's first columns, with no labels and no check of their own,
 multiplied out into (n, d^2) states, which the dense stepping line
@@ -59,7 +60,7 @@ from .linalg import (
     swap_matrix,
     translation_matrix,
 )
-from .orbit import _STEP_TOL, ProblemSpec, _check_size, _gather, _sizes, _states
+from .orbit import _STEP_TOL, ProblemSpec, _check_size, _factor_indices, _gather, _sizes, _states
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -229,7 +230,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             ineq = instance.inequality
             # the orbit states from the index rule's factors, a_j in
             # rows 1..n and b_j in rows 0..n-1
-            factors = _gather(spec, instance.table, np.arange(d))
+            factors = _gather(spec, instance.table, np.arange(d), _factor_indices(spec))
             orbit_vecs = _states(factors[1:], factors[:-1])
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
@@ -280,7 +281,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             ]
             checks["uniform"].record(_largest(uniform), cell)
 
-            c_value, witness = classical_bound(spec, ineq.terms)
+            c_value, witness = classical_bound(spec, ineq.labels)
             checks["dominance"].record(max(c_value - analytic, 0.0), cell)  # keeps a NaN
             if (c_value, witness) != (ineq.classical_bound, ineq.witness):
                 checks["chained"].fail(cell, f"elimination gives C_s={c_value}, {witness}")

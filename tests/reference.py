@@ -245,7 +245,8 @@ def term_probabilities_from_factors(alice, bob, state):
 
 def condition_label_pairs(spec):
     """Label pairs the orbit must consist of, listed directly: the
-    reference for ``bounds._chained_bell_terms``' one predicate per term.
+    reference for ``bounds._chained_bell_terms``, one predicate per row
+    of a label array.
 
     Three families: equal settings with equal outcomes; Alice one
     setting ahead with equal outcomes; and the wrap-around where Alice

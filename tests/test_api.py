@@ -1,10 +1,12 @@
 """The package's public API is what README documents, and README's
 library examples run as written."""
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbitbell
@@ -51,6 +53,30 @@ def test_public_names_are_the_pinned_list():
 def test_public_name_is_importable_and_documented(name):
     assert getattr(importlib.import_module("orbitbell"), name) is not None
     assert f"`{name}`" in README
+
+
+def test_inequality_holds_its_terms_as_one_label_array():
+    # BellInequality.labels, the (n, 4) int64 array, is the field;
+    # BellInequality.terms, the tuple of MeasLabel pairs README documents,
+    # is a view formed from it on each access, as optimal_state is formed
+    # from coefficients; the array is read-only, since the report, the
+    # certificate and the game share it uncopied
+    fields = {f.name for f in dataclasses.fields(orbitbell.BellInequality)}
+    assert {"labels", "coefficients"} <= fields
+    assert not {"terms", "optimal_state"} & fields
+    assert isinstance(orbitbell.BellInequality.terms, property)
+    ineq = orbitbell.build_inequality(orbitbell.ProblemSpec(3, 2))
+    assert ineq.labels.dtype == np.int64 and ineq.labels.shape == (12, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        ineq.labels[0, 3] = 5
+    terms = ineq.terms
+    assert type(terms) is tuple and len(terms) == 12
+    assert all(
+        type(pair) is tuple and [type(label) for label in pair] == [orbitbell.MeasLabel] * 2
+        for pair in terms
+    )
+    assert [[*a, *b] for a, b in terms] == ineq.labels.tolist()
+    assert "`ineq.labels`" in README and "`ineq.terms` is a view formed" in README
 
 
 def test_no_dense_route_is_exported_but_the_documented_one():

@@ -39,7 +39,7 @@ from orbitbell.bounds import (
     quantum_bound_gram,
 )
 from orbitbell.linalg import accumulate_A, step_operator
-from orbitbell.orbit import _gather, _root_table
+from orbitbell.orbit import _as_labels, _factor_indices, _gather, _root_table
 from reference import (
     analytic_state_by_amplitude,
     condition_label_pairs,
@@ -303,7 +303,7 @@ def test_classical_bound_equals_the_chained_bell_route_past_any_scan(d, m):
     # argument in value and witness
     spec = ProblemSpec(d, m)
     terms = labels(spec)
-    assert classical_bound(spec, terms) == _chained_bell_bound(spec, terms)
+    assert classical_bound(spec, terms) == _chained_bell_bound(spec, _as_labels(terms))
 
 
 @pytest.mark.parametrize("d", [4093, 5793, 10**4])
@@ -322,6 +322,27 @@ def test_classical_bound_tables_over_memory_ceiling_raise_before_allocating(d):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_classical_bound_counts_what_a_long_label_array_holds(monkeypatch):
+    # 2^18 terms at (2, 1), where the per-term arrays outweigh every
+    # table, all with Alice's outcome 0, so that her map meets every one
+    # and Bob's reply reads them all: the route's peak beside the
+    # caller's array is within its count, so a ceiling one byte under
+    # that peak refuses the call
+    spec = ProblemSpec(2, 1)
+    labels = np.zeros((2**18, 4), dtype=np.int64)
+    labels[:, 3] = np.random.default_rng(7).integers(0, 2, size=2**18)
+    tracemalloc.start()
+    try:
+        found = classical_bound(spec, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found[0] == np.bincount(labels[:, 3]).max()
+    monkeypatch.setattr("orbitbell.bounds.MEMORY_CEILING", peak - 1)
+    with pytest.raises(InstanceTooLarge, match="classical bound's tables .* memory ceiling"):
+        classical_bound(spec, labels)
 
 
 @pytest.mark.parametrize(
@@ -376,22 +397,62 @@ def test_classical_bound_rejects_a_setting_outside_the_instance(pair):
             classical_bound(spec, terms)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # the hit table truncated 1.5 to 1 while Bob's reply compared it
+        # as a float: C_s 3 with Alice (1, 0)
+        (MeasLabel(0, 1.5), MeasLabel(0, 0)),
+        # counted as outcome 1: C_s 4
+        (MeasLabel(0, True), MeasLabel(0, 0)),
+        (MeasLabel(0, 0), MeasLabel(np.bool_(False), 0)),
+        # a bare TypeError from tuple indexing
+        (MeasLabel(0.0, 0), MeasLabel(0, 0)),
+        (MeasLabel(0, 0), MeasLabel(0, np.float64(1.0))),
+        (MeasLabel(0, "1"), MeasLabel(0, 0)),
+        (MeasLabel(0, 0), MeasLabel(None, 0)),
+        # an integer beyond int64, refused before numpy would overflow
+        (MeasLabel(0, 2**64), MeasLabel(0, 0)),
+    ],
+)
+def test_classical_bound_refuses_a_label_that_is_not_an_integer(pair):
+    # the orbit at (2, 2) with one term appended: named as term 8, before
+    # any table is built, as pairs and as a one-shot iterator
+    spec = ProblemSpec(2, 2)
+    terms = labels(spec) + [pair]
+    message = r"^term 8 has a label that is not a 64-bit integer: alice \("
+    for given in (terms, iter(terms)):
+        with pytest.raises(ValueError, match=message):
+            classical_bound(spec, given)
+
+
+def test_classical_bound_reads_numpy_integer_labels_and_arrays_alike():
+    # numpy integers are integers: one value and witness from pairs of
+    # np.int32 labels, an iterator, and the (n, 4) int64 array
+    spec = ProblemSpec(4, 3)
+    terms = labels(spec)[::2]  # a subset, whose witness is not all-zero
+    found = classical_bound(spec, terms)
+    array = np.array([[*a, *b] for a, b in terms], dtype=np.int64)
+    pairs = [(MeasLabel(*row[:2]), MeasLabel(*row[2:])) for row in array.astype(np.int32)]
+    for given in (pairs, iter(terms), array):
+        assert classical_bound(spec, given) == found
+
+
 @pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (5, 4), (2, 13)])
 def test_chained_bell_route_value_and_witness(d, m):
     spec = ProblemSpec(d, m)
-    terms = [(e.alice, e.bob) for e in orbit(spec)]
-    value, witness = _chained_bell_bound(spec, terms)
+    value, witness = _chained_bell_bound(spec, _as_labels(labels(spec)))
     assert value == 2 * m - 1
     assert witness.alice_map == witness.bob_map == (0,) * m
 
 
 def test_chained_bell_route_rejects_other_term_lists():
     spec = ProblemSpec(3, 2)
-    terms = [(e.alice, e.bob) for e in orbit(spec)]
+    terms = labels(spec)
     # one missing, one repeated, and one repeated in place of a missing one
     for wrong in (terms[1:], terms + terms[:1], terms[1:] + terms[1:2]):
         with pytest.raises(RuntimeError, match="chained-Bell route: the .* orbit terms"):
-            _chained_bell_bound(spec, wrong)
+            _chained_bell_bound(spec, _as_labels(wrong))
 
 
 def test_chained_bell_route_refuses_alice_past_her_last_setting():
@@ -405,18 +466,20 @@ def test_chained_bell_route_refuses_alice_past_her_last_setting():
         terms[wrap] = (MeasLabel(m, 0), MeasLabel(m - 1, 0))
         assert len(set(terms)) == len(terms) == spec.orbit_length
         with pytest.raises(RuntimeError, match="chained-Bell route: the .* orbit terms"):
-            _chained_bell_bound(spec, terms)
+            _chained_bell_bound(spec, _as_labels(terms))
 
 
 @pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 3), (5, 4)])
 def test_chained_bell_term_predicate_is_membership_in_the_families(d, m):
     # every label pair with settings and outcomes one past either end of
-    # their ranges: the one-pass predicate accepts exactly the three
-    # families' pairs, listed directly by the reference
+    # their ranges: the per-term predicate accepts exactly the three
+    # families' pairs, listed directly by the reference, row by row of
+    # one label array
     families = condition_label_pairs(ProblemSpec(d, m))
     span = [MeasLabel(s, k) for s in range(-1, m + 1) for k in range(-1, d + 1)]
-    for pair in itertools.product(span, span):
-        assert _chained_bell_terms([pair], d, m) == (pair in families), pair
+    pairs = list(itertools.product(span, span))
+    accepted = _chained_bell_terms(_as_labels(pairs).tolist(), d, m)
+    assert accepted == [pair in families for pair in pairs]
 
 
 def test_chained_bell_route_counts_the_witness_hits(monkeypatch):
@@ -427,20 +490,23 @@ def test_chained_bell_route_counts_the_witness_hits(monkeypatch):
         (MeasLabel(e.alice.setting, (e.alice.outcome + 1) % 3), e.bob)
         for e in orbit(spec)
     ]
-    monkeypatch.setattr("orbitbell.bounds._chained_bell_terms", lambda *args: True)
+    monkeypatch.setattr(
+        "orbitbell.bounds._chained_bell_terms", lambda rows, *args: [True] * len(rows)
+    )
     with pytest.raises(RuntimeError, match="all-zero strategy meets 0 terms, not 2M - 1 = 3"):
-        _chained_bell_bound(spec, shifted)
+        _chained_bell_bound(spec, _as_labels(shifted))
 
 
 def test_build_inequality_checks_guard_before_any_work(monkeypatch):
     def no_orbit(*args):
         raise AssertionError("orbit built for an instance beyond the guard")
 
-    # the root table is the first thing built, then the orbit's terms
-    # and Gram row from it;
+    # the root table is the first thing built, then the index rule, the
+    # orbit's label array and Gram row from it;
     # (2, 836) is the first d = 2 cell whose orbit arrays exceed the ceiling
     monkeypatch.setattr("orbitbell.bounds._root_table", no_orbit)
-    monkeypatch.setattr("orbitbell.bounds._terms", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._factor_indices", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._labels", no_orbit)
     monkeypatch.setattr("orbitbell.bounds._gather", no_orbit)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         build_inequality(ProblemSpec(2, 836))
@@ -452,7 +518,8 @@ def test_build_inequality_checks_memory_ceiling_before_any_work(monkeypatch, d, 
         raise AssertionError("orbit built for an instance beyond the ceiling")
 
     monkeypatch.setattr("orbitbell.bounds._root_table", no_orbit)
-    monkeypatch.setattr("orbitbell.bounds._terms", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._factor_indices", no_orbit)
+    monkeypatch.setattr("orbitbell.bounds._labels", no_orbit)
     monkeypatch.setattr("orbitbell.bounds._gather", no_orbit)
     with pytest.raises(InstanceTooLarge, match="memory ceiling"):
         build_inequality(ProblemSpec(d, m))
@@ -599,9 +666,10 @@ def test_first_columns_give_the_factor_forms_of_gram_row_and_probabilities(d):
         spec = ProblemSpec(d, m)
         instance = _inequality(spec)
         ineq = instance.inequality
-        factors = _gather(spec, instance.table, np.arange(d))
+        index = _factor_indices(spec)
+        factors = _gather(spec, instance.table, np.arange(d), index)
         alice, bob = factors[1:], factors[:-1]
-        c0 = _gather(spec, instance.table, np.zeros(1, dtype=int))[:, 0]
+        c0 = _gather(spec, instance.table, np.zeros(1, dtype=int), index)[:, 0]
         gram_row = c0[1:] * c0[:-1]
         reference = gram_row_from_factors(alice, bob)
         assert np.max(np.abs(gram_row - reference)) <= 1e-14

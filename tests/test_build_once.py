@@ -12,8 +12,12 @@ M. ``analyze`` holds the optimal state as its d coefficients and never
 forms its d^2 amplitudes, the four d x d grids or the dense grid and
 information routes, also when it writes the certificate. No
 public view of the table (``root_unitary``, ``orbit``) runs on that
-path. ``analyze`` reads the orbit's terms once and gathers entry 0 of
-its factors once, with no (n, d) factor array and no orbit state; it
+path. ``analyze`` computes the index rule's sequence once, reads the
+orbit's labels off it once, as one (n, 4) int64 array that the
+chained-Bell check, the game, the M = 2 slot lookup and the
+certificate's term rows all read, with no MeasLabel pair formed, and
+gathers entry 0 of its factors once, with no (n, d) factor array and
+no orbit state; it
 runs the root-index and Gram routes of the quantum bound, and calls
 none of the ``linalg`` module's dense routes. Its classical bound is
 the chained-Bell value, with no max-plus elimination. The modules on
@@ -21,10 +25,10 @@ that path import neither ``linalg`` nor ``verify``, and ``linalg``
 imports no ``orbitbell`` module, so the dense routes share no code
 with the routes they check.
 The verification sweep runs the same assembly once per cell, so it
-checks the instance ``analyze`` reports, with one root table, one term
-list, one Gram spectrum and one gather of the whole factors; it runs
+checks the instance ``analyze`` reports, with one root table, one label
+array, one Gram spectrum and one gather of the whole factors; it runs
 the statistics function once per M = 2 cell, and the max-plus
-elimination of the classical bound once per cell. The shift T and the
+elimination of the classical bound once per cell, on that label array. The shift T and the
 swap S depend on d alone, so the sweep builds them once per outcome
 count.
 """
@@ -36,10 +40,18 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbitbell.linalg
-from orbitbell import ProblemSpec, analyze, certificate_json, run_verification
+from orbitbell import (
+    BellInequality,
+    MeasLabel,
+    ProblemSpec,
+    analyze,
+    certificate_json,
+    run_verification,
+)
 
 # every dense d^2 x d^2 route: the linalg module's public functions and
 # the dense product B is checked against
@@ -91,7 +103,8 @@ def record_shapes(monkeypatch, module_name, attr):
 def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     checks = count_calls(monkeypatch, "orbitbell.orbit", "_check_columns")
-    terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
+    indices = count_calls(monkeypatch, "orbitbell.orbit", "_factor_indices")
+    labels = count_calls(monkeypatch, "orbitbell.orbit", "_labels")
     gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
     states = count_calls(monkeypatch, "orbitbell.orbit", "_states")
     # the public views of the table rebuild it, so they stay off the path
@@ -108,7 +121,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     eliminations = count_calls(monkeypatch, "orbitbell.bounds", "classical_bound")
     report = analyze(ProblemSpec(d, m))
     assert report.classical_bound == 2 * m - 1
-    assert tables[0] == checks[0] == terms[0] == 1
+    assert tables[0] == checks[0] == indices[0] == labels[0] == 1
     # entry 0 of the factors alone: no (n, d) array and no state
     assert gathers == [(2 * m * d + 1, 1)]
     assert states[0] == 0
@@ -154,10 +167,91 @@ def test_analyze_forms_no_d2_state_and_no_grid_stack(monkeypatch, d, m):
     assert expansions[0] == 1
 
 
+def record_args(monkeypatch, module_name, attr):
+    """Wrap a function in every orbitbell namespace that binds it, and
+    list the positional arguments of each call."""
+    fn = getattr(importlib.import_module(module_name), attr)
+    calls = []
+
+    @functools.wraps(fn)
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "orbitbell" or name.startswith("orbitbell."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, recorded)
+    return calls
+
+
+def count_label_pairs(monkeypatch):
+    """Count every ``MeasLabel`` made, by its constructor or ``_make``,
+    and every read of ``BellInequality.terms``, the tuple view."""
+    made = [0]
+    real_new, real_make, real_terms = MeasLabel.__new__, MeasLabel._make, BellInequality.terms
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counted_make(iterable):
+        made[0] += 1
+        return real_make(iterable)
+
+    def counted_terms(ineq):
+        made[0] += 1
+        return real_terms.fget(ineq)
+
+    monkeypatch.setattr(MeasLabel, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(MeasLabel, "_make", staticmethod(counted_make))
+    monkeypatch.setattr(BellInequality, "terms", property(counted_terms))
+    return made
+
+
+@pytest.mark.parametrize("d,m", [(2, 2), (10, 2), (64, 2), (5, 4), (64, 10), (2, 835)])
+def test_analyze_and_certificate_read_one_label_array(monkeypatch, d, m):
+    # analyze builds the index rule's sequence once, and from it the one
+    # (n, 4) label array that the chained-Bell check, the game, the
+    # M = 2 slot lookup and the certificate's term rows read: no
+    # MeasLabel pair is formed on the way to the certificate, and the
+    # game is handed the array itself
+    indices = count_calls(monkeypatch, "orbitbell.orbit", "_factor_indices")
+    games = record_args(monkeypatch, "orbitbell.games", "game_spec")
+    made = count_label_pairs(monkeypatch)
+    report = analyze(ProblemSpec(d, m))
+    certificate_json(report)
+    assert indices[0] == 1
+    assert made[0] == 0
+    labels = report.inequality.labels
+    assert labels.dtype == np.int64 and labels.shape == (2 * m * d, 4)
+    assert [args[0] is labels for args in games] == [True]
+    # the tuple view is formed on request, from the array
+    pairs = report.inequality.terms
+    assert made[0] == 1 + 2 * len(pairs)
+    assert [(*a, *b) for a, b in pairs] == [tuple(row) for row in labels.tolist()]
+
+
+def test_verify_hands_classical_bound_the_label_array(monkeypatch):
+    # at each of the 30 default cells, the max-plus elimination reads the
+    # assembly's (n, 4) integer label array, not MeasLabel pairs
+    eliminations = record_args(monkeypatch, "orbitbell.verify", "classical_bound")
+    made = count_label_pairs(monkeypatch)
+    report = run_verification()
+    assert report.passed
+    cells = [(d, m) for d in range(2, 7) for m in range(1, 7)]
+    assert [(spec.outcomes, spec.settings) for spec, _ in eliminations] == cells
+    for spec, terms in eliminations:
+        assert type(terms) is np.ndarray and terms.dtype == np.int64
+        assert terms.shape == (spec.orbit_length, 4)
+    assert made[0] == 0
+
+
 def test_verify_builds_each_cell_once(monkeypatch):
     assemblies = count_calls(monkeypatch, "orbitbell.bounds", "_inequality")
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
-    terms = count_calls(monkeypatch, "orbitbell.orbit", "_terms")
+    labels = count_calls(monkeypatch, "orbitbell.orbit", "_labels")
     gathers = record_shapes(monkeypatch, "orbitbell.orbit", "_gather")
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
@@ -166,7 +260,7 @@ def test_verify_builds_each_cell_once(monkeypatch):
     shifts = count_calls(monkeypatch, "orbitbell.linalg", "translation_matrix")
     report = run_verification(3, 3)  # 6 cells
     assert report.passed
-    assert assemblies[0] == tables[0] == terms[0] == 6
+    assert assemblies[0] == tables[0] == labels[0] == 6
     # per cell, the assembly's entry 0 and verify's whole factors
     cells = [(d, m) for d in (2, 3) for m in (1, 2, 3)]
     assert gathers == [

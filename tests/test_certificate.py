@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from orbitbell import (
     GameSpec,
-    MeasLabel,
     ProblemSpec,
     analyze,
     certificate_json,
@@ -167,9 +166,11 @@ def with_slot(report, slot, value):
         object.__setattr__(spec, "settings", value)
         return dataclasses.replace(report, spec=spec)
     if slot == "terms":
-        label = MeasLabel(value, value)
-        terms = ((label, label),) * len(ineq.terms)
-        return dataclasses.replace(report, inequality=dataclasses.replace(ineq, terms=terms))
+        # the label array of the value's dtype: bool, float, or object
+        # for a numpy scalar
+        kind = object if isinstance(value, np.generic) else type(value)
+        labels = np.full(ineq.labels.shape, value, dtype=kind)
+        return dataclasses.replace(report, inequality=dataclasses.replace(ineq, labels=labels))
     if slot == "classical_bound":
         changed = dataclasses.replace(ineq, classical_bound=value)
         return dataclasses.replace(report, inequality=changed)
@@ -212,22 +213,27 @@ def test_writer_refuses_a_non_int_in_each_int_field():
     # one bad value among plain ints, in a term label, a question's
     # settings, a winning pair and C_s: an int subclass (bool), a numpy
     # int and a float that equals an int, where json would write true,
-    # fail to encode, or write 1.0
+    # fail to encode, or write 1.0; the labels are one array, so a bad
+    # label makes it an object array, refused by its dtype
     report = real_report(3, 2)
     ineq, game = report.inequality, report.game
-    (a, b), *terms = ineq.terms
     (s, t), *questions = game.questions
     first, *winning = game.winning
     pair = min(first)  # (0, 0): no other pair of the set equals (value, 0)
     for value in (True, np.int64(1), 1.0):
-        bumped = ((a._replace(outcome=value), b), *terms)
-        for part, changed in (
-            ("inequality", dataclasses.replace(ineq, terms=bumped)),
-            ("game", GameSpec(((value, t), *questions), game.winning)),
-            ("game", GameSpec(game.questions, (first - {pair} | {(value, 0)}, *winning))),
-            ("inequality", dataclasses.replace(ineq, classical_bound=value)),
+        bumped = ineq.labels.astype(object)
+        bumped[0, 1] = value
+        for part, changed, message in (
+            (
+                "inequality",
+                dataclasses.replace(ineq, labels=bumped),
+                "certificate label array of dtype object is not an int array",
+            ),
+            ("game", GameSpec(((value, t), *questions), game.winning), None),
+            ("game", GameSpec(game.questions, (first - {pair} | {(value, 0)}, *winning)), None),
+            ("inequality", dataclasses.replace(ineq, classical_bound=value), None),
         ):
-            expected = re.escape(f"certificate value {value!r} is not an int")
+            expected = re.escape(message or f"certificate value {value!r} is not an int")
             with pytest.raises(ValueError, match=expected):
                 certificate_json(dataclasses.replace(report, **{part: changed}))
 

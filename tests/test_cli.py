@@ -256,8 +256,8 @@ def test_broken_chained_bell_families_exit_4(monkeypatch, capsys):
     # chained-Bell families, and the chained-Bell route refuses to
     # report C_s
     bounds_module = importlib.import_module("orbitbell.bounds")
-    real_terms = bounds_module._terms
-    monkeypatch.setattr(bounds_module, "_terms", lambda spec: real_terms(spec)[1:])
+    real_labels = bounds_module._labels
+    monkeypatch.setattr(bounds_module, "_labels", lambda *args: real_labels(*args)[1:])
     rc = cli_main(["analyze", "--outcomes", "3", "--settings", "2"])
     captured = capsys.readouterr()
     assert rc == 4
@@ -274,15 +274,15 @@ def test_bumped_orbit_label_exits_4_before_the_statistics(monkeypatch, capsys):
     # statistics read any slot's first term
     bounds_module = importlib.import_module("orbitbell.bounds")
     games_module = importlib.import_module("orbitbell.games")
-    real_terms = bounds_module._terms
+    real_labels = bounds_module._labels
 
-    def bumped_bob(spec):
-        (a, b), *rest = real_terms(spec)
-        bumped = b._replace(outcome=(b.outcome + 1) % spec.outcomes)
-        return ((a, bumped), *rest)
+    def bumped_bob(spec, index):
+        labels = real_labels(spec, index).copy()  # the assembly's is read-only
+        labels[0, 3] = (labels[0, 3] + 1) % spec.outcomes
+        return labels
 
     stats_calls = []
-    monkeypatch.setattr(bounds_module, "_terms", bumped_bob)
+    monkeypatch.setattr(bounds_module, "_labels", bumped_bob)
     monkeypatch.setattr(
         games_module, "_two_setting_stats", lambda *args: stats_calls.append(args)
     )
@@ -611,8 +611,8 @@ def test_broken_chained_bell_families_fail_verification(monkeypatch, capsys):
     # a term list one pair short fails the assembly's chained-Bell route,
     # and the sweep files it under its construction line
     bounds_module = importlib.import_module("orbitbell.bounds")
-    real_terms = bounds_module._terms
-    monkeypatch.setattr(bounds_module, "_terms", lambda spec: real_terms(spec)[1:])
+    real_labels = bounds_module._labels
+    monkeypatch.setattr(bounds_module, "_labels", lambda *args: real_labels(*args)[1:])
     name = "instance builds and passes analyze's own checks"
     report = run_verification(3, 2)
     (check,) = [c for c in report.checks if c.name == name]

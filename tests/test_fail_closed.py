@@ -40,7 +40,7 @@ from orbitbell import (
 )
 from orbitbell.bounds import _inequality, quantum_bound_gram
 from orbitbell.cli import main as cli_main
-from orbitbell.orbit import _gather, _root_table
+from orbitbell.orbit import _factor_indices, _gather, _root_table
 from reference import eigensystem_by_pair, root_of_unity_index
 
 NAN = float("nan")
@@ -252,7 +252,7 @@ def test_nan_factor_fails_the_gram_drift_check():
     # entry 0 of Alice's factor a_2, which the Gram row g_2 = a_2[0] b_2[0]
     # reads; it is row 3 of the gather
     spec = ProblemSpec(3, 2)
-    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int))[:, 0]
+    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int), _factor_indices(spec))[:, 0]
     c0[3] = NAN
     with pytest.raises(RuntimeError, match="imaginary part nan"):
         quantum_bound_gram(c0[1:] * c0[:-1])

@@ -10,6 +10,7 @@ import pytest
 
 from orbitbell import (
     GameSpec,
+    MeasLabel,
     ProblemSpec,
     analyze,
     build_inequality,
@@ -102,6 +103,45 @@ def test_game_spec_refuses_a_partial_period():
     terms = build_inequality(ProblemSpec(2, 2)).terms
     with pytest.raises(ValueError, match="got 3, with 2M = 4 read off the last term"):
         game_spec(terms[:3])
+
+
+@pytest.mark.parametrize("setting", [-1, -2, -3, -10**9])
+def test_game_spec_refuses_a_period_that_is_not_positive(setting):
+    # at (2, 2), a last Bob setting of -3 reads 2M = -4 off the last term,
+    # and 8 % -4 == 0: refused, not a game of 4 questions and no winning
+    # sets; -1 reads 2M = 0
+    terms = list(build_inequality(ProblemSpec(2, 2)).terms)
+    alice, bob = terms[-1]
+    terms[-1] = (alice, MeasLabel(setting, bob.outcome))
+    period = 2 * (setting + 1)
+    with pytest.raises(ValueError, match=f"got 8, with 2M = {period} read off the last term"):
+        game_spec(terms)
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, 1.5, True, False, np.float64(1.0), np.bool_(True), "1", None, 2**63]
+)
+@pytest.mark.parametrize("slot", ["alice setting", "alice outcome", "bob setting", "bob outcome"])
+def test_game_spec_refuses_a_label_that_is_not_an_integer(slot, value):
+    # the last term's label at (2, 2), whose Bob setting gives 2M: a float
+    # there once raised "slice indices must be integers", a bool counted as
+    # an int; each is named as the term it sits in, before any slot is read
+    terms = list(build_inequality(ProblemSpec(2, 2)).terms)
+    row = [*terms[-1][0], *terms[-1][1]]
+    row[["alice setting", "alice outcome", "bob setting", "bob outcome"].index(slot)] = value
+    terms[-1] = (MeasLabel(*row[:2]), MeasLabel(*row[2:]))
+    with pytest.raises(ValueError, match="^term 7 has a label that is not a 64-bit integer: "):
+        game_spec(terms)
+
+
+def test_game_spec_reads_numpy_integer_labels_and_arrays_alike():
+    # numpy integers are integers: the same game from MeasLabel pairs of
+    # np.int32, a one-shot iterator and the (n, 4) int64 array
+    ineq = build_inequality(ProblemSpec(3, 2))
+    game = game_spec(ineq.terms)
+    pairs = [(MeasLabel(*row[:2]), MeasLabel(*row[2:])) for row in ineq.labels.astype(np.int32)]
+    for terms in (pairs, iter(ineq.terms), ineq.labels):
+        assert game_spec(terms) == game
 
 
 @pytest.mark.parametrize("d,m", GRID)

@@ -22,10 +22,11 @@ from orbitbell.orbit import (
     InstanceTooLarge,
     _check_size,
     _eigenphases,
+    _factor_indices,
     _gather,
+    _labels,
     _root_table,
     _states,
-    _terms,
 )
 from reference import condition_label_pairs, fourier_rows, label_step, measurement_bases
 
@@ -264,14 +265,17 @@ def test_index_rule_matches_the_label_walk_and_the_powers_of_u(d):
     for m in range(1, 9):
         spec = ProblemSpec(d, m)
         table = _root_table(spec)
-        terms = _terms(spec)
-        factors = _gather(spec, table, np.arange(d))
+        index = _factor_indices(spec)
+        labels = _labels(spec, index)
+        terms = build_inequality(spec).terms
+        factors = _gather(spec, table, np.arange(d), index)
         alice, bob = factors[1:], factors[:-1]
         pair, walk = (MeasLabel(0, 0), MeasLabel(0, 0)), []
         for _ in range(spec.orbit_length):
             walk.append(pair)
             pair = label_step(*pair, spec)
         assert terms == tuple(walk)
+        assert labels.tolist() == [[*a, *b] for a, b in walk]
         assert pair == walk[0]
         # each factor is its setting's first column rolled by its
         # outcome, gathered unchanged
@@ -294,11 +298,12 @@ def test_orbit_is_held_as_labels_and_two_factor_arrays():
     spec = ProblemSpec(32, 2)
     n, d = spec.orbit_length, spec.outcomes
     table = _root_table(spec)
+    index = _factor_indices(spec)
     gathered, peaks = [], []
     for entries in (np.arange(d), np.zeros(1, dtype=int)):
         tracemalloc.start()
         try:
-            gathered.append(_gather(spec, table, entries))
+            gathered.append(_gather(spec, table, entries, index))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -306,8 +311,11 @@ def test_orbit_is_held_as_labels_and_two_factor_arrays():
     assert peaks[1] < 16 * n * d
     factors, heads = gathered
     assert heads.shape == (n + 1, 1) and np.array_equal(heads[:, 0], factors[:, 0])
-    terms, alice, bob = _terms(spec), factors[1:], factors[:-1]
+    labels, alice, bob = _labels(spec, index), factors[1:], factors[:-1]
+    # one int64 label row per term, and the report's tuple view of them:
     # plain pairs of labels, not OrbitEntry (a tuple subclass)
+    assert type(labels) is np.ndarray and labels.dtype == np.int64 and labels.shape == (n, 4)
+    terms = build_inequality(spec).terms
     assert type(terms) is tuple and len(terms) == n
     assert all(
         type(pair) is tuple and [type(label) for label in pair] == [MeasLabel] * 2
@@ -319,6 +327,7 @@ def test_orbit_is_held_as_labels_and_two_factor_arrays():
     # the public orbit is the same labels and their products
     entries = orbit(spec)
     assert terms == tuple((e.alice, e.bob) for e in entries)
+    assert labels.tolist() == [[*e.alice, *e.bob] for e in entries]
     assert _states(alice, bob).tobytes() == np.array([e.vector for e in entries]).tobytes()
 
 
@@ -347,7 +356,9 @@ def test_condition_label_pairs_single_setting():
 def perturb_alice_index(monkeypatch, row):
     """Make the orbit's index rule name Alice's factor at ``row`` one
     outcome on, column index + M (mod M*d). Alice's index at row j is
-    entry j + 1 of the rule, which is also Bob's at row j + 1."""
+    entry j + 1 of the rule, which is also Bob's at row j + 1. Patched
+    in the orbit module and in ``bounds``, whose assembly computes the
+    sequence once for the labels and the Gram row."""
     orbit_module = importlib.import_module("orbitbell.orbit")
     real_indices = orbit_module._factor_indices
 
@@ -357,7 +368,8 @@ def perturb_alice_index(monkeypatch, row):
         index[row + 1] = (index[row + 1] + spec.settings) % period
         return index
 
-    monkeypatch.setattr(orbit_module, "_factor_indices", faulty_indices)
+    for module in (orbit_module, importlib.import_module("orbitbell.bounds")):
+        monkeypatch.setattr(module, "_factor_indices", faulty_indices)
 
 
 def perturb_columns(monkeypatch, perturb):

@@ -12,8 +12,17 @@ label-pair lists (repeats allowed, one Bob setting sharing terms with
 up to M Alice settings) reach the hit tables wider than the orbit's
 two Alice settings per Bob setting. On every full orbit with d <= 12,
 M <= 13, the chained-Bell route equals the max-plus elimination in
-value and witness. The root table's integer root indices are checked against
-snapping each eigenvalue exp(i theta_j / M) of the phase rule, over
+value and witness, and the orbit's (n, 4) int64 label array equals the
+one-step label walk of ``reference.label_step``. On every term list
+drawn here (the orbit, its random subsets, shuffles, halves and
+duplicates, random label lists and hubs), the label pairs, a one-shot
+iterator over them and their label array give ``classical_bound`` the
+same value and witness and ``game_spec`` the same game or refusal. The
+vector chained-Bell predicate, one bool per row, is membership in the
+three families listed by ``reference.condition_label_pairs``, on
+random labels up to one past either end of their ranges. The root
+table's integer root indices are checked against snapping each
+eigenvalue exp(i theta_j / M) of the phase rule, over
 d <= 64 and M <= 16, and its first columns u_s = U^s|0>, exact index
 powers through one inverse FFT, against column 0 of the running
 products U^s of ``reference.measurement_bases``, and u_M against T|0>,
@@ -81,15 +90,23 @@ from orbitbell import (
 )
 from orbitbell.bounds import (
     _chained_bell_bound,
+    _chained_bell_terms,
     _inequality,
     quantum_bound_gram,
 )
 from orbitbell.games import _circulant_grids, _two_setting_stats
 from orbitbell.linalg import accumulate_A, step_operator, translation_matrix
-from orbitbell.orbit import _eigenphases, _gather, _root_table, _terms
+from orbitbell.orbit import (
+    _eigenphases,
+    _factor_indices,
+    _gather,
+    _labels,
+    _root_table,
+)
 from orbitbell.verify import _largest, _period_residual
 from reference import (
     classical_bound_by_term,
+    condition_label_pairs,
     eigensystem_by_pair,
     fourier_rows,
     label_step,
@@ -221,6 +238,33 @@ def stacked(entries):
     return np.array([e.vector for e in entries])
 
 
+def array_form(pairs):
+    """Reference: the (n, 4) int64 label array of (alice, bob) label
+    pairs, one row (alice setting, outcome, bob setting, outcome) per
+    pair, built without the package's conversion."""
+    rows = [[a.setting, a.outcome, b.setting, b.outcome] for a, b in pairs]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+
+
+def outcome_of(fn, *args):
+    """``fn(*args)``, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_forms_agree(spec, pairs):
+    """The label pairs, a one-shot iterator over them and their label
+    array give ``classical_bound`` the same value and witness, and
+    ``game_spec`` the same game or the same refusal."""
+    labels = array_form(pairs)
+    bound = classical_bound(spec, pairs)
+    assert classical_bound(spec, labels) == classical_bound(spec, iter(pairs)) == bound
+    game = outcome_of(game_spec, pairs)
+    assert outcome_of(game_spec, labels) == outcome_of(game_spec, iter(pairs)) == game
+
+
 def per_map_loop(spec, terms):
     """Reference: best reply to every Alice map in turn, first strict max wins."""
     d, m = spec.outcomes, spec.settings
@@ -280,6 +324,7 @@ def test_classical_bound_matches_per_map_loop_on_term_subsets(data):
     )
     subset = [terms[i] for i in sorted(picked)]
     assert classical_bound(spec, subset) == per_map_loop(spec, subset)
+    assert_forms_agree(spec, subset)
 
 
 @PROPERTY_SETTINGS
@@ -293,6 +338,7 @@ def test_classical_bound_matches_per_map_loop_on_label_pair_lists(data):
     hub = data.draw(label, label="hub")
     pairs += [(a, hub) for a in data.draw(st.lists(label, max_size=m), label="linked")]
     assert classical_bound(spec, pairs) == per_map_loop(spec, pairs)
+    assert_forms_agree(spec, pairs)
 
 
 @EVERY_CELL_SETTINGS
@@ -319,6 +365,7 @@ def test_classical_bound_matches_the_per_term_hit_tables(cell):
         value, witness = classical_bound(spec, pairs)
         found = value, (witness.alice_map, witness.bob_map)
         assert found == classical_bound_by_term(spec, pairs), name
+        assert_forms_agree(spec, pairs)
 
 
 @PROPERTY_SETTINGS
@@ -394,7 +441,7 @@ def test_optimal_state_pairs_each_fourier_vector_with_at_most_one(cell):
 def test_gram_route_agrees_with_dense_eigvalsh(cell):
     spec = ProblemSpec(*cell)
     dense = float(np.linalg.eigvalsh(accumulate_A(stacked(orbit(spec))))[-1])
-    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int))[:, 0]
+    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int), _factor_indices(spec))[:, 0]
     assert abs(quantum_bound_gram(c0[1:] * c0[:-1]) - dense) <= 1e-9
 
 
@@ -405,7 +452,9 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
     # C_s = 2M - 1 with the all-zero table as witness, and C_s <= Q_s <= 2M
     d, m = cell
     spec = ProblemSpec(d, m)
-    value, witness = classical_bound(spec, [(e.alice, e.bob) for e in orbit(spec)])
+    terms = [(e.alice, e.bob) for e in orbit(spec)]
+    value, witness = classical_bound(spec, terms)
+    assert_forms_agree(spec, terms)
     assert value == 2 * m - 1
     assert witness == DeterministicStrategy((0,) * m, (0,) * m)
     analytic, _ = quantum_bound_analytic(spec)
@@ -418,8 +467,43 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
 def test_chained_bell_route_equals_the_enumeration(cell):
     # the hot path's C_s and witness are the max-plus elimination's, exactly
     spec = ProblemSpec(*cell)
-    terms = [(e.alice, e.bob) for e in orbit(spec)]
-    assert _chained_bell_bound(spec, terms) == classical_bound(spec, terms)
+    labels = _inequality(spec).inequality.labels
+    assert _chained_bell_bound(spec, labels) == classical_bound(spec, labels)
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(CHAINED))
+@every_cell(CHAINED)
+def test_label_array_is_the_label_walk(cell):
+    # the (n, 4) label array read off the index rule, and the report's
+    # array and tuple view of it, against label_step iterated 2Md times
+    # from ((0,0), (0,0))
+    spec = ProblemSpec(*cell)
+    pair, walk = (MeasLabel(0, 0), MeasLabel(0, 0)), []
+    for _ in range(spec.orbit_length):
+        walk.append(pair)
+        pair = label_step(*pair, spec)
+    labels = _labels(spec, _factor_indices(spec))
+    assert labels.dtype == np.int64 and labels.shape == (spec.orbit_length, 4)
+    assert (labels == array_form(walk)).all()
+    ineq = _inequality(spec).inequality
+    assert (ineq.labels == labels).all()
+    assert ineq.terms == tuple(walk)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_chained_bell_predicate_is_membership_in_the_families(data):
+    # random label pairs with settings and outcomes up to one past either
+    # end of their ranges, mixed with the families' own pairs: the
+    # predicate, one bool per row, accepts exactly the families' pairs
+    d, m = data.draw(st.sampled_from(CHAINED), label="(d, M)")
+    families = condition_label_pairs(ProblemSpec(d, m))
+    label = st.builds(MeasLabel, st.integers(-1, m), st.integers(-1, d))
+    pair = st.one_of(st.tuples(label, label), st.sampled_from(sorted(families)))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=64), label="pairs")
+    accepted = _chained_bell_terms(array_form(pairs).tolist(), d, m)
+    assert accepted == [p in families for p in pairs]
 
 
 @EVERY_CELL_SETTINGS
@@ -429,7 +513,7 @@ def test_terms_2m_apart_differ_by_one_outcome_shift(cell):
     # B^(2M) = T x T: the coset fact the game's slot slicing rests on
     d, m = cell
     spec = ProblemSpec(d, m)
-    terms = _terms(spec)
+    terms = build_inequality(spec).terms
     for (a, b), (a2, b2) in zip(terms, terms[2 * m :] + terms[: 2 * m]):
         assert (a2.setting, b2.setting) == (a.setting, b.setting)
         assert (a2.outcome, b2.outcome) == ((a.outcome + 1) % d, (b.outcome + 1) % d)
@@ -443,8 +527,10 @@ def test_slot_rule_gives_2m_slots_in_first_appearance_order(cell):
     # equal), 2M slots numbered as they first appear along the orbit,
     # each winning set the outcome pairs of its terms
     spec = ProblemSpec(*cell)
-    terms = _terms(spec)
+    ineq = build_inequality(spec)
+    terms = ineq.terms
     game = game_spec(terms)
+    assert game_spec(ineq.labels) == game
     keys = [(a.setting, b.setting, a.outcome == b.outcome) for a, b in terms]
     slots = list(dict.fromkeys(keys))
     assert len(slots) == 2 * spec.settings
