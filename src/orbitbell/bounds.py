@@ -322,9 +322,10 @@ def classical_bound(
     for the partial sum or bincount beside it (at M = 1 on the orbit,
     two d x d tables: every d >= 4093 is refused; at
     ``ProblemSpec(2, 10**9)`` the per-setting count alone is). Raises
-    ValueError, before any table is built, for a term with a label
-    that is not a 64-bit integer (a ``bool`` or a float, say; see
-    ``orbit._as_labels``), and for a term with a setting outside
+    ValueError, before any table is built, for an array that is not an
+    (n, 4) int64 one and a term with a label that is not a 64-bit
+    integer (a ``bool`` or a float, say; see ``orbit._as_labels``), and
+    for a term with a setting outside
     0..M-1 or an outcome outside 0..d-1, which would be filed under
     another label.
     """

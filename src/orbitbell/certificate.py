@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -110,14 +110,14 @@ def _optional(value: float | None) -> str:
     return "null" if value is None else repr(value)
 
 
-def _spellings(values: np.ndarray) -> list[str]:
-    """``repr`` of each of ``values``, a contiguous array of finite
-    floats, with ``repr`` run once per distinct value. The lookup is
-    keyed by each float's 64-bit pattern, so 0.0 and -0.0, equal as
-    floats, keep their own spellings."""
+def _spellings(values: np.ndarray, spell: Callable[[float], str] = repr) -> list[str]:
+    """``spell`` of each of ``values``, a contiguous float64 array, with
+    ``spell`` run once per distinct value. The lookup is keyed by each
+    float's 64-bit pattern, so 0.0 and -0.0, equal as floats, keep their
+    own spellings."""
     keys = values.view(np.int64).tolist()
     distinct = dict(zip(keys, values.tolist()))
-    spelled = dict(zip(distinct, map(repr, distinct.values())))
+    spelled = dict(zip(distinct, map(spell, distinct.values())))
     return list(map(spelled.__getitem__, keys))
 
 

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .certificate import certificate_json
+from .certificate import _spellings, certificate_json
 from .games import AnalysisReport, analyze
 from .orbit import InstanceTooLarge, ProblemSpec, _check_size, _sizes
 from .verify import run_verification
@@ -118,9 +118,13 @@ def render_text_report(report: AnalysisReport) -> str:
             f"  mutual information = {_fmt(report.mutual_info_bits)} bits",
         ]
     lines += ["", "terms (alice setting,outcome | bob setting,outcome | probability)"]
+    # the terms share their probability, |psi_00|^2 on the orbit: each
+    # distinct value is formatted once
     lines += [
-        f"  ({a_s},{a_o} | {b_s},{b_o})  {_fmt(prob)}"
-        for (a_s, a_o, b_s, b_o), prob in zip(ineq.labels.tolist(), ineq.per_term_probs)
+        f"  ({a_s},{a_o} | {b_s},{b_o})  {prob}"
+        for (a_s, a_o, b_s, b_o), prob in zip(
+            ineq.labels.tolist(), _spellings(ineq.per_term_probs, _fmt)
+        )
     ]
     lines += [
         "",

@@ -116,12 +116,14 @@ def game_spec(terms: Iterable[tuple[MeasLabel, MeasLabel]] | np.ndarray) -> Game
     B^(2M) = T x T shifts both outcomes by one, so slot q is the coset
     of terms q, q + 2M, ...: its question is the setting pair of term q
     and its winning set the outcome pairs of the coset, every 2M-th of
-    the pairs read off the labels' two outcome columns. 2M is read off
+    the pairs read off the labels' two outcome columns; slots with the
+    same pairs in the same order share one ``frozenset``. 2M is read off
     the last term, a wrap-around one, with Bob at his last setting
-    M-1. Raises ValueError for a label that is not an integer (see
-    ``orbit._as_labels``), and unless 2M is positive and there are a
-    positive multiple of 2M terms, as on every orbit, so that each slot
-    has a question and a winning set.
+    M-1. Raises ValueError for an array that is not an (n, 4) int64
+    one and a label that is not an integer (see ``orbit._as_labels``),
+    and unless 2M is positive and there are a positive multiple of 2M
+    terms, as on every orbit, so that each slot has a question and a
+    winning set.
     """
     labels = _as_labels(terms)
     period = 2 * (int(labels[-1, 2]) + 1) if len(labels) else 0
@@ -131,9 +133,11 @@ def game_spec(terms: Iterable[tuple[MeasLabel, MeasLabel]] | np.ndarray) -> Game
             + (f", with 2M = {period} read off the last term" if len(labels) else "")
         )
     outcomes = list(zip(*labels[:, 1::2].T.tolist()))  # (alice, bob) per term
+    slots = [tuple(outcomes[q::period]) for q in range(period)]
+    # the slots share few winning sets (two on the orbit): each distinct one is built once
+    sets = {slot: frozenset(slot) for slot in set(slots)}
     return GameSpec(
-        tuple(zip(*labels[:period, ::2].T.tolist())),
-        tuple(frozenset(outcomes[q::period]) for q in range(period)),
+        tuple(zip(*labels[:period, ::2].T.tolist())), tuple(map(sets.__getitem__, slots))
     )
 
 

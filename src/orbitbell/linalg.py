@@ -1,13 +1,13 @@
-"""Dense cross-check routes on the d^2 x d^2 two-party space.
+"""Cross-check routes on the d^2-dimensional two-party space.
 
 ``analyze`` runs none of these: ``verify`` and the tests compare each
 with the matrix-free route of ``orbit`` or ``bounds``. This module
 imports no ``orbitbell`` module, and only ``verify`` and the package
-namespace import it, so the dense routes share no code with the
-routes they check. It holds the shift T, the swap S, the step
-operator B = (U (x) 1) S placed by index and as the dense product of
-its definition, and the projector sum A with its LAPACK top
-eigenvalue. Flat index j * d + k for |j>|k>.
+namespace import it, so these routes share no code with the routes
+they check. It holds the shift T, the step B = (U (x) 1) S applied by
+its definition, an axis swap and then U, with no d^2 x d^2 matrix, and
+the dense projector sum A with its LAPACK top eigenvalue. Flat index
+j * d + k for |j>|k>.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import numpy as np
 
 __all__ = [
     "translation_matrix",
-    "swap_matrix",
-    "step_operator",
+    "apply_step",
     "accumulate_A",
     "quantum_bound_numeric",
 ]
@@ -31,38 +30,13 @@ def translation_matrix(d: int) -> np.ndarray:
     return t
 
 
-def swap_matrix(d: int) -> np.ndarray:
-    """Party exchange S with S|j>|k> = |k>|j>."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            s[k * d + j, j * d + k] = 1.0
-    return s
-
-
-def step_operator(u: np.ndarray) -> np.ndarray:
-    """Orbit generator B = (U (x) 1) S from the root unitary U.
-    Satisfies B^2 = U (x) U.
-
-    B|j>|k> = (U|k>)|j>, so entry ((a, c), (j, k)) is U[a, k] when
-    c = j and 0 otherwise: placed by index in O(d^4), without forming
-    the dense product of :func:`_step_product`.
-    """
+def apply_step(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B = (U (x) 1) S applied to one d^2 vector ``x``, or to each row of
+    an (n, d^2) array, by its definition: S swaps the two parties' axes
+    of x in d x d form, and U acts on the first, so B X = U X^T, with
+    no d^2 x d^2 matrix. B is unitary when U is, and B B = U (x) U."""
     d = u.shape[0]
-    b = np.zeros((d, d, d, d), dtype=complex)
-    diag = np.arange(d)
-    b[:, diag, diag, :] = u[:, None, :]
-    return b.reshape(d * d, d * d)
-
-
-def _step_product(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """B as the dense product (U (x) 1) S, its definition, with ``s``
-    the swap of :func:`swap_matrix`; the verification sweep checks
-    :func:`step_operator` against it."""
-    d = u.shape[0]
-    # (U (x) 1)[(a, c), (j, k)] = U[a, j] 1[c, k], broadcast as np.kron forms it
-    u_x_1 = u[:, None, :, None] * np.eye(d, dtype=complex)[None, :, None, :]
-    return u_x_1.reshape(d * d, d * d) @ s
+    return (u @ x.reshape(-1, d, d).swapaxes(-1, -2)).reshape(x.shape)
 
 
 def accumulate_A(vectors: np.ndarray) -> np.ndarray:

@@ -25,8 +25,9 @@ and ``verify``, and ``MeasLabel`` pairs only for :func:`orbit` and
 ``BellInequality.terms``. Label pairs from outside, given to
 ``bounds.classical_bound`` or ``games.game_spec``, are converted to the
 same array in one place (:func:`_as_labels`). This module forms no
-d^2 x d^2 matrix: B, the shift T and the swap S as matrices are the
-``linalg`` module's, for the verification sweep and the tests.
+d^2 x d^2 matrix, and neither does the package for B: the ``linalg``
+module applies it by its definition, an axis swap and then U, for the
+verification sweep, and its dense matrix is the tests' reference.
 
 Everything rests on one object per instance, its root table
 (:func:`_root_table`): the exact integer root indices of U's
@@ -104,22 +105,23 @@ def _sizes(
 
 # The ceiling of the one size rule (see _check_size), in bytes. The
 # rule counts one dense d^2 x d^2 complex matrix of verify's
-# cross-checks (16 d^4, so d <= 64) and, on their own, the orbit
-# arrays of its dense stepping check and Gram spectrum; analyze,
-# build_inequality, game and table refuse exactly the instances beyond
-# it, and so do the public views root_unitary, orbit and
-# quantum_bound_analytic. It does not bound verify's peak: verify
-# holds several dense matrices per cell (the step operator B, the
-# dense product (U x 1) S with its two factors, and the projector sum
-# A with eigvalsh's workspace), so the peak passes the ceiling below
-# d = 64. The stable measure of that peak is tracemalloc's, the numpy
+# cross-checks, the projector sum A (16 d^4, so d <= 64), and, on
+# their own, the orbit arrays of its stepping check and Gram spectrum;
+# analyze, build_inequality, game and table refuse exactly the
+# instances beyond it, and so do the public views root_unitary, orbit
+# and quantum_bound_analytic. verify applies the step B by its
+# definition, with no d^2 x d^2 matrix, so A is its one such matrix
+# per cell, but it does not bound verify's peak: the Hermitian test of
+# linalg.quantum_bound_numeric holds A's conjugate transpose and the
+# difference beside A, three 16 d^4-byte arrays, past the ceiling from
+# d = 49. The stable measure of that peak is tracemalloc's, the numpy
 # arrays alive at once: an in-process verify --outcomes-max D
-# --settings-max 1 peaks there at 26.8, 82.6 and 131.6 MiB at D = 24,
-# 32 and 36. Its ru_maxrss (62, 128 and 187 MiB there; 336 MiB at
-# D = 40) adds the interpreter, LAPACK's workspace and whatever freed
-# memory the allocator keeps resident, and moves by tens of MiB with
-# changes that alter no array alive at the peak (Python 3.11, numpy
-# 2.4, 2-vCPU Xeon, Linux).
+# --settings-max 1 peaks there at 16.6, 50.6, 80.4 and 121.8 MiB at
+# D = 24, 32, 36 and 40. Its ru_maxrss (52, 93, 129 and 177 MiB there)
+# adds the interpreter, LAPACK's workspace and whatever freed memory
+# the allocator keeps resident, and moves by tens of MiB with changes
+# that alter no array alive at the peak (Python 3.11, numpy 2.4,
+# 2-vCPU Xeon, Linux).
 # The rule's 24 n^2 term counts no array: the Gram route takes its DFT
 # with np.fft in O(n) memory, and the term is only a limit on n.
 # analyze builds none of the counted arrays, no (n, d^2) one, no (n, d)
@@ -146,17 +148,18 @@ def _check_size(outcomes: int, settings: int) -> None:
     :func:`root_unitary`, :func:`orbit` and
     ``bounds.quantum_bound_analytic``.
 
-    First, one dense d^2 x d^2 cross-check matrix must fit. Then the
-    orbit arrays: over its n = 2*M*d steps, verify's dense stepping
-    check holds the orbit states, their product with the dense step
-    operator and that product's magnitudes (40 d^2 bytes per step).
-    The second count adds 24 n^2 bytes, 24 per pair of steps, which
-    count no array (the Gram spectrum is one ``np.fft`` in O(n)
-    memory): that term is only a limit on the orbit length n, kept so
-    that the admitted cells stay what they were. Neither count is
-    verify's whole peak, which holds several dense matrices per cell
-    and is past the ceiling by d = 40 (see MEMORY_CEILING). Plain int
-    arithmetic, so an absurd d or M is rejected without allocating.
+    First, one dense d^2 x d^2 cross-check matrix, the projector sum,
+    must fit. Then the orbit arrays: over its n = 2*M*d steps, verify's
+    stepping check holds the orbit states, their step by B and that
+    step's residual magnitudes (40 d^2 bytes per step). The second
+    count adds 24 n^2 bytes, 24 per pair of steps, which count no array
+    (the Gram spectrum is one ``np.fft`` in O(n) memory): that term is
+    only a limit on the orbit length n, kept so that the admitted cells
+    stay what they were. Neither count is verify's whole peak, which
+    holds three projector-sized arrays at once in the Hermitian test of
+    the LAPACK route and is past the ceiling from d = 49 (see
+    MEMORY_CEILING). Plain int arithmetic, so an absurd d or M is
+    rejected without allocating.
     """
     needed = 16 * outcomes**4
     if needed > MEMORY_CEILING:
@@ -325,7 +328,7 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     root table's first columns as the table is built (see
     :func:`_check_columns`), which raises RuntimeError on a mismatch
     beyond 1e-10 rather than returning silently wrong terms; ``verify``
-    checks it again on every state with the dense B. Raises
+    checks it again on every state, with B applied by its definition. Raises
     InstanceTooLarge first for the instances beyond the size rule
     (:func:`_check_size`), which ``analyze`` refuses too.
     """
@@ -390,16 +393,23 @@ def _labels(spec: ProblemSpec, index: np.ndarray) -> np.ndarray:
 def _as_labels(terms: Iterable[tuple[MeasLabel, MeasLabel]] | np.ndarray) -> np.ndarray:
     """Label pairs as an (n, 4) int64 array of :func:`_labels`' columns:
     an (n, 4) int64 array, such as ``BellInequality.labels``, as it is;
-    anything else as an iterable of (alice, bob) pairs of (setting,
-    outcome) labels, a one-shot iterator included, read once into a new
-    array. The one place that knows the label format, for
+    anything but an array as an iterable of (alice, bob) pairs of
+    (setting, outcome) labels, a one-shot iterator included, read once
+    into a new array. The one place that knows the label format, for
     ``bounds.classical_bound`` and ``games.game_spec``. Raises
-    ValueError naming the first term with a label that is not a 64-bit
-    integer: a ``bool`` (numpy's too), a float, a numpy float, any
-    other type but ``int`` and numpy's integers, or an integer beyond
-    int64. Whether a label is in range is the caller's to check."""
-    if isinstance(terms, np.ndarray) and terms.dtype == np.int64 and terms.shape[1:] == (4,):
-        return terms
+    ValueError naming the shape and dtype of any other array (an int32
+    or a 1-D one, say), and naming the first term with a label that is
+    not a 64-bit integer: a ``bool`` (numpy's too), a float, a numpy
+    float, any other type but ``int`` and numpy's integers, or an
+    integer beyond int64. Whether a label is in range is the caller's
+    to check."""
+    if isinstance(terms, np.ndarray):
+        if terms.dtype == np.int64 and terms.ndim == 2 and terms.shape[1] == 4:
+            return terms
+        raise ValueError(
+            f"expected an (n, 4) int64 label array, got shape {terms.shape} "
+            f"and dtype {terms.dtype}"
+        )
     rows = [(*alice, *bob) for alice, bob in terms]
     bad = [
         j for j, row in enumerate(rows)

@@ -2,28 +2,27 @@
 
 Runs every structural cross-check the construction promises, for all
 outcomes 2..outcomes_max and settings 1..settings_max, and reports one
-pass/fail line per check. Every line runs at every cell.
+pass/fail line per check, 17 in all. Every line runs at every cell.
 
 Each cell runs the assembly ``analyze`` runs (``bounds._inequality``),
 whose own checks raise into one construction line, and checks what it
 reports with the routes that ``analyze`` does not run: from the
-``linalg`` module, the d^2 x d^2 step operator B, placed by index and
-checked against the matrix product (U x 1) S, then applied to every
-orbit vector at once, its period read off B B = U x U and T^d = 1, and
-LAPACK ``eigvalsh`` on the projector sum; from ``bounds``, the
-max-plus elimination of the classical bound, handed the assembly's
-(n, 4) int64 label array as it is. The orbit vectors are
-verify's own: the (n, d) factors gathered by the index rule from the
-root table's first columns, with no labels and no check of their own,
-multiplied out into (n, d^2) states, which the dense stepping line
-checks against B one step at a time. The shift T, the swap S and the
-d^2 identity depend on d alone: they are built once per outcome count,
-and the unitarity of T and S and T^d = 1 are checked there, their
-residuals recorded at each cell of the row. Q_s is checked against its
+``linalg`` module, the shift T, with T and U unitary, and the step
+B = (U x 1) S applied by its definition, an axis swap and then U, to
+every orbit vector at once, with LAPACK ``eigvalsh`` on the dense
+projector sum; from ``bounds``, the max-plus elimination of the
+classical bound, handed the assembly's (n, 4) int64 label array as it
+is. B is unitary by construction once U is, and B B = U x U by its
+definition, so B^(2Md) = U^(Md) x U^(Md): the period line reads
+U^(Md) = 1 and T^d = 1, with no d^2 x d^2 power. The orbit vectors
+are verify's own: the (n, d) factors gathered by the index rule from
+the root table's first columns, with no labels and no check of their
+own, multiplied out into (n, d^2) states, which the stepping line
+checks against B one step at a time. Q_s is checked against its
 proved closed form M (1 + sin(pi/M) / (d sin(pi/(dM)))), 1 at M = 1,
 to a relative 1e-12, and the reported state, expanded from its d
-Fourier coefficients on the pairing, against the definition of the projector
-onto B's eigenvalue mu = exp(2*pi*i*rho/n):
+Fourier coefficients on the pairing, against the definition of the
+projector onto B's eigenvalue mu = exp(2*pi*i*rho/n):
 P_mu|00> = (1/n) sum_j mu^(-j) v_j over the orbit states
 v_j = B^j|00>, normalized, with the proved rho = 1 - d mod 2 (0 at
 M = 1), with no phase fitted. The per-term probabilities, which
@@ -36,11 +35,9 @@ bases (I, U) and their mutual information, to 1e-12. A NaN residual
 fails its line, a NaN in a circulant column, which the statistics
 refuse, fails the information line, a NaN in a dense grid, which the
 mutual information refuses, the circulant line, and a NaN in the
-projector sum, which ``eigvalsh``'s Hermitian
-test refuses, fails the agreement line. Each dense matrix is released
-once its checks are read, and a row's T, S and identity before the
-next row's are built, so that at most a few d^2 x d^2 arrays are
-alive at a time.
+projector sum, which ``eigvalsh``'s Hermitian test refuses, fails the
+agreement line. The projector sum is the one d^2 x d^2 matrix a cell
+builds.
 """
 
 from __future__ import annotations
@@ -52,14 +49,7 @@ import numpy as np
 
 from .bounds import _ROUTE_TOL, _inequality, classical_bound
 from .games import _circulant_grids, _two_setting_stats, joint_distribution, mutual_information
-from .linalg import (
-    _step_product,
-    accumulate_A,
-    quantum_bound_numeric,
-    step_operator,
-    swap_matrix,
-    translation_matrix,
-)
+from .linalg import accumulate_A, apply_step, quantum_bound_numeric, translation_matrix
 from .orbit import _STEP_TOL, ProblemSpec, _check_size, _factor_indices, _gather, _sizes, _states
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -125,27 +115,13 @@ def _closed_form(d: int, m: int) -> float:
     return m * (1 + math.sin(math.pi / m) / (d * math.sin(math.pi / (d * m))))
 
 
-def _period_residual(shift_period: float, u: np.ndarray, b: np.ndarray) -> float:
-    """The largest residual of B B - U x U and of T^d - 1, the latter
-    given as ``shift_period``, read once per outcome count.
-
-    B B = (U x 1) S (U x 1) S = (U x 1)(1 x U) S S = U x U, and the root
-    line checks U^M = T, so B^(2Md) = (U x U)^(Md) = (T x T)^d
-    = T^d x T^d, which is 1 once T^d = 1: B has period 2Md without
-    the 2Md-th power being formed."""
-    d = len(u)
-    square = b @ b
-    square -= (u[:, None, :, None] * u[None, :, None, :]).reshape(d * d, d * d)  # U x U
-    return _largest([_largest(square), shift_period])
-
-
 def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> VerificationReport:
     """Run every check on every cell of the grid.
 
     Each cell assembles its instance once, as ``analyze`` does, and
     every check reads it: the inequality, the orbit and the root table,
-    whose U also gives the dense step operator and the dense M = 2
-    grids, and whose first columns give the circulant statistics.
+    whose U also gives the step B and the dense M = 2 grids, and whose
+    first columns give the circulant statistics.
 
     The two bounds are checked by :class:`ProblemSpec`'s rules before
     any work: a non-integer or ``bool`` bound raises TypeError, and
@@ -162,13 +138,12 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
     checks = {
         "unitary": CheckResult("generator matrices are unitary", 1e-12),
         "root": CheckResult("settings-th power of the root unitary is the shift", 1e-11),
-        "product": CheckResult("step operator equals the dense product (U x 1) S", 1e-12),
         "period": CheckResult("step operator has period 2*M*d", 1e-10),
         "construction": CheckResult(
             "instance builds and passes analyze's own checks", None
         ),
         "stepping": CheckResult(
-            "dense step operator maps each orbit vector to the next", _STEP_TOL
+            "step operator maps each orbit vector to the next", _STEP_TOL
         ),
         "trace": CheckResult("projector sum has trace 2*M*d", 1e-10),
         "agree": CheckResult("analytic and numeric quantum bounds agree", _ROUTE_TOL),
@@ -194,66 +169,43 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
     summary: list[str] = []
 
     for d in range(2, outcomes_max + 1):
-        # the shift, the swap and the d^2 identity depend on d alone, and
-        # so do T's and S's unitarity and T^d = 1; a failure to build
-        # them fails the construction line of each cell; the last row's
-        # matrices are released first, so that the two rows' are never
-        # alive at once
-        row = None
-        try:
-            t, s, eye = translation_matrix(d), swap_matrix(d), np.eye(d * d, dtype=complex)
-            small_eye = eye[:d, :d]  # I_d, the d^2 identity's first block
-            s_gram = s.conj().T @ s
-            s_gram -= eye
-            shift_unitarity = _largest([_largest(t.conj().T @ t - small_eye), _largest(s_gram)])
-            del s_gram
-            shift_period = _largest(np.linalg.matrix_power(t, d) - small_eye)
-            row: tuple | Exception = (t, s, eye, shift_unitarity, shift_period)
-        except Exception as exc:  # noqa: BLE001 - reported per cell, not swallowed
-            row = exc
         for m in range(1, settings_max + 1):
             cell = f"d={d} M={m}"
             spec = ProblemSpec(d, m)
             length = spec.orbit_length
             try:
-                if isinstance(row, Exception):
-                    raise row
-                t, s, eye, shift_unitarity, shift_period = row
+                t = translation_matrix(d)
                 instance = _inequality(spec)
-                u = instance.table.u
-                b = step_operator(u)
-                dense_b = _step_product(u, s)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 checks["construction"].fail(cell, str(exc))
                 summary.append(f"{cell}: construction failed ({exc})")
                 continue
             ineq = instance.inequality
+            u, eye = instance.table.u, np.eye(d, dtype=complex)
             # the orbit states from the index rule's factors, a_j in
             # rows 1..n and b_j in rows 0..n-1
             factors = _gather(spec, instance.table, np.arange(d), _factor_indices(spec))
             orbit_vecs = _states(factors[1:], factors[:-1])
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
-            dense_b -= b
-            checks["product"].record(_largest(dense_b), cell)
-            del dense_b  # before B^H B, so that the two are never alive at once
-            b_gram = b.conj().T @ b
-            b_gram -= eye
-            unitarity = [shift_unitarity, _largest(u.conj().T @ u - eye[:d, :d]), _largest(b_gram)]
-            del b_gram
+            unitarity = [_largest(t.conj().T @ t - eye), _largest(u.conj().T @ u - eye)]
             checks["unitary"].record(_largest(unitarity), cell)
             checks["root"].record(_largest(np.linalg.matrix_power(u, m) - t), cell)
-            checks["period"].record(_period_residual(shift_period, u, b), cell)
+            # B B = U x U by B's definition, so B^(2Md) = U^(Md) x U^(Md)
+            period = [
+                _largest(np.linalg.matrix_power(u, m * d) - eye),
+                _largest(np.linalg.matrix_power(t, d) - eye),
+            ]
+            checks["period"].record(_largest(period), cell)
 
-            # column j of B V^T is B v_j, to be v_(j+1); v_0 closes the cycle
-            stepped = b @ orbit_vecs.T
-            stepped[:, :-1] -= orbit_vecs[1:].T
-            stepped[:, -1] -= orbit_vecs[0]
+            # row j of the stepped states is B v_j, to be v_(j+1); v_0 closes the cycle
+            stepped = apply_step(u, orbit_vecs)
+            stepped[:-1] -= orbit_vecs[1:]
+            stepped[-1] -= orbit_vecs[0]
             checks["stepping"].record(_largest(stepped), cell)
-            b_state = b @ state
+            b_state = apply_step(u, state)
             rayleigh = np.vdot(state, b_state)
             checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
-            del b  # before A, the last d^2 x d^2 matrix of the cell
 
             a = accumulate_A(orbit_vecs)
             checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
@@ -263,7 +215,6 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 checks["agree"].fail(cell, str(exc))
             else:
                 checks["agree"].record(abs(numeric - analytic), cell)
-            del a
             checks["gram"].record(abs(instance.gram - analytic), cell)
             closed = _closed_form(d, m)
             checks["closed"].record(abs(analytic - closed) / closed, cell)
@@ -297,7 +248,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
                 checks["prediction"].record(abs(stats.prediction - analytic / 4), cell)
                 # the four dense grids in the bases (I, U), and their
                 # mutual information, against the circulant columns
-                bases = np.stack([eye[:d, :d], u])
+                bases = np.stack([eye, u])
                 grids = joint_distribution(state, bases[:, None], bases[None, :])
                 try:
                     infos = mutual_information(grids)

@@ -4,7 +4,10 @@ its phase, which checks the root table's integer root indices and the
 eigenvalue of a reported state without the package's index arithmetic;
 the one-step label rule, the reference for the orbit's index rule;
 the measurement bases U^s as running products of U, the reference for
-the root table's first columns; the shift's Fourier rows; B's
+the root table's first columns; the swap S and the step operator
+B = (U (x) 1) S as d^2 x d^2 matrices, the reference for
+``linalg.apply_step``, which applies B by its definition with no
+matrix; the shift's Fourier rows; B's
 closed-form eigensystem one block at a time, from the root table's
 integer root indices, the reference for the paper's 2-D block
 structure of B, which the tests check against the dense step
@@ -75,6 +78,27 @@ def measurement_bases(u: np.ndarray, settings: int) -> list[np.ndarray]:
     for _ in range(2, settings):
         bases.append(bases[-1] @ u)
     return bases[:settings]
+
+
+def swap_matrix(d: int) -> np.ndarray:
+    """Party exchange S with S|j>|k> = |k>|j>, as a d^2 x d^2 matrix."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            s[k * d + j, j * d + k] = 1.0
+    return s
+
+
+def step_operator(u: np.ndarray) -> np.ndarray:
+    """B = (U (x) 1) S as a d^2 x d^2 matrix, placed by index: B|j>|k>
+    = (U|k>)|j>, so entry ((a, c), (j, k)) is U[a, k] when c = j and 0
+    otherwise. The tests check it against the product
+    ``np.kron(u, np.eye(d)) @ swap_matrix(d)``, B's definition."""
+    d = u.shape[0]
+    b = np.zeros((d, d, d, d), dtype=complex)
+    diag = np.arange(d)
+    b[:, diag, diag, :] = u[:, None, :]
+    return b.reshape(d * d, d * d)
 
 
 def fourier_rows(d):

@@ -38,7 +38,7 @@ from orbitbell.bounds import (
     _inequality,
     quantum_bound_gram,
 )
-from orbitbell.linalg import accumulate_A, step_operator
+from orbitbell.linalg import accumulate_A, apply_step
 from orbitbell.orbit import _as_labels, _factor_indices, _gather, _root_table
 from reference import (
     analytic_state_by_amplitude,
@@ -182,15 +182,15 @@ def test_b_eigensystem_qutrit_degeneracy():
 @pytest.mark.parametrize("d,m", GRID)
 def test_b_eigensystem_residuals(d, m):
     spec = ProblemSpec(d, m)
-    b = step_operator(root_unitary(spec))
     roots, vectors = eigensystem_by_pair(spec, _root_table(spec))
     assert roots.shape == (d * d,) and vectors.shape == (d * d, d * d)
     # orthonormal eigenbasis, one vector per row
     gram = vectors.conj() @ vectors.T
     assert np.max(np.abs(gram - np.eye(d * d))) <= 1e-12
-    for idx, vector in zip(roots.tolist(), vectors):
+    stepped = apply_step(root_unitary(spec), vectors)  # row r is B v_r
+    for idx, vector, b_vector in zip(roots.tolist(), vectors, stepped):
         lam = np.exp(2j * np.pi * idx / spec.orbit_length)
-        assert np.max(np.abs(b @ vector - lam * vector)) <= 1e-9
+        assert np.max(np.abs(b_vector - lam * vector)) <= 1e-9
 
 
 def test_quantum_bound_analytic_qubit():
@@ -424,6 +424,27 @@ def test_classical_bound_refuses_a_label_that_is_not_an_integer(pair):
     for given in (terms, iter(terms)):
         with pytest.raises(ValueError, match=message):
             classical_bound(spec, given)
+
+
+@pytest.mark.parametrize(
+    "bad", ["int32", "three columns", "one dimension"], ids=lambda bad: bad.replace(" ", "-")
+)
+def test_classical_bound_refuses_an_array_that_is_not_an_int64_label_array(bad):
+    # such an array once fell through to pair unpacking and raised "too
+    # many values to unpack" or a TypeError
+    spec = ProblemSpec(3, 2)
+    labels = build_inequality(spec).labels
+    array = {
+        "int32": labels.astype(np.int32),
+        "three columns": labels[:, :3],
+        "one dimension": labels[:, 0],
+    }[bad]
+    message = (
+        rf"^expected an \(n, 4\) int64 label array, got shape "
+        rf"{re.escape(str(array.shape))} and dtype {array.dtype}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        classical_bound(spec, array)
 
 
 def test_classical_bound_reads_numpy_integer_labels_and_arrays_alike():

@@ -28,9 +28,9 @@ The verification sweep runs the same assembly once per cell, so it
 checks the instance ``analyze`` reports, with one root table, one label
 array, one Gram spectrum and one gather of the whole factors; it runs
 the statistics function once per M = 2 cell, and the max-plus
-elimination of the classical bound once per cell, on that label array. The shift T and the
-swap S depend on d alone, so the sweep builds them once per outcome
-count.
+elimination of the classical bound once per cell, on that label array.
+It builds the shift T once per cell and no d^2 x d^2 step operator or
+swap: it applies B by its definition.
 """
 
 import ast
@@ -53,12 +53,11 @@ from orbitbell import (
     run_verification,
 )
 
-# every dense d^2 x d^2 route: the linalg module's public functions and
-# the dense product B is checked against
+# every cross-check route: the linalg module's public functions
 DENSE_ROUTES = [
     name for name in orbitbell.linalg.__all__
     if inspect.isfunction(getattr(orbitbell.linalg, name))
-] + ["_step_product"]
+]
 
 
 def count_calls(monkeypatch, module_name, attr):
@@ -256,8 +255,8 @@ def test_verify_builds_each_cell_once(monkeypatch):
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
-    swaps = count_calls(monkeypatch, "orbitbell.linalg", "swap_matrix")
     shifts = count_calls(monkeypatch, "orbitbell.linalg", "translation_matrix")
+    steps = record_shapes(monkeypatch, "orbitbell.linalg", "apply_step")
     report = run_verification(3, 3)  # 6 cells
     assert report.passed
     assert assemblies[0] == tables[0] == labels[0] == 6
@@ -266,9 +265,13 @@ def test_verify_builds_each_cell_once(monkeypatch):
     assert gathers == [
         shape for d, m in cells for shape in ((2 * m * d + 1, 1), (2 * m * d + 1, d))
     ]
-    # T and S depend on d alone: one each per outcome count, d = 2 and 3,
-    # shared by the row's cells and the dense product
-    assert swaps[0] == shifts[0] == 2
+    # one T per cell, and B applied twice per cell, to the (n, d^2)
+    # orbit states and to the d^2-long optimal state, with no d^2 x d^2
+    # matrix
+    assert shifts[0] == 6
+    assert steps == [
+        shape for d, m in cells for shape in ((2 * m * d, d * d), (d * d,))
+    ]
     # the information and prediction lines read one statistics run per
     # M = 2 cell, (2, 2) and (3, 2)
     assert stats[0] == 2

@@ -20,7 +20,7 @@ from orbitbell import (
     run_verification,
 )
 from orbitbell.cli import build_parser, main as cli_main
-from reference import certificate_dict
+from reference import certificate_dict, step_operator
 
 
 def run_cli(*args):
@@ -76,6 +76,24 @@ def test_analyze_text_report():
     assert "prediction probability p = 0.8536" in proc.stdout
     assert "mutual information = 0.3991 bits" in proc.stdout
     assert proc.stdout.count("|") >= 8
+
+
+@pytest.mark.parametrize("d,m", [(3, 2), (7, 3), (2, 835)])
+def test_text_report_formats_each_distinct_probability_once(monkeypatch, d, m):
+    # every term line still carries its own probability to 4 places, and
+    # the formatter runs once per distinct value, not once per term
+    cli_module = importlib.import_module("orbitbell.cli")
+    report = analyze(ProblemSpec(d, m))
+    probs = report.inequality.per_term_probs
+    real_fmt = cli_module._fmt
+    calls = []
+    monkeypatch.setattr(cli_module, "_fmt", lambda x: calls.append(x) or real_fmt(x))
+    text = cli_module.render_text_report(report)
+    lines = [line for line in text.splitlines() if line.startswith("  (")]
+    assert [line.rsplit("  ", 1)[1] for line in lines] == [f"{x:.4f}" for x in probs]
+    # the distinct per-term values, and Q_s, Q_s/n, the two win
+    # probabilities and, at M = 2, p and I_ab
+    assert len(calls) <= len(set(probs.tolist())) + 6 < len(probs)
 
 
 def test_analyze_text_report_no_two_setting_block():
@@ -338,10 +356,9 @@ def test_verify_check_lines_are_pinned():
     assert [c.name for c in report.checks] == [
         "generator matrices are unitary",
         "settings-th power of the root unitary is the shift",
-        "step operator equals the dense product (U x 1) S",
         "step operator has period 2*M*d",
         "instance builds and passes analyze's own checks",
-        "dense step operator maps each orbit vector to the next",
+        "step operator maps each orbit vector to the next",
         "projector sum has trace 2*M*d",
         "analytic and numeric quantum bounds agree",
         "orbit Gram spectrum and analytic quantum bound agree",
@@ -386,32 +403,29 @@ def test_certificate_top_level_keys():
 
 
 def test_corrupted_swap_fails_verification(monkeypatch):
-    # break the two-party exchange operator in the dense product (U x 1) S;
-    # the product check, and only it, must fail at every cell
-    def not_a_swap(d: int):
-        return np.eye(d * d, dtype=complex)
+    # a step that skips the swap, (U x 1) in place of (U x 1) S: the
+    # stepping line must fail and name every cell
+    verify_module = importlib.import_module("orbitbell.verify")
 
-    # every namespace that binds swap_matrix, so that the sweep's one S
-    # per outcome count is the corrupted one wherever it is built
-    real_swap = importlib.import_module("orbitbell.linalg").swap_matrix
-    for name, module in list(sys.modules.items()):
-        if name == "orbitbell" or name.startswith("orbitbell."):
-            for key, value in list(vars(module).items()):
-                if value is real_swap:
-                    monkeypatch.setattr(module, key, not_a_swap)
+    def no_swap(u, x):
+        d = u.shape[0]
+        return (u @ x.reshape(-1, d, d)).reshape(x.shape)
+
+    monkeypatch.setattr(verify_module, "apply_step", no_swap)
+    name = "step operator maps each orbit vector to the next"
     report = run_verification(2, 2)
-    failed = [c for c in report.checks if not c.passed]
-    assert [c.name for c in failed] == ["step operator equals the dense product (U x 1) S"]
-    assert [note.split(":")[0] for note in failed[0].notes] == ["d=2 M=1", "d=2 M=2"]
+    (check,) = [c for c in report.checks if c.name == name]
+    assert not check.passed
+    assert [note.split(":")[0] for note in check.notes] == ["d=2 M=1", "d=2 M=2"]
 
 
 def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
-    # B^T in place of B: the dense step through the orbit must notice
-    # and name the cell, and the sweep must exit 1
+    # B^T in place of B, from the dense B of the tests' reference: the
+    # step through the orbit must notice and name the cell, and the
+    # sweep must exit 1; x @ B is B^T applied to each row of x
     verify_module = importlib.import_module("orbitbell.verify")
-    real_step = verify_module.step_operator
-    monkeypatch.setattr(verify_module, "step_operator", lambda u: real_step(u).T)
-    name = "dense step operator maps each orbit vector to the next"
+    monkeypatch.setattr(verify_module, "apply_step", lambda u, x: x @ step_operator(u))
+    name = "step operator maps each orbit vector to the next"
     report = run_verification(3, 2)
     (check,) = [c for c in report.checks if c.name == name]
     assert not check.passed
@@ -423,21 +437,47 @@ def test_transposed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
     assert f"FAIL  {name} (" in captured.out
 
 
-def test_phase_perturbed_step_operator_fails_the_period_check(monkeypatch, capsys):
-    # e^(i 1e-6) B is unitary, but B B is off U x U by up to 2e-6 times
-    # U x U's largest entry: the period line must fail and name every cell
+def test_phase_perturbed_step_operator_fails_the_stepping_check(monkeypatch, capsys):
+    # e^(i 1e-6) B is unitary, but moves each orbit vector's step off the
+    # next by up to 1e-6 times its largest entry: the stepping line must
+    # fail and name every cell, while the optimal state stays an
+    # eigenvector
     verify_module = importlib.import_module("orbitbell.verify")
-    real_step = verify_module.step_operator
+    real_step = verify_module.apply_step
     monkeypatch.setattr(
-        verify_module, "step_operator", lambda u: real_step(u) * np.exp(1e-6j)
+        verify_module, "apply_step", lambda u, x: real_step(u, x) * np.exp(1e-6j)
+    )
+    name = "step operator maps each orbit vector to the next"
+    report = run_verification(3, 2)
+    assert [c.name for c in report.checks if not c.passed] == [name]
+    (check,) = [c for c in report.checks if c.name == name]
+    cells = ["d=2 M=1", "d=2 M=2", "d=3 M=1", "d=3 M=2"]
+    assert [note.split(":")[0] for note in check.notes] == cells
+    assert all(1e-7 < float(note.split("residual ")[1]) <= 1e-6 for note in check.notes)
+    rc = cli_main(["verify", "--outcomes-max", "3", "--settings-max", "2"])
+    assert rc == 1
+    assert f"FAIL  {name} (" in capsys.readouterr().out
+
+
+def test_phase_perturbed_shift_fails_the_period_check(monkeypatch, capsys):
+    # e^(i 1e-6) T is unitary, but its d-th power is off 1 by about
+    # d 1e-6: the period line must fail and name every cell, and so must
+    # the root line, which reads U^M against that T
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_shift = verify_module.translation_matrix
+    monkeypatch.setattr(
+        verify_module, "translation_matrix", lambda d: real_shift(d) * np.exp(1e-6j)
     )
     name = "step operator has period 2*M*d"
     report = run_verification(3, 2)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "settings-th power of the root unitary is the shift",
+        name,
+    ]
     (check,) = [c for c in report.checks if c.name == name]
-    assert not check.passed
     cells = ["d=2 M=1", "d=2 M=2", "d=3 M=1", "d=3 M=2"]
     assert [note.split(":")[0] for note in check.notes] == cells
-    assert all(1e-7 < float(note.split("residual ")[1]) <= 2e-6 for note in check.notes)
+    assert all(1e-6 < float(note.split("residual ")[1]) <= 4e-6 for note in check.notes)
     rc = cli_main(["verify", "--outcomes-max", "3", "--settings-max", "2"])
     assert rc == 1
     assert f"FAIL  {name} (" in capsys.readouterr().out

@@ -18,7 +18,7 @@ agreement fails and ``analyze`` exits 4; bumped by 1, it makes a
 block's root-index sum odd, which the closed-form eigensystem of
 ``reference.eigensystem_by_pair`` refuses. A NaN in the root unitary
 fails ``verify``'s unitarity line, and at M = 2 its mutual-information
-line, whose circulant statistics read the same first column; a swap
+line, whose circulant statistics read the same first column; a shift
 matrix that cannot be built fails the construction line of every cell
 of its outcome count.
 """
@@ -95,20 +95,21 @@ def test_nan_classical_value_fails_the_dominance_line(monkeypatch):
 
 
 def test_nan_in_one_generator_fails_the_unitarity_line(monkeypatch):
-    # S is the third of the four generators the line takes the largest
+    # T is the first of the two generators the line takes the largest
     # residual over; its NaN must not be dropped by that maximum
     verify_module = importlib.import_module("orbitbell.verify")
-    real_swap = verify_module.swap_matrix
+    real_shift = verify_module.translation_matrix
 
-    def nan_swap(d):
-        s = real_swap(d)
-        s[0, 0] = NAN
-        return s
+    def nan_shift(d):
+        t = real_shift(d)
+        t[0, 0] = NAN
+        return t
 
-    monkeypatch.setattr(verify_module, "swap_matrix", nan_swap)
+    monkeypatch.setattr(verify_module, "translation_matrix", nan_shift)
     name = "generator matrices are unitary"
     (check,) = [c for c in run_verification(2, 1).checks if c.name == name]
     assert check.line() == f"FAIL  {name} (worst residual nan, tolerance 1e-12)"
+    assert check.notes == ["d=2 M=1: residual nan"]
 
 
 def test_nan_in_the_root_unitary_fails_the_unitarity_line(monkeypatch):
@@ -135,24 +136,24 @@ def test_nan_in_the_root_unitary_fails_the_unitarity_line(monkeypatch):
     assert information.notes == ["d=2 M=2: NaN outcome probability in an M = 2 joint grid"]
 
 
-def test_unbuilt_swap_fails_the_construction_line_of_its_row(monkeypatch):
-    # S is built once per outcome count: its failure is each cell's
+def test_unbuilt_shift_fails_the_construction_line_of_its_row(monkeypatch):
+    # T depends on d alone: its failure is that of each cell of its row
     verify_module = importlib.import_module("orbitbell.verify")
-    real_swap = verify_module.swap_matrix
+    real_shift = verify_module.translation_matrix
 
-    def no_swap_at_three(d):
+    def no_shift_at_three(d):
         if d == 3:
-            raise RuntimeError("no swap at d=3")
-        return real_swap(d)
+            raise RuntimeError("no shift at d=3")
+        return real_shift(d)
 
-    monkeypatch.setattr(verify_module, "swap_matrix", no_swap_at_three)
+    monkeypatch.setattr(verify_module, "translation_matrix", no_shift_at_three)
     report = run_verification(3, 2)
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["instance builds and passes analyze's own checks"]
-    assert failed[0].notes == ["d=3 M=1: no swap at d=3", "d=3 M=2: no swap at d=3"]
+    assert failed[0].notes == ["d=3 M=1: no shift at d=3", "d=3 M=2: no shift at d=3"]
     assert report.summary[2:] == [
-        "d=3 M=1: construction failed (no swap at d=3)",
-        "d=3 M=2: construction failed (no swap at d=3)",
+        "d=3 M=1: construction failed (no shift at d=3)",
+        "d=3 M=2: construction failed (no shift at d=3)",
     ]
 
 

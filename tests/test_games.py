@@ -5,6 +5,8 @@ qutrit game at 5/6 classical, the qubit M-setting family, and the
 two-setting survey statistics.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,36 @@ def test_game_spec_reads_numpy_integer_labels_and_arrays_alike():
     pairs = [(MeasLabel(*row[:2]), MeasLabel(*row[2:])) for row in ineq.labels.astype(np.int32)]
     for terms in (pairs, iter(ineq.terms), ineq.labels):
         assert game_spec(terms) == game
+
+
+@pytest.mark.parametrize(
+    "bad", ["int32", "three columns", "one dimension"], ids=lambda bad: bad.replace(" ", "-")
+)
+def test_game_spec_refuses_an_array_that_is_not_an_int64_label_array(bad):
+    # such an array once fell through to pair unpacking and raised "too
+    # many values to unpack" or a TypeError
+    labels = build_inequality(ProblemSpec(3, 2)).labels
+    array = {
+        "int32": labels.astype(np.int32),
+        "three columns": labels[:, :3],
+        "one dimension": labels[:, 0],
+    }[bad]
+    message = (
+        rf"^expected an \(n, 4\) int64 label array, got shape "
+        rf"{re.escape(str(array.shape))} and dtype {array.dtype}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        game_spec(array)
+
+
+@pytest.mark.parametrize("d,m", [(2, 2), (3, 2), (5, 4), (2, 835)])
+def test_game_spec_builds_each_distinct_winning_set_once(d, m):
+    # the 2M slots share two distinct winning sets, one frozenset each
+    game = analyze(ProblemSpec(d, m)).game
+    assert len(game.winning) == 2 * m
+    assert len(set(game.winning)) == 2
+    assert len({id(win) for win in game.winning}) == 2
+    assert all(type(win) is frozenset for win in game.winning)
 
 
 @pytest.mark.parametrize("d,m", GRID)

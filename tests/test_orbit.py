@@ -17,7 +17,7 @@ from numpy.linalg import matrix_power as mat_power
 from orbitbell import MeasLabel, ProblemSpec, orbit, root_unitary
 from orbitbell.bounds import build_inequality
 from orbitbell.cli import main as cli_main
-from orbitbell.linalg import step_operator, swap_matrix, translation_matrix
+from orbitbell.linalg import apply_step, translation_matrix
 from orbitbell.orbit import (
     InstanceTooLarge,
     _check_size,
@@ -28,7 +28,14 @@ from orbitbell.orbit import (
     _root_table,
     _states,
 )
-from reference import condition_label_pairs, fourier_rows, label_step, measurement_bases
+from reference import (
+    condition_label_pairs,
+    fourier_rows,
+    label_step,
+    measurement_bases,
+    step_operator,
+    swap_matrix,
+)
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
 
@@ -173,6 +180,26 @@ def test_step_operator_structure(d, m):
     assert np.max(np.abs(b @ b - kron(u, u))) <= 1e-12
     # period 2*M*d
     assert np.max(np.abs(mat_power(b, spec.orbit_length) - np.eye(d * d))) <= 1e-10
+
+
+@pytest.mark.parametrize("d,m", [(d, m) for d in range(2, 17) for m in (1, 2, 3)])
+def test_apply_step_equals_the_dense_step_operator(d, m):
+    # B applied by its definition, an axis swap and then U, against the
+    # dense B placed by index and the product (U (x) 1) S
+    u = root_unitary(ProblemSpec(d, m))
+    dense = step_operator(u)
+    assert np.array_equal(dense, kron(u, np.eye(d)) @ swap_matrix(d))
+    # row i of the stepped identity is B e_i, column i of B
+    assert np.array_equal(apply_step(u, np.eye(d * d, dtype=complex)).T, dense)
+    rng = np.random.default_rng(100 * d + m)
+    rows = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+    stepped = apply_step(u, rows)
+    assert stepped.shape == rows.shape
+    assert np.max(np.abs(stepped - rows @ dense.T)) <= 1e-13
+    # one d^2 vector keeps its shape
+    single = apply_step(u, rows[0])
+    assert single.shape == (d * d,)
+    assert np.max(np.abs(single - dense @ rows[0])) <= 1e-13
 
 
 def test_label_step_increments_setting():

@@ -61,9 +61,9 @@ four grids from one broadcast ``joint_distribution`` and their mutual
 information from one stacked reduction, equal that loop, the grids to
 1e-15 and I_ab and its spread to 1e-14, at d <= 32 and at (64, 2).
 ``verify``'s period
-line, read off B B = U x U and T^d = 1, gives the verdict of the
-2Md-th matrix power it replaced on every cell with d <= 8, M <= 6, for
-B and for B with its phase moved.
+line, read off U^(Md) = 1 and T^d = 1, since B B = U x U, gives the
+verdict of the 2Md-th power of the dense B of ``reference`` on every
+cell with d <= 8, M <= 6, for U and for U with its phase moved.
 """
 
 import itertools
@@ -95,7 +95,7 @@ from orbitbell.bounds import (
     quantum_bound_gram,
 )
 from orbitbell.games import _circulant_grids, _two_setting_stats
-from orbitbell.linalg import accumulate_A, step_operator, translation_matrix
+from orbitbell.linalg import accumulate_A, apply_step, translation_matrix
 from orbitbell.orbit import (
     _eigenphases,
     _factor_indices,
@@ -103,7 +103,7 @@ from orbitbell.orbit import (
     _labels,
     _root_table,
 )
-from orbitbell.verify import _largest, _period_residual
+from orbitbell.verify import _largest
 from reference import (
     classical_bound_by_term,
     condition_label_pairs,
@@ -112,6 +112,7 @@ from reference import (
     label_step,
     measurement_bases,
     root_of_unity_index,
+    step_operator,
     two_setting_stats_by_grid,
 )
 
@@ -386,8 +387,8 @@ def test_root_index_route_matches_grouping_the_eigensystem(cell):
     spec = ProblemSpec(*cell)
     value, state = quantum_bound_analytic(spec)
     ref_idx, ref_value, ref_state = grouped_eigensystem_bound(spec, orbit(spec))
-    b = step_operator(root_unitary(spec))
-    assert root_of_unity_index(np.vdot(state, b @ state), spec.orbit_length) == ref_idx
+    b_state = apply_step(root_unitary(spec), state)
+    assert root_of_unity_index(np.vdot(state, b_state), spec.orbit_length) == ref_idx
     assert np.max(np.abs(state - ref_state)) <= 1e-14
     assert abs(value - ref_value) <= 1e-13 * ref_value
 
@@ -612,17 +613,21 @@ def test_circulant_statistics_match_the_dense_grids(cell):
 @given(st.sampled_from(PERIOD_CELLS))
 @every_cell(PERIOD_CELLS)
 def test_period_line_agrees_with_the_matrix_power(cell):
-    # a phase e^(i phi) on B moves B B off U x U by |e^(2 i phi) - 1|
-    # and B^(2Md) off 1 by |e^(2Md i phi) - 1|: both fail at phi = 1e-6
+    # B B = U x U, so the period line reads B^(2Md) = U^(Md) x U^(Md) off
+    # U^(Md) and T^d; a phase e^(i phi) on U moves U^(Md) off 1 by
+    # |e^(Md i phi) - 1| and the dense B^(2Md) off 1 by
+    # |e^(2Md i phi) - 1|: both fail at phi = 1e-6
     spec = ProblemSpec(*cell)
-    d, length = spec.outcomes, spec.orbit_length
-    u = _root_table(spec).u
+    d, m, length = spec.outcomes, spec.settings, spec.orbit_length
     t = translation_matrix(d)
     for phase, passes in ((0.0, True), (1e-6, False)):
-        b = step_operator(u) * np.exp(1j * phase)
-        power = _largest(mat_power(b, length) - np.eye(d * d))
-        algebraic = _period_residual(_largest(mat_power(t, d) - np.eye(d)), u, b)
-        assert (power <= 1e-10, algebraic <= 1e-10) == (passes, passes)
+        u = _root_table(spec).u * np.exp(1j * phase)
+        power = _largest(mat_power(step_operator(u), length) - np.eye(d * d))
+        line = _largest([
+            _largest(mat_power(u, m * d) - np.eye(d)),
+            _largest(mat_power(t, d) - np.eye(d)),
+        ])
+        assert (power <= 1e-10, line <= 1e-10) == (passes, passes)
 
 
 @EVERY_CELL_SETTINGS
