@@ -286,12 +286,14 @@ def classical_bound(
     per-setting argmax, and Bob's best score at setting t depends only
     on Alice's outcomes at the settings S_t that share a term with t
     (on the orbit, t and t+1 mod M). One sort of an integer code per
-    term groups the terms by setting pair (t, s), and each Bob
-    setting's hit table, indexed by Bob's outcome and Alice's outcomes
-    on S_t, is one ``np.bincount`` of the flat codes b * d + a of the
-    group at (s, t) per s in S_t, broadcast along the other settings of
-    S_t; its max over Bob's outcome is a factor over S_t, filed in the
-    bucket of the highest setting of S_t. Settings a_(M-1) down to a_0
+    term groups the terms by setting pair (t, s), and one
+    ``np.bincount`` of each term's group number and flat code
+    b * d + a counts every group's (Bob outcome, Alice outcome) hits.
+    Each Bob setting's hit table, indexed by Bob's outcome and Alice's
+    outcomes on S_t, is the sum of the hits of the groups at (t, s) for
+    s in S_t, each broadcast along the other settings of S_t; its max
+    over Bob's outcome is a factor over S_t, filed in the bucket of the
+    highest setting of S_t. Settings a_(M-1) down to a_0
     are then eliminated: a bucket's factors are summed into one table
     over the union of their scopes, whose argmax over a_k is kept and
     whose max over a_k is filed in the bucket of the next-highest
@@ -317,11 +319,13 @@ def classical_bound(
     1 KiB of Python and numpy objects per setting, 32 bytes per term
     for the route's per-term arrays (a list of pairs adds its label
     array, converted before the count, beside the caller's pairs),
-    numpy's ufunc buffers, every
-    factor, message and kept argmax, and the table being summed, twice,
-    for the partial sum or bincount beside it (at M = 1 on the orbit,
-    two d x d tables: every d >= 4093 is refused; at
-    ``ProblemSpec(2, 10**9)`` the per-setting count alone is). Raises
+    numpy's ufunc buffers, every group's d x d hits, every factor,
+    message and kept argmax, each Bob setting's hit table (the partial
+    sum before it is no larger than the factor counted beside it), and
+    each bucket's table twice, for the partial sum beside it (at M = 1
+    on the orbit, the hits and the hit table, two d x d tables: every
+    d >= 4093 is refused; at ``ProblemSpec(2, 10**9)`` the per-setting
+    count alone is). Raises
     ValueError, before any table is built, for an array that is not an
     (n, 4) int64 one and a term with a label that is not a 64-bit
     integer (a ``bool`` or a float, say; see ``orbit._as_labels``), and
@@ -345,11 +349,13 @@ def classical_bound(
     labels = _as_labels(terms)
     # Bob's hit rows and the two maps, each setting's Python and numpy
     # objects, 32 bytes a term, and 128 KiB for numpy's ufunc buffers.
-    # The per-term arrays peak at 25 bytes a term: 24 while the groups
-    # are cut (the sorted code, the setting pair and the flat code, of
-    # which the tables keep the flat code), then 25 in Bob's reply, once
-    # the rest are released (the mask, the met terms' Bob labels and
-    # their codes)
+    # The per-term arrays peak at 25 bytes a term: 24 while the code is
+    # split (the sorted code, the setting pair and the flat code), 25
+    # while the groups are cut (the pair, the flat code, the change mask
+    # and the groups' first pairs, then the flat code, the mask and two
+    # group-number arrays), all released before the tables are built,
+    # then 25 in Bob's reply (the mask, the met terms' Bob labels
+    # and their codes)
     hold(m * (d + 128) + 4 * len(labels) + 2**14)
     # one sort groups the terms by Bob's setting, then by Alice's: code
     # (b_setting * M + a_setting) * d^2 + b * d + a, cut where the
@@ -370,35 +376,47 @@ def classical_bound(
             f"term {tuple(map(MeasLabel._make, first.reshape(2, 2).tolist()))} has a setting "
             f"outside 0..{m - 1} or an outcome outside 0..{d - 1}"
         ) from None
-    # a group starts at 0 and wherever the pair changes; with no terms there are none
-    starts = [0, *(np.flatnonzero(pairs[1:] != pairs[:-1]) + 1).tolist()][: len(pairs)]
-    groups: dict[int, dict[int, np.ndarray]] = {}
-    for lo, hi, pair in zip(starts, [*starts[1:], len(pairs)], pairs[starts].tolist()):
-        groups.setdefault(pair // m, {})[pair % m] = flat[lo:hi]
+    # a group starts at 0 and wherever the pair changes; with no terms
+    # there are none. The groups run Bob setting first, then Alice's
+    change = pairs[1:] != pairs[:-1]
+    keys = pairs[:1].tolist() + pairs[1:][change].tolist()
+    del pairs
+    linked: dict[int, list[int]] = {}  # Alice's settings sharing terms with Bob's, ascending
+    for key in keys:
+        linked.setdefault(key // m, []).append(key % m)
+    # every group's (Bob outcome, Alice outcome) hits, kept until the
+    # tables are built, and each Bob setting's table, the sum of its
+    # groups' hits broadcast along the other linked settings' axes, with
+    # the factor it leaves; the partial sum before the last is no larger
+    # than that factor. All counted before the hits are made
+    hold(len(keys) * d * d)
+    for scope in linked.values():
+        hold(d ** len(scope), d ** (1 + len(scope)))
+    # each term's group number, the count of changes up to it, times d^2
+    # added to its flat code: one bincount
+    flat[1:] += np.cumsum(change) * (d * d)
+    counts = np.bincount(flat, minlength=len(keys) * d * d).reshape(-1, d, d)
+    del change, flat
 
     # the (scope, table) pairs to sum at each setting, scopes ascending
     buckets: dict[int, list[tuple[list[int], np.ndarray]]] = {}
-    for t in groups:  # by key, so that no name outlives groups with its slices
-        linked = sorted(groups[t])
-        # the (Bob outcome, Alice outcome) counts of each linked setting,
-        # broadcast along the other linked settings' axes and summed
-        hold(d ** len(linked), 2 * d ** (1 + len(linked)))
+    hits_by_group = iter(counts)  # in the groups' order, as each scope reads them
+    for scope in linked.values():
         hits = reduce(
             np.add,
             (
-                np.bincount(groups[t][s], minlength=d * d).reshape(
-                    [d] + [d if x == s else 1 for x in linked]
-                )
-                for s in linked
+                next(hits_by_group).reshape([d] + [d if x == s else 1 for x in scope])
+                for s in scope
             ),
         )
-        buckets.setdefault(linked[-1], []).append((linked, hits.max(axis=0)))
+        buckets.setdefault(scope[-1], []).append((scope, hits.max(axis=0)))
         del hits  # before the next table is made
+    del counts, hits_by_group  # no hit count outlives the tables
 
     # every linked setting gets a bucket by its turn: a message carries
     # the union's other settings to the highest of them
     kept = []
-    for k in sorted({s for by_alice in groups.values() for s in by_alice}, reverse=True):
+    for k in sorted({s for scope in linked.values() for s in scope}, reverse=True):
         bucket = buckets.pop(k)
         scope = sorted(set().union(*(s for s, _ in bucket)))
         hold(2 * d ** (len(scope) - 1), 2 * d ** len(scope))
@@ -408,7 +426,6 @@ def classical_bound(
             buckets.setdefault(scope[-2], []).append((scope[:-1], table.max(axis=-1)))
         del table
 
-    del groups, pairs, flat  # no per-term array of the route outlives the tables
     alice_map = [0] * m
     for scope, choice in reversed(kept):  # a_0 up
         alice_map[scope[-1]] = int(choice[tuple(alice_map[s] for s in scope[:-1])])

@@ -5,9 +5,10 @@ with the matrix-free route of ``orbit`` or ``bounds``. This module
 imports no ``orbitbell`` module, and only ``verify`` and the package
 namespace import it, so these routes share no code with the routes
 they check. It holds the shift T, the step B = (U (x) 1) S applied by
-its definition, an axis swap and then U, with no d^2 x d^2 matrix, and
-the dense projector sum A with its LAPACK top eigenvalue. Flat index
-j * d + k for |j>|k>.
+its definition, an axis swap and then U, with no d^2 x d^2 matrix, the
+dense projector sum A, and the LAPACK top eigenvalue of a Hermitian
+matrix, A or the orbit's n x n Gram matrix, which has A's nonzero
+spectrum. Flat index j * d + k for |j>|k>.
 """
 
 from __future__ import annotations
@@ -46,15 +47,22 @@ def accumulate_A(vectors: np.ndarray) -> np.ndarray:
 
 
 def quantum_bound_numeric(a: np.ndarray) -> float:
-    """Top eigenvalue of the projector sum, by LAPACK ``eigvalsh``.
+    """Top eigenvalue of the projector sum, or of any Hermitian matrix
+    such as the orbit's Gram matrix, by LAPACK ``eigvalsh``.
 
     Raises ValueError if ``a`` is not square or not Hermitian within
-    1e-12 (a NaN entry counts as not Hermitian).
+    1e-12 (a NaN entry counts as not Hermitian). The Hermitian test
+    holds one complex array of ``a``'s size beside it: the conjugate
+    transpose, from which ``a`` is subtracted and whose magnitudes are
+    taken in place, freed before ``eigvalsh`` copies ``a``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = float(np.max(np.abs(a - a.conj().T)))
+    asymmetry = a.conj().T
+    asymmetry -= a
+    defect = float(np.abs(asymmetry, out=asymmetry).real.max())
+    del asymmetry
     if not defect <= 1e-12:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} "

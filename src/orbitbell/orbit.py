@@ -110,18 +110,24 @@ def _sizes(
 # analyze, build_inequality, game and table refuse exactly the
 # instances beyond it, and so do the public views root_unitary, orbit
 # and quantum_bound_analytic. verify applies the step B by its
-# definition, with no d^2 x d^2 matrix, so A is its one such matrix
-# per cell, but it does not bound verify's peak: the Hermitian test of
-# linalg.quantum_bound_numeric holds A's conjugate transpose and the
-# difference beside A, three 16 d^4-byte arrays, past the ceiling from
-# d = 49. The stable measure of that peak is tracemalloc's, the numpy
-# arrays alive at once: an in-process verify --outcomes-max D
-# --settings-max 1 peaks there at 16.6, 50.6, 80.4 and 121.8 MiB at
-# D = 24, 32, 36 and 40. Its ru_maxrss (52, 93, 129 and 177 MiB there)
-# adds the interpreter, LAPACK's workspace and whatever freed memory
-# the allocator keeps resident, and moves by tens of MiB with changes
-# that alter no array alive at the peak (Python 3.11, numpy 2.4,
-# 2-vCPU Xeon, Linux).
+# definition, with no d^2 x d^2 matrix, and hands LAPACK the smaller of
+# A and the orbit's n x n Gram matrix G, formed from the (n, d)
+# factors, so it forms A only where n >= d^2, which the rule admits up
+# to (d, M) = (44, 22), and the Hermitian test of
+# linalg.quantum_bound_numeric holds one copy beside the matrix it is
+# handed. The stable measure of verify's peak is tracemalloc's, the
+# numpy arrays alive at once: an in-process verify --outcomes-max D
+# --settings-max 1 peaks there at 3.6, 6.5 and 25.2 MiB at D = 32, 40
+# and 64, mostly the (n, d^2) orbit states and their step by B (50.4
+# MiB at D = 64 with --settings-max 2). Its ru_maxrss (37, 40 and 64
+# MiB there) adds the interpreter, LAPACK's workspace and whatever
+# freed memory the allocator keeps resident, and moves by tens of MiB
+# with changes that alter no array alive at the peak (Python 3.11,
+# numpy 2.4, 2-vCPU Xeon, Linux). The rule does not bound that peak:
+# verify's one cell (64, 10) peaks at 267.0 MiB tracemalloc (326 MiB
+# ru_maxrss), past the ceiling, with the states, their step and a
+# conjugate copy of the states alive at once, and (44, 22), the largest
+# cell where A is formed, at 230.8 MiB (267 MiB).
 # The rule's 24 n^2 term counts no array: the Gram route takes its DFT
 # with np.fft in O(n) memory, and the term is only a limit on n.
 # analyze builds none of the counted arrays, no (n, d^2) one, no (n, d)
@@ -155,9 +161,10 @@ def _check_size(outcomes: int, settings: int) -> None:
     count adds 24 n^2 bytes, 24 per pair of steps, which count no array
     (the Gram spectrum is one ``np.fft`` in O(n) memory): that term is
     only a limit on the orbit length n, kept so that the admitted cells
-    stay what they were. Neither count is verify's whole peak, which
-    holds three projector-sized arrays at once in the Hermitian test of
-    the LAPACK route and is past the ceiling from d = 49 (see
+    stay what they were. Neither count is verify's whole peak: verify
+    forms A only where n >= d^2, and otherwise eigen-solves the n x n
+    Gram matrix of the orbit states, and the Hermitian test of the
+    LAPACK route holds one copy beside the matrix it is handed (see
     MEMORY_CEILING). Plain int arithmetic, so an absurd d or M is
     rejected without allocating.
     """

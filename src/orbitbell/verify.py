@@ -9,12 +9,18 @@ whose own checks raise into one construction line, and checks what it
 reports with the routes that ``analyze`` does not run: from the
 ``linalg`` module, the shift T, with T and U unitary, and the step
 B = (U x 1) S applied by its definition, an axis swap and then U, to
-every orbit vector at once, with LAPACK ``eigvalsh`` on the dense
-projector sum; from ``bounds``, the max-plus elimination of the
+every orbit vector at once, with LAPACK ``eigvalsh`` on the smaller
+of two matrices with the same nonzero spectrum and trace n: the
+d^2 x d^2 projector sum A = V^T conj(V) over the orbit states V, and
+the n x n Gram matrix G = conj(V) V^T, formed from the (n, d) factors
+when n < d^2; from ``bounds``, the max-plus elimination of the
 classical bound, handed the assembly's (n, 4) int64 label array as it
-is. B is unitary by construction once U is, and B B = U x U by its
-definition, so B^(2Md) = U^(Md) x U^(Md): the period line reads
-U^(Md) = 1 and T^d = 1, with no d^2 x d^2 power. The orbit vectors
+is. T depends on d alone, so T, the identity and T's unitarity and
+period residuals are built once per outcome count and recorded at
+each cell. B is unitary by construction once U is, and B B = U x U by
+its definition, so B^(2Md) = U^(Md) x U^(Md): the period line reads
+U^(Md) = (U^M)^d = 1, from the U^M of the root line, and T^d = 1,
+with no d^2 x d^2 power. The orbit vectors
 are verify's own: the (n, d) factors gathered by the index rule from
 the root table's first columns, with no labels and no check of their
 own, multiplied out into (n, d^2) states, which the stepping line
@@ -34,10 +40,11 @@ and their I_ab against the dense grids of the d^2 amplitudes in the
 bases (I, U) and their mutual information, to 1e-12. A NaN residual
 fails its line, a NaN in a circulant column, which the statistics
 refuse, fails the information line, a NaN in a dense grid, which the
-mutual information refuses, the circulant line, and a NaN in the
-projector sum, which ``eigvalsh``'s Hermitian test refuses, fails the
-agreement line. The projector sum is the one d^2 x d^2 matrix a cell
-builds.
+mutual information refuses, the circulant line, and a NaN in A or
+G, which the Hermitian test of ``quantum_bound_numeric`` refuses,
+fails the agreement line. A cell forms a d^2 x d^2 matrix only where
+A is the smaller, n >= d^2; its largest arrays are the (n, d^2)
+orbit states and their step by B.
 """
 
 from __future__ import annotations
@@ -107,6 +114,15 @@ def _largest(residuals: np.ndarray | list[float]) -> float:
     return float(np.abs(residuals).max())
 
 
+def _gram(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """The orbit's n x n Gram matrix G = conj(V) V^T, entry (j, k)
+    <v_j|v_k> = <a_j|a_k> <b_j|b_k>, from the (n, d) factor arrays
+    alice[j] = a_j and bob[j] = b_j, with no state formed. It has the
+    nonzero spectrum and the trace of the d^2 x d^2 projector sum
+    A = V^T conj(V)."""
+    return (alice.conj() @ alice.T) * (bob.conj() @ bob.T)
+
+
 def _closed_form(d: int, m: int) -> float:
     """The proved quantum bound, M (1 + sin(pi/M) / (d sin(pi/(dM))))
     at M >= 2 and 1 at M = 1 (see the ``bounds`` module docstring)."""
@@ -169,33 +185,43 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
     summary: list[str] = []
 
     for d in range(2, outcomes_max + 1):
+        # T depends on d alone: it and its unitarity and T^d = 1 residuals
+        # are built at the row's first cell and recorded at each; a T that
+        # cannot be built fails the construction line of each cell of the
+        # row
+        eye, t = np.eye(d, dtype=complex), None
         for m in range(1, settings_max + 1):
             cell = f"d={d} M={m}"
             spec = ProblemSpec(d, m)
             length = spec.orbit_length
             try:
-                t = translation_matrix(d)
+                if t is None:  # T is kept once its residuals are taken
+                    shift = translation_matrix(d)
+                    t_unitary, t_period = (
+                        _largest(shift.conj().T @ shift - eye),
+                        _largest(np.linalg.matrix_power(shift, d) - eye),
+                    )
+                    t = shift
                 instance = _inequality(spec)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 checks["construction"].fail(cell, str(exc))
                 summary.append(f"{cell}: construction failed ({exc})")
                 continue
-            ineq = instance.inequality
-            u, eye = instance.table.u, np.eye(d, dtype=complex)
+            ineq, u = instance.inequality, instance.table.u
             # the orbit states from the index rule's factors, a_j in
             # rows 1..n and b_j in rows 0..n-1
             factors = _gather(spec, instance.table, np.arange(d), _factor_indices(spec))
-            orbit_vecs = _states(factors[1:], factors[:-1])
+            alice, bob = factors[1:], factors[:-1]
+            orbit_vecs = _states(alice, bob)
             analytic, state = ineq.quantum_bound, ineq.optimal_state
 
-            unitarity = [_largest(t.conj().T @ t - eye), _largest(u.conj().T @ u - eye)]
+            unitarity = [t_unitary, _largest(u.conj().T @ u - eye)]
             checks["unitary"].record(_largest(unitarity), cell)
-            checks["root"].record(_largest(np.linalg.matrix_power(u, m) - t), cell)
-            # B B = U x U by B's definition, so B^(2Md) = U^(Md) x U^(Md)
-            period = [
-                _largest(np.linalg.matrix_power(u, m * d) - eye),
-                _largest(np.linalg.matrix_power(t, d) - eye),
-            ]
+            root = np.linalg.matrix_power(u, m)
+            checks["root"].record(_largest(root - t), cell)
+            # B B = U x U by B's definition, so B^(2Md) = U^(Md) x U^(Md),
+            # and U^(Md) = (U^M)^d
+            period = [_largest(np.linalg.matrix_power(root, d) - eye), t_period]
             checks["period"].record(_largest(period), cell)
 
             # row j of the stepped states is B v_j, to be v_(j+1); v_0 closes the cycle
@@ -207,11 +233,12 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             rayleigh = np.vdot(state, b_state)
             checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
 
-            a = accumulate_A(orbit_vecs)
-            checks["trace"].record(abs(float(np.trace(a).real) - length), cell)
+            # the smaller of the projector sum A and the Gram matrix G
+            matrix = _gram(alice, bob) if length < d * d else accumulate_A(orbit_vecs)
+            checks["trace"].record(abs(float(np.trace(matrix).real) - length), cell)
             try:
-                numeric = quantum_bound_numeric(a)
-            except ValueError as exc:  # a NaN in the states makes A non-Hermitian
+                numeric = quantum_bound_numeric(matrix)
+            except ValueError as exc:  # a NaN in the states makes A or G non-Hermitian
                 checks["agree"].fail(cell, str(exc))
             else:
                 checks["agree"].record(abs(numeric - analytic), cell)

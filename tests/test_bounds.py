@@ -135,6 +135,28 @@ def test_quantum_bound_numeric_rejects_non_square():
         quantum_bound_numeric(np.zeros((2, 3), dtype=complex))
 
 
+def test_quantum_bound_numeric_holds_one_copy_beside_its_input():
+    # the Hermitian test subtracts the input in place from one conjugate
+    # transpose copy, takes its magnitudes in place and frees it before
+    # eigvalsh: with the 16 MiB input counted, the call peaks under 2.2
+    # such arrays (three with a separate difference), and leaves the
+    # input as it was
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    a = x + x.conj().T
+    before = a.copy()
+    del x
+    tracemalloc.start()
+    try:
+        value = quantum_bound_numeric(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.nbytes + peak < 2.2 * a.nbytes
+    assert np.array_equal(a, before)
+    assert value == float(np.linalg.eigvalsh(a)[-1])
+
+
 def test_b_eigensystem_qubit_two_settings():
     spec = ProblemSpec(2, 2)
     roots, vectors = eigensystem_by_pair(spec, _root_table(spec))
@@ -308,8 +330,8 @@ def test_classical_bound_equals_the_chained_bell_route_past_any_scan(d, m):
 
 @pytest.mark.parametrize("d", [4093, 5793, 10**4])
 def test_classical_bound_tables_over_memory_ceiling_raise_before_allocating(d):
-    # at M = 1 the (d, d) hit table is counted twice, for a partial sum
-    # or bincount beside it, 16 d^2 bytes: with the rest of the count,
+    # at M = 1 the (d, d) hits of the one setting pair and the hit
+    # table are counted, 16 d^2 bytes: with the rest of the count,
     # 256 MiB is first passed at d = 4093, and about 1.5 GiB is asked at
     # d = 10^4
     spec = ProblemSpec(d, 1)

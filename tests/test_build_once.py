@@ -29,8 +29,8 @@ checks the instance ``analyze`` reports, with one root table, one label
 array, one Gram spectrum and one gather of the whole factors; it runs
 the statistics function once per M = 2 cell, and the max-plus
 elimination of the classical bound once per cell, on that label array.
-It builds the shift T once per cell and no d^2 x d^2 step operator or
-swap: it applies B by its definition.
+It builds the shift T once per outcome count and no d^2 x d^2 step
+operator or swap: it applies B by its definition.
 """
 
 import ast
@@ -265,10 +265,10 @@ def test_verify_builds_each_cell_once(monkeypatch):
     assert gathers == [
         shape for d, m in cells for shape in ((2 * m * d + 1, 1), (2 * m * d + 1, d))
     ]
-    # one T per cell, and B applied twice per cell, to the (n, d^2)
-    # orbit states and to the d^2-long optimal state, with no d^2 x d^2
-    # matrix
-    assert shifts[0] == 6
+    # one T per outcome count, d = 2 and 3, and B applied twice per
+    # cell, to the (n, d^2) orbit states and to the d^2-long optimal
+    # state, with no d^2 x d^2 matrix
+    assert shifts[0] == 2
     assert steps == [
         shape for d, m in cells for shape in ((2 * m * d, d * d), (d * d,))
     ]

@@ -79,6 +79,76 @@ def test_nan_from_a_dense_route_fails_verify(monkeypatch, capsys):
     assert f"FAIL  {name} (worst residual nan, tolerance 1e-09)" in capsys.readouterr().out
 
 
+def record_eigensolved_shapes(monkeypatch, verify_module):
+    """Wrap verify's LAPACK route and list the shape of each matrix it
+    is handed."""
+    real_numeric = verify_module.quantum_bound_numeric
+    shapes = []
+
+    def recorded(matrix):
+        shapes.append(matrix.shape)
+        return real_numeric(matrix)
+
+    monkeypatch.setattr(verify_module, "quantum_bound_numeric", recorded)
+    return shapes
+
+
+# A NaN, or 1 + 1e-6, which moves the norm of the vector it is in. A
+# phase would not do: on a whole factor or state it moves no projector
+# and G only by a unitary similarity, and on one entry it moves the top
+# eigenvalue by 2e-13 at most at (2, 2), (3, 1) and (5, 2), at second
+# order
+CORRUPTIONS = pytest.mark.parametrize("factor", [NAN, 1 + 1e-6], ids=["nan", "scale"])
+
+
+@CORRUPTIONS
+def test_corrupted_factor_row_fails_the_agreement_line_at_a_gram_cell(monkeypatch, factor):
+    # at (3, 1) the orbit has n = 6 < d^2 = 9 states, so the LAPACK line
+    # reads the 6 x 6 Gram matrix formed from the factors: entry 1 of
+    # row 2 of the gather, Alice's a_1 and Bob's b_2, times the factor
+    # must fail the agreement line there
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_gather = verify_module._gather
+
+    def corrupted(spec, table, entries, index):
+        factors = real_gather(spec, table, entries, index)
+        if spec.outcomes == 3:
+            factors[2, 1] *= factor
+        return factors
+
+    monkeypatch.setattr(verify_module, "_gather", corrupted)
+    shapes = record_eigensolved_shapes(monkeypatch, verify_module)
+    name = "analytic and numeric quantum bounds agree"
+    (check,) = [c for c in run_verification(3, 1).checks if c.name == name]
+    assert shapes == [(4, 4), (6, 6)]
+    assert not check.passed
+    assert [note.split(":")[0] for note in check.notes] == ["d=3 M=1"]
+
+
+@CORRUPTIONS
+def test_corrupted_state_fails_the_agreement_line_at_a_projector_sum_cell(monkeypatch, factor):
+    # at (2, 2) the orbit has n = 8 >= d^2 = 4 states, so the LAPACK
+    # line reads the 4 x 4 projector sum of the states: entry 2 of
+    # state 3, (1 + i)/2, times the factor must fail the agreement line
+    # there
+    verify_module = importlib.import_module("orbitbell.verify")
+    real_states = verify_module._states
+
+    def corrupted(alice, bob):
+        states = real_states(alice, bob)
+        if len(states) == 8:
+            states[3, 2] *= factor
+        return states
+
+    monkeypatch.setattr(verify_module, "_states", corrupted)
+    shapes = record_eigensolved_shapes(monkeypatch, verify_module)
+    name = "analytic and numeric quantum bounds agree"
+    (check,) = [c for c in run_verification(2, 2).checks if c.name == name]
+    assert shapes == [(4, 4), (4, 4)]
+    assert not check.passed
+    assert [note.split(":")[0] for note in check.notes] == ["d=2 M=2"]
+
+
 def test_nan_classical_value_fails_the_dominance_line(monkeypatch):
     # max(0.0, nan) is 0.0: the line must take the NaN, not the floor
     verify_module = importlib.import_module("orbitbell.verify")

@@ -4,7 +4,8 @@ The factorised classical search is checked against the plain
 per-Alice-map loop it replaced, on random non-empty subsets of orbit
 terms: a subset breaks the symmetry of the full orbit, so it reaches
 ties and tie-breaks that full orbits never produce. Its hit tables,
-one ``np.bincount`` per pair of settings, are checked against filling
+summed from one ``np.bincount`` of every pair of settings' hits, are
+checked against filling
 them one term at a time, in value and witness, at every cell with
 d, M <= 6, on the orbit's terms and on shuffled,
 halved, duplicated and random term lists. Arbitrary
@@ -42,7 +43,10 @@ its state is the scan's winning-group state to 1e-14. The
 Gram-spectrum and LAPACK routes are checked against the root-index
 route to 1e-9, the
 one-product projector sum
-against the per-entry outer-product sum, and the orbit against its
+against the per-entry outer-product sum, the orbit's Gram matrix,
+which ``verify`` forms from the (n, d) factors when it is the
+smaller, against that sum, in their shared spectrum and trace n at
+every d <= 8, M <= 4, and the orbit against its
 defining identities: its product-form vectors against the dense
 recurrence v_j = B v_(j-1) from |00> that they replaced. B^(2M) = T x T
 shifts both outcomes by one, so the game's question slots are the
@@ -103,7 +107,7 @@ from orbitbell.orbit import (
     _labels,
     _root_table,
 )
-from orbitbell.verify import _largest
+from orbitbell.verify import _gram, _largest
 from reference import (
     classical_bound_by_term,
     condition_label_pairs,
@@ -154,6 +158,9 @@ STATS_CELLS = [(d, 2) for d in range(2, 33)] + [(64, 2)]
 
 # every two-setting (d, M) with d <= 40
 CIRCULANT_CELLS = [(d, 2) for d in range(2, 41)]
+
+# every (d, M) with d <= 8, M <= 4
+GRAM_MATRIX_CELLS = [(d, m) for d in range(2, 9) for m in range(1, 5)]
 
 # every (d, M) with d <= 8, M <= 6
 PERIOD_CELLS = [(d, m) for d in range(2, 9) for m in range(1, 7)]
@@ -444,6 +451,28 @@ def test_gram_route_agrees_with_dense_eigvalsh(cell):
     dense = float(np.linalg.eigvalsh(accumulate_A(stacked(orbit(spec))))[-1])
     c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int), _factor_indices(spec))[:, 0]
     assert abs(quantum_bound_gram(c0[1:] * c0[:-1]) - dense) <= 1e-9
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(GRAM_MATRIX_CELLS))
+@every_cell(GRAM_MATRIX_CELLS)
+def test_orbit_gram_matrix_has_the_projector_sums_spectrum_and_trace(cell):
+    # verify eigen-solves the smaller of the two: G from the factors it
+    # gathers, A from the public orbit's states; the larger has only
+    # zeros beyond the smaller's spectrum, and both traces are n
+    d, m = cell
+    spec = ProblemSpec(d, m)
+    n = spec.orbit_length
+    factors = _gather(spec, _root_table(spec), np.arange(d), _factor_indices(spec))
+    gram = _gram(factors[1:], factors[:-1])
+    projector_sum = accumulate_A(stacked(orbit(spec)))
+    assert gram.shape == (n, n)
+    spectra = [np.linalg.eigvalsh(x) for x in (gram, projector_sum)]
+    shared = min(n, d * d)
+    assert abs(spectra[0][-1] - spectra[1][-1]) <= 1e-12
+    assert np.max(np.abs(spectra[0][-shared:] - spectra[1][-shared:])) <= 1e-12
+    assert all(np.max(np.abs(x[:-shared]), initial=0.0) <= 1e-12 for x in spectra)
+    assert all(abs(np.trace(x) - n) <= 1e-12 for x in (gram, projector_sum))
 
 
 @PROPERTY_SETTINGS
