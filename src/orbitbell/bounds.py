@@ -62,7 +62,12 @@ eigenvalue of A. Three routes compute it, and each runs in one place:
   eigensolver runs and no group is scanned; a wrong rho fails the Gram cross-check below, and
   ``verify``'s ``eigvalsh``. The root indices come from the instance's
   root table (``orbit._root_table``), the one the orbit was built
-  from: :func:`_inequality` builds it once and passes it down;
+  from: :func:`_inequality` builds it once, for the group rho this
+  module decides (:func:`_rho`), and passes it down. f comes from the
+  table too: its row 1 + lambda_a/mu shares the table's one ``np.exp``
+  with the index powers and the snap's row, and its one
+  ``np.fft.ifft`` with u_0..u_M, with the bits of separate calls; Q_s
+  is summed over the table's root indices;
 * Gram spectrum (:func:`quantum_bound_gram`), ``analyze``'s
   cross-check, to 1e-9. A = V^T conj(V) for the matrix V whose rows
   are the orbit vectors v_j = B^j v_0, and the n x n Gram matrix
@@ -214,20 +219,29 @@ def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
     :func:`build_inequality` refuses (see ``orbit._check_size``).
     """
     _check_size(spec.outcomes, spec.settings)
-    value, coefficients, rho = _analytic_bound(spec, _root_table(spec))
+    value, coefficients, rho = _analytic_bound(spec, _root_table(spec, _rho(spec)))
     return value, _expand_state(coefficients, rho)
 
 
+def _rho(spec: ProblemSpec) -> int:
+    """The proved winning group's index: 1 - d mod 2 at M >= 2, and 0,
+    the smallest root index, at M = 1 (see the module docstring)."""
+    return 0 if spec.settings == 1 or spec.outcomes % 2 else 1
+
+
 def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray, int]:
-    """:func:`quantum_bound_analytic` from the instance's root table, with
-    the state as its d normalized coefficients c and its group's rho."""
+    """:func:`quantum_bound_analytic` from the instance's root table,
+    built for the group index :func:`_rho`, with the state as its d
+    normalized coefficients c and its group's rho. f is the table's,
+    from the root table's one ``np.exp`` and one ``np.fft.ifft``; Q_s
+    is summed over the table's root indices."""
     d, order = spec.outcomes, spec.orbit_length
-    rho = 0 if spec.settings == 1 or d % 2 else 1
+    rho = _rho(spec)
     angles = 2 * np.pi * (np.array(table.indices) - rho) / order
     # one running sum in index order, so Q_s keeps the bits of summing
     # the group's pairs one at a time
     value = (d + sum(np.cos(angles).tolist())) * (order / (2 * d**2))
-    f = np.fft.ifft(1 + np.exp(1j * angles))
+    f = table.f
     # each f entry fills d of the d^2 amplitudes, with unit-modulus phases
     return value, f / (np.sqrt(d) * np.linalg.norm(f)), rho
 
@@ -532,17 +546,20 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     """The one assembly of an instance, for :func:`build_inequality`,
     ``analyze`` and each ``verify`` cell.
 
-    Builds the instance's root table once, its first columns checked
-    through U as it is built, and reads everything from it: the orbit's
+    Builds the instance's root table once, for the proved group
+    :func:`_rho`, its first columns checked through U as it is built,
+    and reads everything from it: the orbit's
     terms, and the quantum bound by the root-index route and by the
     orbit's Gram spectrum, which must agree to 1e-9 (a NaN on either
     route is a disagreement); the root-index value and state, the
     latter as its d coefficients and rho, are the ones reported. The
     classical bound and witness come from the chained-Bell route; the
     max-plus elimination is verify's. Only the
-    integer root indices and the (M + 1, d) first columns are read: the
-    Gram row g_j = a_j[0] b_j[0] is entry 0 of the factors, gathered by
-    the index rule, and every per-term probability is |psi_00|^2 = |c_0|^2
+    integer root indices, the (M + 1, d) first columns and the state's
+    f are read: the Gram row g_j = a_j[0] b_j[0] is entry 0 of the
+    factors, gathered by the index rule, whose sequence is split by one
+    ``np.divmod`` for both the gather and the labels, and every
+    per-term probability is |psi_00|^2 = |c_0|^2
     (see the module docstring). No (n, d) factor array, no Fourier row,
     no d^2-long state and no d^2 x d^2 matrix is built.
 
@@ -550,10 +567,10 @@ def _inequality(spec: ProblemSpec) -> _Instance:
     :func:`_check_size` on the instance first, and ``verify`` on its
     largest cell before its first.
     """
-    table = _root_table(spec)
-    index = _factor_indices(spec)
-    labels = _labels(spec, index)
-    c0 = _gather(spec, table, np.zeros(1, dtype=int), index)[:, 0]  # c_(k_i)[0], i = 0..n
+    table = _root_table(spec, _rho(spec))
+    split = np.divmod(_factor_indices(spec), spec.settings)  # each k_i's (k div M, k mod M)
+    labels = _labels(spec, split)
+    c0 = _gather(spec, table, np.zeros(1, dtype=int), split)[:, 0]  # c_(k_i)[0], i = 0..n
     gram = quantum_bound_gram(c0[1:] * c0[:-1])  # g_j = a_j[0] b_j[0]
     analytic, coefficients, rho = _analytic_bound(spec, table)
     if not abs(gram - analytic) <= _ROUTE_TOL:

@@ -14,20 +14,24 @@ keys and two-space indentation, byte for byte what
 certificate as a dict (:func:`parse_certificate` of the text), so
 repeated runs emit byte-identical documents. No dict is built: one
 fixed positional ``%``-template per row kind (term, coefficient,
-probability, question, winning pair) and one for the outer document,
-with keys in sorted order, are filled from the report's parts, each
-array of rows by one ``%`` over its fields in one flat list, and
-numbers are spelled by ``repr`` (the spelling ``json`` uses for ints
-and finite floats). The terms' rows are the report's (n, 4) int64 label
-array, its columns reordered to the keys' sorted order and read by one
-``.tolist()``, and the coefficients and probabilities are read as one
-float array. The rows' floats repeat (every per-term probability is
-the same value), so each
-distinct one is spelled once and the spelling reused, looked up by
-its bit pattern, which keeps 0.0 and -0.0 apart although they compare
-equal; likewise each distinct winning set of the game's questions is
-rendered once, keyed by its frozenset. ``json.dumps`` with ``indent`` always runs the
-pure-Python encoder, which cost more than the analysis it printed.
+question, winning pair) and one for the outer document, with keys in
+sorted order, are filled from the report's parts, each array of rows
+by one ``%`` over its fields in one flat list; the probabilities, one
+number a row, are joined by one ``str.join`` (a comma, a newline and
+the row's indentation between rows); and numbers are spelled by
+``repr`` (the spelling ``json`` uses for ints and finite floats). The
+terms' rows are the report's (n, 4) int64 label array, its columns
+reordered to the keys' sorted order and read by one ``.tolist()``, and
+the coefficients and probabilities are read as one float array. The
+rows' floats repeat (every per-term probability is the same value), so
+each distinct one is spelled once and the spelling reused, looked up
+by its bit pattern, which keeps 0.0 and -0.0 apart although they
+compare equal; likewise each distinct winning set of the game's
+questions is rendered once, keyed by its frozenset, once the int check
+has read each distinct winning-set object (by ``id``, as sets holding
+1 and ``True`` compare equal). ``json.dumps`` with ``indent`` always
+runs the pure-Python encoder, which cost more than the analysis it
+printed.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ _TERM = (
     "    }"
 )
 _COEFFICIENT = '      {\n        "im": %s,\n        "re": %s\n      }'
-_PROBABILITY = "    %s"
 _WINNING = (
     "          {\n"
     '            "alice_outcome": %r,\n'
@@ -162,7 +165,9 @@ def certificate_json(report: AnalysisReport) -> str:
         spec.outcomes,
         spec.settings,
         *chain.from_iterable(game.questions),
-        *chain.from_iterable(chain.from_iterable(game.winning)),
+        # each distinct winning-set object once; told apart by id, since
+        # sets holding 1 and True compare equal
+        *chain.from_iterable(chain.from_iterable({id(w): w for w in game.winning}.values())),
     ]
     if not set(map(type, ints)) <= {int}:
         bad = [x for x in ints if type(x) is not int]
@@ -188,7 +193,7 @@ def certificate_json(report: AnalysisReport) -> str:
         _array(_QUESTION, questions, "    "),
         _array(_COEFFICIENT, parts, "    "),
         ineq.rho,
-        _array(_PROBABILITY, spelled[:n], "  "),
+        ("[\n    " + ",\n    ".join(spelled[:n]) + "\n  ]") if n else "[]",
         ineq.quantum_bound,
         spec.outcomes,
         spec.settings,

@@ -23,9 +23,11 @@ the distribution of a_s - b_t mod d. The column's amplitudes
 A(x, 0) = sum_XY conj(u_s[X - x]) conj(u_t[Y]) psi[X, Y] are a circular
 convolution of c with conj(u_t) exp(-2*pi*i*rho*Y/d), then a circular
 correlation with u_s: one ``np.fft`` product over the four setting
-pairs, with no d x d array. The marginals are uniform, so the mutual
-information is log2 d - H(d delta_st), and Alice's prediction, one
-offset per slot, hits with probability d delta_st[offset].
+pairs, with no d x d array, whose five forward transforms (u_0, u_1,
+Bob's two phased columns and c) are one ``np.fft.fft``. The marginals
+are uniform, so the mutual information is log2 d - H(d delta_st), and
+Alice's prediction, one offset per slot, hits with probability
+d delta_st[offset].
 :func:`joint_distribution` and :func:`mutual_information` are the
 dense forms, over whole d x d grids; ``verify`` checks the circulant
 statistics against them.
@@ -250,14 +252,24 @@ def _grid_columns(ineq: BellInequality, firsts: np.ndarray) -> np.ndarray:
     optimal state's four M = 2 grids, stacked [s, t], from its
     coefficients and rho and the first columns u_0, u_1 in rows 0 and
     1 of ``firsts``: the amplitudes of all four from one ``np.fft``
-    product (see the module docstring), with no d x d array."""
+    product (see the module docstring), with no d x d array. One
+    ``np.fft.fft`` takes the five rows it reads, each with the bits of
+    its own call."""
     d = ineq.spec.outcomes
     ramp = np.arange(d)
-    # fft(u_s) for the correlation with Alice's basis, and fft of
-    # conj(u_t) exp(-2 pi i rho Y / d) for the convolution with Bob's
-    alice = np.fft.fft(firsts[:2]).conj()
-    bob = np.fft.fft(firsts[:2].conj() * np.exp(-2j * np.pi * ineq.rho * ramp / d))
-    amplitudes = np.fft.ifft(np.fft.fft(ineq.coefficients) * alice[:, None] * bob[None, :])
+    # u_0, u_1 for the correlation with Alice's basis, conj(u_t)
+    # exp(-2 pi i rho Y / d) for the convolution with Bob's, and c
+    spectra = np.fft.fft(
+        np.concatenate(
+            (
+                firsts[:2],
+                firsts[:2].conj() * np.exp(-2j * np.pi * ineq.rho * ramp / d),
+                ineq.coefficients[None],
+            )
+        )
+    )
+    alice, bob = spectra[:2].conj(), spectra[2:4]
+    amplitudes = np.fft.ifft(spectra[4] * alice[:, None] * bob[None, :])
     return np.abs(amplitudes) ** 2
 
 

@@ -14,9 +14,10 @@ labelled (k mod M, k div M), orbit state j is
 c_ceil(j/2) (x) c_floor(j/2), indices taken mod M*d. U commutes with
 T, so every power U^s is circulant, fixed by its first column
 u_s = U^s|0>, and c_k = roll(u_(k mod M), k div M). The index rule is
-one integer sequence per instance (:func:`_factor_indices`), and both
-the orbit's labels and any entries of its factors are read off it: the
-labels as one (n, 4) int64 array (:func:`_labels`), which every
+one integer sequence per instance (:func:`_factor_indices`), split
+once by ``np.divmod`` into each k's (k div M, k mod M), and both the
+orbit's labels and any entries of its factors are read off that split:
+the labels as one (n, 4) int64 array (:func:`_labels`), which every
 per-term consumer reads, and the factors' entries from the root
 table's first columns (:func:`_gather`). ``analyze`` reads entry 0
 alone, for the Gram row; the whole (n, d) factors and the d^2-long
@@ -33,14 +34,18 @@ Everything rests on one object per instance, its root table
 (:func:`_root_table`): the exact integer root indices of U's
 eigenvalues lambda_j, and the first columns u_0..u_M of the powers of
 U, from exact index powers and checked through U as they are built;
-U itself is the circulant gather of u_1. It is built once and passed
-down explicitly to the orbit, the quantum-bound routes, the
-two-setting statistics and the verification sweep. No route reads
-the shift's Fourier rows w_j or the d^2 x d^2 eigensystem of B:
-the quantum bound needs only the root indices. :func:`root_unitary`
-and :func:`orbit` are public views of the table, and like ``analyze``
-they refuse an instance beyond the size rule (:func:`_check_size`)
-before building it.
+U itself is the circulant gather of u_1. Its transforms are batched:
+the index powers, the analytic state's row 1 + lambda/mu for the
+group ``bounds`` decides and the snap's phase-rule row are one angle
+table under one ``np.exp``, and u_0..u_M and that state's f one
+``np.fft.ifft``, each row with the bits of its own call. It is built
+once and passed down explicitly to the orbit, the quantum-bound
+routes, the two-setting statistics and the verification sweep. No
+route reads the shift's Fourier rows w_j or the d^2 x d^2
+eigensystem of B: the quantum bound needs only the root indices.
+:func:`root_unitary` and :func:`orbit` are public views of the table,
+and like ``analyze`` they refuse an instance beyond the size rule
+(:func:`_check_size`) before building it.
 """
 
 from __future__ import annotations
@@ -117,17 +122,18 @@ def _sizes(
 # linalg.quantum_bound_numeric holds one copy beside the matrix it is
 # handed. The stable measure of verify's peak is tracemalloc's, the
 # numpy arrays alive at once: an in-process verify --outcomes-max D
-# --settings-max 1 peaks there at 3.6, 6.5 and 25.2 MiB at D = 32, 40
-# and 64, mostly the (n, d^2) orbit states and their step by B (50.4
-# MiB at D = 64 with --settings-max 2). Its ru_maxrss (37, 40 and 64
+# --settings-max 1 peaks there at 3.0, 5.5 and 21.2 MiB at D = 32, 40
+# and 64, mostly the (n, d^2) orbit states and their step by B (41.6
+# MiB at D = 64 with --settings-max 2). Its ru_maxrss (35, 38 and 55
 # MiB there) adds the interpreter, LAPACK's workspace and whatever
 # freed memory the allocator keeps resident, and moves by tens of MiB
 # with changes that alter no array alive at the peak (Python 3.11,
-# numpy 2.4, 2-vCPU Xeon, Linux). The rule does not bound that peak:
-# verify's one cell (64, 10) peaks at 267.0 MiB tracemalloc (326 MiB
-# ru_maxrss), past the ceiling, with the states, their step and a
-# conjugate copy of the states alive at once, and (44, 22), the largest
-# cell where A is formed, at 230.8 MiB (267 MiB).
+# numpy 2.4, 2-vCPU Xeon, Linux). A cell's peak is its stepping line,
+# the states, their step and that step's magnitudes: the step is
+# released after it, and the uniform line reads |V conj(psi)|^2, with
+# no conjugate copy of the states. verify's one cell (64, 10) peaks at
+# 201.9 MiB tracemalloc (232 MiB ru_maxrss), under the ceiling, and
+# (44, 22), the largest cell where A is formed, at 173.7 MiB (210 MiB).
 # The rule's 24 n^2 term counts no array: the Gram route takes its DFT
 # with np.fft in O(n) memory, and the term is only a limit on n.
 # analyze builds none of the counted arrays, no (n, d^2) one, no (n, d)
@@ -213,6 +219,9 @@ class _RootTable(NamedTuple):
     # U w_j = lambda_j w_j with lambda_j = exp(2*pi*i*indices[j] / (2*M*d))
     indices: list[int]
     firsts: np.ndarray  # (M+1, d); row s is u_s = U^s|0>
+    # (d,), f = ifft(1 + lambda/mu), mu = exp(2*pi*i*rho/(2*M*d)), for
+    # the group index rho the table is built for
+    f: np.ndarray
 
     @property
     def u(self) -> np.ndarray:
@@ -228,9 +237,10 @@ def _eigenphases(d: int) -> np.ndarray:
     the root taken in :func:`root_unitary`."""
     js = np.arange(d)
     thetas = -2.0 * np.pi * js / d
-    above = 2 * js > d
-    thetas[above] = 2.0 * np.pi * (d - js[above]) / d
-    thetas[2 * js == d] = np.pi
+    above = d // 2 + 1  # the first j with 2j > d
+    thetas[above:] = 2.0 * np.pi * (d - js[above:]) / d
+    if d % 2 == 0:
+        thetas[d // 2] = np.pi
     return thetas
 
 
@@ -244,7 +254,7 @@ def _root_indices(d: int, order: int) -> list[int]:
     ]
 
 
-def _root_table(spec: ProblemSpec) -> _RootTable:
+def _root_table(spec: ProblemSpec, rho: int = 0) -> _RootTable:
     """The instance's root table: the exact root indices of U's
     eigenvalues, and the first columns u_0..u_M of the powers of U.
 
@@ -258,12 +268,28 @@ def _root_table(spec: ProblemSpec) -> _RootTable:
     so no power of U accumulates rounding. Row M, u_M = T|0>, makes
     row 1 exist at M = 1, where U = T. The columns are then checked
     through U (:func:`_check_columns`).
+
+    For the group index ``rho``, which ``bounds`` decides, the table
+    also holds f = ifft(1 + lambda/mu), mu = exp(2*pi*i*rho/n), the
+    first column of the circulant 1 + U/mu, with lambda_j/mu the exact
+    index difference exp(2*pi*i*(r_j - rho)/n). The index powers, that
+    row and the phase rule's row are one (M + 3, d) angle table under
+    one ``np.exp``, and u_0..u_M and f come from one ``np.fft.ifft``:
+    each row has the bits of its own call.
     """
-    d, order = spec.outcomes, spec.orbit_length
+    d, m, order = spec.outcomes, spec.settings, spec.orbit_length
     indices = _root_indices(d, order)
-    powers = np.arange(spec.settings + 1)[:, None] * indices % order
-    phases = np.exp(1j * (2 * np.pi * powers / order))  # row s is lambda^s
-    rooted = np.exp(1j * (_eigenphases(d) / spec.settings))
+    ramp = np.array(indices)
+    # rows 0..M: s r_j mod n, row M + 1: r_j - rho, both times 2*pi/n;
+    # row M + 2: the phase rule's theta_j / M
+    angles = np.empty((m + 3, d))
+    angles[: m + 1] = np.arange(m + 1)[:, None] * ramp % order
+    angles[m + 1] = ramp - rho
+    angles[:-1] *= 2 * np.pi
+    angles[:-1] /= order
+    angles[-1] = _eigenphases(d) / m
+    phases = np.exp(1j * angles)  # row s <= M is lambda^s
+    rooted = phases[-1]
     snap = np.abs(rooted - phases[1])
     worst = int(snap.argmax())  # the first NaN, if any
     if not snap[worst] <= _SNAP_TOL:
@@ -272,7 +298,9 @@ def _root_table(spec: ProblemSpec) -> _RootTable:
             f"the order-{order} root of unity with index {indices[worst]} "
             f"(snap error {float(snap[worst]):.3e} exceeds {_SNAP_TOL:.0e})"
         )
-    table = _RootTable(indices, np.fft.ifft(phases, axis=1))
+    phases[m + 1] += 1  # 1 + lambda/mu
+    columns = np.fft.ifft(phases[:-1], axis=1)
+    table = _RootTable(indices, columns[: m + 1], columns[m + 1])
     _check_columns(table)
     return table
 
@@ -340,12 +368,12 @@ def orbit(spec: ProblemSpec) -> list[OrbitEntry]:
     (:func:`_check_size`), which ``analyze`` refuses too.
     """
     _check_size(spec.outcomes, spec.settings)
-    index = _factor_indices(spec)
-    entries = _gather(spec, _root_table(spec), np.arange(spec.outcomes), index)
+    split = np.divmod(_factor_indices(spec), spec.settings)
+    entries = _gather(spec, _root_table(spec), np.arange(spec.outcomes), split)
     return [
         OrbitEntry(step, MeasLabel(a_s, a_o), MeasLabel(b_s, b_o), vector)
         for step, ((a_s, a_o, b_s, b_o), vector) in enumerate(
-            zip(_labels(spec, index).tolist(), _states(entries[1:], entries[:-1]))
+            zip(_labels(spec, split).tolist(), _states(entries[1:], entries[:-1]))
         )
     ]
 
@@ -361,37 +389,39 @@ def _factor_indices(spec: ProblemSpec) -> np.ndarray:
     """The index rule as one sequence, k_i = floor(i/2) mod M*d for
     i = 0..n: orbit state j is c_(k_(j+1)) (x) c_(k_j), Alice's factor
     c_ceil(j/2) and Bob's c_floor(j/2), and b_(j+1) = a_j is B handing
-    Alice's vector to Bob. Computed once per instance, and read by both
-    :func:`_labels` and :func:`_gather`."""
+    Alice's vector to Bob. Computed once per instance, and split once,
+    by ``np.divmod(index, M)``, into each k's (k div M, k mod M), which
+    both :func:`_labels` and :func:`_gather` read."""
     return np.arange(spec.orbit_length + 1) // 2 % (spec.settings * spec.outcomes)
 
 
 def _gather(
-    spec: ProblemSpec, table: _RootTable, entries: np.ndarray, index: np.ndarray
+    spec: ProblemSpec,
+    table: _RootTable,
+    entries: np.ndarray,
+    split: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Entries ``entries`` of c_(k_i) for i = 0..n, as the rows of one
     (n + 1, len(entries)) array, so that rows 1..n are Alice's factors
     and rows 0..n-1 Bob's. Entry x of c_k = roll(u_(k mod M), k div M)
     is u_(k mod M)[(x - k div M) mod d], read from the table's first
-    columns in one fancy index at ``index``, the sequence of
-    :func:`_factor_indices`."""
-    m = spec.settings
-    return table.firsts[
-        (index % m)[:, None], (entries - (index // m)[:, None]) % spec.outcomes
-    ]
+    columns in one fancy index at ``split``, the (k div M, k mod M)
+    arrays of the sequence of :func:`_factor_indices`."""
+    outcome, setting = split
+    return table.firsts[setting[:, None], (entries - outcome[:, None]) % spec.outcomes]
 
 
-def _labels(spec: ProblemSpec, index: np.ndarray) -> np.ndarray:
+def _labels(spec: ProblemSpec, split: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The orbit's labels as one (n, 4) int64 array, term j's row
     (Alice's setting, Alice's outcome, Bob's setting, Bob's outcome):
     Alice's label is that of k_(j+1) and Bob's that of k_j, label
-    (k mod M, k div M) of column index k, read off ``index``, the
-    sequence of :func:`_factor_indices`, in one ``np.divmod``; the
-    array is built column by column, in column-major order, and is
-    read-only, since ``BellInequality`` hands it on uncopied.
-    ``BellInequality.terms`` forms the same labels as ``MeasLabel``
-    pairs on request."""
-    outcome, setting = np.divmod(index, spec.settings)
+    (k mod M, k div M) of column index k, read off ``split``, the
+    (k div M, k mod M) arrays of the sequence of
+    :func:`_factor_indices`; the array is built column by column, in
+    column-major order, and is read-only, since ``BellInequality``
+    hands it on uncopied. ``BellInequality.terms`` forms the same
+    labels as ``MeasLabel`` pairs on request."""
+    outcome, setting = split
     labels = np.array((setting[1:], outcome[1:], setting[:-1], outcome[:-1])).T
     labels.flags.writeable = False
     return labels

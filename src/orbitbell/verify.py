@@ -32,19 +32,22 @@ projector onto B's eigenvalue mu = exp(2*pi*i*rho/n):
 P_mu|00> = (1/n) sum_j mu^(-j) v_j over the orbit states
 v_j = B^j|00>, normalized, with the proved rho = 1 - d mod 2 (0 at
 M = 1), with no phase fitted. The per-term probabilities, which
-``analyze`` reports as |psi_00|^2, and |conj(V) psi|^2 from the dense
-states V must both equal Q_s/n. At M = 2 it checks ``analyze``'s
-statistics: the mutual information does not depend on the setting
-pair, p = Q_s / 4, and the circulant grids, each one d-long column,
-and their I_ab against the dense grids of the d^2 amplitudes in the
-bases (I, U) and their mutual information, to 1e-12. A NaN residual
-fails its line, a NaN in a circulant column, which the statistics
-refuse, fails the information line, a NaN in a dense grid, which the
-mutual information refuses, the circulant line, and a NaN in A or
-G, which the Hermitian test of ``quantum_bound_numeric`` refuses,
-fails the agreement line. A cell forms a d^2 x d^2 matrix only where
-A is the smaller, n >= d^2; its largest arrays are the (n, d^2)
-orbit states and their step by B.
+``analyze`` reports as |psi_00|^2, and |conj(V) psi|^2, read as
+|V conj(psi)|^2, from the dense states V must both equal Q_s/n. At
+M = 2 it checks ``analyze``'s statistics: the mutual information does
+not depend on the setting pair, p = Q_s / 4, and the circulant grids,
+each one d-long column, and their I_ab against the dense grids of the
+d^2 amplitudes in the bases (I, U) and their mutual information, to
+1e-12. A NaN residual fails its line, a NaN in a circulant column,
+which the statistics refuse, fails the information line, a NaN in a
+dense grid, which the mutual information refuses, the circulant line,
+and a NaN in A or G, which the Hermitian test of
+``quantum_bound_numeric`` refuses, fails the agreement line. A cell
+forms a d^2 x d^2 matrix only where A is the smaller, n >= d^2; its
+largest arrays are the (n, d^2) orbit states and their step by B, with
+that step's magnitudes, alive at once only on the stepping line: the
+step is released after it, and the uniform line reads |V conj(psi)|^2,
+with no conjugate copy of the states.
 """
 
 from __future__ import annotations
@@ -210,7 +213,8 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             ineq, u = instance.inequality, instance.table.u
             # the orbit states from the index rule's factors, a_j in
             # rows 1..n and b_j in rows 0..n-1
-            factors = _gather(spec, instance.table, np.arange(d), _factor_indices(spec))
+            split = np.divmod(_factor_indices(spec), m)
+            factors = _gather(spec, instance.table, np.arange(d), split)
             alice, bob = factors[1:], factors[:-1]
             orbit_vecs = _states(alice, bob)
             analytic, state = ineq.quantum_bound, ineq.optimal_state
@@ -229,6 +233,7 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             stepped[:-1] -= orbit_vecs[1:]
             stepped[-1] -= orbit_vecs[0]
             checks["stepping"].record(_largest(stepped), cell)
+            del stepped  # as large as the states, and read by no other line
             b_state = apply_step(u, state)
             rayleigh = np.vdot(state, b_state)
             checks["maximizer"].record(_largest(b_state - rayleigh * state), cell)
@@ -251,8 +256,9 @@ def run_verification(outcomes_max: int = 6, settings_max: int = 6) -> Verificati
             # no phase fitted; times the inverse norm, which a NaN state passes quietly
             residual = state - projection * (1 / np.linalg.norm(projection))
             checks["projection"].record(_largest(residual), cell)
-            # the reported |psi_00|^2 and |<v_j|psi>|^2 from the dense states
-            dense_probs = np.abs(orbit_vecs.conj() @ state) ** 2
+            # the reported |psi_00|^2 and |<v_j|psi>|^2 from the dense states,
+            # as |V conj(psi)|^2, with no conjugate copy of the states
+            dense_probs = np.abs(orbit_vecs @ state.conj()) ** 2
             uniform = [
                 _largest(probs - analytic / length)
                 for probs in (dense_probs, ineq.per_term_probs)

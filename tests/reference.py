@@ -16,7 +16,9 @@ built them before the state was held as d coefficients, the reference
 for ``bounds._expand_state``; the loop forms of two whole-array
 routes: the classical bound as a scan of every Alice map with its hit
 tables filled one term at a time, and the M = 2 statistics one dense
-grid at a time; the factor
+grid at a time; the unbatched forms of an instance's transforms, each
+row under its own ``np.exp`` or FFT and the index sequence split in
+each consumer, which the batched ones must equal bit for bit; the factor
 forms of the orbit's first Gram row and per-term probabilities, from
 the whole (n, d) factor arrays; the three chained-Bell families listed
 as a set of label pairs; and the certificate as a dict of JSON values,
@@ -25,7 +27,7 @@ for ``json.dumps``.
 
 import numpy as np
 
-from orbitbell.orbit import _SNAP_TOL, MeasLabel, ProblemSpec
+from orbitbell.orbit import _SNAP_TOL, MeasLabel, ProblemSpec, _root_indices
 
 
 def root_of_unity_index(value: complex, order: int) -> int:
@@ -265,6 +267,62 @@ def term_probabilities_from_factors(alice, bob, state):
     one row sum: the reference for the reported |psi_00|^2."""
     d = alice.shape[1]
     return np.abs(((alice @ state.reshape(d, d).conj()) * bob).sum(1)) ** 2
+
+
+def unbatched_first_columns(spec):
+    """The root table's first columns u_0..u_M as the table built them
+    before an instance's transforms were batched: the exact index powers
+    under an ``np.exp`` of their own and one ``np.fft.ifft`` of their
+    own, with the phase rule's row and the analytic state's row apart.
+    The reference for the rows of ``orbit._root_table``'s one ``np.exp``
+    and one ``np.fft.ifft``."""
+    d, order = spec.outcomes, spec.orbit_length
+    indices = _root_indices(d, order)
+    powers = np.arange(spec.settings + 1)[:, None] * indices % order
+    return np.fft.ifft(np.exp(1j * (2 * np.pi * powers / order)), axis=1)
+
+
+def unbatched_analytic_bound(spec, indices):
+    """Q_s, the d normalized coefficients and rho of the root-index
+    route from the root indices ``indices``, with f = ifft(1 + lambda/mu)
+    under an ``np.exp`` and an ``np.fft.ifft`` of its own: the
+    reference for ``bounds._analytic_bound``, whose f comes from the
+    root table's batched transforms."""
+    d, order = spec.outcomes, spec.orbit_length
+    rho = 0 if spec.settings == 1 or d % 2 else 1
+    angles = 2 * np.pi * (np.array(indices) - rho) / order
+    value = (d + sum(np.cos(angles).tolist())) * (order / (2 * d**2))
+    f = np.fft.ifft(1 + np.exp(1j * angles))
+    return value, f / (np.sqrt(d) * np.linalg.norm(f)), rho
+
+
+def unbatched_gram_and_labels(spec, firsts):
+    """The Gram-spectrum value and the (n, 4) int64 label array with the
+    index sequence split apart in each consumer: ``%`` and ``//`` for
+    the gather of entry 0 of the factors from ``firsts``, the first
+    columns, and a ``np.divmod`` of its own for the labels. The
+    reference for the one ``np.divmod`` that ``bounds._inequality``
+    hands to both."""
+    m, d = spec.settings, spec.outcomes
+    index = np.arange(spec.orbit_length + 1) // 2 % (m * d)
+    c0 = firsts[(index % m)[:, None], (np.zeros(1, dtype=int) - (index // m)[:, None]) % d][:, 0]
+    g = c0[1:] * c0[:-1]
+    gram = float((len(g) * np.fft.ifft(g)).real.max())
+    outcome, setting = np.divmod(index, m)
+    labels = np.array((setting[1:], outcome[1:], setting[:-1], outcome[:-1])).T
+    return gram, labels
+
+
+def unbatched_grid_columns(coefficients, rho, firsts):
+    """The (2, 2, d) M = 2 grid columns from the state's coefficients
+    and rho and the first columns u_0, u_1, with three forward FFTs: the
+    reference for the one ``np.fft.fft`` of ``games._grid_columns``."""
+    d = len(coefficients)
+    ramp = np.arange(d)
+    alice = np.fft.fft(firsts[:2]).conj()
+    bob = np.fft.fft(firsts[:2].conj() * np.exp(-2j * np.pi * rho * ramp / d))
+    amplitudes = np.fft.ifft(np.fft.fft(coefficients) * alice[:, None] * bob[None, :])
+    return np.abs(amplitudes) ** 2
 
 
 def condition_label_pairs(spec):

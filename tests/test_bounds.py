@@ -7,6 +7,7 @@ naive strategy scan as the oracle for the max-plus classical search,
 and the chained-Bell route as its check on orbits far past any scan.
 """
 
+import builtins
 import itertools
 import re
 import tracemalloc
@@ -606,6 +607,29 @@ def test_verify_checks_memory_ceiling_before_the_first_cell(monkeypatch):
         run_verification(65, 1)
 
 
+def test_verify_cell_peaks_under_three_copies_of_its_orbit_states(monkeypatch):
+    # the one cell (24, 8), the sweep's loops cut to their last value:
+    # the (n, d^2) orbit states are 16 n d^2 bytes, 3.38 MiB, and the
+    # cell holds no more than them, the step it checks them with and
+    # that step's magnitudes at once, since the step is released after
+    # its line and the uniform line takes |V conj(psi)|^2, not a
+    # conjugate copy of V
+    monkeypatch.setattr(
+        "orbitbell.verify.range", lambda start, stop: builtins.range(stop - 1, stop), raising=False
+    )
+    d, m = 24, 8
+    states = 16 * (2 * m * d) * d**2
+    tracemalloc.start()
+    try:
+        report = run_verification(d, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert [row.split(":")[0] for row in report.summary] == ["d=24 M=8"]
+    assert peak <= 3 * states
+
+
 @pytest.mark.parametrize(
     "outcomes_max,settings_max,error",
     [
@@ -709,10 +733,10 @@ def test_first_columns_give_the_factor_forms_of_gram_row_and_probabilities(d):
         spec = ProblemSpec(d, m)
         instance = _inequality(spec)
         ineq = instance.inequality
-        index = _factor_indices(spec)
-        factors = _gather(spec, instance.table, np.arange(d), index)
+        split = np.divmod(_factor_indices(spec), m)
+        factors = _gather(spec, instance.table, np.arange(d), split)
         alice, bob = factors[1:], factors[:-1]
-        c0 = _gather(spec, instance.table, np.zeros(1, dtype=int), index)[:, 0]
+        c0 = _gather(spec, instance.table, np.zeros(1, dtype=int), split)[:, 0]
         gram_row = c0[1:] * c0[:-1]
         reference = gram_row_from_factors(alice, bob)
         assert np.max(np.abs(gram_row - reference)) <= 1e-14

@@ -302,8 +302,8 @@ def test_bumped_root_index_fails_the_route_agreement(monkeypatch, capsys):
     bounds_module = importlib.import_module("orbitbell.bounds")
     real_table = bounds_module._root_table
 
-    def bumped(spec):
-        table = real_table(spec)
+    def bumped(spec, rho):
+        table = real_table(spec, rho)
         indices = list(table.indices)
         indices[1] += 2
         return table._replace(indices=indices)
@@ -323,7 +323,8 @@ def test_nan_factor_fails_the_gram_drift_check():
     # entry 0 of Alice's factor a_2, which the Gram row g_2 = a_2[0] b_2[0]
     # reads; it is row 3 of the gather
     spec = ProblemSpec(3, 2)
-    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int), _factor_indices(spec))[:, 0]
+    split = np.divmod(_factor_indices(spec), spec.settings)
+    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int), split)[:, 0]
     c0[3] = NAN
     with pytest.raises(RuntimeError, match="imaginary part nan"):
         quantum_bound_gram(c0[1:] * c0[:-1])

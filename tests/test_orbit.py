@@ -292,10 +292,10 @@ def test_index_rule_matches_the_label_walk_and_the_powers_of_u(d):
     for m in range(1, 9):
         spec = ProblemSpec(d, m)
         table = _root_table(spec)
-        index = _factor_indices(spec)
-        labels = _labels(spec, index)
+        split = np.divmod(_factor_indices(spec), m)
+        labels = _labels(spec, split)
         terms = build_inequality(spec).terms
-        factors = _gather(spec, table, np.arange(d), index)
+        factors = _gather(spec, table, np.arange(d), split)
         alice, bob = factors[1:], factors[:-1]
         pair, walk = (MeasLabel(0, 0), MeasLabel(0, 0)), []
         for _ in range(spec.orbit_length):
@@ -325,12 +325,12 @@ def test_orbit_is_held_as_labels_and_two_factor_arrays():
     spec = ProblemSpec(32, 2)
     n, d = spec.orbit_length, spec.outcomes
     table = _root_table(spec)
-    index = _factor_indices(spec)
+    split = np.divmod(_factor_indices(spec), spec.settings)
     gathered, peaks = [], []
     for entries in (np.arange(d), np.zeros(1, dtype=int)):
         tracemalloc.start()
         try:
-            gathered.append(_gather(spec, table, entries, index))
+            gathered.append(_gather(spec, table, entries, split))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -338,7 +338,7 @@ def test_orbit_is_held_as_labels_and_two_factor_arrays():
     assert peaks[1] < 16 * n * d
     factors, heads = gathered
     assert heads.shape == (n + 1, 1) and np.array_equal(heads[:, 0], factors[:, 0])
-    labels, alice, bob = _labels(spec, index), factors[1:], factors[:-1]
+    labels, alice, bob = _labels(spec, split), factors[1:], factors[:-1]
     # one int64 label row per term, and the report's tuple view of them:
     # plain pairs of labels, not OrbitEntry (a tuple subclass)
     assert type(labels) is np.ndarray and labels.dtype == np.int64 and labels.shape == (n, 4)

@@ -68,6 +68,13 @@ information from one stacked reduction, equal that loop, the grids to
 line, read off U^(Md) = 1 and T^d = 1, since B B = U x U, gives the
 verdict of the 2Md-th power of the dense B of ``reference`` on every
 cell with d <= 8, M <= 6, for U and for U with its phase moved.
+An instance's batched transforms (the root table's one ``np.exp`` and
+one ``np.fft.ifft``, the index sequence's one ``np.divmod`` and the
+M = 2 columns' one ``np.fft.fft``) give the first columns, Q_s, the
+state's coefficients, the Gram value, the label array and the M = 2
+columns bit for bit as the unbatched forms of ``reference`` do, at
+every d <= 64 with M in {1, 2, 3, 5, 10} and at (16, 98), (2, 835)
+and (44, 22).
 """
 
 import itertools
@@ -118,6 +125,10 @@ from reference import (
     root_of_unity_index,
     step_operator,
     two_setting_stats_by_grid,
+    unbatched_analytic_bound,
+    unbatched_first_columns,
+    unbatched_gram_and_labels,
+    unbatched_grid_columns,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
@@ -164,6 +175,14 @@ GRAM_MATRIX_CELLS = [(d, m) for d in range(2, 9) for m in range(1, 5)]
 
 # every (d, M) with d <= 8, M <= 6
 PERIOD_CELLS = [(d, m) for d in range(2, 9) for m in range(1, 7)]
+
+# every d <= 64 at M = 1, 2, 3, 5 and 10, and the longest orbits at
+# d = 16 and 2 and the largest cell where verify forms A
+BATCH_CELLS = [(d, m) for d in range(2, 65) for m in (1, 2, 3, 5, 10)] + [
+    (16, 98),
+    (2, 835),
+    (44, 22),
+]
 
 # every (d, M) with d, M <= 6
 ENUMERATION_CELLS = [(d, m) for d in range(2, 7) for m in range(1, 7)]
@@ -449,7 +468,8 @@ def test_optimal_state_pairs_each_fourier_vector_with_at_most_one(cell):
 def test_gram_route_agrees_with_dense_eigvalsh(cell):
     spec = ProblemSpec(*cell)
     dense = float(np.linalg.eigvalsh(accumulate_A(stacked(orbit(spec))))[-1])
-    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int), _factor_indices(spec))[:, 0]
+    split = np.divmod(_factor_indices(spec), spec.settings)
+    c0 = _gather(spec, _root_table(spec), np.zeros(1, dtype=int), split)[:, 0]
     assert abs(quantum_bound_gram(c0[1:] * c0[:-1]) - dense) <= 1e-9
 
 
@@ -463,7 +483,7 @@ def test_orbit_gram_matrix_has_the_projector_sums_spectrum_and_trace(cell):
     d, m = cell
     spec = ProblemSpec(d, m)
     n = spec.orbit_length
-    factors = _gather(spec, _root_table(spec), np.arange(d), _factor_indices(spec))
+    factors = _gather(spec, _root_table(spec), np.arange(d), np.divmod(_factor_indices(spec), m))
     gram = _gram(factors[1:], factors[:-1])
     projector_sum = accumulate_A(stacked(orbit(spec)))
     assert gram.shape == (n, n)
@@ -513,7 +533,7 @@ def test_label_array_is_the_label_walk(cell):
     for _ in range(spec.orbit_length):
         walk.append(pair)
         pair = label_step(*pair, spec)
-    labels = _labels(spec, _factor_indices(spec))
+    labels = _labels(spec, np.divmod(_factor_indices(spec), spec.settings))
     assert labels.dtype == np.int64 and labels.shape == (spec.orbit_length, 4)
     assert (labels == array_form(walk)).all()
     ineq = _inequality(spec).inequality
@@ -702,6 +722,32 @@ def test_first_columns_are_the_running_products_first_columns(cell):
     for s in range(m):
         assert np.max(np.abs(table.firsts[s] - bases[s][:, 0])) <= 1e-12
     assert np.max(np.abs(table.firsts[m] - translation_matrix(d)[:, 0])) <= 1e-12
+
+
+@EVERY_CELL_SETTINGS
+@given(st.sampled_from(BATCH_CELLS))
+@every_cell(BATCH_CELLS)
+def test_batched_transforms_equal_the_unbatched_forms_bit_for_bit(cell):
+    # the rows of one np.exp, one np.fft.ifft and one np.fft.fft, and the
+    # index sequence's one np.divmod, against each under its own call
+    spec = ProblemSpec(*cell)
+    instance = _inequality(spec)
+    ineq, table = instance.inequality, instance.table
+    assert table.firsts.tobytes() == unbatched_first_columns(spec).tobytes()
+    value, coefficients, rho = unbatched_analytic_bound(spec, table.indices)
+    assert (ineq.quantum_bound.hex(), ineq.rho) == (value.hex(), rho)
+    assert ineq.coefficients.tobytes() == coefficients.tobytes()
+    gram, labels = unbatched_gram_and_labels(spec, table.firsts)
+    assert instance.gram.hex() == gram.hex()
+    assert ineq.labels.dtype == labels.dtype and ineq.labels.tobytes() == labels.tobytes()
+    # the public view builds its own table for the same group
+    public_value, state = quantum_bound_analytic(spec)
+    assert public_value.hex() == value.hex()
+    assert state.tobytes() == ineq.optimal_state.tobytes()
+    if spec.settings == 2:
+        columns = _two_setting_stats(ineq, table.firsts).columns
+        expected = unbatched_grid_columns(coefficients, rho, table.firsts)
+        assert columns.tobytes() == expected.tobytes()
 
 
 @PROPERTY_SETTINGS
