@@ -16,7 +16,6 @@ from .bounds import (
     InstanceTooLarge,
     build_inequality,
     classical_bound,
-    quantum_bound_analytic,
 )
 from .certificate import (
     SCHEMA_VERSION,
@@ -28,12 +27,7 @@ from .games import (
     GameSpec,
     analyze,
     game_spec,
-    joint_distribution,
-    mutual_information,
-    prediction_probability,
-    winning_probabilities,
 )
-from .linalg import quantum_bound_numeric
 from .orbit import (
     MeasLabel,
     OrbitEntry,
@@ -62,14 +56,8 @@ __all__ = [
     "certificate_json",
     "classical_bound",
     "game_spec",
-    "joint_distribution",
-    "mutual_information",
     "orbit",
     "parse_certificate",
-    "prediction_probability",
-    "quantum_bound_analytic",
-    "quantum_bound_numeric",
     "root_unitary",
     "run_verification",
-    "winning_probabilities",
 ]

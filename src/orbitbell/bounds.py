@@ -6,9 +6,10 @@ setting pair. Its quantum value on a shared state psi is <psi|A|psi>
 with A the sum of orbit projectors, so the quantum bound is the top
 eigenvalue of A. Three routes compute it, and each runs in one place:
 
-* root index (:func:`quantum_bound_analytic`), the reported value, on
-  the hot path. A commutes with B, so the seed's projection P_mu|00>
-  onto each eigenspace of B is an eigenvector of A, with eigenvalue
+* root index (:func:`_analytic_bound`), the reported value, on the
+  hot path, read through :func:`build_inequality` and ``analyze``. A
+  commutes with B, so the seed's projection P_mu|00> onto each
+  eigenspace of B is an eigenvector of A, with eigenvalue
   n ||P_mu|00>||^2. Write w_a for the shift's Fourier rows, U w_a =
   lambda_a w_a, and take exact integer root indices, lambda_a =
   exp(2*pi*i*r_a/n) and mu = exp(2*pi*i*rho/n). Since
@@ -139,7 +140,6 @@ __all__ = [
     "BellInequality",
     "InstanceTooLarge",
     "MEMORY_CEILING",
-    "quantum_bound_analytic",
     "quantum_bound_gram",
     "classical_bound",
     "build_inequality",
@@ -196,8 +196,15 @@ class BellInequality:
         return _expand_state(self.coefficients, self.rho)
 
 
-def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
-    """Quantum bound from the proved winning eigenspace of B.
+def _rho(spec: ProblemSpec) -> int:
+    """The proved winning group's index: 1 - d mod 2 at M >= 2, and 0,
+    the smallest root index, at M = 1 (see the module docstring)."""
+    return 0 if spec.settings == 1 or spec.outcomes % 2 else 1
+
+
+def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray, int]:
+    """Quantum bound from the proved winning eigenspace of B, read off
+    the instance's root table, built for the group index :func:`_rho`.
 
     A commutes with B, so the seed's projection onto each eigenspace of
     B is an eigenvector of A, with eigenvalue n = 2*M*d times the seed's
@@ -209,32 +216,11 @@ def quantum_bound_analytic(spec: ProblemSpec) -> tuple[float, np.ndarray]:
     in the module docstring). At M = 1 the orbit states are distinct
     basis states and every group has value 1; rho = 0 is taken.
     Returns n (d + sum_a cos(2*pi*(r_a - rho)/n)) / (2 d^2), which is
-    M (1 + sin(pi/M) / (d sin(pi/(dM)))) at M >= 2 and 1 at M = 1, and
-    the normalized state psi[X, Y] = c[(X - Y) mod d] exp(-2*pi*i*rho*Y/d)
-    as its d^2 amplitudes, expanded from the d coefficients
-    c = f / (sqrt(d) ||f||), f = ifft(1 + exp(2*pi*i*(r_a - rho)/n)),
-    with no group scan and no eigensolver.
-
-    Raises InstanceTooLarge first for the instances that
-    :func:`build_inequality` refuses (see ``orbit._check_size``).
-    """
-    _check_size(spec.outcomes, spec.settings)
-    value, coefficients, rho = _analytic_bound(spec, _root_table(spec, _rho(spec)))
-    return value, _expand_state(coefficients, rho)
-
-
-def _rho(spec: ProblemSpec) -> int:
-    """The proved winning group's index: 1 - d mod 2 at M >= 2, and 0,
-    the smallest root index, at M = 1 (see the module docstring)."""
-    return 0 if spec.settings == 1 or spec.outcomes % 2 else 1
-
-
-def _analytic_bound(spec: ProblemSpec, table: _RootTable) -> tuple[float, np.ndarray, int]:
-    """:func:`quantum_bound_analytic` from the instance's root table,
-    built for the group index :func:`_rho`, with the state as its d
-    normalized coefficients c and its group's rho. f is the table's,
-    from the root table's one ``np.exp`` and one ``np.fft.ifft``; Q_s
-    is summed over the table's root indices."""
+    M (1 + sin(pi/M) / (d sin(pi/(dM)))) at M >= 2 and 1 at M = 1,
+    summed over the table's root indices, the state as its d normalized
+    coefficients c = f / (sqrt(d) ||f||), with f = ifft(1 + lambda/mu)
+    the table's, from its one ``np.exp`` and one ``np.fft.ifft``, and
+    its group's rho, with no group scan and no eigensolver."""
     d, order = spec.outcomes, spec.orbit_length
     rho = _rho(spec)
     angles = 2 * np.pi * (np.array(table.indices) - rho) / order
@@ -250,8 +236,7 @@ def _expand_state(coefficients: np.ndarray, rho: int) -> np.ndarray:
     """The d^2 amplitudes psi[X, Y] = c[(X - Y) mod d] exp(-2*pi*i*rho*Y/d)
     of the state held as d coefficients c and its group's rho, in
     flat-index order X * d + Y: the one place the d^2 vector is formed,
-    for :attr:`BellInequality.optimal_state` and
-    :func:`quantum_bound_analytic`."""
+    for :attr:`BellInequality.optimal_state`."""
     d = len(coefficients)
     ramp = np.arange(d)
     phases = np.exp(-2j * np.pi * rho * ramp / d)

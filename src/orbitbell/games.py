@@ -5,11 +5,11 @@ slots are the cosets of <T x T> along the orbit: slot q holds terms
 q, q + 2M, ... (M equal-settings questions, M-1 stepped ones, one
 wrap-around), read off the orbit's (n, 4) label array by striding
 its columns. The referee draws a slot uniformly and the players win
-when their outcome pair sits in that slot's winning set.
-Winning probabilities, the full joint outcome distributions of the
-optimal state, the mutual information they carry, and Alice's
-prediction probability for Bob's outcome all follow from the
-inequality data.
+when their outcome pair sits in that slot's winning set, so the
+winning probabilities are Q_s/2M and C_s/2M. At M = 2 the joint
+outcome distributions of the optimal state, the mutual information
+they carry, and Alice's prediction probability for Bob's outcome
+follow from the inequality data.
 
 At M = 2 the joint grids are circulant. Setting s measures in the
 columns of U^s, and column x of the circulant U^s is u_s rolled by x,
@@ -27,10 +27,9 @@ pairs, with no d x d array, whose five forward transforms (u_0, u_1,
 Bob's two phased columns and c) are one ``np.fft.fft``. The marginals
 are uniform, so the mutual information is log2 d - H(d delta_st), and
 Alice's prediction, one offset per slot, hits with probability
-d delta_st[offset].
-:func:`joint_distribution` and :func:`mutual_information` are the
-dense forms, over whole d x d grids; ``verify`` checks the circulant
-statistics against them.
+d delta_st[offset]. This is the one route to the statistics: the
+dense forms over whole d x d grids are ``linalg``'s, and ``verify``
+checks the circulant statistics against them.
 """
 
 from __future__ import annotations
@@ -42,16 +41,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BellInequality, _inequality
-from .orbit import MeasLabel, ProblemSpec, _as_labels, _check_size, _root_table
+from .orbit import MeasLabel, ProblemSpec, _as_labels, _check_size
 
 __all__ = [
     "GameSpec",
     "AnalysisReport",
     "game_spec",
-    "winning_probabilities",
-    "joint_distribution",
-    "mutual_information",
-    "prediction_probability",
     "analyze",
 ]
 
@@ -77,7 +72,8 @@ class AnalysisReport:
     optimal state's circulant outcome grid at setting pair (s, t),
     P(a_s = x, b_t = 0) for x = 0..d-1, which fixes the whole grid;
     :attr:`joint_grids` forms the four d x d grids from it on each
-    access, and :func:`joint_distribution` gives any grid directly.
+    access, and ``orbitbell.linalg.joint_distribution`` gives any grid
+    from the state's d^2 amplitudes.
     """
 
     spec: ProblemSpec
@@ -143,74 +139,10 @@ def game_spec(terms: Iterable[tuple[MeasLabel, MeasLabel]] | np.ndarray) -> Game
     )
 
 
-def winning_probabilities(ineq: BellInequality, game: GameSpec) -> tuple[float, float]:
-    """(quantum, classical) winning probability under uniform questions."""
-    n = len(game.questions)
-    return ineq.quantum_bound / n, ineq.classical_bound / n
-
-
-def joint_distribution(
-    state: np.ndarray, alice_basis: np.ndarray, bob_basis: np.ndarray
-) -> np.ndarray:
-    """d x d outcome distribution of ``state`` measured in one basis per
-    party (columns are the outcomes; setting s measures in the columns
-    of U^s, with U = :func:`~orbitbell.orbit.root_unitary`).
-
-    The bases broadcast over their leading axes, so stacks of bases
-    give the stack of grids in one product: with ``bases`` the stack
-    (I, U), ``bases[:, None]`` against ``bases[None, :]`` gives the
-    four grids, indexed [s, t]."""
-    d = alice_basis.shape[-1]
-    alice = alice_basis.conj().swapaxes(-1, -2)
-    amplitudes = alice @ state.reshape(d, d) @ bob_basis.conj()
-    return np.abs(amplitudes) ** 2
-
-
-def mutual_information(joint: np.ndarray) -> float | np.ndarray:
-    """Mutual information, in bits, of a joint outcome distribution.
-
-    Reduces over the last two axes: a float for one d x d grid, an
-    array of values for a stack of grids. Zero probabilities contribute
-    zero. Entries below -1e-12, and NaN entries, in any grid are
-    rejected; tiny negative roundoff is clipped.
-    """
-    p = np.asarray(joint, dtype=float)
-    low = float(p.min())
-    if not low >= -1e-12:
-        raise ValueError(f"negative probability entry {low:.3e} in joint grid")
-    p = np.clip(p, 0.0, None)
-    denom = p.sum(axis=-1)[..., :, None] * p.sum(axis=-2)[..., None, :]
-    mask = p > 0.0
-    # a zero entry's ratio is 1/1, so its term is 0 * log2(1) = 0
-    ratio = np.where(mask, p, 1.0) / np.where(mask, denom, 1.0)
-    info = np.sum(p * np.log2(ratio), axis=(-2, -1))
-    return float(info) if info.ndim == 0 else info
-
-
-def prediction_probability(ineq: BellInequality) -> float:
-    """How well Alice predicts Bob's outcome with the two-setting rule.
-
-    The terms q, q + 4, ... of slot q differ by powers of T x T, which
-    shift both outcomes alike, so at the slot's setting pair Alice
-    predicts Bob's outcome as a - delta mod d, with delta her outcome
-    minus Bob's on the slot's first term. The value is the probability
-    that the prediction comes true, averaged uniformly over the four
-    setting pairs, with outcomes drawn from the optimal state. Raises
-    ValueError for any other number of settings.
-    """
-    spec = ineq.spec
-    if spec.settings != 2:
-        raise ValueError(
-            "the prediction rule needs exactly 2 settings per party, "
-            f"got {spec.settings}"
-        )
-    return _two_setting_stats(ineq, _root_table(spec).firsts).prediction
-
-
 class _TwoSettingStats(NamedTuple):
     """The last four fields of :class:`AnalysisReport`, in its order."""
 
-    prediction: float  # p, see prediction_probability
+    prediction: float  # p, Alice's prediction probability for Bob's outcome
     info_bits: float  # mutual information of grid (0, 0)
     spread: float  # max minus min mutual information over the grids
     columns: np.ndarray  # (2, 2, d): column 0 of the joint grid of (s, t)
@@ -226,9 +158,13 @@ def _two_setting_stats(ineq: BellInequality, firsts: np.ndarray) -> _TwoSettingS
 
     Each grid is its column delta_st (:func:`_grid_columns`), and
     I_ab = log2 d - H(d delta_00), the spread the same over the four.
-    p is d/4 times the sum, in (s, t) order, of each grid's predicted
-    entry delta_st[delta mod d], with delta Alice's minus Bob's outcome
-    on the slot's first term. Raises ValueError for a NaN probability."""
+    The terms of a slot differ by powers of T x T, which shift both
+    outcomes alike, so at the slot's setting pair Alice predicts Bob's
+    outcome as a - delta mod d, with delta Alice's minus Bob's outcome
+    on the slot's first term. p, the probability that the prediction
+    comes true averaged uniformly over the four setting pairs, is d/4
+    times the sum, in (s, t) order, of each grid's predicted entry
+    delta_st[delta mod d]. Raises ValueError for a NaN probability."""
     d = ineq.spec.outcomes
     columns = _grid_columns(ineq, firsts)
     if np.isnan(columns).any():
@@ -283,12 +219,19 @@ def _circulant_grids(columns: np.ndarray) -> np.ndarray:
 def analyze(spec: ProblemSpec) -> AnalysisReport:
     """Run the whole pipeline for one instance, from one root table: the
     inequality's, whose first columns also give the M = 2 statistics.
+    The winning probabilities are the bounds over the 2M questions.
 
     Raises InstanceTooLarge first for exactly the instances ``verify``'s
     size rule refuses (see :func:`~orbitbell.bounds.build_inequality`)."""
     _check_size(spec.outcomes, spec.settings)
     ineq, table, *_ = _inequality(spec)
     game = game_spec(ineq.labels)
-    quantum_win, classical_win = winning_probabilities(ineq, game)
     stats = _two_setting_stats(ineq, table.firsts) if spec.settings == 2 else (None,) * 4
-    return AnalysisReport(spec, ineq, game, quantum_win, classical_win, *stats)
+    return AnalysisReport(
+        spec,
+        ineq,
+        game,
+        ineq.quantum_bound / len(game.questions),
+        ineq.classical_bound / len(game.questions),
+        *stats,
+    )

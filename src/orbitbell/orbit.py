@@ -113,8 +113,8 @@ def _sizes(
 # cross-checks, the projector sum A (16 d^4, so d <= 64), and, on
 # their own, the orbit arrays of its stepping check and Gram spectrum;
 # analyze, build_inequality, game and table refuse exactly the
-# instances beyond it, and so do the public views root_unitary, orbit
-# and quantum_bound_analytic. verify applies the step B by its
+# instances beyond it, and so do the public views root_unitary and
+# orbit. verify applies the step B by its
 # definition, with no d^2 x d^2 matrix, and hands LAPACK the smaller of
 # A and the orbit's n x n Gram matrix G, formed from the (n, d)
 # factors, so it forms A only where n >= d^2, which the rule admits up
@@ -157,8 +157,7 @@ def _check_size(outcomes: int, settings: int) -> None:
     cross-check arrays for instance (d, M) = (outcomes, settings)
     exceeds MEMORY_CEILING; the one size rule of analyze,
     build_inequality, game, table and verify, and of the public views
-    :func:`root_unitary`, :func:`orbit` and
-    ``bounds.quantum_bound_analytic``.
+    :func:`root_unitary` and :func:`orbit`.
 
     First, one dense d^2 x d^2 cross-check matrix, the projector sum,
     must fit. Then the orbit arrays: over its n = 2*M*d steps, verify's

@@ -36,12 +36,12 @@ M = 1), with no phase fitted. The per-term probabilities, which
 |V conj(psi)|^2, from the dense states V must both equal Q_s/n. At
 M = 2 it checks ``analyze``'s statistics: the mutual information does
 not depend on the setting pair, p = Q_s / 4, and the circulant grids,
-each one d-long column, and their I_ab against the dense grids of the
-d^2 amplitudes in the bases (I, U) and their mutual information, to
-1e-12. A NaN residual fails its line, a NaN in a circulant column,
-which the statistics refuse, fails the information line, a NaN in a
-dense grid, which the mutual information refuses, the circulant line,
-and a NaN in A or G, which the Hermitian test of
+each one d-long column, and their I_ab against ``linalg``'s dense
+grids of the d^2 amplitudes in the bases (I, U) and their mutual
+information, to 1e-12. A NaN residual fails its line, a NaN in a
+circulant column, which the statistics refuse, fails the information
+line, a NaN in a dense grid, which the mutual information refuses, the
+circulant line, and a NaN in A or G, which the Hermitian test of
 ``quantum_bound_numeric`` refuses, fails the agreement line. A cell
 forms a d^2 x d^2 matrix only where A is the smaller, n >= d^2; its
 largest arrays are the (n, d^2) orbit states and their step by B, with
@@ -58,8 +58,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _ROUTE_TOL, _inequality, classical_bound
-from .games import _circulant_grids, _two_setting_stats, joint_distribution, mutual_information
-from .linalg import accumulate_A, apply_step, quantum_bound_numeric, translation_matrix
+from .games import _circulant_grids, _two_setting_stats
+from .linalg import (
+    _gram,
+    accumulate_A,
+    apply_step,
+    joint_distribution,
+    mutual_information,
+    quantum_bound_numeric,
+    translation_matrix,
+)
 from .orbit import _STEP_TOL, ProblemSpec, _check_size, _factor_indices, _gather, _sizes, _states
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -115,15 +123,6 @@ class VerificationReport:
 def _largest(residuals: np.ndarray | list[float]) -> float:
     """Largest magnitude among ``residuals``, NaN if any is NaN."""
     return float(np.abs(residuals).max())
-
-
-def _gram(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """The orbit's n x n Gram matrix G = conj(V) V^T, entry (j, k)
-    <v_j|v_k> = <a_j|a_k> <b_j|b_k>, from the (n, d) factor arrays
-    alice[j] = a_j and bob[j] = b_j, with no state formed. It has the
-    nonzero spectrum and the trace of the d^2 x d^2 projector sum
-    A = V^T conj(V)."""
-    return (alice.conj() @ alice.T) * (bob.conj() @ bob.T)
 
 
 def _closed_form(d: int, m: int) -> float:

@@ -25,8 +25,6 @@ from orbitbell import (
     build_inequality,
     classical_bound,
     orbit,
-    quantum_bound_analytic,
-    quantum_bound_numeric,
     root_unitary,
     run_verification,
 )
@@ -39,7 +37,7 @@ from orbitbell.bounds import (
     _inequality,
     quantum_bound_gram,
 )
-from orbitbell.linalg import accumulate_A, apply_step
+from orbitbell.linalg import accumulate_A, apply_step, quantum_bound_numeric
 from orbitbell.orbit import _as_labels, _factor_indices, _gather, _root_table
 from reference import (
     analytic_state_by_amplitude,
@@ -129,6 +127,12 @@ def test_quantum_bound_numeric_qutrit():
 def test_quantum_bound_numeric_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         quantum_bound_numeric(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    # the tolerance is 1e-12 on the largest asymmetry's magnitude,
+    # here |(a - a^H)[0, 1]| = |1.2e-12 + 1.6e-12 i| = 2e-12
+    with pytest.raises(ValueError, match="max asymmetry 2.000e-12 exceeds tolerance 1e-12"):
+        quantum_bound_numeric(np.array([[1.0, 1.2e-12 + 1.6e-12j], [0.0, 1.0]]))
+    # 5e-13 = |3e-13 - 4e-13 i| passes
+    assert quantum_bound_numeric(np.array([[1.0, 3e-13 - 4e-13j], [0.0, 1.0]])) == 1.0
 
 
 def test_quantum_bound_numeric_rejects_non_square():
@@ -216,9 +220,15 @@ def test_b_eigensystem_residuals(d, m):
         assert np.max(np.abs(b_vector - lam * vector)) <= 1e-9
 
 
+def analytic(spec):
+    """The root-index route's value and state, as build_inequality reports them."""
+    ineq = build_inequality(spec)
+    return ineq.quantum_bound, ineq.optimal_state
+
+
 def test_quantum_bound_analytic_qubit():
     spec = ProblemSpec(2, 2)
-    value, state = quantum_bound_analytic(spec)
+    value, state = analytic(spec)
     assert value == pytest.approx(2 + np.sqrt(2), abs=1e-12)
     u2 = (kron(PLUS_X, MINUS_X) + np.exp(1j * np.pi / 4) * kron(MINUS_X, PLUS_X)) / np.sqrt(2)
     assert abs(np.vdot(u2, state)) ** 2 == pytest.approx(1.0, abs=1e-12)
@@ -226,7 +236,7 @@ def test_quantum_bound_analytic_qubit():
 
 def test_quantum_bound_analytic_qutrit_state():
     spec = ProblemSpec(3, 2)
-    value, state = quantum_bound_analytic(spec)
+    value, state = analytic(spec)
     assert value == pytest.approx(10 / 3, abs=1e-12)
     # closed-form maximizer, flat index = 3*alice_level + bob_level
     ref = np.zeros(9)
@@ -242,7 +252,7 @@ def test_quantum_bound_analytic_qutrit_state():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_quantum_bound_qubit_family(m):
     spec = ProblemSpec(2, m)
-    value, state = quantum_bound_analytic(spec)
+    value, state = analytic(spec)
     assert value == pytest.approx(m * (1 + np.cos(np.pi / (2 * m))), abs=1e-12)
     if m >= 2:
         expected = (
@@ -256,8 +266,8 @@ def test_quantum_bound_qubit_family(m):
 def test_quantum_bound_routes_agree(d, m):
     spec = ProblemSpec(d, m)
     numeric = quantum_bound_numeric(accumulate_A(stacked(orbit(spec))))
-    analytic, state = quantum_bound_analytic(spec)
-    assert abs(numeric - analytic) <= 1e-9
+    value, state = analytic(spec)
+    assert abs(numeric - value) <= 1e-9
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -571,7 +581,7 @@ def test_build_inequality_checks_memory_ceiling_before_any_work(monkeypatch, d, 
 
 @pytest.mark.parametrize("d", [65, 10**5])
 @pytest.mark.parametrize(
-    "view", [root_unitary, orbit, quantum_bound_analytic], ids=lambda view: view.__name__
+    "view", [root_unitary, orbit], ids=lambda view: view.__name__
 )
 def test_public_views_check_the_size_rule_first(view, d):
     # the views refuse what build_inequality refuses, before the root

@@ -60,6 +60,11 @@ DENSE_ROUTES = [
 ]
 
 
+def test_dense_routes_include_the_m2_grid_and_information_routes():
+    # so the checks below that analyze runs no dense route cover them
+    assert {"joint_distribution", "mutual_information"} <= set(DENSE_ROUTES)
+
+
 def count_calls(monkeypatch, module_name, attr):
     """Wrap a function in every orbitbell namespace that binds it."""
     fn = getattr(importlib.import_module(module_name), attr)
@@ -110,10 +115,10 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     roots = count_calls(monkeypatch, "orbitbell.orbit", "root_unitary")
     public_orbits = count_calls(monkeypatch, "orbitbell.orbit", "orbit")
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
-    grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
     gram = count_calls(monkeypatch, "orbitbell.bounds", "quantum_bound_gram")
     analytic = count_calls(monkeypatch, "orbitbell.bounds", "_analytic_bound")
-    # the dense routes belong to verify and the tests only
+    # the dense routes, the grids and their information included, belong
+    # to verify and the tests only
     dense = {
         name: count_calls(monkeypatch, "orbitbell.linalg", name) for name in DENSE_ROUTES
     }
@@ -126,7 +131,6 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
     assert states[0] == 0
     assert roots[0] == public_orbits[0] == 0
     assert stats[0] == (1 if m == 2 else 0)
-    assert grids[0] == 0
     assert gram[0] == analytic[0] == 1
     assert {name: calls[0] for name, calls in dense.items()} == dict.fromkeys(DENSE_ROUTES, 0)
     assert eliminations[0] == 0
@@ -135,7 +139,7 @@ def test_analyze_builds_each_instance_once(monkeypatch, d, m):
 @pytest.mark.parametrize("d,m", [(5, 4), (2, 12)])
 def test_analyze_skips_joint_grids_beyond_two_settings(monkeypatch, d, m):
     stats = count_calls(monkeypatch, "orbitbell.games", "_two_setting_stats")
-    grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
+    grids = count_calls(monkeypatch, "orbitbell.linalg", "joint_distribution")
     tables = count_calls(monkeypatch, "orbitbell.orbit", "_root_table")
     report = analyze(ProblemSpec(d, m))
     assert report.joint_grids is None
@@ -149,8 +153,8 @@ def test_analyze_forms_no_d2_state_and_no_grid_stack(monkeypatch, d, m):
     # column, through the report and its certificate
     expansions = count_calls(monkeypatch, "orbitbell.bounds", "_expand_state")
     stacks = count_calls(monkeypatch, "orbitbell.games", "_circulant_grids")
-    grids = count_calls(monkeypatch, "orbitbell.games", "joint_distribution")
-    infos = count_calls(monkeypatch, "orbitbell.games", "mutual_information")
+    grids = count_calls(monkeypatch, "orbitbell.linalg", "joint_distribution")
+    infos = count_calls(monkeypatch, "orbitbell.linalg", "mutual_information")
     report = analyze(ProblemSpec(d, m))
     certificate_json(report)
     assert expansions[0] == stacks[0] == grids[0] == infos[0] == 0

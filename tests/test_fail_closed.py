@@ -32,14 +32,13 @@ import pytest
 from orbitbell import (
     CheckResult,
     ProblemSpec,
-    mutual_information,
     orbit,
-    quantum_bound_numeric,
     root_unitary,
     run_verification,
 )
 from orbitbell.bounds import _inequality, quantum_bound_gram
 from orbitbell.cli import main as cli_main
+from orbitbell.linalg import mutual_information, quantum_bound_numeric
 from orbitbell.orbit import _factor_indices, _gather, _root_table
 from reference import eigensystem_by_pair, root_of_unity_index
 

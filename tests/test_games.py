@@ -1,5 +1,8 @@
 """Nonlocal games, joint distributions, information measures.
 
+The dense grid and information routes are ``orbitbell.linalg``'s;
+the winning and prediction probabilities are read off ``analyze``.
+
 Anchors: the qubit two-setting game at (2 + sqrt(2))/4 vs 3/4, the
 qutrit game at 5/6 classical, the qubit M-setting family, and the
 two-setting survey statistics.
@@ -17,13 +20,10 @@ from orbitbell import (
     analyze,
     build_inequality,
     game_spec,
-    joint_distribution,
-    mutual_information,
     orbit,
-    prediction_probability,
     root_unitary,
-    winning_probabilities,
 )
+from orbitbell.linalg import joint_distribution, mutual_information
 from reference import measurement_bases
 
 GRID = [(d, m) for d in range(2, 7) for m in range(1, 7)]
@@ -56,6 +56,12 @@ def make_game(d, m):
     spec = ProblemSpec(d, m)
     ineq = build_inequality(spec)
     return spec, ineq, game_spec(ineq.terms)
+
+
+def win_probabilities(d, m):
+    """(quantum, classical) winning probability, as analyze reports them."""
+    report = analyze(ProblemSpec(d, m))
+    return report.quantum_win, report.classical_win
 
 
 def test_game_spec_qubit_two_settings():
@@ -212,23 +218,20 @@ def test_game_spec_structure(d, m):
 
 
 def test_winning_probabilities_qubit():
-    _, ineq, game = make_game(2, 2)
-    quantum, classical = winning_probabilities(ineq, game)
+    quantum, classical = win_probabilities(2, 2)
     assert quantum == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-12)
     assert classical == pytest.approx(3 / 4, abs=1e-12)
 
 
 def test_winning_probabilities_qutrit():
-    _, ineq, game = make_game(3, 2)
-    quantum, classical = winning_probabilities(ineq, game)
+    quantum, classical = win_probabilities(3, 2)
     assert quantum == pytest.approx(5 / 6, abs=1e-12)
     assert classical == pytest.approx(3 / 4, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_winning_probabilities_qubit_family(m):
-    _, ineq, game = make_game(2, m)
-    quantum, classical = winning_probabilities(ineq, game)
+    quantum, classical = win_probabilities(2, m)
     assert quantum == pytest.approx((1 + np.cos(np.pi / (2 * m))) / 2, abs=1e-12)
     assert classical == pytest.approx(1 - 1 / (2 * m), abs=1e-12)
     if m >= 2:
@@ -238,7 +241,7 @@ def test_winning_probabilities_qubit_family(m):
 @pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 5)])
 def test_win_probabilities_match_direct_summation(d, m):
     _, ineq, game = make_game(d, m)
-    quantum, classical = winning_probabilities(ineq, game)
+    quantum, classical = win_probabilities(d, m)
     assert quantum == pytest.approx(quantum_win_direct(ineq, game), abs=1e-12)
     assert classical == pytest.approx(classical_win_direct(ineq, game), abs=1e-12)
 
@@ -329,17 +332,17 @@ def test_mutual_information_clips_roundoff():
 
 def test_prediction_probability_survey_values():
     for d, expected in [(2, 0.8536), (3, 0.8333), (4, 0.8266), (5, 0.8236)]:
-        ineq = build_inequality(ProblemSpec(d, 2))
-        p = prediction_probability(ineq)
+        report = analyze(ProblemSpec(d, 2))
+        p = report.prediction_prob
         assert round(p, 4) == pytest.approx(expected, abs=5e-4)
         # the rule recovers exactly a quarter of the quantum bound
-        assert p == pytest.approx(ineq.quantum_bound / 4, abs=1e-12)
+        assert p == pytest.approx(report.quantum_bound / 4, abs=1e-12)
 
 
 def test_prediction_probability_needs_two_settings():
+    # the two-setting rule has no value at any other M
     for d, m in [(2, 1), (2, 3)]:
-        with pytest.raises(ValueError, match="2 settings"):
-            prediction_probability(build_inequality(ProblemSpec(d, m)))
+        assert analyze(ProblemSpec(d, m)).prediction_prob is None
 
 
 def test_analyze_qubit_two_settings():

@@ -92,11 +92,7 @@ from orbitbell import (
     build_inequality,
     classical_bound,
     game_spec,
-    joint_distribution,
-    mutual_information,
     orbit,
-    quantum_bound_analytic,
-    quantum_bound_numeric,
     root_unitary,
 )
 from orbitbell.bounds import (
@@ -106,7 +102,15 @@ from orbitbell.bounds import (
     quantum_bound_gram,
 )
 from orbitbell.games import _circulant_grids, _two_setting_stats
-from orbitbell.linalg import accumulate_A, apply_step, translation_matrix
+from orbitbell.linalg import (
+    _gram,
+    accumulate_A,
+    apply_step,
+    joint_distribution,
+    mutual_information,
+    quantum_bound_numeric,
+    translation_matrix,
+)
 from orbitbell.orbit import (
     _eigenphases,
     _factor_indices,
@@ -114,7 +118,7 @@ from orbitbell.orbit import (
     _labels,
     _root_table,
 )
-from orbitbell.verify import _gram, _largest
+from orbitbell.verify import _largest
 from reference import (
     classical_bound_by_term,
     condition_label_pairs,
@@ -400,8 +404,7 @@ def test_classical_bound_matches_the_per_term_hit_tables(cell):
 def test_quantum_bound_routes_agree_on_random_instances(d, m):
     spec = ProblemSpec(d, m)
     numeric = quantum_bound_numeric(accumulate_A(stacked(orbit(spec))))
-    analytic, _ = quantum_bound_analytic(spec)
-    assert abs(numeric - analytic) <= 1e-9
+    assert abs(numeric - build_inequality(spec).quantum_bound) <= 1e-9
 
 
 @EVERY_CELL_SETTINGS
@@ -411,7 +414,8 @@ def test_root_index_route_matches_grouping_the_eigensystem(cell):
     # the same group, read off the state as its eigenvalue under the
     # dense B, and the same state and value to rounding
     spec = ProblemSpec(*cell)
-    value, state = quantum_bound_analytic(spec)
+    ineq = build_inequality(spec)
+    value, state = ineq.quantum_bound, ineq.optimal_state
     ref_idx, ref_value, ref_state = grouped_eigensystem_bound(spec, orbit(spec))
     b_state = apply_step(root_unitary(spec), state)
     assert root_of_unity_index(np.vdot(state, b_state), spec.orbit_length) == ref_idx
@@ -423,7 +427,7 @@ def test_root_index_route_matches_grouping_the_eigensystem(cell):
 @given(st.sampled_from(CLOSED_FORM_CELLS))
 @every_cell(CLOSED_FORM_CELLS)
 def test_quantum_bound_is_the_closed_form(cell):
-    value, _ = quantum_bound_analytic(ProblemSpec(*cell))
+    value = build_inequality(ProblemSpec(*cell)).quantum_bound
     assert abs(value - closed_form_bound(*cell)) <= 1e-12
 
 
@@ -444,7 +448,7 @@ def test_proved_group_is_the_scan_winner(cell):
     else:
         runner_up = np.max(np.delete(values, rho))
         assert values[rho] - runner_up > 1e-9
-    _, state = quantum_bound_analytic(spec)
+    state = build_inequality(spec).optimal_state
     assert np.max(np.abs(state - scanned_group_state(spec, table, h, rho))) <= 1e-14
 
 
@@ -455,7 +459,7 @@ def test_optimal_state_pairs_each_fourier_vector_with_at_most_one(cell):
     # amplitudes F[a, b] = <w_a (x) w_b|psi>: at most one entry above
     # 1e-12 in each row and each column
     d = cell[0]
-    _, state = quantum_bound_analytic(ProblemSpec(*cell))
+    state = build_inequality(ProblemSpec(*cell)).optimal_state
     w = fourier_rows(d)
     amplitudes = w.conj() @ state.reshape(d, d) @ w.conj().T
     large = np.abs(amplitudes) > 1e-12
@@ -507,8 +511,7 @@ def test_full_orbit_bounds_are_chained_bell_values(cell):
     assert_forms_agree(spec, terms)
     assert value == 2 * m - 1
     assert witness == DeterministicStrategy((0,) * m, (0,) * m)
-    analytic, _ = quantum_bound_analytic(spec)
-    assert value - 1e-9 <= analytic <= 2 * m + 1e-9
+    assert value - 1e-9 <= build_inequality(spec).quantum_bound <= 2 * m + 1e-9
 
 
 @EVERY_CELL_SETTINGS
@@ -740,10 +743,6 @@ def test_batched_transforms_equal_the_unbatched_forms_bit_for_bit(cell):
     gram, labels = unbatched_gram_and_labels(spec, table.firsts)
     assert instance.gram.hex() == gram.hex()
     assert ineq.labels.dtype == labels.dtype and ineq.labels.tobytes() == labels.tobytes()
-    # the public view builds its own table for the same group
-    public_value, state = quantum_bound_analytic(spec)
-    assert public_value.hex() == value.hex()
-    assert state.tobytes() == ineq.optimal_state.tobytes()
     if spec.settings == 2:
         columns = _two_setting_stats(ineq, table.firsts).columns
         expected = unbatched_grid_columns(coefficients, rho, table.firsts)
@@ -772,9 +771,9 @@ def test_orbit_closes_over_distinct_labels(d, m):
 def test_per_term_probabilities_are_uniform(d, m):
     spec = ProblemSpec(d, m)
     entries = orbit(spec)
-    analytic, state = quantum_bound_analytic(spec)
-    probs = np.array([abs(np.vdot(state, e.vector)) ** 2 for e in entries])
-    assert np.max(np.abs(probs - analytic / spec.orbit_length)) <= 1e-9
+    ineq = build_inequality(spec)
+    probs = np.array([abs(np.vdot(ineq.optimal_state, e.vector)) ** 2 for e in entries])
+    assert np.max(np.abs(probs - ineq.quantum_bound / spec.orbit_length)) <= 1e-9
 
 
 @PROPERTY_SETTINGS
